@@ -31,10 +31,10 @@ print("A* of the generic 2x2:")
 print(preadjoint(A))
 print()
 
-# Two independent routes to the same matrix: direct stabilized-pair
-# enumeration versus signed symmetric determinants of minors.
+# Two independent routes to the same matrix: the prefix/suffix subset
+# dynamic program versus signed symmetric determinants of minors.
 assert preadjoint(A) == preadjoint_via_minors(A)
-print("direct enumeration and the minor formula agree entrywise")
+print("the subset dynamic program and the minor formula agree entrywise")
 print()
 
 # Over the integers the preadjoint is (n-1)! times the classical adjugate.

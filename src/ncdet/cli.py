@@ -7,7 +7,7 @@ record per result with the fields operation, input_digest,
 result_canonical_text and elapsed_ms.
 
 Exit codes: 0 success / all checks passed, 1 verification failure,
-2 input error.
+2 input error or a result over the term budget.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .determinants import (
 )
 from .matrices import Matrix
 from .parsing import DocumentError, ParseError, load_matrix
+from .rings import TermLimitError
 from .verify import SUITES, generic_matrix, run_verify
 
 
@@ -196,7 +197,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return _run_verify_command(args)
         return _run_matrix_command(args)
-    except (DocumentError, ParseError, ValueError, OSError) as exc:
+    except (DocumentError, ParseError, ValueError, OSError, TermLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

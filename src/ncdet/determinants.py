@@ -12,6 +12,18 @@ the ordered product that omits position s.  Entry (r, s) also equals
 (-1)^(r+s) times the symmetric determinant of the minor that deletes row s
 and column r; both routes are implemented and cross-checked in the tests.
 
+The preadjoint is computed by a subset dynamic program that keeps factor
+order, so it is exact in any ring.  A prefix table holds, for every pair of
+equal-size row and column sets (R, C), the signed sum of the ordered
+products that place R and C in the first |R| positions; it grows by one
+factor on the right.  A suffix table holds the same for the last positions
+and grows by one factor on the left.  Entry (r, s) joins a prefix over
+s positions with the suffix over the complementary sets, row s and column r
+taken out.  The inversions that cross the prefix block, the fixed position
+and the suffix block depend only on the sets, so each join carries one sign
+fixed in advance.  The permutation-pair enumeration survives as a test
+oracle.
+
 From the preadjoint the right and left adjoint sequences are defined by
 
     P_1 = A*,  P_{k+1} = (A P_1 ... P_k)*
@@ -24,10 +36,11 @@ tr(Q_k ... Q_1 A).  Both equal the symmetric determinant at k = 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from functools import lru_cache
+from itertools import combinations
 
 from .matrices import Matrix, commutative_adj, commutative_det
-from .perms import perm_sign, signed_permutations
+from .perms import signed_permutations
 from .rings import IntegerRing
 
 
@@ -49,55 +62,151 @@ def symmetric_determinant(A: Matrix):
     return total
 
 
-def _stabilized(n: int, fixed_pos: int, fixed_val: int):
-    """Permutations of S_n with image fixed_val at position fixed_pos.
+def _members(mask: int) -> list[int]:
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
-    Yields (full image array, sign); the other positions run over all
-    arrangements of the remaining values in lexicographic order.
+
+def _subsets(mask: int, size: int) -> list[int]:
+    """The size-element subsets of the set bits of mask, as bitmasks."""
+    return [sum(1 << i for i in combo) for combo in combinations(_members(mask), size)]
+
+
+def _above(mask: int, x: int) -> int:
+    return (mask >> x + 1).bit_count()
+
+
+def _below(mask: int, x: int) -> int:
+    return (mask & (1 << x) - 1).bit_count()
+
+
+def _block_inversions(before: int, middle: int, after: int) -> int:
+    """Inversions between the blocks of a permutation that lists the set
+    ``before`` (in any order), then ``middle``, then the set ``after``."""
+    count = _above(before, middle) + _below(after, middle)
+    for x in _members(before):
+        count += _below(after, x)
+    return count
+
+
+def _sweep_plan(wanted: set, grow_right: bool):
+    """Index and steps of the (row set, column set) states in wanted and of
+    every smaller state they are built from.
+
+    A state over k positions sums its k^2 one-factor extensions of states
+    over k - 1 positions, so its step is a tuple of (predecessor index, row,
+    column, negative) terms, with index -1 for the empty product.  Growing
+    on the right the new factor comes last, so each member of the set above
+    it is one inversion; growing on the left it comes first, and each member
+    below it is one.
     """
-    positions = [t for t in range(n) if t != fixed_pos]
-    values = [v for v in range(n) if v != fixed_val]
-    out = []
-    for arrangement in permutations(values):
-        full = [0] * n
-        full[fixed_pos] = fixed_val
-        for pos, val in zip(positions, arrangement):
-            full[pos] = val
-        out.append((full, perm_sign(full)))
-    return out
+    need, frontier = set(wanted), wanted
+    while frontier:
+        frontier = {
+            (rows ^ 1 << r, cols ^ 1 << c)
+            for rows, cols in frontier
+            if rows.bit_count() > 1
+            for r in _members(rows)
+            for c in _members(cols)
+        } - need
+        need |= frontier
+    order = sorted(need, key=lambda key: (key[0].bit_count(), key))
+    index = {key: i for i, key in enumerate(order)}
+    inversions = _above if grow_right else _below
+    steps = []
+    for rows, cols in order:
+        terms = []
+        for r in _members(rows):
+            for c in _members(cols):
+                pred = index.get((rows ^ 1 << r, cols ^ 1 << c), -1)
+                flips = inversions(rows, r) + inversions(cols, c)
+                terms.append((pred, r, c, flips % 2 == 1))
+        steps.append(tuple(terms))
+    return index, tuple(steps)
+
+
+@lru_cache(maxsize=None)
+def _preadjoint_plan(n: int):
+    """Prefix steps, suffix steps, and per entry (r, s) in row-major order
+    the joins (prefix index, suffix index, negative); index -1 is the empty
+    product, which is never multiplied."""
+    full = (1 << n) - 1
+    entries = []
+    for r in range(n):
+        for s in range(n):
+            joins = []
+            for R in _subsets(full ^ 1 << s, s):
+                S = full ^ 1 << s ^ R
+                for C in _subsets(full ^ 1 << r, s):
+                    D = full ^ 1 << r ^ C
+                    flips = _block_inversions(R, s, S) + _block_inversions(C, r, D)
+                    joins.append(((R, C), (S, D), flips % 2 == 1))
+            entries.append(joins)
+    pre_index, prefix = _sweep_plan({p for e in entries for p, _, _ in e if p[0]}, True)
+    suf_index, suffix = _sweep_plan({q for e in entries for _, q, _ in e if q[0]}, False)
+    joins = tuple(
+        tuple((pre_index.get(p, -1), suf_index.get(q, -1), negative) for p, q, negative in e)
+        for e in entries
+    )
+    return prefix, suffix, joins
+
+
+def _accumulate(total, term, negative: bool):
+    """total - term or total + term, where None is the empty sum.
+
+    A sum starts from its first term, not from zero, so a single-term sum is
+    that term itself rather than a copy of it.
+    """
+    if total is None:
+        return -term if negative else term
+    return total - term if negative else total + term
+
+
+def _sweep(steps, rows, grow_right: bool) -> list:
+    """The value of every state of a sweep plan on the given matrix rows."""
+    table = []
+    for terms in steps:
+        total = None
+        for pred, r, c, negative in terms:
+            term = rows[r][c]
+            if pred >= 0:
+                term = table[pred] * term if grow_right else term * table[pred]
+            total = _accumulate(total, term, negative)
+        table.append(total)
+    return table
 
 
 def preadjoint(A: Matrix) -> Matrix:
     """The symmetrized adjugate A*.
 
-    Entry (r, s) enumerates the ((n-1)!)^2 pairs (alpha, beta) with
-    alpha(s) = s, beta(s) = r directly, rather than filtering S_n x S_n.
-    A 1x1 matrix maps to [1] (empty product convention).
+    Entry (r, s) sums, over the pairs (alpha, beta) with alpha(s) = s and
+    beta(s) = r, the signed ordered product that omits position s.  It is
+    evaluated as sum of +-prefix[R, C] * suffix[S, D] over the row and
+    column sets R, C of size s that avoid s and r, where S and D are their
+    complements with s and r taken out: the prefix table sums the ordered
+    products over the first s positions, the suffix table over the last
+    n - 1 - s, and the sign of each join depends only on the four sets.
+    The index plan is built once per n.  A 1x1 matrix maps to [1] (empty
+    product convention).
     """
     n = A.n
-    ring = A.ring
     if n == 1:
-        return Matrix(ring, [[ring.one]])
-    rows = A.rows
-    out = []
-    for r in range(n):
-        out_row = []
-        for s in range(n):
-            positions = [t for t in range(n) if t != s]
-            total = ring.zero
-            for alpha, sign_a in _stabilized(n, s, s):
-                for beta, sign_b in _stabilized(n, s, r):
-                    t0 = positions[0]
-                    prod = rows[alpha[t0]][beta[t0]]
-                    for t in positions[1:]:
-                        prod = prod * rows[alpha[t]][beta[t]]
-                    if sign_a * sign_b > 0:
-                        total = total + prod
-                    else:
-                        total = total - prod
-            out_row.append(total)
-        out.append(out_row)
-    return Matrix(ring, out)
+        return Matrix(A.ring, [[A.ring.one]])
+    prefix, suffix, entries = _preadjoint_plan(n)
+    pre = _sweep(prefix, A.rows, True)
+    suf = _sweep(suffix, A.rows, False)
+    values = []
+    for joins in entries:
+        total = None
+        for p, q, negative in joins:
+            if p < 0:
+                term = suf[q]
+            elif q < 0:
+                term = pre[p]
+            else:
+                term = pre[p] * suf[q]
+            total = _accumulate(total, term, negative)
+        values.append(total)
+    return Matrix(A.ring, [values[r * n : (r + 1) * n] for r in range(n)])
 
 
 def preadjoint_via_minors(A: Matrix) -> Matrix:

@@ -186,7 +186,11 @@ def random_supermatrix(
 
 
 def unimodular_conjugators(n: int) -> tuple[Matrix, ...]:
-    """Three fixed unimodular integer matrices: two transvections and a permutation."""
+    """Fixed unimodular integer matrices: two transvections and a permutation.
+
+    A transvection needs two distinct indices, so at n = 1 only the
+    permutation (the 1x1 identity) remains.
+    """
     ring = IntegerRing()
 
     def transvection(p, q):
@@ -195,6 +199,8 @@ def unimodular_conjugators(n: int) -> tuple[Matrix, ...]:
         return Matrix(ring, rows)
 
     shift = Matrix(ring, [[1 if j == (i + 1) % n else 0 for j in range(n)] for i in range(n)])
+    if n == 1:
+        return (shift,)
     return (transvection(0, 1), transvection(n - 1, 0), shift)
 
 
@@ -595,7 +601,8 @@ def _suite_commutative_collapse(opt: VerifyOptions) -> list[CheckResult]:
                 adj = commutative_adj(A)
                 if preadjoint(A) != adj * math.factorial(n - 1):
                     return False, "A* != (n-1)! adj(A)"
-                if preadjoint_via_minors(A) != adj * math.factorial(n - 1):
+                # the minor formula needs a 2x2 matrix or larger
+                if n > 1 and preadjoint_via_minors(A) != adj * math.factorial(n - 1):
                     return False, "minor-formula A* != (n-1)! adj(A)"
                 if n <= 3 and right_determinant(A, 1) != math.factorial(n) * det:
                     return False, "rdet_1 != n! det"

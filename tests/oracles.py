@@ -2,9 +2,9 @@
 
 Nothing here shares code with the package internals: permutations come
 from Heap's algorithm with the sign maintained by swap parity, the
-double-sum determinant is evaluated directly from its definition, and
-commutator-subgroup membership is decided by integer lattice reduction
-over an explicit basis of monomial commutators.
+double-sum determinant and preadjoint are evaluated directly from their
+definitions, and commutator-subgroup membership is decided by integer
+lattice reduction over an explicit basis of monomial commutators.
 """
 
 from __future__ import annotations
@@ -48,6 +48,33 @@ def sdet_double_sum(A: Matrix):
                 prod = prod * A.rows[alpha[t]][beta[t]]
             total = total + prod if sign_a == sign_b else total - prod
     return total
+
+
+def preadjoint_double_sum(A: Matrix) -> Matrix:
+    """Preadjoint straight from its definition: entry (r, s) sums the pairs
+    (alpha, beta) with alpha(s) = s and beta(s) = r, taking the ordered
+    product over every position except s."""
+    n = A.n
+    perms = heap_signed_permutations(n)
+    out = []
+    for r in range(n):
+        row = []
+        for s in range(n):
+            total = A.ring.zero
+            for alpha, sign_a in perms:
+                if alpha[s] != s:
+                    continue
+                for beta, sign_b in perms:
+                    if beta[s] != r:
+                        continue
+                    prod = A.ring.one
+                    for t in range(n):
+                        if t != s:
+                            prod = prod * A.rows[alpha[t]][beta[t]]
+                    total = total + prod if sign_a == sign_b else total - prod
+            row.append(total)
+        out.append(row)
+    return Matrix(A.ring, out)
 
 
 def words_up_to(num_generators: int, max_degree: int) -> list[tuple[int, ...]]:

@@ -117,6 +117,13 @@ def test_bad_generic_dimension(capsys):
     assert main(["sdet", "--generic", "0"]) == 2
 
 
+def test_term_budget_hit_is_a_clean_exit_2(capsys):
+    assert main(["rdet", "--k", "3", "--generic", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: product would enumerate")
+
+
 def test_s4_requires_2x2(capsys):
     assert main(["s4", "--generic", "3"]) == 2
     assert "2x2" in capsys.readouterr().err

@@ -2,9 +2,12 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ncdet import (
     FreeAlgebra,
+    FreePoly,
+    GrassmannAlgebra,
     IntegerRing,
     Matrix,
     Permutation,
@@ -23,9 +26,10 @@ from ncdet import (
     symmetric_determinant,
     trace_of_product,
 )
-from ncdet.verify import generic_matrix
+from ncdet.charpoly import char_matrix
+from ncdet.verify import generic_matrix, random_grassmann_matrix, random_supermatrix
 
-from oracles import heap_signed_permutations, sdet_double_sum
+from oracles import heap_signed_permutations, preadjoint_double_sum, sdet_double_sum
 
 
 @pytest.fixture
@@ -149,6 +153,98 @@ def test_preadjoint_routes_agree_on_random_4x4(ints):
     A = random_int_matrix(rng, 4, ints)
     assert preadjoint(A) == preadjoint_via_minors(A)
     assert preadjoint(A) == commutative_adj(A) * math.factorial(3)
+
+
+def assert_preadjoint_matches_oracles(A):
+    P = preadjoint(A)
+    assert P == preadjoint_double_sum(A)
+    if A.n > 1:
+        assert P == preadjoint_via_minors(A)
+
+
+def _square(entries, max_n):
+    return st.integers(1, max_n).flatmap(
+        lambda n: st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
+    )
+
+
+_seeds = st.integers(0, 2**32 - 1)
+_free_words = st.lists(st.integers(0, 2), min_size=0, max_size=2).map(tuple)
+_free_terms = st.dictionaries(_free_words, st.integers(-3, 3), max_size=3)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_square(st.integers(-9, 9), 5))
+def test_preadjoint_matches_oracles_on_integers(rows):
+    assert_preadjoint_matches_oracles(Matrix(IntegerRing(), rows))
+
+
+@settings(max_examples=25, deadline=None)
+@given(_square(_free_terms, 4))
+def test_preadjoint_matches_oracles_on_free_matrices(rows):
+    algebra = FreeAlgebra(("a", "b", "c"))
+    assert_preadjoint_matches_oracles(
+        Matrix(algebra, [[FreePoly(algebra, terms) for terms in row] for row in rows])
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 4), _seeds)
+def test_preadjoint_matches_oracles_on_grassmann_matrices(n, seed):
+    algebra = GrassmannAlgebra(6)
+    rng = random.Random(seed)
+    assert_preadjoint_matches_oracles(random_grassmann_matrix(algebra, rng, n))
+    if n > 1:
+        t = rng.randint(1, n - 1)
+        assert_preadjoint_matches_oracles(random_supermatrix(algebra, rng, n, t))
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(1, 3), _seeds)
+def test_preadjoint_matches_oracles_over_polynomial_entries(n, seed):
+    A = random_grassmann_matrix(GrassmannAlgebra(6), random.Random(seed), n)
+    assert_preadjoint_matches_oracles(char_matrix(A))
+
+
+def test_preadjoint_integer_6x6_is_120_adjugates(ints):
+    A = random_int_matrix(random.Random(66), 6, ints)
+    assert preadjoint(A) == commutative_adj(A) * 120
+
+
+class CountingInt(int):
+    """An int whose ring operations stay CountingInt and count products."""
+
+    products = 0
+
+    def __mul__(self, other):
+        CountingInt.products += 1
+        return CountingInt(int(self) * int(other))
+
+    def __add__(self, other):
+        return CountingInt(int(self) + int(other))
+
+    def __sub__(self, other):
+        return CountingInt(int(self) - int(other))
+
+    def __rsub__(self, other):
+        return CountingInt(int(other) - int(self))
+
+    def __neg__(self):
+        return CountingInt(-int(self))
+
+    __rmul__ = __mul__
+    __radd__ = __add__
+
+
+@pytest.mark.parametrize("n, products", [(2, 0), (3, 36)])
+def test_preadjoint_never_multiplies_by_the_empty_product(n, products, ints, monkeypatch):
+    # the counts of the (n-1)!^2 * n^2 * (n-2) enumeration at n = 2 and 3
+    monkeypatch.setattr(CountingInt, "products", 0)
+    rng = random.Random(n)
+    A = Matrix(ints, [[CountingInt(rng.randint(-9, 9)) for _ in range(n)] for _ in range(n)])
+    P = preadjoint(A)
+    assert CountingInt.products == products
+    assert P == commutative_adj(A) * math.factorial(n - 1)
 
 
 # -- adjoint sequences and k-th determinants ------------------------------------

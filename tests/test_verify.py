@@ -1,6 +1,7 @@
 import pytest
 
 from ncdet import run_verify
+from ncdet.cli import main
 from ncdet import determinants
 from ncdet.verify import SUITES
 
@@ -26,6 +27,18 @@ def test_sizes_over_the_guardrail_are_input_errors():
         run_verify("thm2_3", rank=30)
     with pytest.raises(ValueError, match="shapes"):
         run_verify("thm2_4", n=2, t=2)
+
+
+@pytest.mark.parametrize("suite", [*SUITES, "all"])
+def test_every_suite_at_n1_passes_or_is_refused(suite, capsys):
+    code = main(["verify", "--suite", suite, "--n", "1"])
+    captured = capsys.readouterr()
+    if code == 2:
+        assert captured.err.startswith("error: ")
+    else:
+        assert code == 0
+        assert "[FAIL]" not in captured.out
+        assert "all checks passed" in captured.out
 
 
 def test_single_suite_reports_pass():
