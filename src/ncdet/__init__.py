@@ -57,7 +57,7 @@ from .parsing import (
     parse_expression,
     save_matrix,
 )
-from .perms import Permutation, perm_sign, signed_permutations
+from .perms import perm_sign, signed_permutations
 from .rings import (
     AxiomReport,
     IntegerRing,
@@ -93,7 +93,6 @@ __all__ = [
     "Matrix",
     "MatrixDocument",
     "ParseError",
-    "Permutation",
     "PolynomialRing",
     "Ring",
     "RingSpec",

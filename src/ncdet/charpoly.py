@@ -23,7 +23,7 @@ from .freealg import FreeAlgebra, in_commutator_span
 from .grassmann import GrassmannAlgebra
 from .matrices import Matrix
 from .perms import signed_permutations
-from .rings import Ring
+from .rings import IntegerRing, Ring
 
 
 class PolynomialRing(Ring):
@@ -118,6 +118,11 @@ class CentralPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        # elements are immutable, so a sum with zero is the other operand
+        if not self._coeffs:
+            return other
+        if not other._coeffs:
+            return self
         size = max(len(self._coeffs), len(other._coeffs))
         coeffs = [self.coeff(i) + other.coeff(i) for i in range(size)]
         return CentralPoly(self.ring, coeffs)
@@ -145,12 +150,12 @@ class CentralPoly:
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return self.ring.zero
-        zero = self.ring.base.zero
-        out = [zero] * (len(self._coeffs) + len(other._coeffs) - 1)
+        base = self.ring.base
+        out = [base.accumulator() for _ in range(len(self._coeffs) + len(other._coeffs) - 1)]
         for i, a in enumerate(self._coeffs):
             for j, b in enumerate(other._coeffs):
-                out[i + j] = out[i + j] + a * b
-        return CentralPoly(self.ring, out)
+                out[i + j] += a * b
+        return CentralPoly(self.ring, [base.total(acc) for acc in out])
 
     def __rmul__(self, other) -> CentralPoly:
         other = self._coerce(other)
@@ -401,14 +406,18 @@ def scalar_cayley_hamilton_check(A: Matrix, k: int = 2, allow_n3: bool = False) 
 def standard_polynomial_4(x1, x2, x3, x4):
     """S_4: the signed sum of all 24 orderings of four ring elements."""
     items = (x1, x2, x3, x4)
-    total = None
+    # the ring of the first argument; plain ints sum in the integers
+    ring = getattr(x1, "algebra", None) or getattr(x1, "ring", IntegerRing())
+    total = ring.accumulator()
     for images, sign in signed_permutations(4):
         prod = items[images[0]]
         for t in images[1:]:
             prod = prod * items[t]
-        term = prod if sign > 0 else -prod
-        total = term if total is None else total + term
-    return total
+        if sign > 0:
+            total += prod
+        else:
+            total -= prod
+    return ring.total(total)
 
 
 def newton_sdet_2(A: Matrix):

@@ -48,7 +48,7 @@ def symmetric_determinant(A: Matrix):
     """Exact double permutation sum over S_n x S_n."""
     n = A.n
     rows = A.rows
-    total = A.ring.zero
+    total = A.ring.accumulator()
     perms = signed_permutations(n)
     for alpha, sign_a in perms:
         for beta, sign_b in perms:
@@ -56,10 +56,10 @@ def symmetric_determinant(A: Matrix):
             for t in range(1, n):
                 prod = prod * rows[alpha[t]][beta[t]]
             if sign_a * sign_b > 0:
-                total = total + prod
+                total += prod
             else:
-                total = total - prod
-    return total
+                total -= prod
+    return A.ring.total(total)
 
 
 def _members(mask: int) -> list[int]:
@@ -150,28 +150,21 @@ def _preadjoint_plan(n: int):
     return prefix, suffix, joins
 
 
-def _accumulate(total, term, negative: bool):
-    """total - term or total + term, where None is the empty sum.
-
-    A sum starts from its first term, not from zero, so a single-term sum is
-    that term itself rather than a copy of it.
-    """
-    if total is None:
-        return -term if negative else term
-    return total - term if negative else total + term
-
-
-def _sweep(steps, rows, grow_right: bool) -> list:
-    """The value of every state of a sweep plan on the given matrix rows."""
+def _sweep(steps, A: Matrix, grow_right: bool) -> list:
+    """The value of every state of a sweep plan on the matrix A."""
+    ring, rows = A.ring, A.rows
     table = []
     for terms in steps:
-        total = None
+        total = ring.accumulator()
         for pred, r, c, negative in terms:
             term = rows[r][c]
             if pred >= 0:
                 term = table[pred] * term if grow_right else term * table[pred]
-            total = _accumulate(total, term, negative)
-        table.append(total)
+            if negative:
+                total -= term
+            else:
+                total += term
+        table.append(ring.total(total))
     return table
 
 
@@ -191,12 +184,13 @@ def preadjoint(A: Matrix) -> Matrix:
     n = A.n
     if n == 1:
         return Matrix(A.ring, [[A.ring.one]])
+    ring = A.ring
     prefix, suffix, entries = _preadjoint_plan(n)
-    pre = _sweep(prefix, A.rows, True)
-    suf = _sweep(suffix, A.rows, False)
+    pre = _sweep(prefix, A, True)
+    suf = _sweep(suffix, A, False)
     values = []
     for joins in entries:
-        total = None
+        total = ring.accumulator()
         for p, q, negative in joins:
             if p < 0:
                 term = suf[q]
@@ -204,9 +198,12 @@ def preadjoint(A: Matrix) -> Matrix:
                 term = pre[p]
             else:
                 term = pre[p] * suf[q]
-            total = _accumulate(total, term, negative)
-        values.append(total)
-    return Matrix(A.ring, [values[r * n : (r + 1) * n] for r in range(n)])
+            if negative:
+                total -= term
+            else:
+                total += term
+        values.append(ring.total(total))
+    return Matrix(ring, [values[r * n : (r + 1) * n] for r in range(n)])
 
 
 def preadjoint_via_minors(A: Matrix) -> Matrix:
@@ -267,11 +264,11 @@ def sequence_product(A: Matrix, side: str, k: int) -> Matrix:
 def trace_of_product(X: Matrix, Y: Matrix):
     """tr(X Y) without forming the full product matrix."""
     X._check_compatible(Y)
-    total = X.ring.zero
+    total = X.ring.accumulator()
     for i in range(X.n):
         for j in range(X.n):
-            total = total + X.rows[i][j] * Y.rows[j][i]
-    return total
+            total += X.rows[i][j] * Y.rows[j][i]
+    return X.ring.total(total)
 
 
 def right_determinant(A: Matrix, k: int = 1):

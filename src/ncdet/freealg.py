@@ -19,7 +19,7 @@ import random
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
-from .rings import Ring, TermLimitError
+from .rings import Ring, SparseSum, TermLimitError
 
 DEFAULT_TERM_LIMIT = 10_000_000
 
@@ -48,6 +48,12 @@ class FreeAlgebra(Ring):
 
     def from_int(self, k: int) -> FreePoly:
         return FreePoly._raw(self, {(): k} if k else {})
+
+    def accumulator(self) -> SparseSum:
+        return SparseSum(self, FreePoly, self.term_limit)
+
+    def total(self, acc: SparseSum) -> FreePoly:
+        return acc.value()
 
     def gen(self, name: str) -> FreePoly:
         if name not in self._index:
@@ -269,7 +275,7 @@ def specialize(p: FreePoly, assignment: Mapping[str, object], ring: Ring):
     """
     images: dict[int, object] = {}
     names = p.algebra.names
-    total = ring.zero
+    total = ring.accumulator()
     for word, coeff in p.terms.items():
         value = ring.one
         for letter in word:
@@ -279,5 +285,5 @@ def specialize(p: FreePoly, assignment: Mapping[str, object], ring: Ring):
                     raise ValueError(f"no assignment for generator {name!r}")
                 images[letter] = assignment[name]
             value = value * images[letter]
-        total = total + ring.from_int(coeff) * value
-    return total
+        total += ring.from_int(coeff) * value
+    return ring.total(total)

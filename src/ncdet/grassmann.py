@@ -12,7 +12,7 @@ import random
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .rings import Ring, commutator
+from .rings import Ring, SparseSum, commutator
 
 MAX_RANK = 16
 
@@ -37,6 +37,12 @@ class GrassmannAlgebra(Ring):
 
     def from_int(self, k: int) -> GrassmannElem:
         return GrassmannElem._raw(self, {0: k} if k else {})
+
+    def accumulator(self) -> SparseSum:
+        return SparseSum(self, GrassmannElem)
+
+    def total(self, acc: SparseSum) -> GrassmannElem:
+        return acc.value()
 
     def gen(self, i: int) -> GrassmannElem:
         """The generator v_i (1-based index)."""

@@ -97,17 +97,17 @@ class Matrix:
             return NotImplemented
         self._check_compatible(other)
         n = self.n
-        zero = self.ring.zero
+        ring = self.ring
         rows = []
         for i in range(n):
             row = []
             for j in range(n):
-                acc = zero
+                acc = ring.accumulator()
                 for k in range(n):
-                    acc = acc + self.rows[i][k] * other.rows[k][j]
-                row.append(acc)
+                    acc += self.rows[i][k] * other.rows[k][j]
+                row.append(ring.total(acc))
             rows.append(row)
-        return Matrix(self.ring, rows)
+        return Matrix(ring, rows)
 
     def __rmul__(self, other):
         if isinstance(other, int):
@@ -130,10 +130,10 @@ class Matrix:
             raise ValueError("matrices live over different rings")
 
     def trace(self):
-        acc = self.ring.zero
+        acc = self.ring.accumulator()
         for i in range(self.n):
-            acc = acc + self.rows[i][i]
-        return acc
+            acc += self.rows[i][i]
+        return self.ring.total(acc)
 
     def transpose(self) -> Matrix:
         return Matrix(self.ring, list(zip(*self.rows)))
@@ -204,11 +204,14 @@ def commutative_det(A: Matrix):
 def _det_recursive(A: Matrix):
     if A.n == 1:
         return A.rows[0][0]
-    total = A.ring.zero
+    total = A.ring.accumulator()
     for j in range(A.n):
         cofactor = A.rows[0][j] * _det_recursive(A.minor(0, j))
-        total = total + cofactor if j % 2 == 0 else total - cofactor
-    return total
+        if j % 2 == 0:
+            total += cofactor
+        else:
+            total -= cofactor
+    return A.ring.total(total)
 
 
 def commutative_adj(A: Matrix) -> Matrix:

@@ -1,14 +1,11 @@
 """Permutation enumeration with signs.
 
 The determinant core consumes ``signed_permutations``, which lists all of
-S_n in lexicographic order paired with signs from inversion parity.  The
-small ``Permutation`` class carries the same data for callers that want
-composition and inverses.
+S_n in lexicographic order paired with signs from inversion parity.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 from typing import Sequence
@@ -30,34 +27,3 @@ def signed_permutations(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """All permutations of range(n), lexicographic order, with their signs."""
     return tuple((p, perm_sign(p)) for p in permutations(range(n)))
 
-
-@dataclass(frozen=True)
-class Permutation:
-    """A permutation of {0..n-1} stored by its image tuple."""
-
-    images: tuple[int, ...]
-
-    def __post_init__(self):
-        if sorted(self.images) != list(range(len(self.images))):
-            raise ValueError(f"{self.images!r} is not a permutation of 0..{len(self.images) - 1}")
-
-    @classmethod
-    def identity(cls, n: int) -> Permutation:
-        return cls(tuple(range(n)))
-
-    @property
-    def sign(self) -> int:
-        return perm_sign(self.images)
-
-    def __call__(self, i: int) -> int:
-        return self.images[i]
-
-    def compose(self, other: Permutation) -> Permutation:
-        """self after other: (self.compose(other))(i) = self(other(i))."""
-        return Permutation(tuple(self.images[j] for j in other.images))
-
-    def inverse(self) -> Permutation:
-        inv = [0] * len(self.images)
-        for i, j in enumerate(self.images):
-            inv[j] = i
-        return Permutation(tuple(inv))

@@ -8,7 +8,10 @@ themselves are ordinary Python values that support ``+``, ``-``, ``*`` and
 is arbitrary precision, so all arithmetic in the package is exact.
 
 Elements are immutable and all operations are pure, so sharing values
-between threads is safe.
+between threads is safe.  The one mutable helper is the accumulator a ring
+hands out for a running sum (``Ring.accumulator``/``Ring.total``): it lives
+inside the function that builds the sum and never escapes it; only the
+immutable element that ``total`` returns does.
 """
 
 from __future__ import annotations
@@ -52,6 +55,27 @@ class Ring(ABC):
     def random_element(self, rng: random.Random):
         """A small random element drawn from the given seeded generator."""
 
+    def accumulator(self):
+        """A fresh running sum, grown by ``acc += x`` and ``acc -= x``.
+
+        Every running sum in the package is written as::
+
+            acc = ring.accumulator()
+            for x in terms:
+                acc += x
+            result = ring.total(acc)
+
+        By default the accumulator is ``zero`` and each step builds a new
+        element.  Sparse rings return a ``SparseSum``, which folds each
+        term into one dict in place, so the sum costs the total size of its
+        terms instead of one copy of the running result per term.
+        """
+        return self.zero
+
+    def total(self, acc):
+        """The element an accumulator of this ring has summed."""
+        return acc
+
 
 class IntegerRing(Ring):
     """The ring of arbitrary-precision integers; elements are plain ints."""
@@ -80,6 +104,68 @@ class IntegerRing(Ring):
 
     def __repr__(self) -> str:
         return "IntegerRing()"
+
+
+class SparseSum:
+    """In-place running sum of sparse elements (a ``_terms`` dict of nonzero
+    integer coefficients, rebuilt by ``element._raw(ring, terms)``).
+
+    ``acc + x`` and ``acc - x`` fold the terms of x into one dict and return
+    the accumulator itself.  A lone positive term is held by reference and
+    its dict is copied only when a second term arrives; ``value()`` hands
+    the dict out inside a new element and drops it, so no element that has
+    been handed out is ever mutated.  When ``limit`` is set, a sum that
+    grows past that many terms raises TermLimitError; the check runs once
+    per ``+``/``-``.
+    """
+
+    __slots__ = ("_ring", "_element", "_limit", "_lone", "_terms")
+
+    def __init__(self, ring: Ring, element: type, limit: int | None = None):
+        self._ring = ring
+        self._element = element
+        self._limit = limit
+        self._lone = None  # the only term so far, shared, not copied
+        self._terms = None  # the owned dict, once a second term arrives
+
+    def __add__(self, x, sign: int = 1):
+        # __sub__ is this with sign -1
+        ring = self._ring
+        if type(x) is not self._element or x.algebra is not ring:
+            x = ring.zero._coerce(x)
+            if x is None:
+                return NotImplemented
+        out = self._terms
+        if out is None:
+            lone = self._lone
+            if lone is None and sign > 0:
+                self._lone = x
+                return self
+            out = self._terms = {} if lone is None else dict(lone._terms)
+            self._lone = None
+        get = out.get
+        for key, coeff in x._terms.items():
+            new = get(key, 0) + sign * coeff
+            if new:
+                out[key] = new
+            else:
+                del out[key]
+        if self._limit is not None and len(out) > self._limit:
+            raise TermLimitError(
+                f"sum grew to {len(out)} terms, over the budget of {self._limit}"
+            )
+        return self
+
+    def __sub__(self, x):
+        return self.__add__(x, -1)
+
+    def value(self):
+        """The summed element; the accumulator keeps it as a lone term."""
+        if self._terms is None:
+            return self._ring.zero if self._lone is None else self._lone
+        self._lone = self._element._raw(self._ring, self._terms)
+        self._terms = None
+        return self._lone
 
 
 def commutator(x, y):

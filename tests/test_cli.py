@@ -2,9 +2,9 @@ import json
 
 import pytest
 
-from ncdet import standard_polynomial_4
+from ncdet import FreeAlgebra, Matrix, cli, standard_polynomial_4
 from ncdet.cli import main
-from ncdet.verify import generic_matrix
+from ncdet.verify import generic_matrix, generic_names
 
 
 INTEGER_DOC = json.dumps(
@@ -122,6 +122,19 @@ def test_term_budget_hit_is_a_clean_exit_2(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: product would enumerate")
+
+
+def test_sum_over_the_term_budget_is_a_clean_exit_2(capsys, monkeypatch):
+    def small_budget(n):
+        algebra = FreeAlgebra(generic_names(n), term_limit=35)
+        gens = algebra.gens()
+        return algebra, Matrix(algebra, [gens[n * i : n * i + n] for i in range(n)])
+
+    monkeypatch.setattr(cli, "generic_matrix", small_budget)
+    assert main(["sdet", "--generic", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: sum grew to 36 terms, over the budget of 35")
 
 
 def test_s4_requires_2x2(capsys):

@@ -10,7 +10,7 @@ from ncdet import (
     GrassmannAlgebra,
     IntegerRing,
     Matrix,
-    Permutation,
+    TermLimitError,
     adjoint_sequence,
     commutative_adj,
     commutative_det,
@@ -27,7 +27,12 @@ from ncdet import (
     trace_of_product,
 )
 from ncdet.charpoly import char_matrix
-from ncdet.verify import generic_matrix, random_grassmann_matrix, random_supermatrix
+from ncdet.verify import (
+    generic_matrix,
+    generic_names,
+    random_grassmann_matrix,
+    random_supermatrix,
+)
 
 from oracles import heap_signed_permutations, preadjoint_double_sum, sdet_double_sum
 
@@ -41,6 +46,17 @@ def random_int_matrix(rng, n, ring):
     return Matrix(ring, [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
 
 
+def _square(entries, max_n):
+    return st.integers(1, max_n).flatmap(
+        lambda n: st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
+    )
+
+
+_seeds = st.integers(0, 2**32 - 1)
+_free_words = st.lists(st.integers(0, 2), min_size=0, max_size=2).map(tuple)
+_free_terms = st.dictionaries(_free_words, st.integers(-3, 3), max_size=3)
+
+
 # -- permutation plumbing ------------------------------------------------------
 
 
@@ -50,16 +66,6 @@ def test_lexicographic_enumeration_matches_heap_oracle(n):
     heap = dict(heap_signed_permutations(n))
     assert lex == heap
     assert len(lex) == math.factorial(n)
-
-
-def test_permutation_class_invariants():
-    sigma = Permutation((2, 0, 1))
-    assert sigma.sign == 1
-    assert sigma.compose(sigma.inverse()) == Permutation.identity(3)
-    assert sigma.inverse().compose(sigma) == Permutation.identity(3)
-    assert Permutation((1, 0)).sign == -1
-    with pytest.raises(ValueError):
-        Permutation((0, 0, 1))
 
 
 # -- symmetric determinant -----------------------------------------------------
@@ -116,6 +122,56 @@ def test_sdet_equals_oracle_and_collapses_commutatively(n, ints):
         assert value == math.factorial(n) * commutative_det(A)
 
 
+@settings(max_examples=25, deadline=None)
+@given(_square(_free_terms, 3))
+def test_sdet_matches_double_sum_on_free_matrices(rows):
+    algebra = FreeAlgebra(("a", "b", "c"))
+    A = Matrix(algebra, [[FreePoly(algebra, terms) for terms in row] for row in rows])
+    assert symmetric_determinant(A) == sdet_double_sum(A)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 3), _seeds)
+def test_sdet_matches_double_sum_on_grassmann_matrices(n, seed):
+    algebra = GrassmannAlgebra(6)
+    rng = random.Random(seed)
+    A = random_grassmann_matrix(algebra, rng, n)
+    assert symmetric_determinant(A) == sdet_double_sum(A)
+    if n > 1:
+        S = random_supermatrix(algebra, rng, n, rng.randint(1, n - 1))
+        assert symmetric_determinant(S) == sdet_double_sum(S)
+
+
+def test_generic_sdet_sums_in_place(monkeypatch):
+    # a running sum built by repeated FreePoly + copies the whole result on
+    # every term; the accumulator folds each product into one dict instead
+    _, A = generic_matrix(4)
+    calls = dict.fromkeys(("__add__", "__radd__", "__sub__", "__rsub__", "__mul__"), 0)
+    for name in calls:
+        def counted(self, other, original=getattr(FreePoly, name), name=name):
+            calls[name] += 1
+            return original(self, other)
+
+        monkeypatch.setattr(FreePoly, name, counted)
+    value = symmetric_determinant(A)
+    assert calls.pop("__mul__") == math.factorial(4) ** 2 * 3
+    assert calls == dict.fromkeys(calls, 0)
+    assert len(value.terms) == math.factorial(4) ** 2
+
+
+def _generic_3x3(term_limit):
+    algebra = FreeAlgebra(generic_names(3), term_limit=term_limit)
+    gens = algebra.gens()
+    return Matrix(algebra, [gens[3 * i : 3 * i + 3] for i in range(3)])
+
+
+def test_sdet_running_sum_over_the_term_budget_raises():
+    # every product is one word, so only the 36-term running sum can trip
+    assert len(symmetric_determinant(_generic_3x3(36)).terms) == 36
+    with pytest.raises(TermLimitError, match="sum grew to 36 terms, over the budget of 35"):
+        symmetric_determinant(_generic_3x3(35))
+
+
 # -- preadjoint ----------------------------------------------------------------
 
 
@@ -160,17 +216,6 @@ def assert_preadjoint_matches_oracles(A):
     assert P == preadjoint_double_sum(A)
     if A.n > 1:
         assert P == preadjoint_via_minors(A)
-
-
-def _square(entries, max_n):
-    return st.integers(1, max_n).flatmap(
-        lambda n: st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
-    )
-
-
-_seeds = st.integers(0, 2**32 - 1)
-_free_words = st.lists(st.integers(0, 2), min_size=0, max_size=2).map(tuple)
-_free_terms = st.dictionaries(_free_words, st.integers(-3, 3), max_size=3)
 
 
 @settings(max_examples=25, deadline=None)
