@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .determinants import left_determinant, preadjoint, right_determinant
+from .determinants import _by_side, left_determinant, preadjoint, right_determinant
 from .freealg import FreeAlgebra, in_commutator_span
 from .grassmann import GrassmannAlgebra
 from .matrices import Matrix
@@ -234,12 +234,7 @@ def char_matrix(A: Matrix) -> Matrix:
 
 def characteristic_polynomial(A: Matrix, side: str = "right", k: int = 1) -> CentralPoly:
     """The k-th right/left determinant of zI - A, computed in R[z]."""
-    B = char_matrix(A)
-    if side == "right":
-        return right_determinant(B, k)
-    if side == "left":
-        return left_determinant(B, k)
-    raise ValueError(f"side must be 'right' or 'left', got {side!r}")
+    return _by_side(side, right_determinant, left_determinant)(char_matrix(A), k)
 
 
 def matrix_poly_coefficients(M: Matrix) -> list[Matrix]:
@@ -293,19 +288,14 @@ def cayley_hamilton_witness(A: Matrix) -> CHWitness:
         raise ValueError("generic free-algebra witnesses are limited to n <= 3")
     B = char_matrix(A)
     P = preadjoint(B)
-
-    right_product = (B * P) * n
-    p = (B * P).trace()
-    left_product = (P * B) * n
-    q = (P * B).trace()
-    if p != q:
+    right_product, left_product = B * P, P * B
+    p = right_product.trace()
+    if p != left_product.trace():
         raise ArithmeticError("first right and left characteristic polynomials differ")
 
     lambdas = tuple(p.coeff(i) for i in range(n + 1))
-    identity = Matrix.identity(ring, n)
-
-    right_slices = _padded_slices(right_product, n)
-    left_slices = _padded_slices(left_product, n)
+    right_slices = _padded_slices(right_product * n, n)
+    left_slices = _padded_slices(left_product * n, n)
     right_defects = tuple(
         right_slices[i] - Matrix.scalar(ring, n, lambdas[i]) for i in range(n + 1)
     )
@@ -320,18 +310,30 @@ def cayley_hamilton_witness(A: Matrix) -> CHWitness:
             if not all(in_commutator_span(e) for row in defect.rows for e in row):
                 raise ArithmeticError("defect entry escapes the commutator subgroup")
 
-    power = identity
-    right_sum = Matrix.zeros(ring, n)
-    left_sum = Matrix.zeros(ring, n)
-    for i in range(n + 1):
-        right_sum = right_sum + power * right_slices[i]
-        left_sum = left_sum + left_slices[i] * power
-        if i < n:
-            power = power * A
+    right_sum, left_sum = substitute(A, right_slices, left_slices)
     if not right_sum.is_zero() or not left_sum.is_zero():
         raise ArithmeticError("Cayley-Hamilton identity failed to vanish")
 
     return CHWitness(lambdas=lambdas, right_defects=right_defects, left_defects=left_defects)
+
+
+def substitute(
+    A: Matrix, right: Sequence[Matrix], left: Sequence[Matrix]
+) -> tuple[Matrix, Matrix]:
+    """(sum_i A^i right[i], sum_i left[i] A^i), forming each power of A once.
+
+    Both coefficient lists run from degree 0 and have the same length; the
+    right coefficients multiply each power on the right, the left ones on
+    the left.
+    """
+    right_sum = left_sum = Matrix.zeros(A.ring, A.n)
+    power = Matrix.identity(A.ring, A.n)
+    for i, (c, d) in enumerate(zip(right, left, strict=True)):
+        if i:
+            power = power * A
+        right_sum = right_sum + power * c
+        left_sum = left_sum + d * power
+    return right_sum, left_sum
 
 
 def _padded_slices(M: Matrix, degree: int) -> list[Matrix]:
@@ -354,35 +356,17 @@ def scalar_ch_residuals(A: Matrix, k: int = 2) -> dict[str, object]:
 
     ``right`` substitutes A into p_{A,k} with coefficients multiplied on
     the right of each power, ``left`` substitutes into q_{A,k} with
-    coefficients on the left; the ``*_swapped`` entries are the opposite
-    readings, kept so a failure can report both.
+    coefficients on the left; ``leading`` is the top coefficient of p_{A,k}.
     """
-    ring = A.ring
-    n = A.n
     p = characteristic_polynomial(A, "right", k)
     q = characteristic_polynomial(A, "left", k)
-    top = n**k
-    right = Matrix.zeros(ring, n)
-    right_swapped = Matrix.zeros(ring, n)
-    left = Matrix.zeros(ring, n)
-    left_swapped = Matrix.zeros(ring, n)
-    power = Matrix.identity(ring, n)
-    for i in range(top + 1):
-        lam = Matrix.scalar(ring, n, p.coeff(i))
-        mu = Matrix.scalar(ring, n, q.coeff(i))
-        right = right + power * lam
-        right_swapped = right_swapped + lam * power
-        left = left + mu * power
-        left_swapped = left_swapped + power * mu
-        if i < top:
-            power = power * A
-    return {
-        "right": right,
-        "right_swapped": right_swapped,
-        "left": left,
-        "left_swapped": left_swapped,
-        "leading": p.coeff(top),
-    }
+    degrees = range(A.n**k + 1)
+    right, left = substitute(
+        A,
+        [Matrix.scalar(A.ring, A.n, p.coeff(i)) for i in degrees],
+        [Matrix.scalar(A.ring, A.n, q.coeff(i)) for i in degrees],
+    )
+    return {"right": right, "left": left, "leading": p.coeff(A.n**k)}
 
 
 def scalar_cayley_hamilton_check(A: Matrix, k: int = 2, allow_n3: bool = False) -> bool:

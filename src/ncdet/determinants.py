@@ -230,35 +230,46 @@ class AdjointSequence:
     matrices: tuple[Matrix, ...]
 
 
-def _validate_side(side: str):
-    if side not in ("right", "left"):
-        raise ValueError(f"side must be 'right' or 'left', got {side!r}")
+def _by_side(side: str, right, left):
+    """``right`` for side "right", ``left`` for side "left": the one place
+    that reads a side argument, and so its one check."""
+    if side == "right":
+        return right
+    if side == "left":
+        return left
+    raise ValueError(f"side must be 'right' or 'left', got {side!r}")
+
+
+def _adjoint_walk(A: Matrix, side: str, k: int):
+    """P_1..P_k (right) or Q_1..Q_k (left), and the two factors of the k-th
+    product in product order: (A P_1 ... P_{k-1}, P_k) or
+    (Q_k, Q_{k-1} ... Q_1 A).
+
+    Each step is the preadjoint of the running product before it; the k-th
+    product is never formed, so a trace of it need not build it.
+    """
+    order = _by_side(side, lambda run, step: (run, step), lambda run, step: (step, run))
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    steps = [preadjoint(A)]
+    factors = order(A, steps[0])
+    for _ in range(k - 1):
+        running = factors[0] * factors[1]
+        steps.append(preadjoint(running))
+        factors = order(running, steps[-1])
+    return tuple(steps), factors
 
 
 def adjoint_sequence(A: Matrix, side: str, k: int) -> AdjointSequence:
     """P_1..P_k (right) or Q_1..Q_k (left), by the defining recursion."""
-    _validate_side(side)
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    matrices = []
-    running = A
-    for _ in range(k):
-        step = preadjoint(running)
-        matrices.append(step)
-        running = running * step if side == "right" else step * running
-    return AdjointSequence(side=side, base=A, matrices=tuple(matrices))
+    steps, _ = _adjoint_walk(A, side, k)
+    return AdjointSequence(side=side, base=A, matrices=steps)
 
 
 def sequence_product(A: Matrix, side: str, k: int) -> Matrix:
     """The traced product: A P_1 ... P_k (right) or Q_k ... Q_1 A (left)."""
-    _validate_side(side)
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    running = A
-    for _ in range(k):
-        step = preadjoint(running)
-        running = running * step if side == "right" else step * running
-    return running
+    _, (x, y) = _adjoint_walk(A, side, k)
+    return x * y
 
 
 def trace_of_product(X: Matrix, Y: Matrix):
@@ -273,22 +284,14 @@ def trace_of_product(X: Matrix, Y: Matrix):
 
 def right_determinant(A: Matrix, k: int = 1):
     """The k-th right determinant tr(A P_1 ... P_k)."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    running = A
-    for _ in range(k - 1):
-        running = running * preadjoint(running)
-    return trace_of_product(running, preadjoint(running))
+    _, factors = _adjoint_walk(A, "right", k)
+    return trace_of_product(*factors)
 
 
 def left_determinant(A: Matrix, k: int = 1):
     """The k-th left determinant tr(Q_k ... Q_1 A)."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    running = A
-    for _ in range(k - 1):
-        running = preadjoint(running) * running
-    return trace_of_product(preadjoint(running), running)
+    _, factors = _adjoint_walk(A, "left", k)
+    return trace_of_product(*factors)
 
 
 @dataclass(frozen=True)
@@ -305,9 +308,8 @@ def commutator_defect(A: Matrix, side: str) -> CommutatorDefect:
     The defect has zero trace, and over the free algebra every entry lies
     in the additive commutator subgroup [R,R].
     """
-    _validate_side(side)
-    P = preadjoint(A)
-    product = A * P if side == "right" else P * A
+    _, (x, y) = _adjoint_walk(A, side, 1)
+    product = x * y
     scalar = product.trace()
     defect = product * A.n - Matrix.scalar(A.ring, A.n, scalar)
     if defect.trace() != A.ring.zero:

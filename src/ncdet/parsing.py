@@ -173,22 +173,22 @@ class _Parser:
         return value
 
     def expr(self):
-        negate = False
+        total = self.ring.accumulator()
+        sign = "+"
         kind, value, _ = self.peek()
         if kind == "sym" and value == "-":
             self.advance()
-            negate = True
-        total = self.term()
-        if negate:
-            total = -total
+            sign = "-"
         while True:
-            kind, value, _ = self.peek()
-            if kind == "sym" and value in "+-":
-                self.advance()
-                rhs = self.term()
-                total = total + rhs if value == "+" else total - rhs
+            rhs = self.term()
+            if sign == "+":
+                total += rhs
             else:
-                return total
+                total -= rhs
+            kind, sign, _ = self.peek()
+            if kind != "sym" or sign not in "+-":
+                return self.ring.total(total)
+            self.advance()
 
     def term(self):
         total = self.factor()

@@ -9,6 +9,7 @@ randomness from one seeded generator, making reports reproducible.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import time
@@ -23,6 +24,7 @@ from .charpoly import (
     newton_sdet_3,
     scalar_cayley_hamilton_check,
     standard_polynomial_4,
+    substitute,
 )
 from .determinants import (
     commutator_defect,
@@ -117,6 +119,12 @@ def _run(checks: list[CheckResult], name: str, fn):
         passed, detail = False, f"error: {exc}"
     elapsed = (time.perf_counter() - start) * 1000.0
     checks.append(CheckResult(name=name, passed=bool(passed), elapsed_ms=elapsed, detail=detail))
+
+
+def _fixture(fn, *args):
+    """fn(*args), computed when a check first calls for it and then kept, so
+    its time and any error it raises land in that check's result."""
+    return functools.cache(functools.partial(fn, *args))
 
 
 # ---------------------------------------------------------------- fixtures
@@ -226,29 +234,33 @@ def _suite_thm2_1(opt: VerifyOptions) -> list[CheckResult]:
     checks: list[CheckResult] = []
     for n in opt.sizes((2, 3)):
         _, A = generic_matrix(n)
-        trace = A.trace()
-        pre = preadjoint(A)
-        dets = {}
-        for k in opt.ks((1, 2)):
-            dets[k] = (right_determinant(A, k), left_determinant(A, k))
+        pre = _fixture(preadjoint, A)
+        dets = {
+            k: (_fixture(right_determinant, A, k), _fixture(left_determinant, A, k))
+            for k in opt.ks((1, 2))
+        }
         for idx, T in enumerate(unimodular_conjugators(n), start=1):
-            conj = conjugate(A, T)
-            _run(checks, f"thm2_1 n={n} T{idx}: trace invariant", lambda c=conj, e=trace: c.trace() == e)
+            conj = _fixture(conjugate, A, T)
+            _run(
+                checks,
+                f"thm2_1 n={n} T{idx}: trace invariant",
+                lambda c=conj, A=A: c().trace() == A.trace(),
+            )
             _run(
                 checks,
                 f"thm2_1 n={n} T{idx}: (T^-1 A T)* = T^-1 A* T",
-                lambda c=conj, e=pre, T=T: preadjoint(c) == conjugate(e, T),
+                lambda c=conj, e=pre, T=T: preadjoint(c()) == conjugate(e(), T),
             )
             for k, (rd, ld) in dets.items():
                 _run(
                     checks,
                     f"thm2_1 n={n} T{idx}: rdet_{k} invariant",
-                    lambda c=conj, k=k, e=rd: right_determinant(c, k) == e,
+                    lambda c=conj, k=k, e=rd: right_determinant(c(), k) == e(),
                 )
                 _run(
                     checks,
                     f"thm2_1 n={n} T{idx}: ldet_{k} invariant",
-                    lambda c=conj, k=k, e=ld: left_determinant(c, k) == e,
+                    lambda c=conj, k=k, e=ld: left_determinant(c(), k) == e(),
                 )
     return checks
 
@@ -257,24 +269,24 @@ def _suite_thm2_2(opt: VerifyOptions) -> list[CheckResult]:
     checks: list[CheckResult] = []
     for n in opt.sizes((2, 3)):
         _, A = generic_matrix(n)
-        sdet = symmetric_determinant(A)
+        sdet = _fixture(symmetric_determinant, A)
         for side in ("right", "left"):
-            result = commutator_defect(A, side)
+            result = _fixture(commutator_defect, A, side)
             _run(
                 checks,
                 f"thm2_2 n={n} {side}: scalar part is sdet",
-                lambda r=result, e=sdet: r.scalar == e,
+                lambda r=result, e=sdet: r().scalar == e(),
             )
             _run(
                 checks,
                 f"thm2_2 n={n} {side}: defect has zero trace",
-                lambda r=result: r.defect.trace() == r.defect.ring.zero,
+                lambda r=result: r().defect.trace() == r().defect.ring.zero,
             )
             _run(
                 checks,
                 f"thm2_2 n={n} {side}: defect entries lie in [R,R]",
                 lambda r=result: all(
-                    in_commutator_span(e) for row in r.defect.rows for e in row
+                    in_commutator_span(e) for row in r().defect.rows for e in row
                 ),
             )
     return checks
@@ -369,17 +381,12 @@ def _suite_thm2_5(opt: VerifyOptions) -> list[CheckResult]:
 
 
 def _witness_identities(A: Matrix, witness) -> tuple[bool, bool]:
-    ring = A.ring
-    n = A.n
-    right_sum = Matrix.zeros(ring, n)
-    left_sum = Matrix.zeros(ring, n)
-    power = Matrix.identity(ring, n)
-    for i in range(n + 1):
-        lam = Matrix.scalar(ring, n, witness.lambdas[i])
-        right_sum = right_sum + power * (lam + witness.right_defects[i])
-        left_sum = left_sum + (lam + witness.left_defects[i]) * power
-        if i < n:
-            power = power * A
+    scalars = [Matrix.scalar(A.ring, A.n, lam) for lam in witness.lambdas]
+    right_sum, left_sum = substitute(
+        A,
+        [lam + C for lam, C in zip(scalars, witness.right_defects)],
+        [lam + D for lam, D in zip(scalars, witness.left_defects)],
+    )
     return right_sum.is_zero(), left_sum.is_zero()
 
 
@@ -387,20 +394,20 @@ def _suite_thm2_6(opt: VerifyOptions) -> list[CheckResult]:
     checks: list[CheckResult] = []
     for n in opt.sizes((2, 3)):
         _, A = generic_matrix(n)
-        witness = cayley_hamilton_witness(A)
-        right_ok, left_ok = _witness_identities(A, witness)
-        _run(checks, f"thm2_6 n={n}: right CH identity vanishes", lambda ok=right_ok: ok)
-        _run(checks, f"thm2_6 n={n}: left CH identity vanishes", lambda ok=left_ok: ok)
+        witness = _fixture(cayley_hamilton_witness, A)
+        identities = _fixture(lambda A=A, w=witness: _witness_identities(A, w()))
+        _run(checks, f"thm2_6 n={n}: right CH identity vanishes", lambda ok=identities: ok()[0])
+        _run(checks, f"thm2_6 n={n}: left CH identity vanishes", lambda ok=identities: ok()[1])
         _run(
             checks,
             f"thm2_6 n={n}: leading coefficient is n!",
-            lambda w=witness, n=n, A=A: w.lambdas[n] == A.ring.from_int(math.factorial(n)),
+            lambda w=witness, n=n, A=A: w().lambdas[n] == A.ring.from_int(math.factorial(n)),
         )
         _run(
             checks,
             f"thm2_6 n={n}: defects have zero trace",
             lambda w=witness, A=A: all(
-                d.trace() == A.ring.zero for d in (*w.right_defects, *w.left_defects)
+                d.trace() == A.ring.zero for d in (*w().right_defects, *w().left_defects)
             ),
         )
         _run(
@@ -408,7 +415,7 @@ def _suite_thm2_6(opt: VerifyOptions) -> list[CheckResult]:
             f"thm2_6 n={n}: defect entries lie in [R,R]",
             lambda w=witness: all(
                 in_commutator_span(e)
-                for d in (*w.right_defects, *w.left_defects)
+                for d in (*w().right_defects, *w().left_defects)
                 for row in d.rows
                 for e in row
             ),
@@ -437,17 +444,17 @@ def _suite_thm3_1(opt: VerifyOptions) -> list[CheckResult]:
     checks: list[CheckResult] = []
     for n in opt.sizes((2, 3, 4)):
         _, A = generic_matrix(n)
-        pre = preadjoint(A)
-        sdet = symmetric_determinant(A)
+        pre = _fixture(preadjoint, A)
+        sdet = _fixture(symmetric_determinant, A)
         _run(
             checks,
             f"thm3_1 n={n}: tr(A A*) = sdet(A)",
-            lambda A=A, pre=pre, e=sdet: trace_of_product(A, pre) == e,
+            lambda A=A, pre=pre, e=sdet: trace_of_product(A, pre()) == e(),
         )
         _run(
             checks,
             f"thm3_1 n={n}: tr(A* A) = sdet(A)",
-            lambda A=A, pre=pre, e=sdet: trace_of_product(pre, A) == e,
+            lambda A=A, pre=pre, e=sdet: trace_of_product(pre(), A) == e(),
         )
     return checks
 
@@ -567,23 +574,23 @@ def _suite_thm4_4(opt: VerifyOptions) -> list[CheckResult]:
 def _suite_cor4_5(opt: VerifyOptions) -> list[CheckResult]:
     checks: list[CheckResult] = []
     algebra, A = generic_matrix(3)
-    witness = cayley_hamilton_witness(A)
-    t = A.trace()
-    t2 = (A * A).trace()
-    expected = (
-        -symmetric_determinant(A),
-        (t * t - t2) * 3,
-        t * (-6),
-        algebra.from_int(6),
-    )
-    _run(
-        checks,
-        "cor4_5: lambda coefficients match the closed form",
-        lambda: tuple(witness.lambdas) == expected,
-    )
-    right_ok, left_ok = _witness_identities(A, witness)
-    _run(checks, "cor4_5: coefficient-on-the-right identity vanishes", lambda ok=right_ok: ok)
-    _run(checks, "cor4_5: coefficient-on-the-left identity vanishes", lambda ok=left_ok: ok)
+    witness = _fixture(cayley_hamilton_witness, A)
+
+    def closed_form():
+        t = A.trace()
+        t2 = (A * A).trace()
+        expected = (
+            -symmetric_determinant(A),
+            (t * t - t2) * 3,
+            t * (-6),
+            algebra.from_int(6),
+        )
+        return tuple(witness().lambdas) == expected
+
+    _run(checks, "cor4_5: lambda coefficients match the closed form", closed_form)
+    identities = _fixture(lambda: _witness_identities(A, witness()))
+    _run(checks, "cor4_5: coefficient-on-the-right identity vanishes", lambda: identities()[0])
+    _run(checks, "cor4_5: coefficient-on-the-left identity vanishes", lambda: identities()[1])
     return checks
 
 

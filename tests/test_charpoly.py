@@ -19,6 +19,7 @@ from ncdet import (
     matrix_poly_coefficients,
     newton_sdet_2,
     newton_sdet_3,
+    preadjoint,
     scalar_cayley_hamilton_check,
     scalar_ch_residuals,
     scalar_leading_coefficient,
@@ -168,6 +169,23 @@ def test_generic_3x3_lambdas_match_newton_closed_form():
     assert witness.lambdas[3] == algebra.from_int(6)
 
 
+def test_witness_multiplies_by_the_preadjoint_once_per_side(monkeypatch):
+    _, A = generic_matrix(2)
+    B = char_matrix(A)
+    P = preadjoint(B)
+    products = []
+    original = Matrix.__mul__
+
+    def recorded(self, other):
+        if isinstance(other, Matrix) and isinstance(self.ring, PolynomialRing):
+            products.append((self, other))
+        return original(self, other)
+
+    monkeypatch.setattr(Matrix, "__mul__", recorded)
+    cayley_hamilton_witness(A)
+    assert products == [(B, P), (P, B)]
+
+
 def test_integer_witness_reduces_to_classical_cayley_hamilton(ints):
     A = Matrix(ints, [[1, 2], [3, 4]])
     # classical CH: A^2 - 5A - 2I = 0, then doubled
@@ -229,8 +247,7 @@ def test_scalar_ch_reports_both_readings():
     residuals = scalar_ch_residuals(A, k=2)
     assert residuals["right"].is_zero()
     assert residuals["left"].is_zero()
-    assert residuals["right_swapped"].is_zero()
-    assert residuals["left_swapped"].is_zero()
+    assert set(residuals) == {"right", "left", "leading"}
     assert residuals["leading"] == algebra.from_int(2)
 
 

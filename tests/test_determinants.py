@@ -12,6 +12,7 @@ from ncdet import (
     Matrix,
     TermLimitError,
     adjoint_sequence,
+    characteristic_polynomial,
     commutative_adj,
     commutative_det,
     commutator_defect,
@@ -319,6 +320,41 @@ def test_adjoint_sequence_validates_arguments():
         adjoint_sequence(A, "middle", 1)
     with pytest.raises(ValueError):
         adjoint_sequence(A, "right", 0)
+    for takes_side in (
+        lambda side: sequence_product(A, side, 1),
+        lambda side: commutator_defect(A, side),
+        lambda side: characteristic_polynomial(A, side),
+    ):
+        with pytest.raises(ValueError, match="side must be 'right' or 'left', got 'middle'"):
+            takes_side("middle")
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize(
+    "walk, last_product",
+    [
+        (adjoint_sequence, 0),
+        (sequence_product, 1),
+        (lambda A, side, k: right_determinant(A, k) if side == "right" else left_determinant(A, k), 0),
+    ],
+    ids=["adjoint_sequence", "sequence_product", "det_k"],
+)
+def test_adjoint_walk_forms_only_the_products_it_needs(monkeypatch, side, k, walk, last_product):
+    # P_k needs the products up to A P_1 ... P_{k-1}; only sequence_product
+    # forms the k-th, and rdet_k/ldet_k take its trace without it
+    A = Matrix(IntegerRing(), [[2, -1, 3], [0, 4, 1], [-2, 5, 7]])
+    products = 0
+    original = Matrix.__mul__
+
+    def counted(self, other):
+        nonlocal products
+        products += isinstance(other, Matrix)
+        return original(self, other)
+
+    monkeypatch.setattr(Matrix, "__mul__", counted)
+    walk(A, side, k)
+    assert products == k - 1 + last_product
 
 
 def test_adjoint_sequence_fails_fast_over_the_term_budget():

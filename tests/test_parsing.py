@@ -1,11 +1,13 @@
 import json
 import random
+from functools import reduce
 
 import pytest
 
 from ncdet import (
     DocumentError,
     FreeAlgebra,
+    FreePoly,
     GrassmannAlgebra,
     IntegerRing,
     Matrix,
@@ -20,6 +22,32 @@ from ncdet import (
 
 
 # -- grammar ------------------------------------------------------------------
+
+
+def test_long_sums_parse_in_place(monkeypatch):
+    # repeated FreePoly + copies the running sum on every term; the parser
+    # folds each term into the ring's accumulator instead
+    algebra = FreeAlgebra(("a", "b", "c"))
+    gens = dict(zip(algebra.names, algebra.gens()))
+    rng = random.Random(5)
+    pieces, expected = [], algebra.zero
+    for i in range(300):
+        coeff = rng.randint(1, 9)
+        word = [rng.choice("abc") for _ in range(rng.randint(1, 3))]
+        negative = i == 0 or rng.random() < 0.5
+        term = reduce(lambda x, y: x * y, (gens[w] for w in word), algebra.from_int(coeff))
+        expected = expected - term if negative else expected + term
+        pieces.append(f"{'-' if negative else '+'} {coeff}*{'*'.join(word)}")
+    src = " ".join(pieces)
+    calls = dict.fromkeys(("__add__", "__radd__", "__sub__", "__rsub__"), 0)
+    for name in calls:
+        def counted(self, other, original=getattr(FreePoly, name), name=name):
+            calls[name] += 1
+            return original(self, other)
+
+        monkeypatch.setattr(FreePoly, name, counted)
+    assert parse_expression(src, algebra) == expected
+    assert calls == dict.fromkeys(calls, 0)
 
 
 def test_commutator_expression():

@@ -1,6 +1,8 @@
+import time
+
 import pytest
 
-from ncdet import run_verify
+from ncdet import run_verify, verify
 from ncdet.cli import main
 from ncdet import determinants
 from ncdet.verify import SUITES
@@ -87,3 +89,43 @@ def test_failure_details_are_reported(monkeypatch):
     monkeypatch.setattr(determinants, "signed_permutations", flipped)
     report = run_verify("thm3_1", n=2)
     assert "[FAIL]" in str(report)
+
+
+@pytest.mark.parametrize("suite, n", [("thm2_6", "2"), ("cor4_5", None)])
+def test_a_fixture_that_raises_is_a_failed_check(monkeypatch, capsys, suite, n):
+    def broken(A):
+        raise ArithmeticError("witness broke")
+
+    monkeypatch.setattr(verify, "cayley_hamilton_witness", broken)
+    code = main(["verify", "--suite", suite, *(["--n", n] if n else [])])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "[FAIL]" in out
+    assert "error: witness broke" in out
+
+
+@pytest.mark.parametrize(
+    "suite, fixture",
+    [
+        ("thm2_1", "preadjoint"),
+        ("thm2_2", "symmetric_determinant"),
+        ("thm2_6", "cayley_hamilton_witness"),
+        ("thm3_1", "symmetric_determinant"),
+        ("cor4_5", "cayley_hamilton_witness"),
+    ],
+)
+def test_fixture_time_is_charged_to_the_checks(monkeypatch, suite, fixture):
+    original = getattr(verify, fixture)
+    calls = 0
+
+    def slow(*args):
+        nonlocal calls
+        calls += 1
+        time.sleep(0.05)
+        return original(*args)
+
+    monkeypatch.setattr(verify, fixture, slow)
+    report = run_verify(suite, n=None if suite == "cor4_5" else 2, k=1)
+    assert report.ok
+    assert calls >= 1
+    assert report.elapsed_ms >= 50 * calls
