@@ -308,8 +308,7 @@ def commutator_defect(A: Matrix, side: str) -> CommutatorDefect:
     The defect has zero trace, and over the free algebra every entry lies
     in the additive commutator subgroup [R,R].
     """
-    _, (x, y) = _adjoint_walk(A, side, 1)
-    product = x * y
+    product = sequence_product(A, side, 1)
     scalar = product.trace()
     defect = product * A.n - Matrix.scalar(A.ring, A.n, scalar)
     if defect.trace() != A.ring.zero:

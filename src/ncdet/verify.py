@@ -9,7 +9,6 @@ randomness from one seeded generator, making reports reproducible.
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 import time
@@ -46,7 +45,7 @@ from .matrices import (
     commutative_det,
     is_supermatrix,
 )
-from .rings import IntegerRing
+from .rings import IntegerRing, TermLimitError
 
 
 @dataclass(frozen=True)
@@ -115,16 +114,39 @@ def _run(checks: list[CheckResult], name: str, fn):
             passed, detail = outcome
         else:
             passed, detail = outcome, ""
+    except _Refused as refused:
+        raise refused.args[0] from None
     except Exception as exc:  # a crashed check is a failed check
         passed, detail = False, f"error: {exc}"
     elapsed = (time.perf_counter() - start) * 1000.0
     checks.append(CheckResult(name=name, passed=bool(passed), elapsed_ms=elapsed, detail=detail))
 
 
+class _Refused(Exception):
+    """A fixture's refusal of its input, which ends the run as an input error."""
+
+
 def _fixture(fn, *args):
-    """fn(*args), computed when a check first calls for it and then kept, so
-    its time and any error it raises land in that check's result."""
-    return functools.cache(functools.partial(fn, *args))
+    """fn(*args), computed by the first check that calls for it and kept, error
+    included, so its time lands in that check and no check recomputes it.  A
+    refusal (ValueError, TermLimitError) ends the run through ``_run``, as it
+    would up front, since checks read their fixtures before their own work."""
+    outcome = []
+
+    def value():
+        if not outcome:
+            try:
+                outcome.append((fn(*args), None))
+            except (ValueError, TermLimitError) as exc:
+                outcome.append((None, _Refused(exc)))
+            except Exception as exc:
+                outcome.append((None, exc))
+        result, error = outcome[0]
+        if error is not None:
+            raise error
+        return result
+
+    return value
 
 
 # ---------------------------------------------------------------- fixtures
@@ -235,32 +257,26 @@ def _suite_thm2_1(opt: VerifyOptions) -> list[CheckResult]:
     for n in opt.sizes((2, 3)):
         _, A = generic_matrix(n)
         pre = _fixture(preadjoint, A)
-        dets = {
-            k: (_fixture(right_determinant, A, k), _fixture(left_determinant, A, k))
-            for k in opt.ks((1, 2))
-        }
+        rdet = {k: _fixture(right_determinant, A, k) for k in opt.ks((1, 2))}
+        ldet = {k: _fixture(left_determinant, A, k) for k in opt.ks((1, 2))}
         for idx, T in enumerate(unimodular_conjugators(n), start=1):
             conj = _fixture(conjugate, A, T)
-            _run(
-                checks,
-                f"thm2_1 n={n} T{idx}: trace invariant",
-                lambda c=conj, A=A: c().trace() == A.trace(),
-            )
+            _run(checks, f"thm2_1 n={n} T{idx}: trace invariant", lambda c=conj: c().trace() == A.trace())
             _run(
                 checks,
                 f"thm2_1 n={n} T{idx}: (T^-1 A T)* = T^-1 A* T",
-                lambda c=conj, e=pre, T=T: preadjoint(c()) == conjugate(e(), T),
+                lambda c=conj, e=pre, T=T: conjugate(e(), T) == preadjoint(c()),
             )
-            for k, (rd, ld) in dets.items():
+            for k in rdet:
                 _run(
                     checks,
                     f"thm2_1 n={n} T{idx}: rdet_{k} invariant",
-                    lambda c=conj, k=k, e=rd: right_determinant(c(), k) == e(),
+                    lambda c=conj, k=k: rdet[k]() == right_determinant(c(), k),
                 )
                 _run(
                     checks,
                     f"thm2_1 n={n} T{idx}: ldet_{k} invariant",
-                    lambda c=conj, k=k, e=ld: left_determinant(c(), k) == e(),
+                    lambda c=conj, k=k: ldet[k]() == left_determinant(c(), k),
                 )
     return checks
 
@@ -403,22 +419,16 @@ def _suite_thm2_6(opt: VerifyOptions) -> list[CheckResult]:
             f"thm2_6 n={n}: leading coefficient is n!",
             lambda w=witness, n=n, A=A: w().lambdas[n] == A.ring.from_int(math.factorial(n)),
         )
+        defects = _fixture(lambda w=witness: (*w().right_defects, *w().left_defects))
         _run(
             checks,
             f"thm2_6 n={n}: defects have zero trace",
-            lambda w=witness, A=A: all(
-                d.trace() == A.ring.zero for d in (*w().right_defects, *w().left_defects)
-            ),
+            lambda d=defects, A=A: all(D.trace() == A.ring.zero for D in d()),
         )
         _run(
             checks,
             f"thm2_6 n={n}: defect entries lie in [R,R]",
-            lambda w=witness: all(
-                in_commutator_span(e)
-                for d in (*w().right_defects, *w().left_defects)
-                for row in d.rows
-                for e in row
-            ),
+            lambda d=defects: all(in_commutator_span(e) for D in d() for row in D.rows for e in row),
         )
     return checks
 
@@ -449,12 +459,12 @@ def _suite_thm3_1(opt: VerifyOptions) -> list[CheckResult]:
         _run(
             checks,
             f"thm3_1 n={n}: tr(A A*) = sdet(A)",
-            lambda A=A, pre=pre, e=sdet: trace_of_product(A, pre()) == e(),
+            lambda A=A, pre=pre, e=sdet: e() == trace_of_product(A, pre()),
         )
         _run(
             checks,
             f"thm3_1 n={n}: tr(A* A) = sdet(A)",
-            lambda A=A, pre=pre, e=sdet: trace_of_product(pre(), A) == e(),
+            lambda A=A, pre=pre, e=sdet: e() == trace_of_product(pre(), A),
         )
     return checks
 
@@ -548,23 +558,20 @@ def _suite_rem4_3(opt: VerifyOptions) -> list[CheckResult]:
     return checks
 
 
+def _closed_form_3(A: Matrix) -> list:
+    """The coefficients of p_A,1 for a 3x3 matrix, constant term first:
+    -sdet, 3(tr^2 - tr A^2), -6 tr, 6."""
+    t = A.trace()
+    t2 = (A * A).trace()
+    return [-symmetric_determinant(A), (t * t - t2) * 3, t * (-6), A.ring.from_int(6)]
+
+
 def _suite_thm4_4(opt: VerifyOptions) -> list[CheckResult]:
     checks: list[CheckResult] = []
     algebra, A = generic_matrix(3)
 
     def check():
-        poly_ring = PolynomialRing(algebra)
-        t = A.trace()
-        t2 = (A * A).trace()
-        expected = CentralPoly(
-            poly_ring,
-            [
-                -symmetric_determinant(A),
-                (t * t - t2) * 3,
-                t * (-6),
-                algebra.from_int(6),
-            ],
-        )
+        expected = CentralPoly(PolynomialRing(algebra), _closed_form_3(A))
         return characteristic_polynomial(A, "right", 1) == expected
 
     _run(checks, "thm4_4: p_A,1 = 6z^3 - 6tr z^2 + 3(tr^2 - tr A^2) z - sdet", check)
@@ -573,19 +580,12 @@ def _suite_thm4_4(opt: VerifyOptions) -> list[CheckResult]:
 
 def _suite_cor4_5(opt: VerifyOptions) -> list[CheckResult]:
     checks: list[CheckResult] = []
-    algebra, A = generic_matrix(3)
+    _, A = generic_matrix(3)
     witness = _fixture(cayley_hamilton_witness, A)
 
     def closed_form():
-        t = A.trace()
-        t2 = (A * A).trace()
-        expected = (
-            -symmetric_determinant(A),
-            (t * t - t2) * 3,
-            t * (-6),
-            algebra.from_int(6),
-        )
-        return tuple(witness().lambdas) == expected
+        lambdas = tuple(witness().lambdas)
+        return lambdas == tuple(_closed_form_3(A))
 
     _run(checks, "cor4_5: lambda coefficients match the closed form", closed_form)
     identities = _fixture(lambda: _witness_identities(A, witness()))

@@ -4,6 +4,7 @@ import pytest
 
 from ncdet import run_verify, verify
 from ncdet.cli import main
+from ncdet.rings import TermLimitError
 from ncdet import determinants
 from ncdet.verify import SUITES
 
@@ -93,7 +94,11 @@ def test_failure_details_are_reported(monkeypatch):
 
 @pytest.mark.parametrize("suite, n", [("thm2_6", "2"), ("cor4_5", None)])
 def test_a_fixture_that_raises_is_a_failed_check(monkeypatch, capsys, suite, n):
+    calls = 0
+
     def broken(A):
+        nonlocal calls
+        calls += 1
         raise ArithmeticError("witness broke")
 
     monkeypatch.setattr(verify, "cayley_hamilton_witness", broken)
@@ -102,6 +107,27 @@ def test_a_fixture_that_raises_is_a_failed_check(monkeypatch, capsys, suite, n):
     assert code == 1
     assert "[FAIL]" in out
     assert "error: witness broke" in out
+    assert calls == 1  # the error is kept, not recomputed by each check
+
+
+def test_a_fixture_that_refuses_its_input_is_an_input_error(capsys):
+    code = main(["verify", "--suite", "thm2_6", "--n", "4"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: generic free-algebra witnesses are limited to n <= 3\n"
+    assert "[FAIL]" not in captured.out
+
+
+def test_a_fixture_over_the_term_budget_is_an_input_error(monkeypatch, capsys):
+    def over_budget(A, k):
+        raise TermLimitError("over the budget")
+
+    monkeypatch.setattr(verify, "right_determinant", over_budget)
+    code = main(["verify", "--suite", "thm2_1", "--n", "2", "--k", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: over the budget\n"
+    assert "[FAIL]" not in captured.out
 
 
 @pytest.mark.parametrize(
