@@ -107,7 +107,7 @@ class CentralPoly:
 
     def _coerce(self, other) -> CentralPoly | None:
         if isinstance(other, CentralPoly):
-            if other.ring != self.ring:
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise ValueError("polynomials live over different base rings")
             return other
         if isinstance(other, int):

@@ -7,7 +7,9 @@ record per result with the fields operation, input_digest,
 result_canonical_text and elapsed_ms.
 
 Exit codes: 0 success / all checks passed, 1 verification failure,
-2 input error or a result over the term budget.
+2 input error or a result over the term budget, 141 standard output
+closed by its reader (128 + SIGPIPE, as a shell reports a process killed
+by that signal).
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -195,8 +198,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "verify":
-            return _run_verify_command(args)
-        return _run_matrix_command(args)
+            code = _run_verify_command(args)
+        else:
+            code = _run_matrix_command(args)
+        # a reader that closed the pipe early shows here, not at exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader has gone: stop quietly, as a process killed by SIGPIPE
+        # would, and give the interpreter's last flush somewhere to write
+        sys.stdout = open(os.devnull, "w")
+        return 141
     except (DocumentError, ParseError, ValueError, OSError, TermLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

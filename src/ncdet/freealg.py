@@ -138,7 +138,7 @@ class FreePoly:
 
     def _coerce(self, other) -> FreePoly | None:
         if isinstance(other, FreePoly):
-            if other.algebra != self.algebra:
+            if other.algebra is not self.algebra and other.algebra != self.algebra:
                 raise ValueError("operands live in free algebras with different generators")
             return other
         if isinstance(other, int):

@@ -4,6 +4,12 @@ Generators v1..vm anticommute (vi*vj = -vj*vi, so vi*vi = 0); a basis
 element is a strictly increasing product of generators, stored internally
 as a bitmask.  The even/odd grading by subset size makes this the standard
 concrete Lie-nilpotent ring of index 2: [[x, y], z] = 0 holds identically.
+
+Two basis monomials that share a generator multiply to zero; otherwise
+their product is the union, signed by the parity of the generator pairs
+out of order.  The product reads that parity from one bit count per term
+pair, against a mask computed once per right-hand term whose bit i is the
+parity of that term's generators below v(i+1).
 """
 
 from __future__ import annotations
@@ -97,16 +103,16 @@ def _mask_to_indices(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _merge_sign(left: int, right: int) -> int:
-    # parity of the number of generator swaps needed to sort left|right:
-    # each generator in `right` passes every larger-index generator of `left`
-    swaps = 0
-    rest = right
-    while rest:
-        low = rest & -rest
-        swaps ^= (left >> low.bit_length()).bit_count() & 1
-        rest ^= low
-    return -1 if swaps else 1
+def _parity_below(mask: int) -> int:
+    # bit i of the result is the parity of the set bits of mask below bit i:
+    # a shift-xor prefix scan of mask << 1, whose shifts 1, 2, 4 and 8 reach
+    # back 16 bits, enough for MAX_RANK
+    below = mask << 1
+    below ^= below << 1
+    below ^= below << 2
+    below ^= below << 4
+    below ^= below << 8
+    return below
 
 
 class GrassmannElem:
@@ -153,7 +159,7 @@ class GrassmannElem:
 
     def _coerce(self, other) -> GrassmannElem | None:
         if isinstance(other, GrassmannElem):
-            if other.algebra != self.algebra:
+            if other.algebra is not self.algebra and other.algebra != self.algebra:
                 raise ValueError("operands live in exterior algebras of different rank")
             return other
         if isinstance(other, int):
@@ -194,15 +200,21 @@ class GrassmannElem:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        # sorting m1|m2 moves each generator of m2 past every larger one
+        # of m1, so the sign is the parity of the bits of m1 that lie above
+        # an odd number of bits of m2; one scan per right-hand term reads it
+        right = [(m2, c2, _parity_below(m2)) for m2, c2 in other._terms.items()]
         out: dict[int, int] = {}
         get = out.get
         for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
+            for m2, c2, below in right:
                 if m1 & m2:
                     continue
-                value = c1 * c2 * _merge_sign(m1, m2)
                 mask = m1 | m2
-                new = get(mask, 0) + value
+                if (m1 & below).bit_count() & 1:
+                    new = get(mask, 0) - c1 * c2
+                else:
+                    new = get(mask, 0) + c1 * c2
                 if new:
                     out[mask] = new
                 else:

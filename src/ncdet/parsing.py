@@ -6,10 +6,10 @@ Grammar (explicit ``*`` required, juxtaposition is not multiplication):
     term   := factor ('*' factor)*
     factor := INTEGER | IDENT | '(' expr ')' | factor '^' INTEGER
 
-``^`` is repeated multiplication with a nonnegative exponent, and
-multiplication is left-associative and order preserving.  A matrix
-document is a JSON object with a ring header, the dimension, and a grid
-of expression strings:
+``^`` is repeated multiplication with a nonnegative exponent of at most
+``MAX_EXPONENT`` (1000), and multiplication is left-associative and order
+preserving.  A matrix document is a JSON object with a ring header, the
+dimension, and a grid of expression strings:
 
     {"ring": {"kind": "free", "generators": ["a", "b", "c", "d"]},
      "n": 2,
@@ -44,6 +44,10 @@ class DocumentError(ValueError):
 
 
 RING_KINDS = ("integer", "free", "grassmann")
+
+# the largest exponent ^ accepts: each step of a power is a full product,
+# so a free word's power takes time quadratic in the exponent
+MAX_EXPONENT = 1000
 
 
 @dataclass(frozen=True)
@@ -216,6 +220,9 @@ class _Parser:
             raise ParseError("exponent must be nonnegative", pos)
         if kind != "int":
             raise ParseError("expected an integer exponent", pos)
+        # compare the digit count first: int() refuses over 4300 digits
+        if len(value.lstrip("0")) > len(str(MAX_EXPONENT)) or int(value) > MAX_EXPONENT:
+            raise ParseError(f"exponent over the limit of {MAX_EXPONENT}", pos)
         self.advance()
         return int(value)
 

@@ -3,8 +3,10 @@
 Nothing here shares code with the package internals: permutations come
 from Heap's algorithm with the sign maintained by swap parity, the
 double-sum determinant and preadjoint are evaluated directly from their
-definitions, and commutator-subgroup membership is decided by integer
-lattice reduction over an explicit basis of monomial commutators.
+definitions, exterior-algebra products take each sign from an inversion
+count of the concatenated generator indices, and commutator-subgroup
+membership is decided by integer lattice reduction over an explicit basis
+of monomial commutators.
 """
 
 from __future__ import annotations
@@ -75,6 +77,27 @@ def preadjoint_double_sum(A: Matrix) -> Matrix:
             row.append(total)
         out.append(row)
     return Matrix(A.ring, out)
+
+
+def grassmann_product(x, y) -> dict[tuple[int, ...], int]:
+    """Terms of x*y in the exterior algebra, from the public ``terms`` only.
+
+    Each pair of basis monomials with no common generator multiplies to the
+    sorted union, signed by the parity of the inversions of the two index
+    tuples written one after the other.
+    """
+    out: dict[tuple[int, ...], int] = {}
+    for left, c1 in x.terms.items():
+        for right, c2 in y.terms.items():
+            if set(left) & set(right):
+                continue
+            word = left + right
+            inversions = sum(
+                1 for i in range(len(word)) for j in range(i + 1, len(word)) if word[i] > word[j]
+            )
+            key = tuple(sorted(word))
+            out[key] = out.get(key, 0) + (-1) ** inversions * c1 * c2
+    return {key: coeff for key, coeff in out.items() if coeff}
 
 
 def words_up_to(num_generators: int, max_degree: int) -> list[tuple[int, ...]]:

@@ -1,4 +1,8 @@
+import io
 import json
+import os
+import sys
+import time
 
 import pytest
 
@@ -140,3 +144,39 @@ def test_sum_over_the_term_budget_is_a_clean_exit_2(capsys, monkeypatch):
 def test_s4_requires_2x2(capsys):
     assert main(["s4", "--generic", "3"]) == 2
     assert "2x2" in capsys.readouterr().err
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize(
+    "argv", [["sdet", "--generic", "2"], ["verify", "--suite", "prop4_1"]], ids=["sdet", "verify"]
+)
+def test_closed_stdout_ends_quietly_with_141(capsys, monkeypatch, argv):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert main(argv) == 141
+    # the interpreter's final flush goes to the null device, not the pipe
+    assert sys.stdout.name == os.devnull
+    sys.stdout.close()
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "ring, entry",
+    [
+        ({"kind": "free", "generators": ["a", "b"]}, "a^99999999"),
+        ({"kind": "grassmann", "rank": 1}, "(1+v1)^1000000"),
+    ],
+    ids=["free", "grassmann"],
+)
+def test_huge_exponent_is_refused_before_any_work(capsys, tmp_path, ring, entry):
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps({"ring": ring, "n": 1, "entries": [[entry]]}))
+    start = time.perf_counter()
+    assert main(["sdet", "--input", str(path)]) == 2
+    assert time.perf_counter() - start < 2.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "exponent over the limit of 1000" in captured.err

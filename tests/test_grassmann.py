@@ -1,8 +1,12 @@
 import random
+import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ncdet import GrassmannAlgebra, commutator, graded_parts, lie_nilpotency_check
+from ncdet.grassmann import MAX_RANK
+from oracles import grassmann_product
 
 
 @pytest.fixture
@@ -33,6 +37,55 @@ def test_merge_sign_matches_inversion_count(rank4):
     assert (v2 * v3) * v1 == v1 * v2 * v3
     # one swap
     assert (v2 * v4) * v3 == -(v2 * v3 * v4)
+
+
+@st.composite
+def _factor_pairs(draw):
+    # half of the indices come from the top two generators of the rank, so
+    # the sign of v15 and v16 against low generators is drawn often
+    rank = draw(st.integers(0, MAX_RANK))
+    if rank == 0:
+        index = st.nothing()
+    else:
+        index = st.one_of(st.integers(1, rank), st.integers(max(1, rank - 1), rank))
+    subsets = st.frozensets(index).map(lambda s: tuple(sorted(s)))
+    coeffs = st.sampled_from((-3, -2, -1, 1, 2, 3))
+    elements = st.dictionaries(subsets, coeffs, max_size=6)
+    return rank, draw(elements), draw(elements)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_factor_pairs())
+@example((16, {(16,): 1}, {(1,): 1}))
+@example((16, {(2, 15): 3}, {(1, 9, 16): -2}))
+def test_product_matches_inversion_count_oracle(factors):
+    rank, left, right = factors
+    algebra = GrassmannAlgebra(rank)
+    x, y = algebra.element(left), algebra.element(right)
+    assert dict((x * y).terms) == grassmann_product(x, y)
+
+
+def test_product_makes_no_call_per_term_pair():
+    # a sign helper called per term pair costs one Python call for each of
+    # the 3^6 disjoint pairs here; the sign scan runs once per right term
+    algebra = GrassmannAlgebra(6)
+    rng = random.Random(11)
+    x, y = (algebra.element({m: rng.choice((-2, -1, 1, 2)) for m in range(64)}) for _ in range(2))
+    assert len(x.terms) == len(y.terms) == 64
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        product = x * y
+    finally:
+        sys.setprofile(None)
+    assert calls <= len(y.terms) + 8
+    assert dict(product.terms) == grassmann_product(x, y)
 
 
 def test_overlapping_subsets_multiply_to_zero(rank4):

@@ -101,6 +101,16 @@ def test_negative_exponent_is_rejected():
         parse_expression("a^-2", algebra)
 
 
+def test_exponent_limit():
+    algebra = FreeAlgebra(("a",))
+    assert parse_expression("a^1000", algebra).degree() == 1000
+    assert parse_expression("a^0001000", algebra).degree() == 1000
+    for src in ("a^1001", "a^" + "9" * 5000):
+        with pytest.raises(ParseError, match="over the limit of 1000") as info:
+            parse_expression(src, algebra)
+        assert info.value.position == 2
+
+
 def test_syntax_errors_carry_positions():
     algebra = FreeAlgebra(("a", "b"))
     with pytest.raises(ParseError) as info:
