@@ -23,7 +23,7 @@ from .freealg import FreeAlgebra, in_commutator_span
 from .grassmann import GrassmannAlgebra
 from .matrices import Matrix
 from .perms import signed_permutations
-from .rings import IntegerRing, Ring
+from .rings import IntegerRing, Ring, RingElement, join_signed
 
 
 class PolynomialRing(Ring):
@@ -69,7 +69,7 @@ class PolynomialRing(Ring):
         return f"PolynomialRing({self.base!r})"
 
 
-class CentralPoly:
+class CentralPoly(RingElement):
     """Immutable polynomial in a central z with coefficients in a base ring."""
 
     __slots__ = ("ring", "_coeffs")
@@ -132,18 +132,6 @@ class CentralPoly:
     def __neg__(self) -> CentralPoly:
         return CentralPoly._raw(self.ring, tuple(-c for c in self._coeffs))
 
-    def __sub__(self, other) -> CentralPoly:
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> CentralPoly:
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other) -> CentralPoly:
         other = self._coerce(other)
         if other is None:
@@ -157,20 +145,6 @@ class CentralPoly:
                 out[i + j] += a * b
         return CentralPoly(self.ring, [base.total(acc) for acc in out])
 
-    def __rmul__(self, other) -> CentralPoly:
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other * self
-
-    def __pow__(self, exponent: int) -> CentralPoly:
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = self.ring.one
-        for _ in range(exponent):
-            result = result * self
-        return result
-
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
             other = self.ring.from_int(other)
@@ -181,20 +155,21 @@ class CentralPoly:
         )
 
     def __hash__(self) -> int:
+        if len(self._coeffs) <= 1:
+            # a constant hashes as its coefficient, so one equal to an int
+            # hashes as that int
+            return hash(self.coeff(0))
         return hash((self.ring, self._coeffs))
 
     def __str__(self) -> str:
-        if not self._coeffs:
-            return "0"
         pieces = []
         for d in range(len(self._coeffs) - 1, -1, -1):
             c = self._coeffs[d]
             if c == self.ring.base.zero:
                 continue
             text = str(c)
-            negative = False
-            if text.startswith("-") and "-" not in str(-c):
-                negative = True
+            negative = text.startswith("-") and "-" not in str(-c)
+            if negative:
                 text = str(-c)
             if (" + " in text) or (" - " in text):
                 text = f"({text})"
@@ -203,12 +178,8 @@ class CentralPoly:
             else:
                 zpart = "z" if d == 1 else f"z^{d}"
                 body = zpart if text == "1" else f"{text}*{zpart}"
-            pieces.append(("-" if negative else "+", body))
-        sign, body = pieces[0]
-        rendered = f"-{body}" if sign == "-" else body
-        for sign, body in pieces[1:]:
-            rendered += f" {sign} {body}"
-        return rendered
+            pieces.append((negative, body))
+        return join_signed(pieces)
 
     def __repr__(self) -> str:
         return f"<CentralPoly {self}>"

@@ -18,37 +18,118 @@ import random
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .rings import Ring, SparseSum, commutator
+from .rings import SparseElement, SparseRing, commutator
 
 MAX_RANK = 16
 
 
-class GrassmannAlgebra(Ring):
+def _mask_to_indices(mask: int) -> tuple[int, ...]:
+    out = []
+    i = 1
+    while mask:
+        if mask & 1:
+            out.append(i)
+        mask >>= 1
+        i += 1
+    return tuple(out)
+
+
+def _parity_below(mask: int) -> int:
+    # bit i of the result is the parity of the set bits of mask below bit i:
+    # a shift-xor prefix scan of mask << 1, whose shifts 1, 2, 4 and 8 reach
+    # back 16 bits, enough for MAX_RANK
+    below = mask << 1
+    below ^= below << 1
+    below ^= below << 2
+    below ^= below << 4
+    below ^= below << 8
+    return below
+
+
+class GrassmannElem(SparseElement):
+    """Immutable exterior-algebra element: sparse table subset -> coefficient."""
+
+    __slots__ = ()
+
+    _UNIT = 0
+    _MISMATCH = "operands live in exterior algebras of different rank"
+
+    def __init__(self, algebra: GrassmannAlgebra, terms: Mapping):
+        clean: dict[int, int] = {}
+        for key, coeff in terms.items():
+            if isinstance(key, int):
+                mask = key
+            else:
+                indices = tuple(key)
+                if list(indices) != sorted(set(indices)):
+                    raise ValueError(f"subset {indices!r} must be strictly increasing")
+                mask = 0
+                for i in indices:
+                    if not 1 <= i <= algebra.rank:
+                        raise ValueError(f"generator index {i} out of range 1..{algebra.rank}")
+                    mask |= 1 << (i - 1)
+            if mask >> algebra.rank:
+                raise ValueError("subset uses generators beyond the algebra rank")
+            coeff = int(coeff)
+            if coeff:
+                clean[mask] = clean.get(mask, 0) + coeff
+        self.algebra = algebra
+        self._terms = {m: c for m, c in clean.items() if c}
+
+    @property
+    def terms(self) -> Mapping[tuple[int, ...], int]:
+        """Terms keyed by ascending 1-based generator indices."""
+        return MappingProxyType({_mask_to_indices(m): c for m, c in self._terms.items()})
+
+    @staticmethod
+    def _order(mask: int) -> tuple[int, tuple[int, ...]]:
+        # subset size, then lexicographic by index
+        return (mask.bit_count(), _mask_to_indices(mask))
+
+    @staticmethod
+    def _key_text(mask: int) -> str:
+        return "*".join(f"v{i}" for i in _mask_to_indices(mask))
+
+    # bench/tracer.py wraps only a class's own attributes
+    __add__ = __radd__ = SparseElement.__add__
+    __str__ = SparseElement.__str__
+
+    def __mul__(self, other) -> GrassmannElem:
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        # sorting m1|m2 moves each generator of m2 past every larger one
+        # of m1, so the sign is the parity of the bits of m1 that lie above
+        # an odd number of bits of m2; one scan per right-hand term reads it
+        right = [(m2, c2, _parity_below(m2)) for m2, c2 in other._terms.items()]
+        out: dict[int, int] = {}
+        get = out.get
+        for m1, c1 in self._terms.items():
+            for m2, c2, below in right:
+                if m1 & m2:
+                    continue
+                mask = m1 | m2
+                if (m1 & below).bit_count() & 1:
+                    new = get(mask, 0) - c1 * c2
+                else:
+                    new = get(mask, 0) + c1 * c2
+                if new:
+                    out[mask] = new
+                else:
+                    del out[mask]
+        return GrassmannElem._raw(self.algebra, out)
+
+
+class GrassmannAlgebra(SparseRing):
     """Exterior algebra on ``rank`` anticommuting generators over the integers."""
 
     is_z2_graded = True
+    element_type = GrassmannElem
 
     def __init__(self, rank: int):
         if not 0 <= rank <= MAX_RANK:
             raise ValueError(f"rank must be between 0 and {MAX_RANK}")
         self.rank = rank
-
-    @property
-    def zero(self) -> GrassmannElem:
-        return GrassmannElem._raw(self, {})
-
-    @property
-    def one(self) -> GrassmannElem:
-        return GrassmannElem._raw(self, {0: 1})
-
-    def from_int(self, k: int) -> GrassmannElem:
-        return GrassmannElem._raw(self, {0: k} if k else {})
-
-    def accumulator(self) -> SparseSum:
-        return SparseSum(self, GrassmannElem)
-
-    def total(self, acc: SparseSum) -> GrassmannElem:
-        return acc.value()
 
     def gen(self, i: int) -> GrassmannElem:
         """The generator v_i (1-based index)."""
@@ -90,186 +171,6 @@ class GrassmannAlgebra(Ring):
 
     def __repr__(self) -> str:
         return f"GrassmannAlgebra(rank={self.rank})"
-
-
-def _mask_to_indices(mask: int) -> tuple[int, ...]:
-    out = []
-    i = 1
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return tuple(out)
-
-
-def _parity_below(mask: int) -> int:
-    # bit i of the result is the parity of the set bits of mask below bit i:
-    # a shift-xor prefix scan of mask << 1, whose shifts 1, 2, 4 and 8 reach
-    # back 16 bits, enough for MAX_RANK
-    below = mask << 1
-    below ^= below << 1
-    below ^= below << 2
-    below ^= below << 4
-    below ^= below << 8
-    return below
-
-
-class GrassmannElem:
-    """Immutable exterior-algebra element: sparse table subset -> coefficient."""
-
-    __slots__ = ("algebra", "_terms")
-
-    def __init__(self, algebra: GrassmannAlgebra, terms: Mapping):
-        clean: dict[int, int] = {}
-        for key, coeff in terms.items():
-            if isinstance(key, int):
-                mask = key
-            else:
-                indices = tuple(key)
-                if list(indices) != sorted(set(indices)):
-                    raise ValueError(f"subset {indices!r} must be strictly increasing")
-                mask = 0
-                for i in indices:
-                    if not 1 <= i <= algebra.rank:
-                        raise ValueError(f"generator index {i} out of range 1..{algebra.rank}")
-                    mask |= 1 << (i - 1)
-            if mask >> algebra.rank:
-                raise ValueError("subset uses generators beyond the algebra rank")
-            coeff = int(coeff)
-            if coeff:
-                clean[mask] = clean.get(mask, 0) + coeff
-        self.algebra = algebra
-        self._terms = {m: c for m, c in clean.items() if c}
-
-    @classmethod
-    def _raw(cls, algebra: GrassmannAlgebra, terms: dict) -> GrassmannElem:
-        self = object.__new__(cls)
-        self.algebra = algebra
-        self._terms = terms
-        return self
-
-    @property
-    def terms(self) -> Mapping[tuple[int, ...], int]:
-        """Terms keyed by ascending 1-based generator indices."""
-        return MappingProxyType({_mask_to_indices(m): c for m, c in self._terms.items()})
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def _coerce(self, other) -> GrassmannElem | None:
-        if isinstance(other, GrassmannElem):
-            if other.algebra is not self.algebra and other.algebra != self.algebra:
-                raise ValueError("operands live in exterior algebras of different rank")
-            return other
-        if isinstance(other, int):
-            return self.algebra.from_int(other)
-        return None
-
-    def __add__(self, other) -> GrassmannElem:
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        out = dict(self._terms)
-        for mask, coeff in other._terms.items():
-            new = out.get(mask, 0) + coeff
-            if new:
-                out[mask] = new
-            else:
-                del out[mask]
-        return GrassmannElem._raw(self.algebra, out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> GrassmannElem:
-        return GrassmannElem._raw(self.algebra, {m: -c for m, c in self._terms.items()})
-
-    def __sub__(self, other) -> GrassmannElem:
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> GrassmannElem:
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other) -> GrassmannElem:
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        # sorting m1|m2 moves each generator of m2 past every larger one
-        # of m1, so the sign is the parity of the bits of m1 that lie above
-        # an odd number of bits of m2; one scan per right-hand term reads it
-        right = [(m2, c2, _parity_below(m2)) for m2, c2 in other._terms.items()]
-        out: dict[int, int] = {}
-        get = out.get
-        for m1, c1 in self._terms.items():
-            for m2, c2, below in right:
-                if m1 & m2:
-                    continue
-                mask = m1 | m2
-                if (m1 & below).bit_count() & 1:
-                    new = get(mask, 0) - c1 * c2
-                else:
-                    new = get(mask, 0) + c1 * c2
-                if new:
-                    out[mask] = new
-                else:
-                    del out[mask]
-        return GrassmannElem._raw(self.algebra, out)
-
-    def __rmul__(self, other) -> GrassmannElem:
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other * self
-
-    def __pow__(self, exponent: int) -> GrassmannElem:
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = self.algebra.one
-        for _ in range(exponent):
-            result = result * self
-        return result
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            return self._terms == ({0: other} if other else {})
-        return (
-            isinstance(other, GrassmannElem)
-            and self.algebra == other.algebra
-            and self._terms == other._terms
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.algebra, frozenset(self._terms.items())))
-
-    def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        pieces = []
-        for mask in sorted(self._terms, key=lambda m: (m.bit_count(), _mask_to_indices(m))):
-            coeff = self._terms[mask]
-            body = "*".join(f"v{i}" for i in _mask_to_indices(mask))
-            mag = abs(coeff)
-            if not body:
-                text = str(mag)
-            elif mag == 1:
-                text = body
-            else:
-                text = f"{mag}*{body}"
-            pieces.append(("-" if coeff < 0 else "+", text))
-        sign, text = pieces[0]
-        rendered = f"-{text}" if sign == "-" else text
-        for sign, text in pieces[1:]:
-            rendered += f" {sign} {text}"
-        return rendered
-
-    def __repr__(self) -> str:
-        return f"<GrassmannElem {self}>"
 
 
 def graded_parts(x: GrassmannElem) -> tuple[GrassmannElem, GrassmannElem]:

@@ -6,9 +6,11 @@ Grammar (explicit ``*`` required, juxtaposition is not multiplication):
     term   := factor ('*' factor)*
     factor := INTEGER | IDENT | '(' expr ')' | factor '^' INTEGER
 
-``^`` is repeated multiplication with a nonnegative exponent of at most
-``MAX_EXPONENT`` (1000), and multiplication is left-associative and order
-preserving.  A matrix document is a JSON object with a ring header, the
+``^`` is repeated multiplication with a nonnegative exponent, and
+multiplication is left-associative and order preserving.  The exponents
+that apply to any one factor, including those on enclosing parentheses
+(``(a^10)^100``, ``a^10^100``), may multiply to at most ``MAX_EXPONENT``
+(1000).  A matrix document is a JSON object with a ring header, the
 dimension, and a grid of expression strings:
 
     {"ring": {"kind": "free", "generators": ["a", "b", "c", "d"]},
@@ -45,8 +47,8 @@ class DocumentError(ValueError):
 
 RING_KINDS = ("integer", "free", "grassmann")
 
-# the largest exponent ^ accepts: each step of a power is a full product,
-# so a free word's power takes time quadratic in the exponent
+# the largest product of the exponents on one factor: each step of a power
+# is a full product, so a free word's power takes time quadratic in it
 MAX_EXPONENT = 1000
 
 
@@ -146,6 +148,7 @@ class _Parser:
         self.ring = ring
         self.i = 0
         self._names = self._name_table(ring)
+        self._power = 1  # the largest power on a factor in the open parentheses
 
     @staticmethod
     def _name_table(ring: Ring):
@@ -205,16 +208,24 @@ class _Parser:
                 return total
 
     def factor(self):
+        outer = self._power
+        self._power = 1
         base = self.primary()
+        # a parenthesized primary leaves the largest power inside it
+        power = self._power
         while True:
             kind, value, _ = self.peek()
             if kind == "sym" and value == "^":
                 self.advance()
-                base = base ** self.exponent()
+                exponent = self.exponent(power)
+                power *= exponent
+                base = base ** exponent
             else:
+                self._power = max(outer, power)
                 return base
 
-    def exponent(self) -> int:
+    def exponent(self, power: int) -> int:
+        """The next exponent, refused if power times it is over the limit."""
         kind, value, pos = self.peek()
         if kind == "sym" and value == "-":
             raise ParseError("exponent must be nonnegative", pos)
@@ -223,6 +234,8 @@ class _Parser:
         # compare the digit count first: int() refuses over 4300 digits
         if len(value.lstrip("0")) > len(str(MAX_EXPONENT)) or int(value) > MAX_EXPONENT:
             raise ParseError(f"exponent over the limit of {MAX_EXPONENT}", pos)
+        if power * int(value) > MAX_EXPONENT:
+            raise ParseError(f"exponents multiply to over the limit of {MAX_EXPONENT}", pos)
         self.advance()
         return int(value)
 

@@ -7,6 +7,19 @@ themselves are ordinary Python values that support ``+``, ``-``, ``*`` and
 ``==``; the exact integer ring simply uses Python's built-in ``int``, which
 is arbitrary precision, so all arithmetic in the package is exact.
 
+The free and exterior algebras share one sparse core.  A ``SparseRing``
+builds ``zero``, ``one``, ``from_int`` and its ``SparseSum`` accumulator
+from its ``element_type`` and ``term_limit`` (None for no budget).  A
+``SparseElement`` is a ``_terms`` dict from keys to nonzero integer
+coefficients with ``_raw``, ``_coerce``, ``is_zero``, ``+``, unary ``-``,
+``==``, ``hash`` and canonical text; a subclass supplies ``_UNIT`` (the key
+of the identity), ``_MISMATCH`` (the message for operands of different
+algebras), ``_order`` and ``_key_text`` (a key's sort key and text, empty
+for the unit), key validation in ``__init__`` and its own ``__mul__``.
+``RingElement`` builds binary and reflected ``-``, reflected ``*`` and
+``**`` from ``_coerce``, ``+``, unary ``-`` and ``*``; ``CentralPoly``
+uses it too.
+
 Elements are immutable and all operations are pure, so sharing values
 between threads is safe.  The one mutable helper is the accumulator a ring
 hands out for a running sum (``Ring.accumulator``/``Ring.total``): it lives
@@ -106,25 +119,170 @@ class IntegerRing(Ring):
         return "IntegerRing()"
 
 
+class SparseRing(Ring):
+    """A ring of ``element_type`` elements, summed under ``term_limit``."""
+
+    element_type: type
+    term_limit: int | None = None
+
+    @property
+    def zero(self):
+        return self.element_type._raw(self, {})
+
+    @property
+    def one(self):
+        return self.from_int(1)
+
+    def from_int(self, k: int):
+        element = self.element_type
+        return element._raw(self, {element._UNIT: k} if k else {})
+
+    def accumulator(self) -> SparseSum:
+        return SparseSum(self)
+
+    def total(self, acc: SparseSum):
+        return acc.value()
+
+
+def join_signed(pieces) -> str:
+    """Join (negative, text) pieces as ``-x + y - z``; ``0`` if there are none."""
+    out = []
+    for negative, text in pieces:
+        if out:
+            out.append(" - " if negative else " + ")
+        elif negative:
+            out.append("-")
+        out.append(text)
+    return "".join(out) or "0"
+
+
+class RingElement:
+    """Subtraction, reflected ``*`` and ``**`` from ``_coerce`` (an operand
+    as an element of this ring, or None), ``+``, unary ``-`` and ``*``."""
+
+    __slots__ = ()
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other + (-self)
+
+    def __rmul__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other * self
+
+    def __pow__(self, exponent: int):
+        if not isinstance(exponent, int) or exponent < 0:
+            raise ValueError("exponent must be a nonnegative integer")
+        result = self._coerce(1)
+        for _ in range(exponent):
+            result = result * self
+        return result
+
+
+class SparseElement(RingElement):
+    """Immutable sparse table from keys to nonzero integer coefficients."""
+
+    __slots__ = ("algebra", "_terms")
+
+    @classmethod
+    def _raw(cls, algebra, terms: dict):
+        # internal fast path: terms already normalized
+        self = object.__new__(cls)
+        self.algebra = algebra
+        self._terms = terms
+        return self
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def _coerce(self, other):
+        if isinstance(other, self.__class__):
+            if other.algebra is not self.algebra and other.algebra != self.algebra:
+                raise ValueError(self._MISMATCH)
+            return other
+        if isinstance(other, int):
+            return self.algebra.from_int(other)
+        return None
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        out = dict(self._terms)
+        for key, coeff in other._terms.items():
+            new = out.get(key, 0) + coeff
+            if new:
+                out[key] = new
+            else:
+                del out[key]
+        return self._raw(self.algebra, out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._raw(self.algebra, {k: -c for k, c in self._terms.items()})
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, int):
+            return self._terms == ({self._UNIT: other} if other else {})
+        return (
+            isinstance(other, self.__class__)
+            and self.algebra == other.algebra
+            and self._terms == other._terms
+        )
+
+    def __hash__(self) -> int:
+        terms = self._terms
+        if terms.keys() <= {self._UNIT}:
+            # a scalar equals its int, so it hashes as one
+            return hash(terms.get(self._UNIT, 0))
+        return hash((self.algebra, frozenset(terms.items())))
+
+    def __str__(self) -> str:
+        terms = self._terms
+        key_text = self._key_text
+        pieces = []
+        for key in sorted(terms, key=self._order):
+            coeff = terms[key]
+            body = key_text(key)
+            mag = abs(coeff)
+            if body and mag != 1:
+                body = f"{mag}*{body}"
+            pieces.append((coeff < 0, body or str(mag)))
+        return join_signed(pieces)
+
+    def __repr__(self) -> str:
+        return f"<{type(self).__name__} {self}>"
+
+
 class SparseSum:
-    """In-place running sum of sparse elements (a ``_terms`` dict of nonzero
-    integer coefficients, rebuilt by ``element._raw(ring, terms)``).
+    """In-place running sum of the elements of one ``SparseRing``.
 
     ``acc + x`` and ``acc - x`` fold the terms of x into one dict and return
     the accumulator itself.  A lone positive term is held by reference and
     its dict is copied only when a second term arrives; ``value()`` hands
     the dict out inside a new element and drops it, so no element that has
-    been handed out is ever mutated.  When ``limit`` is set, a sum that
-    grows past that many terms raises TermLimitError; the check runs once
-    per ``+``/``-``.
+    been handed out is ever mutated.  When the ring's ``term_limit`` is
+    set, a sum that grows past that many terms raises TermLimitError; the
+    check runs once per ``+``/``-``.
     """
 
     __slots__ = ("_ring", "_element", "_limit", "_lone", "_terms")
 
-    def __init__(self, ring: Ring, element: type, limit: int | None = None):
+    def __init__(self, ring: SparseRing):
         self._ring = ring
-        self._element = element
-        self._limit = limit
+        self._element = ring.element_type
+        self._limit = ring.term_limit
         self._lone = None  # the only term so far, shared, not copied
         self._terms = None  # the owned dict, once a second term arrives
 

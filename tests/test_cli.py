@@ -164,14 +164,16 @@ def test_closed_stdout_ends_quietly_with_141(capsys, monkeypatch, argv):
 
 
 @pytest.mark.parametrize(
-    "ring, entry",
+    "ring, entry, refusal",
     [
-        ({"kind": "free", "generators": ["a", "b"]}, "a^99999999"),
-        ({"kind": "grassmann", "rank": 1}, "(1+v1)^1000000"),
+        ({"kind": "free", "generators": ["a", "b"]}, "a^99999999", "exponent over"),
+        ({"kind": "grassmann", "rank": 1}, "(1+v1)^1000000", "exponent over"),
+        ({"kind": "free", "generators": ["a"]}, "(a^1000)^1000", "exponents multiply to over"),
+        ({"kind": "grassmann", "rank": 1}, "((1+v1)^1000)^1000", "exponents multiply to over"),
     ],
-    ids=["free", "grassmann"],
+    ids=["free", "grassmann", "nested free", "nested grassmann"],
 )
-def test_huge_exponent_is_refused_before_any_work(capsys, tmp_path, ring, entry):
+def test_huge_exponent_is_refused_before_any_work(capsys, tmp_path, ring, entry, refusal):
     path = tmp_path / "matrix.json"
     path.write_text(json.dumps({"ring": ring, "n": 1, "entries": [[entry]]}))
     start = time.perf_counter()
@@ -179,4 +181,4 @@ def test_huge_exponent_is_refused_before_any_work(capsys, tmp_path, ring, entry)
     assert time.perf_counter() - start < 2.0
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "exponent over the limit of 1000" in captured.err
+    assert f"{refusal} the limit of 1000" in captured.err

@@ -111,6 +111,19 @@ def test_exponent_limit():
         assert info.value.position == 2
 
 
+def test_nested_exponents_multiply_under_the_limit():
+    algebra = FreeAlgebra(("a", "b"))
+    for src in ("(a^1000)^1000", "a^1000^2", "((a^10)^10)^11", "(a*(b^2)^600)^2"):
+        with pytest.raises(ParseError, match="multiply to over the limit of 1000"):
+            parse_expression(src, algebra)
+    assert parse_expression("a^10^100", algebra).degree() == 1000
+    assert parse_expression("(a^10)^100", algebra).degree() == 1000
+    assert parse_expression("(a^2)^3", algebra) == parse_expression("a^6", algebra)
+    # exponents on separate factors do not multiply
+    assert parse_expression("(a^1000)*(b^1000)", algebra).degree() == 2000
+    assert parse_expression("(a^1000)^0", algebra) == 1
+
+
 def test_syntax_errors_carry_positions():
     algebra = FreeAlgebra(("a", "b"))
     with pytest.raises(ParseError) as info:
