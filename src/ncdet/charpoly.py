@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from typing import Sequence
 
 from .determinants import _by_side, left_determinant, preadjoint, right_determinant
@@ -23,7 +22,7 @@ from .freealg import FreeAlgebra, in_commutator_span
 from .grassmann import GrassmannAlgebra
 from .matrices import Matrix
 from .perms import signed_permutations
-from .rings import IntegerRing, Ring, RingElement, join_signed
+from .rings import IntegerRing, Record, Ring, RingElement, join_signed
 
 
 class PolynomialRing(Ring):
@@ -234,8 +233,7 @@ def matrix_from_coefficients(ring: PolynomialRing, slices: Sequence[Matrix]) -> 
     return Matrix(ring, rows)
 
 
-@dataclass(frozen=True)
-class CHWitness:
+class CHWitness(Record):
     """Coefficient data of the matrix-coefficient Cayley--Hamilton identities.
 
     lambdas holds the coefficients of the first characteristic polynomial
@@ -246,6 +244,7 @@ class CHWitness:
         sum_i (lambdas[i] I + D_i) A^i = 0.
     """
 
+    __slots__ = ("lambdas", "right_defects", "left_defects")
     lambdas: tuple
     right_defects: tuple[Matrix, ...]
     left_defects: tuple[Matrix, ...]

@@ -4,7 +4,11 @@ Subcommands compute on a matrix taken either from a document file
 (``--input``) or synthesized as the generic n x n matrix of distinct free
 generators (``--generic N``).  ``--output machine`` switches to one JSON
 record per result with the fields operation, input_digest,
-result_canonical_text and elapsed_ms.
+result_canonical_text and elapsed_ms.  The input digest is the SHA-256 of
+the document's bytes as read (a file is read once, and those bytes are
+both parsed and digested), of ``generic:N``, or of the verify request; it
+is computed only when a machine record prints it, so text output never
+loads ``hashlib``.
 
 Exit codes: 0 success / all checks passed, 1 verification failure,
 2 input error or a result over the term budget, 141 standard output
@@ -15,7 +19,6 @@ by that signal).
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -35,7 +38,7 @@ from .determinants import (
     symmetric_determinant,
 )
 from .matrices import Matrix
-from .parsing import DocumentError, ParseError, load_matrix
+from .parsing import DocumentError, ParseError, loads_matrix
 from .rings import TermLimitError
 from .verify import SUITES, generic_matrix, run_verify
 
@@ -89,23 +92,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_input(args) -> tuple[Matrix, str]:
+def _load_input(args) -> tuple[Matrix, bytes]:
+    """The input matrix and the bytes its digest is taken from."""
     if args.generic is not None:
         if args.generic < 1:
             raise DocumentError("--generic needs a positive dimension")
         _, matrix = generic_matrix(args.generic)
-        digest_source = f"generic:{args.generic}".encode()
-    else:
-        digest_source = Path(args.input).read_bytes()
-        _, matrix = load_matrix(args.input)
-    return matrix, hashlib.sha256(digest_source).hexdigest()
+        return matrix, f"generic:{args.generic}".encode()
+    data = Path(args.input).read_bytes()
+    _, matrix = loads_matrix(data.decode("utf-8"))
+    return matrix, data
 
 
-def _emit(args, operation: str, digest: str, text: str, elapsed_ms: float):
+def _digest(source: bytes) -> str:
+    # imported here: only a machine record prints a digest
+    import hashlib
+
+    return hashlib.sha256(source).hexdigest()
+
+
+def _emit(args, operation: str, digest_source: bytes, text: str, elapsed_ms: float):
     if args.output == "machine":
         record = {
             "operation": operation,
-            "input_digest": digest,
+            "input_digest": _digest(digest_source),
             "result_canonical_text": text,
             "elapsed_ms": round(elapsed_ms, 3),
         }
@@ -115,7 +125,7 @@ def _emit(args, operation: str, digest: str, text: str, elapsed_ms: float):
 
 
 def _run_matrix_command(args) -> int:
-    matrix, digest = _load_input(args)
+    matrix, digest_source = _load_input(args)
     start = time.perf_counter()
     if args.command == "sdet":
         result = symmetric_determinant(matrix)
@@ -152,7 +162,7 @@ def _run_matrix_command(args) -> int:
     else:  # pragma: no cover - argparse guards this
         raise DocumentError(f"unknown command {args.command}")
     elapsed_ms = (time.perf_counter() - start) * 1000.0
-    _emit(args, operation, digest, str(result), elapsed_ms)
+    _emit(args, operation, digest_source, str(result), elapsed_ms)
     return 0
 
 
@@ -166,8 +176,8 @@ def _run_verify_command(args) -> int:
         trials=args.trials,
         seed=args.seed,
     )
-    digest_source = json.dumps(
-        {
+    if args.output == "machine":
+        request = {
             "suite": args.suite,
             "n": args.n,
             "k": args.k,
@@ -175,11 +185,8 @@ def _run_verify_command(args) -> int:
             "rank": args.rank,
             "trials": args.trials,
             "seed": args.seed,
-        },
-        sort_keys=True,
-    ).encode()
-    digest = hashlib.sha256(digest_source).hexdigest()
-    if args.output == "machine":
+        }
+        digest = _digest(json.dumps(request, sort_keys=True).encode())
         for check in report.checks:
             record = {
                 "operation": f"verify:{report.suite}:{check.name}",

@@ -35,13 +35,12 @@ tr(Q_k ... Q_1 A).  Both equal the symmetric determinant at k = 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
 from .matrices import Matrix, commutative_adj, commutative_det
 from .perms import signed_permutations
-from .rings import IntegerRing
+from .rings import IntegerRing, Record
 
 
 def symmetric_determinant(A: Matrix):
@@ -221,10 +220,10 @@ def preadjoint_via_minors(A: Matrix) -> Matrix:
     return Matrix(A.ring, rows)
 
 
-@dataclass(frozen=True)
-class AdjointSequence:
+class AdjointSequence(Record):
     """The right (P_k) or left (Q_k) adjoint sequence of a matrix."""
 
+    __slots__ = ("side", "base", "matrices")
     side: str
     base: Matrix
     matrices: tuple[Matrix, ...]
@@ -294,10 +293,10 @@ def left_determinant(A: Matrix, k: int = 1):
     return trace_of_product(*factors)
 
 
-@dataclass(frozen=True)
-class CommutatorDefect:
+class CommutatorDefect(Record):
     """Scalar and trace-zero defect with n A A* = scalar I + defect."""
 
+    __slots__ = ("scalar", "defect")
     scalar: object
     defect: Matrix
 

@@ -19,9 +19,7 @@ import random
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
-from .rings import Ring, SparseElement, SparseRing, TermLimitError
-
-DEFAULT_TERM_LIMIT = 10_000_000
+from .rings import DEFAULT_TERM_LIMIT, Ring, SparseElement, SparseRing, TermLimitError
 
 
 class FreePoly(SparseElement):
@@ -73,12 +71,9 @@ class FreePoly(SparseElement):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        limit = self.algebra.term_limit
-        if len(self._terms) * len(other._terms) > limit:
-            raise TermLimitError(
-                f"product would enumerate {len(self._terms) * len(other._terms)} "
-                f"term pairs, over the budget of {limit}"
-            )
+        pairs = len(self._terms) * len(other._terms)
+        if pairs > self.algebra.term_limit:
+            raise TermLimitError.pairs(pairs, self.algebra.term_limit)
         out: dict[tuple[int, ...], int] = {}
         get = out.get
         for w1, c1 in self._terms.items():

@@ -9,7 +9,8 @@ Two basis monomials that share a generator multiply to zero; otherwise
 their product is the union, signed by the parity of the generator pairs
 out of order.  The product reads that parity from one bit count per term
 pair, against a mask computed once per right-hand term whose bit i is the
-parity of that term's generators below v(i+1).
+parity of that term's generators below v(i+1).  As in the free algebra, a
+product of more than ``term_limit`` term pairs raises TermLimitError.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import random
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .rings import SparseElement, SparseRing, commutator
+from .rings import SparseElement, SparseRing, TermLimitError, commutator
 
 MAX_RANK = 16
 
@@ -98,6 +99,9 @@ class GrassmannElem(SparseElement):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        pairs = len(self._terms) * len(other._terms)
+        if pairs > self.algebra.term_limit:
+            raise TermLimitError.pairs(pairs, self.algebra.term_limit)
         # sorting m1|m2 moves each generator of m2 past every larger one
         # of m1, so the sign is the parity of the bits of m1 that lie above
         # an odd number of bits of m2; one scan per right-hand term reads it

@@ -11,23 +11,22 @@ cofactor expansion) and the supermatrix parity predicate for Z2-graded rings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .grassmann import GrassmannElem, graded_parts
-from .rings import Ring
+from .rings import Record, Ring
 
 DIMENSION_CAP = 6
 
 
-@dataclass(frozen=True)
-class SupermatrixProfile:
+class SupermatrixProfile(Record):
     """Block split (n, t): rows/columns 1..t versus t+1..n."""
 
+    __slots__ = ("n", "t")
     n: int
     t: int
 
-    def __post_init__(self):
+    def _validate(self):
         if not 1 <= self.t <= self.n - 1:
             raise ValueError(f"block split t={self.t} invalid for n={self.n}")
 

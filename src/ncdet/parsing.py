@@ -24,13 +24,12 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from pathlib import Path
 
 from .freealg import FreeAlgebra
 from .grassmann import MAX_RANK, GrassmannAlgebra
 from .matrices import Matrix, SupermatrixProfile, is_supermatrix
-from .rings import IntegerRing, Ring
+from .rings import IntegerRing, Record, Ring
 
 
 class ParseError(ValueError):
@@ -52,15 +51,16 @@ RING_KINDS = ("integer", "free", "grassmann")
 MAX_EXPONENT = 1000
 
 
-@dataclass(frozen=True)
-class RingSpec:
+class RingSpec(Record):
     """Declares which concrete ring a document or expression lives in."""
 
+    __slots__ = ("kind", "generators", "rank")
+    _defaults = {"generators": (), "rank": 0}
     kind: str
-    generators: tuple[str, ...] = ()
-    rank: int = 0
+    generators: tuple[str, ...]
+    rank: int
 
-    def __post_init__(self):
+    def _validate(self):
         if self.kind not in RING_KINDS:
             raise ValueError(f"ring kind must be one of {RING_KINDS}, got {self.kind!r}")
         if self.kind == "free":
@@ -261,14 +261,15 @@ def parse_expression(src: str, ring: Ring | RingSpec):
     return _Parser(src, ring).parse()
 
 
-@dataclass(frozen=True)
-class MatrixDocument:
+class MatrixDocument(Record):
     """A matrix file: ring declaration, dimension, grid of expression strings."""
 
+    __slots__ = ("ring", "n", "entries", "t")
+    _defaults = {"t": None}
     ring: RingSpec
     n: int
     entries: tuple[tuple[str, ...], ...]
-    t: int | None = None
+    t: int | None
 
     def build_ring(self) -> Ring:
         return self.ring.build_ring()

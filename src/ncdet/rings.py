@@ -9,16 +9,24 @@ is arbitrary precision, so all arithmetic in the package is exact.
 
 The free and exterior algebras share one sparse core.  A ``SparseRing``
 builds ``zero``, ``one``, ``from_int`` and its ``SparseSum`` accumulator
-from its ``element_type`` and ``term_limit`` (None for no budget).  A
+from its ``element_type`` and ``term_limit``, the most term pairs one
+product and the most terms one sum may reach (10M by default).  A
 ``SparseElement`` is a ``_terms`` dict from keys to nonzero integer
 coefficients with ``_raw``, ``_coerce``, ``is_zero``, ``+``, unary ``-``,
 ``==``, ``hash`` and canonical text; a subclass supplies ``_UNIT`` (the key
 of the identity), ``_MISMATCH`` (the message for operands of different
 algebras), ``_order`` and ``_key_text`` (a key's sort key and text, empty
-for the unit), key validation in ``__init__`` and its own ``__mul__``.
+for the unit), key validation in ``__init__`` and its own ``__mul__``,
+which refuses a product of more than ``term_limit`` term pairs.
 ``RingElement`` builds binary and reflected ``-``, reflected ``*`` and
 ``**`` from ``_coerce``, ``+``, unary ``-`` and ``*``; ``CentralPoly``
 uses it too.
+
+``Record`` is the base of the package's result and option records
+(``AxiomReport``, ``AdjointSequence``, ``RingSpec``, ``CheckResult`` and
+the rest): plain ``__slots__`` classes with field-wise equality, hash and
+repr, frozen unless declared otherwise, built without the import-time cost
+of ``dataclasses``.
 
 Elements are immutable and all operations are pure, so sharing values
 between threads is safe.  The one mutable helper is the accumulator a ring
@@ -31,11 +39,85 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+
+# the term budget of a sparse ring: the most term pairs one product may
+# enumerate, and the most terms one running sum may hold
+DEFAULT_TERM_LIMIT = 10_000_000
 
 
 class TermLimitError(RuntimeError):
     """A symbolic operation would exceed the configured term budget."""
+
+    @classmethod
+    def pairs(cls, pairs: int, limit: int) -> TermLimitError:
+        return cls(f"product would enumerate {pairs} term pairs, over the budget of {limit}")
+
+
+class Record:
+    """A plain record whose fields are its class's ``__slots__``, in order.
+
+    It is built by position or keyword; ``_defaults`` holds the values of
+    trailing fields left out, where a type (``list``, ``dict``) makes a
+    fresh value for each record.  ``_validate`` runs once all fields are
+    set.  Records compare equal field by field, and hash and print the same
+    way.  A record is frozen, so assigning to it raises AttributeError,
+    unless its class is declared with ``frozen=False``; such a record is
+    unhashable.  No record class runs code generation at import.
+    """
+
+    __slots__ = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls, frozen: bool = True, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if not frozen:
+            cls.__setattr__ = object.__setattr__
+            cls.__delattr__ = object.__delattr__
+            cls.__hash__ = None
+
+    def __init__(self, *args, **kwargs):
+        fields = self.__slots__
+        if len(args) > len(fields) or not kwargs.keys() <= set(fields[len(args):]):
+            raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(fields)}")
+        values = dict(zip(fields, args), **kwargs)
+        for name in fields:
+            if name in values:
+                value = values[name]
+            elif name in self._defaults:
+                value = self._defaults[name]
+                if isinstance(value, type):
+                    value = value()
+            else:
+                raise TypeError(f"{type(self).__name__}() is missing the field {name}")
+            object.__setattr__(self, name, value)
+        self._validate()
+
+    def _validate(self):
+        pass
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class Ring(ABC):
@@ -123,7 +205,7 @@ class SparseRing(Ring):
     """A ring of ``element_type`` elements, summed under ``term_limit``."""
 
     element_type: type
-    term_limit: int | None = None
+    term_limit = DEFAULT_TERM_LIMIT
 
     @property
     def zero(self):
@@ -272,9 +354,9 @@ class SparseSum:
     the accumulator itself.  A lone positive term is held by reference and
     its dict is copied only when a second term arrives; ``value()`` hands
     the dict out inside a new element and drops it, so no element that has
-    been handed out is ever mutated.  When the ring's ``term_limit`` is
-    set, a sum that grows past that many terms raises TermLimitError; the
-    check runs once per ``+``/``-``.
+    been handed out is ever mutated.  A sum that grows past the ring's
+    ``term_limit`` raises TermLimitError; the check runs once per
+    ``+``/``-``.
     """
 
     __slots__ = ("_ring", "_element", "_limit", "_lone", "_terms")
@@ -308,7 +390,7 @@ class SparseSum:
                 out[key] = new
             else:
                 del out[key]
-        if self._limit is not None and len(out) > self._limit:
+        if len(out) > self._limit:
             raise TermLimitError(
                 f"sum grew to {len(out)} terms, over the budget of {self._limit}"
             )
@@ -343,13 +425,14 @@ _AXIOMS = (
 )
 
 
-@dataclass
-class AxiomReport:
+class AxiomReport(Record, frozen=False):
     """Outcome of a seeded ring-axiom spot check, one verdict per axiom."""
 
+    __slots__ = ("trials", "results", "failures")
+    _defaults = {"results": dict, "failures": list}
     trials: int
-    results: dict = field(default_factory=dict)
-    failures: list = field(default_factory=list)
+    results: dict
+    failures: list
 
     @property
     def ok(self) -> bool:
@@ -370,12 +453,12 @@ def ring_axiom_check(ring: Ring, samples, trials: int = 100, seed: int = 0) -> A
     samples = list(samples)
     if not samples:
         raise ValueError("samples must be nonempty")
-    report = AxiomReport(trials=trials)
     if trials <= 0:
-        return report
+        return AxiomReport(trials=trials)
     rng = random.Random(seed)
     zero, one = ring.zero, ring.one
     results = {name: True for name in _AXIOMS}
+    failures = []
     for _ in range(trials):
         x = rng.choice(samples)
         y = rng.choice(samples)
@@ -393,7 +476,6 @@ def ring_axiom_check(ring: Ring, samples, trials: int = 100, seed: int = 0) -> A
         for name, good in checks.items():
             if not good:
                 if results[name]:
-                    report.failures.append((name, x, y, z))
+                    failures.append((name, x, y, z))
                 results[name] = False
-    report.results = results
-    return report
+    return AxiomReport(trials, results, failures)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass, field
 
 from .charpoly import (
     CentralPoly,
@@ -45,15 +44,16 @@ from .matrices import (
     commutative_det,
     is_supermatrix,
 )
-from .rings import IntegerRing, TermLimitError
+from .rings import IntegerRing, Record, TermLimitError
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
+    __slots__ = ("name", "passed", "elapsed_ms", "detail")
+    _defaults = {"detail": ""}
     name: str
     passed: bool
     elapsed_ms: float
-    detail: str = ""
+    detail: str
 
     def __str__(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -61,10 +61,11 @@ class CheckResult:
         return f"[{status}] {self.name} ({self.elapsed_ms:.0f} ms){suffix}"
 
 
-@dataclass
-class VerifyReport:
+class VerifyReport(Record, frozen=False):
+    __slots__ = ("suite", "checks")
+    _defaults = {"checks": list}
     suite: str
-    checks: list[CheckResult] = field(default_factory=list)
+    checks: list[CheckResult]
 
     @property
     def ok(self) -> bool:
@@ -81,14 +82,15 @@ class VerifyReport:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class VerifyOptions:
-    n: int | None = None
-    k: int | None = None
-    t: int | None = None
-    rank: int | None = None
-    trials: int | None = None
-    seed: int = 42
+class VerifyOptions(Record):
+    __slots__ = ("n", "k", "t", "rank", "trials", "seed")
+    _defaults = {"n": None, "k": None, "t": None, "rank": None, "trials": None, "seed": 42}
+    n: int | None
+    k: int | None
+    t: int | None
+    rank: int | None
+    trials: int | None
+    seed: int
 
     def sizes(self, default):
         return (self.n,) if self.n is not None else default

@@ -1,8 +1,11 @@
+import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -44,6 +47,37 @@ def test_machine_digest_is_stable(capsys, integer_doc):
     main(["sdet", "--input", integer_doc, "--output", "machine"])
     second = json.loads(capsys.readouterr().out)["input_digest"]
     assert first == second
+
+
+def test_input_is_read_once_and_digested_as_read(capsys, monkeypatch, integer_doc):
+    reads = []
+    read_bytes = Path.read_bytes
+
+    def counting_read_bytes(path):
+        reads.append(path)
+        return read_bytes(path)
+
+    def no_read_text(path, *args, **kwargs):
+        raise AssertionError("the document was read a second time")
+
+    monkeypatch.setattr(Path, "read_bytes", counting_read_bytes)
+    monkeypatch.setattr(Path, "read_text", no_read_text)
+    assert main(["sdet", "--input", integer_doc, "--output", "machine"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert reads == [Path(integer_doc)]
+    assert record["result_canonical_text"] == "-4"
+    assert record["input_digest"] == hashlib.sha256(INTEGER_DOC.encode()).hexdigest()
+    # pinned, so the digest of a document cannot drift between versions
+    assert record["input_digest"] == "5e13f69b39c50cce190fc37ad149b4287ec224f7c080dbb594185e60d0e95e06"
+
+
+def test_undecodable_input_is_input_error(capsys, tmp_path):
+    path = tmp_path / "matrix.json"
+    path.write_bytes(INTEGER_DOC.encode().replace(b'"1"', b'"\xff"'))
+    assert main(["sdet", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: 'utf-8' codec can't decode byte 0xff")
 
 
 def test_preadj_prints_rows(capsys, integer_doc):
@@ -100,6 +134,10 @@ def test_verify_machine_records(capsys):
         record = json.loads(line)
         assert record["operation"].startswith("verify:prop4_1:")
         assert record["result_canonical_text"] == "pass"
+        # pinned: the SHA-256 of the sorted-key JSON of the verify request
+        assert record["input_digest"] == (
+            "8546d13a103b84d8b406259a9a015a635f9974fc583c635c51542346aa26735b"
+        )
 
 
 def test_unknown_suite_is_input_error(capsys):
@@ -139,6 +177,21 @@ def test_sum_over_the_term_budget_is_a_clean_exit_2(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: sum grew to 36 terms, over the budget of 35")
+
+
+def test_exterior_product_over_the_pair_budget_is_a_clean_exit_2(capsys, tmp_path):
+    # 2^14 terms squared: 268M term pairs, over the default budget of 10M
+    entry = "(" + "*".join(f"(1+v{i})" for i in range(1, 15)) + ")^2"
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps({"ring": {"kind": "grassmann", "rank": 14}, "n": 1, "entries": [[entry]]}))
+    start = time.perf_counter()
+    assert main(["sdet", "--input", str(path)]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: product would enumerate 268435456 term pairs, over the budget of 10000000\n"
+    )
 
 
 def test_s4_requires_2x2(capsys):
@@ -182,3 +235,25 @@ def test_huge_exponent_is_refused_before_any_work(capsys, tmp_path, ring, entry,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"{refusal} the limit of 1000" in captured.err
+
+
+def test_cli_import_loads_neither_dataclasses_nor_hashlib():
+    # every command is its own process, so what importing the CLI loads is
+    # paid on every run; a digest is needed only for machine output
+    probe = (
+        "import sys; before = set(sys.modules); import ncdet.cli; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    root = Path(__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    loaded = result.stdout.split()
+    assert "ncdet.cli" in loaded
+    unwanted = {"dataclasses", "inspect", "hashlib"} & set(loaded)
+    assert not unwanted, f"importing ncdet.cli loaded {sorted(unwanted)}; all it loaded: {loaded}"

@@ -4,7 +4,14 @@ import sys
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ncdet import GrassmannAlgebra, commutator, graded_parts, lie_nilpotency_check
+from ncdet import (
+    FreeAlgebra,
+    GrassmannAlgebra,
+    TermLimitError,
+    commutator,
+    graded_parts,
+    lie_nilpotency_check,
+)
 from ncdet.grassmann import MAX_RANK
 from oracles import grassmann_product
 
@@ -107,6 +114,24 @@ def test_element_constructor_validates_subsets(rank4):
     with pytest.raises(ValueError):
         rank4.element({(5,): 1})
     assert rank4.element({(1, 3): 2, (): 1}) == 1 + 2 * (rank4.gen(1) * rank4.gen(3))
+
+
+def test_product_over_the_pair_budget_raises():
+    algebra = GrassmannAlgebra(4)
+    algebra.term_limit = 8
+    v1, v2, v3, v4 = algebra.gens()
+    x = 1 + v1 + v2  # 3 x 3 = 9 term pairs
+    with pytest.raises(TermLimitError) as caught:
+        x * x
+    assert str(caught.value) == "product would enumerate 9 term pairs, over the budget of 8"
+    # 6 pairs are under the budget; the pairs count before any vanish
+    assert x * (v3 + v4) == v1 * v3 + v1 * v4 + v2 * v3 + v2 * v4 + v3 + v4
+    with pytest.raises(TermLimitError):
+        (v1 + v2 + v1 * v2) * (v1 + v2 + v1 * v2)
+
+
+def test_exterior_and_free_algebras_share_one_default_budget():
+    assert GrassmannAlgebra(3).term_limit == FreeAlgebra(("a",)).term_limit == 10_000_000
 
 
 def test_rank_bounds():

@@ -1,0 +1,126 @@
+"""The result and option records: construction, equality, hashing, repr,
+immutability and validation, the same for every record type."""
+
+import copy
+import pickle
+
+import pytest
+
+from ncdet import (
+    AdjointSequence,
+    AxiomReport,
+    CheckResult,
+    CHWitness,
+    CommutatorDefect,
+    IntegerRing,
+    Matrix,
+    MatrixDocument,
+    RingSpec,
+    SupermatrixProfile,
+    VerifyReport,
+)
+from ncdet.verify import VerifyOptions
+
+M = Matrix(IntegerRing(), [[1, 2], [3, 4]])
+N = Matrix(IntegerRing(), [[0, 1], [1, 0]])
+
+# (record type, the fields given, in order, the defaults of the fields left
+# out, one field with a different value, frozen)
+RECORDS = [
+    (AdjointSequence, {"side": "right", "base": M, "matrices": (M, N)}, {}, ("base", N), True),
+    (CommutatorDefect, {"scalar": -2, "defect": M}, {}, ("scalar", 2), True),
+    (SupermatrixProfile, {"n": 3, "t": 1}, {}, ("t", 2), True),
+    (RingSpec, {"kind": "free", "generators": ("a", "b")}, {"rank": 0}, ("generators", ("a",)), True),
+    (
+        MatrixDocument,
+        {"ring": RingSpec("integer"), "n": 1, "entries": (("7",),)},
+        {"t": None},
+        ("n", 2),
+        True,
+    ),
+    (AxiomReport, {"trials": 5}, {"results": {}, "failures": []}, ("trials", 6), False),
+    (CHWitness, {"lambdas": (1, -5, 2), "right_defects": (M,), "left_defects": (N,)}, {}, ("lambdas", (1,)), True),
+    (CheckResult, {"name": "c", "passed": True, "elapsed_ms": 1.5}, {"detail": ""}, ("passed", False), True),
+    (VerifyReport, {"suite": "all"}, {"checks": []}, ("suite", "thm2_1"), False),
+    (
+        VerifyOptions,
+        {"n": 3},
+        {"k": None, "t": None, "rank": None, "trials": None, "seed": 42},
+        ("n", 4),
+        True,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, given, defaults, changed, frozen", RECORDS, ids=[case[0].__name__ for case in RECORDS]
+)
+def test_record_semantics(cls, given, defaults, changed, frozen):
+    by_position = cls(*given.values())
+    by_keyword = cls(**given)
+    fields = {**given, **defaults}
+    for record in (by_position, by_keyword):
+        assert {name: getattr(record, name) for name in fields} == fields
+    # a mutable default is made afresh for each record
+    for name, value in defaults.items():
+        if isinstance(value, (list, dict)):
+            assert getattr(by_position, name) is not getattr(by_keyword, name)
+
+    assert by_position == by_keyword
+    assert not by_position != by_keyword
+    name, value = changed
+    assert cls(**{**given, name: value}) != by_position
+    assert by_position != tuple(given.values())
+
+    assert copy.deepcopy(by_position) == by_position
+    assert pickle.loads(pickle.dumps(by_position)) == by_position
+
+    text = ", ".join(f"{name}={value!r}" for name, value in fields.items())
+    assert repr(by_position) == f"{cls.__name__}({text})"
+
+    if frozen:
+        assert hash(by_position) == hash(by_keyword)
+        assert len({by_position, by_keyword}) == 1
+        with pytest.raises(AttributeError):
+            setattr(by_position, name, value)
+        assert getattr(by_position, name) == given[name]
+    else:
+        with pytest.raises(TypeError):
+            hash(by_position)
+        setattr(by_position, name, value)
+        assert getattr(by_position, name) == value
+        assert by_position != by_keyword
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: SupermatrixProfile(n=3, t=0), "block split t=0 invalid for n=3"),
+        (lambda: SupermatrixProfile(3, 3), "block split t=3 invalid for n=3"),
+        (
+            lambda: RingSpec(kind="field"),
+            "ring kind must be one of ('integer', 'free', 'grassmann'), got 'field'",
+        ),
+        (lambda: RingSpec("free"), "free ring needs at least one generator name"),
+        (lambda: RingSpec("grassmann", rank=17), "grassmann rank must be between 0 and 16"),
+    ],
+)
+def test_records_validate_on_construction(build, message):
+    with pytest.raises(ValueError) as caught:
+        build()
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: CheckResult("c", True),
+        lambda: CheckResult("c", True, 1.5, "", "extra"),
+        lambda: CheckResult("c", True, 1.5, name="d"),
+        lambda: CheckResult("c", True, 1.5, colour="red"),
+    ],
+    ids=["missing", "too many", "twice", "unknown"],
+)
+def test_records_refuse_bad_arguments(build):
+    with pytest.raises(TypeError):
+        build()
