@@ -339,17 +339,14 @@ def scalar_ch_residuals(A: Matrix, k: int = 2) -> dict[str, object]:
     return {"right": right, "left": left, "leading": p.coeff(A.n**k)}
 
 
-def scalar_cayley_hamilton_check(A: Matrix, k: int = 2, allow_n3: bool = False) -> bool:
+def scalar_cayley_hamilton_check(A: Matrix, k: int = 2) -> bool:
     """Scalar-coefficient Cayley--Hamilton over a Lie-nilpotent ring of index 2.
 
-    Requires exterior-algebra entries and n = 2 (n = 3 is accepted only
-    behind allow_n3; the computation is exact but large).  Also checks the
-    stated leading coefficient of p_{A,k}.
+    Requires exterior-algebra entries.  Also checks the stated leading
+    coefficient of p_{A,k}.
     """
     if not isinstance(A.ring, GrassmannAlgebra):
         raise ValueError("scalar CH check runs over the exterior algebra")
-    if A.n != 2 and not (A.n == 3 and allow_n3):
-        raise ValueError("scalar CH check supports n = 2 (n = 3 behind allow_n3)")
     residuals = scalar_ch_residuals(A, k)
     expected = A.ring.from_int(scalar_leading_coefficient(A.n, k))
     if residuals["leading"] != expected:

@@ -38,11 +38,15 @@ immutable element that ``total`` returns does.
 from __future__ import annotations
 
 import random
+import sys
 from abc import ABC, abstractmethod
 
 # the term budget of a sparse ring: the most term pairs one product may
 # enumerate, and the most terms one running sum may hold
 DEFAULT_TERM_LIMIT = 10_000_000
+
+# Python before 3.10.7 has no int-to-str digit limit
+_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
 class TermLimitError(RuntimeError):
@@ -190,6 +194,17 @@ class IntegerRing(Ring):
 
     def random_element(self, rng: random.Random) -> int:
         return rng.randint(-9, 9)
+
+    def total(self, acc: int) -> int:
+        """The sum, refused once it has more digits than the interpreter will
+        print (``sys.get_int_max_str_digits()``, where 0 means no limit)."""
+        limit = _max_str_digits()
+        # over `limit` digits is over log2(10) * limit > 3.32 * limit bits
+        if limit and acc.bit_length() > 3.32 * limit and abs(acc) >= 10**limit:
+            raise TermLimitError(
+                f"integer sum grew past {limit} digits, the most the interpreter prints"
+            )
+        return acc
 
     def __eq__(self, other) -> bool:
         return isinstance(other, IntegerRing)

@@ -108,7 +108,10 @@ class VerifyOptions(Record):
         return self.trials if self.trials is not None else default
 
 
-def _run(checks: list[CheckResult], name: str, fn):
+def _check(name: str, fn) -> CheckResult:
+    """Run one check and time it.  A suite yields ``(name, fn)`` pairs and
+    each check runs as soon as it is yielded, before its suite resumes, so
+    a check may read the suite's loop variables as they stand."""
     start = time.perf_counter()
     try:
         outcome = fn()
@@ -121,7 +124,7 @@ def _run(checks: list[CheckResult], name: str, fn):
     except Exception as exc:  # a crashed check is a failed check
         passed, detail = False, f"error: {exc}"
     elapsed = (time.perf_counter() - start) * 1000.0
-    checks.append(CheckResult(name=name, passed=bool(passed), elapsed_ms=elapsed, detail=detail))
+    return CheckResult(name=name, passed=bool(passed), elapsed_ms=elapsed, detail=detail)
 
 
 class _Refused(Exception):
@@ -131,7 +134,7 @@ class _Refused(Exception):
 def _fixture(fn, *args):
     """fn(*args), computed by the first check that calls for it and kept, error
     included, so its time lands in that check and no check recomputes it.  A
-    refusal (ValueError, TermLimitError) ends the run through ``_run``, as it
+    refusal (ValueError, TermLimitError) ends the run through ``_check``, as it
     would up front, since checks read their fixtures before their own work."""
     outcome = []
 
@@ -252,10 +255,11 @@ def _even(x) -> bool:
 
 
 # ------------------------------------------------------------------ suites
+#
+# A suite is a generator of (name, check) pairs; see ``_check``.
 
 
-def _suite_thm2_1(opt: VerifyOptions) -> list[CheckResult]:
-    checks: list[CheckResult] = []
+def _suite_thm2_1(opt: VerifyOptions):
     for n in opt.sizes((2, 3)):
         _, A = generic_matrix(n)
         pre = _fixture(preadjoint, A)
@@ -263,60 +267,34 @@ def _suite_thm2_1(opt: VerifyOptions) -> list[CheckResult]:
         ldet = {k: _fixture(left_determinant, A, k) for k in opt.ks((1, 2))}
         for idx, T in enumerate(unimodular_conjugators(n), start=1):
             conj = _fixture(conjugate, A, T)
-            _run(checks, f"thm2_1 n={n} T{idx}: trace invariant", lambda c=conj: c().trace() == A.trace())
-            _run(
-                checks,
-                f"thm2_1 n={n} T{idx}: (T^-1 A T)* = T^-1 A* T",
-                lambda c=conj, e=pre, T=T: conjugate(e(), T) == preadjoint(c()),
-            )
+            at = f"thm2_1 n={n} T{idx}:"
+            yield f"{at} trace invariant", lambda: conj().trace() == A.trace()
+            yield f"{at} (T^-1 A T)* = T^-1 A* T", lambda: conjugate(pre(), T) == preadjoint(conj())
             for k in rdet:
-                _run(
-                    checks,
-                    f"thm2_1 n={n} T{idx}: rdet_{k} invariant",
-                    lambda c=conj, k=k: rdet[k]() == right_determinant(c(), k),
-                )
-                _run(
-                    checks,
-                    f"thm2_1 n={n} T{idx}: ldet_{k} invariant",
-                    lambda c=conj, k=k: ldet[k]() == left_determinant(c(), k),
-                )
-    return checks
+                yield f"{at} rdet_{k} invariant", lambda: rdet[k]() == right_determinant(conj(), k)
+                yield f"{at} ldet_{k} invariant", lambda: ldet[k]() == left_determinant(conj(), k)
 
 
-def _suite_thm2_2(opt: VerifyOptions) -> list[CheckResult]:
-    checks: list[CheckResult] = []
+def _suite_thm2_2(opt: VerifyOptions):
     for n in opt.sizes((2, 3)):
         _, A = generic_matrix(n)
         sdet = _fixture(symmetric_determinant, A)
         for side in ("right", "left"):
             result = _fixture(commutator_defect, A, side)
-            _run(
-                checks,
-                f"thm2_2 n={n} {side}: scalar part is sdet",
-                lambda r=result, e=sdet: r().scalar == e(),
+            at = f"thm2_2 n={n} {side}:"
+            yield f"{at} scalar part is sdet", lambda: result().scalar == sdet()
+            yield f"{at} defect has zero trace", lambda: result().defect.trace() == A.ring.zero
+            yield f"{at} defect entries lie in [R,R]", lambda: all(
+                in_commutator_span(e) for row in result().defect.rows for e in row
             )
-            _run(
-                checks,
-                f"thm2_2 n={n} {side}: defect has zero trace",
-                lambda r=result: r().defect.trace() == r().defect.ring.zero,
-            )
-            _run(
-                checks,
-                f"thm2_2 n={n} {side}: defect entries lie in [R,R]",
-                lambda r=result: all(
-                    in_commutator_span(e) for row in r().defect.rows for e in row
-                ),
-            )
-    return checks
 
 
-def _suite_thm2_3(opt: VerifyOptions) -> list[CheckResult]:
-    checks: list[CheckResult] = []
+def _suite_thm2_3(opt: VerifyOptions):
     algebra = GrassmannAlgebra(opt.get_rank(6))
     trials = opt.get_trials(20)
     rng = random.Random(opt.seed)
     for n in opt.sizes((2, 3)):
-        def all_trials(n=n):
+        def all_trials():
             for _ in range(trials):
                 A = random_grassmann_matrix(algebra, rng, n)
                 right = sequence_product(A, "right", 2)
@@ -327,14 +305,18 @@ def _suite_thm2_3(opt: VerifyOptions) -> list[CheckResult]:
                     return False, "n Q2 Q1 A is not ldet_2(A) I"
             return True, f"{trials} trials"
 
-        _run(checks, f"thm2_3 n={n} rank={algebra.rank}: k=2 products are scalar", all_trials)
-    return checks
+        yield f"thm2_3 n={n} rank={algebra.rank}: k=2 products are scalar", all_trials
 
 
-def _shape_trials(opt: VerifyOptions, shapes, default_total=20):
-    trials = opt.get_trials(default_total)
-    per = max(1, math.ceil(trials / len(shapes)))
-    budget = trials
+def _supermatrix_trials(opt: VerifyOptions):
+    """The (n, t) supermatrix shapes with their share of the trials."""
+    shapes = [
+        (n, t) for n in opt.sizes((2, 3)) for t in opt.splits(tuple(range(1, n))) if 1 <= t <= n - 1
+    ]
+    if not shapes:
+        raise ValueError("no valid (n, t) supermatrix shapes for the requested sizes")
+    budget = opt.get_trials(20)
+    per = max(1, math.ceil(budget / len(shapes)))
     for shape in shapes:
         count = min(per, budget)
         if count <= 0:
@@ -343,25 +325,13 @@ def _shape_trials(opt: VerifyOptions, shapes, default_total=20):
         yield shape, count
 
 
-def _supermatrix_shapes(opt: VerifyOptions):
-    shapes = []
-    for n in opt.sizes((2, 3)):
-        for t in opt.splits(tuple(range(1, n))):
-            if 1 <= t <= n - 1:
-                shapes.append((n, t))
-    if not shapes:
-        raise ValueError("no valid (n, t) supermatrix shapes for the requested sizes")
-    return shapes
-
-
-def _suite_thm2_4(opt: VerifyOptions) -> list[CheckResult]:
-    checks: list[CheckResult] = []
+def _suite_thm2_4(opt: VerifyOptions):
     algebra = GrassmannAlgebra(opt.get_rank(6))
     rng = random.Random(opt.seed)
-    for (n, t), count in _shape_trials(opt, _supermatrix_shapes(opt)):
+    for (n, t), count in _supermatrix_trials(opt):
         profile = SupermatrixProfile(n=n, t=t)
 
-        def all_trials(n=n, t=t, count=count, profile=profile):
+        def all_trials():
             for _ in range(count):
                 A = random_supermatrix(algebra, rng, n, t)
                 if not is_supermatrix(A, profile):
@@ -375,16 +345,14 @@ def _suite_thm2_4(opt: VerifyOptions) -> list[CheckResult]:
                         return False, f"ldet_{k} has an odd part"
             return True, f"{count} trials"
 
-        _run(checks, f"thm2_4 n={n} t={t}: A* super, rdet/ldet even", all_trials)
-    return checks
+        yield f"thm2_4 n={n} t={t}: A* super, rdet/ldet even", all_trials
 
 
-def _suite_thm2_5(opt: VerifyOptions) -> list[CheckResult]:
-    checks: list[CheckResult] = []
+def _suite_thm2_5(opt: VerifyOptions):
     algebra = GrassmannAlgebra(opt.get_rank(6))
     rng = random.Random(opt.seed)
-    for (n, t), count in _shape_trials(opt, _supermatrix_shapes(opt)):
-        def all_trials(n=n, t=t, count=count):
+    for (n, t), count in _supermatrix_trials(opt):
+        def all_trials():
             for _ in range(count):
                 A = random_supermatrix(algebra, rng, n, t)
                 for k in opt.ks((1, 2)):
@@ -394,8 +362,7 @@ def _suite_thm2_5(opt: VerifyOptions) -> list[CheckResult]:
                             return False, f"{side} charpoly k={k} has odd coefficients"
             return True, f"{count} trials"
 
-        _run(checks, f"thm2_5 n={n} t={t}: charpoly coefficients even", all_trials)
-    return checks
+        yield f"thm2_5 n={n} t={t}: charpoly coefficients even", all_trials
 
 
 def _witness_identities(A: Matrix, witness) -> tuple[bool, bool]:
@@ -408,84 +375,58 @@ def _witness_identities(A: Matrix, witness) -> tuple[bool, bool]:
     return right_sum.is_zero(), left_sum.is_zero()
 
 
-def _suite_thm2_6(opt: VerifyOptions) -> list[CheckResult]:
-    checks: list[CheckResult] = []
+def _suite_thm2_6(opt: VerifyOptions):
     for n in opt.sizes((2, 3)):
         _, A = generic_matrix(n)
         witness = _fixture(cayley_hamilton_witness, A)
-        identities = _fixture(lambda A=A, w=witness: _witness_identities(A, w()))
-        _run(checks, f"thm2_6 n={n}: right CH identity vanishes", lambda ok=identities: ok()[0])
-        _run(checks, f"thm2_6 n={n}: left CH identity vanishes", lambda ok=identities: ok()[1])
-        _run(
-            checks,
-            f"thm2_6 n={n}: leading coefficient is n!",
-            lambda w=witness, n=n, A=A: w().lambdas[n] == A.ring.from_int(math.factorial(n)),
+        identities = _fixture(lambda: _witness_identities(A, witness()))
+        yield f"thm2_6 n={n}: right CH identity vanishes", lambda: identities()[0]
+        yield f"thm2_6 n={n}: left CH identity vanishes", lambda: identities()[1]
+        yield f"thm2_6 n={n}: leading coefficient is n!", lambda: (
+            witness().lambdas[n] == A.ring.from_int(math.factorial(n))
         )
-        defects = _fixture(lambda w=witness: (*w().right_defects, *w().left_defects))
-        _run(
-            checks,
-            f"thm2_6 n={n}: defects have zero trace",
-            lambda d=defects, A=A: all(D.trace() == A.ring.zero for D in d()),
+        defects = _fixture(lambda: (*witness().right_defects, *witness().left_defects))
+        yield f"thm2_6 n={n}: defects have zero trace", lambda: all(
+            D.trace() == A.ring.zero for D in defects()
         )
-        _run(
-            checks,
-            f"thm2_6 n={n}: defect entries lie in [R,R]",
-            lambda d=defects: all(in_commutator_span(e) for D in d() for row in D.rows for e in row),
+        yield f"thm2_6 n={n}: defect entries lie in [R,R]", lambda: all(
+            in_commutator_span(e) for D in defects() for row in D.rows for e in row
         )
-    return checks
 
 
-def _suite_thm2_7(opt: VerifyOptions) -> list[CheckResult]:
-    checks: list[CheckResult] = []
+def _suite_thm2_7(opt: VerifyOptions):
     algebra = GrassmannAlgebra(opt.get_rank(4))
     trials = opt.get_trials(20)
     rng = random.Random(opt.seed)
+    for n in opt.sizes((2,)):
+        def all_trials():
+            for _ in range(trials):
+                A = random_grassmann_matrix(algebra, rng, n)
+                if not scalar_cayley_hamilton_check(A, k=opt.k or 2):
+                    return False, "scalar CH identity failed"
+            return True, f"{trials} trials"
 
-    def all_trials():
-        for _ in range(trials):
-            A = random_grassmann_matrix(algebra, rng, 2)
-            if not scalar_cayley_hamilton_check(A, k=opt.k or 2):
-                return False, "scalar CH identity failed"
-        return True, f"{trials} trials"
-
-    _run(checks, f"thm2_7 n=2 rank={algebra.rank}: scalar CH identities", all_trials)
-    return checks
+        yield f"thm2_7 n={n} rank={algebra.rank}: scalar CH identities", all_trials
 
 
-def _suite_thm3_1(opt: VerifyOptions) -> list[CheckResult]:
-    checks: list[CheckResult] = []
+def _suite_thm3_1(opt: VerifyOptions):
     for n in opt.sizes((2, 3, 4)):
         _, A = generic_matrix(n)
         pre = _fixture(preadjoint, A)
         sdet = _fixture(symmetric_determinant, A)
-        _run(
-            checks,
-            f"thm3_1 n={n}: tr(A A*) = sdet(A)",
-            lambda A=A, pre=pre, e=sdet: e() == trace_of_product(A, pre()),
-        )
-        _run(
-            checks,
-            f"thm3_1 n={n}: tr(A* A) = sdet(A)",
-            lambda A=A, pre=pre, e=sdet: e() == trace_of_product(pre(), A),
-        )
-    return checks
+        yield f"thm3_1 n={n}: tr(A A*) = sdet(A)", lambda: sdet() == trace_of_product(A, pre())
+        yield f"thm3_1 n={n}: tr(A* A) = sdet(A)", lambda: sdet() == trace_of_product(pre(), A)
 
 
-def _suite_cor3_2(opt: VerifyOptions) -> list[CheckResult]:
-    checks: list[CheckResult] = []
+def _suite_cor3_2(opt: VerifyOptions):
     for n in opt.sizes((2, 3)):
         _, A = generic_matrix(n)
-        _run(
-            checks,
-            f"cor3_2 n={n}: p_A,1 = q_A,1",
-            lambda A=A: characteristic_polynomial(A, "right", 1)
-            == characteristic_polynomial(A, "left", 1),
+        yield f"cor3_2 n={n}: p_A,1 = q_A,1", lambda: (
+            characteristic_polynomial(A, "right", 1) == characteristic_polynomial(A, "left", 1)
         )
-    return checks
 
 
-def _suite_prop3_3(opt: VerifyOptions) -> list[CheckResult]:
-    checks: list[CheckResult] = []
+def _suite_prop3_3(opt: VerifyOptions):
     algebra, A = generic_matrix(2)
     a, b, c, d = algebra.gens()
 
@@ -493,12 +434,10 @@ def _suite_prop3_3(opt: VerifyOptions) -> list[CheckResult]:
         difference = right_determinant(A, 2) - left_determinant(A, 2)
         return difference == standard_polynomial_4(a, b, c, d), "24-term residual is exactly zero"
 
-    _run(checks, "prop3_3: rdet_2 - ldet_2 = S4(entries)", check)
-    return checks
+    yield "prop3_3: rdet_2 - ldet_2 = S4(entries)", check
 
 
-def _suite_cor3_4(opt: VerifyOptions) -> list[CheckResult]:
-    checks: list[CheckResult] = []
+def _suite_cor3_4(opt: VerifyOptions):
     algebra, A = generic_matrix(2)
     a, b, c, d = algebra.gens()
 
@@ -507,57 +446,44 @@ def _suite_cor3_4(opt: VerifyOptions) -> list[CheckResult]:
         expected = CentralPoly(PolynomialRing(algebra), [standard_polynomial_4(a, b, c, d)])
         return difference == expected, "z-degree >= 1 coefficients cancel"
 
-    _run(checks, "cor3_4: p_A,2 - q_A,2 is the constant S4", check)
-    return checks
+    yield "cor3_4: p_A,2 - q_A,2 is the constant S4", check
 
 
-def _suite_prop4_1(opt: VerifyOptions) -> list[CheckResult]:
-    checks: list[CheckResult] = []
+def _suite_prop4_1(opt: VerifyOptions):
     algebra, A = generic_matrix(2)
     a, b, c, d = algebra.gens()
-    _run(
-        checks,
-        "prop4_1: tr^2 - tr(A^2) = sdet (generic 2x2)",
-        lambda: newton_sdet_2(A) == symmetric_determinant(A),
+    yield "prop4_1: tr^2 - tr(A^2) = sdet (generic 2x2)", lambda: (
+        newton_sdet_2(A) == symmetric_determinant(A)
     )
-    _run(
-        checks,
-        "prop4_1: sdet(2x2) = ad + da - bc - cb",
-        lambda: symmetric_determinant(A) == a * d + d * a - b * c - c * b,
+    yield "prop4_1: sdet(2x2) = ad + da - bc - cb", lambda: (
+        symmetric_determinant(A) == a * d + d * a - b * c - c * b
     )
-    return checks
 
 
-def _suite_thm4_2(opt: VerifyOptions) -> list[CheckResult]:
-    checks: list[CheckResult] = []
+def _suite_thm4_2(opt: VerifyOptions):
     _, A = generic_matrix(3)
-    _run(
-        checks,
-        "thm4_2: six-term trace formula = sdet (generic 3x3)",
-        lambda: (newton_sdet_3(A) == symmetric_determinant(A), "36-term residual is exactly zero"),
+    yield "thm4_2: six-term trace formula = sdet (generic 3x3)", lambda: (
+        newton_sdet_3(A) == symmetric_determinant(A), "36-term residual is exactly zero"
     )
-    return checks
 
 
-def _suite_rem4_3(opt: VerifyOptions) -> list[CheckResult]:
-    checks: list[CheckResult] = []
+def _suite_rem4_3(opt: VerifyOptions):
     for n in opt.sizes((2, 3, 4)):
         _, A = generic_matrix(n)
 
-        def squares(A=A):
+        def squares():
             T = A.transpose()
             return (T * T).trace() == (A * A).trace()
 
-        _run(checks, f"rem4_3 n={n}: tr((A^T)^2) = tr(A^2)", squares)
-    _, A2 = generic_matrix(2)
+        yield f"rem4_3 n={n}: tr((A^T)^2) = tr(A^2)", squares
+    _, A = generic_matrix(2)
 
     def cubes():
-        T = A2.transpose()
-        difference = (T * T * T).trace() - (A2 * A2 * A2).trace()
+        T = A.transpose()
+        difference = (T * T * T).trace() - (A * A * A).trace()
         return not difference.is_zero(), f"tr((A^T)^3) - tr(A^3) = {difference}"
 
-    _run(checks, "rem4_3: tr((A^T)^3) != tr(A^3) (generic 2x2)", cubes)
-    return checks
+    yield "rem4_3: tr((A^T)^3) != tr(A^3) (generic 2x2)", cubes
 
 
 def _closed_form_3(A: Matrix) -> list:
@@ -568,40 +494,32 @@ def _closed_form_3(A: Matrix) -> list:
     return [-symmetric_determinant(A), (t * t - t2) * 3, t * (-6), A.ring.from_int(6)]
 
 
-def _suite_thm4_4(opt: VerifyOptions) -> list[CheckResult]:
-    checks: list[CheckResult] = []
+def _suite_thm4_4(opt: VerifyOptions):
     algebra, A = generic_matrix(3)
 
     def check():
         expected = CentralPoly(PolynomialRing(algebra), _closed_form_3(A))
         return characteristic_polynomial(A, "right", 1) == expected
 
-    _run(checks, "thm4_4: p_A,1 = 6z^3 - 6tr z^2 + 3(tr^2 - tr A^2) z - sdet", check)
-    return checks
+    yield "thm4_4: p_A,1 = 6z^3 - 6tr z^2 + 3(tr^2 - tr A^2) z - sdet", check
 
 
-def _suite_cor4_5(opt: VerifyOptions) -> list[CheckResult]:
-    checks: list[CheckResult] = []
+def _suite_cor4_5(opt: VerifyOptions):
     _, A = generic_matrix(3)
     witness = _fixture(cayley_hamilton_witness, A)
-
-    def closed_form():
-        lambdas = tuple(witness().lambdas)
-        return lambdas == tuple(_closed_form_3(A))
-
-    _run(checks, "cor4_5: lambda coefficients match the closed form", closed_form)
+    yield "cor4_5: lambda coefficients match the closed form", lambda: (
+        tuple(witness().lambdas) == tuple(_closed_form_3(A))
+    )
     identities = _fixture(lambda: _witness_identities(A, witness()))
-    _run(checks, "cor4_5: coefficient-on-the-right identity vanishes", lambda: identities()[0])
-    _run(checks, "cor4_5: coefficient-on-the-left identity vanishes", lambda: identities()[1])
-    return checks
+    yield "cor4_5: coefficient-on-the-right identity vanishes", lambda: identities()[0]
+    yield "cor4_5: coefficient-on-the-left identity vanishes", lambda: identities()[1]
 
 
-def _suite_commutative_collapse(opt: VerifyOptions) -> list[CheckResult]:
-    checks: list[CheckResult] = []
+def _suite_commutative_collapse(opt: VerifyOptions):
     trials = opt.get_trials(20)
     rng = random.Random(opt.seed)
     for n in opt.sizes((2, 3, 4)):
-        def all_trials(n=n):
+        def all_trials():
             for _ in range(trials):
                 A = random_integer_matrix(rng, n)
                 det = commutative_det(A)
@@ -626,8 +544,7 @@ def _suite_commutative_collapse(opt: VerifyOptions) -> list[CheckResult]:
                     return False, "tr((A^T)^3) != tr(A^3) over a commutative ring"
             return True, f"{trials} trials"
 
-        _run(checks, f"commutative_collapse n={n}", all_trials)
-    return checks
+        yield f"commutative_collapse n={n}", all_trials
 
 
 SUITES = {
@@ -671,19 +588,18 @@ def run_verify(
         raise ValueError(f"n={n} is outside the supported range 1..{DIMENSION_CAP}")
     if k is not None and k < 1:
         raise ValueError("k must be at least 1")
+    if k is not None and k < 2 and suite in ("thm2_7", "all"):
+        raise ValueError("thm2_7 needs k >= 2, the exterior algebra's Lie-nilpotency index")
     if t is not None and t < 1:
         raise ValueError("t must be at least 1")
     if rank is not None and not 0 <= rank <= MAX_RANK:
         raise ValueError(f"rank={rank} is outside the supported range 0..{MAX_RANK}")
     if trials is not None and trials < 0:
         raise ValueError("trials must be nonnegative")
-    options = VerifyOptions(n=n, k=k, t=t, rank=rank, trials=trials, seed=seed)
-    if suite == "all":
-        report = VerifyReport(suite="all")
-        for name, fn in SUITES.items():
-            report.checks.extend(fn(options))
-        return report
-    if suite not in SUITES:
+    if suite != "all" and suite not in SUITES:
         known = ", ".join((*SUITES, "all"))
         raise ValueError(f"unknown suite {suite!r}; expected one of: {known}")
-    return VerifyReport(suite=suite, checks=SUITES[suite](options))
+    options = VerifyOptions(n=n, k=k, t=t, rank=rank, trials=trials, seed=seed)
+    chosen = SUITES.values() if suite == "all" else (SUITES[suite],)
+    checks = [_check(name, fn) for each in chosen for name, fn in each(options)]
+    return VerifyReport(suite=suite, checks=checks)

@@ -6,10 +6,12 @@ pass/fail lines.
 """
 
 import math
+import os
 import random
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -293,6 +295,7 @@ def test_criterion_13_parser_round_trip_and_full_verify():
             capture_output=True,
             text=True,
             timeout=280,
+            env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src")),
         )
         assert result.returncode == 0, result.stdout + result.stderr
         assert "all checks passed" in result.stdout

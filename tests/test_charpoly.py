@@ -254,10 +254,14 @@ def test_scalar_ch_reports_both_readings():
 def test_scalar_ch_guardrails(ints):
     with pytest.raises(ValueError, match="exterior"):
         scalar_cayley_hamilton_check(Matrix(ints, [[1, 0], [0, 1]]))
-    algebra = GrassmannAlgebra(2)
-    big = Matrix.zeros(algebra, 3)
-    with pytest.raises(ValueError, match="n = 2"):
-        scalar_cayley_hamilton_check(big)
+
+
+def test_scalar_ch_at_n3_needs_no_flag():
+    assert scalar_cayley_hamilton_check(Matrix.zeros(GrassmannAlgebra(2), 3))
+    algebra = GrassmannAlgebra(4)
+    rng = random.Random(3)
+    for _ in range(3):
+        assert scalar_cayley_hamilton_check(random_grassmann_matrix(algebra, rng, 3), k=2)
 
 
 def test_scalar_leading_coefficients():

@@ -140,6 +140,23 @@ def test_verify_machine_records(capsys):
         )
 
 
+@pytest.mark.parametrize("suite", ["thm2_7", "all"])
+def test_scalar_ch_below_k2_is_refused_before_any_check(capsys, suite):
+    assert main(["verify", "--suite", suite, "--n", "2", "--k", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: thm2_7 needs k >= 2, the exterior algebra's Lie-nilpotency index\n"
+    )
+
+
+def test_scalar_ch_suite_reads_n(capsys):
+    assert main(["verify", "--suite", "thm2_7", "--n", "3", "--trials", "4"]) == 0
+    out = capsys.readouterr().out
+    assert "[PASS] thm2_7 n=3 rank=4: scalar CH identities" in out
+    assert "all checks passed" in out
+
+
 def test_unknown_suite_is_input_error(capsys):
     assert main(["verify", "--suite", "thm9_9"]) == 2
     assert "unknown suite" in capsys.readouterr().err
@@ -191,6 +208,27 @@ def test_exterior_product_over_the_pair_budget_is_a_clean_exit_2(capsys, tmp_pat
     assert captured.out == ""
     assert captured.err == (
         "error: product would enumerate 268435456 term pairs, over the budget of 10000000\n"
+    )
+
+
+def test_integer_result_past_the_digit_limit_is_a_clean_exit_2(capsys, integer_doc):
+    start = time.perf_counter()
+    assert main(["rdet", "--k", "30", "--input", integer_doc]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: integer sum grew past {sys.get_int_max_str_digits()} digits,"
+        " the most the interpreter prints\n"
+    )
+
+
+def test_integer_result_under_the_digit_limit_prints_in_full(capsys, integer_doc):
+    assert main(["rdet", "--k", "14", "--input", integer_doc]) == 0
+    out = capsys.readouterr().out
+    assert len(out) == 2468
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "c664d9ebdef387282deae11f45195f4eaa31c53577268f5e80b7c9452f2db41a"
     )
 
 

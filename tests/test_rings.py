@@ -10,11 +10,14 @@ from ncdet import (
     GrassmannAlgebra,
     GrassmannElem,
     IntegerRing,
+    Matrix,
     PolynomialRing,
     TermLimitError,
     commutator,
+    right_determinant,
     ring_axiom_check,
 )
+from ncdet import rings
 
 
 def integer_samples():
@@ -260,6 +263,25 @@ def test_a_sum_over_the_term_budget_raises():
     acc -= b
     with pytest.raises(TermLimitError, match="sum grew to 3 terms, over the budget of 2"):
         acc += c
+
+
+def test_an_integer_sum_past_the_digit_limit_raises(monkeypatch):
+    ints = IntegerRing()
+    monkeypatch.setattr(rings, "_max_str_digits", lambda: 5)
+    assert ints.total(99_999) == 99_999
+    assert ints.total(-99_999) == -99_999
+    for over in (100_000, -100_000, 10**40):
+        with pytest.raises(TermLimitError, match="integer sum grew past 5 digits"):
+            ints.total(over)
+    monkeypatch.setattr(rings, "_max_str_digits", lambda: 0)  # 0: no limit
+    assert ints.total(10**40) == 10**40
+
+
+def test_an_integer_kdet_past_the_interpreters_digit_limit_raises():
+    A = Matrix(IntegerRing(), [[1, 2], [3, 4]])
+    assert len(str(right_determinant(A, 14))) == 2467
+    with pytest.raises(TermLimitError, match="digits"):
+        right_determinant(A, 30)
 
 
 def test_accumulator_rejects_elements_of_another_algebra():

@@ -1,4 +1,6 @@
+import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -155,3 +157,52 @@ def test_fixture_time_is_charged_to_the_checks(monkeypatch, suite, fixture):
     assert report.ok
     assert calls >= 1
     assert report.elapsed_ms >= 50 * calls
+
+
+GOLDEN = json.loads((Path(__file__).parent / "verify_golden.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "label, options",
+    [("all", {}), ("all --n 2 --rank 4 --trials 2", {"n": 2, "rank": 4, "trials": 2})],
+)
+def test_all_reports_the_golden_checks_in_order(label, options):
+    report = run_verify("all", **options)
+    assert [[c.name, c.passed, c.detail] for c in report.checks] == GOLDEN[label]
+
+
+def test_each_check_runs_when_its_suite_yields_it(monkeypatch):
+    seen = []
+
+    def suite(opt):
+        for value in (1, 2, 3):
+            yield f"fake {value}", lambda: (seen.append(value) is None, str(value))
+
+    monkeypatch.setitem(SUITES, "fake", suite)
+    report = run_verify("fake")
+    assert seen == [1, 2, 3]
+    assert [(c.name, c.passed, c.detail) for c in report.checks] == [
+        ("fake 1", True, "1"), ("fake 2", True, "2"), ("fake 3", True, "3"),
+    ]
+
+
+def test_a_fixture_is_charged_to_the_first_check_that_calls_it(monkeypatch):
+    calls = []
+
+    def slow():
+        calls.append(1)
+        time.sleep(0.05)
+        return 7
+
+    def suite(opt):
+        value = verify._fixture(slow)
+        yield "cheap", lambda: True
+        yield "first reader", lambda: value() == 7
+        yield "second reader", lambda: value() == 7
+
+    monkeypatch.setitem(SUITES, "fake", suite)
+    cheap, first, second = run_verify("fake").checks
+    assert calls == [1]
+    assert first.passed and second.passed
+    assert first.elapsed_ms >= 50
+    assert cheap.elapsed_ms < 25 and second.elapsed_ms < 25
