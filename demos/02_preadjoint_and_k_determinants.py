@@ -31,10 +31,11 @@ print("A* of the generic 2x2:")
 print(preadjoint(A))
 print()
 
-# Two independent routes to the same matrix: the prefix/suffix subset
-# dynamic program versus signed symmetric determinants of minors.
+# Two independent routes to the same matrix: one subset sweep that builds
+# the sdet of every equal-size minor from the next smaller ones, versus
+# enumerating the signed symmetric determinant of each minor.
 assert preadjoint(A) == preadjoint_via_minors(A)
-print("the subset dynamic program and the minor formula agree entrywise")
+print("the subset sweep and the minor formula agree entrywise")
 print()
 
 # Over the integers the preadjoint is (n-1)! times the classical adjugate.

@@ -254,8 +254,9 @@ def cayley_hamilton_witness(A: Matrix) -> CHWitness:
     """Extract lambdas, C_i and D_i, verifying both identities exactly."""
     n = A.n
     ring = A.ring
-    if isinstance(ring, FreeAlgebra) and n > 3:
-        raise ValueError("generic free-algebra witnesses are limited to n <= 3")
+    # n = 5 takes seconds; n = 6 exhausts gigabytes of memory
+    if isinstance(ring, FreeAlgebra) and n > 5:
+        raise ValueError("generic free-algebra witnesses are limited to n <= 5")
     B = char_matrix(A)
     P = preadjoint(B)
     right_product, left_product = B * P, P * B

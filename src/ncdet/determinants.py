@@ -13,16 +13,14 @@ the ordered product that omits position s.  Entry (r, s) also equals
 and column r; both routes are implemented and cross-checked in the tests.
 
 The preadjoint is computed by a subset dynamic program that keeps factor
-order, so it is exact in any ring.  A prefix table holds, for every pair of
-equal-size row and column sets (R, C), the signed sum of the ordered
-products that place R and C in the first |R| positions; it grows by one
-factor on the right.  A suffix table holds the same for the last positions
-and grows by one factor on the left.  Entry (r, s) joins a prefix over
-s positions with the suffix over the complementary sets, row s and column r
-taken out.  The inversions that cross the prefix block, the fixed position
-and the suffix block depend only on the sets, so each join carries one sign
-fixed in advance.  The permutation-pair enumeration survives as a test
-oracle.
+order, so it is exact in any ring.  For every pair of equal-size row and
+column sets (R, C) it holds the symmetric determinant of the submatrix on
+R x C: the signed sum of the ordered products that list R and C in every
+order.  Each such value sums the values over one position fewer, times one
+factor on the right, and the factor's sign counts the members of R and C
+above its row and column.  The sets of size n - 1 are the minors, so the
+last n^2 values of the sweep, signed by (-1)^(r+s), are the entries.  The
+permutation-pair enumeration survives as a test oracle.
 
 From the preadjoint the right and left adjoint sequences are defined by
 
@@ -36,7 +34,6 @@ tr(Q_k ... Q_1 A).  Both equal the symmetric determinant at k = 1.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
 
 from .matrices import Matrix, commutative_adj, commutative_det
 from .perms import signed_permutations
@@ -65,143 +62,62 @@ def _members(mask: int) -> list[int]:
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
-def _subsets(mask: int, size: int) -> list[int]:
-    """The size-element subsets of the set bits of mask, as bitmasks."""
-    return [sum(1 << i for i in combo) for combo in combinations(_members(mask), size)]
-
-
 def _above(mask: int, x: int) -> int:
     return (mask >> x + 1).bit_count()
 
 
-def _below(mask: int, x: int) -> int:
-    return (mask & (1 << x) - 1).bit_count()
-
-
-def _block_inversions(before: int, middle: int, after: int) -> int:
-    """Inversions between the blocks of a permutation that lists the set
-    ``before`` (in any order), then ``middle``, then the set ``after``."""
-    count = _above(before, middle) + _below(after, middle)
-    for x in _members(before):
-        count += _below(after, x)
-    return count
-
-
-def _sweep_plan(wanted: set, grow_right: bool):
-    """Index and steps of the (row set, column set) states in wanted and of
-    every smaller state they are built from.
-
-    A state over k positions sums its k^2 one-factor extensions of states
-    over k - 1 positions, so its step is a tuple of (predecessor index, row,
-    column, negative) terms, with index -1 for the empty product.  Growing
-    on the right the new factor comes last, so each member of the set above
-    it is one inversion; growing on the left it comes first, and each member
-    below it is one.
-    """
-    need, frontier = set(wanted), wanted
-    while frontier:
-        frontier = {
-            (rows ^ 1 << r, cols ^ 1 << c)
-            for rows, cols in frontier
-            if rows.bit_count() > 1
-            for r in _members(rows)
-            for c in _members(cols)
-        } - need
-        need |= frontier
-    order = sorted(need, key=lambda key: (key[0].bit_count(), key))
-    index = {key: i for i, key in enumerate(order)}
-    inversions = _above if grow_right else _below
-    steps = []
-    for rows, cols in order:
+@lru_cache(maxsize=None)
+def _preadjoint_plan(n: int):
+    """The steps of the preadjoint sweep: one per pair of equal-size row and
+    column sets over 1..n-1 positions, smaller sets first, and last the n^2
+    minors that entry (r, s) reads, in row-major order and with (-1)^(r+s)
+    folded in.  A step is a tuple of (predecessor index, row, column,
+    negative) terms, one per factor it can end in, with index -1 for the
+    empty product."""
+    full = (1 << n) - 1
+    masks = sorted(range(1, full), key=int.bit_count)
+    inner = [(R, C, 0) for R in masks for C in masks if R.bit_count() == C.bit_count() < n - 1]
+    entries = [(full ^ 1 << s, full ^ 1 << r, r + s) for r in range(n) for s in range(n)]
+    index, steps = {}, []
+    for rows, cols, flips in inner + entries:
+        index[rows, cols] = len(steps)
         terms = []
         for r in _members(rows):
             for c in _members(cols):
                 pred = index.get((rows ^ 1 << r, cols ^ 1 << c), -1)
-                flips = inversions(rows, r) + inversions(cols, c)
-                terms.append((pred, r, c, flips % 2 == 1))
+                negative = (_above(rows, r) + _above(cols, c) + flips) % 2 == 1
+                terms.append((pred, r, c, negative))
         steps.append(tuple(terms))
-    return index, tuple(steps)
-
-
-@lru_cache(maxsize=None)
-def _preadjoint_plan(n: int):
-    """Prefix steps, suffix steps, and per entry (r, s) in row-major order
-    the joins (prefix index, suffix index, negative); index -1 is the empty
-    product, which is never multiplied."""
-    full = (1 << n) - 1
-    entries = []
-    for r in range(n):
-        for s in range(n):
-            joins = []
-            for R in _subsets(full ^ 1 << s, s):
-                S = full ^ 1 << s ^ R
-                for C in _subsets(full ^ 1 << r, s):
-                    D = full ^ 1 << r ^ C
-                    flips = _block_inversions(R, s, S) + _block_inversions(C, r, D)
-                    joins.append(((R, C), (S, D), flips % 2 == 1))
-            entries.append(joins)
-    pre_index, prefix = _sweep_plan({p for e in entries for p, _, _ in e if p[0]}, True)
-    suf_index, suffix = _sweep_plan({q for e in entries for _, q, _ in e if q[0]}, False)
-    joins = tuple(
-        tuple((pre_index.get(p, -1), suf_index.get(q, -1), negative) for p, q, negative in e)
-        for e in entries
-    )
-    return prefix, suffix, joins
-
-
-def _sweep(steps, A: Matrix, grow_right: bool) -> list:
-    """The value of every state of a sweep plan on the matrix A."""
-    ring, rows = A.ring, A.rows
-    table = []
-    for terms in steps:
-        total = ring.accumulator()
-        for pred, r, c, negative in terms:
-            term = rows[r][c]
-            if pred >= 0:
-                term = table[pred] * term if grow_right else term * table[pred]
-            if negative:
-                total -= term
-            else:
-                total += term
-        table.append(ring.total(total))
-    return table
+    return tuple(steps)
 
 
 def preadjoint(A: Matrix) -> Matrix:
     """The symmetrized adjugate A*.
 
     Entry (r, s) sums, over the pairs (alpha, beta) with alpha(s) = s and
-    beta(s) = r, the signed ordered product that omits position s.  It is
-    evaluated as sum of +-prefix[R, C] * suffix[S, D] over the row and
-    column sets R, C of size s that avoid s and r, where S and D are their
-    complements with s and r taken out: the prefix table sums the ordered
-    products over the first s positions, the suffix table over the last
-    n - 1 - s, and the sign of each join depends only on the four sets.
-    The index plan is built once per n.  A 1x1 matrix maps to [1] (empty
-    product convention).
+    beta(s) = r, the signed ordered product that omits position s, which is
+    (-1)^(r+s) times the symmetric determinant of the minor without row s
+    and column r.  One sweep over the plan for n builds the symmetric
+    determinant of every equal-size submatrix from the next smaller ones,
+    one factor on the right, and its last n^2 values are the entries.  The
+    plan is built once per n.  A 1x1 matrix maps to [1] (empty product
+    convention).
     """
     n = A.n
     if n == 1:
         return Matrix(A.ring, [[A.ring.one]])
-    ring = A.ring
-    prefix, suffix, entries = _preadjoint_plan(n)
-    pre = _sweep(prefix, A, True)
-    suf = _sweep(suffix, A, False)
-    values = []
-    for joins in entries:
+    ring, rows = A.ring, A.rows
+    table = []
+    for terms in _preadjoint_plan(n):
         total = ring.accumulator()
-        for p, q, negative in joins:
-            if p < 0:
-                term = suf[q]
-            elif q < 0:
-                term = pre[p]
-            else:
-                term = pre[p] * suf[q]
+        for pred, r, c, negative in terms:
+            term = rows[r][c] if pred < 0 else table[pred] * rows[r][c]
             if negative:
                 total -= term
             else:
                 total += term
-        values.append(ring.total(total))
+        table.append(ring.total(total))
+    values = table[-n * n :]
     return Matrix(ring, [values[r * n : (r + 1) * n] for r in range(n)])
 
 

@@ -16,10 +16,25 @@ vanishes).
 from __future__ import annotations
 
 import random
+import re
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .rings import DEFAULT_TERM_LIMIT, Ring, SparseElement, SparseRing, TermLimitError
+
+# the expression tokenizer's identifier: a generator renders as its name, so
+# only a name it reads as one token parses back
+_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def _check_generator_names(names: Sequence[str]) -> tuple[str, ...]:
+    names = tuple(names)
+    if len(set(names)) != len(names):
+        raise ValueError("generator names must be unique")
+    for name in names:
+        if not isinstance(name, str) or not _NAME.fullmatch(name):
+            raise ValueError(f"invalid generator name {name!r}")
+    return names
 
 
 class FreePoly(SparseElement):
@@ -93,15 +108,9 @@ class FreeAlgebra(SparseRing):
     element_type = FreePoly
 
     def __init__(self, names: Sequence[str], term_limit: int = DEFAULT_TERM_LIMIT):
-        names = tuple(names)
-        if len(set(names)) != len(names):
-            raise ValueError("generator names must be unique")
-        for name in names:
-            if not name.isidentifier():
-                raise ValueError(f"invalid generator name {name!r}")
-        self.names = names
+        self.names = _check_generator_names(names)
         self.term_limit = term_limit
-        self._index = {name: i for i, name in enumerate(names)}
+        self._index = {name: i for i, name in enumerate(self.names)}
 
     def gen(self, name: str) -> FreePoly:
         if name not in self._index:

@@ -26,7 +26,7 @@ import json
 import re
 from pathlib import Path
 
-from .freealg import FreeAlgebra
+from .freealg import _NAME, FreeAlgebra, _check_generator_names
 from .grassmann import MAX_RANK, GrassmannAlgebra
 from .matrices import Matrix, SupermatrixProfile, is_supermatrix
 from .rings import IntegerRing, Record, Ring
@@ -51,6 +51,11 @@ RING_KINDS = ("integer", "free", "grassmann")
 MAX_EXPONENT = 1000
 
 
+def _is_json_int(value) -> bool:
+    """A JSON integer; true and false load as bool, a subclass of int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 class RingSpec(Record):
     """Declares which concrete ring a document or expression lives in."""
 
@@ -66,11 +71,7 @@ class RingSpec(Record):
         if self.kind == "free":
             if not self.generators:
                 raise ValueError("free ring needs at least one generator name")
-            if len(set(self.generators)) != len(self.generators):
-                raise ValueError("generator names must be unique")
-            for name in self.generators:
-                if not name.isidentifier():
-                    raise ValueError(f"invalid generator name {name!r}")
+            _check_generator_names(self.generators)
         if self.kind == "grassmann" and not 0 <= self.rank <= MAX_RANK:
             raise ValueError(f"grassmann rank must be between 0 and {MAX_RANK}")
 
@@ -98,12 +99,19 @@ class RingSpec(Record):
         if not isinstance(obj, dict) or "kind" not in obj:
             raise DocumentError("ring header must be an object with a 'kind' field")
         kind = obj["kind"]
+        fields = {}
+        if kind == "free":
+            generators = obj.get("generators", [])
+            if not isinstance(generators, list) or not all(isinstance(g, str) for g in generators):
+                raise DocumentError("ring 'generators' must be a list of strings")
+            fields["generators"] = tuple(generators)
+        elif kind == "grassmann":
+            rank = obj.get("rank", 0)
+            if not _is_json_int(rank):
+                raise DocumentError("ring 'rank' must be an integer")
+            fields["rank"] = rank
         try:
-            if kind == "free":
-                return cls(kind="free", generators=tuple(obj.get("generators", ())))
-            if kind == "grassmann":
-                return cls(kind="grassmann", rank=int(obj.get("rank", 0)))
-            return cls(kind=kind)
+            return cls(kind=kind, **fields)
         except ValueError as exc:
             raise DocumentError(str(exc)) from exc
 
@@ -115,9 +123,7 @@ class RingSpec(Record):
         return {"kind": "integer"}
 
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<int>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<sym>[-+*^()]))"
-)
+_TOKEN_RE = re.compile(rf"\s*(?:(?P<int>\d+)|(?P<ident>{_NAME.pattern})|(?P<sym>[-+*^()]))")
 
 
 def _tokenize(src: str) -> list[tuple[str, str, int]]:
@@ -318,7 +324,7 @@ def loads_matrix(text: str, validate_super: bool = False) -> tuple[MatrixDocumen
     spec = RingSpec.from_json_obj(obj["ring"])
     n = obj["n"]
     entries = obj["entries"]
-    if not isinstance(n, int):
+    if not _is_json_int(n):
         raise DocumentError("'n' must be an integer")
     if not isinstance(entries, list) or len(entries) != n:
         raise DocumentError(f"expected {n} entry rows, found {len(entries) if isinstance(entries, list) else 'none'}")
@@ -331,7 +337,7 @@ def loads_matrix(text: str, validate_super: bool = False) -> tuple[MatrixDocumen
                 raise DocumentError(f"entry at row {i + 1}, column {j + 1} must be a string")
         grid.append(tuple(row))
     t = obj.get("t")
-    if t is not None and not isinstance(t, int):
+    if t is not None and not _is_json_int(t):
         raise DocumentError("'t' must be an integer block split")
     document = MatrixDocument(ring=spec, n=n, entries=tuple(grid), t=t)
     try:

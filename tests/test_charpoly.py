@@ -199,8 +199,8 @@ def test_integer_witness_reduces_to_classical_cayley_hamilton(ints):
 
 
 def test_witness_guardrail_for_large_generic_matrices():
-    _, A = generic_matrix(4)
-    with pytest.raises(ValueError, match="n <= 3"):
+    _, A = generic_matrix(6)
+    with pytest.raises(ValueError, match="n <= 5"):
         cayley_hamilton_witness(A)
 
 

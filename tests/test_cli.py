@@ -232,6 +232,35 @@ def test_integer_result_under_the_digit_limit_prints_in_full(capsys, integer_doc
     )
 
 
+@pytest.mark.parametrize(
+    "header, refusal",
+    [
+        ({"ring": {"kind": "free", "generators": [1]}}, "ring 'generators' must be a list of strings"),
+        ({"ring": {"kind": "free", "generators": None}}, "ring 'generators' must be a list of strings"),
+        ({"ring": {"kind": "free", "generators": "ab"}}, "ring 'generators' must be a list of strings"),
+        ({"ring": {"kind": "grassmann", "rank": None}}, "ring 'rank' must be an integer"),
+        ({"ring": {"kind": "grassmann", "rank": 1.5}}, "ring 'rank' must be an integer"),
+        ({"ring": {"kind": "grassmann", "rank": "3"}}, "ring 'rank' must be an integer"),
+        ({"ring": {"kind": "grassmann", "rank": True}}, "ring 'rank' must be an integer"),
+        ({"n": True}, "'n' must be an integer"),
+        ({"t": True}, "'t' must be an integer block split"),
+    ],
+    ids=[
+        "generator not a string", "generators null", "generators a string", "rank null",
+        "rank float", "rank string", "rank bool", "n bool", "t bool",
+    ],
+)
+def test_malformed_header_is_a_clean_exit_2(capsys, tmp_path, header, refusal):
+    document = {"ring": {"kind": "free", "generators": ["a", "b"]}, "n": 1, "entries": [["1"]]}
+    document.update(header)
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps(document))
+    assert main(["sdet", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {refusal}\n"
+
+
 def test_s4_requires_2x2(capsys):
     assert main(["s4", "--generic", "3"]) == 2
     assert "2x2" in capsys.readouterr().err

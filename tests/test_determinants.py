@@ -282,9 +282,10 @@ class CountingInt(int):
     __radd__ = __add__
 
 
-@pytest.mark.parametrize("n, products", [(2, 0), (3, 36)])
+@pytest.mark.parametrize("n, products", [(2, 0), (3, 36), (4, 288), (5, 1700), (6, 9000)])
 def test_preadjoint_never_multiplies_by_the_empty_product(n, products, ints, monkeypatch):
-    # the counts of the (n-1)!^2 * n^2 * (n-2) enumeration at n = 2 and 3
+    # one product per extension of a state over k = 2..n-1 positions:
+    # sum of C(n, k)^2 * k^2, as the single states need none
     monkeypatch.setattr(CountingInt, "products", 0)
     rng = random.Random(n)
     A = Matrix(ints, [[CountingInt(rng.randint(-9, 9)) for _ in range(n)] for _ in range(n)])

@@ -7,6 +7,7 @@ from ncdet import (
     FreeAlgebra,
     GrassmannAlgebra,
     IntegerRing,
+    RingSpec,
     TermLimitError,
     commutator,
     in_commutator_span,
@@ -45,6 +46,13 @@ def test_mixed_generator_sets_are_rejected(free_ab):
     other = FreeAlgebra(("x", "y"))
     with pytest.raises(ValueError):
         free_ab.gen("a") * other.gen("x")
+
+
+@pytest.mark.parametrize("build", [FreeAlgebra, lambda names: RingSpec.free(*names)], ids=["algebra", "spec"])
+def test_names_the_parser_cannot_read_are_refused(build):
+    # "α" is a Python identifier, but the expression tokenizer reads ASCII only
+    with pytest.raises(ValueError, match="invalid generator name 'α'"):
+        build(["a", "α"])
 
 
 def test_deglex_rendering_order(free_ab):

@@ -53,6 +53,12 @@ def test_single_suite_reports_pass():
     assert "[PASS]" in str(report)
 
 
+def test_generic_cayley_hamilton_witness_passes_at_n4():
+    report = run_verify("thm2_6", n=4)
+    assert report.ok
+    assert len(report.checks) == 5
+
+
 def test_options_narrow_the_sizes():
     report = run_verify("thm3_1", n=3)
     assert all("n=3" in c.name for c in report.checks)
@@ -113,10 +119,10 @@ def test_a_fixture_that_raises_is_a_failed_check(monkeypatch, capsys, suite, n):
 
 
 def test_a_fixture_that_refuses_its_input_is_an_input_error(capsys):
-    code = main(["verify", "--suite", "thm2_6", "--n", "4"])
+    code = main(["verify", "--suite", "thm2_6", "--n", "6"])
     captured = capsys.readouterr()
     assert code == 2
-    assert captured.err == "error: generic free-algebra witnesses are limited to n <= 3\n"
+    assert captured.err == "error: generic free-algebra witnesses are limited to n <= 5\n"
     assert "[FAIL]" not in captured.out
 
 
