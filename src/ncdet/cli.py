@@ -2,13 +2,17 @@
 
 Subcommands compute on a matrix taken either from a document file
 (``--input``) or synthesized as the generic n x n matrix of distinct free
-generators (``--generic N``).  ``--output machine`` switches to one JSON
-record per result with the fields operation, input_digest,
-result_canonical_text and elapsed_ms.  The input digest is the SHA-256 of
-the document's bytes as read (a file is read once, and those bytes are
-both parsed and digested), of ``generic:N``, or of the verify request; it
-is computed only when a machine record prints it, so text output never
-loads ``hashlib``.
+generators (``--generic N``).  One table, ``_MATRIX_COMMANDS``, declares
+each matrix subcommand once, and the parser and the runner both read it.
+The verify options are the fields of ``verify.VerifyOptions``.
+
+``--output machine`` switches to one JSON record per result, which one
+function, ``_print_record``, writes for matrix commands and verify checks
+alike, with the fields operation, input_digest, result_canonical_text and
+elapsed_ms.  The input digest is the SHA-256 of the document's bytes as
+read (a file is read once, and those bytes are both parsed and digested),
+of ``generic:N``, or of the verify request; it is computed only when a
+machine record prints it, so text output never loads ``hashlib``.
 
 Exit codes: 0 success / all checks passed, 1 verification failure,
 2 input error or a result over the term budget, 141 standard output
@@ -40,7 +44,49 @@ from .determinants import (
 from .matrices import Matrix
 from .parsing import DocumentError, ParseError, loads_matrix
 from .rings import TermLimitError
-from .verify import SUITES, generic_matrix, run_verify
+from .verify import SUITES, VerifyOptions, generic_matrix, run_verify
+
+
+def _newton(A, args):
+    size = args.n if args.n is not None else A.n
+    if size != A.n:
+        raise DocumentError(f"--n {size} does not match the {A.n}x{A.n} input")
+    if size == 2:
+        return "newton_2", newton_sdet_2(A)
+    if size == 3:
+        return "newton_3", newton_sdet_3(A)
+    raise DocumentError("the Newton trace formulas cover n = 2 and n = 3")
+
+
+def _s4(A, args):
+    if A.n != 2:
+        raise DocumentError("s4 expects a 2x2 matrix (four entries)")
+    (a, b), (c, d) = A.rows
+    return "s4", standard_polynomial_4(a, b, c, d)
+
+
+_K = {"--k": {"type": int, "default": 1}}
+
+# name: (help text, own arguments, (matrix, args) -> (operation, result)).
+# The functions name the package's functions, so each call finds them in
+# this module's globals as they stand then, wrapped or patched.
+_MATRIX_COMMANDS = {
+    "sdet": ("symmetric determinant", {}, lambda A, a: ("sdet", symmetric_determinant(A))),
+    "preadj": ("preadjoint matrix", {}, lambda A, a: ("preadj", preadjoint(A))),
+    "rdet": ("k-th right determinant", _K, lambda A, a: (f"rdet_{a.k}", right_determinant(A, a.k))),
+    "ldet": ("k-th left determinant", _K, lambda A, a: (f"ldet_{a.k}", left_determinant(A, a.k))),
+    "charpoly": (
+        "k-th characteristic polynomial of zI - A",
+        {"--side": {"choices": ("right", "left"), "default": "right"}, **_K},
+        lambda A, a: (f"charpoly_{a.side}_{a.k}", characteristic_polynomial(A, a.side, a.k)),
+    ),
+    "newton": (
+        "symmetric Newton trace formula (n = 2 or 3)",
+        {"--n": {"type": int, "choices": (2, 3), "help": "formula size (defaults to the matrix size)"}},
+        _newton,
+    ),
+    "s4": ("standard polynomial S4 on the entries of a 2x2 matrix", {}, _s4),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -49,8 +95,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact determinant theory for matrices over noncommutative rings.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def matrix_command(name, help_text):
+    output = {"choices": ("text", "machine"), "default": "text", "help": "output format"}
+    for name, (help_text, own_arguments, _) in _MATRIX_COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
         source = cmd.add_mutually_exclusive_group(required=True)
         source.add_argument("--input", metavar="PATH", help="matrix document file")
@@ -60,35 +106,14 @@ def _build_parser() -> argparse.ArgumentParser:
             metavar="N",
             help="use the generic NxN matrix of distinct free generators",
         )
-        cmd.add_argument(
-            "--output", choices=("text", "machine"), default="text", help="output format"
-        )
-        return cmd
-
-    matrix_command("sdet", "symmetric determinant")
-    matrix_command("preadj", "preadjoint matrix")
-    rdet = matrix_command("rdet", "k-th right determinant")
-    rdet.add_argument("--k", type=int, default=1)
-    ldet = matrix_command("ldet", "k-th left determinant")
-    ldet.add_argument("--k", type=int, default=1)
-    chp = matrix_command("charpoly", "k-th characteristic polynomial of zI - A")
-    chp.add_argument("--side", choices=("right", "left"), default="right")
-    chp.add_argument("--k", type=int, default=1)
-    newton = matrix_command("newton", "symmetric Newton trace formula (n = 2 or 3)")
-    newton.add_argument("--n", type=int, choices=(2, 3), help="formula size (defaults to the matrix size)")
-    matrix_command("s4", "standard polynomial S4 on the entries of a 2x2 matrix")
+        for flag, settings in {"--output": output, **own_arguments}.items():
+            cmd.add_argument(flag, **settings)
 
     ver = sub.add_parser("verify", help="run a theorem verification suite")
     ver.add_argument("--suite", required=True, help=f"one of: {', '.join((*SUITES, 'all'))}")
-    ver.add_argument("--n", type=int)
-    ver.add_argument("--k", type=int)
-    ver.add_argument("--t", type=int)
-    ver.add_argument("--rank", type=int)
-    ver.add_argument("--trials", type=int)
-    ver.add_argument("--seed", type=int, default=42)
-    ver.add_argument(
-        "--output", choices=("text", "machine"), default="text", help="output format"
-    )
+    for option in VerifyOptions.__slots__:
+        ver.add_argument(f"--{option}", type=int, default=VerifyOptions._defaults[option])
+    ver.add_argument("--output", **output)
     return parser
 
 
@@ -111,90 +136,38 @@ def _digest(source: bytes) -> str:
     return hashlib.sha256(source).hexdigest()
 
 
-def _emit(args, operation: str, digest_source: bytes, text: str, elapsed_ms: float):
-    if args.output == "machine":
-        record = {
-            "operation": operation,
-            "input_digest": _digest(digest_source),
-            "result_canonical_text": text,
-            "elapsed_ms": round(elapsed_ms, 3),
-        }
-        print(json.dumps(record))
-    else:
-        print(text)
+def _print_record(operation: str, digest: str, text: str, elapsed_ms: float):
+    record = {
+        "operation": operation,
+        "input_digest": digest,
+        "result_canonical_text": text,
+        "elapsed_ms": round(elapsed_ms, 3),
+    }
+    print(json.dumps(record))
 
 
 def _run_matrix_command(args) -> int:
     matrix, digest_source = _load_input(args)
+    _, _, compute = _MATRIX_COMMANDS[args.command]
     start = time.perf_counter()
-    if args.command == "sdet":
-        result = symmetric_determinant(matrix)
-        operation = "sdet"
-    elif args.command == "preadj":
-        result = preadjoint(matrix)
-        operation = "preadj"
-    elif args.command == "rdet":
-        result = right_determinant(matrix, args.k)
-        operation = f"rdet_{args.k}"
-    elif args.command == "ldet":
-        result = left_determinant(matrix, args.k)
-        operation = f"ldet_{args.k}"
-    elif args.command == "charpoly":
-        result = characteristic_polynomial(matrix, args.side, args.k)
-        operation = f"charpoly_{args.side}_{args.k}"
-    elif args.command == "newton":
-        size = args.n if args.n is not None else matrix.n
-        if size != matrix.n:
-            raise DocumentError(f"--n {size} does not match the {matrix.n}x{matrix.n} input")
-        if size == 2:
-            result = newton_sdet_2(matrix)
-        elif size == 3:
-            result = newton_sdet_3(matrix)
-        else:
-            raise DocumentError("the Newton trace formulas cover n = 2 and n = 3")
-        operation = f"newton_{size}"
-    elif args.command == "s4":
-        if matrix.n != 2:
-            raise DocumentError("s4 expects a 2x2 matrix (four entries)")
-        (a, b), (c, d) = matrix.rows
-        result = standard_polynomial_4(a, b, c, d)
-        operation = "s4"
-    else:  # pragma: no cover - argparse guards this
-        raise DocumentError(f"unknown command {args.command}")
+    operation, result = compute(matrix, args)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
-    _emit(args, operation, digest_source, str(result), elapsed_ms)
+    text = str(result)
+    if args.output == "machine":
+        _print_record(operation, _digest(digest_source), text, elapsed_ms)
+    else:
+        print(text)
     return 0
 
 
 def _run_verify_command(args) -> int:
-    report = run_verify(
-        args.suite,
-        n=args.n,
-        k=args.k,
-        t=args.t,
-        rank=args.rank,
-        trials=args.trials,
-        seed=args.seed,
-    )
+    options = {option: getattr(args, option) for option in VerifyOptions.__slots__}
+    report = run_verify(args.suite, **options)
     if args.output == "machine":
-        request = {
-            "suite": args.suite,
-            "n": args.n,
-            "k": args.k,
-            "t": args.t,
-            "rank": args.rank,
-            "trials": args.trials,
-            "seed": args.seed,
-        }
-        digest = _digest(json.dumps(request, sort_keys=True).encode())
+        digest = _digest(json.dumps({"suite": args.suite, **options}, sort_keys=True).encode())
         for check in report.checks:
-            record = {
-                "operation": f"verify:{report.suite}:{check.name}",
-                "input_digest": digest,
-                "result_canonical_text": "pass" if check.passed else f"fail: {check.detail}",
-                "elapsed_ms": round(check.elapsed_ms, 3),
-            }
-            print(json.dumps(record))
+            text = "pass" if check.passed else f"fail: {check.detail}"
+            _print_record(f"verify:{report.suite}:{check.name}", digest, text, check.elapsed_ms)
     else:
         print(report)
     return 0 if report.ok else 1

@@ -10,14 +10,15 @@ Grammar (explicit ``*`` required, juxtaposition is not multiplication):
 multiplication is left-associative and order preserving.  The exponents
 that apply to any one factor, including those on enclosing parentheses
 (``(a^10)^100``, ``a^10^100``), may multiply to at most ``MAX_EXPONENT``
-(1000).  A matrix document is a JSON object with a ring header, the
-dimension, and a grid of expression strings:
+(1000), and parentheses nest at most ``MAX_NESTING`` (100) deep.  A matrix
+document is a JSON object with a ring header, the dimension, and a grid of
+expression strings:
 
     {"ring": {"kind": "free", "generators": ["a", "b", "c", "d"]},
      "n": 2,
      "entries": [["a", "b"], ["c", "d"]]}
 
-An optional "t" field records a supermatrix block split.
+An optional "t" field records a supermatrix block split, 1 <= t <= n - 1.
 """
 
 from __future__ import annotations
@@ -49,6 +50,9 @@ RING_KINDS = ("integer", "free", "grassmann")
 # the largest product of the exponents on one factor: each step of a power
 # is a full product, so a free word's power takes time quadratic in it
 MAX_EXPONENT = 1000
+# the deepest parentheses may nest: the parser recurses four frames a level,
+# so this stays well inside the interpreter's default recursion limit (1000)
+MAX_NESTING = 100
 
 
 def _is_json_int(value) -> bool:
@@ -155,6 +159,7 @@ class _Parser:
         self.i = 0
         self._names = self._name_table(ring)
         self._power = 1  # the largest power on a factor in the open parentheses
+        self._depth = 0  # the parentheses open at this point
 
     @staticmethod
     def _name_table(ring: Ring):
@@ -254,8 +259,12 @@ class _Parser:
                 raise ParseError(f"unknown identifier {value!r}", pos)
             return self._names[value]
         if kind == "sym" and value == "(":
+            if self._depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested over the limit of {MAX_NESTING}", pos)
+            self._depth += 1
             inner = self.expr()
             self.expect_sym(")")
+            self._depth -= 1
             return inner
         raise ParseError(f"expected a value, found {value!r}" if value else "unexpected end of input", pos)
 
@@ -314,7 +323,8 @@ def loads_matrix(text: str, validate_super: bool = False) -> tuple[MatrixDocumen
     """Parse a matrix document from its JSON text."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # a RecursionError: arrays or objects nested past the stack's depth
         raise DocumentError(f"not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise DocumentError("document must be a JSON object")
@@ -337,8 +347,14 @@ def loads_matrix(text: str, validate_super: bool = False) -> tuple[MatrixDocumen
                 raise DocumentError(f"entry at row {i + 1}, column {j + 1} must be a string")
         grid.append(tuple(row))
     t = obj.get("t")
-    if t is not None and not _is_json_int(t):
-        raise DocumentError("'t' must be an integer block split")
+    profile = None
+    if t is not None:
+        if not _is_json_int(t):
+            raise DocumentError("'t' must be an integer block split")
+        try:
+            profile = SupermatrixProfile(n=n, t=t)
+        except ValueError as exc:
+            raise DocumentError(str(exc)) from exc
     document = MatrixDocument(ring=spec, n=n, entries=tuple(grid), t=t)
     try:
         matrix = document.to_matrix()
@@ -347,9 +363,8 @@ def loads_matrix(text: str, validate_super: bool = False) -> tuple[MatrixDocumen
             raise
         raise DocumentError(str(exc)) from exc
     if validate_super:
-        if t is None:
+        if profile is None:
             raise DocumentError("supermatrix validation requested but no 't' declared")
-        profile = SupermatrixProfile(n=n, t=t)
         try:
             good = is_supermatrix(matrix, profile)
         except ValueError as exc:

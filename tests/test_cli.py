@@ -32,6 +32,28 @@ def test_sdet_generic_text(capsys):
     assert out == "a*d - b*c - c*b + d*a"
 
 
+@pytest.mark.parametrize(
+    "command, operation",
+    [
+        (["sdet"], "sdet"),
+        (["preadj"], "preadj"),
+        (["rdet", "--k", "2"], "rdet_2"),
+        (["ldet"], "ldet_1"),
+        (["charpoly", "--side", "left", "--k", "2"], "charpoly_left_2"),
+        (["newton"], "newton_2"),
+        (["s4"], "s4"),
+    ],
+    ids=lambda value: value if isinstance(value, str) else " ".join(value),
+)
+def test_machine_record_names_the_operation(capsys, integer_doc, command, operation):
+    assert main([*command, "--input", integer_doc]) == 0
+    text = capsys.readouterr().out
+    assert main([*command, "--input", integer_doc, "--output", "machine"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["operation"] == operation
+    assert record["result_canonical_text"] + "\n" == text
+
+
 def test_sdet_machine_record(capsys, integer_doc):
     assert main(["sdet", "--input", integer_doc, "--output", "machine"]) == 0
     record = json.loads(capsys.readouterr().out)
@@ -244,10 +266,13 @@ def test_integer_result_under_the_digit_limit_prints_in_full(capsys, integer_doc
         ({"ring": {"kind": "grassmann", "rank": True}}, "ring 'rank' must be an integer"),
         ({"n": True}, "'n' must be an integer"),
         ({"t": True}, "'t' must be an integer block split"),
+        ({"t": 9}, "block split t=9 invalid for n=1"),
+        ({"t": -3}, "block split t=-3 invalid for n=1"),
     ],
     ids=[
         "generator not a string", "generators null", "generators a string", "rank null",
-        "rank float", "rank string", "rank bool", "n bool", "t bool",
+        "rank float", "rank string", "rank bool", "n bool", "t bool", "t over n - 1",
+        "t negative",
     ],
 )
 def test_malformed_header_is_a_clean_exit_2(capsys, tmp_path, header, refusal):
@@ -302,6 +327,24 @@ def test_huge_exponent_is_refused_before_any_work(capsys, tmp_path, ring, entry,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"{refusal} the limit of 1000" in captured.err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        json.dumps({"ring": {"kind": "integer"}, "n": 1, "entries": [["(" * 250 + "1" + ")" * 250]]}),
+        "[" * 1000 + "]" * 1000,
+    ],
+    ids=["250 nested parentheses", "1000 nested JSON arrays"],
+)
+def test_deep_nesting_is_a_clean_exit_2(capsys, tmp_path, text):
+    path = tmp_path / "matrix.json"
+    path.write_text(text)
+    assert main(["sdet", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
 
 
 def test_cli_import_loads_neither_dataclasses_nor_hashlib():

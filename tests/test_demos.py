@@ -1,9 +1,13 @@
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from ncdet.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -18,3 +22,37 @@ def test_demo_runs_cleanly(demo):
     )
     assert result.returncode == 0, result.stderr
     assert "Traceback" not in result.stdout + result.stderr
+
+
+def _readme_command_line_block() -> list[str]:
+    """The lines of the first bash block under the README's "## Command line"."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1]
+    return section.split("```bash\n", 1)[1].split("```", 1)[0].splitlines()
+
+
+def test_readme_command_line_examples_run(capsys, monkeypatch, tmp_path):
+    # a flag the README shows but the parser lacks fails here; a comment
+    # that is a bare integer is the command's whole output
+    lines = iter(_readme_command_line_block())
+    monkeypatch.chdir(tmp_path)
+    ran = 0
+    for line in lines:
+        heredoc = re.fullmatch(r"cat > (\S+) <<'EOF'", line)
+        if heredoc:
+            body = []
+            for body_line in lines:
+                if body_line == "EOF":
+                    break
+                body.append(body_line + "\n")
+            (tmp_path / heredoc[1]).write_text("".join(body))
+            continue
+        if not line.startswith("ncdet "):
+            continue
+        command, _, comment = line.partition("#")
+        assert main(shlex.split(command)[1:]) == 0, line
+        out = capsys.readouterr().out
+        if re.fullmatch(r"-?\d+", comment.strip()):
+            assert out == f"{comment.strip()}\n", line
+        ran += 1
+    assert ran >= 7

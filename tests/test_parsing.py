@@ -124,6 +124,15 @@ def test_nested_exponents_multiply_under_the_limit():
     assert parse_expression("(a^1000)^0", algebra) == 1
 
 
+def test_parenthesis_nesting_limit():
+    deepest = "(" * 100 + "1" + ")" * 100
+    assert parse_expression(deepest, IntegerRing()) == 1
+    for depth in (101, 250):
+        with pytest.raises(ParseError, match="nested over the limit of 100") as info:
+            parse_expression("(" * depth + "1" + ")" * depth, IntegerRing())
+        assert info.value.position == 100
+
+
 def test_syntax_errors_carry_positions():
     algebra = FreeAlgebra(("a", "b"))
     with pytest.raises(ParseError) as info:
@@ -230,6 +239,18 @@ def test_missing_fields_and_bad_json():
         loads_matrix("{")
     with pytest.raises(DocumentError, match="missing"):
         loads_matrix(json.dumps({"n": 1}))
+    # nesting past the interpreter's recursion limit is malformed JSON too
+    with pytest.raises(DocumentError, match="not valid JSON: maximum recursion depth"):
+        loads_matrix("[" * 1000 + "]" * 1000)
+
+
+def test_block_split_is_checked_without_supermatrix_validation():
+    doc = {"ring": {"kind": "integer"}, "n": 3, "t": 2, "entries": [["1", "2", "3"]] * 3}
+    document, matrix = loads_matrix(json.dumps(doc))
+    assert (document.t, matrix.n) == (2, 3)
+    doc.update(n=2, entries=[["1", "2"], ["3", "4"]])
+    with pytest.raises(DocumentError, match="block split t=2 invalid for n=2"):
+        loads_matrix(json.dumps(doc))
 
 
 def test_supermatrix_validation_failure():
