@@ -1,10 +1,20 @@
 """Free associative polynomial ring over the integers on named generators.
 
-A polynomial is a sparse table from words (tuples of generator ids) to
-nonzero integer coefficients.  Words concatenate under multiplication and
-never commute, so ``a*b`` and ``b*a`` are distinct monomials.  The canonical
-term order is degree-then-lexicographic by generator id, which fixes the
-text rendering and hence structural equality.
+A polynomial is a sparse table from words to nonzero integer
+coefficients.  Words concatenate under multiplication and never commute, so
+``a*b`` and ``b*a`` are distinct monomials.  The canonical term order is
+degree-then-lexicographic by generator id, which fixes the text rendering
+and hence structural equality.
+
+A word is stored packed in one int: a leading 1 bit, then b bits per letter
+from first to last, with b = max(1, (g-1).bit_length()) for g generators;
+the empty word is 1.  Integer order on packed words is the canonical order,
+and the product of words u and v is ``u << s | low``, where s is v's bit
+length minus one and low is v without its leading bit.  The public API
+(``FreePoly(algebra, {word: coeff})``, ``monomial`` and ``terms``) speaks
+tuples of generator ids; ``FreeAlgebra._encode`` and ``_decode`` convert.
+Rendering refuses, with TermLimitError, an element whose text would write
+more letters than the algebra's ``term_limit``.
 
 The module also decides membership in the additive commutator subgroup
 [R,R]: in the free algebra the quotient R/[R,R] has the cyclic-rotation
@@ -42,45 +52,57 @@ class FreePoly(SparseElement):
 
     __slots__ = ()
 
-    _UNIT = ()
+    _UNIT = 1
     _MISMATCH = "operands live in free algebras with different generators"
 
     def __init__(self, algebra: FreeAlgebra, terms: Mapping[tuple[int, ...], int]):
         g = len(algebra.names)
-        clean: dict[tuple[int, ...], int] = {}
+        encode = algebra._encode
+        clean: dict[int, int] = {}
         for word, coeff in terms.items():
             word = tuple(word)
             if any(not isinstance(i, int) or not 0 <= i < g for i in word):
                 raise ValueError(f"word {word!r} uses unknown generator ids")
             coeff = int(coeff)
             if coeff:
-                clean[word] = coeff
+                clean[encode(word)] = coeff
         self.algebra = algebra
         self._terms = clean
+        self._view = None
 
     @property
     def terms(self) -> Mapping[tuple[int, ...], int]:
-        return MappingProxyType(self._terms)
+        """Terms keyed by words as tuples of generator ids."""
+        decode = self.algebra._decode
+        return MappingProxyType({decode(w): c for w, c in self._terms.items()})
 
-    @staticmethod
-    def _order(word: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-        # degree, then lexicographic by generator id
-        return (len(word), word)
-
-    def _key_text(self, word: tuple[int, ...]) -> str:
+    def _key_text(self, word: int) -> str:
         names = self.algebra.names
-        return "*".join(names[i] for i in word)
+        return "*".join([names[i] for i in self.algebra._decode(word)])
 
     def degree(self) -> int:
         """Maximum word length; -1 for the zero polynomial."""
-        return max((len(w) for w in self._terms), default=-1)
+        if not self._terms:
+            return -1
+        # the largest packed word is a longest one
+        return (max(self._terms).bit_length() - 1) // self.algebra._bits
 
     def constant_term(self) -> int:
-        return self._terms.get((), 0)
+        return self._terms.get(1, 0)
 
     # bench/tracer.py wraps only a class's own attributes
     __add__ = __radd__ = SparseElement.__add__
-    __str__ = SparseElement.__str__
+
+    def __str__(self) -> str:
+        # refuse text too large to build: a word of L letters has b*L bits
+        # after its leading 1
+        algebra, terms = self.algebra, self._terms
+        letters = (sum(map(int.bit_length, terms)) - len(terms)) // algebra._bits
+        if letters > algebra.term_limit:
+            raise TermLimitError(
+                f"text would write {letters} letters, over the budget of {algebra.term_limit}"
+            )
+        return SparseElement.__str__(self)
 
     def __mul__(self, other) -> FreePoly:
         other = self._coerce(other)
@@ -89,17 +111,29 @@ class FreePoly(SparseElement):
         pairs = len(self._terms) * len(other._terms)
         if pairs > self.algebra.term_limit:
             raise TermLimitError.pairs(pairs, self.algebra.term_limit)
-        out: dict[tuple[int, ...], int] = {}
+        right = other._view
+        if right is None:
+            right = other._view = _right_view(other._terms)
+        out: dict[int, int] = {}
         get = out.get
         for w1, c1 in self._terms.items():
-            for w2, c2 in other._terms.items():
-                word = w1 + w2
+            for low, shift, c2 in right:
+                word = w1 << shift | low
                 new = get(word, 0) + c1 * c2
                 if new:
                     out[word] = new
                 else:
                     del out[word]
         return FreePoly._raw(self.algebra, out)
+
+
+def _right_view(terms: dict[int, int]) -> list[tuple[int, int, int]]:
+    # (letters without the leading bit, their bit count, coefficient) per word
+    view = []
+    for word, coeff in terms.items():
+        shift = word.bit_length() - 1
+        view.append((word ^ 1 << shift, shift, coeff))
+    return view
 
 
 class FreeAlgebra(SparseRing):
@@ -111,11 +145,32 @@ class FreeAlgebra(SparseRing):
         self.names = _check_generator_names(names)
         self.term_limit = term_limit
         self._index = {name: i for i, name in enumerate(self.names)}
+        # bits per letter of a packed word
+        self._bits = max(1, (len(self.names) - 1).bit_length())
+
+    def _encode(self, word: Sequence[int]) -> int:
+        """The packed int of a word of generator ids."""
+        bits = self._bits
+        key = 1
+        for letter in word:
+            key = key << bits | letter
+        return key
+
+    def _decode(self, key: int) -> tuple[int, ...]:
+        """The word of generator ids a packed int holds."""
+        bits = self._bits
+        mask = (1 << bits) - 1
+        letters = []
+        while key > 1:
+            letters.append(key & mask)
+            key >>= bits
+        letters.reverse()
+        return tuple(letters)
 
     def gen(self, name: str) -> FreePoly:
         if name not in self._index:
             raise KeyError(f"unknown generator {name!r}")
-        return FreePoly._raw(self, {(self._index[name],): 1})
+        return FreePoly._raw(self, {self._encode((self._index[name],)): 1})
 
     def gens(self) -> tuple[FreePoly, ...]:
         return tuple(self.gen(name) for name in self.names)
@@ -156,13 +211,21 @@ def in_commutator_span(p: FreePoly) -> bool:
     equivalence classes and demand a zero coefficient sum in every class.
     The constant term must vanish (the empty word is alone in its class).
     """
-    sums: dict[tuple[int, ...], int] = {}
-    for word, coeff in p.terms.items():
-        if not word:
-            if coeff:
-                return False
-            continue
-        rep = min(word[i:] + word[:i] for i in range(len(word)))
+    bits = p.algebra._bits
+    sums: dict[int, int] = {}
+    for word, coeff in p._terms.items():
+        if word == 1:
+            return False
+        # rotate the letters below the leading bit, a letter at a time
+        size = word.bit_length() - 1
+        top = 1 << size
+        body = word ^ top
+        rep = body
+        for shift in range(bits, size, bits):
+            rotated = (body << shift | body >> (size - shift)) & (top - 1)
+            if rotated < rep:
+                rep = rotated
+        rep |= top
         sums[rep] = sums.get(rep, 0) + coeff
     return all(total == 0 for total in sums.values())
 
@@ -175,10 +238,11 @@ def specialize(p: FreePoly, assignment: Mapping[str, object], ring: Ring):
     """
     images: dict[int, object] = {}
     names = p.algebra.names
+    decode = p.algebra._decode
     total = ring.accumulator()
-    for word, coeff in p.terms.items():
+    for word, coeff in p._terms.items():
         value = ring.one
-        for letter in word:
+        for letter in decode(word):
             if letter not in images:
                 name = names[letter]
                 if name not in assignment:

@@ -9,7 +9,8 @@ Two basis monomials that share a generator multiply to zero; otherwise
 their product is the union, signed by the parity of the generator pairs
 out of order.  The product reads that parity from one bit count per term
 pair, against a mask computed once per right-hand term whose bit i is the
-parity of that term's generators below v(i+1).  As in the free algebra, a
+parity of that term's generators below v(i+1); the masks are kept with the
+right operand (``SparseElement._view``).  As in the free algebra, a
 product of more than ``term_limit`` term pairs raises TermLimitError.
 """
 
@@ -76,6 +77,7 @@ class GrassmannElem(SparseElement):
                 clean[mask] = clean.get(mask, 0) + coeff
         self.algebra = algebra
         self._terms = {m: c for m, c in clean.items() if c}
+        self._view = None
 
     @property
     def terms(self) -> Mapping[tuple[int, ...], int]:
@@ -104,8 +106,11 @@ class GrassmannElem(SparseElement):
             raise TermLimitError.pairs(pairs, self.algebra.term_limit)
         # sorting m1|m2 moves each generator of m2 past every larger one
         # of m1, so the sign is the parity of the bits of m1 that lie above
-        # an odd number of bits of m2; one scan per right-hand term reads it
-        right = [(m2, c2, _parity_below(m2)) for m2, c2 in other._terms.items()]
+        # an odd number of bits of m2; one scan per right-hand term, kept
+        # with the element, reads it
+        right = other._view
+        if right is None:
+            right = other._view = [(m2, c2, _parity_below(m2)) for m2, c2 in other._terms.items()]
         out: dict[int, int] = {}
         get = out.get
         for m1, c1 in self._terms.items():

@@ -10,14 +10,20 @@ is arbitrary precision, so all arithmetic in the package is exact.
 The free and exterior algebras share one sparse core.  A ``SparseRing``
 builds ``zero``, ``one``, ``from_int`` and its ``SparseSum`` accumulator
 from its ``element_type`` and ``term_limit``, the most term pairs one
-product and the most terms one sum may reach (10M by default).  A
-``SparseElement`` is a ``_terms`` dict from keys to nonzero integer
+product and the most terms one sum may reach (10M by default); in the free
+algebra it also caps the letters one canonical text may write.  A
+``SparseElement`` is a ``_terms`` dict from int keys to nonzero integer
 coefficients with ``_raw``, ``_coerce``, ``is_zero``, ``+``, unary ``-``,
-``==``, ``hash`` and canonical text; a subclass supplies ``_UNIT`` (the key
-of the identity), ``_MISMATCH`` (the message for operands of different
-algebras), ``_order`` and ``_key_text`` (a key's sort key and text, empty
-for the unit), key validation in ``__init__`` and its own ``__mul__``,
-which refuses a product of more than ``term_limit`` term pairs.
+``==``, ``hash`` and canonical text, which lists the keys in integer order
+unless a subclass sets ``_order`` (a key's sort key).  A subclass supplies
+``_UNIT`` (the key of the identity), ``_MISMATCH`` (the message for
+operands of different algebras), ``_key_text`` (a key's text, empty for the
+unit), key validation in ``__init__`` and its own ``__mul__``, which
+refuses a product of more than ``term_limit`` term pairs.  ``__mul__``
+reads its right operand through ``_view``: the right-hand terms in the form
+the product loop wants, computed on first use and kept, since an element
+is immutable and a matrix entry is the right factor of many products.
+``==``, ``hash`` and the sums read ``_terms`` only.
 ``RingElement`` builds binary and reflected ``-``, reflected ``*`` and
 ``**`` from ``_coerce``, ``+``, unary ``-`` and ``*``; ``CentralPoly``
 uses it too.
@@ -42,7 +48,8 @@ import sys
 from abc import ABC, abstractmethod
 
 # the term budget of a sparse ring: the most term pairs one product may
-# enumerate, and the most terms one running sum may hold
+# enumerate, the most terms one running sum may hold, and the most letters
+# the text of one free-algebra element may write
 DEFAULT_TERM_LIMIT = 10_000_000
 
 # Python before 3.10.7 has no int-to-str digit limit
@@ -289,7 +296,10 @@ class RingElement:
 class SparseElement(RingElement):
     """Immutable sparse table from keys to nonzero integer coefficients."""
 
-    __slots__ = ("algebra", "_terms")
+    __slots__ = ("algebra", "_terms", "_view")
+
+    # canonical text lists the keys in this order; None is integer order
+    _order = None
 
     @classmethod
     def _raw(cls, algebra, terms: dict):
@@ -297,6 +307,7 @@ class SparseElement(RingElement):
         self = object.__new__(cls)
         self.algebra = algebra
         self._terms = terms
+        self._view = None
         return self
 
     def is_zero(self) -> bool:

@@ -3,8 +3,9 @@
 Nothing here shares code with the package internals: permutations come
 from Heap's algorithm with the sign maintained by swap parity, the
 double-sum determinant and preadjoint are evaluated directly from their
-definitions, exterior-algebra products take each sign from an inversion
-count of the concatenated generator indices, and commutator-subgroup
+definitions, free-algebra products concatenate tuple words and render in
+(length, word) order, exterior-algebra products take each sign from an
+inversion count of the concatenated generator indices, and commutator-subgroup
 membership is decided by integer lattice reduction over an explicit basis
 of monomial commutators.
 """
@@ -79,6 +80,35 @@ def preadjoint_double_sum(A: Matrix) -> Matrix:
     return Matrix(A.ring, out)
 
 
+def free_product(x, y) -> dict[tuple[int, ...], int]:
+    """Terms of x*y in the free algebra, from the public ``terms`` only: each
+    pair of words concatenates."""
+    out: dict[tuple[int, ...], int] = {}
+    for left, c1 in x.terms.items():
+        for right, c2 in y.terms.items():
+            word = left + right
+            out[word] = out.get(word, 0) + c1 * c2
+    return {word: coeff for word, coeff in out.items() if coeff}
+
+
+def deglex_text(names, terms: dict[tuple[int, ...], int]) -> str:
+    """Canonical text of free-algebra terms: words by (length, word), the
+    first sign only when negative, and no coefficient of magnitude 1."""
+    out = ""
+    for word in sorted(terms, key=lambda w: (len(w), w)):
+        coeff = terms[word]
+        body = "*".join(names[i] for i in word)
+        if not body:
+            body = str(abs(coeff))
+        elif abs(coeff) != 1:
+            body = f"{abs(coeff)}*{body}"
+        if out:
+            out += (" - " if coeff < 0 else " + ") + body
+        else:
+            out = ("-" if coeff < 0 else "") + body
+    return out or "0"
+
+
 def grassmann_product(x, y) -> dict[tuple[int, ...], int]:
     """Terms of x*y in the exterior algebra, from the public ``terms`` only.
 
@@ -136,6 +166,17 @@ def integer_span_contains(basis_rows: list[list[int]], target: list[int]) -> boo
             q = remaining[lead] // row[lead]
             remaining = [a - q * b for a, b in zip(remaining, row)]
     return all(a == 0 for a in remaining)
+
+
+def cyclic_span_oracle(p: FreePoly) -> bool:
+    """[R,R] membership by the cyclic-word criterion on the public tuple words:
+    the coefficients sum to zero over each class of rotations, the empty word
+    being a class of its own."""
+    sums: dict[tuple[int, ...], int] = {}
+    for word, coeff in p.terms.items():
+        rep = min((word[i:] + word[:i] for i in range(len(word))), default=())
+        sums[rep] = sums.get(rep, 0) + coeff
+    return all(total == 0 for total in sums.values())
 
 
 def commutator_span_oracle(p: FreePoly, max_degree: int | None = None) -> bool:

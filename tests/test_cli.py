@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from ncdet import FreeAlgebra, Matrix, cli, standard_polynomial_4
+from ncdet import FreeAlgebra, Matrix, RingSpec, cli, standard_polynomial_4
 from ncdet.cli import main
 from ncdet.verify import generic_matrix, generic_names
 
@@ -216,6 +216,27 @@ def test_sum_over_the_term_budget_is_a_clean_exit_2(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: sum grew to 36 terms, over the budget of 35")
+
+
+def test_text_over_the_letter_budget_is_a_clean_exit_2(capsys, monkeypatch, tmp_path):
+    # sdet of [[a, b], [c, d]] has 4 words of 2 letters: 8 letters in all
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps(
+        {"ring": {"kind": "free", "generators": ["a", "b", "c", "d"]}, "n": 2,
+         "entries": [["a", "b"], ["c", "d"]]}
+    ))
+
+    def budget(limit):
+        monkeypatch.setattr(RingSpec, "build_ring", lambda spec: FreeAlgebra(spec.generators, limit))
+
+    budget(8)
+    assert main(["sdet", "--input", str(path)]) == 0
+    assert capsys.readouterr().out == "a*d - b*c - c*b + d*a\n"
+    budget(7)
+    assert main(["sdet", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: text would write 8 letters, over the budget of 7\n"
 
 
 def test_exterior_product_over_the_pair_budget_is_a_clean_exit_2(capsys, tmp_path):

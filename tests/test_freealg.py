@@ -1,10 +1,11 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ncdet import (
     FreeAlgebra,
+    FreePoly,
     GrassmannAlgebra,
     IntegerRing,
     RingSpec,
@@ -14,7 +15,7 @@ from ncdet import (
     specialize,
 )
 
-from oracles import commutator_span_oracle
+from oracles import commutator_span_oracle, cyclic_span_oracle, deglex_text, free_product
 
 
 @pytest.fixture
@@ -59,6 +60,43 @@ def test_deglex_rendering_order(free_ab):
     a, b = free_ab.gens()
     p = b * a + a - 3 + 2 * (a * b)
     assert str(p) == "-3 + a + 2*a*b + b*a"
+
+
+# letters take max(1, (g-1).bit_length()) bits: 1, 1, 1, 2, 3, 4, 5 and 6
+_GENERATOR_COUNTS = (0, 1, 2, 3, 5, 9, 17, 36)
+
+
+def _free_terms(g):
+    words = st.lists(st.integers(0, g - 1), max_size=7).map(tuple) if g else st.just(())
+    return st.dictionaries(words, st.integers(-3, 3), max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_GENERATOR_COUNTS).flatmap(
+    lambda g: st.tuples(st.just(g), _free_terms(g), _free_terms(g), st.integers(0, 6))
+))
+# a*a - a + a*a*a - a*a: the a*a terms cancel
+@example((1, {(0,): 1, (0, 0): 1}, {(0,): 1, (): -1}, 0))
+def test_packed_words_match_the_tuple_word_oracle(case):
+    g, left, right, turn = case
+    algebra = FreeAlgebra([f"x{i}" for i in range(g)])
+    x, y = FreePoly(algebra, left), FreePoly(algebra, right)
+    expected = free_product(x, y)
+    product = x * y
+    assert dict(product.terms) == expected
+    assert str(product) == deglex_text(algebra.names, expected)
+    assert str(x) == deglex_text(algebra.names, {w: c for w, c in left.items() if c})
+    assert product.degree() == max(map(len, expected), default=-1)
+    assert product.constant_term() == expected.get((), 0)
+    assert in_commutator_span(x) == cyclic_span_oracle(x)
+    # a word and its rotations share a cyclic class, which holds no other word
+    for word in left:
+        w = algebra.monomial(word)
+        rotated = word[turn % len(word):] + word[:turn % len(word)] if word else word
+        assert in_commutator_span(w - algebra.monomial(rotated))
+        assert not in_commutator_span(w + algebra.monomial(rotated))
+        if g:
+            assert not in_commutator_span(w - algebra.monomial((0,) + word))
 
 
 def test_term_limit_guardrail():

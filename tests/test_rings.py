@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -18,6 +20,8 @@ from ncdet import (
     ring_axiom_check,
 )
 from ncdet import rings
+
+from oracles import free_product, grassmann_product
 
 
 def integer_samples():
@@ -253,6 +257,57 @@ def test_a_handed_out_sum_is_never_mutated(ring, x, y):
     acc += y
     assert ring.total(acc) == x + 2 * y
     assert first._terms == snapshot
+
+
+# -- the cached right-operand view ----------------------------------------------
+
+_ORACLE_PRODUCTS = {FreeAlgebra: free_product, GrassmannAlgebra: grassmann_product}
+
+
+@pytest.mark.parametrize("ring, x, y", sparse_terms(), ids=["free", "grassmann"])
+def test_an_element_times_itself(ring, x, y):
+    x = x + 0  # an equal element whose view is not filled yet
+    expected = _ORACLE_PRODUCTS[type(ring)](x, x)
+    for _ in range(2):  # the second product reads the view the first one kept
+        assert dict((x * x).terms) == expected
+
+
+@pytest.mark.parametrize("ring, x, y", sparse_terms(), ids=["free", "grassmann"])
+def test_a_right_operand_summed_and_handed_out_keeps_a_true_view(ring, x, y):
+    oracle = _ORACLE_PRODUCTS[type(ring)]
+    x = x + 0
+    y * x  # fills the view of x
+    acc = ring.accumulator()
+    acc += x
+    assert ring.total(acc) is x
+    acc += y
+    total = ring.total(acc)
+    assert dict((y * total).terms) == oracle(y, total)  # fills the view of total
+    acc -= x
+    acc += y
+    assert ring.total(acc) == 2 * y
+    for right in (x, total):
+        assert dict((y * right).terms) == oracle(y, right)
+        assert dict((right * right).terms) == oracle(right, right)
+
+
+@pytest.mark.parametrize("ring, x, y", sparse_terms(), ids=["free", "grassmann"])
+def test_copies_of_an_element_with_a_view_are_equal_and_multiply_the_same(ring, x, y):
+    x = x + 0
+    y * x
+    for twin in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x), copy.copy(x)):
+        assert twin == x and hash(twin) == hash(x)
+        assert y * twin == y * x and twin * twin == x * x
+        assert str(y * twin) == str(y * x)
+
+
+@pytest.mark.parametrize("ring, x, y", sparse_terms(), ids=["free", "grassmann"])
+def test_equality_and_hash_never_read_the_view(ring, x, y):
+    poisoned = x + 0
+    poisoned._view = [("not", "a", "view")]
+    assert poisoned == x and x == poisoned and poisoned != y
+    assert hash(poisoned) == hash(x)
+    assert {x: "x"}[poisoned] == "x"
 
 
 def test_a_sum_over_the_term_budget_raises():
