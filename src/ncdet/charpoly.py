@@ -8,7 +8,9 @@ polynomials multiplies coefficients in the base ring with the left
 factor's coefficient on the left.  ``PolynomialRing`` implements the ring
 contract, which lets the whole matrix/determinant machinery run unchanged
 over R[z]: the k-th characteristic polynomial of A is simply the k-th
-right (or left) determinant of zI - A computed there.
+right (or left) determinant of zI - A computed there.  A polynomial
+prints from its top degree down, and a coefficient whose terms are all
+negative prints as a minus sign before its negation.
 """
 
 from __future__ import annotations
@@ -167,9 +169,10 @@ class CentralPoly(RingElement):
             if c == self.ring.base.zero:
                 continue
             text = str(c)
-            negative = text.startswith("-") and "-" not in str(-c)
+            # pulled out as a sign exactly when every term is negative
+            negative = text.startswith("-") and " + " not in text
             if negative:
-                text = str(-c)
+                text = text[1:].replace(" - ", " + ")
             if (" + " in text) or (" - " in text):
                 text = f"({text})"
             if d == 0:
@@ -265,14 +268,13 @@ def cayley_hamilton_witness(A: Matrix) -> CHWitness:
         raise ArithmeticError("first right and left characteristic polynomials differ")
 
     lambdas = tuple(p.coeff(i) for i in range(n + 1))
-    right_slices = _padded_slices(right_product * n, n)
-    left_slices = _padded_slices(left_product * n, n)
-    right_defects = tuple(
-        right_slices[i] - Matrix.scalar(ring, n, lambdas[i]) for i in range(n + 1)
-    )
-    left_defects = tuple(
-        left_slices[i] - Matrix.scalar(ring, n, lambdas[i]) for i in range(n + 1)
-    )
+    # n (zI - A)(zI - A)* has degree n exactly (its top slice is n! I), so
+    # each side has the n + 1 slices of degrees 0..n
+    right_slices = matrix_poly_coefficients(right_product * n)
+    left_slices = matrix_poly_coefficients(left_product * n)
+    scalars = [Matrix.scalar(ring, n, lam) for lam in lambdas]
+    right_defects = tuple(S - L for S, L in zip(right_slices, scalars, strict=True))
+    left_defects = tuple(S - L for S, L in zip(left_slices, scalars, strict=True))
 
     for defect in (*right_defects, *left_defects):
         if defect.trace() != ring.zero:
@@ -305,15 +307,6 @@ def substitute(
         right_sum = right_sum + power * c
         left_sum = left_sum + d * power
     return right_sum, left_sum
-
-
-def _padded_slices(M: Matrix, degree: int) -> list[Matrix]:
-    slices = matrix_poly_coefficients(M)
-    base = M.ring.base
-    n = M.n
-    while len(slices) < degree + 1:
-        slices.append(Matrix.zeros(base, n))
-    return slices
 
 
 def scalar_leading_coefficient(n: int, k: int) -> int:

@@ -178,19 +178,14 @@ class FreeAlgebra(SparseRing):
     def monomial(self, word: Sequence[int], coeff: int = 1) -> FreePoly:
         return FreePoly(self, {tuple(word): coeff})
 
-    def random_element(
-        self,
-        rng: random.Random,
-        max_degree: int = 3,
-        max_terms: int = 3,
-        coeff_bound: int = 4,
-    ) -> FreePoly:
+    def random_element(self, rng: random.Random, max_degree: int = 3, max_terms: int = 3) -> FreePoly:
+        """Random element of up to max_terms words, coefficients in -4..4."""
         terms: dict[tuple[int, ...], int] = {}
         g = len(self.names)
         for _ in range(rng.randint(1, max_terms)):
             degree = rng.randint(0, max_degree)
             word = tuple(rng.randrange(g) for _ in range(degree)) if g else ()
-            coeff = rng.choice([c for c in range(-coeff_bound, coeff_bound + 1) if c])
+            coeff = rng.choice((-4, -3, -2, -1, 1, 2, 3, 4))
             terms[word] = terms.get(word, 0) + coeff
         return FreePoly(self, terms)
 

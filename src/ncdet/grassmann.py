@@ -154,13 +154,10 @@ class GrassmannAlgebra(SparseRing):
         return GrassmannElem(self, terms)
 
     def random_element(
-        self,
-        rng: random.Random,
-        max_terms: int = 3,
-        coeff_bound: int = 4,
-        parity: int | None = None,
+        self, rng: random.Random, max_terms: int = 3, parity: int | None = None
     ) -> GrassmannElem:
-        """Random sparse element; parity 0/1 restricts to even/odd subsets."""
+        """Random sparse element, coefficients in -4..4; parity 0/1 restricts
+        to even/odd subsets."""
         if parity == 1 and self.rank == 0:
             return self.zero
         terms: dict[int, int] = {}
@@ -168,7 +165,7 @@ class GrassmannAlgebra(SparseRing):
             mask = rng.randrange(1 << self.rank) if self.rank else 0
             while parity is not None and mask.bit_count() % 2 != parity:
                 mask = rng.randrange(1 << self.rank)
-            coeff = rng.choice([c for c in range(-coeff_bound, coeff_bound + 1) if c])
+            coeff = rng.choice((-4, -3, -2, -1, 1, 2, 3, 4))
             terms[mask] = terms.get(mask, 0) + coeff
         return GrassmannElem._raw(self, {m: c for m, c in terms.items() if c})
 

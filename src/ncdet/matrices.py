@@ -64,11 +64,8 @@ class Matrix:
     def entry(self, i: int, j: int):
         return self.rows[i][j]
 
-    def map_entries(self, fn: Callable) -> Matrix:
-        return Matrix(self.ring, [[fn(e) for e in row] for row in self.rows])
-
     def with_ring(self, ring: Ring, fn: Callable) -> Matrix:
-        """Entrywise image in another ring (fn embeds each entry)."""
+        """Entrywise image in a ring, the same or another (fn maps each entry)."""
         return Matrix(ring, [[fn(e) for e in row] for row in self.rows])
 
     def __add__(self, other: Matrix) -> Matrix:
@@ -86,12 +83,12 @@ class Matrix:
         )
 
     def __neg__(self) -> Matrix:
-        return self.map_entries(lambda e: -e)
+        return self.with_ring(self.ring, lambda e: -e)
 
     def __mul__(self, other):
         if isinstance(other, int):
             scale = self.ring.from_int(other)
-            return self.map_entries(lambda e: scale * e)
+            return self.with_ring(self.ring, lambda e: scale * e)
         if not isinstance(other, Matrix):
             return NotImplemented
         self._check_compatible(other)
@@ -109,10 +106,8 @@ class Matrix:
         return Matrix(ring, rows)
 
     def __rmul__(self, other):
-        if isinstance(other, int):
-            scale = self.ring.from_int(other)
-            return self.map_entries(lambda e: scale * e)
-        return NotImplemented
+        # k * M is M * k: the scale multiplies each entry on the left
+        return self * other if isinstance(other, int) else NotImplemented
 
     def __pow__(self, exponent: int) -> Matrix:
         if not isinstance(exponent, int) or exponent < 0:

@@ -141,12 +141,8 @@ def _tokenize(src: str) -> list[tuple[str, str, int]]:
                 break
             bad_at = len(src) - len(stripped)
             raise ParseError(f"unexpected character {src[bad_at]!r}", bad_at)
-        if match.lastgroup == "int":
-            tokens.append(("int", match.group("int"), match.start("int")))
-        elif match.lastgroup == "ident":
-            tokens.append(("ident", match.group("ident"), match.start("ident")))
-        else:
-            tokens.append(("sym", match.group("sym"), match.start("sym")))
+        kind = match.lastgroup
+        tokens.append((kind, match.group(kind), match.start(kind)))
         pos = match.end()
     tokens.append(("end", "", len(src)))
     return tokens

@@ -5,6 +5,11 @@ and reports one pass/fail result per check.  "Generic" matrices have
 distinct free noncommuting generators as entries, so an identity verified
 there holds under every specialization; randomized checks draw all their
 randomness from one seeded generator, making reports reproducible.
+
+A suite is a module function named ``_suite_<name>``; ``SUITES`` registers
+each under ``<name>`` in the order of definition.  ``VerifyOptions`` holds
+the options every suite reads and their ranges, and ``_trials`` is the one
+loop over seeded draws.
 """
 
 from __future__ import annotations
@@ -36,8 +41,9 @@ from .determinants import (
     trace_of_product,
 )
 from .freealg import FreeAlgebra, in_commutator_span
-from .grassmann import GrassmannAlgebra, graded_parts
+from .grassmann import MAX_RANK, GrassmannAlgebra, graded_parts
 from .matrices import (
+    DIMENSION_CAP,
     Matrix,
     SupermatrixProfile,
     commutative_adj,
@@ -92,20 +98,24 @@ class VerifyOptions(Record):
     trials: int | None
     seed: int
 
-    def sizes(self, default):
-        return (self.n,) if self.n is not None else default
+    def _validate(self):
+        if self.n is not None and not 1 <= self.n <= DIMENSION_CAP:
+            raise ValueError(f"n={self.n} is outside the supported range 1..{DIMENSION_CAP}")
+        for name in ("k", "t", "trials"):
+            if self.get(name, 1) < 1:
+                raise ValueError(f"{name} must be at least 1")
+        if not 0 <= self.get("rank", 0) <= MAX_RANK:
+            raise ValueError(f"rank={self.rank} is outside the supported range 0..{MAX_RANK}")
 
-    def ks(self, default):
-        return (self.k,) if self.k is not None else default
+    def get(self, name: str, default):
+        """The option's value, or ``default`` when it was not given."""
+        value = getattr(self, name)
+        return default if value is None else value
 
-    def splits(self, default):
-        return (self.t,) if self.t is not None else default
-
-    def get_rank(self, default):
-        return self.rank if self.rank is not None else default
-
-    def get_trials(self, default):
-        return self.trials if self.trials is not None else default
+    def each(self, name: str, defaults: tuple) -> tuple:
+        """The option's value as a one-tuple, or ``defaults`` when it was not given."""
+        value = getattr(self, name)
+        return defaults if value is None else (value,)
 
 
 def _check(name: str, fn) -> CheckResult:
@@ -115,10 +125,7 @@ def _check(name: str, fn) -> CheckResult:
     start = time.perf_counter()
     try:
         outcome = fn()
-        if isinstance(outcome, tuple):
-            passed, detail = outcome
-        else:
-            passed, detail = outcome, ""
+        passed, detail = outcome if isinstance(outcome, tuple) else (outcome, "")
     except _Refused as refused:
         raise refused.args[0] from None
     except Exception as exc:  # a crashed check is a failed check
@@ -156,16 +163,12 @@ def _fixture(fn, *args):
 
 # ---------------------------------------------------------------- fixtures
 
-GENERIC_LETTERS = {
-    1: ("a",),
-    2: ("a", "b", "c", "d"),
-    3: ("a", "b", "c", "d", "e", "f", "g", "h", "p"),
-}
+GENERIC_LETTERS = {1: "a", 2: "abcd", 3: "abcdefghp"}
 
 
 def generic_names(n: int) -> tuple[str, ...]:
     if n in GENERIC_LETTERS:
-        return GENERIC_LETTERS[n]
+        return tuple(GENERIC_LETTERS[n])
     return tuple(f"a{i}{j}" for i in range(1, n + 1) for j in range(1, n + 1))
 
 
@@ -183,41 +186,28 @@ def random_integer_matrix(rng: random.Random, n: int) -> Matrix:
     return Matrix(ring, [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
 
 
-def random_grassmann_matrix(
-    algebra: GrassmannAlgebra, rng: random.Random, n: int, max_terms: int = 2
-) -> Matrix:
+def random_grassmann_matrix(algebra: GrassmannAlgebra, rng: random.Random, n: int) -> Matrix:
     """Entries mix a constant with sparse wedge terms, so products of many
     entries stay nonzero and the scalar-matrix checks are not vacuous."""
-    rows = [
-        [
-            algebra.from_int(rng.randint(-3, 3))
-            + algebra.random_element(rng, max_terms=max_terms)
-            for _ in range(n)
-        ]
-        for _ in range(n)
-    ]
-    return Matrix(algebra, rows)
+
+    def entry():
+        return algebra.from_int(rng.randint(-3, 3)) + algebra.random_element(rng, max_terms=2)
+
+    return Matrix(algebra, [[entry() for _ in range(n)] for _ in range(n)])
 
 
-def random_supermatrix(
-    algebra: GrassmannAlgebra, rng: random.Random, n: int, t: int, max_terms: int = 2
-) -> Matrix:
+def random_supermatrix(algebra: GrassmannAlgebra, rng: random.Random, n: int, t: int) -> Matrix:
     """Random (n, t) supermatrix: even diagonal blocks, odd off-diagonal blocks.
 
     Diagonal-block entries carry a constant part (constants are even), which
     keeps determinants and characteristic polynomials away from zero.
     """
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            parity = 0 if (i < t) == (j < t) else 1
-            entry = algebra.random_element(rng, max_terms=max_terms, parity=parity)
-            if parity == 0:
-                entry = entry + algebra.from_int(rng.randint(-3, 3))
-            row.append(entry)
-        rows.append(row)
-    return Matrix(algebra, rows)
+
+    def entry(parity: int):
+        x = algebra.random_element(rng, max_terms=2, parity=parity)
+        return x if parity else x + algebra.from_int(rng.randint(-3, 3))
+
+    return Matrix(algebra, [[entry(int((i < t) != (j < t))) for j in range(n)] for i in range(n)])
 
 
 def unimodular_conjugators(n: int) -> tuple[Matrix, ...]:
@@ -240,31 +230,41 @@ def unimodular_conjugators(n: int) -> tuple[Matrix, ...]:
 
 
 def scalar_matrix_equal(M: Matrix, value) -> bool:
-    """M equals value * I: zero off-diagonal, every diagonal entry equal to value."""
-    zero = M.ring.zero
-    for i in range(M.n):
-        for j in range(M.n):
-            expected = value if i == j else zero
-            if M.rows[i][j] != expected:
-                return False
-    return True
+    """M equals value * I."""
+    return M == Matrix.scalar(M.ring, M.n, value)
 
 
 def _even(x) -> bool:
     return graded_parts(x)[1].is_zero()
 
 
+def _trials(count: int, draw, test):
+    """A check that runs ``test(draw())`` ``count`` times.  ``test`` returns
+    a failure detail or None; the check fails with the first detail and
+    otherwise passes with "<count> trials"."""
+
+    def check():
+        for _ in range(count):
+            failure = test(draw())
+            if failure is not None:
+                return False, failure
+        return True, f"{count} trials"
+
+    return check
+
+
 # ------------------------------------------------------------------ suites
 #
-# A suite is a generator of (name, check) pairs; see ``_check``.
+# A suite yields (name, check) pairs; see ``_check``.  Each suite of a run is
+# called before any check runs, so one that returns its pairs may refuse first.
 
 
 def _suite_thm2_1(opt: VerifyOptions):
-    for n in opt.sizes((2, 3)):
+    for n in opt.each("n", (2, 3)):
         _, A = generic_matrix(n)
         pre = _fixture(preadjoint, A)
-        rdet = {k: _fixture(right_determinant, A, k) for k in opt.ks((1, 2))}
-        ldet = {k: _fixture(left_determinant, A, k) for k in opt.ks((1, 2))}
+        rdet = {k: _fixture(right_determinant, A, k) for k in opt.each("k", (1, 2))}
+        ldet = {k: _fixture(left_determinant, A, k) for k in opt.each("k", (1, 2))}
         for idx, T in enumerate(unimodular_conjugators(n), start=1):
             conj = _fixture(conjugate, A, T)
             at = f"thm2_1 n={n} T{idx}:"
@@ -276,7 +276,7 @@ def _suite_thm2_1(opt: VerifyOptions):
 
 
 def _suite_thm2_2(opt: VerifyOptions):
-    for n in opt.sizes((2, 3)):
+    for n in opt.each("n", (2, 3)):
         _, A = generic_matrix(n)
         sdet = _fixture(symmetric_determinant, A)
         for side in ("right", "left"):
@@ -290,32 +290,30 @@ def _suite_thm2_2(opt: VerifyOptions):
 
 
 def _suite_thm2_3(opt: VerifyOptions):
-    algebra = GrassmannAlgebra(opt.get_rank(6))
-    trials = opt.get_trials(20)
+    algebra = GrassmannAlgebra(opt.get("rank", 6))
     rng = random.Random(opt.seed)
-    for n in opt.sizes((2, 3)):
-        def all_trials():
-            for _ in range(trials):
-                A = random_grassmann_matrix(algebra, rng, n)
-                right = sequence_product(A, "right", 2)
-                if not scalar_matrix_equal(right * n, right.trace()):
-                    return False, "n A P1 P2 is not rdet_2(A) I"
-                left = sequence_product(A, "left", 2)
-                if not scalar_matrix_equal(left * n, left.trace()):
-                    return False, "n Q2 Q1 A is not ldet_2(A) I"
-            return True, f"{trials} trials"
+    for n in opt.each("n", (2, 3)):
+        def test(A):
+            right = sequence_product(A, "right", 2)
+            if not scalar_matrix_equal(right * n, right.trace()):
+                return "n A P1 P2 is not rdet_2(A) I"
+            left = sequence_product(A, "left", 2)
+            if not scalar_matrix_equal(left * n, left.trace()):
+                return "n Q2 Q1 A is not ldet_2(A) I"
 
-        yield f"thm2_3 n={n} rank={algebra.rank}: k=2 products are scalar", all_trials
+        yield f"thm2_3 n={n} rank={algebra.rank}: k=2 products are scalar", _trials(
+            opt.get("trials", 20), lambda: random_grassmann_matrix(algebra, rng, n), test
+        )
 
 
 def _supermatrix_trials(opt: VerifyOptions):
     """The (n, t) supermatrix shapes with their share of the trials."""
     shapes = [
-        (n, t) for n in opt.sizes((2, 3)) for t in opt.splits(tuple(range(1, n))) if 1 <= t <= n - 1
+        (n, t) for n in opt.each("n", (2, 3)) for t in opt.each("t", range(1, n)) if t < n
     ]
     if not shapes:
         raise ValueError("no valid (n, t) supermatrix shapes for the requested sizes")
-    budget = opt.get_trials(20)
+    budget = opt.get("trials", 20)
     per = max(1, math.ceil(budget / len(shapes)))
     for shape in shapes:
         count = min(per, budget)
@@ -326,43 +324,40 @@ def _supermatrix_trials(opt: VerifyOptions):
 
 
 def _suite_thm2_4(opt: VerifyOptions):
-    algebra = GrassmannAlgebra(opt.get_rank(6))
+    algebra = GrassmannAlgebra(opt.get("rank", 6))
     rng = random.Random(opt.seed)
     for (n, t), count in _supermatrix_trials(opt):
         profile = SupermatrixProfile(n=n, t=t)
 
-        def all_trials():
-            for _ in range(count):
-                A = random_supermatrix(algebra, rng, n, t)
-                if not is_supermatrix(A, profile):
-                    return False, "fixture is not a supermatrix"
-                if not is_supermatrix(preadjoint(A), profile):
-                    return False, "preadjoint left the supermatrix ring"
-                for k in opt.ks((1, 2)):
-                    if not _even(right_determinant(A, k)):
-                        return False, f"rdet_{k} has an odd part"
-                    if not _even(left_determinant(A, k)):
-                        return False, f"ldet_{k} has an odd part"
-            return True, f"{count} trials"
+        def test(A):
+            if not is_supermatrix(A, profile):
+                return "fixture is not a supermatrix"
+            if not is_supermatrix(preadjoint(A), profile):
+                return "preadjoint left the supermatrix ring"
+            for k in opt.each("k", (1, 2)):
+                for side, determinant in (("r", right_determinant), ("l", left_determinant)):
+                    if not _even(determinant(A, k)):
+                        return f"{side}det_{k} has an odd part"
 
-        yield f"thm2_4 n={n} t={t}: A* super, rdet/ldet even", all_trials
+        yield f"thm2_4 n={n} t={t}: A* super, rdet/ldet even", _trials(
+            count, lambda: random_supermatrix(algebra, rng, n, t), test
+        )
 
 
 def _suite_thm2_5(opt: VerifyOptions):
-    algebra = GrassmannAlgebra(opt.get_rank(6))
+    algebra = GrassmannAlgebra(opt.get("rank", 6))
     rng = random.Random(opt.seed)
     for (n, t), count in _supermatrix_trials(opt):
-        def all_trials():
-            for _ in range(count):
-                A = random_supermatrix(algebra, rng, n, t)
-                for k in opt.ks((1, 2)):
-                    for side in ("right", "left"):
-                        poly = characteristic_polynomial(A, side, k)
-                        if not all(_even(c) for c in poly.coefficients):
-                            return False, f"{side} charpoly k={k} has odd coefficients"
-            return True, f"{count} trials"
+        def test(A):
+            for k in opt.each("k", (1, 2)):
+                for side in ("right", "left"):
+                    poly = characteristic_polynomial(A, side, k)
+                    if not all(_even(c) for c in poly.coefficients):
+                        return f"{side} charpoly k={k} has odd coefficients"
 
-        yield f"thm2_5 n={n} t={t}: charpoly coefficients even", all_trials
+        yield f"thm2_5 n={n} t={t}: charpoly coefficients even", _trials(
+            count, lambda: random_supermatrix(algebra, rng, n, t), test
+        )
 
 
 def _witness_identities(A: Matrix, witness) -> tuple[bool, bool]:
@@ -376,7 +371,7 @@ def _witness_identities(A: Matrix, witness) -> tuple[bool, bool]:
 
 
 def _suite_thm2_6(opt: VerifyOptions):
-    for n in opt.sizes((2, 3)):
+    for n in opt.each("n", (2, 3)):
         _, A = generic_matrix(n)
         witness = _fixture(cayley_hamilton_witness, A)
         identities = _fixture(lambda: _witness_identities(A, witness()))
@@ -395,22 +390,27 @@ def _suite_thm2_6(opt: VerifyOptions):
 
 
 def _suite_thm2_7(opt: VerifyOptions):
-    algebra = GrassmannAlgebra(opt.get_rank(4))
-    trials = opt.get_trials(20)
+    k = opt.get("k", 2)
+    if k < 2:
+        raise ValueError("thm2_7 needs k >= 2, the exterior algebra's Lie-nilpotency index")
+    algebra = GrassmannAlgebra(opt.get("rank", 4))
     rng = random.Random(opt.seed)
-    for n in opt.sizes((2,)):
-        def all_trials():
-            for _ in range(trials):
-                A = random_grassmann_matrix(algebra, rng, n)
-                if not scalar_cayley_hamilton_check(A, k=opt.k or 2):
-                    return False, "scalar CH identity failed"
-            return True, f"{trials} trials"
 
-        yield f"thm2_7 n={n} rank={algebra.rank}: scalar CH identities", all_trials
+    def test(A):
+        if not scalar_cayley_hamilton_check(A, k=k):
+            return "scalar CH identity failed"
+
+    return (
+        (
+            f"thm2_7 n={n} rank={algebra.rank}: scalar CH identities",
+            _trials(opt.get("trials", 20), lambda: random_grassmann_matrix(algebra, rng, n), test),
+        )
+        for n in opt.each("n", (2,))
+    )
 
 
 def _suite_thm3_1(opt: VerifyOptions):
-    for n in opt.sizes((2, 3, 4)):
+    for n in opt.each("n", (2, 3, 4)):
         _, A = generic_matrix(n)
         pre = _fixture(preadjoint, A)
         sdet = _fixture(symmetric_determinant, A)
@@ -419,7 +419,7 @@ def _suite_thm3_1(opt: VerifyOptions):
 
 
 def _suite_cor3_2(opt: VerifyOptions):
-    for n in opt.sizes((2, 3)):
+    for n in opt.each("n", (2, 3)):
         _, A = generic_matrix(n)
         yield f"cor3_2 n={n}: p_A,1 = q_A,1", lambda: (
             characteristic_polynomial(A, "right", 1) == characteristic_polynomial(A, "left", 1)
@@ -468,7 +468,7 @@ def _suite_thm4_2(opt: VerifyOptions):
 
 
 def _suite_rem4_3(opt: VerifyOptions):
-    for n in opt.sizes((2, 3, 4)):
+    for n in opt.each("n", (2, 3, 4)):
         _, A = generic_matrix(n)
 
         def squares():
@@ -516,90 +516,50 @@ def _suite_cor4_5(opt: VerifyOptions):
 
 
 def _suite_commutative_collapse(opt: VerifyOptions):
-    trials = opt.get_trials(20)
     rng = random.Random(opt.seed)
-    for n in opt.sizes((2, 3, 4)):
-        def all_trials():
-            for _ in range(trials):
-                A = random_integer_matrix(rng, n)
-                det = commutative_det(A)
-                if symmetric_determinant(A) != math.factorial(n) * det:
-                    return False, "sdet != n! det"
-                adj = commutative_adj(A)
-                if preadjoint(A) != adj * math.factorial(n - 1):
-                    return False, "A* != (n-1)! adj(A)"
-                # the minor formula needs a 2x2 matrix or larger
-                if n > 1 and preadjoint_via_minors(A) != adj * math.factorial(n - 1):
-                    return False, "minor-formula A* != (n-1)! adj(A)"
-                if n <= 3 and right_determinant(A, 1) != math.factorial(n) * det:
-                    return False, "rdet_1 != n! det"
-                if n == 2 and right_determinant(A, 2) != 2 * det * det:
-                    return False, "rdet_2 != 2 det^2"
-                t, t2 = A.trace(), (A * A).trace()
-                middle = (A * Matrix.scalar(A.ring, n, t) * A).trace()
-                if not (t * t2 == middle == t2 * t):
-                    return False, "trace insertions disagree over a commutative ring"
-                T = A.transpose()
-                if (T * T * T).trace() != (A * A * A).trace():
-                    return False, "tr((A^T)^3) != tr(A^3) over a commutative ring"
-            return True, f"{trials} trials"
+    for n in opt.each("n", (2, 3, 4)):
+        def test(A):
+            det = commutative_det(A)
+            if symmetric_determinant(A) != math.factorial(n) * det:
+                return "sdet != n! det"
+            adj = commutative_adj(A)
+            if preadjoint(A) != adj * math.factorial(n - 1):
+                return "A* != (n-1)! adj(A)"
+            # the minor formula needs a 2x2 matrix or larger
+            if n > 1 and preadjoint_via_minors(A) != adj * math.factorial(n - 1):
+                return "minor-formula A* != (n-1)! adj(A)"
+            if n <= 3 and right_determinant(A, 1) != math.factorial(n) * det:
+                return "rdet_1 != n! det"
+            if n == 2 and right_determinant(A, 2) != 2 * det * det:
+                return "rdet_2 != 2 det^2"
+            t, t2 = A.trace(), (A * A).trace()
+            middle = (A * Matrix.scalar(A.ring, n, t) * A).trace()
+            if not (t * t2 == middle == t2 * t):
+                return "trace insertions disagree over a commutative ring"
+            T = A.transpose()
+            if (T * T * T).trace() != (A * A * A).trace():
+                return "tr((A^T)^3) != tr(A^3) over a commutative ring"
 
-        yield f"commutative_collapse n={n}", all_trials
-
-
-SUITES = {
-    "thm2_1": _suite_thm2_1,
-    "thm2_2": _suite_thm2_2,
-    "thm2_3": _suite_thm2_3,
-    "thm2_4": _suite_thm2_4,
-    "thm2_5": _suite_thm2_5,
-    "thm2_6": _suite_thm2_6,
-    "thm2_7": _suite_thm2_7,
-    "thm3_1": _suite_thm3_1,
-    "cor3_2": _suite_cor3_2,
-    "prop3_3": _suite_prop3_3,
-    "cor3_4": _suite_cor3_4,
-    "prop4_1": _suite_prop4_1,
-    "thm4_2": _suite_thm4_2,
-    "rem4_3": _suite_rem4_3,
-    "thm4_4": _suite_thm4_4,
-    "cor4_5": _suite_cor4_5,
-    "commutative_collapse": _suite_commutative_collapse,
-}
+        yield f"commutative_collapse n={n}", _trials(
+            opt.get("trials", 20), lambda: random_integer_matrix(rng, n), test
+        )
 
 
-def run_verify(
-    suite: str,
-    n: int | None = None,
-    k: int | None = None,
-    t: int | None = None,
-    rank: int | None = None,
-    trials: int | None = None,
-    seed: int = 42,
-) -> VerifyReport:
-    """Run one named suite (or "all") and return its report.
+SUITES = {name[7:]: fn for name, fn in list(globals().items()) if name.startswith("_suite_")}
 
-    Out-of-range sizes are input errors (raised), not check failures.
+
+def run_verify(suite: str, **options) -> VerifyReport:
+    """Run one named suite (or "all") with the given ``VerifyOptions`` fields
+    and return its report.
+
+    Options out of range, or that a suite cannot run with, are input errors
+    (raised), not check failures.
     """
-    from .grassmann import MAX_RANK
-    from .matrices import DIMENSION_CAP
-
-    if n is not None and not 1 <= n <= DIMENSION_CAP:
-        raise ValueError(f"n={n} is outside the supported range 1..{DIMENSION_CAP}")
-    if k is not None and k < 1:
-        raise ValueError("k must be at least 1")
-    if k is not None and k < 2 and suite in ("thm2_7", "all"):
-        raise ValueError("thm2_7 needs k >= 2, the exterior algebra's Lie-nilpotency index")
-    if t is not None and t < 1:
-        raise ValueError("t must be at least 1")
-    if rank is not None and not 0 <= rank <= MAX_RANK:
-        raise ValueError(f"rank={rank} is outside the supported range 0..{MAX_RANK}")
-    if trials is not None and trials < 0:
-        raise ValueError("trials must be nonnegative")
+    opt = VerifyOptions(**options)
     if suite != "all" and suite not in SUITES:
         known = ", ".join((*SUITES, "all"))
         raise ValueError(f"unknown suite {suite!r}; expected one of: {known}")
-    options = VerifyOptions(n=n, k=k, t=t, rank=rank, trials=trials, seed=seed)
-    chosen = SUITES.values() if suite == "all" else (SUITES[suite],)
-    checks = [_check(name, fn) for each in chosen for name, fn in each(options)]
+    # every suite is called first, so one may refuse its options before any check
+    chosen = [each(opt) for each in (SUITES.values() if suite == "all" else (SUITES[suite],))]
+    checks = [_check(name, fn) for each in chosen for name, fn in each]
     return VerifyReport(suite=suite, checks=checks)

@@ -71,6 +71,20 @@ def test_rendering_descends_with_parenthesized_coefficients():
     assert str(p) == "2*z^2 - (2*a + 2*d)*z + (a*d - b*c - c*b + d*a)"
 
 
+def test_rendering_pulls_out_the_sign_of_all_negative_coefficients(ints):
+    algebra = FreeAlgebra(("a", "b", "d"))
+    a, b, d = algebra.gens()
+    # all-negative multi-term, one negative term, mixed signs, negative constant
+    coeffs = [algebra.from_int(-3), a - b * 2, -(a * b), -(a * 2 + d * 2), algebra.one]
+    text = "z^4 - (2*a + 2*d)*z^3 - a*b*z^2 + (a - 2*b)*z - 3"
+    assert str(CentralPoly(PolynomialRing(algebra), coeffs)) == text
+    assert str(CentralPoly(PolynomialRing(ints), [-5, 3, -1])) == "-z^2 + 3*z - 5"
+    E = GrassmannAlgebra(3)
+    v1, v2, v3 = E.gens()
+    p = CentralPoly(PolynomialRing(E), [-(v1 * v2) - 2, v3 - v1, -v1])
+    assert str(p) == "-v1*z^2 + (-v1 + v3)*z - (2 + v1*v2)"
+
+
 def test_matrix_coefficient_slices_round_trip():
     _, A = generic_matrix(2)
     B = char_matrix(A)
@@ -196,6 +210,20 @@ def test_integer_witness_reduces_to_classical_cayley_hamilton(ints):
     assert all(d.is_zero() for d in witness.right_defects + witness.left_defects)
     combo = Matrix.scalar(ints, 2, -4) + A * (-10) + (A * A) * 2
     assert combo.is_zero()
+
+
+@pytest.mark.parametrize(
+    "A",
+    [Matrix.zeros(FreeAlgebra(("a",)), 3), Matrix.zeros(IntegerRing(), 2), generic_matrix(1)[1]],
+    ids=["zero free 3x3", "zero integer 2x2", "generic 1x1"],
+)
+def test_witness_has_one_slice_per_degree_up_to_n(A):
+    # n (zI - A)(zI - A)* has degree n exactly, so no slice needs padding
+    B = char_matrix(A)
+    assert len(matrix_poly_coefficients(B * preadjoint(B) * A.n)) == A.n + 1
+    witness = cayley_hamilton_witness(A)
+    assert len(witness.right_defects) == len(witness.left_defects) == A.n + 1
+    assert witness.lambdas[A.n] == A.ring.from_int(math.factorial(A.n))
 
 
 def test_witness_guardrail_for_large_generic_matrices():

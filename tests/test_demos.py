@@ -4,9 +4,11 @@ import shlex
 import subprocess
 import sys
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
+import ncdet
 from ncdet.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -56,3 +58,12 @@ def test_readme_command_line_examples_run(capsys, monkeypatch, tmp_path):
             assert out == f"{comment.strip()}\n", line
         ran += 1
     assert ran >= 7
+
+
+def test_package_all_lists_every_public_name():
+    public = {
+        name for name, value in vars(ncdet).items()
+        if not name.startswith("_") and not isinstance(value, ModuleType)
+    }
+    assert len(ncdet.__all__) == len(set(ncdet.__all__))
+    assert set(ncdet.__all__) == public | {"__version__"}

@@ -103,6 +103,12 @@ def test_record_semantics(cls, given, defaults, changed, frozen):
         ),
         (lambda: RingSpec("free"), "free ring needs at least one generator name"),
         (lambda: RingSpec("grassmann", rank=17), "grassmann rank must be between 0 and 16"),
+        (lambda: VerifyOptions(n=0), "n=0 is outside the supported range 1..6"),
+        (lambda: VerifyOptions(n=7), "n=7 is outside the supported range 1..6"),
+        (lambda: VerifyOptions(k=0), "k must be at least 1"),
+        (lambda: VerifyOptions(t=0), "t must be at least 1"),
+        (lambda: VerifyOptions(rank=17), "rank=17 is outside the supported range 0..16"),
+        (lambda: VerifyOptions(trials=0), "trials must be at least 1"),
     ],
 )
 def test_records_validate_on_construction(build, message):

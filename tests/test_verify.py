@@ -25,6 +25,21 @@ def test_unknown_suite_raises():
         run_verify("thm0_0")
 
 
+@pytest.mark.parametrize("suite", ["thm2_3", "thm2_4"])
+def test_zero_trials_are_an_input_error(suite, capsys):
+    with pytest.raises(ValueError, match="^trials must be at least 1$"):
+        run_verify(suite, trials=0)
+    assert main(["verify", "--suite", suite, "--trials", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: trials must be at least 1\n"
+
+
+def test_an_unknown_option_is_a_type_error_naming_the_fields():
+    with pytest.raises(TypeError, match="takes the fields n, k, t, rank, trials, seed"):
+        run_verify("thm3_1", size=3)
+
+
 def test_sizes_over_the_guardrail_are_input_errors():
     with pytest.raises(ValueError, match="outside"):
         run_verify("thm3_1", n=9)
