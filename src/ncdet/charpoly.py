@@ -16,7 +16,6 @@ negative prints as a minus sign before its negation.
 from __future__ import annotations
 
 import math
-import random
 from typing import Sequence
 
 from .determinants import _by_side, left_determinant, preadjoint, right_determinant
@@ -55,10 +54,6 @@ class PolynomialRing(Ring):
     def from_base(self, value, degree: int = 0) -> CentralPoly:
         """The monomial value * z^degree."""
         return CentralPoly(self, [self.base.zero] * degree + [value])
-
-    def random_element(self, rng: random.Random, max_degree: int = 2) -> CentralPoly:
-        coeffs = [self.base.random_element(rng) for _ in range(rng.randint(1, max_degree + 1))]
-        return CentralPoly(self, coeffs)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PolynomialRing) and self.base == other.base

@@ -4,7 +4,9 @@ Subcommands compute on a matrix taken either from a document file
 (``--input``) or synthesized as the generic n x n matrix of distinct free
 generators (``--generic N``).  One table, ``_MATRIX_COMMANDS``, declares
 each matrix subcommand once, and the parser and the runner both read it.
-The verify options are the fields of ``verify.VerifyOptions``.
+``newton`` applies the formula of its matrix's own size.  The verify
+options are the fields of ``verify.VerifyOptions``; ``--suite all`` takes
+any of them, and a single suite refuses one it never reads (exit 2).
 
 ``--output machine`` switches to one JSON record per result, which one
 function, ``_print_record``, writes for matrix commands and verify checks
@@ -48,14 +50,9 @@ from .verify import SUITES, VerifyOptions, generic_matrix, run_verify
 
 
 def _newton(A, args):
-    size = args.n if args.n is not None else A.n
-    if size != A.n:
-        raise DocumentError(f"--n {size} does not match the {A.n}x{A.n} input")
-    if size == 2:
-        return "newton_2", newton_sdet_2(A)
-    if size == 3:
-        return "newton_3", newton_sdet_3(A)
-    raise DocumentError("the Newton trace formulas cover n = 2 and n = 3")
+    if A.n not in (2, 3):
+        raise DocumentError("the Newton trace formulas cover n = 2 and n = 3")
+    return f"newton_{A.n}", (newton_sdet_2 if A.n == 2 else newton_sdet_3)(A)
 
 
 def _s4(A, args):
@@ -80,11 +77,7 @@ _MATRIX_COMMANDS = {
         {"--side": {"choices": ("right", "left"), "default": "right"}, **_K},
         lambda A, a: (f"charpoly_{a.side}_{a.k}", characteristic_polynomial(A, a.side, a.k)),
     ),
-    "newton": (
-        "symmetric Newton trace formula (n = 2 or 3)",
-        {"--n": {"type": int, "choices": (2, 3), "help": "formula size (defaults to the matrix size)"}},
-        _newton,
-    ),
+    "newton": ("symmetric Newton trace formula (n = 2 or 3)", {}, _newton),
     "s4": ("standard polynomial S4 on the entries of a 2x2 matrix", {}, _s4),
 }
 

@@ -122,10 +122,11 @@ def preadjoint(A: Matrix) -> Matrix:
 
 
 def preadjoint_via_minors(A: Matrix) -> Matrix:
-    """A* computed entrywise as (-1)^(r+s) sdet of the (s, r)-deleted minor."""
+    """A* computed entrywise as (-1)^(r+s) sdet of the (s, r)-deleted minor.
+    A 1x1 matrix maps to [1]: its one minor is empty, and so is its product."""
     n = A.n
     if n == 1:
-        raise ValueError("minor formula needs n >= 2")
+        return Matrix(A.ring, [[A.ring.one]])
     rows = []
     for r in range(n):
         row = []

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from .grassmann import GrassmannElem, graded_parts
-from .rings import Record, Ring
+from .rings import Record, Ring, RingElement
 
 DIMENSION_CAP = 6
 
@@ -31,8 +31,10 @@ class SupermatrixProfile(Record):
             raise ValueError(f"block split t={self.t} invalid for n={self.n}")
 
 
-class Matrix:
-    """Immutable n x n matrix over a fixed ring."""
+class Matrix(RingElement):
+    """Immutable n x n matrix over a fixed ring.  ``-`` and ``**`` come from
+    ``RingElement``; an int operand of ``+`` or ``-`` is that scalar matrix,
+    while ``k * M`` and ``M * k`` scale each entry by the central scalar k."""
 
     __slots__ = ("ring", "n", "rows")
 
@@ -53,8 +55,7 @@ class Matrix:
 
     @classmethod
     def zeros(cls, ring: Ring, n: int) -> Matrix:
-        zero = ring.zero
-        return cls(ring, [[zero] * n for _ in range(n)])
+        return cls.scalar(ring, n, ring.zero)
 
     @classmethod
     def scalar(cls, ring: Ring, n: int, value) -> Matrix:
@@ -68,18 +69,21 @@ class Matrix:
         """Entrywise image in a ring, the same or another (fn maps each entry)."""
         return Matrix(ring, [[fn(e) for e in row] for row in self.rows])
 
-    def __add__(self, other: Matrix) -> Matrix:
-        self._check_compatible(other)
+    def _coerce(self, other) -> Matrix | None:
+        if isinstance(other, Matrix):
+            self._check_compatible(other)
+            return other
+        if isinstance(other, int):
+            return Matrix.scalar(self.ring, self.n, self.ring.from_int(other))
+        return None
+
+    def __add__(self, other) -> Matrix:
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
         return Matrix(
             self.ring,
             [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
-        )
-
-    def __sub__(self, other: Matrix) -> Matrix:
-        self._check_compatible(other)
-        return Matrix(
-            self.ring,
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
         )
 
     def __neg__(self) -> Matrix:
@@ -108,14 +112,6 @@ class Matrix:
     def __rmul__(self, other):
         # k * M is M * k: the scale multiplies each entry on the left
         return self * other if isinstance(other, int) else NotImplemented
-
-    def __pow__(self, exponent: int) -> Matrix:
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = Matrix.identity(self.ring, self.n)
-        for _ in range(exponent):
-            result = result * self
-        return result
 
     def _check_compatible(self, other: Matrix):
         if self.n != other.n:

@@ -26,7 +26,7 @@ is immutable and a matrix entry is the right factor of many products.
 ``==``, ``hash`` and the sums read ``_terms`` only.
 ``RingElement`` builds binary and reflected ``-``, reflected ``*`` and
 ``**`` from ``_coerce``, ``+``, unary ``-`` and ``*``; ``CentralPoly``
-uses it too.
+and ``matrices.Matrix`` use it too.
 
 ``Record`` is the base of the package's result and option records
 (``AxiomReport``, ``AdjointSequence``, ``RingSpec``, ``CheckResult`` and
@@ -134,10 +134,13 @@ class Record:
 class Ring(ABC):
     """Capability descriptor for a coefficient ring.
 
-    Concrete rings provide ``zero``, ``one``, ``from_int`` and a seeded
-    ``random_element``.  Equality of elements is structural: two elements
-    are equal exactly when their canonical renderings (``str``) coincide,
-    which every element type guarantees by normalizing on construction.
+    Concrete rings provide ``zero``, ``one`` and ``from_int``; a running
+    sum goes through ``accumulator`` and ``total``.  Equality of elements
+    is structural: two elements are equal exactly when their canonical
+    renderings (``str``) coincide, which every element type guarantees by
+    normalizing on construction.  A seeded random element is not part of
+    the contract: the free and exterior algebras each draw theirs with
+    keywords of their own.
     """
 
     is_commutative: bool = False
@@ -156,10 +159,6 @@ class Ring(ABC):
     @abstractmethod
     def from_int(self, k: int):
         """The central scalar k`1 (integer multiple of the identity)."""
-
-    @abstractmethod
-    def random_element(self, rng: random.Random):
-        """A small random element drawn from the given seeded generator."""
 
     def accumulator(self):
         """A fresh running sum, grown by ``acc += x`` and ``acc -= x``.
@@ -198,9 +197,6 @@ class IntegerRing(Ring):
 
     def from_int(self, k: int) -> int:
         return int(k)
-
-    def random_element(self, rng: random.Random) -> int:
-        return rng.randint(-9, 9)
 
     def total(self, acc: int) -> int:
         """The sum, refused once it has more digits than the interpreter will

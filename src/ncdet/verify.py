@@ -8,12 +8,13 @@ randomness from one seeded generator, making reports reproducible.
 
 A suite is a module function named ``_suite_<name>``; ``SUITES`` registers
 each under ``<name>`` in the order of definition.  ``VerifyOptions`` holds
-the options every suite reads and their ranges, and ``_trials`` is the one
-loop over seeded draws.
+the options and their ranges; a suite reads them through the run's
+``_OptionReader``, and ``_trials`` is the one loop over seeded draws.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import time
@@ -102,19 +103,30 @@ class VerifyOptions(Record):
         if self.n is not None and not 1 <= self.n <= DIMENSION_CAP:
             raise ValueError(f"n={self.n} is outside the supported range 1..{DIMENSION_CAP}")
         for name in ("k", "t", "trials"):
-            if self.get(name, 1) < 1:
+            if (value := getattr(self, name)) is not None and value < 1:
                 raise ValueError(f"{name} must be at least 1")
-        if not 0 <= self.get("rank", 0) <= MAX_RANK:
+        if self.rank is not None and not 0 <= self.rank <= MAX_RANK:
             raise ValueError(f"rank={self.rank} is outside the supported range 0..{MAX_RANK}")
 
-    def get(self, name: str, default):
+
+class _OptionReader(Record, frozen=False):
+    """The options of one run as its suites read them: every read records
+    the option's name, so a run can refuse an option its suite never reads."""
+
+    __slots__ = ("options", "read")
+    _defaults = {"read": set}
+    options: VerifyOptions
+    read: set[str]
+
+    def get(self, name: str, default=None):
         """The option's value, or ``default`` when it was not given."""
-        value = getattr(self, name)
+        self.read.add(name)
+        value = getattr(self.options, name)
         return default if value is None else value
 
     def each(self, name: str, defaults: tuple) -> tuple:
         """The option's value as a one-tuple, or ``defaults`` when it was not given."""
-        value = getattr(self, name)
+        value = self.get(name)
         return defaults if value is None else (value,)
 
 
@@ -255,11 +267,12 @@ def _trials(count: int, draw, test):
 
 # ------------------------------------------------------------------ suites
 #
-# A suite yields (name, check) pairs; see ``_check``.  Each suite of a run is
-# called before any check runs, so one that returns its pairs may refuse first.
+# A suite yields (name, check) pairs; see ``_check``.  It reads all its options
+# before its first yield, and ``run_verify`` advances every suite of a run to
+# that first yield before any check runs, so a refusal comes before any work.
 
 
-def _suite_thm2_1(opt: VerifyOptions):
+def _suite_thm2_1(opt: _OptionReader):
     for n in opt.each("n", (2, 3)):
         _, A = generic_matrix(n)
         pre = _fixture(preadjoint, A)
@@ -275,7 +288,7 @@ def _suite_thm2_1(opt: VerifyOptions):
                 yield f"{at} ldet_{k} invariant", lambda: ldet[k]() == left_determinant(conj(), k)
 
 
-def _suite_thm2_2(opt: VerifyOptions):
+def _suite_thm2_2(opt: _OptionReader):
     for n in opt.each("n", (2, 3)):
         _, A = generic_matrix(n)
         sdet = _fixture(symmetric_determinant, A)
@@ -289,9 +302,9 @@ def _suite_thm2_2(opt: VerifyOptions):
             )
 
 
-def _suite_thm2_3(opt: VerifyOptions):
+def _suite_thm2_3(opt: _OptionReader):
     algebra = GrassmannAlgebra(opt.get("rank", 6))
-    rng = random.Random(opt.seed)
+    rng = random.Random(opt.get("seed"))
     for n in opt.each("n", (2, 3)):
         def test(A):
             right = sequence_product(A, "right", 2)
@@ -306,26 +319,22 @@ def _suite_thm2_3(opt: VerifyOptions):
         )
 
 
-def _supermatrix_trials(opt: VerifyOptions):
-    """The (n, t) supermatrix shapes with their share of the trials."""
+def _supermatrix_trials(opt: _OptionReader) -> list:
+    """The (n, t) supermatrix shapes, each with its share of the trials (>= 1)."""
     shapes = [
         (n, t) for n in opt.each("n", (2, 3)) for t in opt.each("t", range(1, n)) if t < n
     ]
     if not shapes:
         raise ValueError("no valid (n, t) supermatrix shapes for the requested sizes")
     budget = opt.get("trials", 20)
-    per = max(1, math.ceil(budget / len(shapes)))
-    for shape in shapes:
-        count = min(per, budget)
-        if count <= 0:
-            break
-        budget -= count
-        yield shape, count
+    per = math.ceil(budget / len(shapes))
+    return [(shape, max(1, min(per, budget - i * per))) for i, shape in enumerate(shapes)]
 
 
-def _suite_thm2_4(opt: VerifyOptions):
+def _suite_thm2_4(opt: _OptionReader):
     algebra = GrassmannAlgebra(opt.get("rank", 6))
-    rng = random.Random(opt.seed)
+    rng = random.Random(opt.get("seed"))
+    ks = opt.each("k", (1, 2))
     for (n, t), count in _supermatrix_trials(opt):
         profile = SupermatrixProfile(n=n, t=t)
 
@@ -334,7 +343,7 @@ def _suite_thm2_4(opt: VerifyOptions):
                 return "fixture is not a supermatrix"
             if not is_supermatrix(preadjoint(A), profile):
                 return "preadjoint left the supermatrix ring"
-            for k in opt.each("k", (1, 2)):
+            for k in ks:
                 for side, determinant in (("r", right_determinant), ("l", left_determinant)):
                     if not _even(determinant(A, k)):
                         return f"{side}det_{k} has an odd part"
@@ -344,12 +353,13 @@ def _suite_thm2_4(opt: VerifyOptions):
         )
 
 
-def _suite_thm2_5(opt: VerifyOptions):
+def _suite_thm2_5(opt: _OptionReader):
     algebra = GrassmannAlgebra(opt.get("rank", 6))
-    rng = random.Random(opt.seed)
+    rng = random.Random(opt.get("seed"))
+    ks = opt.each("k", (1, 2))
     for (n, t), count in _supermatrix_trials(opt):
         def test(A):
-            for k in opt.each("k", (1, 2)):
+            for k in ks:
                 for side in ("right", "left"):
                     poly = characteristic_polynomial(A, side, k)
                     if not all(_even(c) for c in poly.coefficients):
@@ -370,7 +380,7 @@ def _witness_identities(A: Matrix, witness) -> tuple[bool, bool]:
     return right_sum.is_zero(), left_sum.is_zero()
 
 
-def _suite_thm2_6(opt: VerifyOptions):
+def _suite_thm2_6(opt: _OptionReader):
     for n in opt.each("n", (2, 3)):
         _, A = generic_matrix(n)
         witness = _fixture(cayley_hamilton_witness, A)
@@ -389,27 +399,24 @@ def _suite_thm2_6(opt: VerifyOptions):
         )
 
 
-def _suite_thm2_7(opt: VerifyOptions):
+def _suite_thm2_7(opt: _OptionReader):
     k = opt.get("k", 2)
     if k < 2:
         raise ValueError("thm2_7 needs k >= 2, the exterior algebra's Lie-nilpotency index")
     algebra = GrassmannAlgebra(opt.get("rank", 4))
-    rng = random.Random(opt.seed)
+    rng = random.Random(opt.get("seed"))
 
     def test(A):
         if not scalar_cayley_hamilton_check(A, k=k):
             return "scalar CH identity failed"
 
-    return (
-        (
-            f"thm2_7 n={n} rank={algebra.rank}: scalar CH identities",
-            _trials(opt.get("trials", 20), lambda: random_grassmann_matrix(algebra, rng, n), test),
+    for n in opt.each("n", (2,)):
+        yield f"thm2_7 n={n} rank={algebra.rank}: scalar CH identities", _trials(
+            opt.get("trials", 20), lambda: random_grassmann_matrix(algebra, rng, n), test
         )
-        for n in opt.each("n", (2,))
-    )
 
 
-def _suite_thm3_1(opt: VerifyOptions):
+def _suite_thm3_1(opt: _OptionReader):
     for n in opt.each("n", (2, 3, 4)):
         _, A = generic_matrix(n)
         pre = _fixture(preadjoint, A)
@@ -418,7 +425,7 @@ def _suite_thm3_1(opt: VerifyOptions):
         yield f"thm3_1 n={n}: tr(A* A) = sdet(A)", lambda: sdet() == trace_of_product(pre(), A)
 
 
-def _suite_cor3_2(opt: VerifyOptions):
+def _suite_cor3_2(opt: _OptionReader):
     for n in opt.each("n", (2, 3)):
         _, A = generic_matrix(n)
         yield f"cor3_2 n={n}: p_A,1 = q_A,1", lambda: (
@@ -426,7 +433,7 @@ def _suite_cor3_2(opt: VerifyOptions):
         )
 
 
-def _suite_prop3_3(opt: VerifyOptions):
+def _suite_prop3_3(opt: _OptionReader):
     algebra, A = generic_matrix(2)
     a, b, c, d = algebra.gens()
 
@@ -437,7 +444,7 @@ def _suite_prop3_3(opt: VerifyOptions):
     yield "prop3_3: rdet_2 - ldet_2 = S4(entries)", check
 
 
-def _suite_cor3_4(opt: VerifyOptions):
+def _suite_cor3_4(opt: _OptionReader):
     algebra, A = generic_matrix(2)
     a, b, c, d = algebra.gens()
 
@@ -449,7 +456,7 @@ def _suite_cor3_4(opt: VerifyOptions):
     yield "cor3_4: p_A,2 - q_A,2 is the constant S4", check
 
 
-def _suite_prop4_1(opt: VerifyOptions):
+def _suite_prop4_1(opt: _OptionReader):
     algebra, A = generic_matrix(2)
     a, b, c, d = algebra.gens()
     yield "prop4_1: tr^2 - tr(A^2) = sdet (generic 2x2)", lambda: (
@@ -460,14 +467,14 @@ def _suite_prop4_1(opt: VerifyOptions):
     )
 
 
-def _suite_thm4_2(opt: VerifyOptions):
+def _suite_thm4_2(opt: _OptionReader):
     _, A = generic_matrix(3)
     yield "thm4_2: six-term trace formula = sdet (generic 3x3)", lambda: (
         newton_sdet_3(A) == symmetric_determinant(A), "36-term residual is exactly zero"
     )
 
 
-def _suite_rem4_3(opt: VerifyOptions):
+def _suite_rem4_3(opt: _OptionReader):
     for n in opt.each("n", (2, 3, 4)):
         _, A = generic_matrix(n)
 
@@ -494,7 +501,7 @@ def _closed_form_3(A: Matrix) -> list:
     return [-symmetric_determinant(A), (t * t - t2) * 3, t * (-6), A.ring.from_int(6)]
 
 
-def _suite_thm4_4(opt: VerifyOptions):
+def _suite_thm4_4(opt: _OptionReader):
     algebra, A = generic_matrix(3)
 
     def check():
@@ -504,7 +511,7 @@ def _suite_thm4_4(opt: VerifyOptions):
     yield "thm4_4: p_A,1 = 6z^3 - 6tr z^2 + 3(tr^2 - tr A^2) z - sdet", check
 
 
-def _suite_cor4_5(opt: VerifyOptions):
+def _suite_cor4_5(opt: _OptionReader):
     _, A = generic_matrix(3)
     witness = _fixture(cayley_hamilton_witness, A)
     yield "cor4_5: lambda coefficients match the closed form", lambda: (
@@ -515,8 +522,8 @@ def _suite_cor4_5(opt: VerifyOptions):
     yield "cor4_5: coefficient-on-the-left identity vanishes", lambda: identities()[1]
 
 
-def _suite_commutative_collapse(opt: VerifyOptions):
-    rng = random.Random(opt.seed)
+def _suite_commutative_collapse(opt: _OptionReader):
+    rng = random.Random(opt.get("seed"))
     for n in opt.each("n", (2, 3, 4)):
         def test(A):
             det = commutative_det(A)
@@ -525,8 +532,7 @@ def _suite_commutative_collapse(opt: VerifyOptions):
             adj = commutative_adj(A)
             if preadjoint(A) != adj * math.factorial(n - 1):
                 return "A* != (n-1)! adj(A)"
-            # the minor formula needs a 2x2 matrix or larger
-            if n > 1 and preadjoint_via_minors(A) != adj * math.factorial(n - 1):
+            if preadjoint_via_minors(A) != adj * math.factorial(n - 1):
                 return "minor-formula A* != (n-1)! adj(A)"
             if n <= 3 and right_determinant(A, 1) != math.factorial(n) * det:
                 return "rdet_1 != n! det"
@@ -552,14 +558,23 @@ def run_verify(suite: str, **options) -> VerifyReport:
     """Run one named suite (or "all") with the given ``VerifyOptions`` fields
     and return its report.
 
-    Options out of range, or that a suite cannot run with, are input errors
-    (raised), not check failures.
+    Options out of range, that a suite cannot run with or, for a single
+    suite, that it never reads are input errors, raised before any check.
     """
-    opt = VerifyOptions(**options)
+    options = VerifyOptions(**options)
     if suite != "all" and suite not in SUITES:
         known = ", ".join((*SUITES, "all"))
         raise ValueError(f"unknown suite {suite!r}; expected one of: {known}")
-    # every suite is called first, so one may refuse its options before any check
-    chosen = [each(opt) for each in (SUITES.values() if suite == "all" else (SUITES[suite],))]
-    checks = [_check(name, fn) for each in chosen for name, fn in each]
+    opt, started = _OptionReader(options), []
+    for each in SUITES.values() if suite == "all" else (SUITES[suite],):
+        pairs = each(opt)
+        # at its first yield a suite has read every option it reads
+        started.append(itertools.chain(list(itertools.islice(pairs, 1)), pairs))
+    unread = [
+        f"--{name}" for name, value in zip(options.__slots__, options._values())
+        if name not in opt.read and value != options._defaults[name]
+    ]
+    if suite != "all" and unread:
+        raise ValueError(f"suite {suite} does not read {', '.join(unread)}")
+    checks = [_check(name, fn) for pairs in started for name, fn in pairs]
     return VerifyReport(suite=suite, checks=checks)

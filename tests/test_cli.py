@@ -128,9 +128,12 @@ def test_newton_defaults_to_matrix_size(capsys, integer_doc):
     assert capsys.readouterr().out.strip() == "-4"
 
 
-def test_newton_size_mismatch_is_input_error(capsys, integer_doc):
-    assert main(["newton", "--n", "3", "--input", integer_doc]) == 2
-    assert "does not match" in capsys.readouterr().err
+def test_newton_has_no_size_flag(capsys, integer_doc):
+    # the formula's size is the input's size, so there is nothing to choose
+    with pytest.raises(SystemExit) as exit_info:
+        main(["newton", "--n", "2", "--input", integer_doc])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --n 2" in capsys.readouterr().err
 
 
 def test_s4_on_generic_entries(capsys):

@@ -26,18 +26,19 @@ def test_demo_runs_cleanly(demo):
     assert "Traceback" not in result.stdout + result.stderr
 
 
-def _readme_command_line_block() -> list[str]:
-    """The lines of the first bash block under the README's "## Command line"."""
+def _readme_bash_block(heading: str) -> list[str]:
+    """The lines of the first bash block under the README's heading line."""
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    section = readme.split("\n## Command line\n", 1)[1]
+    section = readme.split(f"\n{heading}\n", 1)[1]
     return section.split("```bash\n", 1)[1].split("```", 1)[0].splitlines()
 
 
-def test_readme_command_line_examples_run(capsys, monkeypatch, tmp_path):
-    # a flag the README shows but the parser lacks fails here; a comment
-    # that is a bare integer is the command's whole output
-    lines = iter(_readme_command_line_block())
-    monkeypatch.chdir(tmp_path)
+def _run_readme_commands(lines, capsys, tmp_path) -> int:
+    """Run each ``ncdet`` line through ``cli.main`` and count them; a flag
+    the README shows but the parser lacks, or an option a suite refuses,
+    fails here, and a comment that is a bare integer is the command's
+    whole output."""
+    lines = iter(lines)
     ran = 0
     for line in lines:
         heredoc = re.fullmatch(r"cat > (\S+) <<'EOF'", line)
@@ -57,7 +58,18 @@ def test_readme_command_line_examples_run(capsys, monkeypatch, tmp_path):
         if re.fullmatch(r"-?\d+", comment.strip()):
             assert out == f"{comment.strip()}\n", line
         ran += 1
-    assert ran >= 7
+    return ran
+
+
+def test_readme_command_line_examples_run(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    lines = _readme_bash_block("## Command line")
+    assert _run_readme_commands(lines, capsys, tmp_path) >= 7
+
+
+def test_readme_verification_examples_run(capsys, tmp_path):
+    lines = _readme_bash_block("### Verification suites")
+    assert _run_readme_commands(lines, capsys, tmp_path) >= 3
 
 
 def test_package_all_lists_every_public_name():

@@ -187,8 +187,7 @@ def test_preadjoint_of_1x1_is_identity_by_convention():
     algebra = FreeAlgebra(("a",))
     A = Matrix(algebra, [[algebra.gen("a")]])
     assert preadjoint(A) == Matrix(algebra, [[algebra.one]])
-    with pytest.raises(ValueError):
-        preadjoint_via_minors(A)
+    assert preadjoint_via_minors(A) == Matrix(algebra, [[algebra.one]])
 
 
 def test_preadjoint_integer_3x3_is_two_adjugates(ints):

@@ -199,3 +199,37 @@ def test_minor_deletion(ints):
 def test_rendering_row_per_line(ints):
     A = Matrix(ints, [[1, 2], [3, 4]])
     assert str(A) == "[1, 2]\n[3, 4]"
+
+
+def _entrywise(A, B, op):
+    return Matrix(A.ring, [[op(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(A.rows, B.rows)])
+
+
+@pytest.mark.parametrize("ring_kind", ["integer", "free"])
+def test_ring_element_operators(ints, ring_kind):
+    if ring_kind == "integer":
+        M = Matrix(ints, [[1, 2], [3, 4]])
+        N = Matrix(ints, [[0, -5], [7, 2]])
+    else:
+        _, M = generic_matrix(2)
+        N = M.transpose() * M
+    I = Matrix.identity(M.ring, 2)
+    assert M - N == _entrywise(M, N, lambda a, b: a - b)
+    assert M - M == Matrix.zeros(M.ring, 2)
+    assert 1 - M == I + (-M)
+    assert M + 1 == M + I
+    assert M ** 0 == I
+    assert M ** 3 == M * M * M
+    assert 3 * M == M * 3 == M + M + M
+    with pytest.raises(ValueError, match="nonnegative"):
+        M ** -1
+
+
+def test_ring_element_operators_refuse_other_operands(ints):
+    M = Matrix(ints, [[1, 2], [3, 4]])
+    with pytest.raises(TypeError):
+        M + "x"
+    with pytest.raises(TypeError):
+        M - "x"
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        M - Matrix.identity(ints, 3)

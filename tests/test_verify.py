@@ -61,6 +61,70 @@ def test_every_suite_at_n1_passes_or_is_refused(suite, capsys):
         assert "all checks passed" in captured.out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["--t", "5"], ["--n", "1"]],
+    ids=lambda argv: " ".join(argv),
+)
+def test_all_refuses_an_empty_shape_set_before_any_check(monkeypatch, capsys, argv):
+    ran = []
+    check = verify._check
+    monkeypatch.setattr(verify, "_check", lambda *args: ran.append(args) or check(*args))
+    assert main(["verify", "--suite", "all", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: no valid (n, t) supermatrix shapes for the requested sizes\n"
+    assert ran == []
+
+
+@pytest.mark.parametrize("suite", SUITES)
+def test_a_started_suite_has_read_every_option_it_reads(suite):
+    # the unread-option refusal runs between the start and the first check
+    opt = verify._OptionReader(verify.VerifyOptions(n=2, rank=4, trials=2))
+    pairs = SUITES[suite](opt)
+    first = next(pairs)
+    started = set(opt.read)
+    checks = [verify._check(*first), *(verify._check(*pair) for pair in pairs)]
+    assert all(c.passed for c in checks)
+    assert opt.read == started
+
+
+@pytest.mark.parametrize(
+    "suite, options, unread",
+    [
+        ("thm4_2", {"n": 4}, "--n"),
+        ("thm4_2", {"n": 4, "k": 3, "t": 1}, "--n, --k, --t"),
+        ("prop4_1", {"seed": 7}, "--seed"),
+        ("thm3_1", {"n": 2, "trials": 3}, "--trials"),
+    ],
+)
+def test_a_single_suite_refuses_an_option_it_never_reads(monkeypatch, suite, options, unread):
+    ran = []
+    monkeypatch.setattr(verify, "_check", lambda *args: ran.append(args))
+    with pytest.raises(ValueError, match=f"^suite {suite} does not read {unread}$"):
+        run_verify(suite, **options)
+    assert ran == []
+
+
+def test_an_option_at_its_default_is_not_refused(capsys):
+    assert main(["verify", "--suite", "thm4_2", "--seed", "42"]) == 0
+    assert main(["verify", "--suite", "thm4_2", "--n", "4"]) == 2
+    assert capsys.readouterr().err == "error: suite thm4_2 does not read --n\n"
+
+
+def test_every_shape_gets_a_trial(capsys):
+    assert main(["verify", "--suite", "thm2_4", "--trials", "1"]) == 0
+    shapes = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[PASS]")]
+    assert [line.split(":")[0] for line in shapes] == [
+        "[PASS] thm2_4 n=2 t=1", "[PASS] thm2_4 n=3 t=1", "[PASS] thm2_4 n=3 t=2",
+    ]
+    assert all("-- 1 trials" in line for line in shapes)
+    checks = run_verify("thm2_5", trials=2).checks
+    assert [(c.name.split(":")[0], c.detail) for c in checks] == [
+        ("thm2_5 n=2 t=1", "1 trials"), ("thm2_5 n=3 t=1", "1 trials"), ("thm2_5 n=3 t=2", "1 trials"),
+    ]
+
+
 def test_single_suite_reports_pass():
     report = run_verify("thm3_1", n=2)
     assert report.ok
@@ -174,7 +238,9 @@ def test_fixture_time_is_charged_to_the_checks(monkeypatch, suite, fixture):
         return original(*args)
 
     monkeypatch.setattr(verify, fixture, slow)
-    report = run_verify(suite, n=None if suite == "cor4_5" else 2, k=1)
+    # thm2_1 alone reads k; another suite refuses it
+    k = 1 if suite == "thm2_1" else None
+    report = run_verify(suite, n=None if suite == "cor4_5" else 2, k=k)
     assert report.ok
     assert calls >= 1
     assert report.elapsed_ms >= 50 * calls
