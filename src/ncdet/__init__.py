@@ -14,7 +14,6 @@ from .charpoly import (
     cayley_hamilton_witness,
     char_matrix,
     characteristic_polynomial,
-    matrix_from_coefficients,
     matrix_poly_coefficients,
     newton_sdet_2,
     newton_sdet_3,
@@ -117,7 +116,6 @@ __all__ = [
     "lie_nilpotency_check",
     "load_matrix",
     "loads_matrix",
-    "matrix_from_coefficients",
     "matrix_poly_coefficients",
     "newton_sdet_2",
     "newton_sdet_3",

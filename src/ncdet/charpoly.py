@@ -25,6 +25,10 @@ from .matrices import Matrix
 from .perms import signed_permutations
 from .rings import IntegerRing, Record, Ring, RingElement, join_signed
 
+# the largest free-algebra witness: n = 5 takes seconds, n = 6 exhausts
+# gigabytes of memory
+WITNESS_MAX_N = 5
+
 
 class PolynomialRing(Ring):
     """R[z] for a base ring R; z is central."""
@@ -55,11 +59,8 @@ class PolynomialRing(Ring):
         """The monomial value * z^degree."""
         return CentralPoly(self, [self.base.zero] * degree + [value])
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PolynomialRing) and self.base == other.base
-
-    def __hash__(self) -> int:
-        return hash(("PolynomialRing", self.base))
+    def _identity(self) -> tuple:
+        return (self.base,)
 
     def __repr__(self) -> str:
         return f"PolynomialRing({self.base!r})"
@@ -69,6 +70,8 @@ class CentralPoly(RingElement):
     """Immutable polynomial in a central z with coefficients in a base ring."""
 
     __slots__ = ("ring", "_coeffs")
+
+    _MISMATCH = "polynomials live over different base rings"
 
     def __init__(self, ring: PolynomialRing, coeffs: Sequence):
         zero = ring.base.zero
@@ -100,15 +103,6 @@ class CentralPoly(RingElement):
 
     def is_zero(self) -> bool:
         return not self._coeffs
-
-    def _coerce(self, other) -> CentralPoly | None:
-        if isinstance(other, CentralPoly):
-            if other.ring is not self.ring and other.ring != self.ring:
-                raise ValueError("polynomials live over different base rings")
-            return other
-        if isinstance(other, int):
-            return self.ring.from_int(other)
-        return None
 
     def __add__(self, other) -> CentralPoly:
         other = self._coerce(other)
@@ -178,9 +172,6 @@ class CentralPoly(RingElement):
             pieces.append((negative, body))
         return join_signed(pieces)
 
-    def __repr__(self) -> str:
-        return f"<CentralPoly {self}>"
-
 
 def char_matrix(A: Matrix) -> Matrix:
     """zI - A as a matrix over R[z]."""
@@ -217,20 +208,6 @@ def matrix_poly_coefficients(M: Matrix) -> list[Matrix]:
     return slices
 
 
-def matrix_from_coefficients(ring: PolynomialRing, slices: Sequence[Matrix]) -> Matrix:
-    """Inverse of matrix_poly_coefficients."""
-    if not slices:
-        raise ValueError("need at least one coefficient matrix")
-    n = slices[0].n
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            row.append(CentralPoly(ring, [s.rows[i][j] for s in slices]))
-        rows.append(row)
-    return Matrix(ring, rows)
-
-
 class CHWitness(Record):
     """Coefficient data of the matrix-coefficient Cayley--Hamilton identities.
 
@@ -252,9 +229,8 @@ def cayley_hamilton_witness(A: Matrix) -> CHWitness:
     """Extract lambdas, C_i and D_i, verifying both identities exactly."""
     n = A.n
     ring = A.ring
-    # n = 5 takes seconds; n = 6 exhausts gigabytes of memory
-    if isinstance(ring, FreeAlgebra) and n > 5:
-        raise ValueError("generic free-algebra witnesses are limited to n <= 5")
+    if isinstance(ring, FreeAlgebra) and n > WITNESS_MAX_N:
+        raise ValueError(f"generic free-algebra witnesses are limited to n <= {WITNESS_MAX_N}")
     B = char_matrix(A)
     P = preadjoint(B)
     right_product, left_product = B * P, P * B
@@ -347,7 +323,7 @@ def standard_polynomial_4(x1, x2, x3, x4):
     """S_4: the signed sum of all 24 orderings of four ring elements."""
     items = (x1, x2, x3, x4)
     # the ring of the first argument; plain ints sum in the integers
-    ring = getattr(x1, "algebra", None) or getattr(x1, "ring", IntegerRing())
+    ring = getattr(x1, "ring", None) or IntegerRing()
     total = ring.accumulator()
     for images, sign in signed_permutations(4):
         prod = items[images[0]]

@@ -25,6 +25,7 @@ vanishes).
 
 from __future__ import annotations
 
+import operator
 import random
 import re
 from types import MappingProxyType
@@ -63,29 +64,29 @@ class FreePoly(SparseElement):
             word = tuple(word)
             if any(not isinstance(i, int) or not 0 <= i < g for i in word):
                 raise ValueError(f"word {word!r} uses unknown generator ids")
-            coeff = int(coeff)
+            coeff = operator.index(coeff)
             if coeff:
                 clean[encode(word)] = coeff
-        self.algebra = algebra
+        self.ring = algebra
         self._terms = clean
         self._view = None
 
     @property
     def terms(self) -> Mapping[tuple[int, ...], int]:
         """Terms keyed by words as tuples of generator ids."""
-        decode = self.algebra._decode
+        decode = self.ring._decode
         return MappingProxyType({decode(w): c for w, c in self._terms.items()})
 
     def _key_text(self, word: int) -> str:
-        names = self.algebra.names
-        return "*".join([names[i] for i in self.algebra._decode(word)])
+        names = self.ring.names
+        return "*".join([names[i] for i in self.ring._decode(word)])
 
     def degree(self) -> int:
         """Maximum word length; -1 for the zero polynomial."""
         if not self._terms:
             return -1
         # the largest packed word is a longest one
-        return (max(self._terms).bit_length() - 1) // self.algebra._bits
+        return (max(self._terms).bit_length() - 1) // self.ring._bits
 
     def constant_term(self) -> int:
         return self._terms.get(1, 0)
@@ -96,11 +97,11 @@ class FreePoly(SparseElement):
     def __str__(self) -> str:
         # refuse text too large to build: a word of L letters has b*L bits
         # after its leading 1
-        algebra, terms = self.algebra, self._terms
-        letters = (sum(map(int.bit_length, terms)) - len(terms)) // algebra._bits
-        if letters > algebra.term_limit:
+        ring, terms = self.ring, self._terms
+        letters = (sum(map(int.bit_length, terms)) - len(terms)) // ring._bits
+        if letters > ring.term_limit:
             raise TermLimitError(
-                f"text would write {letters} letters, over the budget of {algebra.term_limit}"
+                f"text would write {letters} letters, over the budget of {ring.term_limit}"
             )
         return SparseElement.__str__(self)
 
@@ -109,8 +110,8 @@ class FreePoly(SparseElement):
         if other is None:
             return NotImplemented
         pairs = len(self._terms) * len(other._terms)
-        if pairs > self.algebra.term_limit:
-            raise TermLimitError.pairs(pairs, self.algebra.term_limit)
+        if pairs > self.ring.term_limit:
+            raise TermLimitError.pairs(pairs, self.ring.term_limit)
         right = other._view
         if right is None:
             right = other._view = _right_view(other._terms)
@@ -124,7 +125,7 @@ class FreePoly(SparseElement):
                     out[word] = new
                 else:
                     del out[word]
-        return FreePoly._raw(self.algebra, out)
+        return FreePoly._raw(self.ring, out)
 
 
 def _right_view(terms: dict[int, int]) -> list[tuple[int, int, int]]:
@@ -189,11 +190,11 @@ class FreeAlgebra(SparseRing):
             terms[word] = terms.get(word, 0) + coeff
         return FreePoly(self, terms)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FreeAlgebra) and self.names == other.names
+    def _identity(self) -> tuple:
+        return self.names
 
-    def __hash__(self) -> int:
-        return hash(("FreeAlgebra", self.names))
+    def named_gens(self) -> dict:
+        return {name: self.gen(name) for name in self.names}
 
     def __repr__(self) -> str:
         return f"FreeAlgebra({list(self.names)!r})"
@@ -206,7 +207,7 @@ def in_commutator_span(p: FreePoly) -> bool:
     equivalence classes and demand a zero coefficient sum in every class.
     The constant term must vanish (the empty word is alone in its class).
     """
-    bits = p.algebra._bits
+    bits = p.ring._bits
     sums: dict[int, int] = {}
     for word, coeff in p._terms.items():
         if word == 1:
@@ -232,8 +233,8 @@ def specialize(p: FreePoly, assignment: Mapping[str, object], ring: Ring):
     1 to ring.one and integer coefficients to central scalars of the target.
     """
     images: dict[int, object] = {}
-    names = p.algebra.names
-    decode = p.algebra._decode
+    names = p.ring.names
+    decode = p.ring._decode
     total = ring.accumulator()
     for word, coeff in p._terms.items():
         value = ring.one

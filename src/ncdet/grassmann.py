@@ -16,6 +16,7 @@ product of more than ``term_limit`` term pairs raises TermLimitError.
 
 from __future__ import annotations
 
+import operator
 import random
 from types import MappingProxyType
 from typing import Iterable, Mapping
@@ -72,10 +73,10 @@ class GrassmannElem(SparseElement):
                     mask |= 1 << (i - 1)
             if mask >> algebra.rank:
                 raise ValueError("subset uses generators beyond the algebra rank")
-            coeff = int(coeff)
+            coeff = operator.index(coeff)
             if coeff:
                 clean[mask] = clean.get(mask, 0) + coeff
-        self.algebra = algebra
+        self.ring = algebra
         self._terms = {m: c for m, c in clean.items() if c}
         self._view = None
 
@@ -102,8 +103,8 @@ class GrassmannElem(SparseElement):
         if other is None:
             return NotImplemented
         pairs = len(self._terms) * len(other._terms)
-        if pairs > self.algebra.term_limit:
-            raise TermLimitError.pairs(pairs, self.algebra.term_limit)
+        if pairs > self.ring.term_limit:
+            raise TermLimitError.pairs(pairs, self.ring.term_limit)
         # sorting m1|m2 moves each generator of m2 past every larger one
         # of m1, so the sign is the parity of the bits of m1 that lie above
         # an odd number of bits of m2; one scan per right-hand term, kept
@@ -126,13 +127,12 @@ class GrassmannElem(SparseElement):
                     out[mask] = new
                 else:
                     del out[mask]
-        return GrassmannElem._raw(self.algebra, out)
+        return GrassmannElem._raw(self.ring, out)
 
 
 class GrassmannAlgebra(SparseRing):
     """Exterior algebra on ``rank`` anticommuting generators over the integers."""
 
-    is_z2_graded = True
     element_type = GrassmannElem
 
     def __init__(self, rank: int):
@@ -169,11 +169,12 @@ class GrassmannAlgebra(SparseRing):
             terms[mask] = terms.get(mask, 0) + coeff
         return GrassmannElem._raw(self, {m: c for m, c in terms.items() if c})
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, GrassmannAlgebra) and self.rank == other.rank
+    def _identity(self) -> tuple:
+        return (self.rank,)
 
-    def __hash__(self) -> int:
-        return hash(("GrassmannAlgebra", self.rank))
+    def named_gens(self) -> dict:
+        """v1..vm, named by the text they print as."""
+        return {GrassmannElem._key_text(1 << i): self.gen(i + 1) for i in range(self.rank)}
 
     def __repr__(self) -> str:
         return f"GrassmannAlgebra(rank={self.rank})"
@@ -183,7 +184,7 @@ def graded_parts(x: GrassmannElem) -> tuple[GrassmannElem, GrassmannElem]:
     """Split x into (even, odd) components by subset-size parity."""
     even = {m: c for m, c in x._terms.items() if m.bit_count() % 2 == 0}
     odd = {m: c for m, c in x._terms.items() if m.bit_count() % 2 == 1}
-    return GrassmannElem._raw(x.algebra, even), GrassmannElem._raw(x.algebra, odd)
+    return GrassmannElem._raw(x.ring, even), GrassmannElem._raw(x.ring, odd)
 
 
 def lie_nilpotency_check(

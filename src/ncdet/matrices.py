@@ -6,7 +6,8 @@ The dimension is capped (default 6) because the symmetric determinant
 enumerates (n!)^2 permutation pairs.
 
 Also houses the commutative oracles (classical determinant and adjugate by
-cofactor expansion) and the supermatrix parity predicate for Z2-graded rings.
+cofactor expansion) and the supermatrix parity predicate over the exterior
+algebra.
 """
 
 from __future__ import annotations
@@ -166,8 +167,6 @@ def is_supermatrix(A: Matrix, profile: SupermatrixProfile) -> bool:
     Zero entries count as homogeneous of either parity (zero is the one
     element of both graded parts).
     """
-    if not A.ring.is_z2_graded:
-        raise ValueError("supermatrix predicate requires a Z2-graded ring")
     if profile.n != A.n:
         raise ValueError(f"profile is for n={profile.n}, matrix has n={A.n}")
     t = profile.t

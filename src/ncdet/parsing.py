@@ -153,17 +153,9 @@ class _Parser:
         self.tokens = _tokenize(src)
         self.ring = ring
         self.i = 0
-        self._names = self._name_table(ring)
+        self._names = ring.named_gens()
         self._power = 1  # the largest power on a factor in the open parentheses
         self._depth = 0  # the parentheses open at this point
-
-    @staticmethod
-    def _name_table(ring: Ring):
-        if isinstance(ring, FreeAlgebra):
-            return {name: ring.gen(name) for name in ring.names}
-        if isinstance(ring, GrassmannAlgebra):
-            return {f"v{i}": ring.gen(i) for i in range(1, ring.rank + 1)}
-        return {}
 
     def peek(self):
         return self.tokens[self.i]

@@ -1,11 +1,13 @@
 """Ring contract shared by every coefficient domain in the package.
 
 A ring here is a small descriptor object: it knows its ``zero`` and ``one``
-elements, how to embed an integer as a central scalar, and carries two
-capability flags (``is_commutative``, ``is_z2_graded``).  The elements
-themselves are ordinary Python values that support ``+``, ``-``, ``*`` and
-``==``; the exact integer ring simply uses Python's built-in ``int``, which
-is arbitrary precision, so all arithmetic in the package is exact.
+elements, how to embed an integer as a central scalar, the generators an
+expression may name (``named_gens``) and what tells two rings of its class
+apart (``_identity``, from which ``Ring`` builds ``==`` and ``hash``); it
+carries one capability flag, ``is_commutative``.  The elements themselves
+are ordinary Python values that support ``+``, ``-``, ``*`` and ``==``; the
+exact integer ring simply uses Python's built-in ``int``, which is
+arbitrary precision, so all arithmetic in the package is exact.
 
 The free and exterior algebras share one sparse core.  A ``SparseRing``
 builds ``zero``, ``one``, ``from_int`` and its ``SparseSum`` accumulator
@@ -13,8 +15,8 @@ from its ``element_type`` and ``term_limit``, the most term pairs one
 product and the most terms one sum may reach (10M by default); in the free
 algebra it also caps the letters one canonical text may write.  A
 ``SparseElement`` is a ``_terms`` dict from int keys to nonzero integer
-coefficients with ``_raw``, ``_coerce``, ``is_zero``, ``+``, unary ``-``,
-``==``, ``hash`` and canonical text, which lists the keys in integer order
+coefficients with ``_raw``, ``is_zero``, ``+``, unary ``-``, ``==``,
+``hash`` and canonical text, which lists the keys in integer order
 unless a subclass sets ``_order`` (a key's sort key).  A subclass supplies
 ``_UNIT`` (the key of the identity), ``_MISMATCH`` (the message for
 operands of different algebras), ``_key_text`` (a key's text, empty for the
@@ -24,9 +26,12 @@ reads its right operand through ``_view``: the right-hand terms in the form
 the product loop wants, computed on first use and kept, since an element
 is immutable and a matrix entry is the right factor of many products.
 ``==``, ``hash`` and the sums read ``_terms`` only.
-``RingElement`` builds binary and reflected ``-``, reflected ``*`` and
-``**`` from ``_coerce``, ``+``, unary ``-`` and ``*``; ``CentralPoly``
-and ``matrices.Matrix`` use it too.
+``RingElement`` gives every element type ``_coerce`` (an operand of its
+class from an equal ``ring``, or an int as ``ring.from_int``), ``repr``,
+and binary and reflected ``-``, reflected ``*`` and ``**`` from
+``_coerce``, ``+``, unary ``-`` and ``*``; ``CentralPoly`` and
+``matrices.Matrix`` use it too, and ``Matrix`` keeps its own ``_coerce``
+and ``repr``.
 
 ``Record`` is the base of the package's result and option records
 (``AxiomReport``, ``AdjointSequence``, ``RingSpec``, ``CheckResult`` and
@@ -43,6 +48,7 @@ immutable element that ``total`` returns does.
 
 from __future__ import annotations
 
+import operator
 import random
 import sys
 from abc import ABC, abstractmethod
@@ -134,17 +140,18 @@ class Record:
 class Ring(ABC):
     """Capability descriptor for a coefficient ring.
 
-    Concrete rings provide ``zero``, ``one`` and ``from_int``; a running
-    sum goes through ``accumulator`` and ``total``.  Equality of elements
-    is structural: two elements are equal exactly when their canonical
-    renderings (``str``) coincide, which every element type guarantees by
-    normalizing on construction.  A seeded random element is not part of
-    the contract: the free and exterior algebras each draw theirs with
-    keywords of their own.
+    Concrete rings provide ``zero``, ``one``, ``from_int`` and
+    ``_identity``; ``named_gens`` defaults to no generators, and a running
+    sum goes through ``accumulator`` and ``total``.  Two rings are equal
+    when they are of one class with equal ``_identity()``, and hash alike.
+    Equality of elements is structural: two elements are equal exactly
+    when their canonical renderings (``str``) coincide, which every element
+    type guarantees by normalizing on construction.  A seeded random
+    element is not part of the contract: the free and exterior algebras
+    each draw theirs with keywords of their own.
     """
 
     is_commutative: bool = False
-    is_z2_graded: bool = False
 
     @property
     @abstractmethod
@@ -159,6 +166,22 @@ class Ring(ABC):
     @abstractmethod
     def from_int(self, k: int):
         """The central scalar k`1 (integer multiple of the identity)."""
+
+    @abstractmethod
+    def _identity(self) -> tuple:
+        """What tells this ring apart from others of its class."""
+
+    def __eq__(self, other) -> bool:
+        return other is self or (
+            other.__class__ is self.__class__ and other._identity() == self._identity()
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.__class__.__name__, self._identity()))
+
+    def named_gens(self) -> dict:
+        """The generators an expression may name, by name."""
+        return {}
 
     def accumulator(self):
         """A fresh running sum, grown by ``acc += x`` and ``acc -= x``.
@@ -196,7 +219,10 @@ class IntegerRing(Ring):
         return 1
 
     def from_int(self, k: int) -> int:
-        return int(k)
+        return operator.index(k)
+
+    def _identity(self) -> tuple:
+        return ()
 
     def total(self, acc: int) -> int:
         """The sum, refused once it has more digits than the interpreter will
@@ -208,12 +234,6 @@ class IntegerRing(Ring):
                 f"integer sum grew past {limit} digits, the most the interpreter prints"
             )
         return acc
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, IntegerRing)
-
-    def __hash__(self) -> int:
-        return hash("IntegerRing")
 
     def __repr__(self) -> str:
         return "IntegerRing()"
@@ -235,6 +255,7 @@ class SparseRing(Ring):
 
     def from_int(self, k: int):
         element = self.element_type
+        k = operator.index(k)
         return element._raw(self, {element._UNIT: k} if k else {})
 
     def accumulator(self) -> SparseSum:
@@ -257,10 +278,23 @@ def join_signed(pieces) -> str:
 
 
 class RingElement:
-    """Subtraction, reflected ``*`` and ``**`` from ``_coerce`` (an operand
-    as an element of this ring, or None), ``+``, unary ``-`` and ``*``."""
+    """An element of ``ring``: ``_coerce``, ``repr``, subtraction, reflected
+    ``*`` and ``**`` from ``+``, unary ``-``, ``*`` and ``_MISMATCH``, the
+    message for an operand from another ring."""
 
     __slots__ = ()
+
+    def _coerce(self, other):
+        """other as an element of this ring: an element of this class as it
+        is, refused with ``_MISMATCH`` if its ring differs, an int as
+        ``ring.from_int``, and None for anything else."""
+        if isinstance(other, self.__class__):
+            if other.ring is not self.ring and other.ring != self.ring:
+                raise ValueError(self._MISMATCH)
+            return other
+        if isinstance(other, int):
+            return self.ring.from_int(other)
+        return None
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -288,35 +322,29 @@ class RingElement:
             result = result * self
         return result
 
+    def __repr__(self) -> str:
+        return f"<{type(self).__name__} {self}>"
+
 
 class SparseElement(RingElement):
     """Immutable sparse table from keys to nonzero integer coefficients."""
 
-    __slots__ = ("algebra", "_terms", "_view")
+    __slots__ = ("ring", "_terms", "_view")
 
     # canonical text lists the keys in this order; None is integer order
     _order = None
 
     @classmethod
-    def _raw(cls, algebra, terms: dict):
+    def _raw(cls, ring, terms: dict):
         # internal fast path: terms already normalized
         self = object.__new__(cls)
-        self.algebra = algebra
+        self.ring = ring
         self._terms = terms
         self._view = None
         return self
 
     def is_zero(self) -> bool:
         return not self._terms
-
-    def _coerce(self, other):
-        if isinstance(other, self.__class__):
-            if other.algebra is not self.algebra and other.algebra != self.algebra:
-                raise ValueError(self._MISMATCH)
-            return other
-        if isinstance(other, int):
-            return self.algebra.from_int(other)
-        return None
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -329,19 +357,19 @@ class SparseElement(RingElement):
                 out[key] = new
             else:
                 del out[key]
-        return self._raw(self.algebra, out)
+        return self._raw(self.ring, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._raw(self.algebra, {k: -c for k, c in self._terms.items()})
+        return self._raw(self.ring, {k: -c for k, c in self._terms.items()})
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
             return self._terms == ({self._UNIT: other} if other else {})
         return (
             isinstance(other, self.__class__)
-            and self.algebra == other.algebra
+            and self.ring == other.ring
             and self._terms == other._terms
         )
 
@@ -350,7 +378,7 @@ class SparseElement(RingElement):
         if terms.keys() <= {self._UNIT}:
             # a scalar equals its int, so it hashes as one
             return hash(terms.get(self._UNIT, 0))
-        return hash((self.algebra, frozenset(terms.items())))
+        return hash((self.ring, frozenset(terms.items())))
 
     def __str__(self) -> str:
         terms = self._terms
@@ -364,9 +392,6 @@ class SparseElement(RingElement):
                 body = f"{mag}*{body}"
             pieces.append((coeff < 0, body or str(mag)))
         return join_signed(pieces)
-
-    def __repr__(self) -> str:
-        return f"<{type(self).__name__} {self}>"
 
 
 class SparseSum:
@@ -393,7 +418,7 @@ class SparseSum:
     def __add__(self, x, sign: int = 1):
         # __sub__ is this with sign -1
         ring = self._ring
-        if type(x) is not self._element or x.algebra is not ring:
+        if type(x) is not self._element or x.ring is not ring:
             x = ring.zero._coerce(x)
             if x is None:
                 return NotImplemented

@@ -20,6 +20,7 @@ import random
 import time
 
 from .charpoly import (
+    WITNESS_MAX_N,
     CentralPoly,
     PolynomialRing,
     cayley_hamilton_witness,
@@ -133,36 +134,29 @@ class _OptionReader(Record, frozen=False):
 def _check(name: str, fn) -> CheckResult:
     """Run one check and time it.  A suite yields ``(name, fn)`` pairs and
     each check runs as soon as it is yielded, before its suite resumes, so
-    a check may read the suite's loop variables as they stand."""
+    a check may read the suite's loop variables as they stand.  A check
+    over the term budget ends the run; any other error fails the check."""
     start = time.perf_counter()
     try:
         outcome = fn()
         passed, detail = outcome if isinstance(outcome, tuple) else (outcome, "")
-    except _Refused as refused:
-        raise refused.args[0] from None
+    except TermLimitError:
+        raise
     except Exception as exc:  # a crashed check is a failed check
         passed, detail = False, f"error: {exc}"
     elapsed = (time.perf_counter() - start) * 1000.0
     return CheckResult(name=name, passed=bool(passed), elapsed_ms=elapsed, detail=detail)
 
 
-class _Refused(Exception):
-    """A fixture's refusal of its input, which ends the run as an input error."""
-
-
 def _fixture(fn, *args):
     """fn(*args), computed by the first check that calls for it and kept, error
-    included, so its time lands in that check and no check recomputes it.  A
-    refusal (ValueError, TermLimitError) ends the run through ``_check``, as it
-    would up front, since checks read their fixtures before their own work."""
+    included, so its time lands in that check and no check recomputes it."""
     outcome = []
 
     def value():
         if not outcome:
             try:
                 outcome.append((fn(*args), None))
-            except (ValueError, TermLimitError) as exc:
-                outcome.append((None, _Refused(exc)))
             except Exception as exc:
                 outcome.append((None, exc))
         result, error = outcome[0]
@@ -381,7 +375,10 @@ def _witness_identities(A: Matrix, witness) -> tuple[bool, bool]:
 
 
 def _suite_thm2_6(opt: _OptionReader):
-    for n in opt.each("n", (2, 3)):
+    ns = opt.each("n", (2, 3))
+    if max(ns) > WITNESS_MAX_N:
+        raise ValueError(f"generic free-algebra witnesses are limited to n <= {WITNESS_MAX_N}")
+    for n in ns:
         _, A = generic_matrix(n)
         witness = _fixture(cayley_hamilton_witness, A)
         identities = _fixture(lambda: _witness_identities(A, witness()))

@@ -8,6 +8,10 @@ definitions, free-algebra products concatenate tuple words and render in
 inversion count of the concatenated generator indices, and commutator-subgroup
 membership is decided by integer lattice reduction over an explicit basis
 of monomial commutators.
+
+``IntMatrixRing`` is a fourth ring, m x m integer matrices, written only
+against the ring contract (``rings.Ring`` and ``rings.RingElement``), so
+the package's routes must run on a ring they were not written for.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from __future__ import annotations
 from itertools import product
 
 from ncdet import FreePoly, Matrix
+from ncdet.rings import Ring, RingElement
 
 
 def heap_signed_permutations(n: int) -> list[tuple[tuple[int, ...], int]]:
@@ -189,7 +194,7 @@ def commutator_span_oracle(p: FreePoly, max_degree: int | None = None) -> bool:
         return True
     if max_degree is None:
         max_degree = p.degree()
-    num_generators = len(p.algebra.names)
+    num_generators = len(p.ring.names)
     words = words_up_to(num_generators, max_degree)
     index = {w: i for i, w in enumerate(words)}
     monomials = [w for w in words if w]
@@ -216,3 +221,76 @@ def commutator_span_oracle(p: FreePoly, max_degree: int | None = None) -> bool:
     for word, coeff in p.terms.items():
         target[index[word]] = coeff
     return integer_span_contains(basis, target)
+
+
+def _int_matrix(ring: IntMatrixRing, entry) -> MatInt:
+    """The element of ring whose (i, j) entry is entry(i, j)."""
+    return MatInt(ring, tuple(tuple(entry(i, j) for j in range(ring.m)) for i in range(ring.m)))
+
+
+class IntMatrixRing(Ring):
+    """M_m(Z); an expression names the matrix units e11..emm."""
+
+    def __init__(self, m: int):
+        self.m = m
+
+    @property
+    def zero(self) -> MatInt:
+        return self.from_int(0)
+
+    @property
+    def one(self) -> MatInt:
+        return self.from_int(1)
+
+    def from_int(self, k: int) -> MatInt:
+        return _int_matrix(self, lambda i, j: k if i == j else 0)
+
+    def _identity(self) -> tuple:
+        return (self.m,)
+
+    def named_gens(self) -> dict:
+        m = self.m
+        return {
+            f"e{r + 1}{c + 1}": _int_matrix(self, lambda i, j: int(i == r and j == c))
+            for r in range(m) for c in range(m)
+        }
+
+
+class MatInt(RingElement):
+    """An element of an ``IntMatrixRing``: a tuple of integer rows."""
+
+    _MISMATCH = "integer matrices of different sizes"
+
+    def __init__(self, ring: IntMatrixRing, rows: tuple):
+        self.ring = ring
+        self.rows = rows
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return _int_matrix(self.ring, lambda i, j: self.rows[i][j] + other.rows[i][j])
+
+    def __neg__(self) -> MatInt:
+        return _int_matrix(self.ring, lambda i, j: -self.rows[i][j])
+
+    def __mul__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        m = self.ring.m
+        return _int_matrix(
+            self.ring, lambda i, j: sum(self.rows[i][t] * other.rows[t][j] for t in range(m))
+        )
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, int):
+            other = self.ring.from_int(other)
+        return isinstance(other, MatInt) and self.ring == other.ring and self.rows == other.rows
+
+    def __hash__(self) -> int:
+        # equal matrices share their corner, and k I equals k
+        return hash(self.rows[0][0])
+
+    def __str__(self) -> str:
+        return str([list(row) for row in self.rows])

@@ -166,7 +166,7 @@ def test_render_parse_round_trip_500(build):
     rng = random.Random(2024)
     for _ in range(500):
         element = build(rng)
-        assert parse_expression(str(element), element.algebra) == element
+        assert parse_expression(str(element), element.ring) == element
 
 
 # -- ring specs -----------------------------------------------------------------

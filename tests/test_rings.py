@@ -176,6 +176,50 @@ def test_scalars_hash_as_the_ints_they_equal(ring):
     assert hash(ring.one) == hash(1)
 
 
+_RING_BUILDS = {
+    "IntegerRing()": lambda: IntegerRing(),
+    "FreeAlgebra(['a', 'b'])": lambda: FreeAlgebra(("a", "b")),
+    "FreeAlgebra(['b', 'a'])": lambda: FreeAlgebra(("b", "a")),
+    "FreeAlgebra(['a'])": lambda: FreeAlgebra(("a",)),
+    "GrassmannAlgebra(rank=0)": lambda: GrassmannAlgebra(0),
+    "GrassmannAlgebra(rank=2)": lambda: GrassmannAlgebra(2),
+    "PolynomialRing(IntegerRing())": lambda: PolynomialRing(IntegerRing()),
+    "PolynomialRing(FreeAlgebra(['a', 'b']))": lambda: PolynomialRing(FreeAlgebra(("a", "b"))),
+    "PolynomialRing(GrassmannAlgebra(rank=2))": lambda: PolynomialRing(GrassmannAlgebra(2)),
+    "PolynomialRing(PolynomialRing(IntegerRing()))": (
+        lambda: PolynomialRing(PolynomialRing(IntegerRing()))
+    ),
+}
+
+
+@pytest.mark.parametrize("text", _RING_BUILDS)
+def test_a_ring_equals_exactly_its_rebuilds(text):
+    ring, twin = _RING_BUILDS[text](), _RING_BUILDS[text]()
+    assert repr(ring) == text
+    assert ring == twin and not ring != twin and hash(ring) == hash(twin)
+    for other, build in _RING_BUILDS.items():
+        if other != text:
+            assert ring != build() and not ring == build()
+    assert ring != text and ring != 0
+
+
+def test_the_term_budget_is_not_part_of_a_rings_identity():
+    small = FreeAlgebra(("a", "b"), term_limit=5)
+    assert small == FreeAlgebra(("a", "b")) and hash(small) == hash(FreeAlgebra(("a", "b")))
+
+
+@pytest.mark.parametrize("coeff", [1.5, 0.5, "7"])
+def test_coefficients_are_integers_not_truncated(coeff):
+    with pytest.raises(TypeError):
+        FreePoly(FreeAlgebra(("a",)), {(0,): coeff})
+    with pytest.raises(TypeError):
+        GrassmannElem(GrassmannAlgebra(2), {(1,): coeff})
+    for ring in (IntegerRing(), FreeAlgebra(("a",)), GrassmannAlgebra(2),
+                 PolynomialRing(IntegerRing())):
+        with pytest.raises(TypeError):
+            ring.from_int(coeff)
+
+
 # bench/tracer.py wraps the methods in vars(cls) of each element class, not
 # inherited ones: if these moved to a shared base, the benchmark's *.add.*
 # and render metrics would silently read zero

@@ -217,6 +217,33 @@ def test_a_fixture_over_the_term_budget_is_an_input_error(monkeypatch, capsys):
     assert "[FAIL]" not in captured.out
 
 
+def test_the_witness_size_bound_is_refused_before_any_check(monkeypatch, capsys):
+    calls = 0
+    original = verify._check
+
+    def counted(name, fn):
+        nonlocal calls
+        calls += 1
+        return original(name, fn)
+
+    monkeypatch.setattr(verify, "_check", counted)
+    assert main(["verify", "--suite", "thm2_6", "--n", "6"]) == 2
+    assert capsys.readouterr().err == "error: generic free-algebra witnesses are limited to n <= 5\n"
+    assert calls == 0
+
+
+def test_a_check_over_the_term_budget_is_an_input_error(monkeypatch, capsys):
+    def over_budget(A):
+        raise TermLimitError("over the budget")
+
+    monkeypatch.setattr(verify, "newton_sdet_2", over_budget)
+    code = main(["verify", "--suite", "prop4_1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: over the budget\n"
+    assert "[FAIL]" not in captured.out
+
+
 @pytest.mark.parametrize(
     "suite, fixture",
     [
