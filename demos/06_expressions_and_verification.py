@@ -11,7 +11,9 @@ import tempfile
 from pathlib import Path
 
 from ncdet import (
-    RingSpec,
+    FreeAlgebra,
+    GrassmannAlgebra,
+    IntegerRing,
     load_matrix,
     parse_expression,
     run_verify,
@@ -20,14 +22,15 @@ from ncdet import (
 
 # Expression parsing is ring-directed: the same source means different
 # things over different rings.
-free = RingSpec.free("a", "b")
+free = FreeAlgebra(("a", "b"))
 print("over free{a, b}:   a*b - b*a =", parse_expression("a*b - b*a", free))
-grassmann = RingSpec.grassmann(2)
+grassmann = GrassmannAlgebra(2)
 print("over grassmann(2): v1*v2 + v2*v1 =", parse_expression("v1*v2 + v2*v1", grassmann))
-print("over the integers: 1 + 2*3^2 =", parse_expression("1 + 2*3^2", RingSpec.integer()))
+print("over the integers: 1 + 2*3^2 =", parse_expression("1 + 2*3^2", IntegerRing()))
 print()
 
-# A matrix document is a JSON header plus a grid of expressions.
+# A matrix document is a JSON header plus a grid of expressions; the
+# header names the ring, here FreeAlgebra(("a", "b", "c", "d")).
 document = {
     "ring": {"kind": "free", "generators": ["a", "b", "c", "d"]},
     "n": 2,

@@ -50,7 +50,6 @@ from .parsing import (
     DocumentError,
     MatrixDocument,
     ParseError,
-    RingSpec,
     load_matrix,
     loads_matrix,
     parse_expression,
@@ -94,7 +93,6 @@ __all__ = [
     "ParseError",
     "PolynomialRing",
     "Ring",
-    "RingSpec",
     "SupermatrixProfile",
     "TermLimitError",
     "VerifyReport",

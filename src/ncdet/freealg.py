@@ -38,16 +38,6 @@ from .rings import DEFAULT_TERM_LIMIT, Ring, SparseElement, SparseRing, TermLimi
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
-def _check_generator_names(names: Sequence[str]) -> tuple[str, ...]:
-    names = tuple(names)
-    if len(set(names)) != len(names):
-        raise ValueError("generator names must be unique")
-    for name in names:
-        if not isinstance(name, str) or not _NAME.fullmatch(name):
-            raise ValueError(f"invalid generator name {name!r}")
-    return names
-
-
 class FreePoly(SparseElement):
     """Immutable sparse noncommutative polynomial with exact integer coefficients."""
 
@@ -143,7 +133,13 @@ class FreeAlgebra(SparseRing):
     element_type = FreePoly
 
     def __init__(self, names: Sequence[str], term_limit: int = DEFAULT_TERM_LIMIT):
-        self.names = _check_generator_names(names)
+        names = tuple(names)
+        if len(set(names)) != len(names):
+            raise ValueError("generator names must be unique")
+        for name in names:
+            if not isinstance(name, str) or not _NAME.fullmatch(name):
+                raise ValueError(f"invalid generator name {name!r}")
+        self.names = names
         self.term_limit = term_limit
         self._index = {name: i for i, name in enumerate(self.names)}
         # bits per letter of a packed word

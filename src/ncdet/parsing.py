@@ -1,4 +1,4 @@
-"""Expression parser, ring specifications, and the matrix document format.
+"""Expression parser and the matrix document format.
 
 Grammar (explicit ``*`` required, juxtaposition is not multiplication):
 
@@ -10,14 +10,18 @@ Grammar (explicit ``*`` required, juxtaposition is not multiplication):
 multiplication is left-associative and order preserving.  The exponents
 that apply to any one factor, including those on enclosing parentheses
 (``(a^10)^100``, ``a^10^100``), may multiply to at most ``MAX_EXPONENT``
-(1000), and parentheses nest at most ``MAX_NESTING`` (100) deep.  A matrix
-document is a JSON object with a ring header, the dimension, and a grid of
-expression strings:
+(1000), and parentheses nest at most ``MAX_NESTING`` (100) deep.  An
+integer may have at most as many digits as the interpreter converts
+(``sys.get_int_max_str_digits()``).  A matrix document is a JSON object
+with a ring header, the dimension, and a grid of expression strings:
 
     {"ring": {"kind": "free", "generators": ["a", "b", "c", "d"]},
      "n": 2,
      "entries": [["a", "b"], ["c", "d"]]}
 
+The header names one ``Ring``: ``{"kind": "integer"}`` is ``IntegerRing()``,
+``{"kind": "free", "generators": [...]}`` is ``FreeAlgebra`` on at least one
+name, and ``{"kind": "grassmann", "rank": m}`` is ``GrassmannAlgebra(m)``.
 An optional "t" field records a supermatrix block split, 1 <= t <= n - 1.
 """
 
@@ -27,10 +31,10 @@ import json
 import re
 from pathlib import Path
 
-from .freealg import _NAME, FreeAlgebra, _check_generator_names
-from .grassmann import MAX_RANK, GrassmannAlgebra
-from .matrices import Matrix, SupermatrixProfile, is_supermatrix
-from .rings import IntegerRing, Record, Ring
+from .freealg import _NAME, FreeAlgebra
+from .grassmann import GrassmannAlgebra
+from .matrices import Matrix, SupermatrixProfile
+from .rings import IntegerRing, Record, Ring, _max_str_digits
 
 
 class ParseError(ValueError):
@@ -58,73 +62,6 @@ MAX_NESTING = 100
 def _is_json_int(value) -> bool:
     """A JSON integer; true and false load as bool, a subclass of int."""
     return isinstance(value, int) and not isinstance(value, bool)
-
-
-class RingSpec(Record):
-    """Declares which concrete ring a document or expression lives in."""
-
-    __slots__ = ("kind", "generators", "rank")
-    _defaults = {"generators": (), "rank": 0}
-    kind: str
-    generators: tuple[str, ...]
-    rank: int
-
-    def _validate(self):
-        if self.kind not in RING_KINDS:
-            raise ValueError(f"ring kind must be one of {RING_KINDS}, got {self.kind!r}")
-        if self.kind == "free":
-            if not self.generators:
-                raise ValueError("free ring needs at least one generator name")
-            _check_generator_names(self.generators)
-        if self.kind == "grassmann" and not 0 <= self.rank <= MAX_RANK:
-            raise ValueError(f"grassmann rank must be between 0 and {MAX_RANK}")
-
-    @classmethod
-    def free(cls, *names: str) -> RingSpec:
-        return cls(kind="free", generators=tuple(names))
-
-    @classmethod
-    def grassmann(cls, rank: int) -> RingSpec:
-        return cls(kind="grassmann", rank=rank)
-
-    @classmethod
-    def integer(cls) -> RingSpec:
-        return cls(kind="integer")
-
-    def build_ring(self) -> Ring:
-        if self.kind == "integer":
-            return IntegerRing()
-        if self.kind == "free":
-            return FreeAlgebra(self.generators)
-        return GrassmannAlgebra(self.rank)
-
-    @classmethod
-    def from_json_obj(cls, obj) -> RingSpec:
-        if not isinstance(obj, dict) or "kind" not in obj:
-            raise DocumentError("ring header must be an object with a 'kind' field")
-        kind = obj["kind"]
-        fields = {}
-        if kind == "free":
-            generators = obj.get("generators", [])
-            if not isinstance(generators, list) or not all(isinstance(g, str) for g in generators):
-                raise DocumentError("ring 'generators' must be a list of strings")
-            fields["generators"] = tuple(generators)
-        elif kind == "grassmann":
-            rank = obj.get("rank", 0)
-            if not _is_json_int(rank):
-                raise DocumentError("ring 'rank' must be an integer")
-            fields["rank"] = rank
-        try:
-            return cls(kind=kind, **fields)
-        except ValueError as exc:
-            raise DocumentError(str(exc)) from exc
-
-    def to_json_obj(self) -> dict:
-        if self.kind == "free":
-            return {"kind": "free", "generators": list(self.generators)}
-        if self.kind == "grassmann":
-            return {"kind": "grassmann", "rank": self.rank}
-        return {"kind": "integer"}
 
 
 _TOKEN_RE = re.compile(rf"\s*(?:(?P<int>\d+)|(?P<ident>{_NAME.pattern})|(?P<sym>[-+*^()]))")
@@ -241,6 +178,10 @@ class _Parser:
     def primary(self):
         kind, value, pos = self.advance()
         if kind == "int":
+            # int() refuses more digits than the interpreter converts
+            limit = _max_str_digits()
+            if limit and len(value) > limit:
+                raise ParseError(f"integer over the limit of {limit} digits", pos)
             return self.ring.from_int(int(value))
         if kind == "ident":
             if value not in self._names:
@@ -257,45 +198,71 @@ class _Parser:
         raise ParseError(f"expected a value, found {value!r}" if value else "unexpected end of input", pos)
 
 
-def parse_expression(src: str, ring: Ring | RingSpec):
-    """Parse src into an element of the given ring (or of spec.build_ring())."""
-    if isinstance(ring, RingSpec):
-        ring = ring.build_ring()
+def parse_expression(src: str, ring: Ring):
+    """Parse src into an element of ring."""
     return _Parser(src, ring).parse()
 
 
+def _read_ring(header) -> Ring:
+    """The ring a document's ring header names; a ValueError says what is wrong."""
+    if not isinstance(header, dict) or "kind" not in header:
+        raise DocumentError("ring header must be an object with a 'kind' field")
+    kind = header["kind"]
+    if kind == "integer":
+        return IntegerRing()
+    if kind == "free":
+        generators = header.get("generators", [])
+        if not isinstance(generators, list) or not all(isinstance(g, str) for g in generators):
+            raise DocumentError("ring 'generators' must be a list of strings")
+        if not generators:
+            raise DocumentError("free ring needs at least one generator name")
+        return FreeAlgebra(generators)
+    if kind == "grassmann":
+        rank = header.get("rank", 0)
+        if not _is_json_int(rank):
+            raise DocumentError("ring 'rank' must be an integer")
+        return GrassmannAlgebra(rank)
+    raise DocumentError(f"ring kind must be one of {RING_KINDS}, got {kind!r}")
+
+
+def _write_ring(ring: Ring) -> dict:
+    """The ring header that ``_read_ring`` reads back as ring."""
+    if isinstance(ring, FreeAlgebra):
+        return {"kind": "free", "generators": list(ring.names)}
+    if isinstance(ring, GrassmannAlgebra):
+        return {"kind": "grassmann", "rank": ring.rank}
+    if isinstance(ring, IntegerRing):
+        return {"kind": "integer"}
+    raise DocumentError(f"no ring header names {ring!r}")
+
+
 class MatrixDocument(Record):
-    """A matrix file: ring declaration, dimension, grid of expression strings."""
+    """A matrix file: its ring, dimension, grid of expression strings."""
 
     __slots__ = ("ring", "n", "entries", "t")
     _defaults = {"t": None}
-    ring: RingSpec
+    ring: Ring
     n: int
     entries: tuple[tuple[str, ...], ...]
     t: int | None
 
-    def build_ring(self) -> Ring:
-        return self.ring.build_ring()
-
-    def to_matrix(self, ring: Ring | None = None) -> Matrix:
-        if ring is None:
-            ring = self.build_ring()
+    def to_matrix(self) -> Matrix:
         rows = []
         for i, row in enumerate(self.entries):
             out = []
             for j, src in enumerate(row):
                 try:
-                    out.append(parse_expression(src, ring))
+                    out.append(parse_expression(src, self.ring))
                 except ParseError as exc:
                     raise DocumentError(
                         f"entry at row {i + 1}, column {j + 1}: {exc}"
                     ) from exc
             rows.append(out)
-        return Matrix(ring, rows)
+        return Matrix(self.ring, rows)
 
     def to_json_obj(self) -> dict:
         obj = {
-            "ring": self.ring.to_json_obj(),
+            "ring": _write_ring(self.ring),
             "n": self.n,
             "entries": [list(row) for row in self.entries],
         }
@@ -307,19 +274,14 @@ class MatrixDocument(Record):
         return json.dumps(self.to_json_obj(), indent=2)
 
 
-def loads_matrix(text: str, validate_super: bool = False) -> tuple[MatrixDocument, Matrix]:
-    """Parse a matrix document from its JSON text."""
-    try:
-        obj = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        # a RecursionError: arrays or objects nested past the stack's depth
-        raise DocumentError(f"not valid JSON: {exc}") from exc
+def _read_document(obj) -> MatrixDocument:
+    """The document a loaded JSON value describes; a ValueError says what is wrong."""
     if not isinstance(obj, dict):
         raise DocumentError("document must be a JSON object")
     for key in ("ring", "n", "entries"):
         if key not in obj:
             raise DocumentError(f"document is missing the {key!r} field")
-    spec = RingSpec.from_json_obj(obj["ring"])
+    ring = _read_ring(obj["ring"])
     n = obj["n"]
     entries = obj["entries"]
     if not _is_json_int(n):
@@ -335,37 +297,35 @@ def loads_matrix(text: str, validate_super: bool = False) -> tuple[MatrixDocumen
                 raise DocumentError(f"entry at row {i + 1}, column {j + 1} must be a string")
         grid.append(tuple(row))
     t = obj.get("t")
-    profile = None
     if t is not None:
         if not _is_json_int(t):
             raise DocumentError("'t' must be an integer block split")
-        try:
-            profile = SupermatrixProfile(n=n, t=t)
-        except ValueError as exc:
-            raise DocumentError(str(exc)) from exc
-    document = MatrixDocument(ring=spec, n=n, entries=tuple(grid), t=t)
+        SupermatrixProfile(n=n, t=t)  # refuses a split outside 1..n-1
+    return MatrixDocument(ring=ring, n=n, entries=tuple(grid), t=t)
+
+
+def loads_matrix(text: str) -> tuple[MatrixDocument, Matrix]:
+    """Parse a matrix document from its JSON text."""
     try:
-        matrix = document.to_matrix()
+        obj = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        # a ValueError: malformed JSON (json.JSONDecodeError) or a number
+        # past the interpreter's int digit limit; a RecursionError: arrays
+        # or objects nested past the stack's depth
+        raise DocumentError(f"not valid JSON: {exc}") from exc
+    try:
+        document = _read_document(obj)
+        return document, document.to_matrix()
+    except DocumentError:
+        raise
     except ValueError as exc:
-        if isinstance(exc, DocumentError):
-            raise
+        # the refusal of a ring's or a block split's own constructor
         raise DocumentError(str(exc)) from exc
-    if validate_super:
-        if profile is None:
-            raise DocumentError("supermatrix validation requested but no 't' declared")
-        try:
-            good = is_supermatrix(matrix, profile)
-        except ValueError as exc:
-            raise DocumentError(str(exc)) from exc
-        if not good:
-            raise DocumentError(f"matrix is not an (n={n}, t={t}) supermatrix")
-    return document, matrix
 
 
-def load_matrix(path, validate_super: bool = False) -> tuple[MatrixDocument, Matrix]:
+def load_matrix(path) -> tuple[MatrixDocument, Matrix]:
     """Load a matrix document from a file path."""
-    text = Path(path).read_text(encoding="utf-8")
-    return loads_matrix(text, validate_super=validate_super)
+    return loads_matrix(Path(path).read_text(encoding="utf-8"))
 
 
 def save_matrix(path, document: MatrixDocument):

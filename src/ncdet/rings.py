@@ -34,10 +34,10 @@ and binary and reflected ``-``, reflected ``*`` and ``**`` from
 and ``repr``.
 
 ``Record`` is the base of the package's result and option records
-(``AxiomReport``, ``AdjointSequence``, ``RingSpec``, ``CheckResult`` and
-the rest): plain ``__slots__`` classes with field-wise equality, hash and
-repr, frozen unless declared otherwise, built without the import-time cost
-of ``dataclasses``.
+(``AxiomReport``, ``AdjointSequence``, ``MatrixDocument``, ``CheckResult``
+and the rest): plain frozen ``__slots__`` classes with field-wise
+equality, hash and repr, built without the import-time cost of
+``dataclasses``.
 
 Elements are immutable and all operations are pure, so sharing values
 between threads is safe.  The one mutable helper is the accumulator a ring
@@ -77,20 +77,14 @@ class Record:
     trailing fields left out, where a type (``list``, ``dict``) makes a
     fresh value for each record.  ``_validate`` runs once all fields are
     set.  Records compare equal field by field, and hash and print the same
-    way.  A record is frozen, so assigning to it raises AttributeError,
-    unless its class is declared with ``frozen=False``; such a record is
-    unhashable.  No record class runs code generation at import.
+    way, so a record with a list, dict or set field is unhashable.  A record
+    is frozen: assigning to a field raises AttributeError, though a mutable
+    field's value may still change in place.  No record class runs code
+    generation at import.
     """
 
     __slots__ = ()
     _defaults: dict = {}
-
-    def __init_subclass__(cls, frozen: bool = True, **kwargs):
-        super().__init_subclass__(**kwargs)
-        if not frozen:
-            cls.__setattr__ = object.__setattr__
-            cls.__delattr__ = object.__delattr__
-            cls.__hash__ = None
 
     def __init__(self, *args, **kwargs):
         fields = self.__slots__
@@ -472,7 +466,7 @@ _AXIOMS = (
 )
 
 
-class AxiomReport(Record, frozen=False):
+class AxiomReport(Record):
     """Outcome of a seeded ring-axiom spot check, one verdict per axiom."""
 
     __slots__ = ("trials", "results", "failures")

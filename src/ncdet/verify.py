@@ -69,7 +69,7 @@ class CheckResult(Record):
         return f"[{status}] {self.name} ({self.elapsed_ms:.0f} ms){suffix}"
 
 
-class VerifyReport(Record, frozen=False):
+class VerifyReport(Record):
     __slots__ = ("suite", "checks")
     _defaults = {"checks": list}
     suite: str
@@ -110,7 +110,7 @@ class VerifyOptions(Record):
             raise ValueError(f"rank={self.rank} is outside the supported range 0..{MAX_RANK}")
 
 
-class _OptionReader(Record, frozen=False):
+class _OptionReader(Record):
     """The options of one run as its suites read them: every read records
     the option's name, so a run can refuse an option its suite never reads."""
 

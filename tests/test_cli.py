@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from ncdet import FreeAlgebra, Matrix, RingSpec, cli, standard_polynomial_4
+from ncdet import FreeAlgebra, Matrix, cli, parsing, standard_polynomial_4
 from ncdet.cli import main
 from ncdet.verify import generic_matrix, generic_names
 
@@ -230,7 +230,7 @@ def test_text_over_the_letter_budget_is_a_clean_exit_2(capsys, monkeypatch, tmp_
     ))
 
     def budget(limit):
-        monkeypatch.setattr(RingSpec, "build_ring", lambda spec: FreeAlgebra(spec.generators, limit))
+        monkeypatch.setattr(parsing, "_read_ring", lambda header: FreeAlgebra(header["generators"], limit))
 
     budget(8)
     assert main(["sdet", "--input", str(path)]) == 0
@@ -308,6 +308,28 @@ def test_malformed_header_is_a_clean_exit_2(capsys, tmp_path, header, refusal):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {refusal}\n"
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no int digit limit"
+)
+@pytest.mark.parametrize("field", ["n", "entry"])
+def test_a_number_past_the_digit_limit_is_a_clean_exit_2(capsys, tmp_path, field):
+    limit = sys.get_int_max_str_digits()
+    big = "1" + "0" * limit
+    if field == "n":
+        text = f'{{"ring": {{"kind": "integer"}}, "n": {big}, "entries": [["1"]]}}'
+        refusal = "not valid JSON: Exceeds the limit"
+    else:
+        text = json.dumps({"ring": {"kind": "integer"}, "n": 1, "entries": [[f"2*{big}"]]})
+        refusal = f"entry at row 1, column 1: integer over the limit of {limit} digits (at position 2)"
+    path = tmp_path / "matrix.json"
+    path.write_text(text)
+    assert main(["sdet", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {refusal}")
+    assert "Traceback" not in captured.err
 
 
 def test_s4_requires_2x2(capsys):

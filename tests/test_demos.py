@@ -1,3 +1,4 @@
+import ast
 import os
 import re
 import shlex
@@ -26,11 +27,11 @@ def test_demo_runs_cleanly(demo):
     assert "Traceback" not in result.stdout + result.stderr
 
 
-def _readme_bash_block(heading: str) -> list[str]:
-    """The lines of the first bash block under the README's heading line."""
+def _readme_block(heading: str, language: str = "bash") -> list[str]:
+    """The lines of the first block in language under the README's heading line."""
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     section = readme.split(f"\n{heading}\n", 1)[1]
-    return section.split("```bash\n", 1)[1].split("```", 1)[0].splitlines()
+    return section.split(f"```{language}\n", 1)[1].split("```", 1)[0].splitlines()
 
 
 def _run_readme_commands(lines, capsys, tmp_path) -> int:
@@ -63,13 +64,24 @@ def _run_readme_commands(lines, capsys, tmp_path) -> int:
 
 def test_readme_command_line_examples_run(capsys, monkeypatch, tmp_path):
     monkeypatch.chdir(tmp_path)
-    lines = _readme_bash_block("## Command line")
+    lines = _readme_block("## Command line")
     assert _run_readme_commands(lines, capsys, tmp_path) >= 7
 
 
 def test_readme_verification_examples_run(capsys, tmp_path):
-    lines = _readme_bash_block("### Verification suites")
+    lines = _readme_block("### Verification suites")
     assert _run_readme_commands(lines, capsys, tmp_path) >= 3
+
+
+def test_readme_library_quick_start_runs():
+    source = "\n".join(_readme_block("## Library quick start", "python"))
+    module = ast.parse(source)
+    namespace = {}
+    exec(compile(module, "README.md", "exec"), namespace)
+    # the block ends on the check its comment says is True
+    last = module.body[-1]
+    assert isinstance(last, ast.Expr)
+    assert eval(compile(ast.Expression(last.value), "README.md", "eval"), namespace) is True
 
 
 def test_package_all_lists_every_public_name():

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -8,10 +9,10 @@ from ncdet import (
     FreePoly,
     GrassmannAlgebra,
     IntegerRing,
-    RingSpec,
     TermLimitError,
     commutator,
     in_commutator_span,
+    loads_matrix,
     specialize,
 )
 
@@ -49,7 +50,13 @@ def test_mixed_generator_sets_are_rejected(free_ab):
         free_ab.gen("a") * other.gen("x")
 
 
-@pytest.mark.parametrize("build", [FreeAlgebra, lambda names: RingSpec.free(*names)], ids=["algebra", "spec"])
+def _document_ring(names):
+    """The ring of a one-entry document whose ring spec (header) names these generators."""
+    header = {"kind": "free", "generators": names}
+    return loads_matrix(json.dumps({"ring": header, "n": 1, "entries": [["1"]]}))[0].ring
+
+
+@pytest.mark.parametrize("build", [FreeAlgebra, _document_ring], ids=["algebra", "spec"])
 def test_names_the_parser_cannot_read_are_refused(build):
     # "α" is a Python identifier, but the expression tokenizer reads ASCII only
     with pytest.raises(ValueError, match="invalid generator name 'α'"):

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import random
+import sys
 from functools import reduce
 
 import pytest
@@ -13,12 +15,15 @@ from ncdet import (
     Matrix,
     MatrixDocument,
     ParseError,
-    RingSpec,
+    PolynomialRing,
+    SupermatrixProfile,
+    is_supermatrix,
     load_matrix,
     loads_matrix,
     parse_expression,
     save_matrix,
 )
+from ncdet import parsing
 
 
 # -- grammar ------------------------------------------------------------------
@@ -51,16 +56,15 @@ def test_long_sums_parse_in_place(monkeypatch):
 
 
 def test_commutator_expression():
-    spec = RingSpec.free("a", "b")
     algebra = FreeAlgebra(("a", "b"))
     a, b = algebra.gens()
-    assert parse_expression("a*b - b*a", spec) == a * b - b * a
+    assert parse_expression("a*b - b*a", algebra) == a * b - b * a
 
 
 def test_grassmann_expression():
     E = GrassmannAlgebra(2)
     v1, v2 = E.gens()
-    assert parse_expression("2*v1*v2 + 1", RingSpec.grassmann(2)) == 1 + 2 * (v1 * v2)
+    assert parse_expression("2*v1*v2 + 1", E) == 1 + 2 * (v1 * v2)
 
 
 def test_power_distributes_in_order():
@@ -109,6 +113,19 @@ def test_exponent_limit():
         with pytest.raises(ParseError, match="over the limit of 1000") as info:
             parse_expression(src, algebra)
         assert info.value.position == 2
+
+
+def test_integer_literal_digit_limit(monkeypatch):
+    # int() refuses a literal of more digits than the interpreter converts;
+    # leading zeros count, as they do for int()
+    monkeypatch.setattr(parsing, "_max_str_digits", lambda: 5)
+    assert parse_expression("2 * 99999", IntegerRing()) == 199_998
+    assert parse_expression("00001 + a", FreeAlgebra(("a",))) == 1 + FreeAlgebra(("a",)).gen("a")
+    for src in ("2 * 100000", "2 * 000001"):
+        with pytest.raises(ParseError, match=r"^integer over the limit of 5 digits \(at position 4\)$"):
+            parse_expression(src, IntegerRing())
+    monkeypatch.setattr(parsing, "_max_str_digits", lambda: 0)  # 0: no limit
+    assert parse_expression("1" + "0" * 40, IntegerRing()) == 10**40
 
 
 def test_nested_exponents_multiply_under_the_limit():
@@ -169,25 +186,58 @@ def test_render_parse_round_trip_500(build):
         assert parse_expression(str(element), element.ring) == element
 
 
-# -- ring specs -----------------------------------------------------------------
+# -- ring headers -----------------------------------------------------------------
+# A document's ring header (its ring spec) names the Ring it is read into.
 
 
 def test_ring_spec_validation():
-    with pytest.raises(ValueError):
-        RingSpec(kind="field")
-    with pytest.raises(ValueError):
-        RingSpec.free()
-    with pytest.raises(ValueError):
-        RingSpec.free("a", "a")
-    with pytest.raises(ValueError):
-        RingSpec.free("not an ident!")
-    with pytest.raises(ValueError):
-        RingSpec.grassmann(17)
+    for ring_header, refusal in [
+        ({"kind": "field"}, "ring kind must be one of ('integer', 'free', 'grassmann'), got 'field'"),
+        ({"kind": "free"}, "free ring needs at least one generator name"),
+        ({"kind": "free", "generators": []}, "free ring needs at least one generator name"),
+        ({"kind": "free", "generators": ["a", "a"]}, "generator names must be unique"),
+        ({"kind": "free", "generators": ["not an ident!"]}, "invalid generator name 'not an ident!'"),
+        ({"kind": "grassmann", "rank": 17}, "rank must be between 0 and 16"),
+        ({"kind": "grassmann", "rank": -1}, "rank must be between 0 and 16"),
+        ([], "ring header must be an object with a 'kind' field"),
+        ({"rank": 2}, "ring header must be an object with a 'kind' field"),
+    ]:
+        text = json.dumps({"ring": ring_header, "n": 1, "entries": [["1"]]})
+        with pytest.raises(DocumentError) as caught:
+            loads_matrix(text)
+        assert str(caught.value) == refusal
 
 
 def test_ring_spec_round_trip():
-    for spec in (RingSpec.integer(), RingSpec.free("a", "b"), RingSpec.grassmann(5)):
-        assert RingSpec.from_json_obj(spec.to_json_obj()) == spec
+    # each header kind, with the sha256 of the text the format has always written
+    for ring, entries, t, digest in [
+        (IntegerRing(), (("7",),), None, "3a291617341ad2d0a1a5c560b7a2d55c01982fafaa51168605676cb24137ac5b"),
+        (
+            FreeAlgebra(("a", "b")),
+            (("a", "b"), ("b*a", "a^2 - 1")),
+            None,
+            "ea58ef762a79fb9aedd65794332e1b71abe6b0541e1828ddf594d4ebc7251d46",
+        ),
+        (
+            GrassmannAlgebra(2),
+            (("1 + v1*v2", "v1"), ("v2", "3")),
+            1,
+            "a3a3c123fa1e62f7d6948f8bd308d66867583d7ea94c32509a35e77018df26b3",
+        ),
+    ]:
+        document = MatrixDocument(ring=ring, n=len(entries), entries=entries, t=t)
+        text = document.dumps()
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        loaded, matrix = loads_matrix(text)
+        assert loaded == document
+        assert loaded.ring == ring and matrix.ring == ring
+        assert loaded.dumps() == text
+
+
+def test_writing_a_ring_no_header_names_is_refused():
+    document = MatrixDocument(ring=PolynomialRing(IntegerRing()), n=1, entries=(("1",),))
+    with pytest.raises(DocumentError, match=r"^no ring header names PolynomialRing\("):
+        document.dumps()
 
 
 # -- matrix documents -------------------------------------------------------------
@@ -244,6 +294,24 @@ def test_missing_fields_and_bad_json():
         loads_matrix("[" * 1000 + "]" * 1000)
 
 
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no int digit limit"
+)
+@pytest.mark.parametrize(
+    "template",
+    [
+        '{"ring": {"kind": "integer"}, "n": BIG, "entries": [["1"]]}',
+        '{"ring": {"kind": "grassmann", "rank": BIG}, "n": 1, "entries": [["1"]]}',
+    ],
+    ids=["n", "rank"],
+)
+def test_a_number_past_the_digit_limit_is_not_valid_json(template):
+    # json.loads raises a plain ValueError for an int it will not convert
+    big = "1" + "0" * sys.get_int_max_str_digits()
+    with pytest.raises(DocumentError, match="^not valid JSON: Exceeds the limit"):
+        loads_matrix(template.replace("BIG", big))
+
+
 def test_block_split_is_checked_without_supermatrix_validation():
     doc = {"ring": {"kind": "integer"}, "n": 3, "t": 2, "entries": [["1", "2", "3"]] * 3}
     document, matrix = loads_matrix(json.dumps(doc))
@@ -260,11 +328,9 @@ def test_supermatrix_validation_failure():
         "t": 1,
         "entries": [["v1", "v2"], ["v1", "1"]],
     }
-    with pytest.raises(DocumentError, match="not an"):
-        loads_matrix(json.dumps(doc), validate_super=True)
-    # without the flag the same document loads fine
-    _, matrix = loads_matrix(json.dumps(doc))
-    assert matrix.n == 2
+    # the document loads; the supermatrix check is the caller's to make
+    document, matrix = loads_matrix(json.dumps(doc))
+    assert not is_supermatrix(matrix, SupermatrixProfile(document.n, document.t))
 
 
 def test_supermatrix_validation_success():
@@ -274,13 +340,13 @@ def test_supermatrix_validation_success():
         "t": 1,
         "entries": [["1 + v1*v2", "v1"], ["v2", "3"]],
     }
-    _, matrix = loads_matrix(json.dumps(doc), validate_super=True)
-    assert matrix.n == 2
+    document, matrix = loads_matrix(json.dumps(doc))
+    assert is_supermatrix(matrix, SupermatrixProfile(document.n, document.t))
 
 
 def test_document_save_load_round_trip(tmp_path):
     document = MatrixDocument(
-        ring=RingSpec.free("a", "b", "c", "d"),
+        ring=FreeAlgebra(("a", "b", "c", "d")),
         n=2,
         entries=(("a", "b"), ("c", "d")),
     )
