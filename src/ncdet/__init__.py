@@ -56,14 +56,7 @@ from .parsing import (
     save_matrix,
 )
 from .perms import perm_sign, signed_permutations
-from .rings import (
-    AxiomReport,
-    IntegerRing,
-    Ring,
-    TermLimitError,
-    commutator,
-    ring_axiom_check,
-)
+from .rings import IntegerRing, Ring, TermLimitError, commutator
 from .verify import (
     CheckResult,
     VerifyReport,
@@ -76,7 +69,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdjointSequence",
-    "AxiomReport",
     "CentralPoly",
     "CHWitness",
     "CheckResult",
@@ -122,7 +114,6 @@ __all__ = [
     "preadjoint",
     "preadjoint_via_minors",
     "right_determinant",
-    "ring_axiom_check",
     "run_verify",
     "save_matrix",
     "scalar_cayley_hamilton_check",

@@ -221,14 +221,13 @@ class CommutatorDefect(Record):
 def commutator_defect(A: Matrix, side: str) -> CommutatorDefect:
     """Split n A A* (right) or n A* A (left) into a scalar part plus defect.
 
-    The defect has zero trace, and over the free algebra every entry lies
-    in the additive commutator subgroup [R,R].
+    The scalar is the trace of the product, so the defect has zero trace in
+    every ring; over the free algebra its entries lie in the additive
+    commutator subgroup [R,R] (Theorem 2.2, checked by ``verify --suite thm2_2``).
     """
     product = sequence_product(A, side, 1)
     scalar = product.trace()
     defect = product * A.n - Matrix.scalar(A.ring, A.n, scalar)
-    if defect.trace() != A.ring.zero:
-        raise ArithmeticError("defect trace is nonzero; determinant core is inconsistent")
     return CommutatorDefect(scalar=scalar, defect=defect)
 
 

@@ -64,7 +64,7 @@ def _is_json_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-_TOKEN_RE = re.compile(rf"\s*(?:(?P<int>\d+)|(?P<ident>{_NAME.pattern})|(?P<sym>[-+*^()]))")
+_TOKEN_RE = re.compile(rf"\s*(?:(?P<int>[0-9]+)|(?P<ident>{_NAME.pattern})|(?P<sym>[-+*^()]))")
 
 
 def _tokenize(src: str) -> list[tuple[str, str, int]]:

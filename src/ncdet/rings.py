@@ -34,10 +34,9 @@ and binary and reflected ``-``, reflected ``*`` and ``**`` from
 and ``repr``.
 
 ``Record`` is the base of the package's result and option records
-(``AxiomReport``, ``AdjointSequence``, ``MatrixDocument``, ``CheckResult``
-and the rest): plain frozen ``__slots__`` classes with field-wise
-equality, hash and repr, built without the import-time cost of
-``dataclasses``.
+(``AdjointSequence``, ``MatrixDocument``, ``CheckResult`` and the rest):
+plain frozen ``__slots__`` classes with field-wise equality, hash and
+repr, built without the import-time cost of ``dataclasses``.
 
 Elements are immutable and all operations are pure, so sharing values
 between threads is safe.  The one mutable helper is the accumulator a ring
@@ -49,7 +48,6 @@ immutable element that ``total`` returns does.
 from __future__ import annotations
 
 import operator
-import random
 import sys
 from abc import ABC, abstractmethod
 
@@ -452,71 +450,3 @@ class SparseSum:
 def commutator(x, y):
     """The additive commutator xy - yx."""
     return x * y - y * x
-
-
-_AXIOMS = (
-    "add_associative",
-    "add_commutative",
-    "mul_associative",
-    "left_distributive",
-    "right_distributive",
-    "zero_is_additive_identity",
-    "one_is_multiplicative_identity",
-    "additive_inverse",
-)
-
-
-class AxiomReport(Record):
-    """Outcome of a seeded ring-axiom spot check, one verdict per axiom."""
-
-    __slots__ = ("trials", "results", "failures")
-    _defaults = {"results": dict, "failures": list}
-    trials: int
-    results: dict
-    failures: list
-
-    @property
-    def ok(self) -> bool:
-        return all(self.results.values())
-
-    def __str__(self) -> str:
-        lines = [f"{name}: {'pass' if good else 'FAIL'}" for name, good in self.results.items()]
-        return "\n".join(lines) if lines else "(no trials)"
-
-
-def ring_axiom_check(ring: Ring, samples, trials: int = 100, seed: int = 0) -> AxiomReport:
-    """Spot-check the ring axioms on seeded random triples drawn from samples.
-
-    Returns a pass/fail verdict per axiom (associativity, commutativity of
-    addition, distributivity, identities, additive inverses).  Deterministic
-    for a given seed; zero trials yields an empty report.
-    """
-    samples = list(samples)
-    if not samples:
-        raise ValueError("samples must be nonempty")
-    if trials <= 0:
-        return AxiomReport(trials=trials)
-    rng = random.Random(seed)
-    zero, one = ring.zero, ring.one
-    results = {name: True for name in _AXIOMS}
-    failures = []
-    for _ in range(trials):
-        x = rng.choice(samples)
-        y = rng.choice(samples)
-        z = rng.choice(samples)
-        checks = {
-            "add_associative": (x + y) + z == x + (y + z),
-            "add_commutative": x + y == y + x,
-            "mul_associative": (x * y) * z == x * (y * z),
-            "left_distributive": x * (y + z) == x * y + x * z,
-            "right_distributive": (x + y) * z == x * z + y * z,
-            "zero_is_additive_identity": x + zero == x,
-            "one_is_multiplicative_identity": one * x == x and x * one == x,
-            "additive_inverse": x + (-x) == zero,
-        }
-        for name, good in checks.items():
-            if not good:
-                if results[name]:
-                    failures.append((name, x, y, z))
-                results[name] = False
-    return AxiomReport(trials, results, failures)

@@ -12,14 +12,19 @@ of monomial commutators.
 ``IntMatrixRing`` is a fourth ring, m x m integer matrices, written only
 against the ring contract (``rings.Ring`` and ``rings.RingElement``), so
 the package's routes must run on a ring they were not written for.
+
+``ring_axiom_check`` spot-checks the ring axioms on seeded random triples
+of sample elements and returns one verdict per axiom in an ``AxiomReport``
+(a ``rings.Record``).
 """
 
 from __future__ import annotations
 
+import random
 from itertools import product
 
 from ncdet import FreePoly, Matrix
-from ncdet.rings import Ring, RingElement
+from ncdet.rings import Record, Ring, RingElement
 
 
 def heap_signed_permutations(n: int) -> list[tuple[tuple[int, ...], int]]:
@@ -294,3 +299,71 @@ class MatInt(RingElement):
 
     def __str__(self) -> str:
         return str([list(row) for row in self.rows])
+
+
+_AXIOMS = (
+    "add_associative",
+    "add_commutative",
+    "mul_associative",
+    "left_distributive",
+    "right_distributive",
+    "zero_is_additive_identity",
+    "one_is_multiplicative_identity",
+    "additive_inverse",
+)
+
+
+class AxiomReport(Record):
+    """Outcome of a seeded ring-axiom spot check, one verdict per axiom."""
+
+    __slots__ = ("trials", "results", "failures")
+    _defaults = {"results": dict, "failures": list}
+    trials: int
+    results: dict
+    failures: list
+
+    @property
+    def ok(self) -> bool:
+        return all(self.results.values())
+
+    def __str__(self) -> str:
+        lines = [f"{name}: {'pass' if good else 'FAIL'}" for name, good in self.results.items()]
+        return "\n".join(lines) if lines else "(no trials)"
+
+
+def ring_axiom_check(ring: Ring, samples, trials: int = 100, seed: int = 0) -> AxiomReport:
+    """Spot-check the ring axioms on seeded random triples drawn from samples.
+
+    Returns a pass/fail verdict per axiom (associativity, commutativity of
+    addition, distributivity, identities, additive inverses).  Deterministic
+    for a given seed; zero trials yields an empty report.
+    """
+    samples = list(samples)
+    if not samples:
+        raise ValueError("samples must be nonempty")
+    if trials <= 0:
+        return AxiomReport(trials=trials)
+    rng = random.Random(seed)
+    zero, one = ring.zero, ring.one
+    results = {name: True for name in _AXIOMS}
+    failures = []
+    for _ in range(trials):
+        x = rng.choice(samples)
+        y = rng.choice(samples)
+        z = rng.choice(samples)
+        checks = {
+            "add_associative": (x + y) + z == x + (y + z),
+            "add_commutative": x + y == y + x,
+            "mul_associative": (x * y) * z == x * (y * z),
+            "left_distributive": x * (y + z) == x * y + x * z,
+            "right_distributive": (x + y) * z == x * z + y * z,
+            "zero_is_additive_identity": x + zero == x,
+            "one_is_multiplicative_identity": one * x == x and x * one == x,
+            "additive_inverse": x + (-x) == zero,
+        }
+        for name, good in checks.items():
+            if not good:
+                if results[name]:
+                    failures.append((name, x, y, z))
+                results[name] = False
+    return AxiomReport(trials, results, failures)

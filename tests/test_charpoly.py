@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -225,6 +226,51 @@ def test_witness_has_one_slice_per_degree_up_to_n(A):
     witness = cayley_hamilton_witness(A)
     assert len(witness.right_defects) == len(witness.left_defects) == A.n + 1
     assert witness.lambdas[A.n] == A.ring.from_int(math.factorial(A.n))
+
+
+# sha256 of every lambda and defect as text, one per line; the witness
+# returns its data unchecked, so these pin it to the output it had while
+# it still checked itself
+@pytest.mark.parametrize(
+    "A, digest",
+    [
+        pytest.param(
+            generic_matrix(1)[1],
+            "41accf8f7e9e434d964508ffd12d67524720a3b2cc52881cae4c3fec4619a90a",
+            id="generic n=1",
+        ),
+        pytest.param(
+            generic_matrix(2)[1],
+            "0a81be8158450e521cb5834ec9d0604583e0ff245026c797eb7d5bfed8c70b9e",
+            id="generic n=2",
+        ),
+        pytest.param(
+            generic_matrix(3)[1],
+            "e10b6e47760666ed57e6cd7619b78e05a95cf3b92a278d2faa055d10c3fdc85c",
+            id="generic n=3",
+        ),
+        pytest.param(
+            generic_matrix(4)[1],
+            "431acaf6c16568eb3f3012577916d01d6363ddd0b8fb676ac376ac80210f6eb1",
+            id="generic n=4",
+        ),
+        pytest.param(
+            Matrix(IntegerRing(), [[1, 2], [3, 4]]),
+            "86f79d96b26e0ead13abe6cbf6112765b92a4a2740f5ef14cded02efe3b2fadb",
+            id="integer 2x2",
+        ),
+        pytest.param(
+            random_grassmann_matrix(GrassmannAlgebra(4), random.Random(3), 3),
+            "2b967da8ab2e6c31f363d7d8b50117fc7ca0847805d92d15da34be5ad234470c",
+            id="grassmann rank 4 3x3",
+        ),
+    ],
+)
+def test_witness_text_is_pinned(A, digest):
+    witness = cayley_hamilton_witness(A)
+    parts = (*witness.lambdas, *witness.right_defects, *witness.left_defects)
+    text = "\n".join(str(part) for part in parts)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_witness_guardrail_for_large_generic_matrices():

@@ -332,6 +332,19 @@ def test_a_number_past_the_digit_limit_is_a_clean_exit_2(capsys, tmp_path, field
     assert "Traceback" not in captured.err
 
 
+def test_a_non_ascii_digit_is_a_clean_exit_2(capsys, tmp_path):
+    # U+0663 and U+0661 U+0662 are Arabic-Indic digits, not the grammar's [0-9]
+    entry = "a^\u0663 + \u0661\u0662"
+    document = {"ring": {"kind": "free", "generators": ["a"]}, "n": 1, "entries": [[entry]]}
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps(document))
+    assert main(["sdet", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    refusal = "entry at row 1, column 1: unexpected character '\u0663' (at position 2)"
+    assert captured.err == f"error: {refusal}\n"
+
+
 def test_s4_requires_2x2(capsys):
     assert main(["s4", "--generic", "3"]) == 2
     assert "2x2" in capsys.readouterr().err

@@ -128,6 +128,19 @@ def test_integer_literal_digit_limit(monkeypatch):
     assert parse_expression("1" + "0" * 40, IntegerRing()) == 10**40
 
 
+@pytest.mark.parametrize(
+    "src, position",
+    [("\u0661\u0662", 0), ("a^\u0663", 2), ("a^\u0663 + \u0661\u0662", 2), ("1\u0662", 1)],
+    ids=["bare literal", "exponent", "both", "after an ASCII digit"],
+)
+def test_integers_are_ascii_digits(src, position):
+    # Python's int() and \d accept any Unicode decimal digit; the grammar's
+    # INTEGER is [0-9]+
+    with pytest.raises(ParseError, match="^unexpected character") as info:
+        parse_expression(src, FreeAlgebra(("a",)))
+    assert info.value.position == position
+
+
 def test_nested_exponents_multiply_under_the_limit():
     algebra = FreeAlgebra(("a", "b"))
     for src in ("(a^1000)^1000", "a^1000^2", "((a^10)^10)^11", "(a*(b^2)^600)^2"):

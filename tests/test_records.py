@@ -8,7 +8,6 @@ import pytest
 
 from ncdet import (
     AdjointSequence,
-    AxiomReport,
     CheckResult,
     CHWitness,
     CommutatorDefect,
@@ -19,6 +18,8 @@ from ncdet import (
     VerifyReport,
 )
 from ncdet.verify import VerifyOptions, _OptionReader
+
+from oracles import AxiomReport
 
 M = Matrix(IntegerRing(), [[1, 2], [3, 4]])
 N = Matrix(IntegerRing(), [[0, 1], [1, 0]])

@@ -17,11 +17,10 @@ from ncdet import (
     TermLimitError,
     commutator,
     right_determinant,
-    ring_axiom_check,
 )
 from ncdet import rings
 
-from oracles import free_product, grassmann_product
+from oracles import free_product, grassmann_product, ring_axiom_check
 
 
 def integer_samples():

@@ -1,10 +1,11 @@
+import ast
 import json
 import time
 from pathlib import Path
 
 import pytest
 
-from ncdet import run_verify, verify
+from ncdet import CHWitness, Matrix, run_verify, verify
 from ncdet.cli import main
 from ncdet.rings import TermLimitError
 from ncdet import determinants
@@ -195,6 +196,88 @@ def test_a_fixture_that_raises_is_a_failed_check(monkeypatch, capsys, suite, n):
     assert "[FAIL]" in out
     assert "error: witness broke" in out
     assert calls == 1  # the error is kept, not recomputed by each check
+
+
+def _add_at(M, i, j, x):
+    """M with x added to entry (i, j)."""
+    rows = [list(row) for row in M.rows]
+    rows[i][j] = rows[i][j] + x
+    return Matrix(M.ring, rows)
+
+
+def _off_diagonal_generator(w):
+    a = w.lambdas[0].ring.gen("a")
+    right = list(w.right_defects)
+    right[1] = _add_at(right[1], 0, 1, a)
+    return CHWitness(w.lambdas, tuple(right), w.left_defects)
+
+
+def _diagonal_commutator(w):
+    a, b = w.lambdas[0].ring.gens()[:2]
+    left = list(w.left_defects)
+    left[0] = _add_at(left[0], 0, 0, a * b - b * a)
+    return CHWitness(w.lambdas, w.right_defects, tuple(left))
+
+
+def _lambda_plus_one(w):
+    lambdas = list(w.lambdas)
+    lambdas[1] = lambdas[1] + 1
+    return CHWitness(tuple(lambdas), w.right_defects, w.left_defects)
+
+
+# the witness does not check itself, so each corruption must fail the named
+# checks of its suite and pass the others
+@pytest.mark.parametrize(
+    "corrupt, suite, n, failing",
+    [
+        (
+            _off_diagonal_generator,
+            "thm2_6",
+            2,
+            {"defect entries lie in [R,R]", "right CH identity vanishes"},
+        ),
+        (_diagonal_commutator, "thm2_6", 2, {"defects have zero trace", "left CH identity vanishes"}),
+        (_lambda_plus_one, "thm2_6", 2, {"right CH identity vanishes", "left CH identity vanishes"}),
+        (
+            _lambda_plus_one,
+            "cor4_5",
+            None,
+            {
+                "lambda coefficients match the closed form",
+                "coefficient-on-the-right identity vanishes",
+                "coefficient-on-the-left identity vanishes",
+            },
+        ),
+    ],
+    ids=[
+        "thm2_6 generator off the diagonal",
+        "thm2_6 commutator on the diagonal",
+        "thm2_6 lambda_1 + 1",
+        "cor4_5 lambda_1 + 1",
+    ],
+)
+def test_a_corrupted_witness_fails_the_named_checks(monkeypatch, corrupt, suite, n, failing):
+    original = verify.cayley_hamilton_witness
+    monkeypatch.setattr(verify, "cayley_hamilton_witness", lambda A: corrupt(original(A)))
+    report = run_verify(suite, n=n)
+    failed = {c.name.split(": ", 1)[1] for c in report.checks if not c.passed}
+    assert failed == failing
+
+
+def test_no_package_function_checks_its_own_theorem():
+    # a computing function returns its data; the theorem it satisfies is
+    # checked once, by its verify suite, so no ArithmeticError self-check
+    offenders = []
+    for path in sorted(Path(verify.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id == "ArithmeticError":
+                    offenders.append(f"{path.name}:{node.lineno}")
+    assert not offenders, (
+        f"raise ArithmeticError at {', '.join(offenders)}: a theorem is checked by its "
+        "verify suite (and the tests), not by the function that computes its data"
+    )
 
 
 def test_a_fixture_that_refuses_its_input_is_an_input_error(capsys):
