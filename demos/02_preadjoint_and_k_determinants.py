@@ -49,7 +49,7 @@ print()
 # The adjoint sequences and the determinants they define.
 seq = adjoint_sequence(A, "right", 2)
 print("right adjoint sequence P1, P2 computed; base entries stay degree",
-      max(e.degree() for row in seq.matrices[1].rows for e in row))
+      max(e.degree() for row in seq[1].rows for e in row))
 print("rdet_1(A) =", right_determinant(A, 1))
 assert right_determinant(A, 1) == symmetric_determinant(A) == left_determinant(A, 1)
 print("rdet_1 = sdet = ldet_1, exactly")

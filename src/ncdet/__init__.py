@@ -7,6 +7,8 @@ the integers -- all with exact arbitrary-precision arithmetic, plus a
 verification harness that mechanically checks every identity.
 """
 
+from types import ModuleType as _ModuleType
+
 from .charpoly import (
     CentralPoly,
     CHWitness,
@@ -23,7 +25,6 @@ from .charpoly import (
     standard_polynomial_4,
 )
 from .determinants import (
-    AdjointSequence,
     CommutatorDefect,
     adjoint_sequence,
     commutator_defect,
@@ -67,63 +68,8 @@ from .verify import (
 
 __version__ = "0.1.0"
 
+# every public name above, but not the submodules the imports bind
 __all__ = [
-    "AdjointSequence",
-    "CentralPoly",
-    "CHWitness",
-    "CheckResult",
-    "CommutatorDefect",
-    "DIMENSION_CAP",
-    "DocumentError",
-    "FreeAlgebra",
-    "FreePoly",
-    "GrassmannAlgebra",
-    "GrassmannElem",
-    "IntegerRing",
-    "Matrix",
-    "MatrixDocument",
-    "ParseError",
-    "PolynomialRing",
-    "Ring",
-    "SupermatrixProfile",
-    "TermLimitError",
-    "VerifyReport",
-    "adjoint_sequence",
-    "cayley_hamilton_witness",
-    "char_matrix",
-    "characteristic_polynomial",
-    "commutative_adj",
-    "commutative_det",
-    "commutator",
-    "commutator_defect",
-    "conjugate",
-    "generic_matrix",
-    "generic_names",
-    "graded_parts",
-    "in_commutator_span",
-    "is_supermatrix",
-    "left_determinant",
-    "lie_nilpotency_check",
-    "load_matrix",
-    "loads_matrix",
-    "matrix_poly_coefficients",
-    "newton_sdet_2",
-    "newton_sdet_3",
-    "parse_expression",
-    "perm_sign",
-    "preadjoint",
-    "preadjoint_via_minors",
-    "right_determinant",
-    "run_verify",
-    "save_matrix",
-    "scalar_cayley_hamilton_check",
-    "scalar_ch_residuals",
-    "scalar_leading_coefficient",
-    "sequence_product",
-    "signed_permutations",
-    "specialize",
-    "standard_polynomial_4",
-    "symmetric_determinant",
-    "trace_of_product",
-    "__version__",
-]
+    name for name, value in list(globals().items())
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+] + ["__version__"]

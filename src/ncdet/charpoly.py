@@ -49,16 +49,8 @@ class PolynomialRing(Ring):
     def one(self) -> CentralPoly:
         return CentralPoly._raw(self, (self.base.one,))
 
-    @property
-    def z(self) -> CentralPoly:
-        return CentralPoly._raw(self, (self.base.zero, self.base.one))
-
     def from_int(self, k: int) -> CentralPoly:
         return CentralPoly(self, [self.base.from_int(k)])
-
-    def from_base(self, value, degree: int = 0) -> CentralPoly:
-        """The monomial value * z^degree."""
-        return CentralPoly(self, [self.base.zero] * degree + [value])
 
     def _identity(self) -> tuple:
         return (self.base,)

@@ -137,15 +137,6 @@ def preadjoint_via_minors(A: Matrix) -> Matrix:
     return Matrix(A.ring, rows)
 
 
-class AdjointSequence(Record):
-    """The right (P_k) or left (Q_k) adjoint sequence of a matrix."""
-
-    __slots__ = ("side", "base", "matrices")
-    side: str
-    base: Matrix
-    matrices: tuple[Matrix, ...]
-
-
 def _by_side(side: str, right, left):
     """``right`` for side "right", ``left`` for side "left": the one place
     that reads a side argument, and so its one check."""
@@ -176,10 +167,9 @@ def _adjoint_walk(A: Matrix, side: str, k: int):
     return tuple(steps), factors
 
 
-def adjoint_sequence(A: Matrix, side: str, k: int) -> AdjointSequence:
+def adjoint_sequence(A: Matrix, side: str, k: int) -> tuple[Matrix, ...]:
     """P_1..P_k (right) or Q_1..Q_k (left), by the defining recursion."""
-    steps, _ = _adjoint_walk(A, side, k)
-    return AdjointSequence(side=side, base=A, matrices=steps)
+    return _adjoint_walk(A, side, k)[0]
 
 
 def sequence_product(A: Matrix, side: str, k: int) -> Matrix:
@@ -231,15 +221,12 @@ def commutator_defect(A: Matrix, side: str) -> CommutatorDefect:
     return CommutatorDefect(scalar=scalar, defect=defect)
 
 
-def conjugate(A: Matrix, T) -> Matrix:
+def conjugate(A: Matrix, T: Matrix) -> Matrix:
     """T^-1 A T for a unimodular integer matrix T acting by central scalars.
 
-    T may be a Matrix over the integer ring or a plain list of int rows;
-    its determinant must be +1 or -1 so the inverse is again integral.
+    T is a Matrix over the integer ring whose determinant is +1 or -1, so
+    the inverse is again integral.
     """
-    ints = IntegerRing()
-    if not isinstance(T, Matrix):
-        T = Matrix(ints, T)
     if not isinstance(T.ring, IntegerRing):
         raise ValueError("conjugating matrix must have integer entries")
     if T.n != A.n:

@@ -11,8 +11,8 @@ from first to last, with b = max(1, (g-1).bit_length()) for g generators;
 the empty word is 1.  Integer order on packed words is the canonical order,
 and the product of words u and v is ``u << s | low``, where s is v's bit
 length minus one and low is v without its leading bit.  The public API
-(``FreePoly(algebra, {word: coeff})``, ``monomial`` and ``terms``) speaks
-tuples of generator ids; ``FreeAlgebra._encode`` and ``_decode`` convert.
+(``FreePoly(algebra, {word: coeff})`` and ``terms``) speaks tuples of
+generator ids; ``FreeAlgebra._encode`` and ``_decode`` convert.
 Rendering refuses, with TermLimitError, an element whose text would write
 more letters than the algebra's ``term_limit``.
 
@@ -31,7 +31,7 @@ import re
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
-from .rings import DEFAULT_TERM_LIMIT, Ring, SparseElement, SparseRing, TermLimitError
+from .rings import Ring, SparseElement, SparseRing, TermLimitError
 
 # the expression tokenizer's identifier: a generator renders as its name, so
 # only a name it reads as one token parses back
@@ -77,9 +77,6 @@ class FreePoly(SparseElement):
             return -1
         # the largest packed word is a longest one
         return (max(self._terms).bit_length() - 1) // self.ring._bits
-
-    def constant_term(self) -> int:
-        return self._terms.get(1, 0)
 
     # bench/tracer.py wraps only a class's own attributes
     __add__ = __radd__ = SparseElement.__add__
@@ -132,7 +129,7 @@ class FreeAlgebra(SparseRing):
 
     element_type = FreePoly
 
-    def __init__(self, names: Sequence[str], term_limit: int = DEFAULT_TERM_LIMIT):
+    def __init__(self, names: Sequence[str]):
         names = tuple(names)
         if len(set(names)) != len(names):
             raise ValueError("generator names must be unique")
@@ -140,7 +137,6 @@ class FreeAlgebra(SparseRing):
             if not isinstance(name, str) or not _NAME.fullmatch(name):
                 raise ValueError(f"invalid generator name {name!r}")
         self.names = names
-        self.term_limit = term_limit
         self._index = {name: i for i, name in enumerate(self.names)}
         # bits per letter of a packed word
         self._bits = max(1, (len(self.names) - 1).bit_length())
@@ -171,9 +167,6 @@ class FreeAlgebra(SparseRing):
 
     def gens(self) -> tuple[FreePoly, ...]:
         return tuple(self.gen(name) for name in self.names)
-
-    def monomial(self, word: Sequence[int], coeff: int = 1) -> FreePoly:
-        return FreePoly(self, {tuple(word): coeff})
 
     def random_element(self, rng: random.Random, max_degree: int = 3, max_terms: int = 3) -> FreePoly:
         """Random element of up to max_terms words, coefficients in -4..4."""

@@ -19,7 +19,7 @@ from __future__ import annotations
 import operator
 import random
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .rings import SparseElement, SparseRing, TermLimitError, commutator
 
@@ -148,10 +148,6 @@ class GrassmannAlgebra(SparseRing):
 
     def gens(self) -> tuple[GrassmannElem, ...]:
         return tuple(self.gen(i) for i in range(1, self.rank + 1))
-
-    def element(self, terms: Mapping[Iterable[int], int]) -> GrassmannElem:
-        """Build an element from {(ascending 1-based indices): coefficient}."""
-        return GrassmannElem(self, terms)
 
     def random_element(
         self, rng: random.Random, max_terms: int = 3, parity: int | None = None

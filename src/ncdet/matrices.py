@@ -35,7 +35,9 @@ class SupermatrixProfile(Record):
 class Matrix(RingElement):
     """Immutable n x n matrix over a fixed ring.  ``-`` and ``**`` come from
     ``RingElement``; an int operand of ``+`` or ``-`` is that scalar matrix,
-    while ``k * M`` and ``M * k`` scale each entry by the central scalar k."""
+    while ``k * M`` and ``M * k`` scale each entry by the central scalar k,
+    the right factor of every entry's product, so one cached view of it
+    serves them all."""
 
     __slots__ = ("ring", "n", "rows")
 
@@ -62,9 +64,6 @@ class Matrix(RingElement):
     def scalar(cls, ring: Ring, n: int, value) -> Matrix:
         zero = ring.zero
         return cls(ring, [[value if i == j else zero for j in range(n)] for i in range(n)])
-
-    def entry(self, i: int, j: int):
-        return self.rows[i][j]
 
     def with_ring(self, ring: Ring, fn: Callable) -> Matrix:
         """Entrywise image in a ring, the same or another (fn maps each entry)."""
@@ -93,7 +92,7 @@ class Matrix(RingElement):
     def __mul__(self, other):
         if isinstance(other, int):
             scale = self.ring.from_int(other)
-            return self.with_ring(self.ring, lambda e: scale * e)
+            return self.with_ring(self.ring, lambda e: e * scale)
         if not isinstance(other, Matrix):
             return NotImplemented
         self._check_compatible(other)
@@ -111,7 +110,7 @@ class Matrix(RingElement):
         return Matrix(ring, rows)
 
     def __rmul__(self, other):
-        # k * M is M * k: the scale multiplies each entry on the left
+        # k * M is M * k: the scale is central
         return self * other if isinstance(other, int) else NotImplemented
 
     def _check_compatible(self, other: Matrix):

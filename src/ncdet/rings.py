@@ -34,7 +34,7 @@ and binary and reflected ``-``, reflected ``*`` and ``**`` from
 and ``repr``.
 
 ``Record`` is the base of the package's result and option records
-(``AdjointSequence``, ``MatrixDocument``, ``CheckResult`` and the rest):
+(``CommutatorDefect``, ``MatrixDocument``, ``CheckResult`` and the rest):
 plain frozen ``__slots__`` classes with field-wise equality, hash and
 repr, built without the import-time cost of ``dataclasses``.
 
@@ -50,11 +50,6 @@ from __future__ import annotations
 import operator
 import sys
 from abc import ABC, abstractmethod
-
-# the term budget of a sparse ring: the most term pairs one product may
-# enumerate, the most terms one running sum may hold, and the most letters
-# the text of one free-algebra element may write
-DEFAULT_TERM_LIMIT = 10_000_000
 
 # Python before 3.10.7 has no int-to-str digit limit
 _max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
@@ -235,7 +230,11 @@ class SparseRing(Ring):
     """A ring of ``element_type`` elements, summed under ``term_limit``."""
 
     element_type: type
-    term_limit = DEFAULT_TERM_LIMIT
+    # the term budget: the most term pairs one product may enumerate, the
+    # most terms one running sum may hold, and the most letters the text of
+    # one free-algebra element may write; set it on an instance to change it
+    # for one ring
+    term_limit = 10_000_000
 
     @property
     def zero(self):

@@ -101,6 +101,12 @@ class VerifyOptions(Record):
     seed: int
 
     def _validate(self):
+        # every option is an int (not a bool); only the seed must be given
+        for name, value in zip(self.__slots__, self._values()):
+            if (value is not None or name == "seed") and (
+                not isinstance(value, int) or isinstance(value, bool)
+            ):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n is not None and not 1 <= self.n <= DIMENSION_CAP:
             raise ValueError(f"n={self.n} is outside the supported range 1..{DIMENSION_CAP}")
         for name in ("k", "t", "trials"):

@@ -41,10 +41,10 @@ def test_z_is_central_over_the_free_algebra():
     algebra = FreeAlgebra(("a", "b"))
     ring = PolynomialRing(algebra)
     a, b = algebra.gens()
-    pa = ring.from_base(a)
-    pb = ring.from_base(b)
-    z = ring.z
-    assert (pa + z) * (pb + z) == ring.from_base(a * b) + (pa + pb) * z + z * z
+    pa = CentralPoly(ring, [a])
+    pb = CentralPoly(ring, [b])
+    z = CentralPoly(ring, [algebra.zero, algebra.one])
+    assert (pa + z) * (pb + z) == CentralPoly(ring, [a * b]) + (pa + pb) * z + z * z
     assert z * pa == pa * z
 
 
@@ -59,8 +59,8 @@ def test_coefficient_products_preserve_order():
     algebra = FreeAlgebra(("a", "b"))
     ring = PolynomialRing(algebra)
     a, b = algebra.gens()
-    left = ring.from_base(a, 1)
-    right = ring.from_base(b, 1)
+    left = CentralPoly(ring, [algebra.zero, a])
+    right = CentralPoly(ring, [algebra.zero, b])
     assert (left * right).coeff(2) == a * b
     assert (right * left).coeff(2) == b * a
 
@@ -307,7 +307,7 @@ def test_scalar_ch_on_integer_diagonal_embedded_in_rank_zero():
     shadow = Matrix(ints, [[3, 0], [0, -2]])
     p = characteristic_polynomial(A, "right", 2)
     z_ring = PolynomialRing(ints)
-    z = z_ring.z
+    z = CentralPoly(z_ring, [0, 1])
     char = (z - 3) * (z + 2)
     expected = char * char * 2
     assert [c.terms.get((), 0) for c in p.coefficients] == list(expected.coefficients)

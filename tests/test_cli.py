@@ -210,7 +210,8 @@ def test_term_budget_hit_is_a_clean_exit_2(capsys):
 
 def test_sum_over_the_term_budget_is_a_clean_exit_2(capsys, monkeypatch):
     def small_budget(n):
-        algebra = FreeAlgebra(generic_names(n), term_limit=35)
+        algebra = FreeAlgebra(generic_names(n))
+        algebra.term_limit = 35
         gens = algebra.gens()
         return algebra, Matrix(algebra, [gens[n * i : n * i + n] for i in range(n)])
 
@@ -230,7 +231,12 @@ def test_text_over_the_letter_budget_is_a_clean_exit_2(capsys, monkeypatch, tmp_
     ))
 
     def budget(limit):
-        monkeypatch.setattr(parsing, "_read_ring", lambda header: FreeAlgebra(header["generators"], limit))
+        def read_ring(header):
+            algebra = FreeAlgebra(header["generators"])
+            algebra.term_limit = limit
+            return algebra
+
+        monkeypatch.setattr(parsing, "_read_ring", read_ring)
 
     budget(8)
     assert main(["sdet", "--input", str(path)]) == 0

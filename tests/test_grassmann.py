@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from ncdet import (
     FreeAlgebra,
     GrassmannAlgebra,
+    GrassmannElem,
     TermLimitError,
     commutator,
     graded_parts,
@@ -68,7 +69,7 @@ def _factor_pairs(draw):
 def test_product_matches_inversion_count_oracle(factors):
     rank, left, right = factors
     algebra = GrassmannAlgebra(rank)
-    x, y = algebra.element(left), algebra.element(right)
+    x, y = GrassmannElem(algebra, left), GrassmannElem(algebra, right)
     assert dict((x * y).terms) == grassmann_product(x, y)
 
 
@@ -77,7 +78,7 @@ def test_product_makes_no_call_per_term_pair():
     # the 3^6 disjoint pairs here; the sign scan runs once per right term
     algebra = GrassmannAlgebra(6)
     rng = random.Random(11)
-    x, y = (algebra.element({m: rng.choice((-2, -1, 1, 2)) for m in range(64)}) for _ in range(2))
+    x, y = (GrassmannElem(algebra, {m: rng.choice((-2, -1, 1, 2)) for m in range(64)}) for _ in range(2))
     assert len(x.terms) == len(y.terms) == 64
     calls = 0
 
@@ -108,12 +109,12 @@ def test_rank_mismatch_rejected(rank4):
 
 def test_element_constructor_validates_subsets(rank4):
     with pytest.raises(ValueError):
-        rank4.element({(2, 1): 1})
+        GrassmannElem(rank4, {(2, 1): 1})
     with pytest.raises(ValueError):
-        rank4.element({(0,): 1})
+        GrassmannElem(rank4, {(0,): 1})
     with pytest.raises(ValueError):
-        rank4.element({(5,): 1})
-    assert rank4.element({(1, 3): 2, (): 1}) == 1 + 2 * (rank4.gen(1) * rank4.gen(3))
+        GrassmannElem(rank4, {(5,): 1})
+    assert GrassmannElem(rank4, {(1, 3): 2, (): 1}) == 1 + 2 * (rank4.gen(1) * rank4.gen(3))
 
 
 def test_product_over_the_pair_budget_raises():

@@ -7,7 +7,6 @@ import pickle
 import pytest
 
 from ncdet import (
-    AdjointSequence,
     CheckResult,
     CHWitness,
     CommutatorDefect,
@@ -28,7 +27,6 @@ N = Matrix(IntegerRing(), [[0, 1], [1, 0]])
 # out, one field with a different value, hashable: false for a record with
 # a list, dict or set field)
 RECORDS = [
-    (AdjointSequence, {"side": "right", "base": M, "matrices": (M, N)}, {}, ("base", N), True),
     (CommutatorDefect, {"scalar": -2, "defect": M}, {}, ("scalar", 2), True),
     (SupermatrixProfile, {"n": 3, "t": 1}, {}, ("t", 2), True),
     (

@@ -50,6 +50,29 @@ def test_sizes_over_the_guardrail_are_input_errors():
         run_verify("thm2_4", n=2, t=2)
 
 
+@pytest.mark.parametrize(
+    "suite, option, value",
+    [
+        ("thm2_3", "trials", 1.5),
+        ("thm3_1", "n", 2.5),
+        ("thm3_1", "n", True),
+        ("thm2_3", "rank", "4"),
+        ("thm2_1", "k", 2.0),
+        ("thm2_4", "t", 1.0),
+        ("thm2_3", "seed", None),
+    ],
+)
+def test_an_option_that_is_not_an_int_is_an_input_error(suite, option, value, monkeypatch):
+    def no_check(name, fn):
+        raise AssertionError(f"check {name!r} ran")
+
+    monkeypatch.setattr(verify, "_check", no_check)
+    message = f"{option} must be an integer, got {value!r}"
+    with pytest.raises(ValueError) as caught:
+        run_verify(suite, **{option: value})
+    assert str(caught.value) == message
+
+
 @pytest.mark.parametrize("suite", [*SUITES, "all"])
 def test_every_suite_at_n1_passes_or_is_refused(suite, capsys):
     code = main(["verify", "--suite", suite, "--n", "1"])
