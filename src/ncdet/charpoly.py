@@ -122,10 +122,11 @@ class CentralPoly(RingElement):
         if self.is_zero() or other.is_zero():
             return self.ring.zero
         base = self.ring.base
+        add_product = base.add_product
         out = [base.accumulator() for _ in range(len(self._coeffs) + len(other._coeffs) - 1)]
         for i, a in enumerate(self._coeffs):
             for j, b in enumerate(other._coeffs):
-                out[i + j] += a * b
+                out[i + j] = add_product(out[i + j], a, b)
         return CentralPoly(self.ring, [base.total(acc) for acc in out])
 
     def __eq__(self, other) -> bool:
@@ -311,13 +312,8 @@ def standard_polynomial_4(x1, x2, x3, x4):
     ring = getattr(x1, "ring", None) or IntegerRing()
     total = ring.accumulator()
     for images, sign in signed_permutations(4):
-        prod = items[images[0]]
-        for t in images[1:]:
-            prod = prod * items[t]
-        if sign > 0:
-            total += prod
-        else:
-            total -= prod
+        prod = items[images[0]] * items[images[1]] * items[images[2]]
+        total = ring.add_product(total, prod, items[images[3]], sign < 0)
     return ring.total(total)
 
 

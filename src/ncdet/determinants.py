@@ -107,15 +107,17 @@ def preadjoint(A: Matrix) -> Matrix:
     if n == 1:
         return Matrix(A.ring, [[A.ring.one]])
     ring, rows = A.ring, A.rows
+    add_product = ring.add_product
     table = []
     for terms in _preadjoint_plan(n):
         total = ring.accumulator()
         for pred, r, c, negative in terms:
-            term = rows[r][c] if pred < 0 else table[pred] * rows[r][c]
-            if negative:
-                total -= term
+            if pred >= 0:
+                total = add_product(total, table[pred], rows[r][c], negative)
+            elif negative:
+                total -= rows[r][c]
             else:
-                total += term
+                total += rows[r][c]
         table.append(ring.total(total))
     values = table[-n * n :]
     return Matrix(ring, [values[r * n : (r + 1) * n] for r in range(n)])
@@ -181,11 +183,12 @@ def sequence_product(A: Matrix, side: str, k: int) -> Matrix:
 def trace_of_product(X: Matrix, Y: Matrix):
     """tr(X Y) without forming the full product matrix."""
     X._check_compatible(Y)
-    total = X.ring.accumulator()
+    ring = X.ring
+    total = ring.accumulator()
     for i in range(X.n):
         for j in range(X.n):
-            total += X.rows[i][j] * Y.rows[j][i]
-    return X.ring.total(total)
+            total = ring.add_product(total, X.rows[i][j], Y.rows[j][i])
+    return ring.total(total)
 
 
 def right_determinant(A: Matrix, k: int = 1):

@@ -80,6 +80,7 @@ class FreePoly(SparseElement):
 
     # bench/tracer.py wraps only a class's own attributes
     __add__ = __radd__ = SparseElement.__add__
+    __mul__ = SparseElement.__mul__
 
     def __str__(self) -> str:
         # refuse text too large to build: a word of L letters has b*L bits
@@ -92,19 +93,16 @@ class FreePoly(SparseElement):
             )
         return SparseElement.__str__(self)
 
-    def __mul__(self, other) -> FreePoly:
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+    def _mul_into(self, other: FreePoly, out: dict[int, int], sign: int) -> dict[int, int]:
         pairs = len(self._terms) * len(other._terms)
         if pairs > self.ring.term_limit:
             raise TermLimitError.pairs(pairs, self.ring.term_limit)
         right = other._view
         if right is None:
             right = other._view = _right_view(other._terms)
-        out: dict[int, int] = {}
         get = out.get
         for w1, c1 in self._terms.items():
+            c1 *= sign
             for low, shift, c2 in right:
                 word = w1 << shift | low
                 new = get(word, 0) + c1 * c2
@@ -112,7 +110,7 @@ class FreePoly(SparseElement):
                     out[word] = new
                 else:
                     del out[word]
-        return FreePoly._raw(self.ring, out)
+        return out
 
 
 def _right_view(terms: dict[int, int]) -> list[tuple[int, int, int]]:
@@ -234,5 +232,5 @@ def specialize(p: FreePoly, assignment: Mapping[str, object], ring: Ring):
                     raise ValueError(f"no assignment for generator {name!r}")
                 images[letter] = assignment[name]
             value = value * images[letter]
-        total += ring.from_int(coeff) * value
+        total = ring.add_product(total, ring.from_int(coeff), value)
     return ring.total(total)

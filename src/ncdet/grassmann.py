@@ -96,12 +96,10 @@ class GrassmannElem(SparseElement):
 
     # bench/tracer.py wraps only a class's own attributes
     __add__ = __radd__ = SparseElement.__add__
+    __mul__ = SparseElement.__mul__
     __str__ = SparseElement.__str__
 
-    def __mul__(self, other) -> GrassmannElem:
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+    def _mul_into(self, other: GrassmannElem, out: dict[int, int], sign: int) -> dict[int, int]:
         pairs = len(self._terms) * len(other._terms)
         if pairs > self.ring.term_limit:
             raise TermLimitError.pairs(pairs, self.ring.term_limit)
@@ -112,9 +110,9 @@ class GrassmannElem(SparseElement):
         right = other._view
         if right is None:
             right = other._view = [(m2, c2, _parity_below(m2)) for m2, c2 in other._terms.items()]
-        out: dict[int, int] = {}
         get = out.get
         for m1, c1 in self._terms.items():
+            c1 *= sign
             for m2, c2, below in right:
                 if m1 & m2:
                     continue
@@ -127,7 +125,7 @@ class GrassmannElem(SparseElement):
                     out[mask] = new
                 else:
                     del out[mask]
-        return GrassmannElem._raw(self.ring, out)
+        return out
 
 
 class GrassmannAlgebra(SparseRing):

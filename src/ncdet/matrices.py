@@ -98,13 +98,14 @@ class Matrix(RingElement):
         self._check_compatible(other)
         n = self.n
         ring = self.ring
+        add_product = ring.add_product
         rows = []
-        for i in range(n):
+        for left in self.rows:
             row = []
             for j in range(n):
                 acc = ring.accumulator()
                 for k in range(n):
-                    acc += self.rows[i][k] * other.rows[k][j]
+                    acc = add_product(acc, left[k], other.rows[k][j])
                 row.append(ring.total(acc))
             rows.append(row)
         return Matrix(ring, rows)
@@ -192,14 +193,11 @@ def commutative_det(A: Matrix):
 def _det_recursive(A: Matrix):
     if A.n == 1:
         return A.rows[0][0]
-    total = A.ring.accumulator()
+    ring = A.ring
+    total = ring.accumulator()
     for j in range(A.n):
-        cofactor = A.rows[0][j] * _det_recursive(A.minor(0, j))
-        if j % 2 == 0:
-            total += cofactor
-        else:
-            total -= cofactor
-    return A.ring.total(total)
+        total = ring.add_product(total, A.rows[0][j], _det_recursive(A.minor(0, j)), j % 2 == 1)
+    return ring.total(total)
 
 
 def commutative_adj(A: Matrix) -> Matrix:

@@ -10,22 +10,27 @@ exact integer ring simply uses Python's built-in ``int``, which is
 arbitrary precision, so all arithmetic in the package is exact.
 
 The free and exterior algebras share one sparse core.  A ``SparseRing``
-builds ``zero``, ``one``, ``from_int`` and its ``SparseSum`` accumulator
-from its ``element_type`` and ``term_limit``, the most term pairs one
-product and the most terms one sum may reach (10M by default); in the free
-algebra it also caps the letters one canonical text may write.  A
+builds ``zero``, ``one``, ``from_int``, its ``SparseSum`` accumulator and
+``add_product`` from its ``element_type`` and ``term_limit``, the most
+term pairs one product and the most terms one sum may reach (10M by
+default); in the free algebra it also caps the letters one canonical text
+may write.  A
 ``SparseElement`` is a ``_terms`` dict from int keys to nonzero integer
-coefficients with ``_raw``, ``is_zero``, ``+``, unary ``-``, ``==``,
-``hash`` and canonical text, which lists the keys in integer order
+coefficients with ``_raw``, ``is_zero``, ``+``, unary ``-``, ``*``,
+``==``, ``hash`` and canonical text, which lists the keys in integer order
 unless a subclass sets ``_order`` (a key's sort key).  A subclass supplies
 ``_UNIT`` (the key of the identity), ``_MISMATCH`` (the message for
 operands of different algebras), ``_key_text`` (a key's text, empty for the
-unit), key validation in ``__init__`` and its own ``__mul__``, which
-refuses a product of more than ``term_limit`` term pairs.  ``__mul__``
-reads its right operand through ``_view``: the right-hand terms in the form
-the product loop wants, computed on first use and kept, since an element
-is immutable and a matrix entry is the right factor of many products.
-``==``, ``hash`` and the sums read ``_terms`` only.
+unit), key validation in ``__init__`` and its product kernel
+``_mul_into(other, out, sign)``, which adds sign times the product into a
+dict ``out`` that its caller owns and refuses, before it writes anything, a
+product of more than ``term_limit`` term pairs.  ``*`` is that kernel run
+on a fresh dict, and ``SparseSum.add_product`` runs it on the running sum's
+own dict, so no product of a sum is built and then folded.  The kernel
+reads its right operand through ``_view``: the right-hand terms in the
+form the product loop wants, computed on first use and kept, since an
+element is immutable and a matrix entry is the right factor of many
+products.  ``==``, ``hash`` and the sums read ``_terms`` only.
 ``RingElement`` gives every element type ``_coerce`` (an operand of its
 class from an equal ``ring``, or an int as ``ring.from_int``), ``repr``,
 and binary and reflected ``-``, reflected ``*`` and ``**`` from
@@ -129,8 +134,9 @@ class Ring(ABC):
 
     Concrete rings provide ``zero``, ``one``, ``from_int`` and
     ``_identity``; ``named_gens`` defaults to no generators, and a running
-    sum goes through ``accumulator`` and ``total``.  Two rings are equal
-    when they are of one class with equal ``_identity()``, and hash alike.
+    sum goes through ``accumulator``, ``add_product`` and ``total``.  Two
+    rings are equal when they are of one class with equal ``_identity()``,
+    and hash alike.
     Equality of elements is structural: two elements are equal exactly
     when their canonical renderings (``str``) coincide, which every element
     type guarantees by normalizing on construction.  A seeded random
@@ -180,12 +186,19 @@ class Ring(ABC):
                 acc += x
             result = ring.total(acc)
 
-        By default the accumulator is ``zero`` and each step builds a new
-        element.  Sparse rings return a ``SparseSum``, which folds each
-        term into one dict in place, so the sum costs the total size of its
-        terms instead of one copy of the running result per term.
+        and a sum of products, ``acc += x * y``, as
+        ``acc = ring.add_product(acc, x, y)``.  By default the accumulator
+        is ``zero`` and each step builds a new element.  Sparse rings
+        return a ``SparseSum``, which folds each term into one dict in
+        place, so the sum costs the total size of its terms instead of one
+        copy of the running result per term, and writes each term pair of
+        a product straight into that dict, so no product is built.
         """
         return self.zero
+
+    def add_product(self, acc, x, y, negative: bool = False):
+        """The accumulator ``acc`` less (``negative``) or plus ``x * y``."""
+        return acc - x * y if negative else acc + x * y
 
     def total(self, acc):
         """The element an accumulator of this ring has summed."""
@@ -251,6 +264,9 @@ class SparseRing(Ring):
 
     def accumulator(self) -> SparseSum:
         return SparseSum(self)
+
+    def add_product(self, acc: SparseSum, x, y, negative: bool = False) -> SparseSum:
+        return acc.add_product(x, y, negative)
 
     def total(self, acc: SparseSum):
         return acc.value()
@@ -337,6 +353,12 @@ class SparseElement(RingElement):
     def is_zero(self) -> bool:
         return not self._terms
 
+    def __mul__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self._raw(self.ring, self._mul_into(other, {}, 1))
+
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
@@ -389,12 +411,13 @@ class SparseSum:
     """In-place running sum of the elements of one ``SparseRing``.
 
     ``acc + x`` and ``acc - x`` fold the terms of x into one dict and return
-    the accumulator itself.  A lone positive term is held by reference and
-    its dict is copied only when a second term arrives; ``value()`` hands
-    the dict out inside a new element and drops it, so no element that has
-    been handed out is ever mutated.  A sum that grows past the ring's
-    ``term_limit`` raises TermLimitError; the check runs once per
-    ``+``/``-``.
+    the accumulator itself; ``add_product`` writes the term pairs of a
+    product into it the same way.  A lone positive term is held by
+    reference and its dict is copied only when a second term arrives or a
+    product is written; ``value()`` hands the dict out inside a new element
+    and drops it, so no element that has been handed out is ever mutated.
+    A sum that grows past the ring's ``term_limit`` raises TermLimitError;
+    the check runs once per ``+``, ``-`` and ``add_product``.
     """
 
     __slots__ = ("_ring", "_element", "_limit", "_lone", "_terms")
@@ -415,12 +438,10 @@ class SparseSum:
                 return NotImplemented
         out = self._terms
         if out is None:
-            lone = self._lone
-            if lone is None and sign > 0:
+            if self._lone is None and sign > 0:
                 self._lone = x
                 return self
-            out = self._terms = {} if lone is None else dict(lone._terms)
-            self._lone = None
+            out = self._own()
         get = out.get
         for key, coeff in x._terms.items():
             new = get(key, 0) + sign * coeff
@@ -428,14 +449,43 @@ class SparseSum:
                 out[key] = new
             else:
                 del out[key]
+        return self._checked(out)
+
+    def __sub__(self, x):
+        return self.__add__(x, -1)
+
+    def add_product(self, x, y, negative: bool = False) -> SparseSum:
+        """The sum less (``negative``) or plus ``x * y``, written in place.
+
+        Two elements of this very ring run x's product kernel on the sum's
+        own dict; any other operands (an int, an element of an equal ring
+        or of another one) take ``x * y`` and fold it, which coerces or
+        refuses them as ``*`` and ``+`` do.
+        """
+        ring, element = self._ring, self._element
+        if not (type(x) is type(y) is element and x.ring is ring and y.ring is ring):
+            product = x * y
+            return self - product if negative else self + product
+        out = self._terms
+        if out is None:
+            out = self._own()
+        x._mul_into(y, out, -1 if negative else 1)
+        return self._checked(out)
+
+    def _own(self) -> dict:
+        # the dict the sum writes to: a copy of the lone term, never the
+        # term's own dict
+        lone = self._lone
+        out = self._terms = {} if lone is None else dict(lone._terms)
+        self._lone = None
+        return out
+
+    def _checked(self, out: dict) -> SparseSum:
         if len(out) > self._limit:
             raise TermLimitError(
                 f"sum grew to {len(out)} terms, over the budget of {self._limit}"
             )
         return self
-
-    def __sub__(self, x):
-        return self.__add__(x, -1)
 
     def value(self):
         """The summed element; the accumulator keeps it as a lone term."""

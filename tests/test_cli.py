@@ -263,6 +263,16 @@ def test_exterior_product_over_the_pair_budget_is_a_clean_exit_2(capsys, tmp_pat
     )
 
 
+def test_generic_rdet_3_over_the_pair_budget_is_a_clean_exit_2(capsys):
+    # the third adjoint step multiplies two ~20,000-term entries
+    assert main(["rdet", "--k", "3", "--generic", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: product would enumerate 429981696 term pairs, over the budget of 10000000\n"
+    )
+
+
 def test_integer_result_past_the_digit_limit_is_a_clean_exit_2(capsys, integer_doc):
     start = time.perf_counter()
     assert main(["rdet", "--k", "30", "--input", integer_doc]) == 2

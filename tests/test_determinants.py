@@ -160,6 +160,26 @@ def test_generic_sdet_sums_in_place(monkeypatch):
     assert len(value.terms) == math.factorial(4) ** 2
 
 
+def test_generic_sweep_and_matrix_products_write_into_their_sums(monkeypatch):
+    # the sweep, trace_of_product and Matrix.__mul__ write every term pair
+    # straight into the running sum; sdet still builds each product
+    _, A = generic_matrix(4)
+    calls = []
+    original = FreePoly.__mul__
+
+    def counted(self, other):
+        calls.append(other)
+        return original(self, other)
+
+    monkeypatch.setattr(FreePoly, "__mul__", counted)
+    star = preadjoint(A)
+    trace_of_product(A, star)
+    A * star
+    assert calls == []
+    symmetric_determinant(A)
+    assert len(calls) == math.factorial(4) ** 2 * 3
+
+
 def _generic_3x3(term_limit):
     algebra = FreeAlgebra(generic_names(3))
     algebra.term_limit = term_limit

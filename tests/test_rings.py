@@ -20,7 +20,7 @@ from ncdet import (
 )
 from ncdet import rings
 
-from oracles import free_product, grassmann_product, ring_axiom_check
+from oracles import IntMatrixRing, MatInt, free_product, grassmann_product, ring_axiom_check
 
 
 def integer_samples():
@@ -432,3 +432,134 @@ def test_accumulator_matches_repeated_immutable_sums(case):
     assert result == expected
     assert str(result) == str(expected)
     assert [dict(getattr(x, "_terms", {})) for _, x in steps] == snapshots
+
+
+# -- fused products --------------------------------------------------------------
+
+_POLYNOMIALS = PolynomialRing(_GRASSMANN)
+_INT_MATRICES = IntMatrixRing(2)
+_factors = {
+    **_summands,
+    "polynomials over grassmann": (_POLYNOMIALS, st.one_of(
+        st.lists(_grassmann_elements, max_size=3).map(lambda cs: CentralPoly(_POLYNOMIALS, cs)),
+        _coefficients,
+    )),
+    "integer matrices": (_INT_MATRICES, st.one_of(
+        st.lists(_coefficients, min_size=4, max_size=4).map(
+            lambda v: MatInt(_INT_MATRICES, (tuple(v[:2]), tuple(v[2:])))
+        ),
+        _coefficients,
+    )),
+}
+
+
+def _held(x):
+    """What an operand holds, read without its view."""
+    if isinstance(x, rings.SparseElement):
+        return dict(x._terms)
+    if isinstance(x, CentralPoly):
+        return [_held(c) for c in x.coefficients]
+    return str(x)
+
+
+def _views_hold(x) -> bool:
+    """Whether every view cached in x is the one its terms give now."""
+    if isinstance(x, CentralPoly):
+        return all(_views_hold(c) for c in x.coefficients)
+    if not isinstance(x, rings.SparseElement) or x._view is None:
+        return True
+    fresh = x._raw(x.ring, dict(x._terms))
+    x.ring.one * fresh
+    return fresh._view == x._view
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(_factors)).flatmap(
+    lambda kind: st.tuples(
+        st.just(kind),
+        # the sum so far: empty, one lone term, or two terms in an owned dict
+        st.lists(_factors[kind][1], max_size=2),
+        st.booleans(),  # whether that sum was handed out first
+        _factors[kind][1],
+        _factors[kind][1],
+        st.booleans(),
+        st.sampled_from((None, 0, 1)),  # which operand, if any, is the lone term
+    )
+))
+def test_add_product_adds_the_product_and_writes_only_the_sum(case):
+    kind, terms, hand_out, x, y, negative, shared = case
+    ring = _factors[kind][0]
+    if len(terms) == 1 and shared is not None:
+        x, y = (terms[0], y) if shared == 0 else (x, terms[0])
+    acc = ring.accumulator()
+    for term in terms:
+        acc += term
+    handed = [ring.total(acc)] if hand_out else []
+    operands = (x, y, *terms, *handed)
+    before = [_held(e) for e in operands]
+    result = ring.total(ring.add_product(acc, x, y, negative))
+    assert [_held(e) for e in operands] == before
+    expected = ring.zero
+    for term in terms:
+        expected = expected + term
+    expected = expected - x * y if negative else expected + x * y
+    assert result == expected
+    assert str(result) == str(expected)
+    assert all(_views_hold(e) for e in (*operands, result))
+
+
+def _budget_case(kind):
+    """A ring with a budget of 3 and two of its generators."""
+    ring = FreeAlgebra(("a", "b", "c")) if kind == "free" else GrassmannAlgebra(3)
+    ring.term_limit = 3
+    return (ring, *ring.gens())
+
+
+@pytest.mark.parametrize("kind", ["free", "grassmann"])
+def test_a_fused_product_over_the_pair_budget_raises_as_the_product_does(kind):
+    ring, u, w, _ = _budget_case(kind)
+    with pytest.raises(TermLimitError) as product:
+        (u + w) * (u - w)
+    assert str(product.value) == "product would enumerate 4 term pairs, over the budget of 3"
+    for terms in ([], [u], [u, w]):
+        acc = ring.accumulator()
+        for term in terms:
+            acc += term
+        with pytest.raises(TermLimitError) as fused:
+            ring.add_product(acc, u + w, u - w)
+        assert str(fused.value) == str(product.value)
+        assert ring.total(acc) == sum(terms, ring.zero)  # nothing was written
+
+
+@pytest.mark.parametrize("kind", ["free", "grassmann"])
+def test_a_fused_product_that_grows_the_sum_over_the_budget_raises(kind):
+    ring, u, w, t = _budget_case(kind)
+    acc = ring.accumulator()
+    acc += u
+    acc += w
+    with pytest.raises(TermLimitError, match="sum grew to 4 terms, over the budget of 3"):
+        ring.add_product(acc, t, u + w)
+
+
+@pytest.mark.parametrize(
+    "build, stranger",
+    [(lambda: FreeAlgebra(("a", "b")), FreeAlgebra(("x",)).gen("x")),
+     (lambda: GrassmannAlgebra(3), GrassmannAlgebra(2).gen(1))],
+    ids=["free", "grassmann"],
+)
+def test_fused_operands_coerce_or_refuse_as_the_product_does(build, stranger):
+    ring = build()
+    u, v = ring.gens()[:2]
+    twin = build().gens()[0]  # of an equal, distinct ring
+    for x, y in ((u, stranger), (stranger, u), (stranger, stranger)):
+        acc = ring.accumulator()
+        acc += u
+        with pytest.raises(ValueError, match=stranger._MISMATCH):
+            ring.add_product(acc, x, y)
+    acc = ring.accumulator()
+    acc = ring.add_product(acc, 3, u)
+    acc = ring.add_product(acc, u, -2, negative=True)
+    acc = ring.add_product(acc, twin, u)
+    acc = ring.add_product(acc, 2, 3)
+    acc = ring.add_product(acc, u, v, negative=True)
+    assert ring.total(acc) == 5 * u + u * u + 6 - u * v
