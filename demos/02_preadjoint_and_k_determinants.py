@@ -33,7 +33,7 @@ print()
 
 # Two independent routes to the same matrix: one subset sweep that builds
 # the sdet of every equal-size minor from the next smaller ones, versus
-# enumerating the signed symmetric determinant of each minor.
+# the signed symmetric determinant of each minor on its own.
 assert preadjoint(A) == preadjoint_via_minors(A)
 print("the subset sweep and the minor formula agree entrywise")
 print()

@@ -3,7 +3,7 @@
 Matrices are immutable; products multiply the left factor's entries on the
 left, which is the convention every identity in the package depends on.
 The dimension is capped (default 6) because the symmetric determinant
-enumerates (n!)^2 permutation pairs.
+sums (n!)^2 signed ordered products.
 
 Also houses the commutative oracles (classical determinant and adjugate by
 cofactor expansion) and the supermatrix parity predicate over the exterior

@@ -1,7 +1,9 @@
 """Permutation enumeration with signs.
 
-The determinant core consumes ``signed_permutations``, which lists all of
-S_n in lexicographic order paired with signs from inversion parity.
+``signed_permutations`` lists all of S_n in lexicographic order paired
+with signs from inversion parity.  The standard polynomial S_4 sums over
+it; the determinant core walks ordered prefixes and needs no list of
+permutations.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ncdet import (
     FreeAlgebra,
@@ -113,7 +113,7 @@ def test_sdet_integer_example_against_double_sum_oracle(ints):
     assert symmetric_determinant(A) == 2 * commutative_det(A)
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_sdet_equals_oracle_and_collapses_commutatively(n, ints):
     rng = random.Random(n)
     for _ in range(10):
@@ -124,7 +124,8 @@ def test_sdet_equals_oracle_and_collapses_commutatively(n, ints):
 
 
 @settings(max_examples=25, deadline=None)
-@given(_square(_free_terms, 3))
+@given(_square(_free_terms, 4))
+@example([[{(i % 3,): 1, (j % 3, i % 3): j - i} for j in range(4)] for i in range(4)])
 def test_sdet_matches_double_sum_on_free_matrices(rows):
     algebra = FreeAlgebra(("a", "b", "c"))
     A = Matrix(algebra, [[FreePoly(algebra, terms) for terms in row] for row in rows])
@@ -132,15 +133,23 @@ def test_sdet_matches_double_sum_on_free_matrices(rows):
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.integers(1, 3), _seeds)
+@given(st.integers(1, 4), _seeds)
+@example(4, 0)
 def test_sdet_matches_double_sum_on_grassmann_matrices(n, seed):
+    # R[z] over the Grassmann algebra too, through A's characteristic matrix
     algebra = GrassmannAlgebra(6)
     rng = random.Random(seed)
     A = random_grassmann_matrix(algebra, rng, n)
     assert symmetric_determinant(A) == sdet_double_sum(A)
+    assert symmetric_determinant(char_matrix(A)) == sdet_double_sum(char_matrix(A))
     if n > 1:
         S = random_supermatrix(algebra, rng, n, rng.randint(1, n - 1))
         assert symmetric_determinant(S) == sdet_double_sum(S)
+
+
+def walk_products(n):
+    # one product per ordered prefix of t = 2..n factors
+    return sum(math.perm(n, t) ** 2 for t in range(2, n + 1))
 
 
 def test_generic_sdet_sums_in_place(monkeypatch):
@@ -155,14 +164,14 @@ def test_generic_sdet_sums_in_place(monkeypatch):
 
         monkeypatch.setattr(FreePoly, name, counted)
     value = symmetric_determinant(A)
-    assert calls.pop("__mul__") == math.factorial(4) ** 2 * 3
+    assert calls.pop("__mul__") == walk_products(4) == 1296
     assert calls == dict.fromkeys(calls, 0)
     assert len(value.terms) == math.factorial(4) ** 2
 
 
 def test_generic_sweep_and_matrix_products_write_into_their_sums(monkeypatch):
     # the sweep, trace_of_product and Matrix.__mul__ write every term pair
-    # straight into the running sum; sdet still builds each product
+    # straight into the running sum; sdet builds each ordered prefix with *
     _, A = generic_matrix(4)
     calls = []
     original = FreePoly.__mul__
@@ -177,7 +186,7 @@ def test_generic_sweep_and_matrix_products_write_into_their_sums(monkeypatch):
     A * star
     assert calls == []
     symmetric_determinant(A)
-    assert len(calls) == math.factorial(4) ** 2 * 3
+    assert len(calls) == walk_products(4) == 1296
 
 
 def _generic_3x3(term_limit):
@@ -312,6 +321,17 @@ def test_preadjoint_never_multiplies_by_the_empty_product(n, products, ints, mon
     P = preadjoint(A)
     assert CountingInt.products == products
     assert P == commutative_adj(A) * math.factorial(n - 1)
+
+
+@pytest.mark.parametrize("n, products", [(1, 0), (2, 4), (3, 72), (4, 1296), (5, 32800)])
+def test_sdet_builds_each_ordered_prefix_once(n, products, ints, monkeypatch):
+    # the enumeration took (n!)^2 (n-1) products: 0, 4, 72, 1,728, 57,600
+    monkeypatch.setattr(CountingInt, "products", 0)
+    rng = random.Random(n)
+    A = Matrix(ints, [[CountingInt(rng.randint(-9, 9)) for _ in range(n)] for _ in range(n)])
+    value = symmetric_determinant(A)
+    assert CountingInt.products == products == walk_products(n)
+    assert value == math.factorial(n) * commutative_det(A)
 
 
 # -- adjoint sequences and k-th determinants ------------------------------------

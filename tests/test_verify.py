@@ -173,32 +173,30 @@ def test_seed_changes_are_still_deterministic():
     assert [c.passed for c in first.checks] == [c.passed for c in second.checks]
 
 
-def test_injected_sign_error_flips_a_suite(monkeypatch):
-    # mutation smoke test: corrupt one permutation sign inside the sdet
-    # enumeration and the theorem suites must notice
-    true_table = determinants.signed_permutations
+def flip_a_choice_sign(monkeypatch, which):
+    # corrupt one sign in every table of choices the sdet walk reads; the
+    # walk looks the patched name up per call, so no cached table is reused
+    true_table = determinants._choices
 
-    def flipped(n):
-        table = list(true_table(n))
-        images, sign = table[-1]
-        table[-1] = (images, -sign)
+    def flipped(free):
+        table = list(true_table(free))
+        taken, rest, odd = table[which]
+        table[which] = (taken, rest, not odd)
         return tuple(table)
 
-    monkeypatch.setattr(determinants, "signed_permutations", flipped)
+    monkeypatch.setattr(determinants, "_choices", flipped)
+
+
+def test_injected_sign_error_flips_a_suite(monkeypatch):
+    # mutation smoke test: corrupt one sign inside the sdet walk and the
+    # theorem suites must notice
+    flip_a_choice_sign(monkeypatch, -1)
     assert not run_verify("thm3_1", n=2).ok
     assert not run_verify("prop4_1").ok
 
 
 def test_failure_details_are_reported(monkeypatch):
-    true_table = determinants.signed_permutations
-
-    def flipped(n):
-        table = list(true_table(n))
-        images, sign = table[0]
-        table[0] = (images, -sign)
-        return tuple(table)
-
-    monkeypatch.setattr(determinants, "signed_permutations", flipped)
+    flip_a_choice_sign(monkeypatch, 0)
     report = run_verify("thm3_1", n=2)
     assert "[FAIL]" in str(report)
 
