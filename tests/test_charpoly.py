@@ -26,7 +26,7 @@ from ncdet import (
     standard_polynomial_4,
     symmetric_determinant,
 )
-from ncdet.verify import generic_matrix, random_grassmann_matrix
+from ncdet.verify import generic_matrix, random_grassmann_matrix, random_supermatrix
 
 
 @pytest.fixture
@@ -255,6 +255,11 @@ def test_witness_has_one_slice_per_degree_up_to_n(A):
             id="generic n=4",
         ),
         pytest.param(
+            generic_matrix(5)[1],
+            "3a90ddd52dbe254f4b54ef3fb0844248b2110d69914b31c6273a719e4d4fa4ce",
+            id="generic n=5",
+        ),
+        pytest.param(
             Matrix(IntegerRing(), [[1, 2], [3, 4]]),
             "86f79d96b26e0ead13abe6cbf6112765b92a4a2740f5ef14cded02efe3b2fadb",
             id="integer 2x2",
@@ -263,6 +268,11 @@ def test_witness_has_one_slice_per_degree_up_to_n(A):
             random_grassmann_matrix(GrassmannAlgebra(4), random.Random(3), 3),
             "2b967da8ab2e6c31f363d7d8b50117fc7ca0847805d92d15da34be5ad234470c",
             id="grassmann rank 4 3x3",
+        ),
+        pytest.param(
+            random_supermatrix(GrassmannAlgebra(4), random.Random(5), 3, 1),
+            "b5cbb3031f5848965402f6aa12a2c048e98feeec695e5b91b7d814faf2f7130a",
+            id="grassmann rank 4 (3, 1) supermatrix",
         ),
     ],
 )
