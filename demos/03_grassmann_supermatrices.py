@@ -12,7 +12,6 @@ import random
 
 from ncdet import (
     GrassmannAlgebra,
-    SupermatrixProfile,
     commutator,
     graded_parts,
     is_supermatrix,
@@ -48,12 +47,11 @@ print("rdet_2(A) =", str(right_determinant(A, 2))[:64], "...")
 print()
 
 # Supermatrices: even diagonal blocks, odd off-diagonal blocks.
-profile = SupermatrixProfile(n=3, t=1)
 S = random_supermatrix(E, rng, 3, 1)
 print("a random (3, 1) supermatrix:")
 print(S)
-assert is_supermatrix(S, profile)
-assert is_supermatrix(preadjoint(S), profile)
+assert is_supermatrix(S, 1)
+assert is_supermatrix(preadjoint(S), 1)
 print("its preadjoint is again a supermatrix")
 for k in (1, 2):
     for label, value in (("rdet", right_determinant(S, k)), ("ldet", left_determinant(S, k))):

@@ -16,7 +16,6 @@ from .charpoly import (
     cayley_hamilton_witness,
     char_matrix,
     characteristic_polynomial,
-    matrix_poly_coefficients,
     newton_sdet_2,
     newton_sdet_3,
     scalar_cayley_hamilton_check,
@@ -42,7 +41,6 @@ from .grassmann import GrassmannAlgebra, GrassmannElem, graded_parts, lie_nilpot
 from .matrices import (
     DIMENSION_CAP,
     Matrix,
-    SupermatrixProfile,
     commutative_adj,
     commutative_det,
     is_supermatrix,
@@ -62,7 +60,6 @@ from .verify import (
     CheckResult,
     VerifyReport,
     generic_matrix,
-    generic_names,
     run_verify,
 )
 

@@ -3,7 +3,8 @@
 Matrices are immutable; products multiply the left factor's entries on the
 left, which is the convention every identity in the package depends on.
 The dimension is capped (default 6) because the symmetric determinant
-sums (n!)^2 signed ordered products.
+takes the sum over t = 2..n of (n!/(n-t)!)^2 ring multiplications,
+1,181,700 at n = 6.
 
 Also houses the commutative oracles (classical determinant and adjugate by
 cofactor expansion) and the supermatrix parity predicate over the exterior
@@ -15,21 +16,9 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from .grassmann import GrassmannElem, graded_parts
-from .rings import Record, Ring, RingElement
+from .rings import Ring, RingElement
 
 DIMENSION_CAP = 6
-
-
-class SupermatrixProfile(Record):
-    """Block split (n, t): rows/columns 1..t versus t+1..n."""
-
-    __slots__ = ("n", "t")
-    n: int
-    t: int
-
-    def _validate(self):
-        if not 1 <= self.t <= self.n - 1:
-            raise ValueError(f"block split t={self.t} invalid for n={self.n}")
 
 
 class Matrix(RingElement):
@@ -161,15 +150,15 @@ class Matrix(RingElement):
         return f"<Matrix {self.n}x{self.n} over {self.ring!r}>"
 
 
-def is_supermatrix(A: Matrix, profile: SupermatrixProfile) -> bool:
+def is_supermatrix(A: Matrix, t: int) -> bool:
     """True iff diagonal blocks are purely even and off-diagonal blocks purely odd.
 
-    Zero entries count as homogeneous of either parity (zero is the one
-    element of both graded parts).
+    The block split t puts rows and columns 1..t in the first block and
+    t+1..n in the second.  Zero entries count as homogeneous of either
+    parity (zero is the one element of both graded parts).
     """
-    if profile.n != A.n:
-        raise ValueError(f"profile is for n={profile.n}, matrix has n={A.n}")
-    t = profile.t
+    if not 1 <= t <= A.n - 1:
+        raise ValueError(f"block split t={t} invalid for n={A.n}")
     for i in range(A.n):
         for j in range(A.n):
             entry = A.rows[i][j]

@@ -33,7 +33,7 @@ from pathlib import Path
 
 from .freealg import _NAME, FreeAlgebra
 from .grassmann import GrassmannAlgebra
-from .matrices import Matrix, SupermatrixProfile
+from .matrices import Matrix
 from .rings import IntegerRing, Record, Ring, _max_str_digits
 
 
@@ -300,7 +300,8 @@ def _read_document(obj) -> MatrixDocument:
     if t is not None:
         if not _is_json_int(t):
             raise DocumentError("'t' must be an integer block split")
-        SupermatrixProfile(n=n, t=t)  # refuses a split outside 1..n-1
+        if not 1 <= t <= n - 1:
+            raise DocumentError(f"block split t={t} invalid for n={n}")
     return MatrixDocument(ring=ring, n=n, entries=tuple(grid), t=t)
 
 
@@ -319,7 +320,7 @@ def loads_matrix(text: str) -> tuple[MatrixDocument, Matrix]:
     except DocumentError:
         raise
     except ValueError as exc:
-        # the refusal of a ring's or a block split's own constructor
+        # the refusal of a ring's or the matrix's own constructor
         raise DocumentError(str(exc)) from exc
 
 

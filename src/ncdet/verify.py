@@ -47,7 +47,6 @@ from .grassmann import MAX_RANK, GrassmannAlgebra, graded_parts
 from .matrices import (
     DIMENSION_CAP,
     Matrix,
-    SupermatrixProfile,
     commutative_adj,
     commutative_det,
     is_supermatrix,
@@ -178,15 +177,13 @@ def _fixture(fn, *args):
 GENERIC_LETTERS = {1: "a", 2: "abcd", 3: "abcdefghp"}
 
 
-def generic_names(n: int) -> tuple[str, ...]:
-    if n in GENERIC_LETTERS:
-        return tuple(GENERIC_LETTERS[n])
-    return tuple(f"a{i}{j}" for i in range(1, n + 1) for j in range(1, n + 1))
-
-
 def generic_matrix(n: int) -> tuple[FreeAlgebra, Matrix]:
-    """An n x n matrix whose entries are n^2 distinct free generators."""
-    names = generic_names(n)
+    """An n x n matrix whose entries are n^2 distinct free generators,
+    named by ``GENERIC_LETTERS`` for n <= 3 and a{i}{j} beyond."""
+    if n in GENERIC_LETTERS:
+        names = tuple(GENERIC_LETTERS[n])
+    else:
+        names = tuple(f"a{i}{j}" for i in range(1, n + 1) for j in range(1, n + 1))
     algebra = FreeAlgebra(names)
     gens = iter(algebra.gens())
     rows = [[next(gens) for _ in range(n)] for _ in range(n)]
@@ -336,12 +333,10 @@ def _suite_thm2_4(opt: _OptionReader):
     rng = random.Random(opt.get("seed"))
     ks = opt.each("k", (1, 2))
     for (n, t), count in _supermatrix_trials(opt):
-        profile = SupermatrixProfile(n=n, t=t)
-
         def test(A):
-            if not is_supermatrix(A, profile):
+            if not is_supermatrix(A, t):
                 return "fixture is not a supermatrix"
-            if not is_supermatrix(preadjoint(A), profile):
+            if not is_supermatrix(preadjoint(A), t):
                 return "preadjoint left the supermatrix ring"
             for k in ks:
                 for side, determinant in (("r", right_determinant), ("l", left_determinant)):

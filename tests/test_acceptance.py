@@ -19,7 +19,6 @@ from ncdet import (
     GrassmannAlgebra,
     IntegerRing,
     Matrix,
-    SupermatrixProfile,
     cayley_hamilton_witness,
     characteristic_polynomial,
     commutative_adj,
@@ -174,11 +173,10 @@ def test_criterion_06_supermatrix_grading_preservation():
         rng = random.Random(42)
         shapes = ((2, 1, 7), (3, 1, 7), (3, 2, 6))  # 20 supermatrices total
         for n, t, count in shapes:
-            profile = SupermatrixProfile(n=n, t=t)
             for _ in range(count):
                 A = random_supermatrix(algebra, rng, n, t)
-                assert is_supermatrix(A, profile)
-                assert is_supermatrix(preadjoint(A), profile)
+                assert is_supermatrix(A, t)
+                assert is_supermatrix(preadjoint(A), t)
                 for k in (1, 2):
                     assert graded_parts(right_determinant(A, k))[1].is_zero()
                     assert graded_parts(left_determinant(A, k))[1].is_zero()

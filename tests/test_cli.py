@@ -9,9 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from ncdet import FreeAlgebra, Matrix, cli, parsing, standard_polynomial_4
+from ncdet import FreeAlgebra, cli, parsing, standard_polynomial_4
 from ncdet.cli import main
-from ncdet.verify import generic_matrix, generic_names
+from ncdet.verify import generic_matrix
 
 
 INTEGER_DOC = json.dumps(
@@ -210,10 +210,9 @@ def test_term_budget_hit_is_a_clean_exit_2(capsys):
 
 def test_sum_over_the_term_budget_is_a_clean_exit_2(capsys, monkeypatch):
     def small_budget(n):
-        algebra = FreeAlgebra(generic_names(n))
+        algebra, A = generic_matrix(n)
         algebra.term_limit = 35
-        gens = algebra.gens()
-        return algebra, Matrix(algebra, [gens[n * i : n * i + n] for i in range(n)])
+        return algebra, A
 
     monkeypatch.setattr(cli, "generic_matrix", small_budget)
     assert main(["sdet", "--generic", "3"]) == 2

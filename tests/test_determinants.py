@@ -30,7 +30,6 @@ from ncdet import (
 from ncdet.charpoly import char_matrix
 from ncdet.verify import (
     generic_matrix,
-    generic_names,
     random_grassmann_matrix,
     random_supermatrix,
 )
@@ -190,10 +189,9 @@ def test_generic_sweep_and_matrix_products_write_into_their_sums(monkeypatch):
 
 
 def _generic_3x3(term_limit):
-    algebra = FreeAlgebra(generic_names(3))
+    algebra, A = generic_matrix(3)
     algebra.term_limit = term_limit
-    gens = algebra.gens()
-    return Matrix(algebra, [gens[3 * i : 3 * i + 3] for i in range(3)])
+    return A
 
 
 def test_sdet_running_sum_over_the_term_budget_raises():

@@ -7,7 +7,6 @@ from ncdet import (
     GrassmannAlgebra,
     IntegerRing,
     Matrix,
-    SupermatrixProfile,
     commutative_adj,
     commutative_det,
     is_supermatrix,
@@ -126,33 +125,35 @@ def test_supermatrix_positive_case():
     E = GrassmannAlgebra(2)
     v1, v2 = E.gens()
     A = Matrix(E, [[1 + v1 * v2, v1], [v2, E.from_int(3)]])
-    assert is_supermatrix(A, SupermatrixProfile(n=2, t=1))
+    assert is_supermatrix(A, 1)
 
 
 def test_supermatrix_negative_case():
     E = GrassmannAlgebra(2)
     v1, v2 = E.gens()
     A = Matrix(E, [[v1, v2], [v1, E.one]])
-    assert not is_supermatrix(A, SupermatrixProfile(n=2, t=1))
+    assert not is_supermatrix(A, 1)
 
 
 def test_zero_blocks_are_homogeneous_of_both_parities():
     E = GrassmannAlgebra(0)
     A = Matrix(E, [[E.from_int(4), E.zero], [E.zero, E.from_int(-2)]])
-    assert is_supermatrix(A, SupermatrixProfile(n=2, t=1))
+    assert is_supermatrix(A, 1)
 
 
 def test_supermatrix_requires_graded_ring(ints):
     A = Matrix(ints, [[1, 0], [0, 1]])
     with pytest.raises(ValueError, match="graded"):
-        is_supermatrix(A, SupermatrixProfile(n=2, t=1))
+        is_supermatrix(A, 1)
 
 
 def test_profile_validates_split():
-    with pytest.raises(ValueError):
-        SupermatrixProfile(n=2, t=2)
-    with pytest.raises(ValueError):
-        SupermatrixProfile(n=3, t=0)
+    for n in (2, 3):
+        A = Matrix.zeros(GrassmannAlgebra(0), n)
+        for t in (0, n):
+            with pytest.raises(ValueError) as caught:
+                is_supermatrix(A, t)
+            assert str(caught.value) == f"block split t={t} invalid for n={n}"
 
 
 # -- commutative oracles ------------------------------------------------------

@@ -16,7 +16,6 @@ from ncdet import (
     MatrixDocument,
     ParseError,
     PolynomialRing,
-    SupermatrixProfile,
     is_supermatrix,
     load_matrix,
     loads_matrix,
@@ -343,7 +342,7 @@ def test_supermatrix_validation_failure():
     }
     # the document loads; the supermatrix check is the caller's to make
     document, matrix = loads_matrix(json.dumps(doc))
-    assert not is_supermatrix(matrix, SupermatrixProfile(document.n, document.t))
+    assert not is_supermatrix(matrix, document.t)
 
 
 def test_supermatrix_validation_success():
@@ -354,7 +353,7 @@ def test_supermatrix_validation_success():
         "entries": [["1 + v1*v2", "v1"], ["v2", "3"]],
     }
     document, matrix = loads_matrix(json.dumps(doc))
-    assert is_supermatrix(matrix, SupermatrixProfile(document.n, document.t))
+    assert is_supermatrix(matrix, document.t)
 
 
 def test_document_save_load_round_trip(tmp_path):

@@ -13,7 +13,6 @@ from ncdet import (
     IntegerRing,
     Matrix,
     MatrixDocument,
-    SupermatrixProfile,
     VerifyReport,
 )
 from ncdet.verify import VerifyOptions, _OptionReader
@@ -28,7 +27,6 @@ N = Matrix(IntegerRing(), [[0, 1], [1, 0]])
 # a list, dict or set field)
 RECORDS = [
     (CommutatorDefect, {"scalar": -2, "defect": M}, {}, ("scalar", 2), True),
-    (SupermatrixProfile, {"n": 3, "t": 1}, {}, ("t", 2), True),
     (
         MatrixDocument,
         {"ring": IntegerRing(), "n": 1, "entries": (("7",),)},
@@ -93,8 +91,6 @@ def test_record_semantics(cls, given, defaults, changed, hashable):
 @pytest.mark.parametrize(
     "build, message",
     [
-        (lambda: SupermatrixProfile(n=3, t=0), "block split t=0 invalid for n=3"),
-        (lambda: SupermatrixProfile(3, 3), "block split t=3 invalid for n=3"),
         (lambda: VerifyOptions(n=0), "n=0 is outside the supported range 1..6"),
         (lambda: VerifyOptions(n=7), "n=7 is outside the supported range 1..6"),
         (lambda: VerifyOptions(k=0), "k must be at least 1"),
