@@ -10,10 +10,12 @@ from ncdet import (
     CheckResult,
     CHWitness,
     CommutatorDefect,
+    GrassmannAlgebra,
     IntegerRing,
     Matrix,
     MatrixDocument,
     VerifyReport,
+    is_supermatrix,
 )
 from ncdet.verify import VerifyOptions, _OptionReader
 
@@ -21,6 +23,7 @@ from oracles import AxiomReport
 
 M = Matrix(IntegerRing(), [[1, 2], [3, 4]])
 N = Matrix(IntegerRing(), [[0, 1], [1, 0]])
+Z3 = Matrix.zeros(GrassmannAlgebra(0), 3)
 
 # (record type, the fields given, in order, the defaults of the fields left
 # out, one field with a different value, hashable: false for a record with
@@ -91,6 +94,9 @@ def test_record_semantics(cls, given, defaults, changed, hashable):
 @pytest.mark.parametrize(
     "build, message",
     [
+        # a block split is a plain int t, checked where it is used
+        (lambda: is_supermatrix(Z3, 0), "block split t=0 invalid for n=3"),
+        (lambda: is_supermatrix(Z3, 3), "block split t=3 invalid for n=3"),
         (lambda: VerifyOptions(n=0), "n=0 is outside the supported range 1..6"),
         (lambda: VerifyOptions(n=7), "n=7 is outside the supported range 1..6"),
         (lambda: VerifyOptions(k=0), "k must be at least 1"),
