@@ -5,7 +5,11 @@ symmetric Newton trace formulas for 2x2 and 3x3 matrices.
 A ``CentralPoly`` is a coefficient list over any ring of the package;
 the indeterminate z commutes with everything, so the product of two
 polynomials multiplies coefficients in the base ring with the left
-factor's coefficient on the left.  ``PolynomialRing`` implements the ring
+factor's coefficient on the left.  Over a sparse base, two polynomials
+of degree at least 2 multiply in one pass of the base product kernel, on
+their slices packed into one element (Kronecker substitution, sized per
+product by the L1 bound in ``_packed_mul``); any other product multiplies
+slice by slice.  ``PolynomialRing`` implements the ring
 contract, which lets the whole matrix/determinant machinery run unchanged
 over R[z]: the k-th characteristic polynomial of A is simply the k-th
 right (or left) determinant of zI - A computed there.  A polynomial
@@ -23,7 +27,7 @@ from .freealg import FreeAlgebra
 from .grassmann import GrassmannAlgebra
 from .matrices import Matrix
 from .perms import signed_permutations
-from .rings import IntegerRing, Record, Ring, RingElement, join_signed
+from .rings import IntegerRing, Record, Ring, RingElement, SparseRing, join_signed
 
 # the largest free-algebra witness: generic n = 5 takes 0.31-0.37 s and
 # a process peak RSS of 60 MB (Python 3.11.7, 2-core machine); n = 6
@@ -60,9 +64,13 @@ class PolynomialRing(Ring):
 
 
 class CentralPoly(RingElement):
-    """Immutable polynomial in a central z with coefficients in a base ring."""
+    """Immutable polynomial in a central z with coefficients in a base ring.
 
-    __slots__ = ("ring", "_coeffs")
+    ``_coeffs`` runs from degree 0 with no zero on top.  Over a sparse base
+    ``_norm`` caches the L1 norm that sizes the packed product's slices.
+    """
+
+    __slots__ = ("ring", "_coeffs", "_norm")
 
     _MISMATCH = "polynomials live over different base rings"
 
@@ -73,12 +81,14 @@ class CentralPoly(RingElement):
             coeffs.pop()
         self.ring = ring
         self._coeffs = tuple(coeffs)
+        self._norm = None
 
     @classmethod
     def _raw(cls, ring: PolynomialRing, coeffs: tuple) -> CentralPoly:
         self = object.__new__(cls)
         self.ring = ring
         self._coeffs = coeffs
+        self._norm = None
         return self
 
     @property
@@ -122,12 +132,58 @@ class CentralPoly(RingElement):
         if self.is_zero() or other.is_zero():
             return self.ring.zero
         base = self.ring.base
+        # a factor of degree 0 or 1, such as an entry of zI - A, makes a few
+        # slice products whose right operands keep their cached views, and
+        # packing them would cost more than it saves
+        if len(self._coeffs) > 2 and len(other._coeffs) > 2 and isinstance(base, SparseRing):
+            return self._packed_mul(other)
         add_product = base.add_product
         out = [base.accumulator() for _ in range(len(self._coeffs) + len(other._coeffs) - 1)]
         for i, a in enumerate(self._coeffs):
             for j, b in enumerate(other._coeffs):
                 out[i + j] = add_product(out[i + j], a, b)
         return CentralPoly(self.ring, [base.total(acc) for acc in out])
+
+    def _l1(self) -> int:
+        """The sum of |coefficient| over every slice and key (sparse base)."""
+        if self._norm is None:
+            self._norm = sum(abs(c) for e in self._coeffs for c in e._terms.values())
+        return self._norm
+
+    def _packed(self, width: int):
+        """One base element whose coefficient at each key is the slices'
+        coefficients there, slice i shifted up by width * i bits."""
+        packed: dict[int, int] = {}
+        get = packed.get
+        for i, e in enumerate(self._coeffs):
+            shift = width * i
+            for key, coeff in e._terms.items():
+                packed[key] = get(key, 0) + (coeff << shift)
+        return self.ring.base.element_type._raw(self.ring.base, packed)
+
+    def _packed_mul(self, other: CentralPoly) -> CentralPoly:
+        # every slot of the product sums distinct products c1 * c2, so its
+        # magnitude is at most l1(self) * l1(other) < 2^(width - 1); adding
+        # 2^(width - 1) to every slot makes each one a nonnegative width-bit
+        # field, read without carries
+        width = (self._l1() * other._l1()).bit_length() + 1
+        out = self._packed(width)._mul_into(other._packed(width), {}, 1)
+        size = len(self._coeffs) + len(other._coeffs) - 1
+        half, mask = 1 << (width - 1), (1 << width) - 1
+        bias = sum(half << width * d for d in range(size))
+        slices: list[dict[int, int]] = [{} for _ in range(size)]
+        for key, value in out.items():
+            value += bias
+            for terms in slices:
+                slot = (value & mask) - half
+                if slot:
+                    terms[key] = slot
+                value >>= width
+        # top slices cancel, and over the exterior algebra all of them can
+        while slices and not slices[-1]:
+            slices.pop()
+        base = self.ring.base
+        return CentralPoly._raw(self.ring, tuple(base.element_type._raw(base, t) for t in slices))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):

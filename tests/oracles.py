@@ -13,6 +13,12 @@ of monomial commutators.
 against the ring contract (``rings.Ring`` and ``rings.RingElement``), so
 the package's routes must run on a ring they were not written for.
 
+``central_poly_product_slices`` multiplies two polynomials over R[z] one
+pair of z-degrees at a time, the product the packed route replaces, and
+``charpoly_by_interpolation`` reaches p_{A,k} and q_{A,k} without R[z]:
+it evaluates rdet_k/ldet_k of z0 I - A at the integers z0 = 0..n^k and
+interpolates each key's coefficients with exact fractions.
+
 ``ring_axiom_check`` spot-checks the ring axioms on seeded random triples
 of sample elements and returns one verdict per axiom in an ``AxiomReport``
 (a ``rings.Record``).
@@ -21,9 +27,17 @@ of sample elements and returns one verdict per axiom in an ``AxiomReport``
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import product
 
-from ncdet import FreePoly, Matrix
+from ncdet import (
+    CentralPoly,
+    FreePoly,
+    Matrix,
+    PolynomialRing,
+    left_determinant,
+    right_determinant,
+)
 from ncdet.rings import Record, Ring, RingElement
 
 
@@ -138,6 +152,61 @@ def grassmann_product(x, y) -> dict[tuple[int, ...], int]:
             key = tuple(sorted(word))
             out[key] = out.get(key, 0) + (-1) ** inversions * c1 * c2
     return {key: coeff for key, coeff in out.items() if coeff}
+
+
+def central_poly_product_slices(x: CentralPoly, y: CentralPoly) -> CentralPoly:
+    """x * y in R[z] slice by slice: the degree-d coefficient sums the base
+    products of x's degree-i and y's degree-(d - i) coefficients, x's on
+    the left."""
+    ring = x.ring
+    if x.is_zero() or y.is_zero():
+        return ring.zero
+    out = [ring.base.zero] * (x.degree() + y.degree() + 1)
+    for i, a in enumerate(x.coefficients):
+        for j, b in enumerate(y.coefficients):
+            out[i + j] = out[i + j] + a * b
+    return CentralPoly(ring, out)
+
+
+def _lagrange_basis(points: list[int]) -> list[list[Fraction]]:
+    """Coefficients, constant first, of the Lagrange basis polynomial of
+    each point: 1 there and 0 at every other point."""
+    basis = []
+    for m, zm in enumerate(points):
+        coeffs = [Fraction(1)]
+        for zj in points[:m] + points[m + 1:]:
+            # times (z - zj) / (zm - zj)
+            coeffs = [
+                (high - zj * low) / (zm - zj) for high, low in zip([0, *coeffs], [*coeffs, 0])
+            ]
+        basis.append(coeffs)
+    return basis
+
+
+def charpoly_by_interpolation(A: Matrix, side: str = "right", k: int = 1) -> CentralPoly:
+    """p_{A,k} (right) or q_{A,k} (left) from n^k + 1 values over R.
+
+    z is central, so setting z = z0 maps R[z] onto R and the k-th
+    determinant of zI - A onto that of z0 I - A.  The polynomial has degree
+    n^k, so its values at z0 = 0..n^k fix it; each key's coefficients are
+    interpolated with exact fractions and must come out integers.  The
+    entries of A are sparse ring elements, read through their public
+    ``terms``.
+    """
+    ring = A.ring
+    determinant = right_determinant if side == "right" else left_determinant
+    points = list(range(A.n**k + 1))
+    values = [determinant(Matrix.scalar(ring, A.n, z0) - A, k).terms for z0 in points]
+    basis = _lagrange_basis(points)
+    coeffs = []
+    for d in range(len(points)):
+        terms = {}
+        for key in set().union(*values):
+            c = sum(value.get(key, 0) * L[d] for value, L in zip(values, basis))
+            assert c.denominator == 1, f"coefficient {c} of z^{d} is not an integer"
+            terms[key] = int(c)
+        coeffs.append(ring.element_type(ring, terms))
+    return CentralPoly(PolynomialRing(ring), coeffs)
 
 
 def words_up_to(num_generators: int, max_degree: int) -> list[tuple[int, ...]]:

@@ -3,6 +3,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ncdet import (
     CentralPoly,
@@ -27,6 +28,8 @@ from ncdet import (
     symmetric_determinant,
 )
 from ncdet.verify import generic_matrix, random_grassmann_matrix, random_supermatrix
+
+from oracles import central_poly_product_slices, charpoly_by_interpolation
 
 
 @pytest.fixture
@@ -63,6 +66,83 @@ def test_coefficient_products_preserve_order():
     right = CentralPoly(ring, [algebra.zero, b])
     assert (left * right).coeff(2) == a * b
     assert (right * left).coeff(2) == b * a
+
+
+_WIDE = st.integers(-(2**40), 2**40)
+_FREE = FreeAlgebra(("a", "b"))
+_EXTERIOR = GrassmannAlgebra(4)
+_BASE_KEYS = {
+    # words of up to two letters; subsets of up to two of v1..v4
+    _FREE: st.lists(st.integers(0, 1), max_size=2).map(tuple),
+    _EXTERIOR: st.frozensets(st.integers(1, 4), max_size=2).map(lambda s: tuple(sorted(s))),
+}
+
+
+@st.composite
+def _poly_pairs(draw):
+    """Two polynomials over one sparse base, up to five slices each; the
+    slices draw from a few keys, so keys repeat across slices as they do
+    in zI - A and its adjoints."""
+    base = draw(st.sampled_from(list(_BASE_KEYS)))
+    keys = draw(st.lists(_BASE_KEYS[base], min_size=1, max_size=4, unique=True))
+    element = st.dictionaries(st.sampled_from(keys), _WIDE, max_size=3).map(
+        lambda terms: base.element_type(base, terms)
+    )
+    ring = PolynomialRing(base)
+    poly = st.lists(element, max_size=5).map(lambda coeffs: CentralPoly(ring, coeffs))
+    return draw(poly), draw(poly)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_poly_pairs())
+def test_packed_product_matches_the_slice_loop(pair):
+    x, y = pair
+    product = x * y
+    expected = central_poly_product_slices(x, y)
+    assert product == expected
+    assert product.coefficients == expected.coefficients
+    assert str(product) == str(expected)
+
+
+@pytest.mark.parametrize("degree", [1, 2], ids=["slice loop", "packed"])
+@pytest.mark.parametrize("base", [_FREE, _EXTERIOR], ids=["free", "exterior"])
+def test_product_at_the_slot_bound(base, degree):
+    # l1(c z^d) * l1(-c z^d) = c^2, all of it on the one slot of z^(2d)
+    c = 2**61 - 1
+    ring = PolynomialRing(base)
+    x = CentralPoly(ring, [base.zero] * degree + [base.from_int(c)])
+    y = CentralPoly(ring, [base.zero] * degree + [base.from_int(-c)])
+    product = x * y
+    assert product == central_poly_product_slices(x, y)
+    assert product.coefficients == (base.zero,) * (2 * degree) + (base.from_int(-(c * c)),)
+
+
+def test_packed_products_that_cancel():
+    ring = PolynomialRing(_EXTERIOR)
+    one, zero = _EXTERIOR.one, _EXTERIOR.zero
+    v1, v2, v3, _ = _EXTERIOR.gens()
+    cases = [
+        # every slice vanishes: v1 v1 = 0
+        (CentralPoly(ring, [v1, v1, v1]), CentralPoly(ring, [v1 * 3, v1, v1 * -2]), ()),
+        # the top slice v1 v1 vanishes
+        (CentralPoly(ring, [one, zero, v1]), CentralPoly(ring, [one, zero, v1]), (one, zero, v1 * 2)),
+        # (1 + z + z^2)(-1 + z^2): the z^2 slice cancels
+        (
+            CentralPoly(ring, [one, one, one]),
+            CentralPoly(ring, [-one, zero, one]),
+            (-one, -one, zero, one, one),
+        ),
+        # the top slice v1 v1 vanishes, the others differ in their keys
+        (
+            CentralPoly(ring, [v2, zero, v1]),
+            CentralPoly(ring, [v3, zero, v1]),
+            (v2 * v3, zero, v1 * v3 - v1 * v2),
+        ),
+    ]
+    for x, y, coefficients in cases:
+        product = x * y
+        assert product.coefficients == coefficients
+        assert product == central_poly_product_slices(x, y)
 
 
 def test_rendering_descends_with_parenthesized_coefficients():
@@ -123,6 +203,23 @@ def test_generic_3x3_charpoly_matches_trace_closed_form():
 def test_first_right_and_left_charpoly_coincide(n):
     _, A = generic_matrix(n)
     assert characteristic_polynomial(A, "right", 1) == characteristic_polynomial(A, "left", 1)
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: random_grassmann_matrix(GrassmannAlgebra(6), random.Random(2), 2),
+        lambda: random_grassmann_matrix(GrassmannAlgebra(6), random.Random(3), 3),
+        lambda: generic_matrix(2)[1],
+    ],
+    ids=["rank 6 n=2", "rank 6 n=3", "generic n=2"],
+)
+def test_second_charpoly_matches_interpolation(build, side):
+    A = build()
+    expected = charpoly_by_interpolation(A, side, 2)
+    assert expected.degree() == A.n**2
+    assert characteristic_polynomial(A, side, 2) == expected
 
 
 def test_charpoly_rejects_bad_arguments():

@@ -5,10 +5,10 @@ from pathlib import Path
 
 import pytest
 
-from ncdet import CHWitness, Matrix, run_verify, verify
+from ncdet import CentralPoly, CHWitness, Matrix, run_verify, verify
 from ncdet.cli import main
 from ncdet.rings import TermLimitError
-from ncdet import determinants
+from ncdet import charpoly, determinants
 from ncdet.verify import SUITES
 
 
@@ -283,6 +283,49 @@ def test_a_corrupted_witness_fails_the_named_checks(monkeypatch, corrupt, suite,
     report = run_verify(suite, n=n)
     failed = {c.name.split(": ", 1)[1] for c in report.checks if not c.passed}
     assert failed == failing
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+@pytest.mark.parametrize("k", [1, 2])
+def test_an_odd_charpoly_coefficient_fails_thm2_5(monkeypatch, side, k):
+    original = verify.characteristic_polynomial
+
+    def corrupted(A, which, degree):
+        p = original(A, which, degree)
+        return p + CentralPoly(p.ring, [A.ring.gen(1)]) if (which, degree) == (side, k) else p
+
+    monkeypatch.setattr(verify, "characteristic_polynomial", corrupted)
+    report = run_verify("thm2_5", n=2, trials=1)
+    assert [(c.passed, c.detail) for c in report.checks] == [
+        (False, f"{side} charpoly k={k} has odd coefficients")
+    ]
+
+
+# each corruption breaks one of the three things scalar CH checks: the right
+# residual (p's constant), the left one (q's constant), the leading coefficient
+@pytest.mark.parametrize(
+    "side, degree", [("right", 0), ("left", 0), ("right", 4)], ids=["p", "q", "leading"]
+)
+def test_a_corrupted_charpoly_fails_thm2_7(monkeypatch, side, degree):
+    original, draw = charpoly.characteristic_polynomial, verify.random_grassmann_matrix
+    draws = []
+
+    def corrupted(A, which, k):
+        p = original(A, which, k)
+        if which != side or len(draws) < 2:
+            return p
+        return p + CentralPoly(p.ring, [A.ring.zero] * degree + [A.ring.one])
+
+    def counted(*args):
+        draws.append(args)
+        return draw(*args)
+
+    monkeypatch.setattr(charpoly, "characteristic_polynomial", corrupted)
+    monkeypatch.setattr(verify, "random_grassmann_matrix", counted)
+    report = run_verify("thm2_7", n=2, trials=3)
+    # the first draw passes; the check stops at the second and reports it
+    assert [(c.passed, c.detail) for c in report.checks] == [(False, "scalar CH identity failed")]
+    assert len(draws) == 2
 
 
 def test_no_package_function_checks_its_own_theorem():
