@@ -5,16 +5,21 @@ symmetric Newton trace formulas for 2x2 and 3x3 matrices.
 A ``CentralPoly`` is a coefficient list over any ring of the package;
 the indeterminate z commutes with everything, so the product of two
 polynomials multiplies coefficients in the base ring with the left
-factor's coefficient on the left.  Over a sparse base, two polynomials
-of degree at least 2 multiply in one pass of the base product kernel, on
-their slices packed into one element (Kronecker substitution, sized per
-product by the L1 bound in ``_packed_mul``); any other product multiplies
-slice by slice.  ``PolynomialRing`` implements the ring
+factor's coefficient on the left.  ``PolynomialRing`` implements the ring
 contract, which lets the whole matrix/determinant machinery run unchanged
 over R[z]: the k-th characteristic polynomial of A is simply the k-th
-right (or left) determinant of zI - A computed there.  A polynomial
-prints from its top degree down, and a coefficient whose terms are all
-negative prints as a minus sign before its negation.
+right (or left) determinant of zI - A computed there.  Its accumulator
+holds one base accumulator per z-degree, and ``add_product`` writes a
+product into those sums: over a sparse base, two polynomials of degree at
+least 2 multiply in one pass of the base product kernel, on their slices
+packed into one element (Kronecker substitution, sized per product by the
+L1 bound in ``_packed_mul``), and any other product goes slice by slice
+through the base ring's ``add_product``.  ``CentralPoly``'s ``+`` and
+``*`` are that accumulator run on one or two terms, so the sweep, the
+matrix product and the traces sum over R[z] without building a product
+or a running sum per term.  A polynomial prints from its top degree down,
+and a coefficient whose terms are all negative prints as a minus sign
+before its negation.
 """
 
 from __future__ import annotations
@@ -56,11 +61,83 @@ class PolynomialRing(Ring):
     def from_int(self, k: int) -> CentralPoly:
         return CentralPoly(self, [self.base.from_int(k)])
 
+    def accumulator(self) -> _PolySum:
+        return _PolySum(self)
+
+    def add_product(self, acc: _PolySum, x, y, negative: bool = False) -> _PolySum:
+        """The sum less (``negative``) or plus ``x * y``, written slice by
+        slice into its per-degree sums; operands other than two polynomials
+        of an equal ring take ``x * y`` and fold it."""
+        if not (
+            type(x) is type(y) is CentralPoly
+            and (x.ring is self or x.ring == self)
+            and (y.ring is self or y.ring == self)
+        ):
+            product = x * y
+            return acc - product if negative else acc + product
+        xs, ys = x._coeffs, y._coeffs
+        if not xs or not ys:
+            return acc
+        sums = acc._slices(len(xs) + len(ys) - 1)
+        base = self.base
+        # a factor of degree 0 or 1, such as an entry of zI - A, makes a few
+        # slice products whose right operands keep their cached views, and
+        # packing them would cost more than it saves
+        if len(xs) > 2 and len(ys) > 2 and isinstance(base, SparseRing):
+            element = base.element_type._raw
+            for d, terms in enumerate(x._packed_mul(y, -1 if negative else 1)):
+                if terms:
+                    sums[d] += element(base, terms)
+            return acc
+        add_product = base.add_product
+        for i, a in enumerate(xs):
+            for j, b in enumerate(ys):
+                sums[i + j] = add_product(sums[i + j], a, b, negative)
+        return acc
+
+    def total(self, acc: _PolySum) -> CentralPoly:
+        total = self.base.total
+        return CentralPoly(self, [total(s) for s in acc._sums])
+
     def _identity(self) -> tuple:
         return (self.base,)
 
     def __repr__(self) -> str:
         return f"PolynomialRing({self.base!r})"
+
+
+class _PolySum:
+    """In-place running sum over one ``PolynomialRing``: a base accumulator
+    per z-degree.  ``acc + p`` and ``acc - p`` fold p's coefficients into
+    them and return the accumulator itself."""
+
+    __slots__ = ("_ring", "_sums")
+
+    def __init__(self, ring: PolynomialRing):
+        self._ring = ring
+        self._sums: list = []
+
+    def _slices(self, size: int) -> list:
+        sums = self._sums
+        if len(sums) < size:
+            base = self._ring.base
+            sums.extend([base.accumulator() for _ in range(size - len(sums))])
+        return sums
+
+    def __add__(self, p, negative: bool = False):
+        # __sub__ is this with negative set
+        ring = self._ring
+        if type(p) is not CentralPoly or p.ring is not ring:
+            p = ring.zero._coerce(p)
+            if p is None:
+                return NotImplemented
+        sums = self._slices(len(p._coeffs))
+        for d, c in enumerate(p._coeffs):
+            sums[d] = sums[d] - c if negative else sums[d] + c
+        return self
+
+    def __sub__(self, p):
+        return self.__add__(p, True)
 
 
 class CentralPoly(RingElement):
@@ -111,14 +188,7 @@ class CentralPoly(RingElement):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        # elements are immutable, so a sum with zero is the other operand
-        if not self._coeffs:
-            return other
-        if not other._coeffs:
-            return self
-        size = max(len(self._coeffs), len(other._coeffs))
-        coeffs = [self.coeff(i) + other.coeff(i) for i in range(size)]
-        return CentralPoly(self.ring, coeffs)
+        return self.ring.total(self.ring.accumulator() + self + other)
 
     __radd__ = __add__
 
@@ -129,20 +199,7 @@ class CentralPoly(RingElement):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return self.ring.zero
-        base = self.ring.base
-        # a factor of degree 0 or 1, such as an entry of zI - A, makes a few
-        # slice products whose right operands keep their cached views, and
-        # packing them would cost more than it saves
-        if len(self._coeffs) > 2 and len(other._coeffs) > 2 and isinstance(base, SparseRing):
-            return self._packed_mul(other)
-        add_product = base.add_product
-        out = [base.accumulator() for _ in range(len(self._coeffs) + len(other._coeffs) - 1)]
-        for i, a in enumerate(self._coeffs):
-            for j, b in enumerate(other._coeffs):
-                out[i + j] = add_product(out[i + j], a, b)
-        return CentralPoly(self.ring, [base.total(acc) for acc in out])
+        return self.ring.total(self.ring.add_product(self.ring.accumulator(), self, other))
 
     def _l1(self) -> int:
         """The sum of |coefficient| over every slice and key (sparse base)."""
@@ -161,13 +218,15 @@ class CentralPoly(RingElement):
                 packed[key] = get(key, 0) + (coeff << shift)
         return self.ring.base.element_type._raw(self.ring.base, packed)
 
-    def _packed_mul(self, other: CentralPoly) -> CentralPoly:
+    def _packed_mul(self, other: CentralPoly, sign: int) -> list[dict[int, int]]:
+        """The terms of each slice of sign * self * other, degree 0 up; the
+        top slices may be empty."""
         # every slot of the product sums distinct products c1 * c2, so its
         # magnitude is at most l1(self) * l1(other) < 2^(width - 1); adding
         # 2^(width - 1) to every slot makes each one a nonnegative width-bit
         # field, read without carries
         width = (self._l1() * other._l1()).bit_length() + 1
-        out = self._packed(width)._mul_into(other._packed(width), {}, 1)
+        out = self._packed(width)._mul_into(other._packed(width), {}, sign)
         size = len(self._coeffs) + len(other._coeffs) - 1
         half, mask = 1 << (width - 1), (1 << width) - 1
         bias = sum(half << width * d for d in range(size))
@@ -179,11 +238,7 @@ class CentralPoly(RingElement):
                 if slot:
                     terms[key] = slot
                 value >>= width
-        # top slices cancel, and over the exterior algebra all of them can
-        while slices and not slices[-1]:
-            slices.pop()
-        base = self.ring.base
-        return CentralPoly._raw(self.ring, tuple(base.element_type._raw(base, t) for t in slices))
+        return slices
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):

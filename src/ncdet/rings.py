@@ -45,9 +45,11 @@ repr, built without the import-time cost of ``dataclasses``.
 
 Elements are immutable and all operations are pure, so sharing values
 between threads is safe.  The one mutable helper is the accumulator a ring
-hands out for a running sum (``Ring.accumulator``/``Ring.total``): it lives
-inside the function that builds the sum and never escapes it; only the
-immutable element that ``total`` returns does.
+hands out for a running sum (``Ring.accumulator``/``Ring.total``; a
+``SparseSum`` over the free and exterior algebras, one such sum per
+z-degree over R[z], the running int over the integers): it lives inside
+the function that builds the sum and never escapes it; only the immutable
+element that ``total`` returns does.
 """
 
 from __future__ import annotations
@@ -188,11 +190,13 @@ class Ring(ABC):
 
         and a sum of products, ``acc += x * y``, as
         ``acc = ring.add_product(acc, x, y)``.  By default the accumulator
-        is ``zero`` and each step builds a new element.  Sparse rings
-        return a ``SparseSum``, which folds each term into one dict in
-        place, so the sum costs the total size of its terms instead of one
-        copy of the running result per term, and writes each term pair of
-        a product straight into that dict, so no product is built.
+        is ``zero`` and each step builds a new element, which suits the
+        integers.  Sparse rings return a ``SparseSum``, which folds each
+        term into one dict in place, so the sum costs the total size of its
+        terms instead of one copy of the running result per term, and
+        writes each term pair of a product straight into that dict, so no
+        product is built.  R[z] keeps one base accumulator per z-degree
+        and writes each slice product into its degree's sum.
         """
         return self.zero
 

@@ -168,6 +168,12 @@ def central_poly_product_slices(x: CentralPoly, y: CentralPoly) -> CentralPoly:
     return CentralPoly(ring, out)
 
 
+def central_poly_sum(x: CentralPoly, y: CentralPoly) -> CentralPoly:
+    """x + y in R[z] slice by slice, by the base ring's ``+``."""
+    size = max(x.degree(), y.degree()) + 1
+    return CentralPoly(x.ring, [x.coeff(d) + y.coeff(d) for d in range(size)])
+
+
 def _lagrange_basis(points: list[int]) -> list[list[Fraction]]:
     """Coefficients, constant first, of the Lagrange basis polynomial of
     each point: 1 there and 0 at every other point."""

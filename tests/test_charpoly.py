@@ -294,6 +294,25 @@ def test_witness_slices_one_preadjoint_and_multiplies_nothing_over_rz(monkeypatc
     assert products == []
 
 
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_second_charpoly_sums_in_place_over_rz(monkeypatch, side):
+    A = random_grassmann_matrix(GrassmannAlgebra(6), random.Random(3), 3)
+    sums = []
+    original = CentralPoly.__add__
+
+    def recorded(self, other):
+        sums.append((self, other))
+        return original(self, other)
+
+    monkeypatch.setattr(CentralPoly, "__add__", recorded)
+    monkeypatch.setattr(CentralPoly, "__radd__", recorded)
+    text = str(characteristic_polynomial(A, side, 2))
+    assert sums == []
+    # the text both sides had while every R[z] sum built a new polynomial
+    digest = "05b9967264f80b90d338d63d9631f102816791224c5223f609737e2f61394062"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_integer_witness_reduces_to_classical_cayley_hamilton(ints):
     A = Matrix(ints, [[1, 2], [3, 4]])
     # classical CH: A^2 - 5A - 2I = 0, then doubled

@@ -20,7 +20,15 @@ from ncdet import (
 )
 from ncdet import rings
 
-from oracles import IntMatrixRing, MatInt, free_product, grassmann_product, ring_axiom_check
+from oracles import (
+    IntMatrixRing,
+    MatInt,
+    central_poly_product_slices,
+    central_poly_sum,
+    free_product,
+    grassmann_product,
+    ring_axiom_check,
+)
 
 
 def integer_samples():
@@ -402,11 +410,52 @@ _free_elements = st.dictionaries(
 _grassmann_elements = st.dictionaries(st.integers(0, 15), _coefficients, max_size=3).map(
     lambda terms: GrassmannElem(_GRASSMANN, terms)
 )
+
+
+def _polynomials(base, coefficients):
+    """R[z] over base, with polynomials of degree up to 3 (so that products
+    over a sparse base take the packed route and the slice loop) and ints."""
+    ring = PolynomialRing(base)
+    return ring, st.one_of(
+        st.lists(coefficients, max_size=4).map(lambda cs: CentralPoly(ring, cs)), _coefficients
+    )
+
+
 _summands = {
     "free": (_FREE, st.one_of(_free_elements, _coefficients)),
     "grassmann": (_GRASSMANN, st.one_of(_grassmann_elements, _coefficients)),
     "integers": (IntegerRing(), st.integers(-50, 50)),
+    "polynomials over free": _polynomials(_FREE, _free_elements),
+    "polynomials over grassmann": _polynomials(_GRASSMANN, _grassmann_elements),
+    "polynomials over integers": _polynomials(IntegerRing(), _coefficients),
 }
+
+
+def _held(x):
+    """What an operand holds, read without its view."""
+    if isinstance(x, rings.SparseElement):
+        return dict(x._terms)
+    if isinstance(x, CentralPoly):
+        return [_held(c) for c in x.coefficients]
+    return str(x)
+
+
+def _lift(ring, x):
+    return ring.from_int(x) if isinstance(x, int) else x
+
+
+def _plain_sum(ring, x, y):
+    """x + y; over R[z] slice by slice, by the base ring's + alone."""
+    if isinstance(ring, PolynomialRing):
+        return central_poly_sum(_lift(ring, x), _lift(ring, y))
+    return x + y
+
+
+def _plain_product(ring, x, y):
+    """x * y; over R[z] slice by slice, by the base ring's * and + alone."""
+    if isinstance(ring, PolynomialRing):
+        return central_poly_product_slices(_lift(ring, x), _lift(ring, y))
+    return x * y
 
 
 @settings(max_examples=60, deadline=None)
@@ -418,32 +467,73 @@ _summands = {
 def test_accumulator_matches_repeated_immutable_sums(case):
     kind, steps = case
     ring = _summands[kind][0]
-    snapshots = [dict(getattr(x, "_terms", {})) for _, x in steps]
+    snapshots = [_held(x) for _, x in steps]
     acc = ring.accumulator()
     expected = ring.zero
     for negative, x in steps:
         if negative:
             acc -= x
-            expected = expected - x
+            expected = _plain_sum(ring, expected, -x)
         else:
             acc += x
-            expected = expected + x
+            expected = _plain_sum(ring, expected, x)
     result = ring.total(acc)
     assert result == expected
     assert str(result) == str(expected)
-    assert [dict(getattr(x, "_terms", {})) for _, x in steps] == snapshots
+    assert [_held(x) for _, x in steps] == snapshots
+
+
+@pytest.mark.parametrize(
+    "base, u",
+    [(_FREE, _FREE.gen("a")), (_GRASSMANN, _GRASSMANN.gen(1)), (IntegerRing(), 2)],
+    ids=["free", "grassmann", "integers"],
+)
+def test_polynomial_sums_whose_top_slices_cancel(base, u):
+    ring = PolynomialRing(base)
+    zero, one = base.zero, base.one
+    acc = ring.accumulator()
+    acc += CentralPoly(ring, [one, u, u])
+    acc -= CentralPoly(ring, [one, one, u])
+    assert ring.total(acc).coefficients == (zero, u - one)
+    # (1 + z + z^2)(1 + z^2), packed over a sparse base, less its top two slices
+    acc = ring.accumulator()
+    acc -= CentralPoly(ring, [zero, zero, zero, one, one])
+    x, y = CentralPoly(ring, [one, one, one]), CentralPoly(ring, [one, zero, one])
+    acc = ring.add_product(acc, x, y)
+    assert ring.total(acc).coefficients == (one, one, one + one)
+    # and a sum that cancels to nothing
+    acc = ring.add_product(acc, -x, y)
+    acc += CentralPoly(ring, [zero, zero, zero, one, one])
+    assert ring.total(acc).coefficients == ()
+
+
+def test_polynomial_operands_coerce_or_refuse_as_the_product_does():
+    ring = PolynomialRing(_FREE)
+    a = _FREE.gen("a")
+    x = CentralPoly(ring, [a, _FREE.one])
+    twin = CentralPoly(PolynomialRing(FreeAlgebra(("a", "b"))), [a, a, a])
+    stranger = CentralPoly(PolynomialRing(FreeAlgebra(("x",))), [FreeAlgebra(("x",)).gen("x")])
+    for left, right in ((x, stranger), (stranger, x)):
+        with pytest.raises(ValueError, match=CentralPoly._MISMATCH):
+            ring.add_product(ring.accumulator(), left, right)
+    with pytest.raises(ValueError, match=CentralPoly._MISMATCH):
+        ring.accumulator() + stranger
+    acc = ring.accumulator()
+    acc = ring.add_product(acc, 3, x)
+    acc = ring.add_product(acc, twin, twin, negative=True)
+    acc = ring.add_product(acc, 2, 3)
+    acc -= twin
+    expected = central_poly_product_slices(ring.from_int(3), x)
+    expected = central_poly_sum(expected, -central_poly_product_slices(twin, twin))
+    expected = central_poly_sum(central_poly_sum(expected, ring.from_int(6)), -twin)
+    assert ring.total(acc) == expected
 
 
 # -- fused products --------------------------------------------------------------
 
-_POLYNOMIALS = PolynomialRing(_GRASSMANN)
 _INT_MATRICES = IntMatrixRing(2)
 _factors = {
     **_summands,
-    "polynomials over grassmann": (_POLYNOMIALS, st.one_of(
-        st.lists(_grassmann_elements, max_size=3).map(lambda cs: CentralPoly(_POLYNOMIALS, cs)),
-        _coefficients,
-    )),
     "integer matrices": (_INT_MATRICES, st.one_of(
         st.lists(_coefficients, min_size=4, max_size=4).map(
             lambda v: MatInt(_INT_MATRICES, (tuple(v[:2]), tuple(v[2:])))
@@ -451,15 +541,6 @@ _factors = {
         _coefficients,
     )),
 }
-
-
-def _held(x):
-    """What an operand holds, read without its view."""
-    if isinstance(x, rings.SparseElement):
-        return dict(x._terms)
-    if isinstance(x, CentralPoly):
-        return [_held(c) for c in x.coefficients]
-    return str(x)
 
 
 def _views_hold(x) -> bool:
@@ -501,8 +582,9 @@ def test_add_product_adds_the_product_and_writes_only_the_sum(case):
     assert [_held(e) for e in operands] == before
     expected = ring.zero
     for term in terms:
-        expected = expected + term
-    expected = expected - x * y if negative else expected + x * y
+        expected = _plain_sum(ring, expected, term)
+    product = _plain_product(ring, x, y)
+    expected = _plain_sum(ring, expected, -product if negative else product)
     assert result == expected
     assert str(result) == str(expected)
     assert all(_views_hold(e) for e in (*operands, result))

@@ -328,6 +328,23 @@ def test_a_corrupted_charpoly_fails_thm2_7(monkeypatch, side, degree):
     assert len(draws) == 2
 
 
+@pytest.mark.parametrize(
+    "side, detail",
+    [("right", "n A P1 P2 is not rdet_2(A) I"), ("left", "n Q2 Q1 A is not ldet_2(A) I")],
+)
+def test_a_non_scalar_sequence_product_fails_thm2_3(monkeypatch, side, detail):
+    original = verify.sequence_product
+
+    def corrupted(A, which, k):
+        # a generator off the diagonal: no longer scalar, the trace unchanged
+        M = original(A, which, k)
+        return _add_at(M, 0, 1, A.ring.gen(1)) if which == side else M
+
+    monkeypatch.setattr(verify, "sequence_product", corrupted)
+    report = run_verify("thm2_3", n=2, trials=1)
+    assert [(c.passed, c.detail) for c in report.checks] == [(False, detail)]
+
+
 def test_no_package_function_checks_its_own_theorem():
     # a computing function returns its data; the theorem it satisfies is
     # checked once, by its verify suite, so no ArithmeticError self-check
