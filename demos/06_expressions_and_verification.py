@@ -6,7 +6,6 @@ multiplication, order preserved), matrices load from JSON documents, and
 subcommand exposes on the command line.
 """
 
-import json
 import tempfile
 from pathlib import Path
 
@@ -14,9 +13,11 @@ from ncdet import (
     FreeAlgebra,
     GrassmannAlgebra,
     IntegerRing,
+    MatrixDocument,
     load_matrix,
     parse_expression,
     run_verify,
+    save_matrix,
     symmetric_determinant,
 )
 
@@ -31,14 +32,12 @@ print()
 
 # A matrix document is a JSON header plus a grid of expressions; the
 # header names the ring, here FreeAlgebra(("a", "b", "c", "d")).
-document = {
-    "ring": {"kind": "free", "generators": ["a", "b", "c", "d"]},
-    "n": 2,
-    "entries": [["a", "b"], ["c", "d"]],
-}
+document = MatrixDocument(
+    ring=FreeAlgebra(("a", "b", "c", "d")), n=2, entries=(("a", "b"), ("c", "d"))
+)
 with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "generic.json"
-    path.write_text(json.dumps(document))
+    save_matrix(path, document)
     _, matrix = load_matrix(path)
 print("loaded matrix:")
 print(matrix)

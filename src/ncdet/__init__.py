@@ -18,9 +18,6 @@ from .charpoly import (
     characteristic_polynomial,
     newton_sdet_2,
     newton_sdet_3,
-    scalar_cayley_hamilton_check,
-    scalar_ch_residuals,
-    scalar_leading_coefficient,
     standard_polynomial_4,
 )
 from .determinants import (
@@ -37,7 +34,7 @@ from .determinants import (
     trace_of_product,
 )
 from .freealg import FreeAlgebra, FreePoly, in_commutator_span, specialize
-from .grassmann import GrassmannAlgebra, GrassmannElem, graded_parts, lie_nilpotency_check
+from .grassmann import GrassmannAlgebra, GrassmannElem, graded_parts
 from .matrices import (
     DIMENSION_CAP,
     Matrix,
@@ -60,7 +57,9 @@ from .verify import (
     CheckResult,
     VerifyReport,
     generic_matrix,
+    lie_nilpotency_check,
     run_verify,
+    scalar_cayley_hamilton_check,
 )
 
 __version__ = "0.1.0"

@@ -1,6 +1,8 @@
 """Polynomials in one central indeterminate, characteristic polynomials,
 Cayley--Hamilton witnesses, the degree-four standard polynomial, and the
-symmetric Newton trace formulas for 2x2 and 3x3 matrices.
+symmetric Newton trace formulas for 2x2 and 3x3 matrices.  These
+functions compute data; whether the data satisfy the Cayley--Hamilton
+theorems (matrix and scalar coefficients) is decided in ``verify``.
 
 A ``CentralPoly`` is a coefficient list over any ring of the package;
 the indeterminate z commutes with everything, so the product of two
@@ -24,12 +26,10 @@ before its negation.
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 from .determinants import _by_side, left_determinant, preadjoint, right_determinant
 from .freealg import FreeAlgebra
-from .grassmann import GrassmannAlgebra
 from .matrices import Matrix
 from .perms import signed_permutations
 from .rings import IntegerRing, Record, Ring, RingElement, SparseRing, join_signed
@@ -346,64 +346,6 @@ def cayley_hamilton_witness(A: Matrix) -> CHWitness:
     right_defects = tuple(M * n - L for M, L in zip(right, scalars))
     left_defects = tuple(M * n - L for M, L in zip(left, scalars))
     return CHWitness(lambdas=lambdas, right_defects=right_defects, left_defects=left_defects)
-
-
-def substitute(
-    A: Matrix, right: Sequence[Matrix], left: Sequence[Matrix]
-) -> tuple[Matrix, Matrix]:
-    """(sum_i A^i right[i], sum_i left[i] A^i), forming each power of A once.
-
-    Both coefficient lists run from degree 0 and have the same length; the
-    right coefficients multiply each power on the right, the left ones on
-    the left.
-    """
-    right_sum = left_sum = Matrix.zeros(A.ring, A.n)
-    power = Matrix.identity(A.ring, A.n)
-    for i, (c, d) in enumerate(zip(right, left, strict=True)):
-        if i:
-            power = power * A
-        right_sum = right_sum + power * c
-        left_sum = left_sum + d * power
-    return right_sum, left_sum
-
-
-def scalar_leading_coefficient(n: int, k: int) -> int:
-    """n ((n-1)!)^(1 + n + ... + n^(k-1)), the top coefficient of p_{A,k}."""
-    exponent = sum(n**i for i in range(k))
-    return n * math.factorial(n - 1) ** exponent
-
-
-def scalar_ch_residuals(A: Matrix, k: int = 2) -> dict[str, object]:
-    """Residual matrices of the scalar-coefficient CH substitutions.
-
-    ``right`` substitutes A into p_{A,k} with coefficients multiplied on
-    the right of each power, ``left`` substitutes into q_{A,k} with
-    coefficients on the left; ``leading`` is the top coefficient of p_{A,k}.
-    """
-    p = characteristic_polynomial(A, "right", k)
-    q = characteristic_polynomial(A, "left", k)
-    degrees = range(A.n**k + 1)
-    right, left = substitute(
-        A,
-        [Matrix.scalar(A.ring, A.n, p.coeff(i)) for i in degrees],
-        [Matrix.scalar(A.ring, A.n, q.coeff(i)) for i in degrees],
-    )
-    return {"right": right, "left": left, "leading": p.coeff(A.n**k)}
-
-
-def scalar_cayley_hamilton_check(A: Matrix, k: int = 2) -> bool:
-    """Scalar-coefficient Cayley--Hamilton over a Lie-nilpotent ring of index 2.
-
-    Requires exterior-algebra entries.  Also checks the stated leading
-    coefficient of p_{A,k}.
-    """
-    if not isinstance(A.ring, GrassmannAlgebra):
-        raise ValueError("scalar CH check runs over the exterior algebra")
-    residuals = scalar_ch_residuals(A, k)
-    expected = A.ring.from_int(scalar_leading_coefficient(A.n, k))
-    if residuals["leading"] != expected:
-        return False
-    return residuals["right"].is_zero() and residuals["left"].is_zero()
 
 
 def standard_polynomial_4(x1, x2, x3, x4):

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .matrices import Matrix, commutative_adj, commutative_det
+from .matrices import Matrix, _signed_minors, commutative_adj, commutative_det
 from .rings import IntegerRing, Record
 
 
@@ -163,19 +163,8 @@ def preadjoint(A: Matrix) -> Matrix:
 
 
 def preadjoint_via_minors(A: Matrix) -> Matrix:
-    """A* computed entrywise as (-1)^(r+s) sdet of the (s, r)-deleted minor.
-    A 1x1 matrix maps to [1]: its one minor is empty, and so is its product."""
-    n = A.n
-    if n == 1:
-        return Matrix(A.ring, [[A.ring.one]])
-    rows = []
-    for r in range(n):
-        row = []
-        for s in range(n):
-            value = symmetric_determinant(A.minor(s, r))
-            row.append(value if (r + s) % 2 == 0 else -value)
-        rows.append(row)
-    return Matrix(A.ring, rows)
+    """A* computed entrywise as (-1)^(r+s) sdet of the (s, r)-deleted minor."""
+    return _signed_minors(A, symmetric_determinant)
 
 
 def _by_side(side: str, right, left):

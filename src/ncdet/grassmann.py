@@ -3,7 +3,8 @@
 Generators v1..vm anticommute (vi*vj = -vj*vi, so vi*vi = 0); a basis
 element is a strictly increasing product of generators, stored internally
 as a bitmask.  The even/odd grading by subset size makes this the standard
-concrete Lie-nilpotent ring of index 2: [[x, y], z] = 0 holds identically.
+concrete Lie-nilpotent ring of index 2: [[x, y], z] = 0 holds identically
+(``verify.lie_nilpotency_check`` tests it on seeded draws).
 
 Two basis monomials that share a generator multiply to zero; otherwise
 their product is the union, signed by the parity of the generator pairs
@@ -21,7 +22,7 @@ import random
 from types import MappingProxyType
 from typing import Mapping
 
-from .rings import SparseElement, SparseRing, TermLimitError, commutator
+from .rings import SparseElement, SparseRing, TermLimitError
 
 MAX_RANK = 16
 
@@ -179,31 +180,3 @@ def graded_parts(x: GrassmannElem) -> tuple[GrassmannElem, GrassmannElem]:
     even = {m: c for m, c in x._terms.items() if m.bit_count() % 2 == 0}
     odd = {m: c for m, c in x._terms.items() if m.bit_count() % 2 == 1}
     return GrassmannElem._raw(x.ring, even), GrassmannElem._raw(x.ring, odd)
-
-
-def lie_nilpotency_check(
-    rank: int, index: int, trials: int = 20, seed: int = 0
-) -> bool:
-    """Test the left-normed commutator identity of length index+1 on random elements.
-
-    Evaluates [[...[[x1,x2],x3],...],x_{index+1}] over the rank-m exterior
-    algebra on seeded random tuples (plus the generators themselves, so a
-    failure at index 1 is always witnessed); True iff every evaluation is zero.
-    """
-    if index < 1:
-        raise ValueError("index must be at least 1")
-    algebra = GrassmannAlgebra(rank)
-    rng = random.Random(seed)
-    pools = []
-    if rank:
-        gens = algebra.gens()
-        pools.append(tuple(gens[i % rank] for i in range(index + 1)))
-    for _ in range(trials):
-        pools.append(tuple(algebra.random_element(rng) for _ in range(index + 1)))
-    for elements in pools:
-        nested = elements[0]
-        for x in elements[1:]:
-            nested = commutator(nested, x)
-        if not nested.is_zero():
-            return False
-    return True

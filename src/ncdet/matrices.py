@@ -193,13 +193,19 @@ def commutative_adj(A: Matrix) -> Matrix:
     """Classical adjugate (transposed cofactor matrix); commutative rings only."""
     if not A.ring.is_commutative:
         raise ValueError("classical adjugate requires a commutative ring")
-    if A.n == 1:
+    return _signed_minors(A, _det_recursive)
+
+
+def _signed_minors(A: Matrix, det) -> Matrix:
+    """The matrix whose (r, s) entry is (-1)^(r+s) det(A.minor(s, r)), the
+    rule of both the adjugate and the preadjoint.  A 1x1 matrix maps to
+    [1]: its one minor is empty, and so is its product."""
+    n = A.n
+    if n == 1:
         return Matrix(A.ring, [[A.ring.one]])
-    rows = []
-    for i in range(A.n):
-        row = []
-        for j in range(A.n):
-            det = _det_recursive(A.minor(j, i))
-            row.append(det if (i + j) % 2 == 0 else -det)
-        rows.append(row)
-    return Matrix(A.ring, rows)
+
+    def entry(r, s):
+        value = det(A.minor(s, r))
+        return value if (r + s) % 2 == 0 else -value
+
+    return Matrix(A.ring, [[entry(r, s) for s in range(n)] for r in range(n)])

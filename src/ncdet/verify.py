@@ -10,6 +10,10 @@ A suite is a module function named ``_suite_<name>``; ``SUITES`` registers
 each under ``<name>`` in the order of definition.  ``VerifyOptions`` holds
 the options and their ranges; a suite reads them through the run's
 ``_OptionReader``, and ``_trials`` is the one loop over seeded draws.
+
+This module is where every verdict is decided: the computing modules
+return data, and the suites, ``scalar_cayley_hamilton_check`` (Thm 2.7)
+and ``lie_nilpotency_check`` (the exterior algebra's index 2) check it.
 """
 
 from __future__ import annotations
@@ -27,9 +31,7 @@ from .charpoly import (
     characteristic_polynomial,
     newton_sdet_2,
     newton_sdet_3,
-    scalar_cayley_hamilton_check,
     standard_polynomial_4,
-    substitute,
 )
 from .determinants import (
     commutator_defect,
@@ -51,7 +53,7 @@ from .matrices import (
     commutative_det,
     is_supermatrix,
 )
-from .rings import IntegerRing, Record, TermLimitError
+from .rings import IntegerRing, Record, TermLimitError, commutator
 
 
 class CheckResult(Record):
@@ -262,6 +264,80 @@ def _trials(count: int, draw, test):
     return check
 
 
+# ---------------------------------------------------------- theorem checks
+
+
+def _vanishing(A: Matrix, right, left) -> tuple[bool, bool]:
+    """Whether sum_i A^i right[i] and sum_i left[i] A^i are zero, forming
+    each power of A once.  Both coefficient lists run from degree 0 and
+    have the same length."""
+    right_sum = left_sum = Matrix.zeros(A.ring, A.n)
+    power = Matrix.identity(A.ring, A.n)
+    for i, (c, d) in enumerate(zip(right, left, strict=True)):
+        if i:
+            power = power * A
+        right_sum = right_sum + power * c
+        left_sum = left_sum + d * power
+    return right_sum.is_zero(), left_sum.is_zero()
+
+
+def _witness_identities(A: Matrix, witness) -> tuple[bool, bool]:
+    scalars = [Matrix.scalar(A.ring, A.n, lam) for lam in witness.lambdas]
+    return _vanishing(
+        A,
+        [lam + C for lam, C in zip(scalars, witness.right_defects)],
+        [lam + D for lam, D in zip(scalars, witness.left_defects)],
+    )
+
+
+def scalar_cayley_hamilton_check(A: Matrix, k: int = 2) -> bool:
+    """Scalar-coefficient Cayley--Hamilton over a Lie-nilpotent ring of index 2.
+
+    Requires exterior-algebra entries.  True iff p_{A,k} leads with
+    n ((n-1)!)^(1 + n + ... + n^(k-1)) and A is a root of p_{A,k} with its
+    coefficients on the right of each power and of q_{A,k} with them on
+    the left.
+    """
+    if not isinstance(A.ring, GrassmannAlgebra):
+        raise ValueError("scalar CH check runs over the exterior algebra")
+    n, degree = A.n, A.n**k
+    p = characteristic_polynomial(A, "right", k)
+    q = characteristic_polynomial(A, "left", k)
+    leading = n * math.factorial(n - 1) ** sum(n**i for i in range(k))
+    if p.coeff(degree) != A.ring.from_int(leading):
+        return False
+    scalars = [
+        [Matrix.scalar(A.ring, n, poly.coeff(i)) for i in range(degree + 1)] for poly in (p, q)
+    ]
+    return all(_vanishing(A, *scalars))
+
+
+def lie_nilpotency_check(rank: int, index: int, trials: int = 20, seed: int = 0) -> bool:
+    """Test the left-normed commutator identity of length index+1 on random elements.
+
+    Evaluates [[...[[x1,x2],x3],...],x_{index+1}] over the rank-m exterior
+    algebra on seeded random tuples (plus the generators themselves, so a
+    failure at index 1 is always witnessed); True iff every evaluation is zero.
+    """
+    if index < 1:
+        raise ValueError("index must be at least 1")
+    algebra = GrassmannAlgebra(rank)
+    rng = random.Random(seed)
+    pools = []
+    if rank:
+        gens = algebra.gens()
+        pools.append(tuple(gens[i % rank] for i in range(index + 1)))
+    for _ in range(trials):
+        pools.append(tuple(algebra.random_element(rng) for _ in range(index + 1)))
+    for elements in pools:
+        nested = elements[0]
+        for x in elements[1:]:
+            nested = commutator(nested, x)
+        if not nested.is_zero():
+            return False
+    return True
+
+
 # ------------------------------------------------------------------ suites
 #
 # A suite yields (name, check) pairs; see ``_check``.  It reads all its options
@@ -363,16 +439,6 @@ def _suite_thm2_5(opt: _OptionReader):
         yield f"thm2_5 n={n} t={t}: charpoly coefficients even", _trials(
             count, lambda: random_supermatrix(algebra, rng, n, t), test
         )
-
-
-def _witness_identities(A: Matrix, witness) -> tuple[bool, bool]:
-    scalars = [Matrix.scalar(A.ring, A.n, lam) for lam in witness.lambdas]
-    right_sum, left_sum = substitute(
-        A,
-        [lam + C for lam, C in zip(scalars, witness.right_defects)],
-        [lam + D for lam, D in zip(scalars, witness.left_defects)],
-    )
-    return right_sum.is_zero(), left_sum.is_zero()
 
 
 def _suite_thm2_6(opt: _OptionReader):

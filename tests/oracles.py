@@ -19,6 +19,12 @@ pair of z-degrees at a time, the product the packed route replaces, and
 it evaluates rdet_k/ldet_k of z0 I - A at the integers z0 = 0..n^k and
 interpolates each key's coefficients with exact fractions.
 
+``reverse`` is each ring's reversal anti-automorphism rho, with
+rho(xy) = rho(y) rho(x), built from public terms and constructors: it
+reads every free-algebra word backwards, signs an exterior-algebra
+k-subset by (-1)^(k(k-1)/2), fixes an integer and reverses each
+coefficient of a polynomial in the central z.
+
 ``ring_axiom_check`` spot-checks the ring axioms on seeded random triples
 of sample elements and returns one verdict per axiom in an ``AxiomReport``
 (a ``rings.Record``).
@@ -33,6 +39,7 @@ from itertools import product
 from ncdet import (
     CentralPoly,
     FreePoly,
+    GrassmannElem,
     Matrix,
     PolynomialRing,
     left_determinant,
@@ -213,6 +220,22 @@ def charpoly_by_interpolation(A: Matrix, side: str = "right", k: int = 1) -> Cen
             terms[key] = int(c)
         coeffs.append(ring.element_type(ring, terms))
     return CentralPoly(PolynomialRing(ring), coeffs)
+
+
+def reverse(x):
+    """rho(x): the reversal anti-automorphism of x's ring."""
+    if isinstance(x, int):
+        return x
+    if isinstance(x, CentralPoly):
+        return CentralPoly(x.ring, [reverse(c) for c in x.coefficients])
+    if isinstance(x, FreePoly):
+        return FreePoly(x.ring, {word[::-1]: c for word, c in x.terms.items()})
+    if isinstance(x, GrassmannElem):
+        # reversing k anticommuting generators takes k(k-1)/2 swaps
+        return GrassmannElem(
+            x.ring, {s: -c if len(s) % 4 in (2, 3) else c for s, c in x.terms.items()}
+        )
+    raise TypeError(f"no reversal for {type(x).__name__}")
 
 
 def words_up_to(num_generators: int, max_degree: int) -> list[tuple[int, ...]]:

@@ -22,8 +22,6 @@ from ncdet import (
     newton_sdet_3,
     preadjoint,
     scalar_cayley_hamilton_check,
-    scalar_ch_residuals,
-    scalar_leading_coefficient,
     standard_polynomial_4,
     symmetric_determinant,
 )
@@ -440,11 +438,8 @@ def test_scalar_ch_reports_both_readings():
     algebra = GrassmannAlgebra(4)
     rng = random.Random(7)
     A = random_grassmann_matrix(algebra, rng, 2)
-    residuals = scalar_ch_residuals(A, k=2)
-    assert residuals["right"].is_zero()
-    assert residuals["left"].is_zero()
-    assert set(residuals) == {"right", "left", "leading"}
-    assert residuals["leading"] == algebra.from_int(2)
+    assert scalar_cayley_hamilton_check(A, k=2)
+    assert characteristic_polynomial(A, "right", 2).coeff(4) == algebra.from_int(2)
 
 
 def test_scalar_ch_guardrails(ints):
@@ -461,10 +456,10 @@ def test_scalar_ch_at_n3_needs_no_flag():
 
 
 def test_scalar_leading_coefficients():
-    assert scalar_leading_coefficient(2, 1) == 2
-    assert scalar_leading_coefficient(2, 2) == 2
-    assert scalar_leading_coefficient(3, 1) == 6
-    assert scalar_leading_coefficient(3, 2) == 3 * 2**4
+    # n ((n-1)!)^(1 + n + ... + n^(k-1)), the top coefficient of p_{A,k}
+    for n, k, leading in [(2, 1, 2), (2, 2, 2), (3, 1, 6), (3, 2, 48)]:
+        p = characteristic_polynomial(Matrix.zeros(IntegerRing(), n), "right", k)
+        assert p.coeff(n**k) == leading, (n, k)
 
 
 # -- standard polynomial -----------------------------------------------------------

@@ -105,7 +105,6 @@ def test_star_import_binds_no_submodule():
 # public names with no caller outside the tests yet, each with its reason
 _WITHOUT_CALLER = {
     "specialize": "ROADMAP item 6 gives it a caller",
-    "save_matrix": "the document writer, the inverse of the reader the CLI uses",
 }
 
 

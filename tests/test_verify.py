@@ -5,10 +5,11 @@ from pathlib import Path
 
 import pytest
 
+import ncdet
 from ncdet import CentralPoly, CHWitness, Matrix, run_verify, verify
 from ncdet.cli import main
 from ncdet.rings import TermLimitError
-from ncdet import charpoly, determinants
+from ncdet import determinants
 from ncdet.verify import SUITES
 
 
@@ -307,7 +308,7 @@ def test_an_odd_charpoly_coefficient_fails_thm2_5(monkeypatch, side, k):
     "side, degree", [("right", 0), ("left", 0), ("right", 4)], ids=["p", "q", "leading"]
 )
 def test_a_corrupted_charpoly_fails_thm2_7(monkeypatch, side, degree):
-    original, draw = charpoly.characteristic_polynomial, verify.random_grassmann_matrix
+    original, draw = verify.characteristic_polynomial, verify.random_grassmann_matrix
     draws = []
 
     def corrupted(A, which, k):
@@ -320,7 +321,7 @@ def test_a_corrupted_charpoly_fails_thm2_7(monkeypatch, side, degree):
         draws.append(args)
         return draw(*args)
 
-    monkeypatch.setattr(charpoly, "characteristic_polynomial", corrupted)
+    monkeypatch.setattr(verify, "characteristic_polynomial", corrupted)
     monkeypatch.setattr(verify, "random_grassmann_matrix", counted)
     report = run_verify("thm2_7", n=2, trials=3)
     # the first draw passes; the check stops at the second and reports it
@@ -345,6 +346,83 @@ def test_a_non_scalar_sequence_product_fails_thm2_3(monkeypatch, side, detail):
     assert [(c.passed, c.detail) for c in report.checks] == [(False, detail)]
 
 
+# each corruption adds v1, an odd element, to one fixture or result of the
+# first (2, 1) draw: to the (0, 0) entry of a matrix, which lies in the even
+# diagonal block, or to a determinant of the named k
+@pytest.mark.parametrize(
+    "target, k, detail",
+    [
+        ("random_supermatrix", None, "fixture is not a supermatrix"),
+        ("preadjoint", None, "preadjoint left the supermatrix ring"),
+        ("right_determinant", 1, "rdet_1 has an odd part"),
+        ("left_determinant", 2, "ldet_2 has an odd part"),
+    ],
+)
+def test_an_odd_part_fails_thm2_4(monkeypatch, target, k, detail):
+    original = getattr(verify, target)
+
+    def corrupted(*args):
+        value = original(*args)
+        odd = value.ring.gen(1)
+        if isinstance(value, Matrix):
+            return _add_at(value, 0, 0, odd)
+        return value + odd if args[1] == k else value
+
+    monkeypatch.setattr(verify, target, corrupted)
+    report = run_verify("thm2_4", n=2, trials=1)
+    assert [(c.passed, c.detail) for c in report.checks] == [(False, detail)]
+
+
+# over the integers, one added to a result (an identity matrix, for a
+# matrix) breaks the collapse it takes part in
+@pytest.mark.parametrize(
+    "target, k, detail",
+    [
+        ("symmetric_determinant", None, "sdet != n! det"),
+        ("preadjoint", None, "A* != (n-1)! adj(A)"),
+        ("preadjoint_via_minors", None, "minor-formula A* != (n-1)! adj(A)"),
+        ("right_determinant", 1, "rdet_1 != n! det"),
+        ("right_determinant", 2, "rdet_2 != 2 det^2"),
+    ],
+)
+def test_a_shifted_result_fails_commutative_collapse(monkeypatch, target, k, detail):
+    original = getattr(verify, target)
+
+    def corrupted(*args):
+        value = original(*args)
+        return value + 1 if k is None or args[1] == k else value
+
+    monkeypatch.setattr(verify, target, corrupted)
+    report = run_verify("commutative_collapse", n=2, trials=1)
+    assert [(c.passed, c.detail) for c in report.checks] == [(False, detail)]
+
+
+class _ShiftedScalars(Matrix):
+    """A matrix class whose scalar matrices hold value + 1, so the inserted
+    trace of tr(A tr(A) A) is off by one."""
+
+    @classmethod
+    def scalar(cls, ring, n, value):
+        return Matrix.scalar(ring, n, value + 1)
+
+
+def test_a_shifted_trace_insertion_fails_commutative_collapse(monkeypatch):
+    monkeypatch.setattr(verify, "Matrix", _ShiftedScalars)
+    report = run_verify("commutative_collapse", n=2, trials=1)
+    assert [(c.passed, c.detail) for c in report.checks] == [
+        (False, "trace insertions disagree over a commutative ring")
+    ]
+
+
+def test_a_shifted_transpose_fails_commutative_collapse(monkeypatch):
+    original = Matrix.transpose
+    monkeypatch.setattr(Matrix, "transpose", lambda M: original(M) + 1)
+    report = run_verify("commutative_collapse", n=2, trials=1)
+    assert [(c.passed, c.detail) for c in report.checks] == [
+        (False, "tr((A^T)^3) != tr(A^3) over a commutative ring")
+    ]
+
+
 def test_no_package_function_checks_its_own_theorem():
     # a computing function returns its data; the theorem it satisfies is
     # checked once, by its verify suite, so no ArithmeticError self-check
@@ -358,6 +436,18 @@ def test_no_package_function_checks_its_own_theorem():
     assert not offenders, (
         f"raise ArithmeticError at {', '.join(offenders)}: a theorem is checked by its "
         "verify suite (and the tests), not by the function that computes its data"
+    )
+
+
+def test_every_public_check_lives_in_verify():
+    checks = {name: getattr(ncdet, name) for name in ncdet.__all__ if name.endswith("_check")}
+    assert checks
+    strays = sorted(
+        f"{name} ({fn.__module__})" for name, fn in checks.items() if fn.__module__ != "ncdet.verify"
+    )
+    assert not strays, (
+        f"{', '.join(strays)}: a theorem's verdict lives in ncdet.verify; a computing "
+        "module returns the data it is checked on"
     )
 
 
