@@ -10,9 +10,18 @@ Two basis monomials that share a generator multiply to zero; otherwise
 their product is the union, signed by the parity of the generator pairs
 out of order.  The product reads that parity from one bit count per term
 pair, against a mask computed once per right-hand term whose bit i is the
-parity of that term's generators below v(i+1); the masks are kept with the
-right operand (``SparseElement._view``).  As in the free algebra, a
-product of more than ``term_limit`` term pairs raises TermLimitError.
+parity of that term's generators below v(i+1).  The right operand keeps
+its view (``SparseElement._view``): the list of (mask, coefficient,
+parity mask) per term, and a dict from each left mask it has met to the
+entries of that list disjoint from it.  The first product through an
+operand walks the whole list and skips overlapping pairs; every later one
+walks, per left term, only the table of its mask, built on the mask's
+first visit, so it visits no pair that vanishes.  A table holds the
+list's own tuples, and an operand builds no more tables once they would
+hold more than ``term_limit`` references; a left mask without a table
+walks the whole list.  As in the free algebra, a product of more than
+``term_limit`` term pairs (overlapping ones included) raises
+TermLimitError.
 """
 
 from __future__ import annotations
@@ -102,20 +111,45 @@ class GrassmannElem(SparseElement):
 
     def _mul_into(self, other: GrassmannElem, out: dict[int, int], sign: int) -> dict[int, int]:
         pairs = len(self._terms) * len(other._terms)
-        if pairs > self.ring.term_limit:
-            raise TermLimitError.pairs(pairs, self.ring.term_limit)
+        limit = self.ring.term_limit
+        if pairs > limit:
+            raise TermLimitError.pairs(pairs, limit)
         # sorting m1|m2 moves each generator of m2 past every larger one
         # of m1, so the sign is the parity of the bits of m1 that lie above
         # an odd number of bits of m2; one scan per right-hand term, kept
         # with the element, reads it
-        right = other._view
-        if right is None:
-            right = other._view = [(m2, c2, _parity_below(m2)) for m2, c2 in other._terms.items()]
+        view = other._view
+        if view is None:
+            # the first product builds no tables: an operand used once (a
+            # packed R[z] factor, a trace entry) would never read them
+            right = [(m2, c2, _parity_below(m2)) for m2, c2 in other._terms.items()]
+            tables = {}
+            other._view = (right, tables)
+        else:
+            right, tables = view
+        # a reused operand builds the table of each left mask it has not
+        # met, as long as its tables then hold at most term_limit
+        # references, each table counted at the list's full length; a left
+        # mask without a table walks the whole list
+        lookup = tables.get
         get = out.get
         for m1, c1 in self._terms.items():
             c1 *= sign
-            for m2, c2, below in right:
-                if m1 & m2:
+            table = lookup(m1)
+            if table is None:
+                table = right
+                if view is not None and len(tables) * len(right) + pairs <= limit:
+                    # published only once filled: a product on another
+                    # thread reads a table the moment it is in the dict
+                    # (two threads may fill the same mask; both lists are
+                    # complete and equal)
+                    table = []
+                    for term in right:
+                        if not m1 & term[0]:
+                            table.append(term)
+                    tables[m1] = table
+            for m2, c2, below in table:
+                if m1 & m2:  # only a walk of the whole list meets one
                     continue
                 mask = m1 | m2
                 if (m1 & below).bit_count() & 1:

@@ -30,7 +30,10 @@ own dict, so no product of a sum is built and then folded.  The kernel
 reads its right operand through ``_view``: the right-hand terms in the
 form the product loop wants, computed on first use and kept, since an
 element is immutable and a matrix entry is the right factor of many
-products.  ``==``, ``hash`` and the sums read ``_terms`` only.
+products; an exterior-algebra view also keeps, per left mask, the right
+terms disjoint from it, built from the second product on and at most
+``term_limit`` references in all.  ``==``, ``hash`` and the sums read
+``_terms`` only.
 ``RingElement`` gives every element type ``_coerce`` (an operand of its
 class from an equal ``ring``, or an int as ``ring.from_int``), ``repr``,
 and binary and reflected ``-``, reflected ``*`` and ``**`` from

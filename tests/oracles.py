@@ -7,7 +7,8 @@ definitions, free-algebra products concatenate tuple words and render in
 (length, word) order, exterior-algebra products take each sign from an
 inversion count of the concatenated generator indices, and commutator-subgroup
 membership is decided by integer lattice reduction over an explicit basis
-of monomial commutators.
+of monomial commutators.  ``rank_mod_p`` is a plain Gaussian elimination
+over a prime field, for the coefficient-matrix ranks of generic sdet.
 
 ``IntMatrixRing`` is a fourth ring, m x m integer matrices, written only
 against the ring contract (``rings.Ring`` and ``rings.RingElement``), so
@@ -274,6 +275,29 @@ def integer_span_contains(basis_rows: list[list[int]], target: list[int]) -> boo
             q = remaining[lead] // row[lead]
             remaining = [a - q * b for a, b in zip(remaining, row)]
     return all(a == 0 for a in remaining)
+
+
+def rank_mod_p(rows: list[list[int]], p: int = 2**61 - 1) -> int:
+    """Rank of an integer matrix over the field Z/p, by Gaussian elimination.
+
+    It is at most the rank over the rationals, and equal to it unless p
+    divides every nonzero minor of the rational rank's size.
+    """
+    rows = [[a % p for a in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        lead = rows[rank]
+        inverse = pow(lead[col], -1, p)
+        for i in range(rank + 1, len(rows)):
+            factor = rows[i][col] * inverse % p
+            if factor:
+                rows[i] = [(a - factor * b) % p for a, b in zip(rows[i], lead)]
+        rank += 1
+    return rank
 
 
 def cyclic_span_oracle(p: FreePoly) -> bool:

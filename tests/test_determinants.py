@@ -34,7 +34,7 @@ from ncdet.verify import (
     random_supermatrix,
 )
 
-from oracles import heap_signed_permutations, preadjoint_double_sum, sdet_double_sum
+from oracles import heap_signed_permutations, preadjoint_double_sum, rank_mod_p, sdet_double_sum
 
 
 @pytest.fixture
@@ -504,3 +504,21 @@ def test_conjugation_rejects_non_unimodular(ints):
         conjugate(A, Matrix(ints, [[2, 0], [0, 1]]))
     with pytest.raises(ValueError, match="mismatch"):
         conjugate(A, Matrix.identity(ints, 3))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_the_coefficient_matrices_of_generic_sdet_have_rank_binomial_squared(n):
+    # M_t has the words of length t as rows, those of length n - t as
+    # columns, and the coefficient in sdet of each concatenation; by Nisan
+    # (STOC 1991) layer t of any algebraic branching program for sdet has
+    # at least rank M_t nodes, and C(n, t)^2 is the number of (row set,
+    # column set) pairs of size t, the states of the preadjoint sweep
+    _, A = generic_matrix(n)
+    terms = symmetric_determinant(A).terms
+    for t in range(n + 1):
+        prefixes = {w: i for i, w in enumerate(sorted({word[:t] for word in terms}))}
+        suffixes = {w: j for j, w in enumerate(sorted({word[t:] for word in terms}))}
+        rows = [[0] * len(suffixes) for _ in prefixes]
+        for word, coeff in terms.items():
+            rows[prefixes[word[:t]]][suffixes[word[t:]]] = coeff
+        assert rank_mod_p(rows) == math.comb(n, t) ** 2

@@ -96,6 +96,131 @@ def test_product_makes_no_call_per_term_pair():
     assert dict(product.terms) == grassmann_product(x, y)
 
 
+def test_a_product_through_a_used_view_makes_a_constant_number_of_calls():
+    # the second product through y builds a table per left mask and the
+    # third reuses them; neither calls anything per left term or pair
+    algebra = GrassmannAlgebra(6)
+    rng = random.Random(12)
+    x, y, z = (GrassmannElem(algebra, {m: rng.choice((-2, -1, 1, 2)) for m in range(64)}) for _ in range(3))
+    x * y
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    for left in (z, z):
+        calls = 0
+        sys.setprofile(count)
+        try:
+            product = left * y
+        finally:
+            sys.setprofile(None)
+        assert calls <= 8
+        assert dict(product.terms) == grassmann_product(left, y)
+    assert len(y._view[1]) == 64
+
+
+def test_a_right_operand_multiplied_once_builds_no_tables(rank4):
+    v1, v2, v3, _ = rank4.gens()
+    y = v2 + v1 * v3
+    (v1 + v2) * y
+    assert y._view[1] == {}
+    w = v3 - v1 * v2
+    acc = rank4.accumulator()
+    acc += v1
+    acc = rank4.add_product(acc, v2 + 1, w, negative=True)
+    assert w._view[1] == {}
+    assert rank4.total(acc) == v1 - (v2 + 1) * (v3 - v1 * v2)
+
+
+
+def test_the_tables_of_a_reused_operand_hold_at_most_the_pair_budget():
+    # a right operand met by every left mask of rank 6 stops building
+    # tables once they would pass term_limit references, and the masks
+    # left without one walk the whole list
+    algebra = GrassmannAlgebra(6)
+    algebra.term_limit = 60
+    v1, v2, v3, *_ = algebra.gens()
+    y = 1 + v1 - 2 * v2 * v3 + v3
+    y * y
+    for mask in range(64):
+        x = GrassmannElem(algebra, {mask: 3, 0: -1})
+        assert dict((x * y).terms) == grassmann_product(x, y)
+        terms, tables = y._view
+        assert len(tables) * len(terms) <= algebra.term_limit
+    assert len(tables) == 14  # 14 * 4 + 8 pairs would pass 60
+    assert all(
+        table == [term for term in terms if not mask & term[0]] for mask, table in tables.items()
+    )
+
+
+def test_a_table_is_complete_when_it_enters_the_view():
+    # another thread multiplying through y reads a table as soon as it is
+    # in the dict, so the kernel must fill it first
+    algebra = GrassmannAlgebra(5)
+    rng = random.Random(3)
+    x, y = (algebra.random_element(rng, max_terms=12) for _ in range(2))
+    x * y
+    terms, _ = y._view
+    published = []
+
+    class Watch(dict):
+        def __setitem__(self, mask, table):
+            published.append(table == [term for term in terms if not mask & term[0]])
+            super().__setitem__(mask, table)
+
+    y._view = (terms, Watch())
+    assert dict((x * y).terms) == grassmann_product(x, y)
+    assert published and all(published)
+
+@st.composite
+def _shared_right_operands(draw):
+    # one right operand and several left ones whose subsets come from a
+    # small pool, so a later left operand meets masks seen and unseen
+    rank = draw(st.integers(0, MAX_RANK))
+    index = st.integers(1, rank) if rank else st.nothing()
+    subset = st.frozensets(index, max_size=min(rank, 4)).map(lambda s: tuple(sorted(s)))
+    pool = draw(st.lists(subset, min_size=1, max_size=6))
+    coeffs = st.sampled_from((-3, -2, -1, 1, 2, 3))
+    right = draw(st.dictionaries(subset, coeffs, max_size=6))
+    lefts = draw(st.lists(
+        st.tuples(
+            st.dictionaries(st.sampled_from(pool), coeffs, max_size=4),
+            st.sampled_from(("*", "add", "subtract")),
+        ),
+        min_size=2,
+        max_size=5,
+    ))
+    return rank, right, lefts
+
+
+@settings(max_examples=100, deadline=None)
+@given(_shared_right_operands())
+@example((0, {(): 2}, [({(): 3}, "*"), ({(): -1}, "subtract")]))
+@example((16, {(): 1, (1, 16): 2, (15,): -1}, [({(16,): 1, (): 2}, "add"), ({(16,): 3, (2,): 1}, "*")]))
+def test_products_through_a_reused_right_operand_match_the_oracle(case):
+    rank, right, lefts = case
+    algebra = GrassmannAlgebra(rank)
+    y = GrassmannElem(algebra, right)
+    for left, route in lefts:
+        x = GrassmannElem(algebra, left)
+        expected = grassmann_product(x, y)
+        if route == "*":
+            result = x * y
+        else:
+            acc = algebra.add_product(algebra.accumulator(), x, y, negative=route == "subtract")
+            result = algebra.total(acc)
+            if route == "subtract":
+                expected = {key: -coeff for key, coeff in expected.items()}
+        assert dict(result.terms) == expected
+    terms, tables = y._view
+    assert all(
+        table == [term for term in terms if not mask & term[0]] for mask, table in tables.items()
+    )
+
+
 def test_overlapping_subsets_multiply_to_zero(rank4):
     v1, v2 = rank4.gen(1), rank4.gen(2)
     assert ((v1 * v2) * (v2)).is_zero()

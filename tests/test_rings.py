@@ -544,14 +544,25 @@ _factors = {
 
 
 def _views_hold(x) -> bool:
-    """Whether every view cached in x is the one its terms give now."""
+    """Whether every view cached in x is the one its terms give now.
+
+    A Grassmann view is the list of right terms and the per-left-mask
+    tables: its list must equal a fresh one, and each table that fresh
+    list filtered to the terms disjoint from its mask.
+    """
     if isinstance(x, CentralPoly):
         return all(_views_hold(c) for c in x.coefficients)
     if not isinstance(x, rings.SparseElement) or x._view is None:
         return True
     fresh = x._raw(x.ring, dict(x._terms))
     x.ring.one * fresh
-    return fresh._view == x._view
+    if not isinstance(x, GrassmannElem):
+        return fresh._view == x._view
+    (right, tables), (fresh_right, _) = x._view, fresh._view
+    return right == fresh_right and all(
+        table == [term for term in fresh_right if not mask & term[0]]
+        for mask, table in tables.items()
+    )
 
 
 @settings(max_examples=150, deadline=None)
@@ -611,6 +622,22 @@ def test_a_fused_product_over_the_pair_budget_raises_as_the_product_does(kind):
             ring.add_product(acc, u + w, u - w)
         assert str(fused.value) == str(product.value)
         assert ring.total(acc) == sum(terms, ring.zero)  # nothing was written
+    # a right operand with a used view is refused the same way; the budget
+    # is checked before the view is read, so a refused Grassmann product
+    # builds no per-left-mask table
+    right = u - w
+    u * right
+    with pytest.raises(TermLimitError) as reused:
+        (u + w) * right
+    assert str(reused.value) == str(product.value)
+    acc = ring.accumulator()
+    acc += u
+    with pytest.raises(TermLimitError) as fused:
+        ring.add_product(acc, u + w, right)
+    assert str(fused.value) == str(product.value)
+    assert ring.total(acc) == u
+    if kind == "grassmann":
+        assert right._view[1] == {}
 
 
 @pytest.mark.parametrize("kind", ["free", "grassmann"])
