@@ -12,20 +12,19 @@ the ordered product that omits position s.  Entry (r, s) also equals
 (-1)^(r+s) times the symmetric determinant of the minor that deletes row s
 and column r; both routes are implemented and cross-checked in the tests.
 
-The symmetric determinant is a depth-first walk over ordered prefixes:
-the pairs that agree on their first t positions share the product of
-those t factors, so each prefix is built once and extended by every free
-row r and column c, the sign flipping by the free rows below r plus the
-free columns below c.  The double sum itself lives on as a test oracle.
-
-The preadjoint is computed by a subset dynamic program that keeps factor
-order, so it is exact in any ring.  For every pair of equal-size row and
-column sets (R, C) it holds the symmetric determinant of the submatrix on
-R x C: the signed sum of the ordered products that list R and C in every
-order.  Each such value sums the values over one position fewer, times one
-factor on the right, and the factor's sign counts the members of R and C
-above its row and column.  The sets of size n - 1 are the minors, so the
-last n^2 values of the sweep, signed by (-1)^(r+s), are the entries.
+Both come from one subset sweep that keeps factor order, so it is exact
+in any ring.  For every pair of equal-size row and column sets (R, C) it
+holds the symmetric determinant of the submatrix on R x C: the signed sum
+of the ordered products that list R and C in every order.  The entries
+are the states of one position.  Each larger state sums the states over
+one position fewer, times one factor on the right, and the factor's sign
+counts the members of R and C above its row and column.  The states of
+size n - 1 are the minors, so those n^2 values, signed by (-1)^(r+s), are
+the entries of the preadjoint.  The symmetric determinant stops the sweep
+at n - 2 positions and writes out the last two factors of each state, 8
+products, the two free columns swapped when the members of R and C above
+the free rows and columns are odd in number.  The double sum itself lives
+on as a test oracle.
 
 From the preadjoint the right and left adjoint sequences are defined by
 
@@ -44,59 +43,6 @@ from .matrices import Matrix, _signed_minors, commutative_adj, commutative_det
 from .rings import IntegerRing, Record
 
 
-@lru_cache(maxsize=None)
-def _choices(free: tuple):
-    """The ways to take the next row (or column) of a prefix from the free
-    ones, given in increasing order: (taken, free ones left, odd) triples,
-    where odd says an odd number of the free ones lie below the one taken."""
-    return tuple((x, free[:i] + free[i + 1 :], i % 2 == 1) for i, x in enumerate(free))
-
-
-def symmetric_determinant(A: Matrix):
-    """The double permutation sum over S_n x S_n, by a depth-first walk over
-    ordered prefixes.
-
-    Each ordered prefix is one product on the right of its own prefix, so
-    the sum takes the sum over t = 2..n of (n!/(n-t)!)^2 ring
-    multiplications, 1,296 at n = 4 where building each of the (n!)^2
-    products alone takes 1,728.  The last two factors are written out,
-    8 products per prefix; swapping their two columns is the sign flip.
-    """
-    rows = A.rows
-    total = A.ring.accumulator()
-
-    def extend(prefix, free_rows, free_cols, negative):
-        # fold in every product that starts with prefix and then takes the
-        # free rows and columns in every order
-        nonlocal total
-        if len(free_rows) == 2:
-            (r1, r2), (c1, c2) = free_rows, free_cols
-            if negative:
-                c1, c2 = c2, c1
-            a, b = rows[r1], rows[r2]
-            total += prefix * a[c1] * b[c2]
-            total += prefix * b[c2] * a[c1]
-            total -= prefix * a[c2] * b[c1]
-            total -= prefix * b[c1] * a[c2]
-        elif not free_rows:
-            if negative:
-                total -= prefix
-            else:
-                total += prefix
-        else:
-            cols = _choices(free_cols)
-            for r, rest_rows, odd_row in _choices(free_rows):
-                row, flip = rows[r], negative != odd_row
-                for c, rest_cols, odd_col in cols:
-                    extend(prefix * row[c], rest_rows, rest_cols, flip != odd_col)
-
-    everything = _choices(tuple(range(A.n)))
-    for r, rest_rows, odd_row in everything:
-        for c, rest_cols, odd_col in everything:
-            extend(rows[r][c], rest_rows, rest_cols, odd_row != odd_col)
-    return A.ring.total(total)
-
-
 def _members(mask: int) -> list[int]:
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
@@ -106,49 +52,57 @@ def _above(mask: int, x: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _preadjoint_plan(n: int):
-    """The steps of the preadjoint sweep: one per pair of equal-size row and
-    column sets over 1..n-1 positions, smaller sets first, and last the n^2
-    minors that entry (r, s) reads, in row-major order and with (-1)^(r+s)
-    folded in.  A step is a tuple of (predecessor index, row, column,
-    negative) terms, one per factor it can end in, with index -1 for the
-    empty product."""
+def _sweep_plan(n: int):
+    """The sweep for n >= 2 as (states, minors, finish).
+
+    The sweep's table starts with the n^2 entries, row-major: the states of
+    one position.  ``states`` adds a step per pair of equal-size row and
+    column sets over 2..n-2 positions, smaller sets first: a tuple of
+    (predecessor index, row, column, negative) terms, one per factor it can
+    end in.  ``minors`` are the n^2 steps over n-1 positions that entry
+    (r, s) of A* reads, row-major and with (-1)^(r+s) folded in.  ``finish``
+    has one (predecessor, r1, r2, c1, c2) per state over n-2 positions: its
+    free rows r1 < r2 and free columns, swapped when the state's members
+    above them are odd in number.  Predecessor -1 is the empty product, met
+    only at n = 2.
+    """
     full = (1 << n) - 1
-    masks = sorted(range(1, full), key=int.bit_count)
-    inner = [(R, C, 0) for R in masks for C in masks if R.bit_count() == C.bit_count() < n - 1]
-    entries = [(full ^ 1 << s, full ^ 1 << r, r + s) for r in range(n) for s in range(n)]
-    index, steps = {}, []
-    for rows, cols, flips in inner + entries:
-        index[rows, cols] = len(steps)
+    by_size = [[m for m in range(full + 1) if m.bit_count() == t] for t in range(n + 1)]
+    index = {(1 << r, 1 << c): r * n + c for r in range(n) for c in range(n)}
+
+    def step(rows, cols, flips):
         terms = []
         for r in _members(rows):
             for c in _members(cols):
                 pred = index.get((rows ^ 1 << r, cols ^ 1 << c), -1)
-                negative = (_above(rows, r) + _above(cols, c) + flips) % 2 == 1
-                terms.append((pred, r, c, negative))
-        steps.append(tuple(terms))
-    return tuple(steps)
+                terms.append((pred, r, c, (_above(rows, r) + _above(cols, c) + flips) % 2 == 1))
+        return tuple(terms)
+
+    states = []
+    for t in range(2, n - 1):
+        for rows in by_size[t]:
+            for cols in by_size[t]:
+                index[rows, cols] = n * n + len(states)
+                states.append(step(rows, cols, 0))
+    minors = tuple(step(full ^ 1 << s, full ^ 1 << r, r + s) for r in range(n) for s in range(n))
+    finish = []
+    for rows in by_size[n - 2]:
+        for cols in by_size[n - 2]:
+            (r1, r2), (c1, c2) = _members(full ^ rows), _members(full ^ cols)
+            if (_above(rows, r1) + _above(rows, r2) + _above(cols, c1) + _above(cols, c2)) % 2:
+                c1, c2 = c2, c1
+            finish.append((index.get((rows, cols), -1), r1, r2, c1, c2))
+    return tuple(states), minors, tuple(finish)
 
 
-def preadjoint(A: Matrix) -> Matrix:
-    """The symmetrized adjugate A*.
-
-    Entry (r, s) sums, over the pairs (alpha, beta) with alpha(s) = s and
-    beta(s) = r, the signed ordered product that omits position s, which is
-    (-1)^(r+s) times the symmetric determinant of the minor without row s
-    and column r.  One sweep over the plan for n builds the symmetric
-    determinant of every equal-size submatrix from the next smaller ones,
-    one factor on the right, and its last n^2 values are the entries.  The
-    plan is built once per n.  A 1x1 matrix maps to [1] (empty product
-    convention).
-    """
-    n = A.n
-    if n == 1:
-        return Matrix(A.ring, [[A.ring.one]])
-    ring, rows = A.ring, A.rows
+def _sweep(ring, rows, steps) -> list:
+    """The sweep's table: the entries, row-major, and then the value of
+    each step, the signed sum of its predecessors' values times one entry
+    on the right, or of the bare entries where the predecessor is the empty
+    product."""
     add_product = ring.add_product
-    table = []
-    for terms in _preadjoint_plan(n):
+    table = [x for row in rows for x in row]
+    for terms in steps:
         total = ring.accumulator()
         for pred, r, c, negative in terms:
             if pred >= 0:
@@ -158,7 +112,60 @@ def preadjoint(A: Matrix) -> Matrix:
             else:
                 total += rows[r][c]
         table.append(ring.total(total))
-    values = table[-n * n :]
+    return table
+
+
+def symmetric_determinant(A: Matrix):
+    """The double permutation sum over S_n x S_n, by the preadjoint sweep
+    up to n-2 positions and the last two factors written out.
+
+    Each state over n-2 positions, the signed sum of the ordered products
+    on its row and column sets, takes its two free rows and columns in
+    every order: 8 products, 4 at n = 2 where the state is the empty
+    product.  With the sweep's own products that is 0, 4, 72, 432, 2,100
+    and 9,900 ring multiplications at n = 1..6.
+    """
+    n, ring, rows = A.n, A.ring, A.rows
+    total = ring.accumulator()
+    if n == 1:
+        total += rows[0][0]
+        return ring.total(total)
+    states, _, finish = _sweep_plan(n)
+    table = _sweep(ring, rows, states)
+    for pred, r1, r2, c1, c2 in finish:
+        a, b = rows[r1], rows[r2]
+        if pred < 0:  # n = 2: the state is the empty product
+            total += a[c1] * b[c2]
+            total += b[c2] * a[c1]
+            total -= a[c2] * b[c1]
+            total -= b[c1] * a[c2]
+        else:
+            prefix = table[pred]
+            total += prefix * a[c1] * b[c2]
+            total += prefix * b[c2] * a[c1]
+            total -= prefix * a[c2] * b[c1]
+            total -= prefix * b[c1] * a[c2]
+    return ring.total(total)
+
+
+def preadjoint(A: Matrix) -> Matrix:
+    """The symmetrized adjugate A*.
+
+    Entry (r, s) sums, over the pairs (alpha, beta) with alpha(s) = s and
+    beta(s) = r, the signed ordered product that omits position s, which is
+    (-1)^(r+s) times the symmetric determinant of the minor without row s
+    and column r.  The sweep builds the symmetric determinant of every
+    equal-size submatrix from the next smaller ones, one factor on the
+    right, and its n^2 values over n-1 positions are the entries.  The
+    plan is built once per n and shared with ``symmetric_determinant``.
+    A 1x1 matrix maps to [1] (empty product convention).
+    """
+    n = A.n
+    if n == 1:
+        return Matrix(A.ring, [[A.ring.one]])
+    ring, rows = A.ring, A.rows
+    states, minors, _ = _sweep_plan(n)
+    values = _sweep(ring, rows, states + minors)[-n * n :]
     return Matrix(ring, [values[r * n : (r + 1) * n] for r in range(n)])
 
 

@@ -2,8 +2,8 @@
 
 ``signed_permutations`` lists all of S_n in lexicographic order paired
 with signs from inversion parity.  The standard polynomial S_4 sums over
-it; the determinant core walks ordered prefixes and needs no list of
-permutations.
+it; the determinant core sweeps row and column sets and needs no list
+of permutations.
 """
 
 from __future__ import annotations

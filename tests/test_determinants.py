@@ -146,9 +146,29 @@ def test_sdet_matches_double_sum_on_grassmann_matrices(n, seed):
         assert symmetric_determinant(S) == sdet_double_sum(S)
 
 
-def walk_products(n):
-    # one product per ordered prefix of t = 2..n factors
-    return sum(math.perm(n, t) ** 2 for t in range(2, n + 1))
+def test_sdet_matches_double_sum_at_n5():
+    # n = 5 is the first size whose sweep builds a state from sweep states
+    rng = random.Random(5)
+    free = FreeAlgebra(("a", "b"))
+
+    def entry():
+        return FreePoly(free, {(rng.randrange(2),): rng.choice((-2, -1, 1, 2)), (): rng.randint(-1, 1)})
+
+    F = Matrix(free, [[entry() for _ in range(5)] for _ in range(5)])
+    exterior = GrassmannAlgebra(6)
+    G = random_grassmann_matrix(exterior, rng, 5)
+    S = random_supermatrix(exterior, rng, 5, rng.randint(1, 4))
+    for A in (F, G, S):
+        assert symmetric_determinant(A) == sdet_double_sum(A)
+
+
+def sdet_products(n):
+    # one product per extension of a sweep state over t = 2..n-2 positions,
+    # then 8 per state over n-2 positions (4 at n = 2, the empty state)
+    if n < 3:
+        return 4 * (n - 1)
+    sweep = sum(math.comb(n, t) ** 2 * t**2 for t in range(2, n - 1))
+    return sweep + 8 * math.comb(n, 2) ** 2
 
 
 def test_generic_sdet_sums_in_place(monkeypatch):
@@ -163,14 +183,15 @@ def test_generic_sdet_sums_in_place(monkeypatch):
 
         monkeypatch.setattr(FreePoly, name, counted)
     value = symmetric_determinant(A)
-    assert calls.pop("__mul__") == walk_products(4) == 1296
+    # the sweep's 144 products write into their sums, the finish's 288 use *
+    assert calls.pop("__mul__") == 8 * math.comb(4, 2) ** 2 == 288
     assert calls == dict.fromkeys(calls, 0)
     assert len(value.terms) == math.factorial(4) ** 2
 
 
 def test_generic_sweep_and_matrix_products_write_into_their_sums(monkeypatch):
     # the sweep, trace_of_product and Matrix.__mul__ write every term pair
-    # straight into the running sum; sdet builds each ordered prefix with *
+    # straight into the running sum; sdet writes its last two factors with *
     _, A = generic_matrix(4)
     calls = []
     original = FreePoly.__mul__
@@ -185,7 +206,7 @@ def test_generic_sweep_and_matrix_products_write_into_their_sums(monkeypatch):
     A * star
     assert calls == []
     symmetric_determinant(A)
-    assert len(calls) == walk_products(4) == 1296
+    assert len(calls) == 8 * math.comb(4, 2) ** 2 == 288
 
 
 def _generic_3x3(term_limit):
@@ -321,14 +342,16 @@ def test_preadjoint_never_multiplies_by_the_empty_product(n, products, ints, mon
     assert P == commutative_adj(A) * math.factorial(n - 1)
 
 
-@pytest.mark.parametrize("n, products", [(1, 0), (2, 4), (3, 72), (4, 1296), (5, 32800)])
+@pytest.mark.parametrize("n, products", [(1, 0), (2, 4), (3, 72), (4, 432), (5, 2100), (6, 9900)])
 def test_sdet_builds_each_ordered_prefix_once(n, products, ints, monkeypatch):
-    # the enumeration took (n!)^2 (n-1) products: 0, 4, 72, 1,728, 57,600
+    # the sweep merges the ordered prefixes by row and column set; the
+    # prefix walk took the sum over t = 2..n of (n!/(n-t)!)^2 products,
+    # 0, 4, 72, 1,296, 32,800, 1,181,700, and the enumeration (n!)^2 (n-1)
     monkeypatch.setattr(CountingInt, "products", 0)
     rng = random.Random(n)
     A = Matrix(ints, [[CountingInt(rng.randint(-9, 9)) for _ in range(n)] for _ in range(n)])
     value = symmetric_determinant(A)
-    assert CountingInt.products == products == walk_products(n)
+    assert CountingInt.products == products == sdet_products(n)
     assert value == math.factorial(n) * commutative_det(A)
 
 
@@ -402,7 +425,7 @@ def test_adjoint_sequence_fails_fast_over_the_term_budget():
         adjoint_sequence(A, "right", 4)
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 5])
 def test_first_determinants_equal_sdet(n):
     _, A = generic_matrix(n)
     sdet = symmetric_determinant(A)

@@ -175,21 +175,22 @@ def test_seed_changes_are_still_deterministic():
 
 
 def flip_a_choice_sign(monkeypatch, which):
-    # corrupt one sign in every table of choices the sdet walk reads; the
-    # walk looks the patched name up per call, so no cached table is reused
-    true_table = determinants._choices
+    # swap the free columns of one entry of the sdet finish in every plan;
+    # sdet looks the patched name up per call, so no cached plan is reused
+    true_plan = determinants._sweep_plan
 
-    def flipped(free):
-        table = list(true_table(free))
-        taken, rest, odd = table[which]
-        table[which] = (taken, rest, not odd)
-        return tuple(table)
+    def flipped(n):
+        states, minors, finish = true_plan(n)
+        finish = list(finish)
+        pred, r1, r2, c1, c2 = finish[which]
+        finish[which] = (pred, r1, r2, c2, c1)
+        return states, minors, tuple(finish)
 
-    monkeypatch.setattr(determinants, "_choices", flipped)
+    monkeypatch.setattr(determinants, "_sweep_plan", flipped)
 
 
 def test_injected_sign_error_flips_a_suite(monkeypatch):
-    # mutation smoke test: corrupt one sign inside the sdet walk and the
+    # mutation smoke test: corrupt one sign inside sdet and the
     # theorem suites must notice
     flip_a_choice_sign(monkeypatch, -1)
     assert not run_verify("thm3_1", n=2).ok
