@@ -97,29 +97,54 @@ class FreePoly(SparseElement):
         pairs = len(self._terms) * len(other._terms)
         if pairs > self.ring.term_limit:
             raise TermLimitError.pairs(pairs, self.ring.term_limit)
-        right = other._view
-        if right is None:
-            right = other._view = _right_view(other._terms)
-        get = out.get
-        for w1, c1 in self._terms.items():
-            c1 *= sign
-            for low, shift, c2 in right:
-                word = w1 << shift | low
-                new = get(word, 0) + c1 * c2
-                if new:
-                    out[word] = new
-                else:
-                    del out[word]
+        view = other._view
+        if view is None:
+            view = other._view = _right_view(other._terms)
+        left = self._terms
+        # a membership test per pair calls nothing: a new word is stored
+        # at once, and only a word already in out is read back and summed
+        for shift, group in view:
+            if len(group) == 1:
+                # one word, as in every generic sweep entry: no inner loop
+                ((low, c2),) = group
+                c2 *= sign
+                for w1, c1 in left.items():
+                    word = w1 << shift | low
+                    if word in out:
+                        new = out[word] + c1 * c2
+                        if new:
+                            out[word] = new
+                        else:
+                            del out[word]
+                    else:
+                        out[word] = c1 * c2
+                continue
+            for w1, c1 in left.items():
+                c1 *= sign
+                high = w1 << shift
+                for low, c2 in group:
+                    word = high | low
+                    if word in out:
+                        new = out[word] + c1 * c2
+                        if new:
+                            out[word] = new
+                        else:
+                            del out[word]
+                    else:
+                        out[word] = c1 * c2
         return out
 
 
-def _right_view(terms: dict[int, int]) -> list[tuple[int, int, int]]:
-    # (letters without the leading bit, their bit count, coefficient) per word
-    view = []
+def _right_view(terms: dict[int, int]) -> tuple[tuple[int, list[tuple[int, int]]], ...]:
+    # the words grouped by length: per group, the bit count a left word
+    # shifts by and (letters without the leading bit, coefficient) per
+    # word; returned whole, so a product on another thread never reads a
+    # view that is still being filled
+    groups: dict[int, list[tuple[int, int]]] = {}
     for word, coeff in terms.items():
         shift = word.bit_length() - 1
-        view.append((word ^ 1 << shift, shift, coeff))
-    return view
+        groups.setdefault(shift, []).append((word ^ 1 << shift, coeff))
+    return tuple(groups.items())
 
 
 class FreeAlgebra(SparseRing):

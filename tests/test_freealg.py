@@ -1,5 +1,7 @@
+import itertools
 import json
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -80,18 +82,41 @@ def _free_terms(g):
 
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(_GENERATOR_COUNTS).flatmap(
-    lambda g: st.tuples(st.just(g), _free_terms(g), _free_terms(g), st.integers(0, 6))
+    lambda g: st.tuples(st.just(g), _free_terms(g), _free_terms(g), st.integers(0, 6), _free_terms(g))
 ))
 # a*a - a + a*a*a - a*a: the a*a terms cancel
-@example((1, {(0,): 1, (0, 0): 1}, {(0,): 1, (): -1}, 0))
+@example((1, {(0,): 1, (0, 0): 1}, {(0,): 1, (): -1}, 0, {}))
+# (a + 2*a*a + b) * (a*b - b + 2*b*b) through the right view the product
+# above built, written less into -a*b + 3*a*a*a*b + 2*a*b*b: in each length
+# group of the right operand (a*b, b*b and b) one pair writes a new word,
+# one adds to a word already there and one cancels a word to zero; a*a*b
+# is met by a pair of each group
+@example((
+    2,
+    {(0,): 1, (0, 0): 2, (1,): 1},
+    {(0, 1): 1, (1,): -1, (1, 1): 2},
+    0,
+    {(0, 1): -1, (0, 0, 0, 1): 3, (0, 1, 1): 2},
+))
 def test_packed_words_match_the_tuple_word_oracle(case):
-    g, left, right, turn = case
+    g, left, right, turn, held = case
     algebra = FreeAlgebra([f"x{i}" for i in range(g)])
     x, y = FreePoly(algebra, left), FreePoly(algebra, right)
     expected = free_product(x, y)
     product = x * y
     assert dict(product.terms) == expected
     assert str(product) == deglex_text(algebra.names, expected)
+    # the same product, through the view it left, written less into a sum
+    acc = algebra.accumulator()
+    acc += FreePoly(algebra, held)
+    written = algebra.total(algebra.add_product(acc, x, y, negative=True))
+    difference = {w: c for w, c in held.items() if c}
+    for word, coeff in expected.items():
+        difference[word] = difference.get(word, 0) - coeff
+    assert dict(written.terms) == {w: c for w, c in difference.items() if c}
+    fresh = FreePoly(algebra, right)
+    algebra.one * fresh
+    assert y._view == fresh._view
     assert str(x) == deglex_text(algebra.names, {w: c for w, c in left.items() if c})
     assert product.degree() == max(map(len, expected), default=-1)
     assert product.terms.get((), 0) == expected.get((), 0)
@@ -104,6 +129,32 @@ def test_packed_words_match_the_tuple_word_oracle(case):
         assert not in_commutator_span(w + FreePoly(algebra, {rotated: 1}))
         if g:
             assert not in_commutator_span(w - FreePoly(algebra, {(0,) + word: 1}))
+
+
+def test_a_product_through_a_used_view_makes_a_constant_number_of_calls():
+    # no call per term pair, in either the many-word or the one-word loop:
+    # 1 x 576 and 576 x 1 pairs, each product warm (its right view built)
+    algebra = FreeAlgebra([f"x{i}" for i in range(9)])
+    words = itertools.islice(itertools.product(range(9), repeat=4), 576)
+    big = FreePoly(algebra, {word: 1 + i % 5 for i, word in enumerate(words)})
+    one = FreePoly(algebra, {(3, 1): -2})
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event in ("call", "c_call"):
+            calls += 1
+
+    for x, y in ((one, big), (big, one)):
+        x * y
+        calls = 0
+        sys.setprofile(count)
+        try:
+            product = x * y
+        finally:
+            sys.setprofile(None)
+        assert calls <= 12
+        assert dict(product.terms) == free_product(x, y)
 
 
 def test_term_limit_guardrail():
