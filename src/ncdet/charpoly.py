@@ -9,30 +9,30 @@ the indeterminate z commutes with everything, so the product of two
 polynomials multiplies coefficients in the base ring with the left
 factor's coefficient on the left.  ``PolynomialRing`` implements the ring
 contract, which lets the whole matrix/determinant machinery run unchanged
-over R[z]: the k-th characteristic polynomial of A is simply the k-th
-right (or left) determinant of zI - A computed there.  Its accumulator
-holds one base accumulator per z-degree, and ``add_product`` writes a
-product into those sums: over a sparse base, two polynomials of degree at
-least 2 multiply in one pass of the base product kernel, on their slices
-packed into one element (Kronecker substitution, sized per product by the
-L1 bound in ``_packed_mul``), and any other product goes slice by slice
-through the base ring's ``add_product``.  ``CentralPoly``'s ``+`` and
-``*`` are that accumulator run on one or two terms, so the sweep, the
-matrix product and the traces sum over R[z] without building a product
-or a running sum per term.  A polynomial prints from its top degree down,
+over R[z].  Its accumulator holds one base accumulator per z-degree, and
+``add_product`` writes each slice product into its degree's sum;
+``CentralPoly``'s ``+`` and ``*`` are that accumulator run on one or two
+terms, so the sweep, the matrix product and the traces sum over R[z]
+without building a product or a running sum per term.  The k-th
+characteristic polynomial of A is the k-th right (or left) determinant
+of zI - A: over the exterior algebra one determinant of 2^B I - A over
+R, read back as one balanced B-bit digit per z-degree, and over other
+rings computed in R[z].  A polynomial prints from its top degree down,
 and a coefficient whose terms are all negative prints as a minus sign
 before its negation.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 from .determinants import _by_side, left_determinant, preadjoint, right_determinant
 from .freealg import FreeAlgebra
+from .grassmann import GrassmannAlgebra
 from .matrices import Matrix
 from .perms import signed_permutations
-from .rings import IntegerRing, Record, Ring, RingElement, SparseRing, join_signed
+from .rings import IntegerRing, Record, Ring, RingElement, join_signed
 
 # the largest free-algebra witness: generic n = 5 takes 0.31-0.37 s and
 # a process peak RSS of 60 MB (Python 3.11.7, 2-core machine); n = 6
@@ -76,20 +76,8 @@ class PolynomialRing(Ring):
             product = x * y
             return acc - product if negative else acc + product
         xs, ys = x._coeffs, y._coeffs
-        if not xs or not ys:
-            return acc
         sums = acc._slices(len(xs) + len(ys) - 1)
-        base = self.base
-        # a factor of degree 0 or 1, such as an entry of zI - A, makes a few
-        # slice products whose right operands keep their cached views, and
-        # packing them would cost more than it saves
-        if len(xs) > 2 and len(ys) > 2 and isinstance(base, SparseRing):
-            element = base.element_type._raw
-            for d, terms in enumerate(x._packed_mul(y, -1 if negative else 1)):
-                if terms:
-                    sums[d] += element(base, terms)
-            return acc
-        add_product = base.add_product
+        add_product = self.base.add_product
         for i, a in enumerate(xs):
             for j, b in enumerate(ys):
                 sums[i + j] = add_product(sums[i + j], a, b, negative)
@@ -143,11 +131,10 @@ class _PolySum:
 class CentralPoly(RingElement):
     """Immutable polynomial in a central z with coefficients in a base ring.
 
-    ``_coeffs`` runs from degree 0 with no zero on top.  Over a sparse base
-    ``_norm`` caches the L1 norm that sizes the packed product's slices.
+    ``_coeffs`` runs from degree 0 with no zero on top.
     """
 
-    __slots__ = ("ring", "_coeffs", "_norm")
+    __slots__ = ("ring", "_coeffs")
 
     _MISMATCH = "polynomials live over different base rings"
 
@@ -158,14 +145,12 @@ class CentralPoly(RingElement):
             coeffs.pop()
         self.ring = ring
         self._coeffs = tuple(coeffs)
-        self._norm = None
 
     @classmethod
     def _raw(cls, ring: PolynomialRing, coeffs: tuple) -> CentralPoly:
         self = object.__new__(cls)
         self.ring = ring
         self._coeffs = coeffs
-        self._norm = None
         return self
 
     @property
@@ -200,45 +185,6 @@ class CentralPoly(RingElement):
         if other is None:
             return NotImplemented
         return self.ring.total(self.ring.add_product(self.ring.accumulator(), self, other))
-
-    def _l1(self) -> int:
-        """The sum of |coefficient| over every slice and key (sparse base)."""
-        if self._norm is None:
-            self._norm = sum(abs(c) for e in self._coeffs for c in e._terms.values())
-        return self._norm
-
-    def _packed(self, width: int):
-        """One base element whose coefficient at each key is the slices'
-        coefficients there, slice i shifted up by width * i bits."""
-        packed: dict[int, int] = {}
-        get = packed.get
-        for i, e in enumerate(self._coeffs):
-            shift = width * i
-            for key, coeff in e._terms.items():
-                packed[key] = get(key, 0) + (coeff << shift)
-        return self.ring.base.element_type._raw(self.ring.base, packed)
-
-    def _packed_mul(self, other: CentralPoly, sign: int) -> list[dict[int, int]]:
-        """The terms of each slice of sign * self * other, degree 0 up; the
-        top slices may be empty."""
-        # every slot of the product sums distinct products c1 * c2, so its
-        # magnitude is at most l1(self) * l1(other) < 2^(width - 1); adding
-        # 2^(width - 1) to every slot makes each one a nonnegative width-bit
-        # field, read without carries
-        width = (self._l1() * other._l1()).bit_length() + 1
-        out = self._packed(width)._mul_into(other._packed(width), {}, sign)
-        size = len(self._coeffs) + len(other._coeffs) - 1
-        half, mask = 1 << (width - 1), (1 << width) - 1
-        bias = sum(half << width * d for d in range(size))
-        slices: list[dict[int, int]] = [{} for _ in range(size)]
-        for key, value in out.items():
-            value += bias
-            for terms in slices:
-                slot = (value & mask) - half
-                if slot:
-                    terms[key] = slot
-                value >>= width
-        return slices
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
@@ -297,8 +243,51 @@ def char_matrix(A: Matrix) -> Matrix:
 
 
 def characteristic_polynomial(A: Matrix, side: str = "right", k: int = 1) -> CentralPoly:
-    """The k-th right/left determinant of zI - A, computed in R[z]."""
-    return _by_side(side, right_determinant, left_determinant)(char_matrix(A), k)
+    """The k-th right/left determinant of zI - A.
+
+    Over the exterior algebra z -> 2^B maps R[z] onto R (both are central),
+    so it is the determinant of 2^B I - A over R, split by
+    ``_balanced_slices``; any other base computes in R[z] on
+    ``char_matrix(A)``.
+    """
+    determinant = _by_side(side, right_determinant, left_determinant)
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    ring, n = A.ring, A.n
+    if not isinstance(ring, GrassmannAlgebra):
+        return determinant(char_matrix(A), k)
+    # nu(x), the sum of |coefficient| over x's terms, is subadditive and
+    # submultiplicative in R and R[z].  r bounds nu of an entry of zI - A,
+    # then of the running products A P_1 ... P_j, whose entries sum n
+    # products of an entry and a preadjoint entry of ((n-1)!)^2 products;
+    # the trace sums n^2 of them, so every coefficient is below 2^(width - 1)
+    squared = math.factorial(n - 1) ** 2
+    entries = [(i == j, ring.zero + e) for i, row in enumerate(A.rows) for j, e in enumerate(row)]
+    r = max(diagonal + sum(map(abs, e._terms.values())) for diagonal, e in entries)
+    for _ in range(k - 1):
+        r = n * squared * r**n
+    width = (n * n * squared * r**n).bit_length() + 1
+    value = determinant(Matrix.scalar(ring, n, ring.from_int(1 << width)) - A, k)
+    return CentralPoly(PolynomialRing(ring), _balanced_slices(value, width, n**k + 1))
+
+
+def _balanced_slices(value, width: int, size: int) -> list:
+    """c_0..c_(size-1) from a sparse element whose every coefficient is
+    sum_d c_d 2^(width d) with |c_d| < 2^(width - 1).  Adding 2^(width - 1)
+    to every c_d makes each a nonnegative width-bit field, read without
+    carries."""
+    half, mask = 1 << (width - 1), (1 << width) - 1
+    bias = half * ((1 << width * size) - 1) // mask
+    slices: list[dict[int, int]] = [{} for _ in range(size)]
+    for key, coeff in value._terms.items():
+        coeff += bias
+        for terms in slices:
+            slot = (coeff & mask) - half
+            if slot:
+                terms[key] = slot
+            coeff >>= width
+    element, ring = value.ring.element_type._raw, value.ring
+    return [element(ring, terms) for terms in slices]
 
 
 class CHWitness(Record):

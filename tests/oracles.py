@@ -15,7 +15,7 @@ against the ring contract (``rings.Ring`` and ``rings.RingElement``), so
 the package's routes must run on a ring they were not written for.
 
 ``central_poly_product_slices`` multiplies two polynomials over R[z] one
-pair of z-degrees at a time, the product the packed route replaces, and
+pair of z-degrees at a time with the base ring's ``+`` and ``*``, and
 ``charpoly_by_interpolation`` reaches p_{A,k} and q_{A,k} without R[z]:
 it evaluates rdet_k/ldet_k of z0 I - A at the integers z0 = 0..n^k and
 interpolates each key's coefficients with exact fractions.
@@ -41,6 +41,7 @@ from ncdet import (
     CentralPoly,
     FreePoly,
     GrassmannElem,
+    IntegerRing,
     Matrix,
     PolynomialRing,
     left_determinant,
@@ -205,12 +206,14 @@ def charpoly_by_interpolation(A: Matrix, side: str = "right", k: int = 1) -> Cen
     n^k, so its values at z0 = 0..n^k fix it; each key's coefficients are
     interpolated with exact fractions and must come out integers.  The
     entries of A are sparse ring elements, read through their public
-    ``terms``.
+    ``terms``, or integers, read as the terms {(): value}.
     """
     ring = A.ring
+    integers = isinstance(ring, IntegerRing)
     determinant = right_determinant if side == "right" else left_determinant
     points = list(range(A.n**k + 1))
-    values = [determinant(Matrix.scalar(ring, A.n, z0) - A, k).terms for z0 in points]
+    results = [determinant(Matrix.scalar(ring, A.n, z0) - A, k) for z0 in points]
+    values = [{(): value} if integers else value.terms for value in results]
     basis = _lagrange_basis(points)
     coeffs = []
     for d in range(len(points)):
@@ -219,7 +222,7 @@ def charpoly_by_interpolation(A: Matrix, side: str = "right", k: int = 1) -> Cen
             c = sum(value.get(key, 0) * L[d] for value, L in zip(values, basis))
             assert c.denominator == 1, f"coefficient {c} of z^{d} is not an integer"
             terms[key] = int(c)
-        coeffs.append(ring.element_type(ring, terms))
+        coeffs.append(terms.get((), 0) if integers else ring.element_type(ring, terms))
     return CentralPoly(PolynomialRing(ring), coeffs)
 
 

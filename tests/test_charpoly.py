@@ -18,13 +18,16 @@ from ncdet import (
     charpoly,
     commutative_det,
     in_commutator_span,
+    left_determinant,
     newton_sdet_2,
     newton_sdet_3,
     preadjoint,
+    right_determinant,
     scalar_cayley_hamilton_check,
     standard_polynomial_4,
     symmetric_determinant,
 )
+from ncdet.charpoly import _balanced_slices
 from ncdet.verify import generic_matrix, random_grassmann_matrix, random_supermatrix
 
 from oracles import central_poly_product_slices, charpoly_by_interpolation
@@ -91,6 +94,8 @@ def _poly_pairs(draw):
     return draw(poly), draw(poly)
 
 
+# R[z] multiplies slice by slice over every base; this compares that loop,
+# which writes into per-degree accumulators, with the oracle's plain sums
 @settings(max_examples=200, deadline=None)
 @given(_poly_pairs())
 def test_packed_product_matches_the_slice_loop(pair):
@@ -105,7 +110,9 @@ def test_packed_product_matches_the_slice_loop(pair):
 @pytest.mark.parametrize("degree", [1, 2], ids=["slice loop", "packed"])
 @pytest.mark.parametrize("base", [_FREE, _EXTERIOR], ids=["free", "exterior"])
 def test_product_at_the_slot_bound(base, degree):
-    # l1(c z^d) * l1(-c z^d) = c^2, all of it on the one slot of z^(2d)
+    # c z^d times -c z^d puts -c^2, a 122-bit coefficient, on the one slice
+    # z^(2d); the slice loop assumes no width at either degree (the ids
+    # are kept as test names)
     c = 2**61 - 1
     ring = PolynomialRing(base)
     x = CentralPoly(ring, [base.zero] * degree + [base.from_int(c)])
@@ -116,6 +123,8 @@ def test_product_at_the_slot_bound(base, degree):
 
 
 def test_packed_products_that_cancel():
+    # slices that vanish or cancel in the slice loop's per-degree sums
+    # leave no zero on top of the product
     ring = PolynomialRing(_EXTERIOR)
     one, zero = _EXTERIOR.one, _EXTERIOR.zero
     v1, v2, v3, _ = _EXTERIOR.gens()
@@ -226,6 +235,191 @@ def test_charpoly_rejects_bad_arguments():
         characteristic_polynomial(A, "sideways", 1)
     with pytest.raises(ValueError):
         characteristic_polynomial(A, "right", 0)
+
+
+@pytest.mark.parametrize(
+    "A",
+    [generic_matrix(2)[1], Matrix.zeros(GrassmannAlgebra(2), 2), Matrix.zeros(IntegerRing(), 2)],
+    ids=["free", "exterior", "integer"],
+)
+def test_bad_arguments_are_refused_before_any_determinant(monkeypatch, A):
+    def refused(M, k):
+        raise AssertionError("a determinant ran")
+
+    monkeypatch.setattr(charpoly, "right_determinant", refused)
+    monkeypatch.setattr(charpoly, "left_determinant", refused)
+    with pytest.raises(ValueError, match="^side must be 'right' or 'left', got 'sideways'$"):
+        characteristic_polynomial(A, "sideways", 1)
+    for side in ("right", "left"):
+        with pytest.raises(ValueError, match="^k must be at least 1$"):
+            characteristic_polynomial(A, side, 0)
+
+
+# -- characteristic polynomials by evaluation at z = 2^B -------------------------
+
+
+@st.composite
+def _sparse_charpoly_cases(draw):
+    """(A, k) over a sparse base at n = 1..3, k = 1, 2 and k = 3 at n <= 2:
+    exterior-algebra entries of rank 0..8 and coefficients up to 2^40, a
+    seeded supermatrix of rank 0..8, or free-algebra entries of up to
+    three words of lengths 0..3 (one word each where n^k = 9, whose
+    determinants have degree 9), which take the walk over R[z] and meet
+    interpolation only."""
+    n = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 2 if n == 3 else 3))
+    kind = draw(st.sampled_from(["free", "exterior", "supermatrix"]))
+    if kind == "supermatrix":
+        algebra, seed = GrassmannAlgebra(draw(st.integers(0, 8))), draw(st.integers(0, 2**32))
+        return random_supermatrix(algebra, random.Random(seed), n, draw(st.integers(0, n))), k
+    if kind == "free":
+        base, keys = _FREE, st.lists(st.integers(0, 1), max_size=3).map(tuple)
+    else:
+        rank = draw(st.integers(0, 8))
+        base = GrassmannAlgebra(rank)
+        # subsets of up to three of v1..v_rank; only the empty one at rank 0
+        subsets = st.sets(st.integers(1, max(rank, 1)), max_size=min(rank, 3))
+        keys = subsets.map(lambda s: tuple(sorted(s)))
+    size = 1 if kind == "free" and n**k == 9 else 3
+    entry = st.dictionaries(keys, _WIDE, max_size=size).map(
+        lambda terms: base.element_type(base, terms)
+    )
+    return Matrix(base, [[draw(entry) for _ in range(n)] for _ in range(n)]), k
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sparse_charpoly_cases())
+def test_evaluated_charpoly_matches_the_rz_walk_and_interpolation(case):
+    A, k = case
+    for side, determinant in (("right", right_determinant), ("left", left_determinant)):
+        p = characteristic_polynomial(A, side, k)
+        expected = determinant(char_matrix(A), k)
+        assert p == expected
+        assert str(p) == str(expected)
+        if A.n**k <= 4:
+            assert p == charpoly_by_interpolation(A, side, k)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("bits", [2, 40, 64])
+@pytest.mark.parametrize("rank", [0, 4])
+def test_charpoly_at_n1_meets_its_coefficient_bound(rank, bits, k):
+    # at n = 1, p_{A,k} = z - a and the bound is nu(a) + 1 = 2^bits - 1:
+    # B = bits + 1 reads -a = -(2^bits - 2) back, and one bit fewer would not
+    algebra = GrassmannAlgebra(rank)
+    c = 2**bits - 2
+    for a in (algebra.from_int(c), algebra.from_int(-c), *(v * c for v in algebra.gens())):
+        p = characteristic_polynomial(Matrix(algebra, [[a]]), "right", k)
+        assert p.coefficients == (-a, algebra.one)
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+@pytest.mark.parametrize(
+    "build, evaluated",
+    [
+        (lambda: random_grassmann_matrix(GrassmannAlgebra(6), random.Random(3), 3), True),
+        (lambda: random_supermatrix(GrassmannAlgebra(4), random.Random(5), 3, 1), True),
+        (lambda: generic_matrix(2)[1], False),
+        (lambda: Matrix(IntegerRing(), [[1, 2], [3, 4]]), False),
+    ],
+    ids=["exterior n=3", "supermatrix (3, 1)", "free n=2", "integer n=2"],
+)
+def test_only_the_exterior_algebra_evaluates_at_2_to_the_b(monkeypatch, build, evaluated, side):
+    A = build()
+    expected = (right_determinant if side == "right" else left_determinant)(char_matrix(A), 2)
+    products, determinants = [], []
+    original = PolynomialRing.add_product
+
+    def recorded_product(self, *args, **kwargs):
+        products.append(args)
+        return original(self, *args, **kwargs)
+
+    def recorded(determinant):
+        def run(M, k):
+            determinants.append((M.ring, k))
+            return determinant(M, k)
+
+        return run
+
+    monkeypatch.setattr(PolynomialRing, "add_product", recorded_product)
+    monkeypatch.setattr(charpoly, "right_determinant", recorded(right_determinant))
+    monkeypatch.setattr(charpoly, "left_determinant", recorded(left_determinant))
+    assert characteristic_polynomial(A, side, 2) == expected
+    if evaluated:
+        assert products == []
+        assert determinants == [(A.ring, 2)]
+    else:
+        # the walk over R[z], whose products the patch sees
+        assert products
+        assert determinants == [(PolynomialRing(A.ring), 2)]
+
+
+def test_an_int_entry_is_evaluated_as_a_central_scalar():
+    algebra = GrassmannAlgebra(2)
+    v1, v2 = algebra.gens()
+    A = Matrix(algebra, [[1, v1], [v2, -3]])
+    for k in (1, 2):
+        assert characteristic_polynomial(A, "right", k) == right_determinant(char_matrix(A), k)
+
+
+def test_integer_charpoly_of_degree_64_stays_in_rz():
+    # evaluated at z = 2^B (B = 367 here), p_{A,3} at n = 4 would be a
+    # number of about 7,200 digits, past the 4,300 that IntegerRing.total
+    # lets through
+    A = Matrix(IntegerRing(), [[3, -1, 4, 1], [-5, 9, 2, -6], [5, 3, -5, 8], [9, -7, 9, 3]])
+    p = characteristic_polynomial(A, "right", 3)
+    assert p.degree() == 64
+    assert p == charpoly_by_interpolation(A, "right", 3)
+
+
+_DIGIT_WIDTHS = [2, 3, 26, 64, 93]
+
+
+@pytest.mark.parametrize("width", _DIGIT_WIDTHS)
+@pytest.mark.parametrize("base", [_FREE, _EXTERIOR], ids=["free", "exterior"])
+def test_balanced_slices_at_the_digit_bound(base, width):
+    top = 2 ** (width - 1) - 1
+    patterns = [
+        # every slot at the bound
+        [top] * 5,
+        [-top] * 5,
+        [top, -top] * 3,
+        [-top, top] * 3,
+        # zero slots below, between and above
+        [0, 0, top, 0, -top],
+        [0, 0, 0, 0, -top],
+        [-top, 0, 0, 0, 0],
+        # empty top slices under negative lower ones, whose borrows cancel
+        [top, -top, 0, 0],
+        [1, -1, -1, 0, 0],
+        [0] * 3,
+    ]
+    for digits in patterns:
+        value = base.from_int(sum(c << width * d for d, c in enumerate(digits)))
+        slices = _balanced_slices(value, width, len(digits))
+        assert slices == [base.from_int(c) for c in digits], digits
+        poly = CentralPoly(PolynomialRing(base), slices)
+        assert poly.degree() == max((d for d, c in enumerate(digits) if c), default=-1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_balanced_slices_read_back_every_key(data):
+    width = data.draw(st.sampled_from(_DIGIT_WIDTHS))
+    size = data.draw(st.integers(1, 8))
+    top = 2 ** (width - 1) - 1
+    digit = st.one_of(st.sampled_from([0, 1, -1, top, -top]), st.integers(-top, top))
+    base = data.draw(st.sampled_from(list(_BASE_KEYS)))
+    keys = data.draw(st.lists(_BASE_KEYS[base], min_size=1, max_size=4, unique=True))
+    digits = {key: data.draw(st.lists(digit, min_size=size, max_size=size)) for key in keys}
+    value = base.element_type(
+        base, {key: sum(c << width * d for d, c in enumerate(ds)) for key, ds in digits.items()}
+    )
+    expected = [
+        base.element_type(base, {key: ds[d] for key, ds in digits.items() if ds[d]})
+        for d in range(size)
+    ]
+    assert _balanced_slices(value, width, size) == expected
 
 
 # -- Cayley-Hamilton witnesses ---------------------------------------------------

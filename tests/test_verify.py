@@ -330,6 +330,48 @@ def test_a_corrupted_charpoly_fails_thm2_7(monkeypatch, side, degree):
     assert len(draws) == 2
 
 
+def _default_draws(monkeypatch, suite):
+    """The matrices ``suite`` draws at its default options (seed 42), in
+    the order of its random stream; the suite must pass on them."""
+    draws = []
+    draw = verify.random_grassmann_matrix
+
+    def recorded(*args):
+        draws.append(draw(*args))
+        return draws[-1]
+
+    monkeypatch.setattr(verify, "random_grassmann_matrix", recorded)
+    assert run_verify(suite).ok
+    return draws
+
+
+# the controls are the nearest statements the paper does not claim: scalar
+# coefficients at k = 1, below the exterior algebra's Lie-nilpotency index
+# 2; a check passes vacuously on a draw where its control holds too
+def test_thm2_7s_k1_control_fails_on_11_of_its_20_default_draws(monkeypatch):
+    draws = _default_draws(monkeypatch, "thm2_7")
+    assert [(A.n, A.ring.rank) for A in draws] == [(2, 4)] * 20
+    assert sum(not verify.scalar_cayley_hamilton_check(A, k=1) for A in draws) == 11
+
+
+def test_thm2_3s_k1_control_is_scalar_on_a_pinned_share_of_its_default_draws(monkeypatch):
+    draws = _default_draws(monkeypatch, "thm2_3")
+    assert [A.n for A in draws] == [2] * 20 + [3] * 20
+    scalar = {}
+    for A in draws:
+        sides = []
+        for side in ("right", "left"):
+            M = verify.sequence_product(A, side, 1)
+            sides.append(verify.scalar_matrix_equal(M * A.n, M.trace()))
+        for key, holds in (("right", sides[0]), ("left", sides[1]), ("both", all(sides))):
+            scalar[A.n, key] = scalar.get((A.n, key), 0) + holds
+    # n A P1 (right) and n Q1 A (left) scalar, out of 20 draws per n
+    assert scalar == {
+        (2, "right"): 17, (2, "left"): 16, (2, "both"): 15,
+        (3, "right"): 6, (3, "left"): 6, (3, "both"): 5,
+    }
+
+
 @pytest.mark.parametrize(
     "side, detail",
     [("right", "n A P1 P2 is not rdet_2(A) I"), ("left", "n Q2 Q1 A is not ldet_2(A) I")],
