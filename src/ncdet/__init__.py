@@ -51,7 +51,7 @@ from .parsing import (
     parse_expression,
     save_matrix,
 )
-from .perms import perm_sign, signed_permutations
+from .perms import signed_permutations
 from .rings import IntegerRing, Ring, TermLimitError, commutator
 from .verify import (
     CheckResult,

@@ -32,7 +32,7 @@ from .freealg import FreeAlgebra
 from .grassmann import GrassmannAlgebra
 from .matrices import Matrix
 from .perms import signed_permutations
-from .rings import IntegerRing, Record, Ring, RingElement, join_signed
+from .rings import _ENDED, IntegerRing, Record, Ring, RingElement, join_signed
 
 # the largest free-algebra witness: generic n = 5 takes 0.31-0.37 s and
 # a process peak RSS of 60 MB (Python 3.11.7, 2-core machine); n = 6
@@ -84,8 +84,8 @@ class PolynomialRing(Ring):
         return acc
 
     def total(self, acc: _PolySum) -> CentralPoly:
-        total = self.base.total
-        return CentralPoly(self, [total(s) for s in acc._sums])
+        sums, acc._sums = acc._slices(0), None
+        return CentralPoly(self, list(map(self.base.total, sums)))
 
     def _identity(self) -> tuple:
         return (self.base,)
@@ -97,7 +97,7 @@ class PolynomialRing(Ring):
 class _PolySum:
     """In-place running sum over one ``PolynomialRing``: a base accumulator
     per z-degree.  ``acc + p`` and ``acc - p`` fold p's coefficients into
-    them and return the accumulator itself."""
+    them and return the accumulator itself, and ``total`` ends the sum."""
 
     __slots__ = ("_ring", "_sums")
 
@@ -107,6 +107,8 @@ class _PolySum:
 
     def _slices(self, size: int) -> list:
         sums = self._sums
+        if sums is None:
+            raise RuntimeError(_ENDED)
         if len(sums) < size:
             base = self._ring.base
             sums.extend([base.accumulator() for _ in range(size - len(sums))])

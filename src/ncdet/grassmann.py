@@ -120,8 +120,8 @@ class GrassmannElem(SparseElement):
         # with the element, reads it
         view = other._view
         if view is None:
-            # the first product builds no tables: an operand used once (a
-            # packed R[z] factor, a trace entry) would never read them
+            # the first product builds no tables: an operand used once,
+            # such as a trace entry, would never read them
             right = [(m2, c2, _parity_below(m2)) for m2, c2 in other._terms.items()]
             tables = {}
             other._view = (right, tables)

@@ -2,9 +2,9 @@
 
 Matrices are immutable; products multiply the left factor's entries on the
 left, which is the convention every identity in the package depends on.
-The dimension is capped (default 6) because the symmetric determinant
-takes the sum over t = 2..n of (n!/(n-t)!)^2 ring multiplications,
-1,181,700 at n = 6.
+The dimension is capped (default 6) because generic sdet has (n!)^2 terms,
+518,400 at n = 6 and 25,401,600 at n = 7, past the term budget of one
+running sum; its 9,900 ring multiplications at n = 6 do not set the cap.
 
 Also houses the commutative oracles (classical determinant and adjugate by
 cofactor expansion) and the supermatrix parity predicate over the exterior
@@ -13,6 +13,7 @@ algebra.
 
 from __future__ import annotations
 
+import operator
 from typing import Callable, Sequence
 
 from .grassmann import GrassmannElem, graded_parts
@@ -22,11 +23,11 @@ DIMENSION_CAP = 6
 
 
 class Matrix(RingElement):
-    """Immutable n x n matrix over a fixed ring.  ``-`` and ``**`` come from
-    ``RingElement``; an int operand of ``+`` or ``-`` is that scalar matrix,
-    while ``k * M`` and ``M * k`` scale each entry by the central scalar k,
-    the right factor of every entry's product, so one cached view of it
-    serves them all."""
+    """Immutable n x n matrix over a fixed ring.  ``+`` and ``-`` work
+    entrywise and an int operand of them is that scalar matrix; reflected
+    ``-`` and ``**`` come from ``RingElement``.  ``k * M`` and ``M * k``
+    scale each entry by the central scalar k, the right factor of every
+    entry's product, so one cached view of it serves them all."""
 
     __slots__ = ("ring", "n", "rows")
 
@@ -66,14 +67,14 @@ class Matrix(RingElement):
             return Matrix.scalar(self.ring, self.n, self.ring.from_int(other))
         return None
 
-    def __add__(self, other) -> Matrix:
+    def __add__(self, other, op=operator.add) -> Matrix:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return Matrix(
-            self.ring,
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
-        )
+        return Matrix(self.ring, [list(map(op, ra, rb)) for ra, rb in zip(self.rows, other.rows)])
+
+    def __sub__(self, other) -> Matrix:
+        return self.__add__(other, operator.sub)
 
     def __neg__(self) -> Matrix:
         return self.with_ring(self.ring, lambda e: -e)

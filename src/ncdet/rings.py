@@ -14,9 +14,9 @@ builds ``zero``, ``one``, ``from_int``, its ``SparseSum`` accumulator and
 ``add_product`` from its ``element_type`` and ``term_limit``, the most
 term pairs one product and the most terms one sum may reach (10M by
 default); in the free algebra it also caps the letters one canonical text
-may write.  A
-``SparseElement`` is a ``_terms`` dict from int keys to nonzero integer
-coefficients with ``_raw``, ``is_zero``, ``+``, unary ``-``, ``*``,
+may write.  A ``SparseElement`` is a ``_terms`` dict from int keys to
+nonzero integer coefficients with ``_raw``, ``is_zero``, ``+`` and ``-``
+(one signed fold, the loop ``SparseSum`` runs too), unary ``-``, ``*``,
 ``==``, ``hash`` and canonical text, which lists the keys in integer order
 unless a subclass sets ``_order`` (a key's sort key).  A subclass supplies
 ``_UNIT`` (the key of the identity), ``_MISMATCH`` (the message for
@@ -38,8 +38,8 @@ terms disjoint from it, built from the second product on and at most
 class from an equal ``ring``, or an int as ``ring.from_int``), ``repr``,
 and binary and reflected ``-``, reflected ``*`` and ``**`` from
 ``_coerce``, ``+``, unary ``-`` and ``*``; ``CentralPoly`` and
-``matrices.Matrix`` use it too, and ``Matrix`` keeps its own ``_coerce``
-and ``repr``.
+``matrices.Matrix`` use it too, and ``Matrix`` keeps its own ``_coerce``,
+``repr`` and binary ``-``, as ``SparseElement`` keeps its ``-``.
 
 ``Record`` is the base of the package's result and option records
 (``CommutatorDefect``, ``MatrixDocument``, ``CheckResult`` and the rest):
@@ -52,7 +52,7 @@ hands out for a running sum (``Ring.accumulator``/``Ring.total``; a
 ``SparseSum`` over the free and exterior algebras, one such sum per
 z-degree over R[z], the running int over the integers): it lives inside
 the function that builds the sum and never escapes it; only the immutable
-element that ``total`` returns does.
+element that ``total`` returns does, and ``total`` ends the sum.
 """
 
 from __future__ import annotations
@@ -63,6 +63,8 @@ from abc import ABC, abstractmethod
 
 # Python before 3.10.7 has no int-to-str digit limit
 _max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+_ENDED = "this sum has been totalled; start a new accumulator"
 
 
 class TermLimitError(RuntimeError):
@@ -192,14 +194,15 @@ class Ring(ABC):
             result = ring.total(acc)
 
         and a sum of products, ``acc += x * y``, as
-        ``acc = ring.add_product(acc, x, y)``.  By default the accumulator
-        is ``zero`` and each step builds a new element, which suits the
-        integers.  Sparse rings return a ``SparseSum``, which folds each
-        term into one dict in place, so the sum costs the total size of its
-        terms instead of one copy of the running result per term, and
-        writes each term pair of a product straight into that dict, so no
-        product is built.  R[z] keeps one base accumulator per z-degree
-        and writes each slice product into its degree's sum.
+        ``acc = ring.add_product(acc, x, y)``; ``total`` ends the sum.
+        By default the accumulator is ``zero`` and each step builds a
+        new element, which suits the integers.  Sparse rings return a
+        ``SparseSum``, which folds each term into one dict in place, so
+        the sum costs the total size of its terms instead of one copy
+        of the running result per term, and writes each term pair of a
+        product straight into that dict, so no product is built.  R[z]
+        keeps one base accumulator per z-degree and writes each slice
+        product into its degree's sum.
         """
         return self.zero
 
@@ -340,6 +343,18 @@ class RingElement:
         return f"<{type(self).__name__} {self}>"
 
 
+def _fold(out: dict, terms: dict, sign: int) -> dict:
+    # out plus sign times terms, in place: every sparse + and - runs this
+    get = out.get
+    for key, coeff in terms.items():
+        new = get(key, 0) + sign * coeff
+        if new:
+            out[key] = new
+        else:
+            del out[key]
+    return out
+
+
 class SparseElement(RingElement):
     """Immutable sparse table from keys to nonzero integer coefficients."""
 
@@ -366,20 +381,16 @@ class SparseElement(RingElement):
             return NotImplemented
         return self._raw(self.ring, self._mul_into(other, {}, 1))
 
-    def __add__(self, other):
+    def __add__(self, other, sign: int = 1):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out = dict(self._terms)
-        for key, coeff in other._terms.items():
-            new = out.get(key, 0) + coeff
-            if new:
-                out[key] = new
-            else:
-                del out[key]
-        return self._raw(self.ring, out)
+        return self._raw(self.ring, _fold(dict(self._terms), other._terms, sign))
 
     __radd__ = __add__
+
+    def __sub__(self, other):
+        return self.__add__(other, -1)
 
     def __neg__(self):
         return self._raw(self.ring, {k: -c for k, c in self._terms.items()})
@@ -417,46 +428,31 @@ class SparseElement(RingElement):
 class SparseSum:
     """In-place running sum of the elements of one ``SparseRing``.
 
-    ``acc + x`` and ``acc - x`` fold the terms of x into one dict and return
-    the accumulator itself; ``add_product`` writes the term pairs of a
-    product into it the same way.  A lone positive term is held by
-    reference and its dict is copied only when a second term arrives or a
-    product is written; ``value()`` hands the dict out inside a new element
-    and drops it, so no element that has been handed out is ever mutated.
-    A sum that grows past the ring's ``term_limit`` raises TermLimitError;
-    the check runs once per ``+``, ``-`` and ``add_product``.
+    The sum owns one dict: ``acc + x`` and ``acc - x`` fold the terms of x
+    into it and return the accumulator itself, and ``add_product`` writes
+    the term pairs of a product into it the same way.  ``value()`` hands
+    the dict out inside a new element and ends the sum, so no element that
+    has been handed out is ever mutated: after it a fold, a product or a
+    second ``value()`` raises RuntimeError.  A sum that grows past the
+    ring's ``term_limit`` raises TermLimitError.  Both checks run once per
+    call, never per term.
     """
 
-    __slots__ = ("_ring", "_element", "_limit", "_lone", "_terms")
+    __slots__ = ("_ring", "_element", "_limit", "_terms")
 
     def __init__(self, ring: SparseRing):
         self._ring = ring
         self._element = ring.element_type
         self._limit = ring.term_limit
-        self._lone = None  # the only term so far, shared, not copied
-        self._terms = None  # the owned dict, once a second term arrives
+        self._terms = {}  # None once the sum has ended
 
     def __add__(self, x, sign: int = 1):
         # __sub__ is this with sign -1
-        ring = self._ring
-        if type(x) is not self._element or x.ring is not ring:
-            x = ring.zero._coerce(x)
+        if type(x) is not self._element or x.ring is not self._ring:
+            x = self._ring.zero._coerce(x)
             if x is None:
                 return NotImplemented
-        out = self._terms
-        if out is None:
-            if self._lone is None and sign > 0:
-                self._lone = x
-                return self
-            out = self._own()
-        get = out.get
-        for key, coeff in x._terms.items():
-            new = get(key, 0) + sign * coeff
-            if new:
-                out[key] = new
-            else:
-                del out[key]
-        return self._checked(out)
+        return self._checked(_fold(self._open(), x._terms, sign))
 
     def __sub__(self, x):
         return self.__add__(x, -1)
@@ -473,19 +469,14 @@ class SparseSum:
         if not (type(x) is type(y) is element and x.ring is ring and y.ring is ring):
             product = x * y
             return self - product if negative else self + product
-        out = self._terms
-        if out is None:
-            out = self._own()
+        out = self._open()
         x._mul_into(y, out, -1 if negative else 1)
         return self._checked(out)
 
-    def _own(self) -> dict:
-        # the dict the sum writes to: a copy of the lone term, never the
-        # term's own dict
-        lone = self._lone
-        out = self._terms = {} if lone is None else dict(lone._terms)
-        self._lone = None
-        return out
+    def _open(self) -> dict:
+        if self._terms is None:
+            raise RuntimeError(_ENDED)
+        return self._terms
 
     def _checked(self, out: dict) -> SparseSum:
         if len(out) > self._limit:
@@ -495,12 +486,10 @@ class SparseSum:
         return self
 
     def value(self):
-        """The summed element; the accumulator keeps it as a lone term."""
-        if self._terms is None:
-            return self._ring.zero if self._lone is None else self._lone
-        self._lone = self._element._raw(self._ring, self._terms)
+        """The summed element; the sum ends here."""
+        terms = self._open()
         self._terms = None
-        return self._lone
+        return self._element._raw(self._ring, terms)
 
 
 def commutator(x, y):

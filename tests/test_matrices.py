@@ -7,11 +7,12 @@ from ncdet import (
     GrassmannAlgebra,
     IntegerRing,
     Matrix,
+    char_matrix,
     commutative_adj,
     commutative_det,
     is_supermatrix,
 )
-from ncdet.verify import generic_matrix, random_grassmann_matrix
+from ncdet.verify import generic_matrix, random_grassmann_matrix, random_integer_matrix
 
 
 @pytest.fixture
@@ -224,6 +225,33 @@ def test_ring_element_operators(ints, ring_kind):
     assert 3 * M == M * 3 == M + M + M
     with pytest.raises(ValueError, match="nonnegative"):
         M ** -1
+
+
+def _difference_operands(kind):
+    """Two 3x3 matrices over the named ring."""
+    rng = random.Random(7)
+    if kind == "integer":
+        return random_integer_matrix(rng, 3), random_integer_matrix(rng, 3)
+    if kind == "grassmann":
+        algebra = GrassmannAlgebra(4)
+        return random_grassmann_matrix(algebra, rng, 3), random_grassmann_matrix(algebra, rng, 3)
+    _, M = generic_matrix(3)
+    if kind == "polynomial":
+        return char_matrix(M), char_matrix(M.transpose() * M)
+    return M, M.transpose() * M
+
+
+@pytest.mark.parametrize("kind", ["free", "grassmann", "integer", "polynomial"])
+def test_a_matrix_difference_builds_no_negated_matrix(monkeypatch, kind):
+    M, N = _difference_operands(kind)
+    expected = M + (-N)
+    negated = []
+    negate = Matrix.__neg__
+    monkeypatch.setattr(Matrix, "__neg__", lambda self: negated.append(self) or negate(self))
+    assert M - N == expected
+    assert str(M - N) == str(expected)
+    assert M - 2 == M + Matrix.scalar(M.ring, 3, M.ring.from_int(-2))
+    assert negated == []
 
 
 def test_ring_element_operators_refuse_other_operands(ints):

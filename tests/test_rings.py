@@ -1,4 +1,5 @@
 import copy
+import operator
 import pickle
 import random
 
@@ -261,13 +262,6 @@ def test_empty_sum_is_zero(ring):
 
 
 @pytest.mark.parametrize("ring, x, y", sparse_terms(), ids=["free", "grassmann"])
-def test_lone_positive_term_comes_back_as_the_same_object(ring, x, y):
-    acc = ring.accumulator()
-    acc += x
-    assert ring.total(acc) is x
-
-
-@pytest.mark.parametrize("ring, x, y", sparse_terms(), ids=["free", "grassmann"])
 def test_negative_first_term(ring, x, y):
     acc = ring.accumulator()
     acc -= x
@@ -308,9 +302,45 @@ def test_a_handed_out_sum_is_never_mutated(ring, x, y):
     acc += y
     first = ring.total(acc)
     snapshot = dict(first._terms)
+    acc = ring.accumulator()
+    acc += first
     acc += y
     assert ring.total(acc) == x + 2 * y
     assert first._terms == snapshot
+
+
+def _ended_sums():
+    """(ring, x, y) for the sparse rings and R[z] over each."""
+    cases = sparse_terms()
+    for ring, x, y in list(cases):
+        poly = PolynomialRing(ring)
+        cases.append((poly, CentralPoly(poly, [x, y]), CentralPoly(poly, [y, ring.zero, x])))
+    return cases
+
+
+@pytest.mark.parametrize(
+    "ring, x, y", _ended_sums(),
+    ids=["free", "grassmann", "polynomials over free", "polynomials over grassmann"],
+)
+@pytest.mark.parametrize("filled", [False, True])
+def test_a_totalled_sum_refuses_every_further_use(ring, x, y, filled):
+    acc = ring.accumulator()
+    if filled:
+        acc += x
+        acc = ring.add_product(acc, x, y, negative=True)
+    result = ring.total(acc)
+    assert result == (x - x * y if filled else ring.zero)
+    held = _held(result)
+    uses = (
+        lambda: operator.iadd(acc, y),  # acc += y
+        lambda: operator.isub(acc, y),  # acc -= y
+        lambda: ring.add_product(acc, x, y),
+        lambda: ring.total(acc),
+    )
+    for use in uses:
+        with pytest.raises(RuntimeError, match="sum has been totalled"):
+            use()
+    assert _held(result) == held
 
 
 # -- the cached right-operand view ----------------------------------------------
@@ -333,14 +363,19 @@ def test_a_right_operand_summed_and_handed_out_keeps_a_true_view(ring, x, y):
     y * x  # fills the view of x
     acc = ring.accumulator()
     acc += x
-    assert ring.total(acc) is x
+    alone = ring.total(acc)
+    assert alone == x
+    acc = ring.accumulator()
+    acc += alone
     acc += y
     total = ring.total(acc)
     assert dict((y * total).terms) == oracle(y, total)  # fills the view of total
+    acc = ring.accumulator()
+    acc += total
     acc -= x
     acc += y
     assert ring.total(acc) == 2 * y
-    for right in (x, total):
+    for right in (x, alone, total):
         assert dict((y * right).terms) == oracle(y, right)
         assert dict((right * right).terms) == oracle(right, right)
 
@@ -500,8 +535,11 @@ def test_polynomial_sums_whose_top_slices_cancel(base, u):
     acc -= CentralPoly(ring, [zero, zero, zero, one, one])
     x, y = CentralPoly(ring, [one, one, one]), CentralPoly(ring, [one, zero, one])
     acc = ring.add_product(acc, x, y)
-    assert ring.total(acc).coefficients == (one, one, one + one)
-    # and a sum that cancels to nothing
+    first = ring.total(acc)
+    assert first.coefficients == (one, one, one + one)
+    # and a sum from that result that cancels to nothing
+    acc = ring.accumulator()
+    acc += first
     acc = ring.add_product(acc, -x, y)
     acc += CentralPoly(ring, [zero, zero, zero, one, one])
     assert ring.total(acc).coefficients == ()
@@ -569,13 +607,15 @@ def _views_hold(x) -> bool:
 @given(st.sampled_from(sorted(_factors)).flatmap(
     lambda kind: st.tuples(
         st.just(kind),
-        # the sum so far: empty, one lone term, or two terms in an owned dict
+        # the sum so far: empty, one term or two terms
         st.lists(_factors[kind][1], max_size=2),
-        st.booleans(),  # whether that sum was handed out first
+        # whether that sum was handed out first, and a fresh sum started
+        # from the handed-out element
+        st.booleans(),
         _factors[kind][1],
         _factors[kind][1],
         st.booleans(),
-        st.sampled_from((None, 0, 1)),  # which operand, if any, is the lone term
+        st.sampled_from((None, 0, 1)),  # which operand, if any, is the sum's one term
     )
 ))
 def test_add_product_adds_the_product_and_writes_only_the_sum(case):
@@ -586,7 +626,11 @@ def test_add_product_adds_the_product_and_writes_only_the_sum(case):
     acc = ring.accumulator()
     for term in terms:
         acc += term
-    handed = [ring.total(acc)] if hand_out else []
+    handed = []
+    if hand_out:
+        handed = [ring.total(acc)]
+        acc = ring.accumulator()
+        acc += handed[0]
     operands = (x, y, *terms, *handed)
     before = [_held(e) for e in operands]
     result = ring.total(ring.add_product(acc, x, y, negative))

@@ -6,10 +6,13 @@ from pathlib import Path
 import pytest
 
 import ncdet
-from ncdet import CentralPoly, CHWitness, Matrix, run_verify, verify
+from ncdet import (
+    CentralPoly, CHWitness, GrassmannAlgebra, Matrix, is_supermatrix, run_verify, verify,
+)
 from ncdet.cli import main
 from ncdet.rings import TermLimitError
 from ncdet import determinants
+from ncdet.matrices import _det_recursive, _signed_minors
 from ncdet.verify import SUITES
 
 
@@ -330,17 +333,19 @@ def test_a_corrupted_charpoly_fails_thm2_7(monkeypatch, side, degree):
     assert len(draws) == 2
 
 
-def _default_draws(monkeypatch, suite):
-    """The matrices ``suite`` draws at its default options (seed 42), in
-    the order of its random stream; the suite must pass on them."""
+def _default_draws(monkeypatch, suite, name="random_grassmann_matrix"):
+    """The matrices ``suite`` draws by ``verify.<name>`` at its default
+    options (seed 42), in the order of its random stream, each with the
+    arguments after the stream ((n,) or (n, t)); the suite must pass on
+    them."""
     draws = []
-    draw = verify.random_grassmann_matrix
+    draw = getattr(verify, name)
 
     def recorded(*args):
-        draws.append(draw(*args))
-        return draws[-1]
+        draws.append((draw(*args), args[2:]))
+        return draws[-1][0]
 
-    monkeypatch.setattr(verify, "random_grassmann_matrix", recorded)
+    monkeypatch.setattr(verify, name, recorded)
     assert run_verify(suite).ok
     return draws
 
@@ -349,13 +354,13 @@ def _default_draws(monkeypatch, suite):
 # coefficients at k = 1, below the exterior algebra's Lie-nilpotency index
 # 2; a check passes vacuously on a draw where its control holds too
 def test_thm2_7s_k1_control_fails_on_11_of_its_20_default_draws(monkeypatch):
-    draws = _default_draws(monkeypatch, "thm2_7")
+    draws = [A for A, _ in _default_draws(monkeypatch, "thm2_7")]
     assert [(A.n, A.ring.rank) for A in draws] == [(2, 4)] * 20
     assert sum(not verify.scalar_cayley_hamilton_check(A, k=1) for A in draws) == 11
 
 
 def test_thm2_3s_k1_control_is_scalar_on_a_pinned_share_of_its_default_draws(monkeypatch):
-    draws = _default_draws(monkeypatch, "thm2_3")
+    draws = [A for A, _ in _default_draws(monkeypatch, "thm2_3")]
     assert [A.n for A in draws] == [2] * 20 + [3] * 20
     scalar = {}
     for A in draws:
@@ -370,6 +375,71 @@ def test_thm2_3s_k1_control_is_scalar_on_a_pinned_share_of_its_default_draws(mon
         (2, "right"): 17, (2, "left"): 16, (2, "both"): 15,
         (3, "right"): 6, (3, "left"): 6, (3, "both"): 5,
     }
+
+
+def _mixed_supermatrix_draws(monkeypatch, suite):
+    """(A, t) for the supermatrices ``suite`` draws at its defaults, each
+    with one odd term, v1, added to its (0, 0) entry, which lies in the even
+    diagonal block: the nearest matrix that is not a supermatrix."""
+    draws = _default_draws(monkeypatch, suite, "random_supermatrix")
+    assert [shape for _, shape in draws] == [(2, 1)] * 7 + [(3, 1)] * 7 + [(3, 2)] * 6
+    mixed = [(_add_at(A, 0, 0, A.ring.gen(1)), t) for A, (_, t) in draws]
+    assert not any(is_supermatrix(M, t) for M, t in mixed)
+    return mixed
+
+
+def test_thm2_4s_mixed_parity_control_fails_on_all_20_default_draws(monkeypatch):
+    failed = {"preadjoint": 0, "determinants": 0, "either": 0}
+    for M, t in _mixed_supermatrix_draws(monkeypatch, "thm2_4"):
+        preadjoint_fails = not is_supermatrix(verify.preadjoint(M), t)
+        determinants_fail = not all(
+            verify._even(det(M, k))
+            for k in (1, 2) for det in (verify.right_determinant, verify.left_determinant)
+        )
+        failed["preadjoint"] += preadjoint_fails
+        failed["determinants"] += determinants_fail
+        failed["either"] += preadjoint_fails or determinants_fail
+    assert failed == {"preadjoint": 20, "determinants": 19, "either": 20}
+
+
+def test_thm2_5s_mixed_parity_control_fails_on_all_20_default_draws(monkeypatch):
+    odd = 0
+    for M, _ in _mixed_supermatrix_draws(monkeypatch, "thm2_5"):
+        odd += not all(
+            verify._even(c)
+            for k in (1, 2) for side in ("right", "left")
+            for c in verify.characteristic_polynomial(M, side, k).coefficients
+        )
+    assert odd == 20
+
+
+def test_commutative_collapses_exterior_control_fails_on_a_pinned_share_of_draws(monkeypatch):
+    # the suite's own identities and random stream (seed 42, n = 2, 3, 4,
+    # 20 draws each), each integer draw replaced by an exterior-algebra
+    # draw of rank 6, the exterior suites' default, and det and adj by the
+    # cofactor expansion, which commutative_det and commutative_adj refuse
+    # to run over a noncommutative ring
+    algebra = GrassmannAlgebra(6)
+    monkeypatch.setattr(
+        verify, "random_integer_matrix",
+        lambda rng, n: verify.random_grassmann_matrix(algebra, rng, n),
+    )
+    monkeypatch.setattr(verify, "commutative_det", _det_recursive)
+    monkeypatch.setattr(verify, "commutative_adj", lambda A: _signed_minors(A, _det_recursive))
+    failed = {}
+
+    def counted(count, draw, test):
+        # the check runs while its suite sits at the yield, so n is current
+        def check():
+            for _ in range(count):
+                A = draw()
+                failed[A.n] = failed.get(A.n, 0) + (test(A) is not None)
+            return True, f"{count} trials"
+        return check
+
+    monkeypatch.setattr(verify, "_trials", counted)
+    assert run_verify("commutative_collapse").ok
+    assert failed == {2: 5, 3: 14, 4: 20}
 
 
 @pytest.mark.parametrize(
