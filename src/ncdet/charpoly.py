@@ -229,19 +229,8 @@ class CentralPoly(RingElement):
 def char_matrix(A: Matrix) -> Matrix:
     """zI - A as a matrix over R[z]."""
     ring = PolynomialRing(A.ring)
-    zero = A.ring.zero
-    one = A.ring.one
-    rows = []
-    for i in range(A.n):
-        row = []
-        for j in range(A.n):
-            entry = A.rows[i][j]
-            if i == j:
-                row.append(CentralPoly(ring, [-entry, one]))
-            else:
-                row.append(CentralPoly(ring, [-entry, zero]))
-        rows.append(row)
-    return Matrix(ring, rows)
+    z = CentralPoly(ring, [A.ring.zero, A.ring.one])
+    return Matrix.scalar(ring, A.n, z) - A.with_ring(ring, lambda e: CentralPoly(ring, [e]))
 
 
 def characteristic_polynomial(A: Matrix, side: str = "right", k: int = 1) -> CentralPoly:

@@ -20,11 +20,10 @@ are the states of one position.  Each larger state sums the states over
 one position fewer, times one factor on the right, and the factor's sign
 counts the members of R and C above its row and column.  The states of
 size n - 1 are the minors, so those n^2 values, signed by (-1)^(r+s), are
-the entries of the preadjoint.  The symmetric determinant stops the sweep
-at n - 2 positions and writes out the last two factors of each state, 8
-products, the two free columns swapped when the members of R and C above
-the free rows and columns are odd in number.  The double sum itself lives
-on as a test oracle.
+the entries of the preadjoint.  The symmetric determinant is tr(A* A)
+(Thm 3.1) over the same minor steps, left unsummed: each term, a state
+over n - 2 positions times its factor, times the entry of A it meets in
+the trace.  The double sum itself lives on as a test oracle.
 
 From the preadjoint the right and left adjoint sequences are defined by
 
@@ -53,21 +52,17 @@ def _above(mask: int, x: int) -> int:
 
 @lru_cache(maxsize=None)
 def _sweep_plan(n: int):
-    """The sweep for n >= 2 as (states, minors, finish).
+    """The sweep for n >= 2 as (states, minors).
 
     The sweep's table starts with the n^2 entries, row-major: the states of
     one position.  ``states`` adds a step per pair of equal-size row and
     column sets over 2..n-2 positions, smaller sets first: a tuple of
     (predecessor index, row, column, negative) terms, one per factor it can
     end in.  ``minors`` are the n^2 steps over n-1 positions that entry
-    (r, s) of A* reads, row-major and with (-1)^(r+s) folded in.  ``finish``
-    has one (predecessor, r1, r2, c1, c2) per state over n-2 positions: its
-    free rows r1 < r2 and free columns, swapped when the state's members
-    above them are odd in number.  Predecessor -1 is the empty product, met
-    only at n = 2.
+    (r, s) of A* reads, row-major and with (-1)^(r+s) folded in.
+    Predecessor -1 is the empty product, met only at n = 2.
     """
     full = (1 << n) - 1
-    by_size = [[m for m in range(full + 1) if m.bit_count() == t] for t in range(n + 1)]
     index = {(1 << r, 1 << c): r * n + c for r in range(n) for c in range(n)}
 
     def step(rows, cols, flips):
@@ -80,19 +75,13 @@ def _sweep_plan(n: int):
 
     states = []
     for t in range(2, n - 1):
-        for rows in by_size[t]:
-            for cols in by_size[t]:
+        sets = [m for m in range(full + 1) if m.bit_count() == t]
+        for rows in sets:
+            for cols in sets:
                 index[rows, cols] = n * n + len(states)
                 states.append(step(rows, cols, 0))
     minors = tuple(step(full ^ 1 << s, full ^ 1 << r, r + s) for r in range(n) for s in range(n))
-    finish = []
-    for rows in by_size[n - 2]:
-        for cols in by_size[n - 2]:
-            (r1, r2), (c1, c2) = _members(full ^ rows), _members(full ^ cols)
-            if (_above(rows, r1) + _above(rows, r2) + _above(cols, c1) + _above(cols, c2)) % 2:
-                c1, c2 = c2, c1
-            finish.append((index.get((rows, cols), -1), r1, r2, c1, c2))
-    return tuple(states), minors, tuple(finish)
+    return tuple(states), minors
 
 
 def _sweep(ring, rows, steps) -> list:
@@ -116,13 +105,13 @@ def _sweep(ring, rows, steps) -> list:
 
 
 def symmetric_determinant(A: Matrix):
-    """The double permutation sum over S_n x S_n, by the preadjoint sweep
-    up to n-2 positions and the last two factors written out.
+    """The double permutation sum over S_n x S_n, as Thm 3.1's tr(A* A)
+    with each entry of A* left as the terms of its minor step.
 
-    Each state over n-2 positions, the signed sum of the ordered products
-    on its row and column sets, takes its two free rows and columns in
-    every order: 8 products, 4 at n = 2 where the state is the empty
-    product.  With the sweep's own products that is 0, 4, 72, 432, 2,100
+    Entry (r, s) of A* is a signed sum of sweep states over n-2 positions,
+    each times one entry on the right, and it meets A[s][r] on the right:
+    two products per term, the state's two free rows and columns in every
+    order.  With the sweep's own products that is 0, 4, 72, 432, 2,100
     and 9,900 ring multiplications at n = 1..6.
     """
     n, ring, rows = A.n, A.ring, A.rows
@@ -130,21 +119,17 @@ def symmetric_determinant(A: Matrix):
     if n == 1:
         total += rows[0][0]
         return ring.total(total)
-    states, _, finish = _sweep_plan(n)
+    states, minors = _sweep_plan(n)
     table = _sweep(ring, rows, states)
-    for pred, r1, r2, c1, c2 in finish:
-        a, b = rows[r1], rows[r2]
-        if pred < 0:  # n = 2: the state is the empty product
-            total += a[c1] * b[c2]
-            total += b[c2] * a[c1]
-            total -= a[c2] * b[c1]
-            total -= b[c1] * a[c2]
-        else:
-            prefix = table[pred]
-            total += prefix * a[c1] * b[c2]
-            total += prefix * b[c2] * a[c1]
-            total -= prefix * a[c2] * b[c1]
-            total -= prefix * b[c1] * a[c2]
+    for i, terms in enumerate(minors):
+        last = rows[i % n][i // n]  # entry divmod(i, n) = (r, s) meets A[s][r]
+        for pred, r, c, negative in terms:
+            # pred < 0 only at n = 2, where the state is the empty product
+            x = rows[r][c] if pred < 0 else table[pred] * rows[r][c]
+            if negative:
+                total -= x * last
+            else:
+                total += x * last
     return ring.total(total)
 
 
@@ -164,7 +149,7 @@ def preadjoint(A: Matrix) -> Matrix:
     if n == 1:
         return Matrix(A.ring, [[A.ring.one]])
     ring, rows = A.ring, A.rows
-    states, minors, _ = _sweep_plan(n)
+    states, minors = _sweep_plan(n)
     values = _sweep(ring, rows, states + minors)[-n * n :]
     return Matrix(ring, [values[r * n : (r + 1) * n] for r in range(n)])
 

@@ -27,6 +27,7 @@ from ncdet import (
     symmetric_determinant,
     trace_of_product,
 )
+from ncdet import determinants
 from ncdet.charpoly import char_matrix
 from ncdet.verify import (
     generic_matrix,
@@ -162,9 +163,28 @@ def test_sdet_matches_double_sum_at_n5():
         assert symmetric_determinant(A) == sdet_double_sum(A)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_the_oracles_catch_a_corrupted_minor_step(n, monkeypatch):
+    # sdet and the preadjoint read the same minor steps, and nothing else
+    # in the package derives their signs: flipping the first or the last
+    # term of any step must set both apart from the double-sum oracles
+    _, A = generic_matrix(n)
+    sdet, star = sdet_double_sum(A), preadjoint_double_sum(A)
+    states, minors = determinants._sweep_plan(n)
+    for i, terms in enumerate(minors):
+        for j in {0, len(terms) - 1}:
+            pred, r, c, negative = terms[j]
+            flipped = list(minors)
+            flipped[i] = terms[:j] + ((pred, r, c, not negative),) + terms[j + 1 :]
+            monkeypatch.setattr(determinants, "_sweep_plan", lambda n: (states, tuple(flipped)))
+            assert symmetric_determinant(A) != sdet
+            assert preadjoint(A) != star
+
+
 def sdet_products(n):
     # one product per extension of a sweep state over t = 2..n-2 positions,
-    # then 8 per state over n-2 positions (4 at n = 2, the empty state)
+    # then two per term of a minor step (one at n = 2, the empty state):
+    # 2 n^2 (n-1)^2 = 8 C(n,2)^2
     if n < 3:
         return 4 * (n - 1)
     sweep = sum(math.comb(n, t) ** 2 * t**2 for t in range(2, n - 1))
@@ -183,7 +203,8 @@ def test_generic_sdet_sums_in_place(monkeypatch):
 
         monkeypatch.setattr(FreePoly, name, counted)
     value = symmetric_determinant(A)
-    # the sweep's 144 products write into their sums, the finish's 288 use *
+    # the sweep's 144 products write into their sums; the 288 of tr(A* A)
+    # over the minor steps, two per term, use *
     assert calls.pop("__mul__") == 8 * math.comb(4, 2) ** 2 == 288
     assert calls == dict.fromkeys(calls, 0)
     assert len(value.terms) == math.factorial(4) ** 2

@@ -177,32 +177,44 @@ def test_seed_changes_are_still_deterministic():
     assert [c.passed for c in first.checks] == [c.passed for c in second.checks]
 
 
-def flip_a_choice_sign(monkeypatch, which):
-    # swap the free columns of one entry of the sdet finish in every plan;
-    # sdet looks the patched name up per call, so no cached plan is reused
+def flip_a_minor_sign(monkeypatch, which):
+    # flip the sign of the first term of one minor step in every plan; sdet
+    # and the preadjoint look the patched name up per call, so no cached
+    # plan is reused
     true_plan = determinants._sweep_plan
 
     def flipped(n):
-        states, minors, finish = true_plan(n)
-        finish = list(finish)
-        pred, r1, r2, c1, c2 = finish[which]
-        finish[which] = (pred, r1, r2, c2, c1)
-        return states, minors, tuple(finish)
+        states, minors = true_plan(n)
+        minors = list(minors)
+        (pred, r, c, negative), *rest = minors[which]
+        minors[which] = ((pred, r, c, not negative), *rest)
+        return states, tuple(minors)
 
     monkeypatch.setattr(determinants, "_sweep_plan", flipped)
 
 
+def _failed_by_mismatch(report):
+    # a check that raised fails too, with an "error:" detail; these must
+    # fail on a wrong value instead
+    failed = [c for c in report.checks if not c.passed]
+    assert all(not c.detail.startswith("error:") for c in failed)
+    return [c.name for c in failed]
+
+
 def test_injected_sign_error_flips_a_suite(monkeypatch):
-    # mutation smoke test: corrupt one sign inside sdet and the
-    # theorem suites must notice
-    flip_a_choice_sign(monkeypatch, -1)
-    assert not run_verify("thm3_1", n=2).ok
-    assert not run_verify("prop4_1").ok
+    # mutation smoke test: corrupt one sign of the minor steps that sdet
+    # and the preadjoint share, and the theorem suites must notice.  At
+    # n = 2 minor 0 is A*[0][0] = d: tr(A A*) = sdet and prop4_1 fail, but
+    # tr(A* A) = sdet holds, since sdet is tr(A* A) over the same steps
+    flip_a_minor_sign(monkeypatch, 0)
+    assert _failed_by_mismatch(run_verify("thm3_1", n=2)) == ["thm3_1 n=2: tr(A A*) = sdet(A)"]
+    assert len(_failed_by_mismatch(run_verify("prop4_1"))) == 2
 
 
 def test_failure_details_are_reported(monkeypatch):
-    flip_a_choice_sign(monkeypatch, 0)
+    flip_a_minor_sign(monkeypatch, -1)
     report = run_verify("thm3_1", n=2)
+    assert _failed_by_mismatch(report)
     assert "[FAIL]" in str(report)
 
 
