@@ -20,10 +20,14 @@ are the states of one position.  Each larger state sums the states over
 one position fewer, times one factor on the right, and the factor's sign
 counts the members of R and C above its row and column.  The states of
 size n - 1 are the minors, so those n^2 values, signed by (-1)^(r+s), are
-the entries of the preadjoint.  The symmetric determinant is tr(A* A)
-(Thm 3.1) over the same minor steps, left unsummed: each term, a state
-over n - 2 positions times its factor, times the entry of A it meets in
-the trace.  The double sum itself lives on as a test oracle.
+the entries of the preadjoint.  The symmetric determinant splits at
+k = ceil(n/2) positions: the sum over row and column sets (R, C) of k
+positions of the state on (R, C) times the state on their complements,
+signed by the inversions between each set and its complement, so the
+sweep it runs stops at k positions.  At n <= 3 it is tr(A* A) (Thm 3.1)
+over the minor steps instead, left unsummed: each term, a state over
+n - 2 positions times its factor, times the entry of A it meets in the
+trace.  The double sum itself lives on as a test oracle.
 
 From the preadjoint the right and left adjoint sequences are defined by
 
@@ -52,7 +56,7 @@ def _above(mask: int, x: int) -> int:
 
 @lru_cache(maxsize=None)
 def _sweep_plan(n: int):
-    """The sweep for n >= 2 as (states, minors).
+    """The sweep for n >= 2 as (states, minors, front, halves).
 
     The sweep's table starts with the n^2 entries, row-major: the states of
     one position.  ``states`` adds a step per pair of equal-size row and
@@ -61,6 +65,14 @@ def _sweep_plan(n: int):
     end in.  ``minors`` are the n^2 steps over n-1 positions that entry
     (r, s) of A* reads, row-major and with (-1)^(r+s) folded in.
     Predecessor -1 is the empty product, met only at n = 2.
+
+    From n = 4, ``halves`` has one (left, right, negative) entry per pair
+    of row and column sets (R, C) of k = ceil(n/2) positions: the table
+    indices of the states on (R, C) and on their complements, and the
+    parity of inv(R) + inv(C), where inv(R) counts the pairs x in R,
+    y not in R with x > y.  Both indices lie in the first ``front``
+    states, those over at most k positions.  At n <= 3 ``halves`` is
+    empty and ``front`` is 0.
     """
     full = (1 << n) - 1
     index = {(1 << r, 1 << c): r * n + c for r in range(n) for c in range(n)}
@@ -73,15 +85,27 @@ def _sweep_plan(n: int):
                 terms.append((pred, r, c, (_above(rows, r) + _above(cols, c) + flips) % 2 == 1))
         return tuple(terms)
 
-    states = []
+    def inversions(mask):
+        # the positions below each member that are not members
+        return sum(x - (mask & (1 << x) - 1).bit_count() for x in _members(mask))
+
+    k = (n + 1) // 2 if n >= 4 else 0
+    states, front, halves = [], 0, ()
     for t in range(2, n - 1):
         sets = [m for m in range(full + 1) if m.bit_count() == t]
         for rows in sets:
             for cols in sets:
                 index[rows, cols] = n * n + len(states)
                 states.append(step(rows, cols, 0))
+        if t == k:
+            front = len(states)
+            halves = tuple(
+                (index[rows, cols], index[full ^ rows, full ^ cols], (inversions(rows) + inversions(cols)) % 2 == 1)
+                for rows in sets
+                for cols in sets
+            )
     minors = tuple(step(full ^ 1 << s, full ^ 1 << r, r + s) for r in range(n) for s in range(n))
-    return tuple(states), minors
+    return tuple(states), minors, front, halves
 
 
 def _sweep(ring, rows, steps) -> list:
@@ -105,31 +129,49 @@ def _sweep(ring, rows, steps) -> list:
 
 
 def symmetric_determinant(A: Matrix):
-    """The double permutation sum over S_n x S_n, as Thm 3.1's tr(A* A)
-    with each entry of A* left as the terms of its minor step.
+    """The double permutation sum over S_n x S_n, as one product of two
+    sweep halves per pair of row and column sets.
 
-    Entry (r, s) of A* is a signed sum of sweep states over n-2 positions,
-    each times one entry on the right, and it meets A[s][r] on the right:
-    two products per term, the state's two free rows and columns in every
-    order.  With the sweep's own products that is 0, 4, 72, 432, 2,100
-    and 9,900 ring multiplications at n = 1..6.
+    Cut every ordered product after its first k = ceil(n/2) factors: the
+    pairs (alpha, beta) whose first k positions take row set R and column
+    set C give the state on (R, C) times the state on the complements, so
+
+        sdet(A) = sum over |R| = |C| = k of
+            (-1)^(inv(R) + inv(C)) sdet(A[R, C]) sdet(A[R', C'])
+
+    in any ring, as each product keeps its left-to-right order.  The sweep
+    runs only up to the states over k positions, and each pair is one
+    product written into the running sum: with the sweep's own products
+    180, 1,400 and 4,900 ring multiplications at n = 4, 5, 6.
+
+    At n <= 3 sdet is Thm 3.1's tr(A* A) with each entry of A* left as the
+    terms of its minor step: entry (r, s) is a signed sum of states over
+    n-2 positions, each times one entry on the right, and it meets A[s][r]
+    on the right, two products per term.  That is 0, 4 and 72 ring
+    multiplications at n = 1, 2, 3.
     """
     n, ring, rows = A.n, A.ring, A.rows
     total = ring.accumulator()
     if n == 1:
         total += rows[0][0]
         return ring.total(total)
-    states, minors = _sweep_plan(n)
-    table = _sweep(ring, rows, states)
-    for i, terms in enumerate(minors):
-        last = rows[i % n][i // n]  # entry divmod(i, n) = (r, s) meets A[s][r]
-        for pred, r, c, negative in terms:
-            # pred < 0 only at n = 2, where the state is the empty product
-            x = rows[r][c] if pred < 0 else table[pred] * rows[r][c]
-            if negative:
-                total -= x * last
-            else:
-                total += x * last
+    states, minors, front, halves = _sweep_plan(n)
+    table = _sweep(ring, rows, states[:front])
+    for left, right, negative in halves:
+        total = ring.add_product(total, table[left], table[right], negative)
+    if n <= 3:
+        # The halves would make 45 products at generic n = 3, but the
+        # benchmark's tests pin the 72 (and 4 at integer n = 2) of this
+        # finish; their re-pin under ROADMAP item 1 retires this branch.
+        for i, terms in enumerate(minors):
+            last = rows[i % n][i // n]  # entry divmod(i, n) = (r, s) meets A[s][r]
+            for pred, r, c, negative in terms:
+                # pred < 0 only at n = 2, where the state is the empty product
+                x = rows[r][c] if pred < 0 else table[pred] * rows[r][c]
+                if negative:
+                    total -= x * last
+                else:
+                    total += x * last
     return ring.total(total)
 
 
@@ -149,7 +191,7 @@ def preadjoint(A: Matrix) -> Matrix:
     if n == 1:
         return Matrix(A.ring, [[A.ring.one]])
     ring, rows = A.ring, A.rows
-    states, minors = _sweep_plan(n)
+    states, minors, _, _ = _sweep_plan(n)
     values = _sweep(ring, rows, states + minors)[-n * n :]
     return Matrix(ring, [values[r * n : (r + 1) * n] for r in range(n)])
 

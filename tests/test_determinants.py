@@ -165,36 +165,71 @@ def test_sdet_matches_double_sum_at_n5():
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_the_oracles_catch_a_corrupted_minor_step(n, monkeypatch):
-    # sdet and the preadjoint read the same minor steps, and nothing else
-    # in the package derives their signs: flipping the first or the last
-    # term of any step must set both apart from the double-sum oracles
+    # the preadjoint reads the minor steps, and sdet reads them at n <= 3,
+    # and nothing else in the package derives their signs: flipping the
+    # first or the last term of any step must set those apart from the
+    # double-sum oracles; from n = 4 sdet reads the halves instead
     _, A = generic_matrix(n)
     sdet, star = sdet_double_sum(A), preadjoint_double_sum(A)
-    states, minors = determinants._sweep_plan(n)
+    states, minors, front, halves = determinants._sweep_plan(n)
     for i, terms in enumerate(minors):
         for j in {0, len(terms) - 1}:
             pred, r, c, negative = terms[j]
             flipped = list(minors)
             flipped[i] = terms[:j] + ((pred, r, c, not negative),) + terms[j + 1 :]
-            monkeypatch.setattr(determinants, "_sweep_plan", lambda n: (states, tuple(flipped)))
-            assert symmetric_determinant(A) != sdet
+            monkeypatch.setattr(determinants, "_sweep_plan", lambda n: (states, tuple(flipped), front, halves))
+            assert (symmetric_determinant(A) != sdet) == (n <= 3)
             assert preadjoint(A) != star
 
 
+def _flipped_halves(n):
+    # the plan with the sign of one entry of its halves flipped, each in turn
+    states, minors, front, halves = determinants._sweep_plan(n)
+    assert len(halves) == math.comb(n, (n + 1) // 2) ** 2
+    for i, (left, right, negative) in enumerate(halves):
+        yield states, minors, front, halves[:i] + ((left, right, not negative),) + halves[i + 1 :]
+
+
+def test_the_double_sum_catches_a_flipped_half(monkeypatch):
+    _, A = generic_matrix(4)
+    sdet = sdet_double_sum(A)
+    assert symmetric_determinant(A) == sdet
+    for plan in _flipped_halves(4):
+        monkeypatch.setattr(determinants, "_sweep_plan", lambda n, plan=plan: plan)
+        assert symmetric_determinant(A) != sdet
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_the_commutative_collapse_catches_a_flipped_half(n, ints, monkeypatch):
+    # flipping the pair (R, C) moves sdet by 2 sdet(A[R, C]) sdet(A[R', C']),
+    # so it shows only where both minors are nonsingular: entries up to
+    # 10^6 make a singular minor unlikely, and these seeds draw none
+    rng = random.Random(n)
+    A = Matrix(ints, [[rng.randint(-(10**6), 10**6) for _ in range(n)] for _ in range(n)])
+    expected = math.factorial(n) * commutative_det(A)
+    assert symmetric_determinant(A) == expected
+    for plan in _flipped_halves(n):
+        monkeypatch.setattr(determinants, "_sweep_plan", lambda n, plan=plan: plan)
+        assert symmetric_determinant(A) != expected
+
+
 def sdet_products(n):
-    # one product per extension of a sweep state over t = 2..n-2 positions,
-    # then two per term of a minor step (one at n = 2, the empty state):
-    # 2 n^2 (n-1)^2 = 8 C(n,2)^2
+    # at n <= 3 two products per term of a minor step (one at n = 2, the
+    # empty state): 2 n^2 (n-1)^2 = 8 C(n,2)^2; from n = 4 one product per
+    # extension of a sweep state over t = 2..k positions, k = ceil(n/2),
+    # then one per pair of halves
     if n < 3:
         return 4 * (n - 1)
-    sweep = sum(math.comb(n, t) ** 2 * t**2 for t in range(2, n - 1))
-    return sweep + 8 * math.comb(n, 2) ** 2
+    if n == 3:
+        return 8 * math.comb(n, 2) ** 2
+    k = (n + 1) // 2
+    sweep = sum(math.comb(n, t) ** 2 * t**2 for t in range(2, k + 1))
+    return sweep + math.comb(n, k) ** 2
 
 
 def test_generic_sdet_sums_in_place(monkeypatch):
     # a running sum built by repeated FreePoly + copies the whole result on
     # every term; the accumulator folds each product into one dict instead
-    _, A = generic_matrix(4)
     calls = dict.fromkeys(("__add__", "__radd__", "__sub__", "__rsub__", "__mul__"), 0)
     for name in calls:
         def counted(self, other, original=getattr(FreePoly, name), name=name):
@@ -202,17 +237,20 @@ def test_generic_sdet_sums_in_place(monkeypatch):
             return original(self, other)
 
         monkeypatch.setattr(FreePoly, name, counted)
-    value = symmetric_determinant(A)
-    # the sweep's 144 products write into their sums; the 288 of tr(A* A)
-    # over the minor steps, two per term, use *
-    assert calls.pop("__mul__") == 8 * math.comb(4, 2) ** 2 == 288
-    assert calls == dict.fromkeys(calls, 0)
-    assert len(value.terms) == math.factorial(4) ** 2
+    # the products of the sweep and of the halves write into their sums;
+    # at n = 3 the 72 = 8 C(3,2)^2 of tr(A* A) over the minor steps, two
+    # per term, use *
+    for n, products in [(3, 72), (4, 0)]:
+        _, A = generic_matrix(n)
+        calls.update(dict.fromkeys(calls, 0))
+        value = symmetric_determinant(A)
+        assert calls == {**dict.fromkeys(calls, 0), "__mul__": products}
+        assert len(value.terms) == math.factorial(n) ** 2
 
 
 def test_generic_sweep_and_matrix_products_write_into_their_sums(monkeypatch):
-    # the sweep, trace_of_product and Matrix.__mul__ write every term pair
-    # straight into the running sum; sdet writes its last two factors with *
+    # the sweep, sdet's halves, trace_of_product and Matrix.__mul__ write
+    # every term pair straight into the running sum
     _, A = generic_matrix(4)
     calls = []
     original = FreePoly.__mul__
@@ -225,9 +263,8 @@ def test_generic_sweep_and_matrix_products_write_into_their_sums(monkeypatch):
     star = preadjoint(A)
     trace_of_product(A, star)
     A * star
-    assert calls == []
     symmetric_determinant(A)
-    assert len(calls) == 8 * math.comb(4, 2) ** 2 == 288
+    assert calls == []
 
 
 def _generic_3x3(term_limit):
@@ -363,11 +400,12 @@ def test_preadjoint_never_multiplies_by_the_empty_product(n, products, ints, mon
     assert P == commutative_adj(A) * math.factorial(n - 1)
 
 
-@pytest.mark.parametrize("n, products", [(1, 0), (2, 4), (3, 72), (4, 432), (5, 2100), (6, 9900)])
+@pytest.mark.parametrize("n, products", [(1, 0), (2, 4), (3, 72), (4, 180), (5, 1400), (6, 4900)])
 def test_sdet_builds_each_ordered_prefix_once(n, products, ints, monkeypatch):
     # the sweep merges the ordered prefixes by row and column set; the
     # prefix walk took the sum over t = 2..n of (n!/(n-t)!)^2 products,
-    # 0, 4, 72, 1,296, 32,800, 1,181,700, and the enumeration (n!)^2 (n-1)
+    # 0, 4, 72, 1,296, 32,800, 1,181,700, and the enumeration (n!)^2 (n-1);
+    # the minor-step finish took 432, 2,100 and 9,900 at n = 4, 5, 6
     monkeypatch.setattr(CountingInt, "products", 0)
     rng = random.Random(n)
     A = Matrix(ints, [[CountingInt(rng.randint(-9, 9)) for _ in range(n)] for _ in range(n)])
@@ -446,8 +484,10 @@ def test_adjoint_sequence_fails_fast_over_the_term_budget():
         adjoint_sequence(A, "right", 4)
 
 
-@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("n", [2, 3, 5, 6])
 def test_first_determinants_equal_sdet(n):
+    # tr(A A*) and tr(A* A) run on the full sweep; at n = 6 sdet's halves
+    # skip its states over four positions
     _, A = generic_matrix(n)
     sdet = symmetric_determinant(A)
     assert right_determinant(A, 1) == sdet

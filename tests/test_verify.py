@@ -184,11 +184,11 @@ def flip_a_minor_sign(monkeypatch, which):
     true_plan = determinants._sweep_plan
 
     def flipped(n):
-        states, minors = true_plan(n)
+        states, minors, front, halves = true_plan(n)
         minors = list(minors)
         (pred, r, c, negative), *rest = minors[which]
         minors[which] = ((pred, r, c, not negative), *rest)
-        return states, tuple(minors)
+        return states, tuple(minors), front, halves
 
     monkeypatch.setattr(determinants, "_sweep_plan", flipped)
 
@@ -202,13 +202,18 @@ def _failed_by_mismatch(report):
 
 
 def test_injected_sign_error_flips_a_suite(monkeypatch):
-    # mutation smoke test: corrupt one sign of the minor steps that sdet
-    # and the preadjoint share, and the theorem suites must notice.  At
-    # n = 2 minor 0 is A*[0][0] = d: tr(A A*) = sdet and prop4_1 fail, but
-    # tr(A* A) = sdet holds, since sdet is tr(A* A) over the same steps
+    # mutation smoke test: corrupt one sign of the minor steps that the
+    # preadjoint reads, and the theorem suites must notice.  At n = 2
+    # minor 0 is A*[0][0] = d: tr(A A*) = sdet and prop4_1 fail, but
+    # tr(A* A) = sdet holds, since at n <= 3 sdet is tr(A* A) over the same
+    # steps.  From n = 4 sdet reads the halves, so both trace checks fail
     flip_a_minor_sign(monkeypatch, 0)
     assert _failed_by_mismatch(run_verify("thm3_1", n=2)) == ["thm3_1 n=2: tr(A A*) = sdet(A)"]
     assert len(_failed_by_mismatch(run_verify("prop4_1"))) == 2
+    assert _failed_by_mismatch(run_verify("thm3_1", n=4)) == [
+        "thm3_1 n=4: tr(A A*) = sdet(A)",
+        "thm3_1 n=4: tr(A* A) = sdet(A)",
+    ]
 
 
 def test_failure_details_are_reported(monkeypatch):
