@@ -15,19 +15,23 @@ and column r; both routes are implemented and cross-checked in the tests.
 Both come from one subset sweep that keeps factor order, so it is exact
 in any ring.  For every pair of equal-size row and column sets (R, C) it
 holds the symmetric determinant of the submatrix on R x C: the signed sum
-of the ordered products that list R and C in every order.  The entries
-are the states of one position.  Each larger state sums the states over
-one position fewer, times one factor on the right, and the factor's sign
-counts the members of R and C above its row and column.  The states of
-size n - 1 are the minors, so those n^2 values, signed by (-1)^(r+s), are
-the entries of the preadjoint.  The symmetric determinant splits at
-k = ceil(n/2) positions: the sum over row and column sets (R, C) of k
-positions of the state on (R, C) times the state on their complements,
-signed by the inversions between each set and its complement, so the
-sweep it runs stops at k positions.  At n <= 3 it is tr(A* A) (Thm 3.1)
-over the minor steps instead, left unsummed: each term, a state over
-n - 2 positions times its factor, times the entry of A it meets in the
-trace.  The double sum itself lives on as a test oracle.
+of the ordered products that list R and C in every order.  The states
+over t positions form level t, and level 1 is the entries.  Each state of
+level t sums the states over its row and column sets less one member
+each, times that row and column's entry on the right, and the sign
+counts the members of R and C above them.  Both the predecessor and the
+sign split into a row part and a column part, so each level is planned
+from one list of drops per t-set, built the first time a caller reads
+that level.  The states of the top level, n - 1, with (-1)^(r+s) in
+their signs, are the entries of the preadjoint.  The symmetric
+determinant splits at k = ceil(n/2) positions: the sum over row and
+column sets (R, C) of k positions of the state on (R, C) times the state
+on their complements, signed by the inversions between each set and its
+complement, so it builds and runs only levels up to k.  At n <= 3 it is
+tr(A* A) (Thm 3.1) over the top level's terms instead, left unsummed:
+each term, a state over n - 2 positions times its factor, times the
+entry of A it meets in the trace.  The double sum itself lives on as a
+test oracle.
 
 From the preadjoint the right and left adjoint sequences are defined by
 
@@ -40,8 +44,6 @@ tr(Q_k ... Q_1 A).  Both equal the symmetric determinant at k = 1.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .matrices import Matrix, _signed_minors, commutative_adj, commutative_det
 from .rings import IntegerRing, Record
 
@@ -50,82 +52,66 @@ def _members(mask: int) -> list[int]:
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
-def _above(mask: int, x: int) -> int:
-    return (mask >> x + 1).bit_count()
+def _subsets(n: int, t: int) -> list[int]:
+    """The t-subsets of range(n) as bit masks, in increasing mask order."""
+    return [m for m in range(1 << n) if m.bit_count() == t]
 
 
-@lru_cache(maxsize=None)
-def _sweep_plan(n: int):
-    """The sweep for n >= 2 as (states, minors, front, halves).
+_levels: dict = {}
 
-    The sweep's table starts with the n^2 entries, row-major: the states of
-    one position.  ``states`` adds a step per pair of equal-size row and
-    column sets over 2..n-2 positions, smaller sets first: a tuple of
-    (predecessor index, row, column, negative) terms, one per factor it can
-    end in.  ``minors`` are the n^2 steps over n-1 positions that entry
-    (r, s) of A* reads, row-major and with (-1)^(r+s) folded in.
-    Predecessor -1 is the empty product, met only at n = 2.
 
-    From n = 4, ``halves`` has one (left, right, negative) entry per pair
-    of row and column sets (R, C) of k = ceil(n/2) positions: the table
-    indices of the states on (R, C) and on their complements, and the
-    parity of inv(R) + inv(C), where inv(R) counts the pairs x in R,
-    y not in R with x > y.  Both indices lie in the first ``front``
-    states, those over at most k positions.  At n <= 3 ``halves`` is
-    empty and ``front`` is 0.
+def _level(n: int, t: int):
+    """Level t of the sweep for n >= 2, 1 <= t <= n - 1, as (drops, steps,
+    inv), built on first use and cached per (n, t) in ``_levels``.
+
+    The t-sets come in increasing mask order, and the state on the row and
+    column sets of ranks (i, j) has index i C(n,t) + j.  ``drops[i]`` lists,
+    for each member x of the set of rank i in increasing order, the rank of
+    the set less x among the (t-1)-sets, x and the parity of the members
+    above x.  At the top level, t = n - 1, the parity also counts the set's
+    missing member, so the top's states are the entries of the preadjoint:
+    A*[r][s] is the state on (rows less s, columns less r), at index
+    (n-1-s) n + n-1-r.  ``steps`` derives from the drops one tuple of
+    (predecessor index, row, column, negative) terms per state, so the
+    sweep's loop stays flat.  ``inv[i]`` is the parity of inv of the set of
+    rank i, the pairs x in it and y not in it with x > y: the sum of its
+    members less t(t-1)/2.
     """
-    full = (1 << n) - 1
-    index = {(1 << r, 1 << c): r * n + c for r in range(n) for c in range(n)}
-
-    def step(rows, cols, flips):
-        terms = []
-        for r in _members(rows):
-            for c in _members(cols):
-                pred = index.get((rows ^ 1 << r, cols ^ 1 << c), -1)
-                terms.append((pred, r, c, (_above(rows, r) + _above(cols, c) + flips) % 2 == 1))
-        return tuple(terms)
-
-    def inversions(mask):
-        # the positions below each member that are not members
-        return sum(x - (mask & (1 << x) - 1).bit_count() for x in _members(mask))
-
-    k = (n + 1) // 2 if n >= 4 else 0
-    states, front, halves = [], 0, ()
-    for t in range(2, n - 1):
-        sets = [m for m in range(full + 1) if m.bit_count() == t]
-        for rows in sets:
-            for cols in sets:
-                index[rows, cols] = n * n + len(states)
-                states.append(step(rows, cols, 0))
-        if t == k:
-            front = len(states)
-            halves = tuple(
-                (index[rows, cols], index[full ^ rows, full ^ cols], (inversions(rows) + inversions(cols)) % 2 == 1)
-                for rows in sets
-                for cols in sets
-            )
-    minors = tuple(step(full ^ 1 << s, full ^ 1 << r, r + s) for r in range(n) for s in range(n))
-    return tuple(states), minors, front, halves
+    level = _levels.get((n, t))
+    if level is None:
+        rank = {m: i for i, m in enumerate(_subsets(n, t - 1))}
+        width, full = len(rank), (1 << n) - 1
+        drops, inv = [], []
+        for m in _subsets(n, t):
+            missing = (full ^ m).bit_length() - 1 if t == n - 1 else 0
+            members = _members(m)
+            drops.append(tuple((rank[m ^ 1 << x], x, ((m >> x + 1).bit_count() + missing) % 2 == 1) for x in members))
+            inv.append((sum(members) - t * (t - 1) // 2) % 2 == 1)
+        steps = tuple(
+            tuple((i * width + j, r, c, p != q) for i, r, p in rows for j, c, q in cols)
+            for rows in drops
+            for cols in drops
+        )
+        level = _levels[n, t] = tuple(drops), steps, tuple(inv)
+    return level
 
 
-def _sweep(ring, rows, steps) -> list:
-    """The sweep's table: the entries, row-major, and then the value of
-    each step, the signed sum of its predecessors' values times one entry
-    on the right, or of the bare entries where the predecessor is the empty
-    product."""
+def _sweep(ring, rows, top: int) -> list:
+    """The sweep's states by level, ``levels[t]`` for t = 1..top >= 1: the
+    entries, row-major, then the value of each step of levels 2..top, the
+    signed sum of its predecessors' values times one entry on the right."""
+    n = len(rows)
     add_product = ring.add_product
-    table = [x for row in rows for x in row]
-    for terms in steps:
-        total = ring.accumulator()
-        for pred, r, c, negative in terms:
-            if pred >= 0:
-                total = add_product(total, table[pred], rows[r][c], negative)
-            elif negative:
-                total -= rows[r][c]
-            else:
-                total += rows[r][c]
-        table.append(ring.total(total))
-    return table
+    levels = [None, [x for row in rows for x in row]]
+    for t in range(2, top + 1):
+        below, states = levels[-1], []
+        for terms in _level(n, t)[1]:
+            total = ring.accumulator()
+            for pred, r, c, negative in terms:
+                total = add_product(total, below[pred], rows[r][c], negative)
+            states.append(ring.total(total))
+        levels.append(states)
+    return levels
 
 
 def symmetric_determinant(A: Matrix):
@@ -140,38 +126,42 @@ def symmetric_determinant(A: Matrix):
             (-1)^(inv(R) + inv(C)) sdet(A[R, C]) sdet(A[R', C'])
 
     in any ring, as each product keeps its left-to-right order.  The sweep
-    runs only up to the states over k positions, and each pair is one
-    product written into the running sum: with the sweep's own products
-    180, 1,400 and 4,900 ring multiplications at n = 4, 5, 6.
+    builds and runs only levels up to k, and complementing reverses mask
+    order, so the state on (R', C') is level n - k read backwards.  Each
+    pair is one product written into the running sum: with the sweep's own
+    products 180, 1,400 and 4,900 ring multiplications at n = 4, 5, 6.
 
     At n <= 3 sdet is Thm 3.1's tr(A* A) with each entry of A* left as the
-    terms of its minor step: entry (r, s) is a signed sum of states over
-    n-2 positions, each times one entry on the right, and it meets A[s][r]
-    on the right, two products per term.  That is 0, 4 and 72 ring
-    multiplications at n = 1, 2, 3.
+    terms of its state on the top level: entry (r, s) is a signed sum of
+    states over n-2 positions, each times one entry on the right, and it
+    meets A[s][r] on the right, two products per term.  That is 0, 4 and
+    72 ring multiplications at n = 1, 2, 3.
     """
     n, ring, rows = A.n, A.ring, A.rows
     total = ring.accumulator()
     if n == 1:
         total += rows[0][0]
         return ring.total(total)
-    states, minors, front, halves = _sweep_plan(n)
-    table = _sweep(ring, rows, states[:front])
-    for left, right, negative in halves:
-        total = ring.add_product(total, table[left], table[right], negative)
     if n <= 3:
         # The halves would make 45 products at generic n = 3, but the
         # benchmark's tests pin the 72 (and 4 at integer n = 2) of this
         # finish; their re-pin under ROADMAP item 1 retires this branch.
-        for i, terms in enumerate(minors):
-            last = rows[i % n][i // n]  # entry divmod(i, n) = (r, s) meets A[s][r]
-            for pred, r, c, negative in terms:
-                # pred < 0 only at n = 2, where the state is the empty product
-                x = rows[r][c] if pred < 0 else table[pred] * rows[r][c]
+        entries, top = [x for row in rows for x in row], _level(n, n - 1)[1]
+        for i in range(n * n):
+            r, s = divmod(i, n)  # entry (r, s) of A* meets A[s][r]
+            for pred, r2, c2, negative in top[(n - 1 - s) * n + n - 1 - r]:
+                # at n = 2 the state is the empty product
+                x = rows[r2][c2] if n == 2 else entries[pred] * rows[r2][c2]
                 if negative:
-                    total -= x * last
+                    total -= x * rows[s][r]
                 else:
-                    total += x * last
+                    total += x * rows[s][r]
+        return ring.total(total)
+    k = (n + 1) // 2
+    levels, inv, add_product = _sweep(ring, rows, k), _level(n, k)[2], ring.add_product
+    signs = [p != q for p in inv for q in inv]
+    for x, y, negative in zip(levels[k], levels[n - k][::-1], signs):
+        total = add_product(total, x, y, negative)
     return ring.total(total)
 
 
@@ -183,17 +173,22 @@ def preadjoint(A: Matrix) -> Matrix:
     (-1)^(r+s) times the symmetric determinant of the minor without row s
     and column r.  The sweep builds the symmetric determinant of every
     equal-size submatrix from the next smaller ones, one factor on the
-    right, and its n^2 values over n-1 positions are the entries.  The
-    plan is built once per n and shared with ``symmetric_determinant``.
-    A 1x1 matrix maps to [1] (empty product convention).
+    right, and its top level, over n-1 positions with (-1)^(r+s) in its
+    signs, holds the entries.  Each level is built once per n and shared
+    with ``symmetric_determinant``.  A 1x1 matrix maps to [1] (empty
+    product convention).
     """
     n = A.n
     if n == 1:
         return Matrix(A.ring, [[A.ring.one]])
     ring, rows = A.ring, A.rows
-    states, minors, _, _ = _sweep_plan(n)
-    values = _sweep(ring, rows, states + minors)[-n * n :]
-    return Matrix(ring, [values[r * n : (r + 1) * n] for r in range(n)])
+    if n == 2:
+        # the top is level 1: each state is the empty product times one entry
+        top = [-rows[r][c] if negative else rows[r][c] for ((_, r, c, negative),) in _level(2, 1)[1]]
+    else:
+        top = _sweep(ring, rows, n - 1)[n - 1]
+    # A*[r][s] is the state at (n-1-s) n + n-1-r: the top read backwards, every n-th
+    return Matrix(ring, [top[n * n - 1 - r :: -n] for r in range(n)])
 
 
 def preadjoint_via_minors(A: Matrix) -> Matrix:

@@ -165,38 +165,55 @@ def test_sdet_matches_double_sum_at_n5():
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_the_oracles_catch_a_corrupted_minor_step(n, monkeypatch):
-    # the preadjoint reads the minor steps, and sdet reads them at n <= 3,
-    # and nothing else in the package derives their signs: flipping the
-    # first or the last term of any step must set those apart from the
-    # double-sum oracles; from n = 4 sdet reads the halves instead
+    # the states of the sweep's top level are the entries of A*: the
+    # preadjoint reads them, and sdet reads them at n <= 3, and nothing
+    # else in the package derives their signs; flipping the first or the
+    # last term of any one state must set those apart from the double-sum
+    # oracles; from n = 4 sdet reads the halves instead
     _, A = generic_matrix(n)
     sdet, star = sdet_double_sum(A), preadjoint_double_sum(A)
-    states, minors, front, halves = determinants._sweep_plan(n)
-    for i, terms in enumerate(minors):
+    drops, steps, inv = determinants._level(n, n - 1)
+    assert len(steps) == n * n
+    for i, terms in enumerate(steps):
         for j in {0, len(terms) - 1}:
             pred, r, c, negative = terms[j]
-            flipped = list(minors)
+            flipped = list(steps)
             flipped[i] = terms[:j] + ((pred, r, c, not negative),) + terms[j + 1 :]
-            monkeypatch.setattr(determinants, "_sweep_plan", lambda n: (states, tuple(flipped), front, halves))
+            monkeypatch.setitem(determinants._levels, (n, n - 1), (drops, tuple(flipped), inv))
             assert (symmetric_determinant(A) != sdet) == (n <= 3)
             assert preadjoint(A) != star
 
 
-def _flipped_halves(n):
-    # the plan with the sign of one entry of its halves flipped, each in turn
-    states, minors, front, halves = determinants._sweep_plan(n)
-    assert len(halves) == math.comb(n, (n + 1) // 2) ** 2
-    for i, (left, right, negative) in enumerate(halves):
-        yield states, minors, front, halves[:i] + ((left, right, not negative),) + halves[i + 1 :]
+def _flipped_halves(monkeypatch, A):
+    # sdet's last C(n,k)^2 add_product calls are its pairs of halves: sdet
+    # with the sign of one of those calls flipped, each in turn
+    n, ring = A.n, A.ring
+    original = type(ring).add_product
+    calls, flip = 0, None
+
+    def add_product(self, acc, x, y, negative=False):
+        nonlocal calls
+        calls += 1
+        return original(self, acc, x, y, negative != (calls == flip))
+
+    monkeypatch.setattr(type(ring), "add_product", add_product)
+    symmetric_determinant(A)
+    assert calls == sdet_products(n)  # the sweep's, then one per pair
+    last = calls
+    for flip in range(last - math.comb(n, (n + 1) // 2) ** 2 + 1, last + 1):
+        calls = 0
+        yield symmetric_determinant(A)
+        assert calls == last
 
 
 def test_the_double_sum_catches_a_flipped_half(monkeypatch):
     _, A = generic_matrix(4)
     sdet = sdet_double_sum(A)
     assert symmetric_determinant(A) == sdet
-    for plan in _flipped_halves(4):
-        monkeypatch.setattr(determinants, "_sweep_plan", lambda n, plan=plan: plan)
-        assert symmetric_determinant(A) != sdet
+    flipped = list(_flipped_halves(monkeypatch, A))
+    assert len(flipped) == 36
+    for value in flipped:
+        assert value != sdet
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
@@ -208,9 +225,38 @@ def test_the_commutative_collapse_catches_a_flipped_half(n, ints, monkeypatch):
     A = Matrix(ints, [[rng.randint(-(10**6), 10**6) for _ in range(n)] for _ in range(n)])
     expected = math.factorial(n) * commutative_det(A)
     assert symmetric_determinant(A) == expected
-    for plan in _flipped_halves(n):
-        monkeypatch.setattr(determinants, "_sweep_plan", lambda n, plan=plan: plan)
-        assert symmetric_determinant(A) != expected
+    flipped = list(_flipped_halves(monkeypatch, A))
+    assert len(flipped) == math.comb(n, (n + 1) // 2) ** 2
+    for value in flipped:
+        assert value != expected
+
+
+def test_sdet_builds_only_the_levels_it_reads(ints, monkeypatch):
+    # the sweep's levels are built on first use: a first sdet at n = 6
+    # builds levels 2 and 3 (level 1 is the entries), and a preadjoint
+    # after it adds levels 4 and 5, once each
+    monkeypatch.setattr(determinants, "_levels", {})
+    A = random_int_matrix(random.Random(6), 6, ints)
+    sdet = symmetric_determinant(A)
+    assert sorted(determinants._levels) == [(6, 2), (6, 3)]
+    star = preadjoint(A)
+    built = dict(determinants._levels)
+    assert sorted(built) == [(6, 2), (6, 3), (6, 4), (6, 5)]
+    assert preadjoint(A) == star and symmetric_determinant(A) == sdet
+    assert all(determinants._levels[key] is level for key, level in built.items())
+    assert len(determinants._levels) == 4
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_the_drops_factor_the_steps(n):
+    # each t-set lists its t drops, n 2^(n-1) - n in all over levels
+    # 1..n-1 (the full set's n are never needed); the flat steps derived
+    # from them hold C(n,t)^2 t^2 terms per level, one per drop pair
+    levels = [determinants._level(n, t) for t in range(1, n)]
+    assert sum(len(d) for drops, _, _ in levels for d in drops) == n * 2 ** (n - 1) - n
+    for t, (drops, steps, inv) in enumerate(levels, 1):
+        assert len(drops) == len(inv) == math.comb(n, t)
+        assert sum(map(len, steps)) == math.comb(n, t) ** 2 * t**2
 
 
 def sdet_products(n):

@@ -178,19 +178,22 @@ def test_seed_changes_are_still_deterministic():
 
 
 def flip_a_minor_sign(monkeypatch, which):
-    # flip the sign of the first term of one minor step in every plan; sdet
-    # and the preadjoint look the patched name up per call, so no cached
-    # plan is reused
-    true_plan = determinants._sweep_plan
+    # flip the sign of the first term of the state that holds entry `which`
+    # of A*, row-major, on the top level of every sweep; sdet and the
+    # preadjoint look the patched name up per call, so no cached level is
+    # reused
+    true_level = determinants._level
 
-    def flipped(n):
-        states, minors, front, halves = true_plan(n)
-        minors = list(minors)
-        (pred, r, c, negative), *rest = minors[which]
-        minors[which] = ((pred, r, c, not negative), *rest)
-        return states, tuple(minors), front, halves
+    def flipped(n, t):
+        drops, steps, inv = true_level(n, t)
+        if t == n - 1:
+            r, s = divmod(which % (n * n), n)
+            i = (n - 1 - s) * n + n - 1 - r
+            (pred, row, col, negative), *rest = steps[i]
+            steps = steps[:i] + (((pred, row, col, not negative), *rest),) + steps[i + 1 :]
+        return drops, steps, inv
 
-    monkeypatch.setattr(determinants, "_sweep_plan", flipped)
+    monkeypatch.setattr(determinants, "_level", flipped)
 
 
 def _failed_by_mismatch(report):
@@ -202,11 +205,12 @@ def _failed_by_mismatch(report):
 
 
 def test_injected_sign_error_flips_a_suite(monkeypatch):
-    # mutation smoke test: corrupt one sign of the minor steps that the
-    # preadjoint reads, and the theorem suites must notice.  At n = 2
-    # minor 0 is A*[0][0] = d: tr(A A*) = sdet and prop4_1 fail, but
-    # tr(A* A) = sdet holds, since at n <= 3 sdet is tr(A* A) over the same
-    # steps.  From n = 4 sdet reads the halves, so both trace checks fail
+    # mutation smoke test: corrupt one sign of the sweep's top level, whose
+    # states are the entries of the preadjoint, and the theorem suites must
+    # notice.  At n = 2 entry 0 is A*[0][0] = d: tr(A A*) = sdet and
+    # prop4_1 fail, but tr(A* A) = sdet holds, since at n <= 3 sdet is
+    # tr(A* A) over the same states.  From n = 4 sdet reads the halves, so
+    # both trace checks fail
     flip_a_minor_sign(monkeypatch, 0)
     assert _failed_by_mismatch(run_verify("thm3_1", n=2)) == ["thm3_1 n=2: tr(A A*) = sdet(A)"]
     assert len(_failed_by_mismatch(run_verify("prop4_1"))) == 2
