@@ -8,6 +8,14 @@ each matrix subcommand once, and the parser and the runner both read it.
 options are the fields of ``verify.VerifyOptions``; ``--suite all`` takes
 any of them, and a single suite refuses one it never reads (exit 2).
 
+Every command is its own process, which compiles each module it imports.
+This module imports the determinant, matrix, document and ring modules
+only; the ``charpoly``, ``newton`` and ``s4`` commands import ``charpoly``
+when they run, and ``verify`` is imported only when the first word of argv
+that is not a flag is ``verify``, which is also the only time the parser
+declares the verify flags.  Help and error text are the same as if every
+flag were always declared.
+
 ``--output machine`` switches to one JSON record per result, which one
 function, ``_print_record``, writes for matrix commands and verify checks
 alike, with the fields operation, input_digest, result_canonical_text and
@@ -31,33 +39,36 @@ import sys
 import time
 from pathlib import Path
 
-from .charpoly import (
-    characteristic_polynomial,
-    newton_sdet_2,
-    newton_sdet_3,
-    standard_polynomial_4,
-)
 from .determinants import (
     left_determinant,
     preadjoint,
     right_determinant,
     symmetric_determinant,
 )
-from .matrices import Matrix
+from .matrices import Matrix, generic_matrix
 from .parsing import DocumentError, ParseError, loads_matrix
 from .rings import TermLimitError
-from .verify import SUITES, VerifyOptions, generic_matrix, run_verify
+
+
+def _charpoly(A, args):
+    from .charpoly import characteristic_polynomial
+
+    return f"charpoly_{args.side}_{args.k}", characteristic_polynomial(A, args.side, args.k)
 
 
 def _newton(A, args):
     if A.n not in (2, 3):
         raise DocumentError("the Newton trace formulas cover n = 2 and n = 3")
+    from .charpoly import newton_sdet_2, newton_sdet_3
+
     return f"newton_{A.n}", (newton_sdet_2 if A.n == 2 else newton_sdet_3)(A)
 
 
 def _s4(A, args):
     if A.n != 2:
         raise DocumentError("s4 expects a 2x2 matrix (four entries)")
+    from .charpoly import standard_polynomial_4
+
     (a, b), (c, d) = A.rows
     return "s4", standard_polynomial_4(a, b, c, d)
 
@@ -65,8 +76,10 @@ def _s4(A, args):
 _K = {"--k": {"type": int, "default": 1}}
 
 # name: (help text, own arguments, (matrix, args) -> (operation, result)).
-# The functions name the package's functions, so each call finds them in
-# this module's globals as they stand then, wrapped or patched.
+# Each call finds the function it names as it stands then, wrapped or
+# patched: the determinants in this module's globals, and the charpoly
+# functions as attributes of ``charpoly``, which their deferred import
+# reads at call time.
 _MATRIX_COMMANDS = {
     "sdet": ("symmetric determinant", {}, lambda A, a: ("sdet", symmetric_determinant(A))),
     "preadj": ("preadjoint matrix", {}, lambda A, a: ("preadj", preadjoint(A))),
@@ -75,14 +88,14 @@ _MATRIX_COMMANDS = {
     "charpoly": (
         "k-th characteristic polynomial of zI - A",
         {"--side": {"choices": ("right", "left"), "default": "right"}, **_K},
-        lambda A, a: (f"charpoly_{a.side}_{a.k}", characteristic_polynomial(A, a.side, a.k)),
+        _charpoly,
     ),
     "newton": ("symmetric Newton trace formula (n = 2 or 3)", {}, _newton),
     "s4": ("standard polynomial S4 on the entries of a 2x2 matrix", {}, _s4),
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ncdet",
         description="Exact determinant theory for matrices over noncommutative rings.",
@@ -103,9 +116,13 @@ def _build_parser() -> argparse.ArgumentParser:
             cmd.add_argument(flag, **settings)
 
     ver = sub.add_parser("verify", help="run a theorem verification suite")
-    ver.add_argument("--suite", required=True, help=f"one of: {', '.join((*SUITES, 'all'))}")
-    for option in VerifyOptions.__slots__:
-        ver.add_argument(f"--{option}", type=int, default=VerifyOptions._defaults[option])
+    # the verify flags come from the harness, loaded only when it runs
+    if next((word for word in argv if not word.startswith("-")), None) == "verify":
+        from .verify import SUITES, VerifyOptions
+
+        ver.add_argument("--suite", required=True, help=f"one of: {', '.join((*SUITES, 'all'))}")
+        for option in VerifyOptions.__slots__:
+            ver.add_argument(f"--{option}", type=int, default=VerifyOptions._defaults[option])
     ver.add_argument("--output", **output)
     return parser
 
@@ -154,6 +171,8 @@ def _run_matrix_command(args) -> int:
 
 
 def _run_verify_command(args) -> int:
+    from .verify import VerifyOptions, run_verify
+
     options = {option: getattr(args, option) for option in VerifyOptions.__slots__}
     report = run_verify(args.suite, **options)
     if args.output == "machine":
@@ -167,8 +186,8 @@ def _run_verify_command(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser(argv).parse_args(argv)
     try:
         if args.command == "verify":
             code = _run_verify_command(args)

@@ -7,8 +7,8 @@ The dimension is capped (default 6) because generic sdet has (n!)^2 terms,
 running sum; its 9,900 ring multiplications at n = 6 do not set the cap.
 
 Also houses the commutative oracles (classical determinant and adjugate by
-cofactor expansion) and the supermatrix parity predicate over the exterior
-algebra.
+cofactor expansion), the supermatrix parity predicate over the exterior
+algebra, and the generic matrix of distinct free generators.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import operator
 from typing import Callable, Sequence
 
+from .freealg import FreeAlgebra
 from .grassmann import GrassmannElem, graded_parts
 from .rings import Ring, RingElement
 
@@ -149,6 +150,22 @@ class Matrix(RingElement):
 
     def __repr__(self) -> str:
         return f"<Matrix {self.n}x{self.n} over {self.ring!r}>"
+
+
+GENERIC_LETTERS = {1: "a", 2: "abcd", 3: "abcdefghp"}
+
+
+def generic_matrix(n: int) -> tuple[FreeAlgebra, Matrix]:
+    """An n x n matrix whose entries are n^2 distinct free generators,
+    named by ``GENERIC_LETTERS`` for n <= 3 and a{i}{j} beyond."""
+    if n in GENERIC_LETTERS:
+        names = tuple(GENERIC_LETTERS[n])
+    else:
+        names = tuple(f"a{i}{j}" for i in range(1, n + 1) for j in range(1, n + 1))
+    algebra = FreeAlgebra(names)
+    gens = iter(algebra.gens())
+    rows = [[next(gens) for _ in range(n)] for _ in range(n)]
+    return algebra, Matrix(algebra, rows)
 
 
 def is_supermatrix(A: Matrix, t: int) -> bool:

@@ -44,13 +44,14 @@ from .determinants import (
     symmetric_determinant,
     trace_of_product,
 )
-from .freealg import FreeAlgebra, in_commutator_span
+from .freealg import in_commutator_span
 from .grassmann import MAX_RANK, GrassmannAlgebra, graded_parts
 from .matrices import (
     DIMENSION_CAP,
     Matrix,
     commutative_adj,
     commutative_det,
+    generic_matrix,
     is_supermatrix,
 )
 from .rings import IntegerRing, Record, TermLimitError, commutator
@@ -175,21 +176,6 @@ def _fixture(fn, *args):
 
 
 # ---------------------------------------------------------------- fixtures
-
-GENERIC_LETTERS = {1: "a", 2: "abcd", 3: "abcdefghp"}
-
-
-def generic_matrix(n: int) -> tuple[FreeAlgebra, Matrix]:
-    """An n x n matrix whose entries are n^2 distinct free generators,
-    named by ``GENERIC_LETTERS`` for n <= 3 and a{i}{j} beyond."""
-    if n in GENERIC_LETTERS:
-        names = tuple(GENERIC_LETTERS[n])
-    else:
-        names = tuple(f"a{i}{j}" for i in range(1, n + 1) for j in range(1, n + 1))
-    algebra = FreeAlgebra(names)
-    gens = iter(algebra.gens())
-    rows = [[next(gens) for _ in range(n)] for _ in range(n)]
-    return algebra, Matrix(algebra, rows)
 
 
 def random_integer_matrix(rng: random.Random, n: int) -> Matrix:

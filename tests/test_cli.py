@@ -421,12 +421,13 @@ def test_deep_nesting_is_a_clean_exit_2(capsys, tmp_path, text):
     assert "Traceback" not in captured.err
 
 
-def test_cli_import_loads_neither_dataclasses_nor_hashlib():
-    # every command is its own process, so what importing the CLI loads is
-    # paid on every run; a digest is needed only for machine output
+def _loaded_in_fresh_interpreter(code: str) -> list[str]:
+    """The modules that code loads in a fresh interpreter, where it must
+    leave ``code`` at 0."""
     probe = (
-        "import sys; before = set(sys.modules); import ncdet.cli; "
-        "print(' '.join(sorted(set(sys.modules) - before)))"
+        "import sys\nbefore = set(sys.modules)\n"
+        f"code = 0\n{code}\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\nsys.exit(code)"
     )
     root = Path(__file__).resolve().parents[1]
     result = subprocess.run(
@@ -437,7 +438,55 @@ def test_cli_import_loads_neither_dataclasses_nor_hashlib():
         timeout=60,
     )
     assert result.returncode == 0, result.stderr
-    loaded = result.stdout.split()
+    return result.stdout.splitlines()[-1].split()
+
+
+def test_cli_import_loads_neither_dataclasses_nor_hashlib():
+    # every command is its own process, so what importing the CLI loads is
+    # paid on every run; a digest is needed only for machine output
+    loaded = _loaded_in_fresh_interpreter("import ncdet.cli")
     assert "ncdet.cli" in loaded
     unwanted = {"dataclasses", "inspect", "hashlib"} & set(loaded)
     assert not unwanted, f"importing ncdet.cli loaded {sorted(unwanted)}; all it loaded: {loaded}"
+    # the package itself loads a module only when one of its names is read
+    loaded = _loaded_in_fresh_interpreter("import ncdet")
+    assert [name for name in loaded if name.startswith("ncdet.")] == []
+
+
+_HARNESS = {"ncdet.verify", "ncdet.charpoly", "ncdet.perms"}
+
+
+@pytest.mark.parametrize(
+    "argv, loads, skips",
+    [
+        (["sdet", "--input", "DOC"], set(), _HARNESS),
+        (["preadj", "--generic", "2"], set(), _HARNESS),
+        (["charpoly", "--input", "DOC"], {"ncdet.charpoly"}, {"ncdet.verify"}),
+        (["newton", "--generic", "3"], {"ncdet.charpoly"}, {"ncdet.verify"}),
+        (["s4", "--generic", "2"], {"ncdet.charpoly"}, {"ncdet.verify"}),
+        (["verify", "--suite", "thm3_1", "--n", "2"], {"ncdet.verify"}, set()),
+    ],
+    ids=["sdet", "preadj", "charpoly", "newton", "s4", "verify"],
+)
+def test_each_command_loads_only_the_modules_it_runs(integer_doc, argv, loads, skips):
+    argv = [integer_doc if word == "DOC" else word for word in argv]
+    loaded = _loaded_in_fresh_interpreter(f"import ncdet.cli\ncode = ncdet.cli.main({argv!r})")
+    assert loads <= set(loaded), loaded
+    assert not skips & set(loaded), f"{argv[0]} loaded {sorted(skips & set(loaded))}"
+
+
+# The help and argument-error text of the parser that declared every
+# subcommand's flags up front; Python 3.10 to 3.13 print it alike at 80
+# columns, the width argparse reads from $COLUMNS.
+HELP_GOLDEN = json.loads((Path(__file__).parent / "cli_help_golden.json").read_text())
+
+
+@pytest.mark.parametrize("pin", HELP_GOLDEN, ids=lambda pin: " ".join(pin["argv"]))
+def test_help_and_argument_errors_are_byte_identical(capsys, monkeypatch, pin):
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        code = main(pin["argv"])
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (pin["code"], pin["stdout"], pin["stderr"])

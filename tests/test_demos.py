@@ -1,4 +1,5 @@
 import ast
+import json
 import os
 import re
 import shlex
@@ -84,12 +85,58 @@ def test_readme_library_quick_start_runs():
     assert eval(compile(ast.Expression(last.value), "README.md", "eval"), namespace) is True
 
 
-def test_package_all_lists_every_public_name():
-    public = {
-        name for name, value in vars(ncdet).items()
-        if not name.startswith("_") and not isinstance(value, ModuleType)
-    }
-    assert set(ncdet.__all__) == public | {"__version__"}
+# The package loads a public name's module on the name's first read, so what
+# this process's ``vars(ncdet)`` holds depends on the tests run before; the
+# namespace's contract is checked in a fresh interpreter.
+_NAMESPACE_PROBE = """
+import json, sys, types
+import ncdet
+report = {"loaded_by_import": sorted(m for m in sys.modules if m.startswith("ncdet."))}
+report["not_home_objects"] = [
+    name for name in ncdet.__all__ if name != "__version__"
+    and getattr(ncdet, name) is not getattr(sys.modules[f"ncdet.{ncdet._HOMES[name]}"], name)
+]
+report["public"] = sorted(
+    name for name, value in vars(ncdet).items()
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
+)
+report["dir"] = dir(ncdet)
+star = {}
+exec("from ncdet import *", star)
+report["star_modules"] = sorted(k for k, v in star.items() if isinstance(v, types.ModuleType))
+try:
+    ncdet.no_such_name
+    report["unknown"] = None
+except AttributeError as exc:
+    report["unknown"] = str(exc)
+print(json.dumps(report))
+"""
+
+
+@pytest.fixture(scope="module")
+def fresh_namespace():
+    result = subprocess.run(
+        [sys.executable, "-c", _NAMESPACE_PROBE],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout)
+
+
+def test_package_all_lists_every_public_name(fresh_namespace):
+    assert fresh_namespace["loaded_by_import"] == []
+    assert fresh_namespace["not_home_objects"] == []
+    assert set(fresh_namespace["public"]) == set(ncdet.__all__) - {"__version__"}
+    assert set(fresh_namespace["dir"]) >= set(ncdet.__all__)
+
+
+def test_lazy_namespace_binds_no_submodule_and_refuses_unknown_names(fresh_namespace):
+    assert fresh_namespace["star_modules"] == []
+    assert fresh_namespace["unknown"] == "module 'ncdet' has no attribute 'no_such_name'"
+    assert not hasattr(ncdet, "no_such_name")
 
 
 def test_star_import_binds_no_submodule():
