@@ -91,19 +91,15 @@ def test_readme_library_quick_start_runs():
 _NAMESPACE_PROBE = """
 import json, sys, types
 import ncdet
-report = {"loaded_by_import": sorted(m for m in sys.modules if m.startswith("ncdet."))}
-report["not_home_objects"] = [
+report = {"not_home_objects": [
     name for name in ncdet.__all__ if name != "__version__"
     and getattr(ncdet, name) is not getattr(sys.modules[f"ncdet.{ncdet._HOMES[name]}"], name)
-]
+]}
 report["public"] = sorted(
     name for name, value in vars(ncdet).items()
     if not name.startswith("_") and not isinstance(value, types.ModuleType)
 )
 report["dir"] = dir(ncdet)
-star = {}
-exec("from ncdet import *", star)
-report["star_modules"] = sorted(k for k, v in star.items() if isinstance(v, types.ModuleType))
 try:
     ncdet.no_such_name
     report["unknown"] = None
@@ -113,8 +109,7 @@ print(json.dumps(report))
 """
 
 
-@pytest.fixture(scope="module")
-def fresh_namespace():
+def test_package_all_lists_every_public_name():
     result = subprocess.run(
         [sys.executable, "-c", _NAMESPACE_PROBE],
         capture_output=True,
@@ -123,20 +118,11 @@ def fresh_namespace():
         timeout=60,
     )
     assert result.returncode == 0, result.stderr
-    return json.loads(result.stdout)
-
-
-def test_package_all_lists_every_public_name(fresh_namespace):
-    assert fresh_namespace["loaded_by_import"] == []
-    assert fresh_namespace["not_home_objects"] == []
-    assert set(fresh_namespace["public"]) == set(ncdet.__all__) - {"__version__"}
-    assert set(fresh_namespace["dir"]) >= set(ncdet.__all__)
-
-
-def test_lazy_namespace_binds_no_submodule_and_refuses_unknown_names(fresh_namespace):
-    assert fresh_namespace["star_modules"] == []
-    assert fresh_namespace["unknown"] == "module 'ncdet' has no attribute 'no_such_name'"
-    assert not hasattr(ncdet, "no_such_name")
+    namespace = json.loads(result.stdout)
+    assert namespace["not_home_objects"] == []
+    assert set(namespace["public"]) == set(ncdet.__all__) - {"__version__"}
+    assert set(namespace["dir"]) >= set(ncdet.__all__)
+    assert namespace["unknown"] == "module 'ncdet' has no attribute 'no_such_name'"
 
 
 def test_star_import_binds_no_submodule():
