@@ -39,7 +39,8 @@ From the preadjoint the right and left adjoint sequences are defined by
     Q_1 = A*,  Q_{k+1} = (Q_k ... Q_1 A)*
 
 and the k-th right/left determinants are tr(A P_1 ... P_k) and
-tr(Q_k ... Q_1 A).  Both equal the symmetric determinant at k = 1.
+tr(Q_k ... Q_1 A).  The k-th step is X* for the running product X before
+it (A at k = 1), so both are sdet(X) by Thm 3.1: from n = 4 by its halves.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ _levels: dict = {}
 
 def _level(n: int, t: int):
     """Level t of the sweep for n >= 2, 1 <= t <= n - 1, as (drops, steps,
-    inv), built on first use and cached per (n, t) in ``_levels``.
+    signs), built on first use and cached per (n, t) in ``_levels``.
 
     The t-sets come in increasing mask order, and the state on the row and
     column sets of ranks (i, j) has index i C(n,t) + j.  ``drops[i]`` lists,
@@ -73,9 +74,9 @@ def _level(n: int, t: int):
     A*[r][s] is the state on (rows less s, columns less r), at index
     (n-1-s) n + n-1-r.  ``steps`` derives from the drops one tuple of
     (predecessor index, row, column, negative) terms per state, so the
-    sweep's loop stays flat.  ``inv[i]`` is the parity of inv of the set of
-    rank i, the pairs x in it and y not in it with x > y: the sum of its
-    members less t(t-1)/2.
+    sweep's loop stays flat.  ``signs[i C(n,t) + j]`` is the parity of
+    inv(R_i) + inv(C_j), where inv of a set counts the pairs x in it and y
+    not in it with x > y: the sum of its members less t(t-1)/2.
     """
     level = _levels.get((n, t))
     if level is None:
@@ -92,7 +93,7 @@ def _level(n: int, t: int):
             for rows in drops
             for cols in drops
         )
-        level = _levels[n, t] = tuple(drops), steps, tuple(inv)
+        level = _levels[n, t] = tuple(drops), steps, tuple(p != q for p in inv for q in inv)
     return level
 
 
@@ -158,8 +159,7 @@ def symmetric_determinant(A: Matrix):
                     total += x * rows[s][r]
         return ring.total(total)
     k = (n + 1) // 2
-    levels, inv, add_product = _sweep(ring, rows, k), _level(n, k)[2], ring.add_product
-    signs = [p != q for p in inv for q in inv]
+    levels, signs, add_product = _sweep(ring, rows, k), _level(n, k)[2], ring.add_product
     for x, y, negative in zip(levels[k], levels[n - k][::-1], signs):
         total = add_product(total, x, y, negative)
     return ring.total(total)
@@ -212,7 +212,7 @@ def _adjoint_walk(A: Matrix, side: str, k: int):
     (Q_k, Q_{k-1} ... Q_1 A).
 
     Each step is the preadjoint of the running product before it; the k-th
-    product is never formed, so a trace of it need not build it.
+    product is formed only by ``sequence_product``, which asks for it.
     """
     order = _by_side(side, lambda run, step: (run, step), lambda run, step: (step, run))
     if k < 1:
@@ -248,16 +248,30 @@ def trace_of_product(X: Matrix, Y: Matrix):
     return ring.total(total)
 
 
+def _kth_determinant(A: Matrix, side: str, k: int):
+    """tr(X X*) (right) or tr(X* X) (left) for the running product X before
+    the k-th step, A P_1 ... P_{k-1} or Q_{k-1} ... Q_1 A: sdet(X) by Thm 3.1."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    X = A if k == 1 else sequence_product(A, side, k - 1)
+    if X.n >= 4:
+        return symmetric_determinant(X)
+    # at n <= 3 this trace already is the halves' split at k = 1 (45 fused
+    # products at n = 3), while sdet's own n <= 3 branch makes the 72
+    # unfused * the benchmark's tests pin and is slower through rdet_2 and
+    # charpoly; the choice goes once ROADMAP item 1 re-pins sdet at n = 3
+    star = preadjoint(X)
+    return trace_of_product(*_by_side(side, (X, star), (star, X)))
+
+
 def right_determinant(A: Matrix, k: int = 1):
-    """The k-th right determinant tr(A P_1 ... P_k)."""
-    _, factors = _adjoint_walk(A, "right", k)
-    return trace_of_product(*factors)
+    """The k-th right determinant tr(A P_1 ... P_k), sdet(A P_1 ... P_{k-1})."""
+    return _kth_determinant(A, "right", k)
 
 
 def left_determinant(A: Matrix, k: int = 1):
-    """The k-th left determinant tr(Q_k ... Q_1 A)."""
-    _, factors = _adjoint_walk(A, "left", k)
-    return trace_of_product(*factors)
+    """The k-th left determinant tr(Q_k ... Q_1 A), sdet(Q_{k-1} ... Q_1 A)."""
+    return _kth_determinant(A, "left", k)
 
 
 class CommutatorDefect(Record):

@@ -172,14 +172,14 @@ def test_the_oracles_catch_a_corrupted_minor_step(n, monkeypatch):
     # oracles; from n = 4 sdet reads the halves instead
     _, A = generic_matrix(n)
     sdet, star = sdet_double_sum(A), preadjoint_double_sum(A)
-    drops, steps, inv = determinants._level(n, n - 1)
+    drops, steps, signs = determinants._level(n, n - 1)
     assert len(steps) == n * n
     for i, terms in enumerate(steps):
         for j in {0, len(terms) - 1}:
             pred, r, c, negative = terms[j]
             flipped = list(steps)
             flipped[i] = terms[:j] + ((pred, r, c, not negative),) + terms[j + 1 :]
-            monkeypatch.setitem(determinants._levels, (n, n - 1), (drops, tuple(flipped), inv))
+            monkeypatch.setitem(determinants._levels, (n, n - 1), (drops, tuple(flipped), signs))
             assert (symmetric_determinant(A) != sdet) == (n <= 3)
             assert preadjoint(A) != star
 
@@ -251,11 +251,13 @@ def test_sdet_builds_only_the_levels_it_reads(ints, monkeypatch):
 def test_the_drops_factor_the_steps(n):
     # each t-set lists its t drops, n 2^(n-1) - n in all over levels
     # 1..n-1 (the full set's n are never needed); the flat steps derived
-    # from them hold C(n,t)^2 t^2 terms per level, one per drop pair
+    # from them hold C(n,t)^2 t^2 terms per level, one per drop pair, and
+    # the halves' pair signs one per state
     levels = [determinants._level(n, t) for t in range(1, n)]
     assert sum(len(d) for drops, _, _ in levels for d in drops) == n * 2 ** (n - 1) - n
-    for t, (drops, steps, inv) in enumerate(levels, 1):
-        assert len(drops) == len(inv) == math.comb(n, t)
+    for t, (drops, steps, signs) in enumerate(levels, 1):
+        assert len(drops) == math.comb(n, t)
+        assert len(steps) == len(signs) == math.comb(n, t) ** 2
         assert sum(map(len, steps)) == math.comb(n, t) ** 2 * t**2
 
 
@@ -463,6 +465,25 @@ def test_sdet_builds_each_ordered_prefix_once(n, products, ints, monkeypatch):
 # -- adjoint sequences and k-th determinants ------------------------------------
 
 
+@pytest.mark.parametrize(
+    "n, k, products", [(3, 1, 45), (3, 2, 108), (4, 1, 180), (4, 2, 532), (5, 1, 1400), (6, 1, 4900)]
+)
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_kth_determinants_take_sdet_of_the_running_product(n, k, products, side, ints, monkeypatch):
+    # from n = 4 rdet_k/ldet_k are sdet of the product before the k-th
+    # step: at k = 2 A* (288) and A A* (64), then sdet's 180, 1,400 or
+    # 4,900, where the k-th step's sweep and trace took 304, 656, 1,725 and
+    # 9,036; at n = 3 they stay, 36 + 9, after A* (36) and A A* (27) at k = 2
+    monkeypatch.setattr(CountingInt, "products", 0)
+    rng = random.Random(n)
+    A = Matrix(ints, [[CountingInt(rng.randint(-9, 9)) for _ in range(n)] for _ in range(n)])
+    value = (right_determinant if side == "right" else left_determinant)(A, k)
+    assert CountingInt.products == products
+    det, f = commutative_det(A), math.factorial(n - 1)
+    # A P_1 = (n-1)! det I, so rdet_2 = ldet_2 = n ((n-1)!)^(n+1) det^n
+    assert value == (n * f * det if k == 1 else n * f ** (n + 1) * det**n)
+
+
 def test_adjoint_sequence_base_case():
     _, A = generic_matrix(2)
     for side in ("right", "left"):
@@ -530,14 +551,18 @@ def test_adjoint_sequence_fails_fast_over_the_term_budget():
         adjoint_sequence(A, "right", 4)
 
 
-@pytest.mark.parametrize("n", [2, 3, 5, 6])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_first_determinants_equal_sdet(n):
-    # tr(A A*) and tr(A* A) run on the full sweep; at n = 6 sdet's halves
-    # skip its states over four positions
+    # from n = 4 rdet_1 and ldet_1 are sdet's halves, so they are checked
+    # against tr(A A*) and tr(A* A) over the full sweep, and against the
+    # double sum while it is small
     _, A = generic_matrix(n)
-    sdet = symmetric_determinant(A)
-    assert right_determinant(A, 1) == sdet
-    assert left_determinant(A, 1) == sdet
+    star = preadjoint(A)
+    rdet, ldet = right_determinant(A, 1), left_determinant(A, 1)
+    assert rdet == trace_of_product(A, star)
+    assert ldet == trace_of_product(star, A)
+    if n <= 4:
+        assert rdet == ldet == sdet_double_sum(A)
 
 
 def test_closed_form_for_commutative_rdet_2(ints):
@@ -562,10 +587,19 @@ def test_determinant_recursion_note():
 
 
 def test_sequence_product_matches_trace_shortcut():
-    _, A = generic_matrix(2)
-    for k in (1, 2):
-        assert sequence_product(A, "right", k).trace() == right_determinant(A, k)
-        assert sequence_product(A, "left", k).trace() == left_determinant(A, k)
+    # the k-th product's trace against rdet_k/ldet_k, which from n = 4 are
+    # sdet of the product before it and never form the k-th
+    rng = random.Random(4)
+    exterior = GrassmannAlgebra(4)
+    for A in (
+        generic_matrix(2)[1],
+        random_int_matrix(rng, 4, IntegerRing()),
+        random_grassmann_matrix(exterior, rng, 4),
+        random_supermatrix(exterior, rng, 4, 2),
+    ):
+        for k in (1, 2):
+            assert sequence_product(A, "right", k).trace() == right_determinant(A, k)
+            assert sequence_product(A, "left", k).trace() == left_determinant(A, k)
 
 
 def test_trace_of_product_agrees_with_full_product(ints):
