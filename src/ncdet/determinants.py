@@ -19,15 +19,16 @@ of the ordered products that list R and C in every order.  The states
 over t positions form level t, and level 1 is the entries.  Each state of
 level t sums the states over its row and column sets less one member
 each, times that row and column's entry on the right, and the sign
-counts the members of R and C above them.  Both the predecessor and the
-sign split into a row part and a column part, so each level is planned
-from one list of drops per t-set, built the first time a caller reads
-that level.  The states of the top level, n - 1, with (-1)^(r+s) in
-their signs, are the entries of the preadjoint.  The symmetric
-determinant splits at k = ceil(n/2) positions: the sum over row and
-column sets (R, C) of k positions of the state on (R, C) times the state
-on their complements, signed by the inversions between each set and its
-complement, so it builds and runs only levels up to k.  At n <= 3 it is
+counts the members of R and C above them: one ``Ring.dot`` per state.
+Both the predecessor and the sign split into a row part and a column
+part, so each level is planned from one list of drops per t-set, built
+the first time a caller reads that level.  The states of the top level,
+n - 1, with (-1)^(r+s) in their signs, are the entries of the
+preadjoint.  The symmetric determinant splits at k = ceil(n/2)
+positions: one ``Ring.dot`` over row and column sets (R, C) of k
+positions of the state on (R, C) times the state on their complements,
+signed by the inversions between each set and its complement, so it
+builds and runs only levels up to k.  At n <= 3 it is
 tr(A* A) (Thm 3.1) over the top level's terms instead, left unsummed:
 each term, a state over n - 2 positions times its factor, times the
 entry of A it meets in the trace.  The double sum itself lives on as a
@@ -45,7 +46,7 @@ it (A at k = 1), so both are sdet(X) by Thm 3.1: from n = 4 by its halves.
 
 from __future__ import annotations
 
-from .matrices import Matrix, _signed_minors, commutative_adj, commutative_det
+from .matrices import Matrix, _product_terms, _signed_minors, commutative_adj, commutative_det
 from .rings import IntegerRing, Record
 
 
@@ -72,11 +73,13 @@ def _level(n: int, t: int):
     above x.  At the top level, t = n - 1, the parity also counts the set's
     missing member, so the top's states are the entries of the preadjoint:
     A*[r][s] is the state on (rows less s, columns less r), at index
-    (n-1-s) n + n-1-r.  ``steps`` derives from the drops one tuple of
-    (predecessor index, row, column, negative) terms per state, so the
-    sweep's loop stays flat.  ``signs[i C(n,t) + j]`` is the parity of
-    inv(R_i) + inv(C_j), where inv of a set counts the pairs x in it and y
-    not in it with x > y: the sum of its members less t(t-1)/2.
+    (n-1-s) n + n-1-r.  ``steps`` derives from the drops the ``Ring.dot``
+    terms of each state, (predecessor, entry r n + c, negative) over the
+    level below and the flat entries.  ``halves`` are those of sdet's split
+    at t positions, (i, last - i, negative) over this level and level n - t
+    read backwards, negative for inv(R) + inv(C) odd at the state i on
+    (R, C), where inv of a set counts the pairs x in it and y not in it
+    with x > y: the sum of its members less t(t-1)/2.
     """
     level = _levels.get((n, t))
     if level is None:
@@ -89,29 +92,24 @@ def _level(n: int, t: int):
             drops.append(tuple((rank[m ^ 1 << x], x, ((m >> x + 1).bit_count() + missing) % 2 == 1) for x in members))
             inv.append((sum(members) - t * (t - 1) // 2) % 2 == 1)
         steps = tuple(
-            tuple((i * width + j, r, c, p != q) for i, r, p in rows for j, c, q in cols)
+            tuple((i * width + j, r * n + c, p != q) for i, r, p in rows for j, c, q in cols)
             for rows in drops
             for cols in drops
         )
-        level = _levels[n, t] = tuple(drops), steps, tuple(p != q for p in inv for q in inv)
+        last, signs = len(inv) ** 2 - 1, enumerate(p != q for p in inv for q in inv)
+        level = _levels[n, t] = tuple(drops), steps, tuple((i, last - i, neg) for i, neg in signs)
     return level
 
 
 def _sweep(ring, rows, top: int) -> list:
     """The sweep's states by level, ``levels[t]`` for t = 1..top >= 1: the
     entries, row-major, then the value of each step of levels 2..top, the
-    signed sum of its predecessors' values times one entry on the right."""
-    n = len(rows)
-    add_product = ring.add_product
+    signed sum of its predecessors' values times one entry on the right,
+    one ``Ring.dot`` per state."""
+    n, dot = len(rows), ring.dot
     levels = [None, [x for row in rows for x in row]]
     for t in range(2, top + 1):
-        below, states = levels[-1], []
-        for terms in _level(n, t)[1]:
-            total = ring.accumulator()
-            for pred, r, c, negative in terms:
-                total = add_product(total, below[pred], rows[r][c], negative)
-            states.append(ring.total(total))
-        levels.append(states)
+        levels.append([dot(levels[-1], levels[1], terms) for terms in _level(n, t)[1]])
     return levels
 
 
@@ -128,8 +126,8 @@ def symmetric_determinant(A: Matrix):
 
     in any ring, as each product keeps its left-to-right order.  The sweep
     builds and runs only levels up to k, and complementing reverses mask
-    order, so the state on (R', C') is level n - k read backwards.  Each
-    pair is one product written into the running sum: with the sweep's own
+    order, so the state on (R', C') is level n - k read backwards.  The
+    pairs are one ``Ring.dot`` over the two halves: with the sweep's own
     products 180, 1,400 and 4,900 ring multiplications at n = 4, 5, 6.
 
     At n <= 3 sdet is Thm 3.1's tr(A* A) with each entry of A* left as the
@@ -139,29 +137,27 @@ def symmetric_determinant(A: Matrix):
     72 ring multiplications at n = 1, 2, 3.
     """
     n, ring, rows = A.n, A.ring, A.rows
+    if n >= 4:
+        k = (n + 1) // 2
+        levels = _sweep(ring, rows, k)
+        return ring.dot(levels[k], levels[n - k], _level(n, k)[2])
     total = ring.accumulator()
     if n == 1:
         total += rows[0][0]
         return ring.total(total)
-    if n <= 3:
-        # The halves would make 45 products at generic n = 3, but the
-        # benchmark's tests pin the 72 (and 4 at integer n = 2) of this
-        # finish; their re-pin under ROADMAP item 1 retires this branch.
-        entries, top = [x for row in rows for x in row], _level(n, n - 1)[1]
-        for i in range(n * n):
-            r, s = divmod(i, n)  # entry (r, s) of A* meets A[s][r]
-            for pred, r2, c2, negative in top[(n - 1 - s) * n + n - 1 - r]:
-                # at n = 2 the state is the empty product
-                x = rows[r2][c2] if n == 2 else entries[pred] * rows[r2][c2]
-                if negative:
-                    total -= x * rows[s][r]
-                else:
-                    total += x * rows[s][r]
-        return ring.total(total)
-    k = (n + 1) // 2
-    levels, signs, add_product = _sweep(ring, rows, k), _level(n, k)[2], ring.add_product
-    for x, y, negative in zip(levels[k], levels[n - k][::-1], signs):
-        total = add_product(total, x, y, negative)
+    # The halves would make 45 products at generic n = 3, but the
+    # benchmark's tests pin the 72 (and 4 at integer n = 2) of this
+    # finish; their re-pin under ROADMAP item 1 retires this branch.
+    entries, top = [x for row in rows for x in row], _level(n, n - 1)[1]
+    for i in range(n * n):
+        r, s = divmod(i, n)  # entry (r, s) of A* meets A[s][r]
+        for pred, cell, negative in top[(n - 1 - s) * n + n - 1 - r]:
+            # at n = 2 the state is the empty product
+            x = entries[cell] if n == 2 else entries[pred] * entries[cell]
+            if negative:
+                total -= x * rows[s][r]
+            else:
+                total += x * rows[s][r]
     return ring.total(total)
 
 
@@ -184,7 +180,8 @@ def preadjoint(A: Matrix) -> Matrix:
     ring, rows = A.ring, A.rows
     if n == 2:
         # the top is level 1: each state is the empty product times one entry
-        top = [-rows[r][c] if negative else rows[r][c] for ((_, r, c, negative),) in _level(2, 1)[1]]
+        entries = rows[0] + rows[1]
+        top = [-entries[c] if negative else entries[c] for ((_, c, negative),) in _level(2, 1)[1]]
     else:
         top = _sweep(ring, rows, n - 1)[n - 1]
     # A*[r][s] is the state at (n-1-s) n + n-1-r: the top read backwards, every n-th
@@ -240,12 +237,8 @@ def sequence_product(A: Matrix, side: str, k: int) -> Matrix:
 def trace_of_product(X: Matrix, Y: Matrix):
     """tr(X Y) without forming the full product matrix."""
     X._check_compatible(Y)
-    ring = X.ring
-    total = ring.accumulator()
-    for i in range(X.n):
-        for j in range(X.n):
-            total = ring.add_product(total, X.rows[i][j], Y.rows[j][i])
-    return ring.total(total)
+    flat = [x for row in X.rows for x in row], [y for row in Y.rows for y in row]
+    return X.ring.dot(*flat, _product_terms(X.n)[1])
 
 
 def _kth_determinant(A: Matrix, side: str, k: int):

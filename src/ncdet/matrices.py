@@ -1,10 +1,11 @@
 """Dense square matrices over any ring satisfying the package's ring contract.
 
 Matrices are immutable; products multiply the left factor's entries on the
-left, which is the convention every identity in the package depends on.
-The dimension is capped (default 6) because generic sdet has (n!)^2 terms,
-518,400 at n = 6 and 25,401,600 at n = 7, past the term budget of one
-running sum; its 9,900 ring multiplications at n = 6 do not set the cap.
+left, the convention every identity in the package depends on, one
+``Ring.dot`` per entry.  The dimension is capped (default 6) because
+generic sdet has (n!)^2 terms, 518,400 at n = 6 and 25,401,600 at n = 7,
+past the term budget of one running sum, not by its 4,900 ring
+multiplications at n = 6.
 
 Also houses the commutative oracles (classical determinant and adjugate by
 cofactor expansion), the supermatrix parity predicate over the exterior
@@ -14,6 +15,7 @@ algebra, and the generic matrix of distinct free generators.
 from __future__ import annotations
 
 import operator
+from functools import cache
 from typing import Callable, Sequence
 
 from .freealg import FreeAlgebra
@@ -87,19 +89,9 @@ class Matrix(RingElement):
         if not isinstance(other, Matrix):
             return NotImplemented
         self._check_compatible(other)
-        n = self.n
-        ring = self.ring
-        add_product = ring.add_product
-        rows = []
-        for left in self.rows:
-            row = []
-            for j in range(n):
-                acc = ring.accumulator()
-                for k in range(n):
-                    acc = add_product(acc, left[k], other.rows[k][j])
-                row.append(ring.total(acc))
-            rows.append(row)
-        return Matrix(ring, rows)
+        ring, columns = self.ring, _product_terms(self.n)[0]
+        flat, dot = [x for row in other.rows for x in row], ring.dot
+        return Matrix(ring, [[dot(left, flat, terms) for terms in columns] for left in self.rows])
 
     def __rmul__(self, other):
         # k * M is M * k: the scale is central
@@ -150,6 +142,14 @@ class Matrix(RingElement):
 
     def __repr__(self) -> str:
         return f"<Matrix {self.n}x{self.n} over {self.ring!r}>"
+
+
+@cache
+def _product_terms(n: int) -> tuple:
+    """(columns, trace), the ``Ring.dot`` terms of entry (i, j) of X Y over
+    row i of X and the flat Y, by j, and of tr(X Y) over flat X and Y."""
+    columns = tuple(tuple((k, k * n + j, False) for k in range(n)) for j in range(n))
+    return columns, tuple((c, c % n * n + c // n, False) for c in range(n * n))
 
 
 GENERIC_LETTERS = {1: "a", 2: "abcd", 3: "abcdefghp"}

@@ -10,11 +10,11 @@ exact integer ring simply uses Python's built-in ``int``, which is
 arbitrary precision, so all arithmetic in the package is exact.
 
 The free and exterior algebras share one sparse core.  A ``SparseRing``
-builds ``zero``, ``one``, ``from_int``, its ``SparseSum`` accumulator and
-``add_product`` from its ``element_type`` and ``term_limit``, the most
-term pairs one product and the most terms one sum may reach (10M by
-default); in the free algebra it also caps the letters one canonical text
-may write.  A ``SparseElement`` is a ``_terms`` dict from int keys to
+builds ``zero``, ``one``, ``from_int``, its ``SparseSum`` accumulator,
+``add_product`` and ``dot`` from its ``element_type`` and ``term_limit``,
+the most term pairs one product and the most terms one sum may reach (10M
+by default); in the free algebra it also caps the letters one canonical
+text may write.  A ``SparseElement`` is a ``_terms`` dict from int keys to
 nonzero integer coefficients with ``_raw``, ``is_zero``, ``+`` and ``-``
 (one signed fold, the loop ``SparseSum`` runs too), unary ``-``, ``*``,
 ``==``, ``hash`` and canonical text, which lists the keys in integer order
@@ -25,8 +25,9 @@ unit), key validation in ``__init__`` and its product kernel
 ``_mul_into(other, out, sign)``, which adds sign times the product into a
 dict ``out`` that its caller owns and refuses, before it writes anything, a
 product of more than ``term_limit`` term pairs.  ``*`` is that kernel run
-on a fresh dict, and ``SparseSum.add_product`` runs it on the running sum's
-own dict, so no product of a sum is built and then folded.  The kernel
+on a fresh dict, ``SparseSum.add_product`` runs it on the running sum's
+own dict, and ``SparseRing.dot`` runs it for a whole sum of products on
+one dict, so no product of a sum is built and then folded.  The kernel
 reads its right operand through ``_view``: the right-hand terms in the
 form the product loop wants, computed on first use and kept, since an
 element is immutable and a matrix entry is the right factor of many
@@ -141,9 +142,9 @@ class Ring(ABC):
 
     Concrete rings provide ``zero``, ``one``, ``from_int`` and
     ``_identity``; ``named_gens`` defaults to no generators, and a running
-    sum goes through ``accumulator``, ``add_product`` and ``total``.  Two
-    rings are equal when they are of one class with equal ``_identity()``,
-    and hash alike.
+    sum goes through ``accumulator``, ``add_product`` and ``total``, and a
+    whole sum of products through ``dot``.  Two rings are equal when they
+    are of one class with equal ``_identity()``, and hash alike.
     Equality of elements is structural: two elements are equal exactly
     when their canonical renderings (``str``) coincide, which every element
     type guarantees by normalizing on construction.  A seeded random
@@ -195,6 +196,8 @@ class Ring(ABC):
 
         and a sum of products, ``acc += x * y``, as
         ``acc = ring.add_product(acc, x, y)``; ``total`` ends the sum.
+        ``ring.dot(xs, ys, terms)`` runs a whole sum of products in one
+        call: this loop by default, inline over the integers.
         By default the accumulator is ``zero`` and each step builds a
         new element, which suits the integers.  Sparse rings return a
         ``SparseSum``, which folds each term into one dict in place, so
@@ -213,6 +216,14 @@ class Ring(ABC):
     def total(self, acc):
         """The element an accumulator of this ring has summed."""
         return acc
+
+    def dot(self, xs, ys, terms):
+        """The sum over (i, j, negative) in ``terms`` of ``xs[i] * ys[j]``,
+        less where ``negative`` is set, by the ``add_product`` loop."""
+        acc, add_product = self.accumulator(), self.add_product
+        for i, j, negative in terms:
+            acc = add_product(acc, xs[i], ys[j], negative)
+        return self.total(acc)
 
 
 class IntegerRing(Ring):
@@ -244,6 +255,12 @@ class IntegerRing(Ring):
                 f"integer sum grew past {limit} digits, the most the interpreter prints"
             )
         return acc
+
+    def dot(self, xs, ys, terms) -> int:
+        acc = 0
+        for i, j, negative in terms:
+            acc = acc - xs[i] * ys[j] if negative else acc + xs[i] * ys[j]
+        return self.total(acc)
 
     def __repr__(self) -> str:
         return "IntegerRing()"
@@ -279,6 +296,20 @@ class SparseRing(Ring):
         return acc.add_product(x, y, negative)
 
     def total(self, acc: SparseSum):
+        return acc.value()
+
+    def dot(self, xs, ys, terms):
+        # own elements run x's kernel on one dict, others add_product's route
+        acc = SparseSum(self)
+        out, element, limit = acc._terms, self.element_type, acc._limit
+        for i, j, negative in terms:
+            x, y = xs[i], ys[j]
+            if type(x) is type(y) is element and x.ring is self and y.ring is self:
+                x._mul_into(y, out, -1 if negative else 1)
+                if len(out) > limit:
+                    acc._checked(out)
+            else:
+                acc.add_product(x, y, negative)
         return acc.value()
 
 

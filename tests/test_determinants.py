@@ -27,7 +27,7 @@ from ncdet import (
     symmetric_determinant,
     trace_of_product,
 )
-from ncdet import determinants
+from ncdet import determinants, rings
 from ncdet.charpoly import char_matrix
 from ncdet.verify import (
     generic_matrix,
@@ -172,38 +172,35 @@ def test_the_oracles_catch_a_corrupted_minor_step(n, monkeypatch):
     # oracles; from n = 4 sdet reads the halves instead
     _, A = generic_matrix(n)
     sdet, star = sdet_double_sum(A), preadjoint_double_sum(A)
-    drops, steps, signs = determinants._level(n, n - 1)
+    drops, steps, halves = determinants._level(n, n - 1)
     assert len(steps) == n * n
     for i, terms in enumerate(steps):
         for j in {0, len(terms) - 1}:
-            pred, r, c, negative = terms[j]
+            pred, cell, negative = terms[j]
             flipped = list(steps)
-            flipped[i] = terms[:j] + ((pred, r, c, not negative),) + terms[j + 1 :]
-            monkeypatch.setitem(determinants._levels, (n, n - 1), (drops, tuple(flipped), signs))
+            flipped[i] = terms[:j] + ((pred, cell, not negative),) + terms[j + 1 :]
+            monkeypatch.setitem(determinants._levels, (n, n - 1), (drops, tuple(flipped), halves))
             assert (symmetric_determinant(A) != sdet) == (n <= 3)
             assert preadjoint(A) != star
 
 
 def _flipped_halves(monkeypatch, A):
-    # sdet's last C(n,k)^2 add_product calls are its pairs of halves: sdet
-    # with the sign of one of those calls flipped, each in turn
-    n, ring = A.n, A.ring
-    original = type(ring).add_product
-    calls, flip = 0, None
-
-    def add_product(self, acc, x, y, negative=False):
-        nonlocal calls
-        calls += 1
-        return original(self, acc, x, y, negative != (calls == flip))
-
-    monkeypatch.setattr(type(ring), "add_product", add_product)
-    symmetric_determinant(A)
-    assert calls == sdet_products(n)  # the sweep's, then one per pair
-    last = calls
-    for flip in range(last - math.comb(n, (n + 1) // 2) ** 2 + 1, last + 1):
-        calls = 0
+    # sdet's last C(n,k)^2 products are its pairs of halves, the terms of
+    # level k's halves: sdet with the sign of one of those terms flipped,
+    # each in turn
+    n, k = A.n, (A.n + 1) // 2
+    drops, steps, halves = determinants._level(n, k)
+    assert len(halves) == math.comb(n, k) ** 2
+    rng = random.Random(n)
+    counted = Matrix(IntegerRing(), [[CountingInt(rng.randint(-9, 9)) for _ in range(n)] for _ in range(n)])
+    for i, (x, y, negative) in enumerate(halves):
+        flipped = halves[:i] + ((x, y, not negative),) + halves[i + 1 :]
+        monkeypatch.setitem(determinants._levels, (n, k), (drops, steps, flipped))
+        if i == 0:
+            monkeypatch.setattr(CountingInt, "products", 0)
+            symmetric_determinant(counted)
+            assert CountingInt.products == sdet_products(n)  # the sweep's, then one per pair
         yield symmetric_determinant(A)
-        assert calls == last
 
 
 def test_the_double_sum_catches_a_flipped_half(monkeypatch):
@@ -252,12 +249,12 @@ def test_the_drops_factor_the_steps(n):
     # each t-set lists its t drops, n 2^(n-1) - n in all over levels
     # 1..n-1 (the full set's n are never needed); the flat steps derived
     # from them hold C(n,t)^2 t^2 terms per level, one per drop pair, and
-    # the halves' pair signs one per state
+    # the halves' terms one per state
     levels = [determinants._level(n, t) for t in range(1, n)]
     assert sum(len(d) for drops, _, _ in levels for d in drops) == n * 2 ** (n - 1) - n
-    for t, (drops, steps, signs) in enumerate(levels, 1):
+    for t, (drops, steps, halves) in enumerate(levels, 1):
         assert len(drops) == math.comb(n, t)
-        assert len(steps) == len(signs) == math.comb(n, t) ** 2
+        assert len(steps) == len(halves) == math.comb(n, t) ** 2
         assert sum(map(len, steps)) == math.comb(n, t) ** 2 * t**2
 
 
@@ -460,6 +457,38 @@ def test_sdet_builds_each_ordered_prefix_once(n, products, ints, monkeypatch):
     value = symmetric_determinant(A)
     assert CountingInt.products == products == sdet_products(n)
     assert value == math.factorial(n) * commutative_det(A)
+
+
+@pytest.mark.parametrize("n, sdet_count, star_count", [(4, 180, 288), (5, 1400, 1700), (6, 4900, 9000)])
+def test_integer_sums_of_products_are_one_dot_each(n, sdet_count, star_count, ints, monkeypatch):
+    # one IntegerRing.dot per sweep state, plus one for sdet's halves, and
+    # no product through add_product: a fallback to per-product dispatch
+    # fails here
+    dots, add_products, original = [], 0, IntegerRing.dot
+
+    def dot(self, xs, ys, terms):
+        dots.append(len(terms))
+        return original(self, xs, ys, terms)
+
+    def add_product(self, acc, x, y, negative=False):
+        nonlocal add_products
+        add_products += 1
+        return acc - x * y if negative else acc + x * y
+
+    monkeypatch.setattr(IntegerRing, "dot", dot)
+    monkeypatch.setattr(rings.Ring, "add_product", add_product)
+    rng = random.Random(n)
+    A = Matrix(ints, [[CountingInt(rng.randint(-9, 9)) for _ in range(n)] for _ in range(n)])
+    for run, top, halves, products in [
+        (symmetric_determinant, (n + 1) // 2, 1, sdet_count),
+        (preadjoint, n - 1, 0, star_count),
+    ]:
+        dots.clear()
+        monkeypatch.setattr(CountingInt, "products", 0)
+        run(A)
+        assert len(dots) == sum(math.comb(n, t) ** 2 for t in range(2, top + 1)) + halves
+        assert sum(dots) == CountingInt.products == products
+        assert add_products == 0
 
 
 # -- adjoint sequences and k-th determinants ------------------------------------

@@ -716,3 +716,99 @@ def test_fused_operands_coerce_or_refuse_as_the_product_does(build, stranger):
     acc = ring.add_product(acc, 2, 3)
     acc = ring.add_product(acc, u, v, negative=True)
     assert ring.total(acc) == 5 * u + u * u + 6 - u * v
+
+
+# -- dot: one call per sum of products ------------------------------------------
+
+
+def _loop_dot(ring, xs, ys, terms):
+    """What ``ring.dot`` must equal: the accumulator loop over its terms."""
+    acc = ring.accumulator()
+    for i, j, negative in terms:
+        acc = ring.add_product(acc, xs[i], ys[j], negative)
+    return ring.total(acc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(_factors)).flatmap(
+    lambda kind: st.tuples(
+        st.just(kind),
+        st.lists(_factors[kind][1], min_size=1, max_size=3),
+        st.lists(_factors[kind][1], min_size=1, max_size=3),
+        # indices taken modulo the lists' lengths, so repeats are common
+        st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2), st.booleans()), max_size=6),
+    )
+))
+def test_dot_matches_the_accumulator_loop(case):
+    kind, xs, ys, terms = case
+    ring = _factors[kind][0]
+    terms = [(i % len(xs), j % len(ys), negative) for i, j, negative in terms]
+    operands = (*xs, *ys)
+    before = [_held(e) for e in operands]
+    result = ring.dot(xs, ys, terms)
+    assert [_held(e) for e in operands] == before
+    expected = _loop_dot(ring, xs, ys, terms)
+    assert result == expected
+    assert str(result) == str(expected)
+    plain = ring.zero
+    for i, j, negative in terms:
+        product = _plain_product(ring, xs[i], ys[j])
+        plain = _plain_sum(ring, plain, -product if negative else product)
+    assert result == plain
+    assert all(_views_hold(e) for e in (*operands, result))
+
+
+@pytest.mark.parametrize("kind", sorted(_factors))
+def test_dot_over_no_terms_is_zero(kind):
+    ring = _factors[kind][0]
+    assert ring.dot([], [], []) == ring.zero
+    assert str(ring.dot([ring.one], [ring.one], [])) == str(ring.zero)
+
+
+def _refusal(sum_of_products):
+    with pytest.raises(TermLimitError) as caught:
+        sum_of_products()
+    return str(caught.value)
+
+
+@pytest.mark.parametrize("kind", ["free", "grassmann"])
+def test_dot_over_the_budget_refuses_as_the_loop_does(kind):
+    ring, u, w, t = _budget_case(kind)
+    cases = [
+        # one product of 4 term pairs, first or after a written product
+        (([u + w], [u - w], [(0, 0, False)]), "product would enumerate 4 term pairs"),
+        (([u, u + w], [w, u - w], [(0, 0, False), (1, 1, True)]), "product would enumerate 4 term pairs"),
+        # u + w, then t (u + w) grows the sum to 4 terms
+        (([u, w, t], [ring.one, u + w], [(0, 0, False), (1, 0, False), (2, 1, False)]), "sum grew to 4 terms"),
+    ]
+    for (xs, ys, terms), start in cases:
+        message = _refusal(lambda: ring.dot(xs, ys, terms))
+        assert message == _refusal(lambda: _loop_dot(ring, xs, ys, terms))
+        assert message == f"{start}, over the budget of 3"
+
+
+@pytest.mark.parametrize(
+    "build, stranger",
+    [(lambda: FreeAlgebra(("a", "b")), FreeAlgebra(("x",)).gen("x")),
+     (lambda: GrassmannAlgebra(3), GrassmannAlgebra(2).gen(1))],
+    ids=["free", "grassmann"],
+)
+def test_dot_operands_coerce_or_refuse_as_add_product_does(build, stranger):
+    ring = build()
+    u, v = ring.gens()[:2]
+    twin = build().gens()[0]  # of an equal, distinct ring
+    for x, y in ((u, stranger), (stranger, u), (stranger, stranger)):
+        with pytest.raises(ValueError, match=stranger._MISMATCH):
+            ring.dot([u, x], [u, y], [(0, 0, False), (1, 1, False)])
+    xs, ys = [3, u, twin, 2, u], [u, -2, u, 3, v]
+    terms = [(0, 0, False), (1, 1, True), (2, 2, False), (3, 3, False), (4, 4, True)]
+    assert ring.dot(xs, ys, terms) == _loop_dot(ring, xs, ys, terms) == 5 * u + u * u + 6 - u * v
+
+
+def test_an_integer_dot_past_the_digit_limit_raises(monkeypatch):
+    ints = IntegerRing()
+    monkeypatch.setattr(rings, "_max_str_digits", lambda: 5)
+    assert ints.dot([999, 100], [100, 1], [(0, 0, False), (1, 1, True)]) == 99_800
+    for negative in (False, True):
+        with pytest.raises(TermLimitError, match="integer sum grew past 5 digits"):
+            ints.dot([1000], [100], [(0, 0, negative)])

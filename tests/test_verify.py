@@ -185,13 +185,13 @@ def flip_a_minor_sign(monkeypatch, which):
     true_level = determinants._level
 
     def flipped(n, t):
-        drops, steps, inv = true_level(n, t)
+        drops, steps, halves = true_level(n, t)
         if t == n - 1:
             r, s = divmod(which % (n * n), n)
             i = (n - 1 - s) * n + n - 1 - r
-            (pred, row, col, negative), *rest = steps[i]
-            steps = steps[:i] + (((pred, row, col, not negative), *rest),) + steps[i + 1 :]
-        return drops, steps, inv
+            (pred, cell, negative), *rest = steps[i]
+            steps = steps[:i] + (((pred, cell, not negative), *rest),) + steps[i + 1 :]
+        return drops, steps, halves
 
     monkeypatch.setattr(determinants, "_level", flipped)
 
