@@ -9,22 +9,23 @@ the indeterminate z commutes with everything, so the product of two
 polynomials multiplies coefficients in the base ring with the left
 factor's coefficient on the left.  ``PolynomialRing`` implements the ring
 contract, which lets the whole matrix/determinant machinery run unchanged
-over R[z].  Its accumulator holds one base accumulator per z-degree, and
-``add_product`` writes each slice product into its degree's sum;
-``CentralPoly``'s ``+`` and ``*`` are that accumulator run on one or two
-terms, so the sweep, the matrix product and the traces sum over R[z]
-without building a product or a running sum per term.  The k-th
-characteristic polynomial of A is the k-th right (or left) determinant
-of zI - A: over the exterior algebra one determinant of 2^B I - A over
-R, read back as one balanced B-bit digit per z-degree, and over other
-rings computed in R[z].  A polynomial prints from its top degree down,
-and a coefficient whose terms are all negative prints as a minus sign
-before its negation.
+over R[z].  Its ``dot`` is one base ``dot`` per z-degree over the
+operands' coefficients, and ``CentralPoly``'s ``*`` is that ``dot`` on one
+term, so the sweep, the matrix product and the traces sum over R[z]
+without building a product polynomial per term; ``+`` adds coefficient
+by coefficient, and a running sum is the zero polynomial and ``+``.  The
+k-th characteristic polynomial of A is the k-th right (or left)
+determinant of zI - A: over the exterior algebra one determinant of
+2^B I - A over R, read back as one balanced B-bit digit per z-degree, and
+over other rings computed in R[z].  A polynomial prints from its top
+degree down, and a coefficient whose terms are all negative prints as a
+minus sign before its negation.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from typing import Sequence
 
 from .determinants import _by_side, left_determinant, preadjoint, right_determinant
@@ -32,7 +33,7 @@ from .freealg import FreeAlgebra
 from .grassmann import GrassmannAlgebra
 from .matrices import Matrix
 from .perms import signed_permutations
-from .rings import _ENDED, IntegerRing, Record, Ring, RingElement, join_signed
+from .rings import IntegerRing, Record, Ring, RingElement, join_signed
 
 # the largest free-algebra witness: generic n = 5 takes 0.31-0.37 s and
 # a process peak RSS of 60 MB (Python 3.11.7, 2-core machine); n = 6
@@ -61,73 +62,45 @@ class PolynomialRing(Ring):
     def from_int(self, k: int) -> CentralPoly:
         return CentralPoly(self, [self.base.from_int(k)])
 
-    def accumulator(self) -> _PolySum:
-        return _PolySum(self)
+    def dot(self, xs, ys, terms) -> CentralPoly:
+        """The sum over (i, j, negative) in ``terms`` of ``xs[i] * ys[j]``,
+        less where ``negative`` is set, as one base ``dot`` per z-degree.
 
-    def add_product(self, acc: _PolySum, x, y, negative: bool = False) -> _PolySum:
-        """The sum less (``negative``) or plus ``x * y``, written slice by
-        slice into its per-degree sums; operands other than two polynomials
-        of an equal ring take ``x * y`` and fold it."""
-        if not (
-            type(x) is type(y) is CentralPoly
-            and (x.ring is self or x.ring == self)
-            and (y.ring is self or y.ring == self)
-        ):
-            product = x * y
-            return acc - product if negative else acc + product
-        xs, ys = x._coeffs, y._coeffs
-        sums = acc._slices(len(xs) + len(ys) - 1)
-        add_product = self.base.add_product
-        for i, a in enumerate(xs):
-            for j, b in enumerate(ys):
-                sums[i + j] = add_product(sums[i + j], a, b, negative)
-        return acc
+        The operands' coefficients go into one flat list, and degree d sums
+        the coefficient products a_s b_t with s + t = d.  Operands are
+        coerced or refused as ``*`` does.
+        """
+        flat, slices = [], []
+        for i, j, negative in terms:
+            x, y = xs[i], ys[j]
+            if type(x) is not CentralPoly or x.ring is not self:
+                x = self._operand(x)
+            if type(y) is not CentralPoly or y.ring is not self:
+                y = self._operand(y)
+            p, m, k = len(flat), len(x._coeffs), len(y._coeffs)
+            flat += x._coeffs
+            flat += y._coeffs
+            while len(slices) < m + k - 1:
+                slices.append([])
+            right = range(p + m, p + m + k)  # where y's coefficients sit in flat
+            for s in range(m):
+                for d, b in enumerate(right, s):
+                    slices[d].append((p + s, b, negative))
+        dot = self.base.dot
+        return CentralPoly(self, [dot(flat, flat, pairs) for pairs in slices])
 
-    def total(self, acc: _PolySum) -> CentralPoly:
-        sums, acc._sums = acc._slices(0), None
-        return CentralPoly(self, list(map(self.base.total, sums)))
+    def _operand(self, x) -> CentralPoly:
+        """x as a polynomial of this ring, refused as ``*`` refuses it."""
+        coerced = self.zero._coerce(x)
+        if coerced is None:
+            raise TypeError(f"unsupported operand type for * in {self!r}: {type(x).__name__!r}")
+        return coerced
 
     def _identity(self) -> tuple:
         return (self.base,)
 
     def __repr__(self) -> str:
         return f"PolynomialRing({self.base!r})"
-
-
-class _PolySum:
-    """In-place running sum over one ``PolynomialRing``: a base accumulator
-    per z-degree.  ``acc + p`` and ``acc - p`` fold p's coefficients into
-    them and return the accumulator itself, and ``total`` ends the sum."""
-
-    __slots__ = ("_ring", "_sums")
-
-    def __init__(self, ring: PolynomialRing):
-        self._ring = ring
-        self._sums: list = []
-
-    def _slices(self, size: int) -> list:
-        sums = self._sums
-        if sums is None:
-            raise RuntimeError(_ENDED)
-        if len(sums) < size:
-            base = self._ring.base
-            sums.extend([base.accumulator() for _ in range(size - len(sums))])
-        return sums
-
-    def __add__(self, p, negative: bool = False):
-        # __sub__ is this with negative set
-        ring = self._ring
-        if type(p) is not CentralPoly or p.ring is not ring:
-            p = ring.zero._coerce(p)
-            if p is None:
-                return NotImplemented
-        sums = self._slices(len(p._coeffs))
-        for d, c in enumerate(p._coeffs):
-            sums[d] = sums[d] - c if negative else sums[d] + c
-        return self
-
-    def __sub__(self, p):
-        return self.__add__(p, True)
 
 
 class CentralPoly(RingElement):
@@ -175,7 +148,10 @@ class CentralPoly(RingElement):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self.ring.total(self.ring.accumulator() + self + other)
+        a, b = self._coeffs, other._coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        return CentralPoly(self.ring, [*map(operator.add, a, b), *a[len(b):]])
 
     __radd__ = __add__
 
@@ -186,7 +162,7 @@ class CentralPoly(RingElement):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self.ring.total(self.ring.add_product(self.ring.accumulator(), self, other))
+        return self.ring.dot((self,), (other,), ((0, 0, False),))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
@@ -331,13 +307,12 @@ def cayley_hamilton_witness(A: Matrix) -> CHWitness:
 def standard_polynomial_4(x1, x2, x3, x4):
     """S_4: the signed sum of all 24 orderings of four ring elements."""
     items = (x1, x2, x3, x4)
-    # the ring of the first argument; plain ints sum in the integers
-    ring = getattr(x1, "ring", None) or IntegerRing()
-    total = ring.accumulator()
-    for images, sign in signed_permutations(4):
-        prod = items[images[0]] * items[images[1]] * items[images[2]]
-        total = ring.add_product(total, prod, items[images[3]], sign < 0)
-    return ring.total(total)
+    # the ring of the first argument that has one; plain ints sum in the integers
+    ring = next((x.ring for x in items if hasattr(x, "ring")), IntegerRing())
+    orderings = signed_permutations(4)
+    heads = [items[p[0]] * items[p[1]] * items[p[2]] for p, _ in orderings]
+    terms = [(i, p[3], sign < 0) for i, (p, sign) in enumerate(orderings)]
+    return ring.dot(heads, items, terms)
 
 
 def newton_sdet_2(A: Matrix):

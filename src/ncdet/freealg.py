@@ -247,7 +247,7 @@ def specialize(p: FreePoly, assignment: Mapping[str, object], ring: Ring):
     images: dict[int, object] = {}
     names = p.ring.names
     decode = p.ring._decode
-    total = ring.accumulator()
+    coeffs, values = [], []
     for word, coeff in p._terms.items():
         value = ring.one
         for letter in decode(word):
@@ -257,5 +257,6 @@ def specialize(p: FreePoly, assignment: Mapping[str, object], ring: Ring):
                     raise ValueError(f"no assignment for generator {name!r}")
                 images[letter] = assignment[name]
             value = value * images[letter]
-        total = ring.add_product(total, ring.from_int(coeff), value)
-    return ring.total(total)
+        coeffs.append(ring.from_int(coeff))
+        values.append(value)
+    return ring.dot(coeffs, values, [(i, i, False) for i in range(len(values))])

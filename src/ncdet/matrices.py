@@ -203,7 +203,8 @@ def _det_recursive(A: Matrix):
     ring = A.ring
     total = ring.accumulator()
     for j in range(A.n):
-        total = ring.add_product(total, A.rows[0][j], _det_recursive(A.minor(0, j)), j % 2 == 1)
+        product = A.rows[0][j] * _det_recursive(A.minor(0, j))
+        total = total - product if j % 2 else total + product
     return ring.total(total)
 
 

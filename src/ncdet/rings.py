@@ -10,31 +10,29 @@ exact integer ring simply uses Python's built-in ``int``, which is
 arbitrary precision, so all arithmetic in the package is exact.
 
 The free and exterior algebras share one sparse core.  A ``SparseRing``
-builds ``zero``, ``one``, ``from_int``, its ``SparseSum`` accumulator,
-``add_product`` and ``dot`` from its ``element_type`` and ``term_limit``,
-the most term pairs one product and the most terms one sum may reach (10M
-by default); in the free algebra it also caps the letters one canonical
-text may write.  A ``SparseElement`` is a ``_terms`` dict from int keys to
-nonzero integer coefficients with ``_raw``, ``is_zero``, ``+`` and ``-``
-(one signed fold, the loop ``SparseSum`` runs too), unary ``-``, ``*``,
-``==``, ``hash`` and canonical text, which lists the keys in integer order
-unless a subclass sets ``_order`` (a key's sort key).  A subclass supplies
-``_UNIT`` (the key of the identity), ``_MISMATCH`` (the message for
-operands of different algebras), ``_key_text`` (a key's text, empty for the
-unit), key validation in ``__init__`` and its product kernel
-``_mul_into(other, out, sign)``, which adds sign times the product into a
-dict ``out`` that its caller owns and refuses, before it writes anything, a
-product of more than ``term_limit`` term pairs.  ``*`` is that kernel run
-on a fresh dict, ``SparseSum.add_product`` runs it on the running sum's
-own dict, and ``SparseRing.dot`` runs it for a whole sum of products on
-one dict, so no product of a sum is built and then folded.  The kernel
-reads its right operand through ``_view``: the right-hand terms in the
-form the product loop wants, computed on first use and kept, since an
-element is immutable and a matrix entry is the right factor of many
-products; an exterior-algebra view also keeps, per left mask, the right
-terms disjoint from it, built from the second product on and at most
-``term_limit`` references in all.  ``==``, ``hash`` and the sums read
-``_terms`` only.
+builds ``zero``, ``one``, ``from_int``, its ``SparseSum`` accumulator and
+``dot`` from its ``element_type`` and ``term_limit``, the most term pairs
+one product and the most terms one sum may reach (10M by default); in the
+free algebra it also caps the letters one canonical text may write.  A
+``SparseElement`` is a ``_terms`` dict from int keys to nonzero integer
+coefficients with ``_raw``, ``is_zero``, ``+`` and ``-`` (one signed fold,
+the loop ``SparseSum`` runs too), unary ``-``, ``*``, ``==``, ``hash`` and
+canonical text, which lists the keys in integer order unless a subclass
+sets ``_order`` (a key's sort key).  A subclass supplies ``_UNIT`` (the
+key of the identity), ``_MISMATCH`` (the message for operands of
+different algebras), ``_key_text`` (a key's text, empty for the unit), key
+validation in ``__init__`` and its product kernel ``_mul_into(other, out,
+sign)``, which adds sign times the product into a dict ``out`` that its
+caller owns and refuses, before it writes anything, a product of more
+than ``term_limit`` term pairs.  ``*`` is that kernel run on a fresh dict,
+and ``SparseRing.dot`` runs it for a whole sum of products on one dict,
+so no product of a sum is built and then folded.  The kernel reads its
+right operand through ``_view``: the right-hand terms in the form the
+product loop wants, computed on first use and kept, since an element is
+immutable and a matrix entry is the right factor of many products; an
+exterior-algebra view also keeps, per left mask, the right terms disjoint
+from it, built from the second product on and at most ``term_limit``
+references in all.  ``==``, ``hash`` and the sums read ``_terms`` only.
 ``RingElement`` gives every element type ``_coerce`` (an operand of its
 class from an equal ``ring``, or an int as ``ring.from_int``), ``repr``,
 and binary and reflected ``-``, reflected ``*`` and ``**`` from
@@ -48,12 +46,12 @@ plain frozen ``__slots__`` classes with field-wise equality, hash and
 repr, built without the import-time cost of ``dataclasses``.
 
 Elements are immutable and all operations are pure, so sharing values
-between threads is safe.  The one mutable helper is the accumulator a ring
-hands out for a running sum (``Ring.accumulator``/``Ring.total``; a
-``SparseSum`` over the free and exterior algebras, one such sum per
-z-degree over R[z], the running int over the integers): it lives inside
-the function that builds the sum and never escapes it; only the immutable
-element that ``total`` returns does, and ``total`` ends the sum.
+between threads is safe.  The one mutable helper is the ``SparseSum`` a
+free or exterior algebra hands out for a running sum
+(``Ring.accumulator``/``Ring.total``; over the integers and R[z] the sum
+is the zero element and ``+``): it lives inside the function that builds
+the sum and never escapes it; only the immutable element that ``total``
+returns does, and ``total`` ends the sum.
 """
 
 from __future__ import annotations
@@ -141,15 +139,15 @@ class Ring(ABC):
     """Capability descriptor for a coefficient ring.
 
     Concrete rings provide ``zero``, ``one``, ``from_int`` and
-    ``_identity``; ``named_gens`` defaults to no generators, and a running
-    sum goes through ``accumulator``, ``add_product`` and ``total``, and a
-    whole sum of products through ``dot``.  Two rings are equal when they
-    are of one class with equal ``_identity()``, and hash alike.
-    Equality of elements is structural: two elements are equal exactly
-    when their canonical renderings (``str``) coincide, which every element
-    type guarantees by normalizing on construction.  A seeded random
-    element is not part of the contract: the free and exterior algebras
-    each draw theirs with keywords of their own.
+    ``_identity``; ``named_gens`` defaults to no generators, a running sum
+    goes through ``accumulator`` and ``total``, and a sum of products
+    through ``dot``.  Two rings are equal when they are of one class with
+    equal ``_identity()``, and hash alike.  Equality of elements is
+    structural: two elements are equal exactly when their canonical
+    renderings (``str``) coincide, which every element type guarantees by
+    normalizing on construction.  A seeded random element is not part of
+    the contract: the free and exterior algebras each draw theirs with
+    keywords of their own.
     """
 
     is_commutative: bool = False
@@ -194,24 +192,15 @@ class Ring(ABC):
                 acc += x
             result = ring.total(acc)
 
-        and a sum of products, ``acc += x * y``, as
-        ``acc = ring.add_product(acc, x, y)``; ``total`` ends the sum.
-        ``ring.dot(xs, ys, terms)`` runs a whole sum of products in one
-        call: this loop by default, inline over the integers.
-        By default the accumulator is ``zero`` and each step builds a
-        new element, which suits the integers.  Sparse rings return a
-        ``SparseSum``, which folds each term into one dict in place, so
-        the sum costs the total size of its terms instead of one copy
-        of the running result per term, and writes each term pair of a
-        product straight into that dict, so no product is built.  R[z]
-        keeps one base accumulator per z-degree and writes each slice
-        product into its degree's sum.
+        and ``total`` ends the sum; a sum of products is one
+        ``ring.dot(xs, ys, terms)`` call.  By default the accumulator is
+        ``zero`` and each step builds a new element, which suits the
+        integers and R[z].  Sparse rings return a ``SparseSum``, which
+        folds each term into one dict in place, so the sum costs the
+        total size of its terms instead of one copy of the running result
+        per term.
         """
         return self.zero
-
-    def add_product(self, acc, x, y, negative: bool = False):
-        """The accumulator ``acc`` less (``negative``) or plus ``x * y``."""
-        return acc - x * y if negative else acc + x * y
 
     def total(self, acc):
         """The element an accumulator of this ring has summed."""
@@ -219,10 +208,10 @@ class Ring(ABC):
 
     def dot(self, xs, ys, terms):
         """The sum over (i, j, negative) in ``terms`` of ``xs[i] * ys[j]``,
-        less where ``negative`` is set, by the ``add_product`` loop."""
-        acc, add_product = self.accumulator(), self.add_product
+        less where ``negative`` is set, summed in the accumulator."""
+        acc = self.accumulator()
         for i, j, negative in terms:
-            acc = add_product(acc, xs[i], ys[j], negative)
+            acc = acc - xs[i] * ys[j] if negative else acc + xs[i] * ys[j]
         return self.total(acc)
 
 
@@ -292,14 +281,12 @@ class SparseRing(Ring):
     def accumulator(self) -> SparseSum:
         return SparseSum(self)
 
-    def add_product(self, acc: SparseSum, x, y, negative: bool = False) -> SparseSum:
-        return acc.add_product(x, y, negative)
-
     def total(self, acc: SparseSum):
         return acc.value()
 
     def dot(self, xs, ys, terms):
-        # own elements run x's kernel on one dict, others add_product's route
+        # own elements run x's kernel on the sum's dict; other operands take
+        # x * y and fold it, which coerces or refuses them as * and + do
         acc = SparseSum(self)
         out, element, limit = acc._terms, self.element_type, acc._limit
         for i, j, negative in terms:
@@ -308,8 +295,10 @@ class SparseRing(Ring):
                 x._mul_into(y, out, -1 if negative else 1)
                 if len(out) > limit:
                     acc._checked(out)
+            elif negative:
+                acc -= x * y
             else:
-                acc.add_product(x, y, negative)
+                acc += x * y
         return acc.value()
 
 
@@ -460,11 +449,11 @@ class SparseSum:
     """In-place running sum of the elements of one ``SparseRing``.
 
     The sum owns one dict: ``acc + x`` and ``acc - x`` fold the terms of x
-    into it and return the accumulator itself, and ``add_product`` writes
-    the term pairs of a product into it the same way.  ``value()`` hands
-    the dict out inside a new element and ends the sum, so no element that
-    has been handed out is ever mutated: after it a fold, a product or a
-    second ``value()`` raises RuntimeError.  A sum that grows past the
+    into it and return the accumulator itself, and ``SparseRing.dot``
+    writes the term pairs of its products into it.  ``value()`` hands the
+    dict out inside a new element and ends the sum, so no element that has
+    been handed out is ever mutated: after it a fold or a second
+    ``value()`` raises RuntimeError.  A sum that grows past the
     ring's ``term_limit`` raises TermLimitError.  Both checks run once per
     call, never per term.
     """
@@ -487,22 +476,6 @@ class SparseSum:
 
     def __sub__(self, x):
         return self.__add__(x, -1)
-
-    def add_product(self, x, y, negative: bool = False) -> SparseSum:
-        """The sum less (``negative``) or plus ``x * y``, written in place.
-
-        Two elements of this very ring run x's product kernel on the sum's
-        own dict; any other operands (an int, an element of an equal ring
-        or of another one) take ``x * y`` and fold it, which coerces or
-        refuses them as ``*`` and ``+`` do.
-        """
-        ring, element = self._ring, self._element
-        if not (type(x) is type(y) is element and x.ring is ring and y.ring is ring):
-            product = x * y
-            return self - product if negative else self + product
-        out = self._open()
-        x._mul_into(y, out, -1 if negative else 1)
-        return self._checked(out)
 
     def _open(self) -> dict:
         if self._terms is None:

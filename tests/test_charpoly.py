@@ -95,7 +95,7 @@ def _poly_pairs(draw):
 
 
 # R[z] multiplies slice by slice over every base; this compares that loop,
-# which writes into per-degree accumulators, with the oracle's plain sums
+# one base dot per degree, with the oracle's plain sums
 @settings(max_examples=200, deadline=None)
 @given(_poly_pairs())
 def test_packed_product_matches_the_slice_loop(pair):
@@ -328,7 +328,7 @@ def test_only_the_exterior_algebra_evaluates_at_2_to_the_b(monkeypatch, build, e
     A = build()
     expected = (right_determinant if side == "right" else left_determinant)(char_matrix(A), 2)
     products, determinants = [], []
-    original = PolynomialRing.add_product
+    original = PolynomialRing.dot
 
     def recorded_product(self, *args, **kwargs):
         products.append(args)
@@ -341,7 +341,7 @@ def test_only_the_exterior_algebra_evaluates_at_2_to_the_b(monkeypatch, build, e
 
         return run
 
-    monkeypatch.setattr(PolynomialRing, "add_product", recorded_product)
+    monkeypatch.setattr(PolynomialRing, "dot", recorded_product)
     monkeypatch.setattr(charpoly, "right_determinant", recorded(right_determinant))
     monkeypatch.setattr(charpoly, "left_determinant", recorded(left_determinant))
     assert characteristic_polynomial(A, side, 2) == expected
@@ -675,6 +675,16 @@ def test_standard_polynomial_vanishes_on_repeats():
 
 def test_standard_polynomial_vanishes_on_integers():
     assert standard_polynomial_4(3, -1, 4, 7) == 0
+
+
+@pytest.mark.parametrize("position", range(4))
+def test_standard_polynomial_sums_in_the_ring_of_any_argument(position):
+    # an int may come first; S4 with a central argument vanishes
+    algebra = FreeAlgebra(("a", "b", "c"))
+    gens = list(algebra.gens())
+    value = standard_polynomial_4(*gens[:position], 2, *gens[position:])
+    assert value == standard_polynomial_4(*gens, 2)
+    assert value.ring == algebra and value.is_zero()
 
 
 # -- Newton trace formulas -----------------------------------------------------------

@@ -27,7 +27,7 @@ from ncdet import (
     symmetric_determinant,
     trace_of_product,
 )
-from ncdet import determinants, rings
+from ncdet import determinants
 from ncdet.charpoly import char_matrix
 from ncdet.verify import (
     generic_matrix,
@@ -462,21 +462,14 @@ def test_sdet_builds_each_ordered_prefix_once(n, products, ints, monkeypatch):
 @pytest.mark.parametrize("n, sdet_count, star_count", [(4, 180, 288), (5, 1400, 1700), (6, 4900, 9000)])
 def test_integer_sums_of_products_are_one_dot_each(n, sdet_count, star_count, ints, monkeypatch):
     # one IntegerRing.dot per sweep state, plus one for sdet's halves, and
-    # no product through add_product: a fallback to per-product dispatch
-    # fails here
-    dots, add_products, original = [], 0, IntegerRing.dot
+    # every product inside them: a product made outside a dot fails here
+    dots, original = [], IntegerRing.dot
 
     def dot(self, xs, ys, terms):
         dots.append(len(terms))
         return original(self, xs, ys, terms)
 
-    def add_product(self, acc, x, y, negative=False):
-        nonlocal add_products
-        add_products += 1
-        return acc - x * y if negative else acc + x * y
-
     monkeypatch.setattr(IntegerRing, "dot", dot)
-    monkeypatch.setattr(rings.Ring, "add_product", add_product)
     rng = random.Random(n)
     A = Matrix(ints, [[CountingInt(rng.randint(-9, 9)) for _ in range(n)] for _ in range(n)])
     for run, top, halves, products in [
@@ -488,7 +481,6 @@ def test_integer_sums_of_products_are_one_dot_each(n, sdet_count, star_count, in
         run(A)
         assert len(dots) == sum(math.comb(n, t) ** 2 for t in range(2, top + 1)) + halves
         assert sum(dots) == CountingInt.products == products
-        assert add_products == 0
 
 
 # -- adjoint sequences and k-th determinants ------------------------------------

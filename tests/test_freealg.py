@@ -107,9 +107,8 @@ def test_packed_words_match_the_tuple_word_oracle(case):
     assert dict(product.terms) == expected
     assert str(product) == deglex_text(algebra.names, expected)
     # the same product, through the view it left, written less into a sum
-    acc = algebra.accumulator()
-    acc += FreePoly(algebra, held)
-    written = algebra.total(algebra.add_product(acc, x, y, negative=True))
+    terms = [(0, 0, False), (1, 1, True)]
+    written = algebra.dot([FreePoly(algebra, held), x], [algebra.one, y], terms)
     difference = {w: c for w, c in held.items() if c}
     for word, coeff in expected.items():
         difference[word] = difference.get(word, 0) - coeff

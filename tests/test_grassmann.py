@@ -128,11 +128,9 @@ def test_a_right_operand_multiplied_once_builds_no_tables(rank4):
     (v1 + v2) * y
     assert y._view[1] == {}
     w = v3 - v1 * v2
-    acc = rank4.accumulator()
-    acc += v1
-    acc = rank4.add_product(acc, v2 + 1, w, negative=True)
+    value = rank4.dot([v1, v2 + 1], [rank4.one, w], [(0, 0, False), (1, 1, True)])
     assert w._view[1] == {}
-    assert rank4.total(acc) == v1 - (v2 + 1) * (v3 - v1 * v2)
+    assert value == v1 - (v2 + 1) * (v3 - v1 * v2)
 
 
 
@@ -210,8 +208,7 @@ def test_products_through_a_reused_right_operand_match_the_oracle(case):
         if route == "*":
             result = x * y
         else:
-            acc = algebra.add_product(algebra.accumulator(), x, y, negative=route == "subtract")
-            result = algebra.total(acc)
+            result = algebra.dot([x], [y], [(0, 0, route == "subtract")])
             if route == "subtract":
                 expected = {key: -coeff for key, coeff in expected.items()}
         assert dict(result.terms) == expected

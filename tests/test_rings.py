@@ -309,32 +309,19 @@ def test_a_handed_out_sum_is_never_mutated(ring, x, y):
     assert first._terms == snapshot
 
 
-def _ended_sums():
-    """(ring, x, y) for the sparse rings and R[z] over each."""
-    cases = sparse_terms()
-    for ring, x, y in list(cases):
-        poly = PolynomialRing(ring)
-        cases.append((poly, CentralPoly(poly, [x, y]), CentralPoly(poly, [y, ring.zero, x])))
-    return cases
-
-
-@pytest.mark.parametrize(
-    "ring, x, y", _ended_sums(),
-    ids=["free", "grassmann", "polynomials over free", "polynomials over grassmann"],
-)
+@pytest.mark.parametrize("ring, x, y", sparse_terms(), ids=["free", "grassmann"])
 @pytest.mark.parametrize("filled", [False, True])
 def test_a_totalled_sum_refuses_every_further_use(ring, x, y, filled):
     acc = ring.accumulator()
     if filled:
         acc += x
-        acc = ring.add_product(acc, x, y, negative=True)
+        acc -= x * y
     result = ring.total(acc)
     assert result == (x - x * y if filled else ring.zero)
     held = _held(result)
     uses = (
         lambda: operator.iadd(acc, y),  # acc += y
         lambda: operator.isub(acc, y),  # acc -= y
-        lambda: ring.add_product(acc, x, y),
         lambda: ring.total(acc),
     )
     for use in uses:
@@ -530,19 +517,14 @@ def test_polynomial_sums_whose_top_slices_cancel(base, u):
     acc += CentralPoly(ring, [one, u, u])
     acc -= CentralPoly(ring, [one, one, u])
     assert ring.total(acc).coefficients == (zero, u - one)
-    # (1 + z + z^2)(1 + z^2), packed over a sparse base, less its top two slices
-    acc = ring.accumulator()
-    acc -= CentralPoly(ring, [zero, zero, zero, one, one])
+    # (1 + z + z^2)(1 + z^2) less its top two slices, as one dot
+    top = CentralPoly(ring, [zero, zero, zero, one, one])
     x, y = CentralPoly(ring, [one, one, one]), CentralPoly(ring, [one, zero, one])
-    acc = ring.add_product(acc, x, y)
-    first = ring.total(acc)
+    first = ring.dot([top, x], [ring.one, y], [(0, 0, True), (1, 1, False)])
     assert first.coefficients == (one, one, one + one)
-    # and a sum from that result that cancels to nothing
-    acc = ring.accumulator()
-    acc += first
-    acc = ring.add_product(acc, -x, y)
-    acc += CentralPoly(ring, [zero, zero, zero, one, one])
-    assert ring.total(acc).coefficients == ()
+    # and a dot from that result that cancels to nothing
+    terms = [(0, 0, False), (1, 1, False), (2, 0, False)]
+    assert ring.dot([first, -x, top], [ring.one, y], terms).coefficients == ()
 
 
 def test_polynomial_operands_coerce_or_refuse_as_the_product_does():
@@ -553,18 +535,45 @@ def test_polynomial_operands_coerce_or_refuse_as_the_product_does():
     stranger = CentralPoly(PolynomialRing(FreeAlgebra(("x",))), [FreeAlgebra(("x",)).gen("x")])
     for left, right in ((x, stranger), (stranger, x)):
         with pytest.raises(ValueError, match=CentralPoly._MISMATCH):
-            ring.add_product(ring.accumulator(), left, right)
+            ring.dot([x, left], [x, right], [(0, 0, False), (1, 1, False)])
     with pytest.raises(ValueError, match=CentralPoly._MISMATCH):
         ring.accumulator() + stranger
+    # an operand of no ring, or of the base ring, is a TypeError, as for *
+    for other in (None, a):
+        for left, right in ((x, other), (other, x)):
+            with pytest.raises(TypeError):
+                left * right
+            with pytest.raises(TypeError):
+                ring.dot([x, left], [x, right], [(0, 0, False), (1, 1, False)])
     acc = ring.accumulator()
-    acc = ring.add_product(acc, 3, x)
-    acc = ring.add_product(acc, twin, twin, negative=True)
-    acc = ring.add_product(acc, 2, 3)
+    acc += ring.dot([3, twin, 2], [x, twin, 3], [(0, 0, False), (1, 1, True), (2, 2, False)])
     acc -= twin
     expected = central_poly_product_slices(ring.from_int(3), x)
     expected = central_poly_sum(expected, -central_poly_product_slices(twin, twin))
     expected = central_poly_sum(central_poly_sum(expected, ring.from_int(6)), -twin)
     assert ring.total(acc) == expected
+
+
+def test_a_polynomial_dot_is_one_base_dot_per_degree(monkeypatch):
+    base = FreeAlgebra(("a", "b"))
+    a, b = base.gens()
+    ring = PolynomialRing(base)
+    x, y = CentralPoly(ring, [a, b]), CentralPoly(ring, [b, base.zero, a * b])
+    calls, original = [], FreeAlgebra.dot
+
+    def dot(self, xs, ys, terms):
+        calls.append(len(terms))
+        return original(self, xs, ys, terms)
+
+    monkeypatch.setattr(FreeAlgebra, "dot", dot)
+    # x y - y x + 2 y: coefficient products by degree 1 + 1 + 1, 2 + 2 + 1,
+    # 2 + 2 + 1 and 1 + 1 (y keeps its zero middle coefficient)
+    result = ring.dot([x, y, 2], [y, x, y], [(0, 0, False), (1, 1, True), (2, 2, False)])
+    assert calls == [3, 5, 5, 2]
+    assert result == central_poly_sum(
+        central_poly_sum(central_poly_product_slices(x, y), -central_poly_product_slices(y, x)),
+        central_poly_product_slices(ring.from_int(2), y),
+    )
 
 
 # -- fused products --------------------------------------------------------------
@@ -607,36 +616,34 @@ def _views_hold(x) -> bool:
 @given(st.sampled_from(sorted(_factors)).flatmap(
     lambda kind: st.tuples(
         st.just(kind),
-        # the sum so far: empty, one term or two terms
+        # the summands before the product: none, one or two, each as a
+        # product by one
         st.lists(_factors[kind][1], max_size=2),
-        # whether that sum was handed out first, and a fresh sum started
-        # from the handed-out element
+        # whether those summands were handed out first as one element, and
+        # that element put in their place
         st.booleans(),
         _factors[kind][1],
         _factors[kind][1],
         st.booleans(),
-        st.sampled_from((None, 0, 1)),  # which operand, if any, is the sum's one term
+        st.sampled_from((None, 0, 1)),  # which operand, if any, is the one summand
     )
 ))
-def test_add_product_adds_the_product_and_writes_only_the_sum(case):
-    kind, terms, hand_out, x, y, negative, shared = case
+def test_dot_adds_its_products_and_writes_only_the_sum(case):
+    kind, summands, hand_out, x, y, negative, shared = case
     ring = _factors[kind][0]
-    if len(terms) == 1 and shared is not None:
-        x, y = (terms[0], y) if shared == 0 else (x, terms[0])
-    acc = ring.accumulator()
-    for term in terms:
-        acc += term
+    if len(summands) == 1 and shared is not None:
+        x, y = (summands[0], y) if shared == 0 else (x, summands[0])
     handed = []
     if hand_out:
-        handed = [ring.total(acc)]
-        acc = ring.accumulator()
-        acc += handed[0]
-    operands = (x, y, *terms, *handed)
+        handed = [ring.dot(summands, [ring.one], [(k, 0, False) for k in range(len(summands))])]
+    lefts = [*(handed or summands), x]
+    terms = [(k, 0, False) for k in range(len(lefts) - 1)] + [(len(lefts) - 1, 1, negative)]
+    operands = (x, y, *summands, *handed)
     before = [_held(e) for e in operands]
-    result = ring.total(ring.add_product(acc, x, y, negative))
+    result = ring.dot(lefts, [ring.one, y], terms)
     assert [_held(e) for e in operands] == before
     expected = ring.zero
-    for term in terms:
+    for term in summands:
         expected = _plain_sum(ring, expected, term)
     product = _plain_product(ring, x, y)
     expected = _plain_sum(ring, expected, -product if negative else product)
@@ -658,14 +665,11 @@ def test_a_fused_product_over_the_pair_budget_raises_as_the_product_does(kind):
     with pytest.raises(TermLimitError) as product:
         (u + w) * (u - w)
     assert str(product.value) == "product would enumerate 4 term pairs, over the budget of 3"
-    for terms in ([], [u], [u, w]):
-        acc = ring.accumulator()
-        for term in terms:
-            acc += term
+    for summands in ([], [u], [u, w]):
+        terms = [(k, 0, False) for k in range(len(summands))]
         with pytest.raises(TermLimitError) as fused:
-            ring.add_product(acc, u + w, u - w)
+            ring.dot([*summands, u + w], [ring.one, u - w], [*terms, (len(summands), 1, False)])
         assert str(fused.value) == str(product.value)
-        assert ring.total(acc) == sum(terms, ring.zero)  # nothing was written
     # a right operand with a used view is refused the same way; the budget
     # is checked before the view is read, so a refused Grassmann product
     # builds no per-left-mask table
@@ -674,12 +678,9 @@ def test_a_fused_product_over_the_pair_budget_raises_as_the_product_does(kind):
     with pytest.raises(TermLimitError) as reused:
         (u + w) * right
     assert str(reused.value) == str(product.value)
-    acc = ring.accumulator()
-    acc += u
     with pytest.raises(TermLimitError) as fused:
-        ring.add_product(acc, u + w, right)
+        ring.dot([u, u + w], [ring.one, right], [(0, 0, False), (1, 1, False)])
     assert str(fused.value) == str(product.value)
-    assert ring.total(acc) == u
     if kind == "grassmann":
         assert right._view[1] == {}
 
@@ -687,11 +688,12 @@ def test_a_fused_product_over_the_pair_budget_raises_as_the_product_does(kind):
 @pytest.mark.parametrize("kind", ["free", "grassmann"])
 def test_a_fused_product_that_grows_the_sum_over_the_budget_raises(kind):
     ring, u, w, t = _budget_case(kind)
-    acc = ring.accumulator()
-    acc += u
-    acc += w
-    with pytest.raises(TermLimitError, match="sum grew to 4 terms, over the budget of 3"):
-        ring.add_product(acc, t, u + w)
+    terms = [(0, 0, False), (1, 0, False), (2, 1, False)]
+    # u + w, then t (u + w) through the kernel, or as an int times an
+    # element, coerced and folded
+    for last, right in ((t, u + w), (1, t * (u + w))):
+        with pytest.raises(TermLimitError, match="sum grew to 4 terms, over the budget of 3"):
+            ring.dot([u, w, last], [ring.one, right], terms)
 
 
 @pytest.mark.parametrize(
@@ -703,29 +705,30 @@ def test_a_fused_product_that_grows_the_sum_over_the_budget_raises(kind):
 def test_fused_operands_coerce_or_refuse_as_the_product_does(build, stranger):
     ring = build()
     u, v = ring.gens()[:2]
-    twin = build().gens()[0]  # of an equal, distinct ring
-    for x, y in ((u, stranger), (stranger, u), (stranger, stranger)):
-        acc = ring.accumulator()
-        acc += u
-        with pytest.raises(ValueError, match=stranger._MISMATCH):
-            ring.add_product(acc, x, y)
-    acc = ring.accumulator()
-    acc = ring.add_product(acc, 3, u)
-    acc = ring.add_product(acc, u, -2, negative=True)
-    acc = ring.add_product(acc, twin, u)
-    acc = ring.add_product(acc, 2, 3)
-    acc = ring.add_product(acc, u, v, negative=True)
-    assert ring.total(acc) == 5 * u + u * u + 6 - u * v
+    # after a product the kernel has written, as x * y folded into the sum
+    for other, error in ((stranger, ValueError), (None, TypeError)):
+        for x, y in ((u, other), (other, u), (other, other)):
+            xs, ys, terms = [u, x], [v, y], [(0, 0, False), (1, 1, False)]
+            with pytest.raises(error) as fused:
+                ring.dot(xs, ys, terms)
+            with pytest.raises(error) as looped:
+                _loop_dot(ring, xs, ys, terms)
+            assert str(fused.value) == str(looped.value)
 
 
 # -- dot: one call per sum of products ------------------------------------------
 
 
 def _loop_dot(ring, xs, ys, terms):
-    """What ``ring.dot`` must equal: the accumulator loop over its terms."""
+    """What ``ring.dot`` must equal: each product built by ``*`` and folded
+    into the ring's running sum."""
     acc = ring.accumulator()
     for i, j, negative in terms:
-        acc = ring.add_product(acc, xs[i], ys[j], negative)
+        product = xs[i] * ys[j]
+        if negative:
+            acc -= product
+        else:
+            acc += product
     return ring.total(acc)
 
 
