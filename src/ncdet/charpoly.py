@@ -33,7 +33,7 @@ from .freealg import FreeAlgebra
 from .grassmann import GrassmannAlgebra
 from .matrices import Matrix
 from .perms import signed_permutations
-from .rings import IntegerRing, Record, Ring, RingElement, join_signed
+from .rings import IntegerRing, Record, Ring, RingElement, _operand, join_signed
 
 # the largest free-algebra witness: generic n = 5 takes 0.31-0.37 s and
 # a process peak RSS of 60 MB (Python 3.11.7, 2-core machine); n = 6
@@ -74,9 +74,9 @@ class PolynomialRing(Ring):
         for i, j, negative in terms:
             x, y = xs[i], ys[j]
             if type(x) is not CentralPoly or x.ring is not self:
-                x = self._operand(x)
+                x = _operand(self, x, "*")
             if type(y) is not CentralPoly or y.ring is not self:
-                y = self._operand(y)
+                y = _operand(self, y, "*")
             p, m, k = len(flat), len(x._coeffs), len(y._coeffs)
             flat += x._coeffs
             flat += y._coeffs
@@ -88,13 +88,6 @@ class PolynomialRing(Ring):
                     slices[d].append((p + s, b, negative))
         dot = self.base.dot
         return CentralPoly(self, [dot(flat, flat, pairs) for pairs in slices])
-
-    def _operand(self, x) -> CentralPoly:
-        """x as a polynomial of this ring, refused as ``*`` refuses it."""
-        coerced = self.zero._coerce(x)
-        if coerced is None:
-            raise TypeError(f"unsupported operand type for * in {self!r}: {type(x).__name__!r}")
-        return coerced
 
     def _identity(self) -> tuple:
         return (self.base,)

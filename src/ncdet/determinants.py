@@ -134,31 +134,27 @@ def symmetric_determinant(A: Matrix):
     terms of its state on the top level: entry (r, s) is a signed sum of
     states over n-2 positions, each times one entry on the right, and it
     meets A[s][r] on the right, two products per term.  That is 0, 4 and
-    72 ring multiplications at n = 1, 2, 3.
+    72 ring multiplications at n = 1, 2, 3, and one ``Ring.sum``.
     """
     n, ring, rows = A.n, A.ring, A.rows
     if n >= 4:
         k = (n + 1) // 2
         levels = _sweep(ring, rows, k)
         return ring.dot(levels[k], levels[n - k], _level(n, k)[2])
-    total = ring.accumulator()
     if n == 1:
-        total += rows[0][0]
-        return ring.total(total)
+        return ring.sum([rows[0][0]])
     # The halves would make 45 products at generic n = 3, but the
     # benchmark's tests pin the 72 (and 4 at integer n = 2) of this
     # finish; their re-pin under ROADMAP item 1 retires this branch.
     entries, top = [x for row in rows for x in row], _level(n, n - 1)[1]
+    plus, minus = [], []
     for i in range(n * n):
         r, s = divmod(i, n)  # entry (r, s) of A* meets A[s][r]
         for pred, cell, negative in top[(n - 1 - s) * n + n - 1 - r]:
             # at n = 2 the state is the empty product
             x = entries[cell] if n == 2 else entries[pred] * entries[cell]
-            if negative:
-                total -= x * rows[s][r]
-            else:
-                total += x * rows[s][r]
-    return ring.total(total)
+            (minus if negative else plus).append(x * rows[s][r])
+    return ring.sum(plus, minus)
 
 
 def preadjoint(A: Matrix) -> Matrix:
@@ -249,10 +245,11 @@ def _kth_determinant(A: Matrix, side: str, k: int):
     X = A if k == 1 else sequence_product(A, side, k - 1)
     if X.n >= 4:
         return symmetric_determinant(X)
-    # at n <= 3 this trace already is the halves' split at k = 1 (45 fused
-    # products at n = 3), while sdet's own n <= 3 branch makes the 72
-    # unfused * the benchmark's tests pin and is slower through rdet_2 and
-    # charpoly; the choice goes once ROADMAP item 1 re-pins sdet at n = 3
+    # at n <= 3 this trace already is the halves' split at k = 1 (45
+    # products in one ring.dot at n = 3), while sdet's own n <= 3 branch
+    # makes the 72 separate * and one ring.sum the benchmark's tests pin
+    # and is slower through rdet_2 and charpoly; the choice goes once
+    # ROADMAP item 1 re-pins sdet at n = 3
     star = preadjoint(X)
     return trace_of_product(*_by_side(side, (X, star), (star, X)))
 

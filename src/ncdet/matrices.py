@@ -104,10 +104,7 @@ class Matrix(RingElement):
             raise ValueError("matrices live over different rings")
 
     def trace(self):
-        acc = self.ring.accumulator()
-        for i in range(self.n):
-            acc += self.rows[i][i]
-        return self.ring.total(acc)
+        return self.ring.sum([row[i] for i, row in enumerate(self.rows)])
 
     def transpose(self) -> Matrix:
         return Matrix(self.ring, list(zip(*self.rows)))
@@ -200,12 +197,8 @@ def commutative_det(A: Matrix):
 def _det_recursive(A: Matrix):
     if A.n == 1:
         return A.rows[0][0]
-    ring = A.ring
-    total = ring.accumulator()
-    for j in range(A.n):
-        product = A.rows[0][j] * _det_recursive(A.minor(0, j))
-        total = total - product if j % 2 else total + product
-    return ring.total(total)
+    minors = [_det_recursive(A.minor(0, j)) for j in range(A.n)]
+    return A.ring.dot(A.rows[0], minors, [(j, j, j % 2 == 1) for j in range(A.n)])
 
 
 def commutative_adj(A: Matrix) -> Matrix:

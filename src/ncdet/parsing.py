@@ -116,21 +116,17 @@ class _Parser:
         return value
 
     def expr(self):
-        total = self.ring.accumulator()
+        plus, minus = [], []
         sign = "+"
         kind, value, _ = self.peek()
         if kind == "sym" and value == "-":
             self.advance()
             sign = "-"
         while True:
-            rhs = self.term()
-            if sign == "+":
-                total += rhs
-            else:
-                total -= rhs
+            (plus if sign == "+" else minus).append(self.term())
             kind, sign, _ = self.peek()
             if kind != "sym" or sign not in "+-":
-                return self.ring.total(total)
+                return self.ring.sum(plus, minus)
             self.advance()
 
     def term(self):

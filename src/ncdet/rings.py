@@ -10,13 +10,13 @@ exact integer ring simply uses Python's built-in ``int``, which is
 arbitrary precision, so all arithmetic in the package is exact.
 
 The free and exterior algebras share one sparse core.  A ``SparseRing``
-builds ``zero``, ``one``, ``from_int``, its ``SparseSum`` accumulator and
-``dot`` from its ``element_type`` and ``term_limit``, the most term pairs
-one product and the most terms one sum may reach (10M by default); in the
-free algebra it also caps the letters one canonical text may write.  A
-``SparseElement`` is a ``_terms`` dict from int keys to nonzero integer
-coefficients with ``_raw``, ``is_zero``, ``+`` and ``-`` (one signed fold,
-the loop ``SparseSum`` runs too), unary ``-``, ``*``, ``==``, ``hash`` and
+builds ``zero``, ``one``, ``from_int``, ``sum`` and ``dot`` from its
+``element_type`` and ``term_limit``, the most term pairs one product and
+the most terms one sum may reach (10M by default); in the free algebra it
+also caps the letters one canonical text may write.  A ``SparseElement``
+is a ``_terms`` dict from int keys to nonzero integer coefficients with
+``_raw``, ``is_zero``, ``+`` and ``-`` (one signed fold, the loop
+``SparseRing.sum`` runs too), unary ``-``, ``*``, ``==``, ``hash`` and
 canonical text, which lists the keys in integer order unless a subclass
 sets ``_order`` (a key's sort key).  A subclass supplies ``_UNIT`` (the
 key of the identity), ``_MISMATCH`` (the message for operands of
@@ -46,12 +46,7 @@ plain frozen ``__slots__`` classes with field-wise equality, hash and
 repr, built without the import-time cost of ``dataclasses``.
 
 Elements are immutable and all operations are pure, so sharing values
-between threads is safe.  The one mutable helper is the ``SparseSum`` a
-free or exterior algebra hands out for a running sum
-(``Ring.accumulator``/``Ring.total``; over the integers and R[z] the sum
-is the zero element and ``+``): it lives inside the function that builds
-the sum and never escapes it; only the immutable element that ``total``
-returns does, and ``total`` ends the sum.
+between threads is safe.
 """
 
 from __future__ import annotations
@@ -63,8 +58,6 @@ from abc import ABC, abstractmethod
 # Python before 3.10.7 has no int-to-str digit limit
 _max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
-_ENDED = "this sum has been totalled; start a new accumulator"
-
 
 class TermLimitError(RuntimeError):
     """A symbolic operation would exceed the configured term budget."""
@@ -72,6 +65,10 @@ class TermLimitError(RuntimeError):
     @classmethod
     def pairs(cls, pairs: int, limit: int) -> TermLimitError:
         return cls(f"product would enumerate {pairs} term pairs, over the budget of {limit}")
+
+    @classmethod
+    def terms(cls, terms: int, limit: int) -> TermLimitError:
+        return cls(f"sum grew to {terms} terms, over the budget of {limit}")
 
 
 class Record:
@@ -139,10 +136,10 @@ class Ring(ABC):
     """Capability descriptor for a coefficient ring.
 
     Concrete rings provide ``zero``, ``one``, ``from_int`` and
-    ``_identity``; ``named_gens`` defaults to no generators, a running sum
-    goes through ``accumulator`` and ``total``, and a sum of products
-    through ``dot``.  Two rings are equal when they are of one class with
-    equal ``_identity()``, and hash alike.  Equality of elements is
+    ``_identity``; ``named_gens`` defaults to no generators, every sum is
+    one ``sum`` call and every sum of products one ``dot`` call.  Two
+    rings are equal when they are of one class with equal ``_identity()``,
+    and hash alike.  Equality of elements is
     structural: two elements are equal exactly when their canonical
     renderings (``str``) coincide, which every element type guarantees by
     normalizing on construction.  A seeded random element is not part of
@@ -182,37 +179,42 @@ class Ring(ABC):
         """The generators an expression may name, by name."""
         return {}
 
-    def accumulator(self):
-        """A fresh running sum, grown by ``acc += x`` and ``acc -= x``.
+    def sum(self, plus, minus=()):
+        """The sum of the elements in ``plus`` less the sum of those in
+        ``minus``, each coerced or refused as ``+`` and ``-`` do.
 
-        Every running sum in the package is written as::
-
-            acc = ring.accumulator()
-            for x in terms:
-                acc += x
-            result = ring.total(acc)
-
-        and ``total`` ends the sum; a sum of products is one
-        ``ring.dot(xs, ys, terms)`` call.  By default the accumulator is
-        ``zero`` and each step builds a new element, which suits the
-        integers and R[z].  Sparse rings return a ``SparseSum``, which
-        folds each term into one dict in place, so the sum costs the
-        total size of its terms instead of one copy of the running result
-        per term.
+        By default this is ``zero`` and ``+`` and ``-``, one new element per
+        operand, which suits R[z].  The integers take the builtin ``sum``
+        under one digit check.  The free and exterior algebras fold every
+        operand into one dict, so a sum costs the total size of its
+        operands instead of one copy of the running result per operand.
         """
-        return self.zero
-
-    def total(self, acc):
-        """The element an accumulator of this ring has summed."""
-        return acc
+        total = self.zero
+        for x in plus:
+            total = total + x
+        for x in minus:
+            total = total - x
+        return total
 
     def dot(self, xs, ys, terms):
         """The sum over (i, j, negative) in ``terms`` of ``xs[i] * ys[j]``,
-        less where ``negative`` is set, summed in the accumulator."""
-        acc = self.accumulator()
+        less where ``negative`` is set, as one ``sum``."""
+        plus, minus = [], []
         for i, j, negative in terms:
-            acc = acc - xs[i] * ys[j] if negative else acc + xs[i] * ys[j]
-        return self.total(acc)
+            (minus if negative else plus).append(xs[i] * ys[j])
+        return self.sum(plus, minus)
+
+
+def _checked(acc: int) -> int:
+    """An integer sum, refused once it has more digits than the interpreter
+    will print (``sys.get_int_max_str_digits()``, where 0 means no limit)."""
+    limit = _max_str_digits()
+    # over `limit` digits is over log2(10) * limit > 3.32 * limit bits
+    if limit and acc.bit_length() > 3.32 * limit and abs(acc) >= 10**limit:
+        raise TermLimitError(
+            f"integer sum grew past {limit} digits, the most the interpreter prints"
+        )
+    return acc
 
 
 class IntegerRing(Ring):
@@ -234,22 +236,14 @@ class IntegerRing(Ring):
     def _identity(self) -> tuple:
         return ()
 
-    def total(self, acc: int) -> int:
-        """The sum, refused once it has more digits than the interpreter will
-        print (``sys.get_int_max_str_digits()``, where 0 means no limit)."""
-        limit = _max_str_digits()
-        # over `limit` digits is over log2(10) * limit > 3.32 * limit bits
-        if limit and acc.bit_length() > 3.32 * limit and abs(acc) >= 10**limit:
-            raise TermLimitError(
-                f"integer sum grew past {limit} digits, the most the interpreter prints"
-            )
-        return acc
+    def sum(self, plus, minus=()) -> int:
+        return _checked(sum(plus) - sum(minus))
 
     def dot(self, xs, ys, terms) -> int:
         acc = 0
         for i, j, negative in terms:
             acc = acc - xs[i] * ys[j] if negative else acc + xs[i] * ys[j]
-        return self.total(acc)
+        return _checked(acc)
 
     def __repr__(self) -> str:
         return "IntegerRing()"
@@ -278,28 +272,31 @@ class SparseRing(Ring):
         k = operator.index(k)
         return element._raw(self, {element._UNIT: k} if k else {})
 
-    def accumulator(self) -> SparseSum:
-        return SparseSum(self)
-
-    def total(self, acc: SparseSum):
-        return acc.value()
+    def sum(self, plus, minus=()):
+        out, element, limit = {}, self.element_type, self.term_limit
+        for sign, operands in ((1, plus), (-1, minus)):
+            for x in operands:
+                if type(x) is not element or x.ring is not self:
+                    x = _operand(self, x, "+")
+                _fold(out, x._terms, sign)
+                if len(out) > limit:
+                    raise TermLimitError.terms(len(out), limit)
+        return element._raw(self, out)
 
     def dot(self, xs, ys, terms):
         # own elements run x's kernel on the sum's dict; other operands take
         # x * y and fold it, which coerces or refuses them as * and + do
-        acc = SparseSum(self)
-        out, element, limit = acc._terms, self.element_type, acc._limit
+        out, element, limit = {}, self.element_type, self.term_limit
         for i, j, negative in terms:
             x, y = xs[i], ys[j]
+            sign = -1 if negative else 1
             if type(x) is type(y) is element and x.ring is self and y.ring is self:
-                x._mul_into(y, out, -1 if negative else 1)
-                if len(out) > limit:
-                    acc._checked(out)
-            elif negative:
-                acc -= x * y
+                x._mul_into(y, out, sign)
             else:
-                acc += x * y
-        return acc.value()
+                _fold(out, _operand(self, x * y, "+")._terms, sign)
+            if len(out) > limit:
+                raise TermLimitError.terms(len(out), limit)
+        return element._raw(self, out)
 
 
 def join_signed(pieces) -> str:
@@ -361,6 +358,16 @@ class RingElement:
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self}>"
+
+
+def _operand(ring, x, op: str):
+    """x as an element of ``ring``, whose elements are ``RingElement``s:
+    coerced as ``op`` coerces it, and refused with TypeError where ``op``
+    has no meaning for it."""
+    coerced = ring.zero._coerce(x)
+    if coerced is None:
+        raise TypeError(f"unsupported operand type for {op} in {ring!r}: {type(x).__name__!r}")
+    return coerced
 
 
 def _fold(out: dict, terms: dict, sign: int) -> dict:
@@ -443,57 +450,6 @@ class SparseElement(RingElement):
                 body = f"{mag}*{body}"
             pieces.append((coeff < 0, body or str(mag)))
         return join_signed(pieces)
-
-
-class SparseSum:
-    """In-place running sum of the elements of one ``SparseRing``.
-
-    The sum owns one dict: ``acc + x`` and ``acc - x`` fold the terms of x
-    into it and return the accumulator itself, and ``SparseRing.dot``
-    writes the term pairs of its products into it.  ``value()`` hands the
-    dict out inside a new element and ends the sum, so no element that has
-    been handed out is ever mutated: after it a fold or a second
-    ``value()`` raises RuntimeError.  A sum that grows past the
-    ring's ``term_limit`` raises TermLimitError.  Both checks run once per
-    call, never per term.
-    """
-
-    __slots__ = ("_ring", "_element", "_limit", "_terms")
-
-    def __init__(self, ring: SparseRing):
-        self._ring = ring
-        self._element = ring.element_type
-        self._limit = ring.term_limit
-        self._terms = {}  # None once the sum has ended
-
-    def __add__(self, x, sign: int = 1):
-        # __sub__ is this with sign -1
-        if type(x) is not self._element or x.ring is not self._ring:
-            x = self._ring.zero._coerce(x)
-            if x is None:
-                return NotImplemented
-        return self._checked(_fold(self._open(), x._terms, sign))
-
-    def __sub__(self, x):
-        return self.__add__(x, -1)
-
-    def _open(self) -> dict:
-        if self._terms is None:
-            raise RuntimeError(_ENDED)
-        return self._terms
-
-    def _checked(self, out: dict) -> SparseSum:
-        if len(out) > self._limit:
-            raise TermLimitError(
-                f"sum grew to {len(out)} terms, over the budget of {self._limit}"
-            )
-        return self
-
-    def value(self):
-        """The summed element; the sum ends here."""
-        terms = self._open()
-        self._terms = None
-        return self._element._raw(self._ring, terms)
 
 
 def commutator(x, y):

@@ -274,7 +274,7 @@ def sdet_products(n):
 
 def test_generic_sdet_sums_in_place(monkeypatch):
     # a running sum built by repeated FreePoly + copies the whole result on
-    # every term; the accumulator folds each product into one dict instead
+    # every term; one ring.sum folds each product into one dict instead
     calls = dict.fromkeys(("__add__", "__radd__", "__sub__", "__rsub__", "__mul__"), 0)
     for name in calls:
         def counted(self, other, original=getattr(FreePoly, name), name=name):

@@ -30,7 +30,7 @@ from ncdet import parsing
 
 def test_long_sums_parse_in_place(monkeypatch):
     # repeated FreePoly + copies the running sum on every term; the parser
-    # folds each term into the ring's accumulator instead
+    # sums the terms with one ring.sum, which folds them into one dict
     algebra = FreeAlgebra(("a", "b", "c"))
     gens = dict(zip(algebra.names, algebra.gens()))
     rng = random.Random(5)

@@ -1,5 +1,4 @@
 import copy
-import operator
 import pickle
 import random
 
@@ -240,11 +239,11 @@ def test_traced_methods_are_each_element_class_own(cls):
     assert cls.__add__ is cls.__radd__
 
 
-# -- accumulator ---------------------------------------------------------------
+# -- sum -----------------------------------------------------------------------
 
 
 def sparse_terms():
-    """(ring, x, y) for each ring whose accumulator sums in place."""
+    """(ring, x, y) for each ring whose sum folds into one dict."""
     free = FreeAlgebra(("a", "b"))
     a, b = free.gens()
     E = GrassmannAlgebra(4)
@@ -254,29 +253,30 @@ def sparse_terms():
 
 @pytest.mark.parametrize(
     "ring",
-    [IntegerRing(), FreeAlgebra(("a",)), GrassmannAlgebra(3), PolynomialRing(GrassmannAlgebra(2))],
-    ids=["integers", "free", "grassmann", "polynomials"],
+    [
+        IntegerRing(),
+        FreeAlgebra(("a",)),
+        GrassmannAlgebra(3),
+        PolynomialRing(GrassmannAlgebra(2)),
+        IntMatrixRing(2),
+    ],
+    ids=["integers", "free", "grassmann", "polynomials", "integer matrices"],
 )
 def test_empty_sum_is_zero(ring):
-    assert ring.total(ring.accumulator()) == ring.zero
+    assert ring.sum([]) == ring.zero
+    assert ring.sum([], []) == ring.zero
+    assert str(ring.sum(iter(()), iter(()))) == str(ring.zero)
 
 
 @pytest.mark.parametrize("ring, x, y", sparse_terms(), ids=["free", "grassmann"])
 def test_negative_first_term(ring, x, y):
-    acc = ring.accumulator()
-    acc -= x
-    acc += y
-    assert ring.total(acc) == y - x
+    assert ring.sum([y], [x]) == y - x
+    assert ring.sum([], [x]) == -x
 
 
 @pytest.mark.parametrize("ring, x, y", sparse_terms(), ids=["free", "grassmann"])
 def test_full_cancellation_stores_no_keys(ring, x, y):
-    acc = ring.accumulator()
-    acc += x
-    acc += y
-    acc -= x
-    acc -= y
-    result = ring.total(acc)
+    result = ring.sum([x, y], [x, y])
     assert result == ring.zero
     assert result._terms == {}
 
@@ -284,50 +284,18 @@ def test_full_cancellation_stores_no_keys(ring, x, y):
 @pytest.mark.parametrize("ring, x, y", sparse_terms(), ids=["free", "grassmann"])
 def test_summing_a_term_with_itself_leaves_it_unchanged(ring, x, y):
     before = dict(x._terms)
-    doubled = ring.accumulator()
-    doubled += x
-    doubled += x
-    assert ring.total(doubled) == 2 * x
-    cancelled = ring.accumulator()
-    cancelled += x
-    cancelled -= x
-    assert ring.total(cancelled).is_zero()
+    assert ring.sum([x, x]) == 2 * x
+    assert ring.sum([x], [x]).is_zero()
     assert x._terms == before
 
 
 @pytest.mark.parametrize("ring, x, y", sparse_terms(), ids=["free", "grassmann"])
 def test_a_handed_out_sum_is_never_mutated(ring, x, y):
-    acc = ring.accumulator()
-    acc += x
-    acc += y
-    first = ring.total(acc)
+    first = ring.sum([x, y])
     snapshot = dict(first._terms)
-    acc = ring.accumulator()
-    acc += first
-    acc += y
-    assert ring.total(acc) == x + 2 * y
+    assert ring.sum([first, y]) == x + 2 * y
+    assert ring.sum([y], [first]) == -x
     assert first._terms == snapshot
-
-
-@pytest.mark.parametrize("ring, x, y", sparse_terms(), ids=["free", "grassmann"])
-@pytest.mark.parametrize("filled", [False, True])
-def test_a_totalled_sum_refuses_every_further_use(ring, x, y, filled):
-    acc = ring.accumulator()
-    if filled:
-        acc += x
-        acc -= x * y
-    result = ring.total(acc)
-    assert result == (x - x * y if filled else ring.zero)
-    held = _held(result)
-    uses = (
-        lambda: operator.iadd(acc, y),  # acc += y
-        lambda: operator.isub(acc, y),  # acc -= y
-        lambda: ring.total(acc),
-    )
-    for use in uses:
-        with pytest.raises(RuntimeError, match="sum has been totalled"):
-            use()
-    assert _held(result) == held
 
 
 # -- the cached right-operand view ----------------------------------------------
@@ -348,20 +316,11 @@ def test_a_right_operand_summed_and_handed_out_keeps_a_true_view(ring, x, y):
     oracle = _ORACLE_PRODUCTS[type(ring)]
     x = x + 0
     y * x  # fills the view of x
-    acc = ring.accumulator()
-    acc += x
-    alone = ring.total(acc)
+    alone = ring.sum([x])
     assert alone == x
-    acc = ring.accumulator()
-    acc += alone
-    acc += y
-    total = ring.total(acc)
+    total = ring.sum([alone, y])
     assert dict((y * total).terms) == oracle(y, total)  # fills the view of total
-    acc = ring.accumulator()
-    acc += total
-    acc -= x
-    acc += y
-    assert ring.total(acc) == 2 * y
+    assert ring.sum([total, y], [x]) == 2 * y
     for right in (x, alone, total):
         assert dict((y * right).terms) == oracle(y, right)
         assert dict((right * right).terms) == oracle(right, right)
@@ -390,23 +349,26 @@ def test_a_sum_over_the_term_budget_raises():
     algebra = FreeAlgebra(("a", "b", "c"))
     algebra.term_limit = 2
     a, b, c = algebra.gens()
-    acc = algebra.accumulator()
-    acc += a
-    acc -= b
+    assert algebra.sum([a], [b]) == a - b
     with pytest.raises(TermLimitError, match="sum grew to 3 terms, over the budget of 2"):
-        acc += c
+        algebra.sum([a, c], [b])
+    # the budget is checked after each operand, so a sum that passes it on
+    # the way is refused even if it cancels back under it
+    with pytest.raises(TermLimitError, match="sum grew to 3 terms, over the budget of 2"):
+        algebra.sum([a, b, c], [c])
 
 
 def test_an_integer_sum_past_the_digit_limit_raises(monkeypatch):
     ints = IntegerRing()
     monkeypatch.setattr(rings, "_max_str_digits", lambda: 5)
-    assert ints.total(99_999) == 99_999
-    assert ints.total(-99_999) == -99_999
-    for over in (100_000, -100_000, 10**40):
+    assert ints.sum([99_999]) == 99_999
+    assert ints.sum([], [99_999]) == -99_999
+    assert ints.sum([50_000, 49_999]) == 99_999
+    for plus, minus in (([100_000], []), ([], [100_000]), ([10**40], []), ([99_999], [-1])):
         with pytest.raises(TermLimitError, match="integer sum grew past 5 digits"):
-            ints.total(over)
+            ints.sum(plus, minus)
     monkeypatch.setattr(rings, "_max_str_digits", lambda: 0)  # 0: no limit
-    assert ints.total(10**40) == 10**40
+    assert ints.sum([10**40]) == 10**40
 
 
 def test_an_integer_kdet_past_the_interpreters_digit_limit_raises():
@@ -417,10 +379,34 @@ def test_an_integer_kdet_past_the_interpreters_digit_limit_raises():
 
 
 def test_accumulator_rejects_elements_of_another_algebra():
-    acc = FreeAlgebra(("a",)).accumulator()
-    acc += FreeAlgebra(("a",)).gen("a")
+    algebra = FreeAlgebra(("a",))
+    a = FreeAlgebra(("a",)).gen("a")
+    assert algebra.sum([a]) == a
     with pytest.raises(ValueError):
-        acc += FreeAlgebra(("b",)).gen("b")
+        algebra.sum([a, FreeAlgebra(("b",)).gen("b")])
+
+
+@pytest.mark.parametrize(
+    "build, stranger",
+    [(lambda: FreeAlgebra(("a", "b")), FreeAlgebra(("x",)).gen("x")),
+     (lambda: GrassmannAlgebra(3), GrassmannAlgebra(2).gen(1))],
+    ids=["free", "grassmann"],
+)
+def test_sum_coerces_or_refuses_as_add_does(build, stranger):
+    ring = build()
+    u = ring.gens()[0]
+    twin = build().gens()[0]  # of an equal, distinct ring
+    assert ring.sum([u, twin, 3], [1]) == 2 * u + 2
+    for plus, minus in (([u, stranger], []), ([u], [stranger])):
+        with pytest.raises(ValueError, match=stranger._MISMATCH):
+            ring.sum(plus, minus)
+    with pytest.raises(ValueError, match=stranger._MISMATCH):
+        u + stranger
+    for plus, minus in (([u, None], []), ([u], [None])):
+        with pytest.raises(TypeError):
+            ring.sum(plus, minus)
+    with pytest.raises(TypeError):
+        u + None
 
 
 _FREE = FreeAlgebra(("a", "b"))
@@ -429,6 +415,10 @@ _coefficients = st.integers(-3, 3)
 _free_elements = st.dictionaries(
     st.lists(st.integers(0, 1), max_size=2).map(tuple), _coefficients, max_size=3
 ).map(lambda terms: FreePoly(_FREE, terms))
+_INT_MATRICES = IntMatrixRing(2)
+_int_matrices = st.lists(_coefficients, min_size=4, max_size=4).map(
+    lambda v: MatInt(_INT_MATRICES, (tuple(v[:2]), tuple(v[2:])))
+)
 _grassmann_elements = st.dictionaries(st.integers(0, 15), _coefficients, max_size=3).map(
     lambda terms: GrassmannElem(_GRASSMANN, terms)
 )
@@ -447,6 +437,7 @@ _summands = {
     "free": (_FREE, st.one_of(_free_elements, _coefficients)),
     "grassmann": (_GRASSMANN, st.one_of(_grassmann_elements, _coefficients)),
     "integers": (IntegerRing(), st.integers(-50, 50)),
+    "integer matrices": (_INT_MATRICES, st.one_of(_int_matrices, _coefficients)),
     "polynomials over free": _polynomials(_FREE, _free_elements),
     "polynomials over grassmann": _polynomials(_GRASSMANN, _grassmann_elements),
     "polynomials over integers": _polynomials(IntegerRing(), _coefficients),
@@ -490,16 +481,11 @@ def test_accumulator_matches_repeated_immutable_sums(case):
     kind, steps = case
     ring = _summands[kind][0]
     snapshots = [_held(x) for _, x in steps]
-    acc = ring.accumulator()
     expected = ring.zero
     for negative, x in steps:
-        if negative:
-            acc -= x
-            expected = _plain_sum(ring, expected, -x)
-        else:
-            acc += x
-            expected = _plain_sum(ring, expected, x)
-    result = ring.total(acc)
+        expected = _plain_sum(ring, expected, -x if negative else x)
+    result = ring.sum([x for negative, x in steps if not negative],
+                      [x for negative, x in steps if negative])
     assert result == expected
     assert str(result) == str(expected)
     assert [_held(x) for _, x in steps] == snapshots
@@ -513,10 +499,8 @@ def test_accumulator_matches_repeated_immutable_sums(case):
 def test_polynomial_sums_whose_top_slices_cancel(base, u):
     ring = PolynomialRing(base)
     zero, one = base.zero, base.one
-    acc = ring.accumulator()
-    acc += CentralPoly(ring, [one, u, u])
-    acc -= CentralPoly(ring, [one, one, u])
-    assert ring.total(acc).coefficients == (zero, u - one)
+    difference = ring.sum([CentralPoly(ring, [one, u, u])], [CentralPoly(ring, [one, one, u])])
+    assert difference.coefficients == (zero, u - one)
     # (1 + z + z^2)(1 + z^2) less its top two slices, as one dot
     top = CentralPoly(ring, [zero, zero, zero, one, one])
     x, y = CentralPoly(ring, [one, one, one]), CentralPoly(ring, [one, zero, one])
@@ -537,7 +521,7 @@ def test_polynomial_operands_coerce_or_refuse_as_the_product_does():
         with pytest.raises(ValueError, match=CentralPoly._MISMATCH):
             ring.dot([x, left], [x, right], [(0, 0, False), (1, 1, False)])
     with pytest.raises(ValueError, match=CentralPoly._MISMATCH):
-        ring.accumulator() + stranger
+        ring.sum([x, stranger])
     # an operand of no ring, or of the base ring, is a TypeError, as for *
     for other in (None, a):
         for left, right in ((x, other), (other, x)):
@@ -545,13 +529,11 @@ def test_polynomial_operands_coerce_or_refuse_as_the_product_does():
                 left * right
             with pytest.raises(TypeError):
                 ring.dot([x, left], [x, right], [(0, 0, False), (1, 1, False)])
-    acc = ring.accumulator()
-    acc += ring.dot([3, twin, 2], [x, twin, 3], [(0, 0, False), (1, 1, True), (2, 2, False)])
-    acc -= twin
+    dot = ring.dot([3, twin, 2], [x, twin, 3], [(0, 0, False), (1, 1, True), (2, 2, False)])
     expected = central_poly_product_slices(ring.from_int(3), x)
     expected = central_poly_sum(expected, -central_poly_product_slices(twin, twin))
     expected = central_poly_sum(central_poly_sum(expected, ring.from_int(6)), -twin)
-    assert ring.total(acc) == expected
+    assert ring.sum([dot], [twin]) == expected
 
 
 def test_a_polynomial_dot_is_one_base_dot_per_degree(monkeypatch):
@@ -578,17 +560,6 @@ def test_a_polynomial_dot_is_one_base_dot_per_degree(monkeypatch):
 
 # -- fused products --------------------------------------------------------------
 
-_INT_MATRICES = IntMatrixRing(2)
-_factors = {
-    **_summands,
-    "integer matrices": (_INT_MATRICES, st.one_of(
-        st.lists(_coefficients, min_size=4, max_size=4).map(
-            lambda v: MatInt(_INT_MATRICES, (tuple(v[:2]), tuple(v[2:])))
-        ),
-        _coefficients,
-    )),
-}
-
 
 def _views_hold(x) -> bool:
     """Whether every view cached in x is the one its terms give now.
@@ -613,24 +584,24 @@ def _views_hold(x) -> bool:
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.sampled_from(sorted(_factors)).flatmap(
+@given(st.sampled_from(sorted(_summands)).flatmap(
     lambda kind: st.tuples(
         st.just(kind),
         # the summands before the product: none, one or two, each as a
         # product by one
-        st.lists(_factors[kind][1], max_size=2),
+        st.lists(_summands[kind][1], max_size=2),
         # whether those summands were handed out first as one element, and
         # that element put in their place
         st.booleans(),
-        _factors[kind][1],
-        _factors[kind][1],
+        _summands[kind][1],
+        _summands[kind][1],
         st.booleans(),
         st.sampled_from((None, 0, 1)),  # which operand, if any, is the one summand
     )
 ))
 def test_dot_adds_its_products_and_writes_only_the_sum(case):
     kind, summands, hand_out, x, y, negative, shared = case
-    ring = _factors[kind][0]
+    ring = _summands[kind][0]
     if len(summands) == 1 and shared is not None:
         x, y = (summands[0], y) if shared == 0 else (x, summands[0])
     handed = []
@@ -720,31 +691,26 @@ def test_fused_operands_coerce_or_refuse_as_the_product_does(build, stranger):
 
 
 def _loop_dot(ring, xs, ys, terms):
-    """What ``ring.dot`` must equal: each product built by ``*`` and folded
-    into the ring's running sum."""
-    acc = ring.accumulator()
-    for i, j, negative in terms:
-        product = xs[i] * ys[j]
-        if negative:
-            acc -= product
-        else:
-            acc += product
-    return ring.total(acc)
+    """What ``ring.dot`` must equal: each product built by ``*``, and the
+    products summed by one ``ring.sum``."""
+    plus = [xs[i] * ys[j] for i, j, negative in terms if not negative]
+    minus = [xs[i] * ys[j] for i, j, negative in terms if negative]
+    return ring.sum(plus, minus)
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.sampled_from(sorted(_factors)).flatmap(
+@given(st.sampled_from(sorted(_summands)).flatmap(
     lambda kind: st.tuples(
         st.just(kind),
-        st.lists(_factors[kind][1], min_size=1, max_size=3),
-        st.lists(_factors[kind][1], min_size=1, max_size=3),
+        st.lists(_summands[kind][1], min_size=1, max_size=3),
+        st.lists(_summands[kind][1], min_size=1, max_size=3),
         # indices taken modulo the lists' lengths, so repeats are common
         st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2), st.booleans()), max_size=6),
     )
 ))
 def test_dot_matches_the_accumulator_loop(case):
     kind, xs, ys, terms = case
-    ring = _factors[kind][0]
+    ring = _summands[kind][0]
     terms = [(i % len(xs), j % len(ys), negative) for i, j, negative in terms]
     operands = (*xs, *ys)
     before = [_held(e) for e in operands]
@@ -761,9 +727,9 @@ def test_dot_matches_the_accumulator_loop(case):
     assert all(_views_hold(e) for e in (*operands, result))
 
 
-@pytest.mark.parametrize("kind", sorted(_factors))
+@pytest.mark.parametrize("kind", sorted(_summands))
 def test_dot_over_no_terms_is_zero(kind):
-    ring = _factors[kind][0]
+    ring = _summands[kind][0]
     assert ring.dot([], [], []) == ring.zero
     assert str(ring.dot([ring.one], [ring.one], [])) == str(ring.zero)
 
