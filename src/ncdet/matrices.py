@@ -197,8 +197,10 @@ def commutative_det(A: Matrix):
 def _det_recursive(A: Matrix):
     if A.n == 1:
         return A.rows[0][0]
-    minors = [_det_recursive(A.minor(0, j)) for j in range(A.n)]
-    return A.ring.dot(A.rows[0], minors, [(j, j, j % 2 == 1) for j in range(A.n)])
+    plus, minus = [], []
+    for j, x in enumerate(A.rows[0]):
+        (minus if j % 2 else plus).append(x * _det_recursive(A.minor(0, j)))
+    return A.ring.sum(plus, minus)
 
 
 def commutative_adj(A: Matrix) -> Matrix:

@@ -116,17 +116,23 @@ class _Parser:
         return value
 
     def expr(self):
-        plus, minus = [], []
+        return self.ring.sum(self.signed_terms())
+
+    def signed_terms(self):
+        """The terms of a sum, each negated after a ``-``, parsed one at a
+        time as ``ring.sum`` folds them, so a sum over the term budget is
+        refused before the terms after it are parsed."""
         sign = "+"
         kind, value, _ = self.peek()
         if kind == "sym" and value == "-":
             self.advance()
             sign = "-"
         while True:
-            (plus if sign == "+" else minus).append(self.term())
+            rhs = self.term()
+            yield rhs if sign == "+" else -rhs
             kind, sign, _ = self.peek()
             if kind != "sym" or sign not in "+-":
-                return self.ring.sum(plus, minus)
+                return
             self.advance()
 
     def term(self):

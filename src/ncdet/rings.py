@@ -237,7 +237,7 @@ class IntegerRing(Ring):
         return ()
 
     def sum(self, plus, minus=()) -> int:
-        return _checked(sum(plus) - sum(minus))
+        return _checked(sum(plus) - sum(minus) if minus else sum(plus))
 
     def dot(self, xs, ys, terms) -> int:
         acc = 0

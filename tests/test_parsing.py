@@ -16,6 +16,7 @@ from ncdet import (
     MatrixDocument,
     ParseError,
     PolynomialRing,
+    TermLimitError,
     is_supermatrix,
     load_matrix,
     loads_matrix,
@@ -53,6 +54,25 @@ def test_long_sums_parse_in_place(monkeypatch):
     assert parse_expression(src, algebra) == expected
     assert calls == dict.fromkeys(calls, 0)
 
+
+
+def test_a_sum_over_the_term_budget_is_refused_before_its_later_terms_parse(monkeypatch):
+    # ring.sum folds each term as the parser reads it, so the budget caps
+    # what a sum in a document can make the parser hold
+    algebra = FreeAlgebra(("a", "b"))
+    algebra.term_limit = 3
+    parsed = []
+    term = parsing._Parser.term
+
+    def counted(self):
+        parsed.append(self.i)
+        return term(self)
+
+    monkeypatch.setattr(parsing._Parser, "term", counted)
+    src = "a - b + a*b - b*a" + " + (a*a*a)" * 50
+    with pytest.raises(TermLimitError, match=r"^sum grew to 4 terms, over the budget of 3$"):
+        parse_expression(src, algebra)
+    assert len(parsed) == 4
 
 def test_commutator_expression():
     algebra = FreeAlgebra(("a", "b"))
