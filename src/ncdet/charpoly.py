@@ -19,7 +19,10 @@ determinant of zI - A: over the exterior algebra one determinant of
 2^B I - A over R, read back as one balanced B-bit digit per z-degree, and
 over other rings computed in R[z].  A polynomial prints from its top
 degree down, and a coefficient whose terms are all negative prints as a
-minus sign before its negation.
+minus sign before its negation.  The module loads neither algebra nor
+``perms``: the exterior-algebra route and the free-algebra witness cap
+test a ring's class only once its module is loaded, and
+``standard_polynomial_4`` imports ``perms`` when it runs.
 """
 
 from __future__ import annotations
@@ -29,11 +32,8 @@ import operator
 from typing import Sequence
 
 from .determinants import _by_side, left_determinant, preadjoint, right_determinant
-from .freealg import FreeAlgebra
-from .grassmann import GrassmannAlgebra
 from .matrices import Matrix
-from .perms import signed_permutations
-from .rings import IntegerRing, Record, Ring, RingElement, _operand, join_signed
+from .rings import IntegerRing, Record, Ring, RingElement, _instance_of, _operand, join_signed
 
 # the largest free-algebra witness: generic n = 5 takes 0.31-0.37 s and
 # a process peak RSS of 60 MB (Python 3.11.7, 2-core machine); n = 6
@@ -214,7 +214,7 @@ def characteristic_polynomial(A: Matrix, side: str = "right", k: int = 1) -> Cen
     if k < 1:
         raise ValueError("k must be at least 1")
     ring, n = A.ring, A.n
-    if not isinstance(ring, GrassmannAlgebra):
+    if not _instance_of(ring, "grassmann", "GrassmannAlgebra"):
         return determinant(char_matrix(A), k)
     # nu(x), the sum of |coefficient| over x's terms, is subadditive and
     # submultiplicative in R and R[z].  r bounds nu of an entry of zI - A,
@@ -280,7 +280,7 @@ def cayley_hamilton_witness(A: Matrix) -> CHWitness:
     """
     n = A.n
     ring = A.ring
-    if isinstance(ring, FreeAlgebra) and n > WITNESS_MAX_N:
+    if n > WITNESS_MAX_N and _instance_of(ring, "freealg", "FreeAlgebra"):
         raise ValueError(f"generic free-algebra witnesses are limited to n <= {WITNESS_MAX_N}")
     P = preadjoint(char_matrix(A))
     slices = [Matrix(ring, [[e.coeff(d) for e in row] for row in P.rows]) for d in range(n)]
@@ -299,6 +299,8 @@ def cayley_hamilton_witness(A: Matrix) -> CHWitness:
 
 def standard_polynomial_4(x1, x2, x3, x4):
     """S_4: the signed sum of all 24 orderings of four ring elements."""
+    from .perms import signed_permutations
+
     items = (x1, x2, x3, x4)
     # the ring of the first argument that has one; plain ints sum in the integers
     ring = next((x.ring for x in items if hasattr(x, "ring")), IntegerRing())

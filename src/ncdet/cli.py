@@ -8,13 +8,19 @@ each matrix subcommand once, and the parser and the runner both read it.
 options are the fields of ``verify.VerifyOptions``; ``--suite all`` takes
 any of them, and a single suite refuses one it never reads (exit 2).
 
-Every command is its own process, which compiles each module it imports.
-This module imports the determinant, matrix, document and ring modules
-only; the ``charpoly``, ``newton`` and ``s4`` commands import ``charpoly``
-when they run, and ``verify`` is imported only when the first word of argv
-that is not a flag is ``verify``, which is also the only time the parser
-declares the verify flags.  Help and error text are the same as if every
-flag were always declared.
+Every command is its own process, which compiles each module it imports,
+so the imports follow the work.  This module imports the determinant,
+matrix and ring modules.  Only ``--input`` imports the document parser,
+which imports the one algebra its ring header names; ``--generic``
+imports the free algebra through ``generic_matrix``.  The ``charpoly``,
+``newton`` and ``s4`` commands import ``charpoly`` when they run, and
+``verify`` is imported only when the first word of argv that is not a
+flag is ``verify``, which is also the only time the parser declares the
+verify flags.  Help and error text are the same as if every flag were
+always declared.  The refusals that involve no document (``--generic 0``,
+``newton`` outside n = 2, 3, ``s4`` outside n = 2) raise a plain
+``ValueError``; the parser's ``DocumentError`` and ``ParseError`` are
+``ValueError``s too, so each exits 2 with its text.
 
 ``--output machine`` switches to one JSON record per result, which one
 function, ``_print_record``, writes for matrix commands and verify checks
@@ -37,7 +43,6 @@ import json
 import os
 import sys
 import time
-from pathlib import Path
 
 from .determinants import (
     left_determinant,
@@ -46,7 +51,6 @@ from .determinants import (
     symmetric_determinant,
 )
 from .matrices import Matrix, generic_matrix
-from .parsing import DocumentError, ParseError, loads_matrix
 from .rings import TermLimitError
 
 
@@ -58,7 +62,7 @@ def _charpoly(A, args):
 
 def _newton(A, args):
     if A.n not in (2, 3):
-        raise DocumentError("the Newton trace formulas cover n = 2 and n = 3")
+        raise ValueError("the Newton trace formulas cover n = 2 and n = 3")
     from .charpoly import newton_sdet_2, newton_sdet_3
 
     return f"newton_{A.n}", (newton_sdet_2 if A.n == 2 else newton_sdet_3)(A)
@@ -66,7 +70,7 @@ def _newton(A, args):
 
 def _s4(A, args):
     if A.n != 2:
-        raise DocumentError("s4 expects a 2x2 matrix (four entries)")
+        raise ValueError("s4 expects a 2x2 matrix (four entries)")
     from .charpoly import standard_polynomial_4
 
     (a, b), (c, d) = A.rows
@@ -131,10 +135,13 @@ def _load_input(args) -> tuple[Matrix, bytes]:
     """The input matrix and the bytes its digest is taken from."""
     if args.generic is not None:
         if args.generic < 1:
-            raise DocumentError("--generic needs a positive dimension")
+            raise ValueError("--generic needs a positive dimension")
         _, matrix = generic_matrix(args.generic)
         return matrix, f"generic:{args.generic}".encode()
-    data = Path(args.input).read_bytes()
+    from .parsing import loads_matrix
+
+    with open(args.input, "rb") as file:
+        data = file.read()
     _, matrix = loads_matrix(data.decode("utf-8"))
     return matrix, data
 
@@ -201,7 +208,8 @@ def main(argv=None) -> int:
         # would, and give the interpreter's last flush somewhere to write
         sys.stdout = open(os.devnull, "w")
         return 141
-    except (DocumentError, ParseError, ValueError, OSError, TermLimitError) as exc:
+    # a DocumentError or ParseError of the document parser is a ValueError
+    except (ValueError, OSError, TermLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -26,16 +26,14 @@ vanishes).
 from __future__ import annotations
 
 import operator
-import random
 import re
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .rings import Ring, SparseElement, SparseRing, TermLimitError
+from .rings import _NAME, Ring, SparseElement, SparseRing, TermLimitError
 
-# the expression tokenizer's identifier: a generator renders as its name, so
-# only a name it reads as one token parses back
-_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+if TYPE_CHECKING:
+    import random
 
 
 class FreePoly(SparseElement):
@@ -157,7 +155,7 @@ class FreeAlgebra(SparseRing):
         if len(set(names)) != len(names):
             raise ValueError("generator names must be unique")
         for name in names:
-            if not isinstance(name, str) or not _NAME.fullmatch(name):
+            if not isinstance(name, str) or not re.fullmatch(_NAME, name):
                 raise ValueError(f"invalid generator name {name!r}")
         self.names = names
         self._index = {name: i for i, name in enumerate(self.names)}

@@ -27,11 +27,13 @@ TermLimitError.
 from __future__ import annotations
 
 import operator
-import random
 from types import MappingProxyType
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from .rings import SparseElement, SparseRing, TermLimitError
+
+if TYPE_CHECKING:
+    import random
 
 MAX_RANK = 16
 

@@ -9,18 +9,21 @@ multiplications at n = 6.
 
 Also houses the commutative oracles (classical determinant and adjugate by
 cofactor expansion), the supermatrix parity predicate over the exterior
-algebra, and the generic matrix of distinct free generators.
+algebra, and the generic matrix of distinct free generators; the last two
+import their algebra's module when they run, so a matrix over the integers
+loads neither algebra.
 """
 
 from __future__ import annotations
 
 import operator
 from functools import cache
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
-from .freealg import FreeAlgebra
-from .grassmann import GrassmannElem, graded_parts
 from .rings import Ring, RingElement
+
+if TYPE_CHECKING:
+    from .freealg import FreeAlgebra
 
 DIMENSION_CAP = 6
 
@@ -155,6 +158,8 @@ GENERIC_LETTERS = {1: "a", 2: "abcd", 3: "abcdefghp"}
 def generic_matrix(n: int) -> tuple[FreeAlgebra, Matrix]:
     """An n x n matrix whose entries are n^2 distinct free generators,
     named by ``GENERIC_LETTERS`` for n <= 3 and a{i}{j} beyond."""
+    from .freealg import FreeAlgebra
+
     if n in GENERIC_LETTERS:
         names = tuple(GENERIC_LETTERS[n])
     else:
@@ -172,6 +177,8 @@ def is_supermatrix(A: Matrix, t: int) -> bool:
     t+1..n in the second.  Zero entries count as homogeneous of either
     parity (zero is the one element of both graded parts).
     """
+    from .grassmann import GrassmannElem, graded_parts
+
     if not 1 <= t <= A.n - 1:
         raise ValueError(f"block split t={t} invalid for n={A.n}")
     for i in range(A.n):

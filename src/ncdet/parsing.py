@@ -22,19 +22,20 @@ with a ring header, the dimension, and a grid of expression strings:
 The header names one ``Ring``: ``{"kind": "integer"}`` is ``IntegerRing()``,
 ``{"kind": "free", "generators": [...]}`` is ``FreeAlgebra`` on at least one
 name, and ``{"kind": "grassmann", "rank": m}`` is ``GrassmannAlgebra(m)``.
-An optional "t" field records a supermatrix block split, 1 <= t <= n - 1.
+The module of that ring is imported when a header names it, so reading an
+integer document loads neither algebra; writing a header imports none.
+``n`` is a dimension in 1..``DIMENSION_CAP``, refused before any entry is
+read.  An optional "t" field records a supermatrix block split,
+1 <= t <= n - 1.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from pathlib import Path
 
-from .freealg import _NAME, FreeAlgebra
-from .grassmann import GrassmannAlgebra
-from .matrices import Matrix
-from .rings import IntegerRing, Record, Ring, _max_str_digits
+from .matrices import DIMENSION_CAP, Matrix
+from .rings import _NAME, IntegerRing, Record, Ring, _instance_of, _max_str_digits
 
 
 class ParseError(ValueError):
@@ -64,7 +65,7 @@ def _is_json_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-_TOKEN_RE = re.compile(rf"\s*(?:(?P<int>[0-9]+)|(?P<ident>{_NAME.pattern})|(?P<sym>[-+*^()]))")
+_TOKEN_RE = re.compile(rf"\s*(?:(?P<int>[0-9]+)|(?P<ident>{_NAME})|(?P<sym>[-+*^()]))")
 
 
 def _tokenize(src: str) -> list[tuple[str, str, int]]:
@@ -218,20 +219,24 @@ def _read_ring(header) -> Ring:
             raise DocumentError("ring 'generators' must be a list of strings")
         if not generators:
             raise DocumentError("free ring needs at least one generator name")
+        from .freealg import FreeAlgebra
+
         return FreeAlgebra(generators)
     if kind == "grassmann":
         rank = header.get("rank", 0)
         if not _is_json_int(rank):
             raise DocumentError("ring 'rank' must be an integer")
+        from .grassmann import GrassmannAlgebra
+
         return GrassmannAlgebra(rank)
     raise DocumentError(f"ring kind must be one of {RING_KINDS}, got {kind!r}")
 
 
 def _write_ring(ring: Ring) -> dict:
     """The ring header that ``_read_ring`` reads back as ring."""
-    if isinstance(ring, FreeAlgebra):
+    if _instance_of(ring, "freealg", "FreeAlgebra"):
         return {"kind": "free", "generators": list(ring.names)}
-    if isinstance(ring, GrassmannAlgebra):
+    if _instance_of(ring, "grassmann", "GrassmannAlgebra"):
         return {"kind": "grassmann", "rank": ring.rank}
     if isinstance(ring, IntegerRing):
         return {"kind": "integer"}
@@ -288,6 +293,8 @@ def _read_document(obj) -> MatrixDocument:
     entries = obj["entries"]
     if not _is_json_int(n):
         raise DocumentError("'n' must be an integer")
+    if not 1 <= n <= DIMENSION_CAP:
+        raise DocumentError(f"dimension {n} outside 1..{DIMENSION_CAP}")
     if not isinstance(entries, list) or len(entries) != n:
         raise DocumentError(f"expected {n} entry rows, found {len(entries) if isinstance(entries, list) else 'none'}")
     grid = []
@@ -328,8 +335,11 @@ def loads_matrix(text: str) -> tuple[MatrixDocument, Matrix]:
 
 def load_matrix(path) -> tuple[MatrixDocument, Matrix]:
     """Load a matrix document from a file path."""
-    return loads_matrix(Path(path).read_text(encoding="utf-8"))
+    with open(path, encoding="utf-8") as file:
+        text = file.read()
+    return loads_matrix(text)
 
 
 def save_matrix(path, document: MatrixDocument):
-    Path(path).write_text(document.dumps() + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as file:
+        file.write(document.dumps() + "\n")

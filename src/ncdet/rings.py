@@ -45,6 +45,11 @@ and binary and reflected ``-``, reflected ``*`` and ``**`` from
 plain frozen ``__slots__`` classes with field-wise equality, hash and
 repr, built without the import-time cost of ``dataclasses``.
 
+The module also holds what the algebras and the document parser share
+without importing each other: ``_NAME``, the pattern of a generator name,
+and ``_instance_of``, an ``isinstance`` test against a class of a module
+that is not imported for it.
+
 Elements are immutable and all operations are pure, so sharing values
 between threads is safe.
 """
@@ -57,6 +62,18 @@ from abc import ABC, abstractmethod
 
 # Python before 3.10.7 has no int-to-str digit limit
 _max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+# a generator name, as the expression tokenizer reads one token: a free
+# generator renders as its name, so only such a name parses back
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+
+
+def _instance_of(x, home: str, name: str) -> bool:
+    """isinstance(x, the class ``name`` of the package module ``home``),
+    answered without importing that module: none of its instances exists
+    before it is loaded."""
+    module = sys.modules.get(f"{__package__}.{home}")
+    return module is not None and isinstance(x, getattr(module, name))
 
 
 class TermLimitError(RuntimeError):

@@ -2,7 +2,6 @@ import hashlib
 import io
 import json
 import os
-import subprocess
 import sys
 import time
 from pathlib import Path
@@ -12,6 +11,8 @@ import pytest
 from ncdet import FreeAlgebra, cli, parsing, standard_polynomial_4
 from ncdet.cli import main
 from ncdet.verify import generic_matrix
+
+from loaded_modules import cli_code, loaded_in_fresh_interpreter
 
 
 INTEGER_DOC = json.dumps(
@@ -73,20 +74,20 @@ def test_machine_digest_is_stable(capsys, integer_doc):
 
 def test_input_is_read_once_and_digested_as_read(capsys, monkeypatch, integer_doc):
     reads = []
-    read_bytes = Path.read_bytes
 
-    def counting_read_bytes(path):
+    def counting_open(path, *args, **kwargs):
         reads.append(path)
-        return read_bytes(path)
+        return open(path, *args, **kwargs)
 
-    def no_read_text(path, *args, **kwargs):
+    def no_open(path, *args, **kwargs):
         raise AssertionError("the document was read a second time")
 
-    monkeypatch.setattr(Path, "read_bytes", counting_read_bytes)
-    monkeypatch.setattr(Path, "read_text", no_read_text)
+    # the CLI and the document module open files with the builtin ``open``
+    monkeypatch.setattr(cli, "open", counting_open, raising=False)
+    monkeypatch.setattr(parsing, "open", no_open, raising=False)
     assert main(["sdet", "--input", integer_doc, "--output", "machine"]) == 0
     record = json.loads(capsys.readouterr().out)
-    assert reads == [Path(integer_doc)]
+    assert reads == [integer_doc]
     assert record["result_canonical_text"] == "-4"
     assert record["input_digest"] == hashlib.sha256(INTEGER_DOC.encode()).hexdigest()
     # pinned, so the digest of a document cannot drift between versions
@@ -421,58 +422,64 @@ def test_deep_nesting_is_a_clean_exit_2(capsys, tmp_path, text):
     assert "Traceback" not in captured.err
 
 
-def _loaded_in_fresh_interpreter(code: str) -> list[str]:
-    """The modules that code loads in a fresh interpreter, where it must
-    leave ``code`` at 0."""
-    probe = (
-        "import sys\nbefore = set(sys.modules)\n"
-        f"code = 0\n{code}\n"
-        "print(' '.join(sorted(set(sys.modules) - before)))\nsys.exit(code)"
-    )
-    root = Path(__file__).resolve().parents[1]
-    result = subprocess.run(
-        [sys.executable, "-c", probe],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=str(root / "src")),
-        timeout=60,
-    )
-    assert result.returncode == 0, result.stderr
-    return result.stdout.splitlines()[-1].split()
-
-
 def test_cli_import_loads_neither_dataclasses_nor_hashlib():
     # every command is its own process, so what importing the CLI loads is
     # paid on every run; a digest is needed only for machine output
-    loaded = _loaded_in_fresh_interpreter("import ncdet.cli")
+    loaded = loaded_in_fresh_interpreter("import ncdet.cli")
     assert "ncdet.cli" in loaded
     unwanted = {"dataclasses", "inspect", "hashlib"} & set(loaded)
     assert not unwanted, f"importing ncdet.cli loaded {sorted(unwanted)}; all it loaded: {loaded}"
     # the package itself loads a module only when one of its names is read
-    loaded = _loaded_in_fresh_interpreter("import ncdet")
+    loaded = loaded_in_fresh_interpreter("import ncdet")
     assert [name for name in loaded if name.startswith("ncdet.")] == []
 
 
-_HARNESS = {"ncdet.verify", "ncdet.charpoly", "ncdet.perms"}
+GRASSMANN_DOC = json.dumps(
+    {"ring": {"kind": "grassmann", "rank": 2}, "n": 2, "entries": [["1", "v1"], ["v2", "2"]]}
+)
+
+
+def _modules(names: str) -> set:
+    return {f"ncdet.{name}" for name in names.split()}
+
+
+_PACKAGE = _modules("charpoly cli determinants freealg grassmann matrices parsing perms rings verify")
+_HARNESS = _modules("verify charpoly perms")
+_ALGEBRAS = _modules("freealg grassmann")
+_CORE = _modules("rings matrices determinants")
 
 
 @pytest.mark.parametrize(
-    "argv, loads, skips",
+    "run, loads, skips",
     [
-        (["sdet", "--input", "DOC"], set(), _HARNESS),
-        (["preadj", "--generic", "2"], set(), _HARNESS),
-        (["charpoly", "--input", "DOC"], {"ncdet.charpoly"}, {"ncdet.verify"}),
-        (["newton", "--generic", "3"], {"ncdet.charpoly"}, {"ncdet.verify"}),
-        (["s4", "--generic", "2"], {"ncdet.charpoly"}, {"ncdet.verify"}),
-        (["verify", "--suite", "thm3_1", "--n", "2"], {"ncdet.verify"}, set()),
+        (["sdet", "--input", "INTEGER"], _CORE | _modules("parsing"), _HARNESS | _ALGEBRAS),
+        (["preadj", "--generic", "2"], _modules("freealg"), _HARNESS | _modules("parsing grassmann")),
+        (["ldet", "--k", "2", "--input", "GRASSMANN"], _modules("grassmann"), _HARNESS | _modules("freealg")),
+        (["charpoly", "--input", "INTEGER"], _modules("charpoly"), _ALGEBRAS | _modules("verify perms")),
+        (["newton", "--generic", "3"], _modules("charpoly"), _modules("verify")),
+        (["s4", "--generic", "2"], _modules("charpoly"), _modules("verify")),
+        (["verify", "--suite", "thm3_1", "--n", "2"], _modules("verify"), set()),
+        (
+            "import ncdet\nncdet.symmetric_determinant(ncdet.Matrix(ncdet.IntegerRing(), [[1, 2], [3, 4]]))",
+            _CORE,
+            _PACKAGE - _CORE,
+        ),
     ],
-    ids=["sdet", "preadj", "charpoly", "newton", "s4", "verify"],
+    ids=["sdet", "preadj", "ldet-grassmann", "charpoly", "newton", "s4", "verify", "library-sdet"],
 )
-def test_each_command_loads_only_the_modules_it_runs(integer_doc, argv, loads, skips):
-    argv = [integer_doc if word == "DOC" else word for word in argv]
-    loaded = _loaded_in_fresh_interpreter(f"import ncdet.cli\ncode = ncdet.cli.main({argv!r})")
-    assert loads <= set(loaded), loaded
-    assert not skips & set(loaded), f"{argv[0]} loaded {sorted(skips & set(loaded))}"
+def test_each_command_loads_only_the_modules_it_runs(integer_doc, tmp_path, run, loads, skips):
+    """A row runs an ncdet command (argv, where INTEGER and GRASSMANN name a
+    document over that ring) or Python code that uses the package."""
+    if isinstance(run, str):
+        code = run
+    else:
+        grassmann_doc = tmp_path / "grassmann.json"
+        grassmann_doc.write_text(GRASSMANN_DOC)
+        documents = {"INTEGER": integer_doc, "GRASSMANN": str(grassmann_doc)}
+        code = cli_code([documents.get(word, word) for word in run])
+    loaded = set(loaded_in_fresh_interpreter(code))
+    assert loads <= loaded, sorted(loaded)
+    assert not skips & loaded, f"{run} loaded {sorted(skips & loaded)}"
 
 
 # The help and argument-error text of the parser that declared every

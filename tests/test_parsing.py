@@ -306,6 +306,15 @@ def test_dimension_inconsistency_is_reported():
         loads_matrix(json.dumps(bad))
 
 
+@pytest.mark.parametrize("n", [-1, 0, 7])
+def test_a_dimension_outside_the_cap_is_refused_before_the_rows(n):
+    # each entry names an unknown generator, so a parsed entry would be refused
+    rows = [["q"] * n for _ in range(max(n, 0))]
+    doc = {"ring": {"kind": "free", "generators": ["a"]}, "n": n, "entries": rows}
+    with pytest.raises(DocumentError, match=rf"^dimension {n} outside 1\.\.6$"):
+        loads_matrix(json.dumps(doc))
+
+
 def test_bad_entry_reports_row_and_column():
     bad = {
         "ring": {"kind": "free", "generators": ["a"]},
