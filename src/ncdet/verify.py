@@ -11,6 +11,19 @@ each under ``<name>`` in the order of definition.  ``VerifyOptions`` holds
 the options and their ranges; a suite reads them through the run's
 ``_OptionReader``, and ``_trials`` is the one loop over seeded draws.
 
+The suites whose every check holds in any ring -- thm2_1, thm3_1, cor3_2,
+prop3_3, cor3_4, prop4_1, thm4_2, rem4_3's squares, thm4_4 and cor4_5 --
+take their matrices from a ``matrix`` parameter: ``matrix(n)`` returns
+``(ring, A)`` as ``generic_matrix``, its default, does.  ``run_verify``
+runs them on the generic matrix, where a pass proves the identity in
+every ring; the same checks run unchanged on any other ring's matrices.
+The rest keep their own inputs: thm2_2 and thm2_6 test membership in
+[R,R] with the free algebra's span test (and thm2_6 caps the free
+witness's n); thm2_3, thm2_4, thm2_5 and thm2_7 state facts of the
+exterior algebra and draw its matrices from the seed; commutative_collapse
+needs a commutative ring; and rem4_3's cube line stays on the generic
+2x2, since tr((A^T)^3) = tr(A^3) in every commutative ring.
+
 This module is where every verdict is decided: the computing modules
 return data, and the suites, ``scalar_cayley_hamilton_check`` (Thm 2.7)
 and ``lie_nilpotency_check`` (the exterior algebra's index 2) check it.
@@ -331,9 +344,9 @@ def lie_nilpotency_check(rank: int, index: int, trials: int = 20, seed: int = 0)
 # that first yield before any check runs, so a refusal comes before any work.
 
 
-def _suite_thm2_1(opt: _OptionReader):
+def _suite_thm2_1(opt: _OptionReader, matrix=generic_matrix):
     for n in opt.each("n", (2, 3)):
-        _, A = generic_matrix(n)
+        _, A = matrix(n)
         pre = _fixture(preadjoint, A)
         rdet = {k: _fixture(right_determinant, A, k) for k in opt.each("k", (1, 2))}
         ldet = {k: _fixture(left_determinant, A, k) for k in opt.each("k", (1, 2))}
@@ -466,26 +479,26 @@ def _suite_thm2_7(opt: _OptionReader):
         )
 
 
-def _suite_thm3_1(opt: _OptionReader):
+def _suite_thm3_1(opt: _OptionReader, matrix=generic_matrix):
     for n in opt.each("n", (2, 3, 4)):
-        _, A = generic_matrix(n)
+        _, A = matrix(n)
         pre = _fixture(preadjoint, A)
         sdet = _fixture(symmetric_determinant, A)
         yield f"thm3_1 n={n}: tr(A A*) = sdet(A)", lambda: sdet() == trace_of_product(A, pre())
         yield f"thm3_1 n={n}: tr(A* A) = sdet(A)", lambda: sdet() == trace_of_product(pre(), A)
 
 
-def _suite_cor3_2(opt: _OptionReader):
+def _suite_cor3_2(opt: _OptionReader, matrix=generic_matrix):
     for n in opt.each("n", (2, 3)):
-        _, A = generic_matrix(n)
+        _, A = matrix(n)
         yield f"cor3_2 n={n}: p_A,1 = q_A,1", lambda: (
             characteristic_polynomial(A, "right", 1) == characteristic_polynomial(A, "left", 1)
         )
 
 
-def _suite_prop3_3(opt: _OptionReader):
-    algebra, A = generic_matrix(2)
-    a, b, c, d = algebra.gens()
+def _suite_prop3_3(opt: _OptionReader, matrix=generic_matrix):
+    _, A = matrix(2)
+    a, b, c, d = *A.rows[0], *A.rows[1]
 
     def check():
         difference = right_determinant(A, 2) - left_determinant(A, 2)
@@ -494,21 +507,21 @@ def _suite_prop3_3(opt: _OptionReader):
     yield "prop3_3: rdet_2 - ldet_2 = S4(entries)", check
 
 
-def _suite_cor3_4(opt: _OptionReader):
-    algebra, A = generic_matrix(2)
-    a, b, c, d = algebra.gens()
+def _suite_cor3_4(opt: _OptionReader, matrix=generic_matrix):
+    _, A = matrix(2)
+    a, b, c, d = *A.rows[0], *A.rows[1]
 
     def check():
         difference = characteristic_polynomial(A, "right", 2) - characteristic_polynomial(A, "left", 2)
-        expected = CentralPoly(PolynomialRing(algebra), [standard_polynomial_4(a, b, c, d)])
+        expected = CentralPoly(PolynomialRing(A.ring), [standard_polynomial_4(a, b, c, d)])
         return difference == expected, "z-degree >= 1 coefficients cancel"
 
     yield "cor3_4: p_A,2 - q_A,2 is the constant S4", check
 
 
-def _suite_prop4_1(opt: _OptionReader):
-    algebra, A = generic_matrix(2)
-    a, b, c, d = algebra.gens()
+def _suite_prop4_1(opt: _OptionReader, matrix=generic_matrix):
+    _, A = matrix(2)
+    a, b, c, d = *A.rows[0], *A.rows[1]
     yield "prop4_1: tr^2 - tr(A^2) = sdet (generic 2x2)", lambda: (
         newton_sdet_2(A) == symmetric_determinant(A)
     )
@@ -517,16 +530,16 @@ def _suite_prop4_1(opt: _OptionReader):
     )
 
 
-def _suite_thm4_2(opt: _OptionReader):
-    _, A = generic_matrix(3)
+def _suite_thm4_2(opt: _OptionReader, matrix=generic_matrix):
+    _, A = matrix(3)
     yield "thm4_2: six-term trace formula = sdet (generic 3x3)", lambda: (
         newton_sdet_3(A) == symmetric_determinant(A), "36-term residual is exactly zero"
     )
 
 
-def _suite_rem4_3(opt: _OptionReader):
+def _suite_rem4_3(opt: _OptionReader, matrix=generic_matrix):
     for n in opt.each("n", (2, 3, 4)):
-        _, A = generic_matrix(n)
+        _, A = matrix(n)
 
         def squares():
             T = A.transpose()
@@ -551,18 +564,18 @@ def _closed_form_3(A: Matrix) -> list:
     return [-symmetric_determinant(A), (t * t - t2) * 3, t * (-6), A.ring.from_int(6)]
 
 
-def _suite_thm4_4(opt: _OptionReader):
-    algebra, A = generic_matrix(3)
+def _suite_thm4_4(opt: _OptionReader, matrix=generic_matrix):
+    _, A = matrix(3)
 
     def check():
-        expected = CentralPoly(PolynomialRing(algebra), _closed_form_3(A))
+        expected = CentralPoly(PolynomialRing(A.ring), _closed_form_3(A))
         return characteristic_polynomial(A, "right", 1) == expected
 
     yield "thm4_4: p_A,1 = 6z^3 - 6tr z^2 + 3(tr^2 - tr A^2) z - sdet", check
 
 
-def _suite_cor4_5(opt: _OptionReader):
-    _, A = generic_matrix(3)
+def _suite_cor4_5(opt: _OptionReader, matrix=generic_matrix):
+    _, A = matrix(3)
     witness = _fixture(cayley_hamilton_witness, A)
     yield "cor4_5: lambda coefficients match the closed form", lambda: (
         tuple(witness().lambdas) == tuple(_closed_form_3(A))

@@ -378,12 +378,21 @@ class IntMatrixRing(Ring):
     def _identity(self) -> tuple:
         return (self.m,)
 
+    def random_element(self, rng: random.Random) -> MatInt:
+        """A seeded element with entries in -3..3."""
+        return _int_matrix(self, lambda i, j: rng.randint(-3, 3))
+
     def named_gens(self) -> dict:
         m = self.m
         return {
             f"e{r + 1}{c + 1}": _int_matrix(self, lambda i, j: int(i == r and j == c))
             for r in range(m) for c in range(m)
         }
+
+
+def random_matrix(ring: IntMatrixRing, rng: random.Random, n: int) -> Matrix:
+    """An n x n matrix of seeded ``ring.random_element`` draws."""
+    return Matrix(ring, [[ring.random_element(rng) for _ in range(n)] for _ in range(n)])
 
 
 class MatInt(RingElement):

@@ -364,8 +364,8 @@ def test_an_int_entry_is_evaluated_as_a_central_scalar():
 
 def test_integer_charpoly_of_degree_64_stays_in_rz():
     # evaluated at z = 2^B (B = 367 here), p_{A,3} at n = 4 would be a
-    # number of about 7,200 digits, past the 4,300 that IntegerRing.total
-    # lets through
+    # number of about 7,200 digits, past the 4,300 that rings._checked,
+    # run by IntegerRing.sum and IntegerRing.dot, lets through
     A = Matrix(IntegerRing(), [[3, -1, 4, 1], [-5, 9, 2, -6], [5, 3, -5, 8], [9, -7, 9, 3]])
     p = characteristic_polynomial(A, "right", 3)
     assert p.degree() == 64

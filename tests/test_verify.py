@@ -1,5 +1,6 @@
 import ast
 import json
+import random
 import time
 from pathlib import Path
 
@@ -7,13 +8,16 @@ import pytest
 
 import ncdet
 from ncdet import (
-    CentralPoly, CHWitness, GrassmannAlgebra, Matrix, is_supermatrix, run_verify, verify,
+    CentralPoly, CHWitness, GrassmannAlgebra, Matrix, generic_matrix, is_supermatrix, run_verify,
+    verify,
 )
 from ncdet.cli import main
 from ncdet.rings import TermLimitError
 from ncdet import determinants
 from ncdet.matrices import _det_recursive, _signed_minors
 from ncdet.verify import SUITES
+
+from oracles import IntMatrixRing, random_matrix
 
 
 def test_every_registered_suite_exists():
@@ -212,12 +216,20 @@ def test_injected_sign_error_flips_a_suite(monkeypatch):
     # tr(A* A) over the same states.  From n = 4 sdet reads the halves, so
     # both trace checks fail
     flip_a_minor_sign(monkeypatch, 0)
+    both = ["thm3_1 n=4: tr(A A*) = sdet(A)", "thm3_1 n=4: tr(A* A) = sdet(A)"]
     assert _failed_by_mismatch(run_verify("thm3_1", n=2)) == ["thm3_1 n=2: tr(A A*) = sdet(A)"]
     assert len(_failed_by_mismatch(run_verify("prop4_1"))) == 2
-    assert _failed_by_mismatch(run_verify("thm3_1", n=4)) == [
-        "thm3_1 n=4: tr(A A*) = sdet(A)",
-        "thm3_1 n=4: tr(A* A) = sdet(A)",
-    ]
+    assert _failed_by_mismatch(run_verify("thm3_1", n=4)) == both
+    # one flipped sign in sdet's halves leaves A* whole: both trace checks
+    # fail again, on the generic matrix and on an M_2(Z) draw alike
+    monkeypatch.undo()
+    drops, steps, ((x, y, negative), *halves) = determinants._level(4, 2)
+    monkeypatch.setitem(determinants._levels, (4, 2), (drops, steps, ((x, y, not negative), *halves)))
+    M2, rng = IntMatrixRing(2), random.Random(4)
+    for matrix in (generic_matrix, lambda n: (M2, random_matrix(M2, rng, n))):
+        pairs = verify._suite_thm3_1(verify._OptionReader(verify.VerifyOptions(n=4)), matrix)
+        report = verify.VerifyReport(suite="thm3_1", checks=[verify._check(*pair) for pair in pairs])
+        assert _failed_by_mismatch(report) == both
 
 
 def test_failure_details_are_reported(monkeypatch):
