@@ -11,18 +11,18 @@ each under ``<name>`` in the order of definition.  ``VerifyOptions`` holds
 the options and their ranges; a suite reads them through the run's
 ``_OptionReader``, and ``_trials`` is the one loop over seeded draws.
 
-The suites whose every check holds in any ring -- thm2_1, thm3_1, cor3_2,
-prop3_3, cor3_4, prop4_1, thm4_2, rem4_3's squares, thm4_4 and cor4_5 --
-take their matrices from a ``matrix`` parameter: ``matrix(n)`` returns
-``(ring, A)`` as ``generic_matrix``, its default, does.  ``run_verify``
-runs them on the generic matrix, where a pass proves the identity in
-every ring; the same checks run unchanged on any other ring's matrices.
-The rest keep their own inputs: thm2_2 and thm2_6 test membership in
-[R,R] with the free algebra's span test (and thm2_6 caps the free
-witness's n); thm2_3, thm2_4, thm2_5 and thm2_7 state facts of the
-exterior algebra and draw its matrices from the seed; commutative_collapse
-needs a commutative ring; and rem4_3's cube line stays on the generic
-2x2, since tr((A^T)^3) = tr(A^3) in every commutative ring.
+The twelve suites that state identities of any ring -- thm2_1, thm2_2,
+thm2_6, thm3_1, cor3_2, prop3_3, cor3_4, prop4_1, thm4_2, rem4_3's
+squares, thm4_4 and cor4_5 -- take their matrices from a ``matrix``
+parameter: ``matrix(n)`` returns ``(ring, A)`` as ``generic_matrix``, its
+default, does.  ``run_verify`` runs them on the generic matrix, where a
+pass proves the identity in every ring; the same checks run unchanged on
+any other ring's matrices, except thm2_2's and thm2_6's [R,R] lines,
+which run only over the free algebra, the one ring with a span test.
+The rest keep their own inputs: thm2_3, thm2_4, thm2_5 and thm2_7 state
+facts of the exterior algebra and draw its matrices from the seed;
+commutative_collapse needs a commutative ring; and rem4_3's cube line
+stays on the generic 2x2, as tr((A^T)^3) = tr(A^3) in commutative rings.
 
 This module is where every verdict is decided: the computing modules
 return data, and the suites, ``scalar_cayley_hamilton_check`` (Thm 2.7)
@@ -57,7 +57,7 @@ from .determinants import (
     symmetric_determinant,
     trace_of_product,
 )
-from .freealg import in_commutator_span
+from .freealg import FreeAlgebra, in_commutator_span
 from .grassmann import MAX_RANK, GrassmannAlgebra, graded_parts
 from .matrices import (
     DIMENSION_CAP,
@@ -360,18 +360,19 @@ def _suite_thm2_1(opt: _OptionReader, matrix=generic_matrix):
                 yield f"{at} ldet_{k} invariant", lambda: ldet[k]() == left_determinant(conj(), k)
 
 
-def _suite_thm2_2(opt: _OptionReader):
+def _suite_thm2_2(opt: _OptionReader, matrix=generic_matrix):
     for n in opt.each("n", (2, 3)):
-        _, A = generic_matrix(n)
+        ring, A = matrix(n)
         sdet = _fixture(symmetric_determinant, A)
         for side in ("right", "left"):
             result = _fixture(commutator_defect, A, side)
             at = f"thm2_2 n={n} {side}:"
             yield f"{at} scalar part is sdet", lambda: result().scalar == sdet()
             yield f"{at} defect has zero trace", lambda: result().defect.trace() == A.ring.zero
-            yield f"{at} defect entries lie in [R,R]", lambda: all(
-                in_commutator_span(e) for row in result().defect.rows for e in row
-            )
+            if isinstance(ring, FreeAlgebra):
+                yield f"{at} defect entries lie in [R,R]", lambda: all(
+                    in_commutator_span(e) for row in result().defect.rows for e in row
+                )
 
 
 def _suite_thm2_3(opt: _OptionReader):
@@ -440,12 +441,12 @@ def _suite_thm2_5(opt: _OptionReader):
         )
 
 
-def _suite_thm2_6(opt: _OptionReader):
+def _suite_thm2_6(opt: _OptionReader, matrix=generic_matrix):
     ns = opt.each("n", (2, 3))
     if max(ns) > WITNESS_MAX_N:
         raise ValueError(f"generic free-algebra witnesses are limited to n <= {WITNESS_MAX_N}")
     for n in ns:
-        _, A = generic_matrix(n)
+        ring, A = matrix(n)
         witness = _fixture(cayley_hamilton_witness, A)
         identities = _fixture(lambda: _witness_identities(A, witness()))
         yield f"thm2_6 n={n}: right CH identity vanishes", lambda: identities()[0]
@@ -457,9 +458,10 @@ def _suite_thm2_6(opt: _OptionReader):
         yield f"thm2_6 n={n}: defects have zero trace", lambda: all(
             D.trace() == A.ring.zero for D in defects()
         )
-        yield f"thm2_6 n={n}: defect entries lie in [R,R]", lambda: all(
-            in_commutator_span(e) for D in defects() for row in D.rows for e in row
-        )
+        if isinstance(ring, FreeAlgebra):
+            yield f"thm2_6 n={n}: defect entries lie in [R,R]", lambda: all(
+                in_commutator_span(e) for D in defects() for row in D.rows for e in row
+            )
 
 
 def _suite_thm2_7(opt: _OptionReader):

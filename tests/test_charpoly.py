@@ -17,7 +17,6 @@ from ncdet import (
     characteristic_polynomial,
     charpoly,
     commutative_det,
-    in_commutator_span,
     left_determinant,
     newton_sdet_2,
     newton_sdet_3,
@@ -193,23 +192,6 @@ def test_charpoly_of_zero_matrix():
     p = characteristic_polynomial(A, "right", 1)
     assert p == CentralPoly(PolynomialRing(algebra), [algebra.zero, algebra.zero, algebra.from_int(2)])
     assert str(p) == "2*z^2"
-
-
-def test_generic_3x3_charpoly_matches_trace_closed_form():
-    algebra, A = generic_matrix(3)
-    t = A.trace()
-    t2 = (A * A).trace()
-    expected = CentralPoly(
-        PolynomialRing(algebra),
-        [-symmetric_determinant(A), (t * t - t2) * 3, t * (-6), algebra.from_int(6)],
-    )
-    assert characteristic_polynomial(A, "right", 1) == expected
-
-
-@pytest.mark.parametrize("n", [2, 3])
-def test_first_right_and_left_charpoly_coincide(n):
-    _, A = generic_matrix(n)
-    assert characteristic_polynomial(A, "right", 1) == characteristic_polynomial(A, "left", 1)
 
 
 @pytest.mark.parametrize("side", ["right", "left"])
@@ -423,45 +405,6 @@ def test_balanced_slices_read_back_every_key(data):
 
 
 # -- Cayley-Hamilton witnesses ---------------------------------------------------
-
-
-def witness_residuals(A, witness):
-    ring = A.ring
-    n = A.n
-    right_sum = Matrix.zeros(ring, n)
-    left_sum = Matrix.zeros(ring, n)
-    power = Matrix.identity(ring, n)
-    for i in range(n + 1):
-        lam = Matrix.scalar(ring, n, witness.lambdas[i])
-        right_sum = right_sum + power * (lam + witness.right_defects[i])
-        left_sum = left_sum + (lam + witness.left_defects[i]) * power
-        if i < n:
-            power = power * A
-    return right_sum, left_sum
-
-
-@pytest.mark.parametrize("n", [2, 3])
-def test_generic_witness_identities_vanish(n):
-    _, A = generic_matrix(n)
-    witness = cayley_hamilton_witness(A)
-    right_sum, left_sum = witness_residuals(A, witness)
-    assert right_sum.is_zero()
-    assert left_sum.is_zero()
-    assert witness.lambdas[n] == A.ring.from_int(math.factorial(n))
-    for defect in (*witness.right_defects, *witness.left_defects):
-        assert defect.trace() == A.ring.zero
-        assert all(in_commutator_span(e) for row in defect.rows for e in row)
-
-
-def test_generic_3x3_lambdas_match_newton_closed_form():
-    algebra, A = generic_matrix(3)
-    witness = cayley_hamilton_witness(A)
-    t = A.trace()
-    t2 = (A * A).trace()
-    assert witness.lambdas[0] == -symmetric_determinant(A)
-    assert witness.lambdas[1] == (t * t - t2) * 3
-    assert witness.lambdas[2] == t * (-6)
-    assert witness.lambdas[3] == algebra.from_int(6)
 
 
 def test_witness_slices_one_preadjoint_and_multiplies_nothing_over_rz(monkeypatch):

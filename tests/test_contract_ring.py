@@ -1,7 +1,7 @@
 """The determinant theory over M_m(Z), a ring written only against the ring
 contract (``oracles.IntMatrixRing``), and the suites of ``verify`` whose
-every check holds in any ring, run on M_2(Z), M_3(Z) and the exterior
-algebra."""
+every check holds in any ring, run on M_2(Z), M_3(Z) and two kinds of
+exterior-algebra draws."""
 
 import inspect
 import random
@@ -10,6 +10,7 @@ import pytest
 
 from ncdet import (
     GrassmannAlgebra,
+    Matrix,
     left_determinant,
     parse_expression,
     right_determinant,
@@ -38,21 +39,38 @@ def draws(draw, seed: int):
 # ``matrix`` parameter
 ANY_RING = [name for name, suite in SUITES.items() if "matrix" in inspect.signature(suite).parameters]
 
+
+def odd_parts_matrix(rng, n):
+    """Rank-6 exterior entries: the k-th is a constant, the generator
+    v_(k mod 6 + 1) and one random term.  The four odd parts of a 2x2 draw
+    then hold distinct generators, so S4 of its entries need not vanish."""
+    algebra = GrassmannAlgebra(6)
+
+    def entry(k):
+        constant = algebra.from_int(rng.randint(-3, 3))
+        return constant + algebra.gen(k % 6 + 1) + algebra.random_element(rng, max_terms=1)
+
+    return Matrix(algebra, [[entry(n * i + j) for j in range(n)] for i in range(n)])
+
+
 RINGS = {
     "M2(Z)": lambda rng, n: random_matrix(IntMatrixRing(2), rng, n),
     "M3(Z)": lambda rng, n: random_matrix(IntMatrixRing(3), rng, n),
     "exterior rank 6": lambda rng, n: random_grassmann_matrix(GrassmannAlgebra(6), rng, n),
+    "exterior rank 6, odd parts": odd_parts_matrix,
 }
 
 
 @pytest.mark.parametrize("ring", RINGS)
 def test_the_any_ring_suites_pass_on_other_rings(ring):
-    # Thm 2.1, Thm 3.1, Cor 3.2, Prop 3.3, Cor 3.4, Prop 4.1, Thm 4.2,
-    # Rem 4.3's squares, Thm 4.4 and Cor 4.5, at their default sizes.  S4
-    # vanishes on M_2(Z), and on these sparse exterior draws too, so only
-    # M_3(Z)'s give Prop 3.3 and Cor 3.4 a nonzero right side
+    # Thm 2.1, Thm 2.2, Thm 2.6, Thm 3.1, Cor 3.2, Prop 3.3, Cor 3.4,
+    # Prop 4.1, Thm 4.2, Rem 4.3's squares, Thm 4.4 and Cor 4.5, at their
+    # default sizes; the [R,R] lines of Thm 2.2 and 2.6 run only over the
+    # free algebra.  S4 vanishes on M_2(Z) and on the sparse exterior
+    # draws, so M_3(Z) and the odd-parts draws give Prop 3.3 and Cor 3.4 a
+    # nonzero right side
     assert ANY_RING == [
-        "thm2_1", "thm3_1", "cor3_2", "prop3_3", "cor3_4",
+        "thm2_1", "thm2_2", "thm2_6", "thm3_1", "cor3_2", "prop3_3", "cor3_4",
         "prop4_1", "thm4_2", "rem4_3", "thm4_4", "cor4_5",
     ]
     failed = []
@@ -92,6 +110,12 @@ def test_s4_vanishes_on_2x2_integer_matrices_only():
         standard_polynomial_4(*(M3.random_element(rng) for _ in range(4))) != 0
         for _ in range(10)
     )
+
+
+def test_s4_bites_on_the_odd_parts_draw():
+    # the 2x2 matrix that prop3_3 and cor3_4 draw first from seed 0
+    _, A = draws(odd_parts_matrix, 0)(2)
+    assert standard_polynomial_4(*A.rows[0], *A.rows[1]) != 0
 
 
 def test_expressions_name_the_matrix_units():

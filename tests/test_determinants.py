@@ -17,7 +17,6 @@ from ncdet import (
     commutative_det,
     commutator_defect,
     conjugate,
-    in_commutator_span,
     left_determinant,
     preadjoint,
     preadjoint_via_minors,
@@ -632,15 +631,6 @@ def test_trace_of_product_agrees_with_full_product(ints):
 
 
 # -- commutator defects ----------------------------------------------------------
-
-
-@pytest.mark.parametrize("side", ["right", "left"])
-def test_generic_2x2_defect(side):
-    _, A = generic_matrix(2)
-    result = commutator_defect(A, side)
-    assert result.scalar == symmetric_determinant(A)
-    assert result.defect.trace() == A.ring.zero
-    assert all(in_commutator_span(e) for row in result.defect.rows for e in row)
 
 
 def test_1x1_defect_is_zero():

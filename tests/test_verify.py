@@ -8,8 +8,8 @@ import pytest
 
 import ncdet
 from ncdet import (
-    CentralPoly, CHWitness, GrassmannAlgebra, Matrix, generic_matrix, is_supermatrix, run_verify,
-    verify,
+    CentralPoly, CHWitness, CommutatorDefect, GrassmannAlgebra, Matrix, generic_matrix,
+    is_supermatrix, run_verify, verify,
 )
 from ncdet.cli import main
 from ncdet.rings import TermLimitError
@@ -18,6 +18,7 @@ from ncdet.matrices import _det_recursive, _signed_minors
 from ncdet.verify import SUITES
 
 from oracles import IntMatrixRing, random_matrix
+from test_contract_ring import RINGS, draws
 
 
 def test_every_registered_suite_exists():
@@ -284,43 +285,73 @@ def _lambda_plus_one(w):
     return CHWitness(tuple(lambdas), w.right_defects, w.left_defects)
 
 
-# the witness does not check itself, so each corruption must fail the named
-# checks of its suite and pass the others
+def _defect_entry_plus_one(w):
+    right = list(w.right_defects)
+    right[0] = _add_at(right[0], 0, 1, 1)
+    return CHWitness(w.lambdas, tuple(right), w.left_defects)
+
+
+def _scalar_plus_one(result):
+    return CommutatorDefect(scalar=result.scalar + 1, defect=result.defect)
+
+
+# these two fail on every ring; only the free algebra has the [R,R] line
+_ON_EVERY_RING = {
+    f"{suite} {what} on {ring} n={n}": (corrupt, suite, n, ring, failing)
+    for ring in ("generic", *RINGS)
+    for n in (2, 3)
+    for corrupt, suite, what, failing in (
+        (_defect_entry_plus_one, "thm2_6", "defect entry + 1", ["right CH identity vanishes"]
+         + ["defect entries lie in [R,R]"] * (ring == "generic")),
+        (_scalar_plus_one, "thm2_2", "scalar part + 1", ["scalar part is sdet"] * 2),
+    )
+}
+
+
+# neither the witness nor the commutator defect checks itself, so each
+# corruption must fail the named checks of its suite and pass the others
 @pytest.mark.parametrize(
-    "corrupt, suite, n, failing",
+    "corrupt, suite, n, ring, failing",
     [
         (
-            _off_diagonal_generator,
-            "thm2_6",
-            2,
+            _off_diagonal_generator, "thm2_6", 2, "generic",
             {"defect entries lie in [R,R]", "right CH identity vanishes"},
         ),
-        (_diagonal_commutator, "thm2_6", 2, {"defects have zero trace", "left CH identity vanishes"}),
-        (_lambda_plus_one, "thm2_6", 2, {"right CH identity vanishes", "left CH identity vanishes"}),
         (
-            _lambda_plus_one,
-            "cor4_5",
-            None,
+            _diagonal_commutator, "thm2_6", 2, "generic",
+            {"defects have zero trace", "left CH identity vanishes"},
+        ),
+        (
+            _lambda_plus_one, "thm2_6", 2, "generic",
+            {"right CH identity vanishes", "left CH identity vanishes"},
+        ),
+        (
+            _lambda_plus_one, "cor4_5", None, "generic",
             {
                 "lambda coefficients match the closed form",
                 "coefficient-on-the-right identity vanishes",
                 "coefficient-on-the-left identity vanishes",
             },
         ),
+        *_ON_EVERY_RING.values(),
     ],
     ids=[
         "thm2_6 generator off the diagonal",
         "thm2_6 commutator on the diagonal",
         "thm2_6 lambda_1 + 1",
         "cor4_5 lambda_1 + 1",
+        *_ON_EVERY_RING,
     ],
 )
-def test_a_corrupted_witness_fails_the_named_checks(monkeypatch, corrupt, suite, n, failing):
-    original = verify.cayley_hamilton_witness
-    monkeypatch.setattr(verify, "cayley_hamilton_witness", lambda A: corrupt(original(A)))
-    report = run_verify(suite, n=n)
-    failed = {c.name.split(": ", 1)[1] for c in report.checks if not c.passed}
-    assert failed == failing
+def test_a_corrupted_witness_fails_the_named_checks(monkeypatch, corrupt, suite, n, ring, failing):
+    fixture = "commutator_defect" if suite == "thm2_2" else "cayley_hamilton_witness"
+    original = getattr(verify, fixture)
+    monkeypatch.setattr(verify, fixture, lambda *args: corrupt(original(*args)))
+    matrix = generic_matrix if ring == "generic" else draws(RINGS[ring], 0)
+    opt = verify._OptionReader(verify.VerifyOptions(n=n))
+    checks = [verify._check(*pair) for pair in SUITES[suite](opt, matrix)]
+    failed = sorted(c.name.split(": ", 1)[1] for c in checks if not c.passed)
+    assert failed == sorted(failing)
 
 
 @pytest.mark.parametrize("side", ["right", "left"])
