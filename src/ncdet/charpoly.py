@@ -35,10 +35,15 @@ from .determinants import _by_side, left_determinant, preadjoint, right_determin
 from .matrices import Matrix
 from .rings import IntegerRing, Record, Ring, RingElement, _instance_of, _operand, join_signed
 
-# the largest free-algebra witness: generic n = 5 takes 0.31-0.37 s and
-# a process peak RSS of 60 MB (Python 3.11.7, 2-core machine); n = 6
-# exhausts gigabytes of memory
 WITNESS_MAX_N = 5
+
+
+def _check_witness_size(A: Matrix) -> None:
+    """Refuse a free-algebra witness past n = WITNESS_MAX_N: generic n = 5 takes
+    0.31-0.37 s and a process peak RSS of 60 MB (Python 3.11.7, 2-core machine);
+    n = 6 exhausts gigabytes of memory.  Other rings' witnesses have no limit."""
+    if A.n > WITNESS_MAX_N and _instance_of(A.ring, "freealg", "FreeAlgebra"):
+        raise ValueError(f"generic free-algebra witnesses are limited to n <= {WITNESS_MAX_N}")
 
 
 class PolynomialRing(Ring):
@@ -278,10 +283,9 @@ def cayley_hamilton_witness(A: Matrix) -> CHWitness:
     (zI - A)*, the degree-d slices of the products are P_{d-1} - A P_d and
     P_{d-1} - P_d A, so no matrix over R[z] is multiplied.
     """
+    _check_witness_size(A)
     n = A.n
     ring = A.ring
-    if n > WITNESS_MAX_N and _instance_of(ring, "freealg", "FreeAlgebra"):
-        raise ValueError(f"generic free-algebra witnesses are limited to n <= {WITNESS_MAX_N}")
     P = preadjoint(char_matrix(A))
     slices = [Matrix(ring, [[e.coeff(d) for e in row] for row in P.rows]) for d in range(n)]
     # (zI - A)* has degree n - 1 (its top slice is (n-1)! I), so each

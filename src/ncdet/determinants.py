@@ -240,8 +240,6 @@ def trace_of_product(X: Matrix, Y: Matrix):
 def _kth_determinant(A: Matrix, side: str, k: int):
     """tr(X X*) (right) or tr(X* X) (left) for the running product X before
     the k-th step, A P_1 ... P_{k-1} or Q_{k-1} ... Q_1 A: sdet(X) by Thm 3.1."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
     X = A if k == 1 else sequence_product(A, side, k - 1)
     if X.n >= 4:
         return symmetric_determinant(X)

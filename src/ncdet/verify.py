@@ -19,6 +19,7 @@ default, does.  ``run_verify`` runs them on the generic matrix, where a
 pass proves the identity in every ring; the same checks run unchanged on
 any other ring's matrices, except thm2_2's and thm2_6's [R,R] lines,
 which run only over the free algebra, the one ring with a span test.
+Only a free-algebra witness stops thm2_6 past n = 5, as ``charpoly`` says.
 The rest keep their own inputs: thm2_3, thm2_4, thm2_5 and thm2_7 state
 facts of the exterior algebra and draw its matrices from the seed;
 commutative_collapse needs a commutative ring; and rem4_3's cube line
@@ -37,9 +38,9 @@ import random
 import time
 
 from .charpoly import (
-    WITNESS_MAX_N,
     CentralPoly,
     PolynomialRing,
+    _check_witness_size,
     cayley_hamilton_witness,
     characteristic_polynomial,
     newton_sdet_2,
@@ -192,8 +193,7 @@ def _fixture(fn, *args):
 
 
 def random_integer_matrix(rng: random.Random, n: int) -> Matrix:
-    ring = IntegerRing()
-    return Matrix(ring, [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
+    return Matrix(IntegerRing(), [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
 
 
 def random_grassmann_matrix(algebra: GrassmannAlgebra, rng: random.Random, n: int) -> Matrix:
@@ -442,11 +442,9 @@ def _suite_thm2_5(opt: _OptionReader):
 
 
 def _suite_thm2_6(opt: _OptionReader, matrix=generic_matrix):
-    ns = opt.each("n", (2, 3))
-    if max(ns) > WITNESS_MAX_N:
-        raise ValueError(f"generic free-algebra witnesses are limited to n <= {WITNESS_MAX_N}")
-    for n in ns:
+    for n in opt.each("n", (2, 3)):
         ring, A = matrix(n)
+        _check_witness_size(A)
         witness = _fixture(cayley_hamilton_witness, A)
         identities = _fixture(lambda: _witness_identities(A, witness()))
         yield f"thm2_6 n={n}: right CH identity vanishes", lambda: identities()[0]

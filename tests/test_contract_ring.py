@@ -18,7 +18,7 @@ from ncdet import (
     symmetric_determinant,
     verify,
 )
-from ncdet.verify import SUITES, random_grassmann_matrix
+from ncdet.verify import SUITES, random_grassmann_matrix, random_integer_matrix
 
 from oracles import IntMatrixRing, MatInt, random_matrix, sdet_double_sum
 
@@ -80,6 +80,19 @@ def test_the_any_ring_suites_pass_on_other_rings(ring):
         assert checks
         failed += [str(c) for c in checks if not c.passed]
     assert failed == []
+
+
+@pytest.mark.parametrize(
+    "draw", [random_integer_matrix, RINGS["M2(Z)"], RINGS["exterior rank 6"]],
+    ids=["integers", "M2(Z)", "exterior rank 6"],
+)
+def test_thm2_6_runs_past_the_free_algebra_witness_limit(draw):
+    # only a free-algebra witness is refused past n = 5 (test_verify pins
+    # that refusal); the identities hold at n = 6 in every other ring
+    opt = verify._OptionReader(verify.VerifyOptions(n=6))
+    checks = [verify._check(*pair) for pair in SUITES["thm2_6"](opt, draws(draw, 0))]
+    assert len(checks) == 4
+    assert [str(c) for c in checks if not c.passed] == []
 
 
 @pytest.mark.parametrize("m", [2, 3])

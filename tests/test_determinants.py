@@ -532,6 +532,20 @@ def test_adjoint_sequence_validates_arguments():
             takes_side("middle")
 
 
+@pytest.fixture
+def matrix_products(monkeypatch):
+    """A one-item list counting the Matrix-by-Matrix products formed from here on."""
+    products = [0]
+    original = Matrix.__mul__
+
+    def counted(self, other):
+        products[0] += isinstance(other, Matrix)
+        return original(self, other)
+
+    monkeypatch.setattr(Matrix, "__mul__", counted)
+    return products
+
+
 @pytest.mark.parametrize("side", ["right", "left"])
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize(
@@ -543,21 +557,22 @@ def test_adjoint_sequence_validates_arguments():
     ],
     ids=["adjoint_sequence", "sequence_product", "det_k"],
 )
-def test_adjoint_walk_forms_only_the_products_it_needs(monkeypatch, side, k, walk, last_product):
+def test_adjoint_walk_forms_only_the_products_it_needs(matrix_products, side, k, walk, last_product):
     # P_k needs the products up to A P_1 ... P_{k-1}; only sequence_product
     # forms the k-th, and rdet_k/ldet_k take its trace without it
     A = Matrix(IntegerRing(), [[2, -1, 3], [0, 4, 1], [-2, 5, 7]])
-    products = 0
-    original = Matrix.__mul__
-
-    def counted(self, other):
-        nonlocal products
-        products += isinstance(other, Matrix)
-        return original(self, other)
-
-    monkeypatch.setattr(Matrix, "__mul__", counted)
     walk(A, side, k)
-    assert products == k - 1 + last_product
+    assert matrix_products[0] == k - 1 + last_product
+
+
+@pytest.mark.parametrize("determinant", [right_determinant, left_determinant])
+@pytest.mark.parametrize("k", [0, -1])
+def test_kth_determinant_refuses_k_below_1_before_any_product(matrix_products, determinant, k):
+    # the refusal is _adjoint_walk's, reached through sequence_product(A, side, k - 1)
+    A = Matrix(IntegerRing(), [[2, -1], [0, 4]])
+    with pytest.raises(ValueError, match="^k must be at least 1$"):
+        determinant(A, k)
+    assert matrix_products[0] == 0
 
 
 def test_adjoint_sequence_fails_fast_over_the_term_budget():
