@@ -62,6 +62,11 @@ from abc import ABC, abstractmethod
 
 # Python before 3.10.7 has no int-to-str digit limit
 _max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+# the interpreter takes no nonzero digit limit under 640 digits
+# (sys.int_info.str_digits_check_threshold), and an integer of at most this
+# many bits (2,126) has no more digits than that, so IntegerRing skips the
+# digit check for it; with no limit at all this is 0 (10**0 has one bit)
+_UNCHECKED_BITS = (10 ** getattr(sys.int_info, "str_digits_check_threshold", 0)).bit_length() - 1
 
 # a generator name, as the expression tokenizer reads one token: a free
 # generator renders as its name, so only such a name parses back
@@ -224,7 +229,10 @@ class Ring(ABC):
 
 def _checked(acc: int) -> int:
     """An integer sum, refused once it has more digits than the interpreter
-    will print (``sys.get_int_max_str_digits()``, where 0 means no limit)."""
+    will print (``sys.get_int_max_str_digits()``, where 0 means no limit).
+    ``IntegerRing`` calls it only for a sum of more than ``_UNCHECKED_BITS``
+    bits, so for a sum of at most 2,126 bits, under the least nonzero limit
+    of 640 digits, the guard is one bit-length comparison."""
     limit = _max_str_digits()
     # over `limit` digits is over log2(10) * limit > 3.32 * limit bits
     if limit and acc.bit_length() > 3.32 * limit and abs(acc) >= 10**limit:
@@ -254,13 +262,17 @@ class IntegerRing(Ring):
         return ()
 
     def sum(self, plus, minus=()) -> int:
-        return _checked(sum(plus) - sum(minus) if minus else sum(plus))
+        acc = sum(plus) - sum(minus) if minus else sum(plus)
+        return _checked(acc) if acc.bit_length() > _UNCHECKED_BITS else acc
 
     def dot(self, xs, ys, terms) -> int:
         acc = 0
         for i, j, negative in terms:
-            acc = acc - xs[i] * ys[j] if negative else acc + xs[i] * ys[j]
-        return _checked(acc)
+            if negative:
+                acc -= xs[i] * ys[j]
+            else:
+                acc += xs[i] * ys[j]
+        return _checked(acc) if acc.bit_length() > _UNCHECKED_BITS else acc
 
     def __repr__(self) -> str:
         return "IntegerRing()"

@@ -285,7 +285,8 @@ def test_integer_result_past_the_digit_limit_is_a_clean_exit_2(capsys, integer_d
     )
 
 
-def test_integer_result_under_the_digit_limit_prints_in_full(capsys, integer_doc):
+def test_integer_result_under_the_digit_limit_prints_in_full(capsys, integer_doc, digit_limit):
+    digit_limit(sys.int_info.default_max_str_digits)  # 4,300: rdet_14 has 2,467 digits
     assert main(["rdet", "--k", "14", "--input", integer_doc]) == 0
     out = capsys.readouterr().out
     assert len(out) == 2468

@@ -621,6 +621,14 @@ def test_determinant_recursion_note():
     assert left_determinant(A, 2) == left_determinant(P1 * A, 1)
 
 
+def test_first_determinants_are_the_default():
+    # with no k, rdet and ldet are rdet_1 = ldet_1 = sdet, not the k = 2 ones
+    _, A = generic_matrix(2)
+    for determinant in (right_determinant, left_determinant):
+        assert determinant(A) == determinant(A, 1) == symmetric_determinant(A)
+        assert determinant(A) != determinant(A, 2)
+
+
 def test_sequence_product_matches_trace_shortcut():
     # the k-th product's trace against rdet_k/ldet_k, which from n = 4 are
     # sdet of the product before it and never form the k-th

@@ -249,8 +249,27 @@ def test_product_over_the_pair_budget_raises():
     assert str(caught.value) == "product would enumerate 9 term pairs, over the budget of 8"
     # 6 pairs are under the budget; the pairs count before any vanish
     assert x * (v3 + v4) == v1 * v3 + v1 * v4 + v2 * v3 + v2 * v4 + v3 + v4
+    # 4 x 2 = 8 pairs are exactly the budget and pass
+    y = v4 + v1 * v2
+    assert (x + v3) * y == sum((a * y for a in (1, v1, v2, v3)), algebra.zero)
     with pytest.raises(TermLimitError):
         (v1 + v2 + v1 * v2) * (v1 + v2 + v1 * v2)
+
+
+def test_a_rank_0_random_element_draws_no_mask():
+    # rank 0 has the one mask 0: parity 0 keeps it and parity 1 returns
+    # zero at once, where redrawing a mask of the wrong parity never ends
+    class NoMasks(random.Random):
+        def randrange(self, *args):
+            # randint draws through randrange too; a rank-0 mask is randrange(1)
+            if args == (1,):
+                raise AssertionError("random_element redrew a mask at rank 0")
+            return super().randrange(*args)
+
+    algebra = GrassmannAlgebra(0)
+    for seed in range(20):
+        assert set(algebra.random_element(NoMasks(seed), parity=0).terms) <= {()}
+    assert algebra.random_element(NoMasks(0), parity=1) == algebra.zero
 
 
 def test_exterior_and_free_algebras_share_one_default_budget():

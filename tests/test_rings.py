@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -358,20 +359,27 @@ def test_a_sum_over_the_term_budget_raises():
         algebra.sum([a, b, c], [c])
 
 
-def test_an_integer_sum_past_the_digit_limit_raises(monkeypatch):
-    ints = IntegerRing()
-    monkeypatch.setattr(rings, "_max_str_digits", lambda: 5)
-    assert ints.sum([99_999]) == 99_999
-    assert ints.sum([], [99_999]) == -99_999
-    assert ints.sum([50_000, 49_999]) == 99_999
-    for plus, minus in (([100_000], []), ([], [100_000]), ([10**40], []), ([99_999], [-1])):
-        with pytest.raises(TermLimitError, match="integer sum grew past 5 digits"):
+def test_an_integer_sum_past_the_digit_limit_raises(digit_limit):
+    # 640 digits is the least nonzero limit the interpreter takes: a sum of
+    # at most 2,126 bits skips the check, and 10**640 has 2,127
+    digit_limit(640)
+    ints, top = IntegerRing(), 10**640 - 1
+    assert ints.sum([top]) == top
+    assert ints.sum([], [top]) == -top
+    assert ints.sum([5 * 10**639, 5 * 10**639 - 1]) == top
+    assert ints.sum([2**2126 - 2, 1]) == 2**2126 - 1  # 2,126 bits
+    assert ints.sum([2**2126 - 1], [-1]) == 2**2126  # 2,127 bits, 640 digits
+    assert ints.sum([], [2**2126 - 1, 1]) == -(2**2126)
+    for plus, minus in (([top + 1], []), ([], [top + 1]), ([10**700], []), ([top], [-1]), ([], [top, 1])):
+        with pytest.raises(TermLimitError, match="integer sum grew past 640 digits"):
             ints.sum(plus, minus)
-    monkeypatch.setattr(rings, "_max_str_digits", lambda: 0)  # 0: no limit
-    assert ints.sum([10**40]) == 10**40
+    digit_limit(0)  # 0: no limit
+    assert ints.sum([top], [-1]) == 10**640
+    assert ints.sum([10**5000]) == 10**5000
 
 
-def test_an_integer_kdet_past_the_interpreters_digit_limit_raises():
+def test_an_integer_kdet_past_the_interpreters_digit_limit_raises(digit_limit):
+    digit_limit(sys.int_info.default_max_str_digits)  # 4,300
     A = Matrix(IntegerRing(), [[1, 2], [3, 4]])
     assert len(str(right_determinant(A, 14))) == 2467
     with pytest.raises(TermLimitError, match="digits"):
@@ -774,10 +782,25 @@ def test_dot_operands_coerce_or_refuse_as_add_product_does(build, stranger):
     assert ring.dot(xs, ys, terms) == _loop_dot(ring, xs, ys, terms) == 5 * u + u * u + 6 - u * v
 
 
-def test_an_integer_dot_past_the_digit_limit_raises(monkeypatch):
-    ints = IntegerRing()
-    monkeypatch.setattr(rings, "_max_str_digits", lambda: 5)
-    assert ints.dot([999, 100], [100, 1], [(0, 0, False), (1, 1, True)]) == 99_800
-    for negative in (False, True):
-        with pytest.raises(TermLimitError, match="integer sum grew past 5 digits"):
-            ints.dot([1000], [100], [(0, 0, negative)])
+def test_an_integer_dot_past_the_digit_limit_raises(digit_limit):
+    digit_limit(640)
+    ints, half, top = IntegerRing(), 10**320, 10**640 - 1
+    for sign in (1, -1):
+        negative = sign < 0
+        # 640 digits passes, as the difference of two products or as one
+        assert ints.dot([half, 1], [half, 1], [(0, 0, negative), (1, 1, not negative)]) == sign * top
+        assert ints.dot([top], [1], [(0, 0, negative)]) == sign * top
+        # a result of 2,126 and of 2,127 bits
+        low = 2**1063
+        assert ints.dot([low, 1], [low, 1], [(0, 0, negative), (1, 1, not negative)]) == sign * (low * low - 1)
+        assert ints.dot([low], [low], [(0, 0, negative)]) == sign * low * low
+        # 641 digits refuses, in one product or only with the last one
+        for xs, ys, terms in (
+            ([half], [half], [(0, 0, negative)]),
+            ([top, 1], [1, 1], [(0, 0, negative), (1, 1, negative)]),
+        ):
+            with pytest.raises(TermLimitError, match="integer sum grew past 640 digits"):
+                ints.dot(xs, ys, terms)
+    digit_limit(0)  # 0: no limit
+    assert ints.dot([top, 1], [1, 1], [(0, 0, False), (1, 1, False)]) == 10**640
+    assert ints.dot([10**2500], [10**2500], [(0, 0, True)]) == -(10**5000)
