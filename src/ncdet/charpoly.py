@@ -216,8 +216,6 @@ def characteristic_polynomial(A: Matrix, side: str = "right", k: int = 1) -> Cen
     ``char_matrix(A)``.
     """
     determinant = _by_side(side, right_determinant, left_determinant)
-    if k < 1:
-        raise ValueError("k must be at least 1")
     ring, n = A.ring, A.n
     if not _instance_of(ring, "grassmann", "GrassmannAlgebra"):
         return determinant(char_matrix(A), k)

@@ -28,11 +28,11 @@ preadjoint.  The symmetric determinant splits at k = ceil(n/2)
 positions: one ``Ring.dot`` over row and column sets (R, C) of k
 positions of the state on (R, C) times the state on their complements,
 signed by the inversions between each set and its complement, so it
-builds and runs only levels up to k.  At n <= 3 it is
-tr(A* A) (Thm 3.1) over the top level's terms instead, left unsummed:
-each term, a state over n - 2 positions times its factor, times the
-entry of A it meets in the trace.  The double sum itself lives on as a
-test oracle.
+builds and runs only levels up to k, whose halves signs undo the top
+level's (-1)^(r+s).  At n = 2, 3 sdet is tr(A* A) (Thm 3.1) over the top
+level's terms instead, left unsummed: each term, a state over n - 2
+positions times its factor, times the entry of A it meets in the trace.
+The double sum itself lives on as a test oracle.
 
 From the preadjoint the right and left adjoint sequences are defined by
 
@@ -41,7 +41,7 @@ From the preadjoint the right and left adjoint sequences are defined by
 
 and the k-th right/left determinants are tr(A P_1 ... P_k) and
 tr(Q_k ... Q_1 A).  The k-th step is X* for the running product X before
-it (A at k = 1), so both are sdet(X) by Thm 3.1: from n = 4 by its halves.
+it (A at k = 1), so both are sdet(X) by Thm 3.1: its halves at every n.
 """
 
 from __future__ import annotations
@@ -81,7 +81,8 @@ def _level(n: int, t: int):
     (R, C), where inv of a set counts the pairs x in it and y not in it
     with x > y: the sum of its members less t(t-1)/2.  R and C both have t
     members, so the two t(t-1)/2 cancel and a state keeps only the parity
-    of its member sum.
+    of its member sum, plus the missing member on a top level the sweep
+    builds (t = n - 1 >= 2, not the entries), for its (-1)^(r+s).
     """
     level = _levels.get((n, t))
     if level is None:
@@ -92,7 +93,7 @@ def _level(n: int, t: int):
             missing = (full ^ m).bit_length() - 1 if t == n - 1 else 0
             members = _members(m)
             drops.append(tuple((rank[m ^ 1 << x], x, ((m >> x + 1).bit_count() + missing) % 2 == 1) for x in members))
-            inv.append(sum(members) % 2 == 1)
+            inv.append((sum(members) + (missing if t > 1 else 0)) % 2 == 1)
         steps = tuple(
             tuple((i * width + j, r * n + c, p != q) for i, r, p in rows for j, c, q in cols)
             for rows in drops
@@ -115,9 +116,9 @@ def _sweep(ring, rows, top: int) -> list:
     return levels
 
 
-def symmetric_determinant(A: Matrix):
-    """The double permutation sum over S_n x S_n, as one product of two
-    sweep halves per pair of row and column sets.
+def _halves(A: Matrix):
+    """sdet(A) as one product of two sweep halves per pair of row and
+    column sets.
 
     Cut every ordered product after its first k = ceil(n/2) factors: the
     pairs (alpha, beta) whose first k positions take row set R and column
@@ -130,26 +131,31 @@ def symmetric_determinant(A: Matrix):
     inv(C) is the sum of the members of R and C less k(k-1), so the sign
     reads only the parity of that member sum.  The sweep builds and runs
     only levels up to k, and complementing reverses mask order, so the
-    state on (R', C') is level n - k read backwards.  The
-    pairs are one ``Ring.dot`` over the two halves: with the sweep's own
-    products 180, 1,400 and 4,900 ring multiplications at n = 4, 5, 6.
-
-    At n <= 3 sdet is Thm 3.1's tr(A* A) with each entry of A* left as the
-    terms of its state on the top level: entry (r, s) is a signed sum of
-    states over n-2 positions, each times one entry on the right, and it
-    meets A[s][r] on the right, two products per term.  That is 0, 4 and
-    72 ring multiplications at n = 1, 2, 3, and one ``Ring.sum``.
+    state on (R', C') is level n - k read backwards.  The pairs are one
+    ``Ring.dot`` over the two halves: with the sweep's own products 4, 45,
+    180, 1,400 and 4,900 ring multiplications at n = 2..6.
     """
     n, ring, rows = A.n, A.ring, A.rows
-    if n >= 4:
-        k = (n + 1) // 2
-        levels = _sweep(ring, rows, k)
-        return ring.dot(levels[k], levels[n - k], _level(n, k)[2])
     if n == 1:
         return ring.sum([rows[0][0]])
-    # The halves would make 45 products at generic n = 3, but the
-    # benchmark's tests pin the 72 (and 4 at integer n = 2) of this
-    # finish; their re-pin under ROADMAP item 1 retires this branch.
+    k = (n + 1) // 2
+    levels = _sweep(ring, rows, k)
+    return ring.dot(levels[k], levels[n - k], _level(n, k)[2])
+
+
+def symmetric_determinant(A: Matrix):
+    """The double permutation sum over S_n x S_n: ``_halves`` but at n = 2, 3.
+
+    There it is Thm 3.1's tr(A* A) with each entry of A* left as the
+    terms of its state on the top level: entry (r, s) is a signed sum of
+    states over n-2 positions, each times one entry on the right, and it
+    meets A[s][r] on the right, two products per term: 4 and 72 ring
+    multiplications and one ``Ring.sum``, which the benchmark's tests pin
+    until ROADMAP item 1 re-pins them to the halves' 4 and 45.
+    """
+    n, ring, rows = A.n, A.ring, A.rows
+    if n not in (2, 3):
+        return _halves(A)
     entries, top = [x for row in rows for x in row], _level(n, n - 1)[1]
     plus, minus = [], []
     for i in range(n * n):
@@ -243,17 +249,9 @@ def trace_of_product(X: Matrix, Y: Matrix):
 
 def _kth_determinant(A: Matrix, side: str, k: int):
     """tr(X X*) (right) or tr(X* X) (left) for the running product X before
-    the k-th step, A P_1 ... P_{k-1} or Q_{k-1} ... Q_1 A: sdet(X) by Thm 3.1."""
-    X = A if k == 1 else sequence_product(A, side, k - 1)
-    if X.n >= 4:
-        return symmetric_determinant(X)
-    # at n <= 3 this trace already is the halves' split at k = 1 (45
-    # products in one ring.dot at n = 3), while sdet's own n <= 3 branch
-    # makes the 72 separate * and one ring.sum the benchmark's tests pin
-    # and is slower through rdet_2 and charpoly; the choice goes once
-    # ROADMAP item 1 re-pins sdet at n = 3
-    star = preadjoint(X)
-    return trace_of_product(*_by_side(side, (X, star), (star, X)))
+    the k-th step, A P_1 ... P_{k-1} or Q_{k-1} ... Q_1 A: sdet(X) by
+    Thm 3.1, so the sweep's halves of X at every n."""
+    return _halves(A if k == 1 else sequence_product(A, side, k - 1))
 
 
 def right_determinant(A: Matrix, k: int = 1):

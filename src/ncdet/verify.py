@@ -25,6 +25,14 @@ facts of the exterior algebra and draw its matrices from the seed;
 commutative_collapse needs a commutative ring; and rem4_3's cube line
 stays on the generic 2x2, as tr((A^T)^3) = tr(A^3) in commutative rings.
 
+thm2_6's identity and zero-trace lines hold by the witness's own
+construction, lambdas[i] I + C_i = n M_i with sum_i A^i M_i telescoping,
+so they check its arithmetic; the theorem is carried by its lines that
+the lambdas are p_A,1's coefficients, led by n!, and over the free
+algebra that the defects' entries lie in [R,R].  cor3_2 compares q_A,1,
+which the sweep's halves compute, with p_A,1 by its definition tr(X X*)
+for X = zI - A.
+
 This module is where every verdict is decided: the computing modules
 return data, and the suites, ``scalar_cayley_hamilton_check`` (Thm 2.7)
 and ``lie_nilpotency_check`` (the exterior algebra's index 2) check it.
@@ -42,6 +50,7 @@ from .charpoly import (
     PolynomialRing,
     _check_witness_size,
     cayley_hamilton_witness,
+    char_matrix,
     characteristic_polynomial,
     newton_sdet_2,
     newton_sdet_3,
@@ -452,6 +461,9 @@ def _suite_thm2_6(opt: _OptionReader, matrix=generic_matrix):
         yield f"thm2_6 n={n}: leading coefficient is n!", lambda: (
             witness().lambdas[n] == A.ring.from_int(math.factorial(n))
         )
+        yield f"thm2_6 n={n}: lambdas are the coefficients of p_A,1", lambda: (
+            witness().lambdas == characteristic_polynomial(A, "right", 1).coefficients
+        )
         defects = _fixture(lambda: (*witness().right_defects, *witness().left_defects))
         yield f"thm2_6 n={n}: defects have zero trace", lambda: all(
             D.trace() == A.ring.zero for D in defects()
@@ -491,8 +503,9 @@ def _suite_thm3_1(opt: _OptionReader, matrix=generic_matrix):
 def _suite_cor3_2(opt: _OptionReader, matrix=generic_matrix):
     for n in opt.each("n", (2, 3)):
         _, A = matrix(n)
+        X = _fixture(char_matrix, A)
         yield f"cor3_2 n={n}: p_A,1 = q_A,1", lambda: (
-            characteristic_polynomial(A, "right", 1) == characteristic_polynomial(A, "left", 1)
+            trace_of_product(X(), preadjoint(X())) == characteristic_polynomial(A, "left", 1)
         )
 
 

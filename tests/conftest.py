@@ -20,3 +20,19 @@ def digit_limit():
     before = sys.get_int_max_str_digits()
     yield sys.set_int_max_str_digits
     sys.set_int_max_str_digits(before)
+
+
+@pytest.fixture
+def matrix_products(monkeypatch):
+    """A one-item list counting the Matrix-by-Matrix products formed from here on."""
+    from ncdet import Matrix
+
+    products = [0]
+    original = Matrix.__mul__
+
+    def counted(self, other):
+        products[0] += isinstance(other, Matrix)
+        return original(self, other)
+
+    monkeypatch.setattr(Matrix, "__mul__", counted)
+    return products

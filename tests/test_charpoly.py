@@ -224,17 +224,22 @@ def test_charpoly_rejects_bad_arguments():
     [generic_matrix(2)[1], Matrix.zeros(GrassmannAlgebra(2), 2), Matrix.zeros(IntegerRing(), 2)],
     ids=["free", "exterior", "integer"],
 )
-def test_bad_arguments_are_refused_before_any_determinant(monkeypatch, A):
+def test_bad_arguments_are_refused_before_any_determinant(monkeypatch, matrix_products, A):
+    # a bad side is refused before a determinant is called, and a k below 1
+    # by the adjoint walk the determinant enters, before any matrix product
     def refused(M, k):
         raise AssertionError("a determinant ran")
 
-    monkeypatch.setattr(charpoly, "right_determinant", refused)
-    monkeypatch.setattr(charpoly, "left_determinant", refused)
-    with pytest.raises(ValueError, match="^side must be 'right' or 'left', got 'sideways'$"):
-        characteristic_polynomial(A, "sideways", 1)
+    with monkeypatch.context() as patch:
+        patch.setattr(charpoly, "right_determinant", refused)
+        patch.setattr(charpoly, "left_determinant", refused)
+        with pytest.raises(ValueError, match="^side must be 'right' or 'left', got 'sideways'$"):
+            characteristic_polynomial(A, "sideways", 1)
     for side in ("right", "left"):
-        with pytest.raises(ValueError, match="^k must be at least 1$"):
-            characteristic_polynomial(A, side, 0)
+        for k in (0, -1):
+            with pytest.raises(ValueError, match="^k must be at least 1$"):
+                characteristic_polynomial(A, side, k)
+    assert matrix_products[0] == 0
 
 
 # -- characteristic polynomials by evaluation at z = 2^B -------------------------

@@ -91,7 +91,7 @@ def test_thm2_6_runs_past_the_free_algebra_witness_limit(draw):
     # that refusal); the identities hold at n = 6 in every other ring
     opt = verify._OptionReader(verify.VerifyOptions(n=6))
     checks = [verify._check(*pair) for pair in SUITES["thm2_6"](opt, draws(draw, 0))]
-    assert len(checks) == 4
+    assert len(checks) == 5
     assert [str(c) for c in checks if not c.passed] == []
 
 

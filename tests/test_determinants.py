@@ -490,10 +490,11 @@ def test_integer_sums_of_products_are_one_dot_each(n, sdet_count, star_count, in
 )
 @pytest.mark.parametrize("side", ["right", "left"])
 def test_kth_determinants_take_sdet_of_the_running_product(n, k, products, side, ints, monkeypatch):
-    # from n = 4 rdet_k/ldet_k are sdet of the product before the k-th
-    # step: at k = 2 A* (288) and A A* (64), then sdet's 180, 1,400 or
+    # rdet_k/ldet_k are the halves of the product before the k-th step:
+    # at k = 2 A* (288) and A A* (64), then the halves' 180, 1,400 or
     # 4,900, where the k-th step's sweep and trace took 304, 656, 1,725 and
-    # 9,036; at n = 3 they stay, 36 + 9, after A* (36) and A A* (27) at k = 2
+    # 9,036; at n = 3 the halves' 36 + 9 equal A* and its trace, after A*
+    # (36) and A A* (27) at k = 2
     monkeypatch.setattr(CountingInt, "products", 0)
     rng = random.Random(n)
     A = Matrix(ints, [[CountingInt(rng.randint(-9, 9)) for _ in range(n)] for _ in range(n)])
@@ -530,20 +531,6 @@ def test_adjoint_sequence_validates_arguments():
     ):
         with pytest.raises(ValueError, match="side must be 'right' or 'left', got 'middle'"):
             takes_side("middle")
-
-
-@pytest.fixture
-def matrix_products(monkeypatch):
-    """A one-item list counting the Matrix-by-Matrix products formed from here on."""
-    products = [0]
-    original = Matrix.__mul__
-
-    def counted(self, other):
-        products[0] += isinstance(other, Matrix)
-        return original(self, other)
-
-    monkeypatch.setattr(Matrix, "__mul__", counted)
-    return products
 
 
 @pytest.mark.parametrize("side", ["right", "left"])
@@ -586,14 +573,18 @@ def test_adjoint_sequence_fails_fast_over_the_term_budget():
         adjoint_sequence(A, "right", 4)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-def test_first_determinants_equal_sdet(n):
-    # from n = 4 rdet_1 and ldet_1 are sdet's halves, so they are checked
-    # against tr(A A*) and tr(A* A) over the full sweep, and against the
-    # double sum while it is small
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_first_determinants_equal_sdet(n, monkeypatch):
+    # at every n rdet_1 and ldet_1 are sdet's halves, which run neither the
+    # preadjoint nor a trace, so they are checked against tr(A A*) and
+    # tr(A* A) over the full sweep, and against the double sum while it is
+    # small
     _, A = generic_matrix(n)
     star = preadjoint(A)
-    rdet, ldet = right_determinant(A, 1), left_determinant(A, 1)
+    with monkeypatch.context() as patch:
+        for name in ("preadjoint", "trace_of_product"):
+            patch.setattr(determinants, name, lambda *args: pytest.fail("rdet_1/ldet_1 left the halves"))
+        rdet, ldet = right_determinant(A, 1), left_determinant(A, 1)
     assert rdet == trace_of_product(A, star)
     assert ldet == trace_of_product(star, A)
     if n <= 4:
@@ -630,8 +621,8 @@ def test_first_determinants_are_the_default():
 
 
 def test_sequence_product_matches_trace_shortcut():
-    # the k-th product's trace against rdet_k/ldet_k, which from n = 4 are
-    # sdet of the product before it and never form the k-th
+    # the k-th product's trace against rdet_k/ldet_k, which are the halves
+    # of the product before it and never form the k-th
     rng = random.Random(4)
     exterior = GrassmannAlgebra(4)
     for A in (

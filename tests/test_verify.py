@@ -168,7 +168,7 @@ def test_single_suite_reports_pass():
 def test_generic_cayley_hamilton_witness_passes_at_n4():
     report = run_verify("thm2_6", n=4)
     assert report.ok
-    assert len(report.checks) == 5
+    assert len(report.checks) == 6
 
 
 def test_options_narrow_the_sizes():
@@ -231,6 +231,14 @@ def test_injected_sign_error_flips_a_suite(monkeypatch):
         pairs = verify._suite_thm3_1(verify._OptionReader(verify.VerifyOptions(n=4)), matrix)
         report = verify.VerifyReport(suite="thm3_1", checks=[verify._check(*pair) for pair in pairs])
         assert _failed_by_mismatch(report) == both
+    # q_A,1 is the halves of zI - A at every n, and cor3_2 compares it
+    # with p_A,1 as tr(X X*), which reads only the sweep's steps: one
+    # flipped halves sign at n = 3 (the top level) or 4 fails it
+    for n in (3, 4):
+        monkeypatch.undo()
+        drops, steps, ((x, y, negative), *halves) = determinants._level(n, 2)
+        monkeypatch.setitem(determinants._levels, (n, 2), (drops, steps, ((x, y, not negative), *halves)))
+        assert _failed_by_mismatch(run_verify("cor3_2", n=n)) == [f"cor3_2 n={n}: p_A,1 = q_A,1"]
 
 
 def test_failure_details_are_reported(monkeypatch):
@@ -323,7 +331,11 @@ _ON_EVERY_RING = {
         ),
         (
             _lambda_plus_one, "thm2_6", 2, "generic",
-            {"right CH identity vanishes", "left CH identity vanishes"},
+            {
+                "right CH identity vanishes",
+                "left CH identity vanishes",
+                "lambdas are the coefficients of p_A,1",
+            },
         ),
         (
             _lambda_plus_one, "cor4_5", None, "generic",
