@@ -22,17 +22,23 @@ sets ``_order`` (a key's sort key).  A subclass supplies ``_UNIT`` (the
 key of the identity), ``_MISMATCH`` (the message for operands of
 different algebras), ``_key_text`` (a key's text, empty for the unit), key
 validation in ``__init__`` and its product kernel ``_mul_into(other, out,
-sign)``, which adds sign times the product into a dict ``out`` that its
+sign)``, which adds sign times the product into a sum ``out`` that its
 caller owns and refuses, before it writes anything, a product of more
-than ``term_limit`` term pairs.  ``*`` is that kernel run on a fresh dict,
-and ``SparseRing.dot`` runs it for a whole sum of products on one dict,
-so no product of a sum is built and then folded.  The kernel reads its
-right operand through ``_view``: the right-hand terms in the form the
+than ``term_limit`` term pairs.  ``*`` is that kernel run on a fresh sum,
+and ``dot`` runs it for a whole sum of products on one sum, so no product
+of a sum is built and then folded.  ``SparseRing.dot``'s sum is a dict
+that the free kernel keeps free of zeros; ``GrassmannAlgebra`` has its
+own ``dot``, which its ``*`` runs too: the sum is one list of 2^rank ints
+when the products enumerate at least 2^rank term pairs and 2^rank is
+within ``term_limit``, a dict otherwise, and its kernel adds with ``+=``
+and leaves a cancelled mask at 0 for the dot to drop.  The kernel reads
+its right operand through ``_view``: the right-hand terms in the form the
 product loop wants, computed on first use and kept, since an element is
 immutable and a matrix entry is the right factor of many products; an
 exterior-algebra view also keeps, per left mask, the right terms disjoint
-from it, built from the second product on and at most ``term_limit``
-references in all.  ``==``, ``hash`` and the sums read ``_terms`` only.
+from it, each as it is or negated by the pair's sign, built from the
+second product on and at most ``term_limit`` references in all.
+``==``, ``hash`` and the sums read ``_terms`` only.
 ``RingElement`` gives every element type ``_coerce`` (an operand of its
 class from an equal ``ring``, or an int as ``ring.from_int``), ``repr``,
 and binary and reflected ``-``, reflected ``*`` and ``**`` from
@@ -220,7 +226,8 @@ class Ring(ABC):
 
     def dot(self, xs, ys, terms):
         """The sum over (i, j, negative) in ``terms`` of ``xs[i] * ys[j]``,
-        less where ``negative`` is set, as one ``sum``."""
+        less where ``negative`` is set, as one ``sum``.  ``terms`` is a
+        sequence: the exterior algebra's ``dot`` reads it twice."""
         plus, minus = [], []
         for i, j, negative in terms:
             (minus if negative else plus).append(xs[i] * ys[j])
@@ -313,8 +320,13 @@ class SparseRing(Ring):
         return element._raw(self, out)
 
     def dot(self, xs, ys, terms):
-        # own elements run x's kernel on the sum's dict; other operands take
-        # x * y and fold it, which coerces or refuses them as * and + do
+        """``Ring.dot`` on one dict: each product of two elements of this
+        ring runs x's kernel into it, and the sum is refused once it holds
+        more than ``term_limit`` terms after a product.  Other operands
+        take x * y and fold it, which coerces or refuses them as ``*`` and
+        ``+`` do.  ``GrassmannAlgebra.dot`` keeps this contract but sums
+        into one list of 2^rank ints when its products enumerate at least
+        that many term pairs."""
         out, element, limit = {}, self.element_type, self.term_limit
         for i, j, negative in terms:
             x, y = xs[i], ys[j]

@@ -4,11 +4,12 @@ import json
 import os
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from ncdet import FreeAlgebra, cli, parsing, standard_polynomial_4
+from ncdet import FreeAlgebra, GrassmannAlgebra, TermLimitError, cli, parsing, standard_polynomial_4
 from ncdet.cli import main
 from ncdet.verify import generic_matrix
 
@@ -261,6 +262,35 @@ def test_exterior_product_over_the_pair_budget_is_a_clean_exit_2(capsys, tmp_pat
     assert captured.err == (
         "error: product would enumerate 268435456 term pairs, over the budget of 10000000\n"
     )
+
+
+def test_the_rank_14_square_is_refused_before_its_dense_list_exists(capsys, monkeypatch, tmp_path):
+    # the README's example: the pass that counts a dot's term pairs refuses
+    # the square before the sum's list of 2^14 slots (131 KB) is allocated
+    entry = "(" + "*".join(f"(1+v{i})" for i in range(1, 15)) + ")^2"
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps({"ring": {"kind": "grassmann", "rank": 14}, "n": 1, "entries": [[entry]]}))
+    dot, refused = GrassmannAlgebra.dot, []
+
+    def watched(ring, xs, ys, terms):
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        try:
+            return dot(ring, xs, ys, terms)
+        except TermLimitError:
+            refused.append(tracemalloc.get_traced_memory()[1] - before)
+            raise
+
+    monkeypatch.setattr(GrassmannAlgebra, "dot", watched)
+    tracemalloc.start()
+    try:
+        assert main(["sdet", "--input", str(path)]) == 2
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().err == (
+        "error: product would enumerate 268435456 term pairs, over the budget of 10000000\n"
+    )
+    assert len(refused) == 1 and refused[0] < 8 << 14
 
 
 def test_generic_rdet_3_over_the_pair_budget_is_a_clean_exit_2(capsys):

@@ -14,7 +14,7 @@ from ncdet import (
     lie_nilpotency_check,
 )
 from ncdet.grassmann import MAX_RANK
-from oracles import grassmann_product
+from oracles import grassmann_product, grassmann_table
 
 
 @pytest.fixture
@@ -146,12 +146,10 @@ def test_the_tables_of_a_reused_operand_hold_at_most_the_pair_budget():
     for mask in range(64):
         x = GrassmannElem(algebra, {mask: 3, 0: -1})
         assert dict((x * y).terms) == grassmann_product(x, y)
-        terms, tables = y._view
+        terms, tables, _ = y._view
         assert len(tables) * len(terms) <= algebra.term_limit
     assert len(tables) == 14  # 14 * 4 + 8 pairs would pass 60
-    assert all(
-        table == [term for term in terms if not mask & term[0]] for mask, table in tables.items()
-    )
+    assert all(table == grassmann_table(mask, terms) for mask, table in tables.items())
 
 
 def test_a_table_is_complete_when_it_enters_the_view():
@@ -161,61 +159,145 @@ def test_a_table_is_complete_when_it_enters_the_view():
     rng = random.Random(3)
     x, y = (algebra.random_element(rng, max_terms=12) for _ in range(2))
     x * y
-    terms, _ = y._view
+    terms, _, _ = y._view
     published = []
 
     class Watch(dict):
         def __setitem__(self, mask, table):
-            published.append(table == [term for term in terms if not mask & term[0]])
+            published.append(table == grassmann_table(mask, terms))
             super().__setitem__(mask, table)
 
-    y._view = (terms, Watch())
+    y._view = (terms, Watch(), None)
     assert dict((x * y).terms) == grassmann_product(x, y)
     assert published and all(published)
 
 @st.composite
 def _shared_right_operands(draw):
-    # one right operand and several left ones whose subsets come from a
-    # small pool, so a later left operand meets masks seen and unseen
-    rank = draw(st.integers(0, MAX_RANK))
+    # one right operand y and several dots through it, whose left subsets
+    # come from a small pool, so a later dot meets masks seen and unseen.
+    # A dot's first left may be an int (the sum of its drawn coefficients)
+    # or its first right y of an equal, distinct algebra; at rank 6 and
+    # below a dot may aim at 2^rank - 1, 2^rank or 2^rank + 1 term pairs,
+    # either side of the dense accumulator's threshold; a dot may repeat
+    # each product with the opposite sign, so that all cancel; and the
+    # budget may sit just below 2^rank
+    rank = draw(st.one_of(st.integers(1, 6), st.integers(0, MAX_RANK)))
     index = st.integers(1, rank) if rank else st.nothing()
     subset = st.frozensets(index, max_size=min(rank, 4)).map(lambda s: tuple(sorted(s)))
     pool = draw(st.lists(subset, min_size=1, max_size=6))
     coeffs = st.sampled_from((-3, -2, -1, 1, 2, 3))
-    right = draw(st.dictionaries(subset, coeffs, max_size=6))
-    lefts = draw(st.lists(
+    right = draw(st.dictionaries(subset, coeffs, min_size=1, max_size=6))
+    unit = draw(st.tuples(st.sampled_from(pool), coeffs))
+    product = st.tuples(st.dictionaries(st.sampled_from(pool), coeffs, min_size=1, max_size=4), st.booleans())
+    dots = draw(st.lists(
         st.tuples(
-            st.dictionaries(st.sampled_from(pool), coeffs, max_size=4),
-            st.sampled_from(("*", "add", "subtract")),
+            st.lists(product, min_size=1, max_size=3),
+            st.sampled_from((None, None, "int", "twin")),  # the first product's stranger
+            st.sampled_from((None, -1, 0, 1) if rank <= 6 else (None,)),
+            st.sampled_from((False, False, True)),  # cancelled
+            st.sampled_from(("dot", "*")),  # "*" also forms each product alone
         ),
         min_size=2,
         max_size=5,
     ))
-    return rank, right, lefts
+    lowered = bool(rank) and draw(st.sampled_from((False, False, True)))
+    return rank, lowered, right, unit, dots
+
+
+def _oracle_dot(algebra, xs, ys, terms):
+    """The dot's terms from ``grassmann_product``, or the message of the
+    refusal the budget gives: a product's pairs, or the running sum's
+    terms after a product."""
+    limit, total = algebra.term_limit, {}
+    for i, j, negative in terms:
+        x, y = (GrassmannElem(algebra, {(): v}) if isinstance(v, int) else v for v in (xs[i], ys[j]))
+        pairs = len(x.terms) * len(y.terms)
+        if pairs > limit:
+            return f"product would enumerate {pairs} term pairs, over the budget of {limit}"
+        for key, coeff in grassmann_product(x, y).items():
+            total[key] = total.get(key, 0) + (-coeff if negative else coeff)
+            if not total[key]:
+                del total[key]
+        if len(total) > limit:
+            return f"sum grew to {len(total)} terms, over the budget of {limit}"
+    return total
+
+
+def _checked_against_the_oracle(expected, run):
+    try:
+        result = run()
+    except TermLimitError as refusal:
+        assert str(refusal) == expected
+    else:
+        assert dict(result.terms) == expected
+        assert all(result._terms.values())
 
 
 @settings(max_examples=100, deadline=None)
 @given(_shared_right_operands())
-@example((0, {(): 2}, [({(): 3}, "*"), ({(): -1}, "subtract")]))
-@example((16, {(): 1, (1, 16): 2, (15,): -1}, [({(16,): 1, (): 2}, "add"), ({(16,): 3, (2,): 1}, "*")]))
+@example((0, False, {(): 2}, ((), 1), [([({(): 3}, False)], None, None, False, "*"),
+                                       ([({(): -1}, True)], None, None, False, "dot")]))
+@example((16, False, {(): 1, (1, 16): 2, (15,): -1}, ((1,), 1), [
+    ([({(16,): 1, (): 2}, False)], None, None, False, "dot"),
+    ([({(16,): 3, (2,): 1}, False)], None, None, False, "*"),
+]))
+# rank 0 at 0, 1 and 2 pairs, with strangers
+@example((0, False, {(): 2}, ((), -1), [([({(): 3}, False)], "int", -1, False, "dot"),
+                                        ([({(): 3}, True)], "twin", 0, True, "*"),
+                                        ([({(): 2}, False)], None, 1, False, "dot")]))
+# rank 16 at 2^16 pairs, the pads' products vanishing, then cancelled whole
+@example((16, False, {(2,): 1, (3, 16): -2}, ((1,), 2), [
+    ([({(16,): 1, (1, 2): 3}, False)], None, 0, False, "dot"),
+    ([({(4,): 2}, True)], "twin", 0, True, "dot"),
+]))
+# a budget of 2^rank - 1: a product refused over it, a sum grown past it
+@example((2, True, {(1,): 1, (2,): 1}, ((), 1), [([({(): 1, (2,): 1}, False)], None, None, False, "dot"),
+                                                 ([({(1, 2): 1}, False), ({(): 1}, False)], None, 1, False, "*")]))
+@example((1, True, {(): 1}, ((), 1), [([({(): 1}, False), ({(1,): 1}, False)], None, None, False, "dot"),
+                                      ([({(1,): 2}, False)], "int", None, True, "*")]))
 def test_products_through_a_reused_right_operand_match_the_oracle(case):
-    rank, right, lefts = case
-    algebra = GrassmannAlgebra(rank)
-    y = GrassmannElem(algebra, right)
-    for left, route in lefts:
-        x = GrassmannElem(algebra, left)
-        expected = grassmann_product(x, y)
+    rank, lowered, right, (unit_subset, unit_coeff), dots = case
+    algebra, twin = GrassmannAlgebra(rank), GrassmannAlgebra(rank)
+    size = 1 << rank
+    if lowered:
+        algebra.term_limit = twin.term_limit = size - 1
+    y, twin_y = GrassmannElem(algebra, right), GrassmannElem(twin, right)
+    unit = GrassmannElem(algebra, {unit_subset: unit_coeff})
+    for products, stranger, aim, cancelled, route in dots:
+        xs = [GrassmannElem(algebra, left) for left, _ in products]
+        ys = [y] * len(products)
+        if stranger == "int":
+            xs[0] = sum(products[0][0].values())
+        elif stranger == "twin":
+            ys[0] = twin_y
+        terms = [(k, k, negative) for k, (_, negative) in enumerate(products)]
+        if aim is not None:
+            # pads of odd masks (rank 0: the mask 0) times the one-term
+            # unit bring the pairs to 2^rank + aim
+            need = size + aim - sum(
+                (bool(x) if isinstance(x, int) else len(x.terms)) * len(r.terms) for x, r in zip(xs, ys)
+            )
+            masks = range(1, size, 2) if rank else range(1)
+            while need > 0:
+                pad = masks[:need]
+                xs.append(GrassmannElem(algebra, {mask: mask % 3 + 1 for mask in pad}))
+                ys.append(unit)
+                terms.append((len(xs) - 1, len(ys) - 1, False))
+                need -= len(pad)
+        if cancelled:
+            terms += [(i, j, not negative) for i, j, negative in terms]
         if route == "*":
-            result = x * y
-        else:
-            result = algebra.dot([x], [y], [(0, 0, route == "subtract")])
-            if route == "subtract":
-                expected = {key: -coeff for key, coeff in expected.items()}
-        assert dict(result.terms) == expected
-    terms, tables = y._view
-    assert all(
-        table == [term for term in terms if not mask & term[0]] for mask, table in tables.items()
-    )
+            for i, j, _ in terms:
+                x, r = xs[i], ys[j]
+                _checked_against_the_oracle(_oracle_dot(algebra, [x], [r], [(0, 0, False)]), lambda: x * r)
+        expected = _oracle_dot(algebra, xs, ys, terms)
+        _checked_against_the_oracle(expected, lambda: algebra.dot(xs, ys, terms))
+        if cancelled and not isinstance(expected, str):
+            assert expected == {}
+    for operand in (y, twin_y, unit):
+        if operand._view is not None:
+            terms, tables, _ = operand._view
+            assert all(table == grassmann_table(mask, terms) for mask, table in tables.items())
 
 
 def test_overlapping_subsets_multiply_to_zero(rank4):
