@@ -8,35 +8,30 @@ concrete Lie-nilpotent ring of index 2: [[x, y], z] = 0 holds identically
 
 Two basis monomials that share a generator multiply to zero; otherwise
 their product is the union, signed by the parity of the generator pairs
-out of order.  The kernel reads that parity from one bit count per term
+out of order.  The product reads that parity from one bit count per term
 pair, against a mask computed once per right-hand term whose bit i is the
 parity of that term's generators below v(i+1).  The right operand keeps
 its view (``SparseElement._view``): the list of (mask, coefficient,
-parity mask) per term, a dict from each left mask it has met to that
-mask's table, and, once it has a table, the list again with each
-coefficient negated.  A table holds, for each term of the list disjoint
-from its mask and in the list's order, that term, or its negated copy
-where the pair takes the sign -.  The first product through an operand
-keeps no table and walks the whole list, skipping overlapping pairs;
-every later one builds the table of a left mask on the mask's first
-visit and then walks only that: one OR, one index and one add per pair,
-with no overlap test or bit count.  A table holds references, never new
-entries, and an operand builds no more tables once they would hold more
-than ``term_limit`` references; a left mask without a table walks the
-whole list.
+parity mask) per term, and a dict from each left mask it has met to the
+entries of that list disjoint from it.  The first product through an
+operand walks the whole list and skips overlapping pairs; every later one
+walks, per left term, only the table of its mask, built on the mask's
+first visit, so it visits no pair that vanishes.  A table holds the
+list's own tuples, and an operand builds no more tables once they would
+hold more than ``term_limit`` references; a left mask without a table
+walks the whole list.
 
-``GrassmannAlgebra.dot``, which every ``*`` runs as a one-product dot,
-picks the sum's accumulator from its operands.  When the basis (2^rank
-masks) is no larger than the term pairs the products enumerate, nor than
-``term_limit``, every product adds into one list of 2^rank ints and the
-result is built once from the nonzero slots; the pass that counts the
-pairs refuses a product over the budget before that list exists.
-Otherwise the products add into a dict, whose size is checked against
-``term_limit`` after each product as ``SparseRing.dot`` checks its sum.
-On a grassmann_trials round (seed 3) 1,378 of 2,910 dots take the list,
-and they hold 1,562,365 of its 1,593,280 term pairs (98%).  As in the
-free algebra, a product of more than ``term_limit`` term pairs
-(overlapping ones included) raises TermLimitError.
+``GrassmannAlgebra.dot``, which ``*`` runs as a one-product dot, first
+counts the term pairs its products enumerate, refusing a product over the
+budget before any sum exists.  When 2^rank is no larger than that count,
+nor than ``term_limit``, every product adds into one list of 2^rank ints,
+with no lookup or zero test per pair, and the result is built once from
+the nonzero slots; otherwise the dot is ``SparseRing.dot``, whose dict
+the kernel keeps free of zeros.  On a grassmann_trials round (seed 3)
+1,378 of 2,910 dots take the list, and they hold 1,562,365 of its
+1,593,280 term pairs (98%).  As in the free algebra, a product of more than
+``term_limit`` term pairs (overlapping ones included) raises
+TermLimitError.
 """
 
 from __future__ import annotations
@@ -46,21 +41,12 @@ from itertools import compress
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping
 
-from .rings import SparseElement, SparseRing, TermLimitError, _fold, _operand
+from .rings import SparseElement, SparseRing, TermLimitError
 
 if TYPE_CHECKING:
     import random
 
 MAX_RANK = 16
-
-
-class _Sum(dict):
-    """A dot's sum when it takes no list: a missing mask reads as 0 and is
-    stored by the kernel's ``+=``.  ``(0).__mul__`` is a C callable, so a
-    miss runs no Python frame."""
-
-    __slots__ = ()
-    __missing__ = (0).__mul__
 
 
 def _mask_to_indices(mask: int) -> tuple[int, ...]:
@@ -139,14 +125,13 @@ class GrassmannElem(SparseElement):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        ring = self.ring
-        if other.ring is not ring:  # an element of an equal algebra
-            other = GrassmannElem._raw(ring, other._terms)
-        return ring.dot((self,), (other,), ((0, 0, False),))
+        # an operand of an equal, distinct algebra takes SparseRing.dot,
+        # which runs the kernel on it as on one of this algebra's own
+        return self.ring.dot((self,), (other,), ((0, 0, False),))
 
     def _mul_into(self, other: GrassmannElem, out, sign: int):
-        # out is the dot's sum, a list of 2^rank ints or a _Sum, where a mask
-        # that cancels stays at 0 for the dot to drop
+        # out is the dot's sum: a list of 2^rank ints, added to in place, or
+        # a dict kept free of zeros
         pairs = len(self._terms) * len(other._terms)
         limit = self.ring.term_limit
         if pairs > limit:
@@ -160,42 +145,51 @@ class GrassmannElem(SparseElement):
             # the first product builds no tables: an operand used once,
             # such as a trace entry, would never read them
             right = [(m2, c2, _parity_below(m2)) for m2, c2 in other._terms.items()]
-            tables, negated = {}, None
-            other._view = (right, tables, negated)
+            tables = {}
+            other._view = (right, tables)
         else:
-            right, tables, negated = view
+            right, tables = view
         # a reused operand builds the table of each left mask it has not
         # met, as long as its tables then hold at most term_limit
         # references, each table counted at the list's full length; a left
         # mask without a table walks the whole list
         lookup = tables.get
+        get = None if type(out) is list else out.get
         for m1, c1 in self._terms.items():
             c1 *= sign
             table = lookup(m1)
             if table is None:
-                if view is None or len(tables) * len(right) + pairs > limit:
-                    for m2, c2, below in right:
-                        if not m1 & m2:
-                            if (m1 & below).bit_count() & 1:
-                                out[m1 | m2] -= c1 * c2
-                            else:
-                                out[m1 | m2] += c1 * c2
+                table = right
+                if view is not None and len(tables) * len(right) + pairs <= limit:
+                    # published only once filled: a product on another
+                    # thread reads a table the moment it is in the dict
+                    # (two threads may fill the same mask; both lists are
+                    # complete and equal)
+                    table = []
+                    for term in right:
+                        if not m1 & term[0]:
+                            table.append(term)
+                    tables[m1] = table
+            if get is None:
+                for m2, c2, below in table:
+                    if not m1 & m2:
+                        if (m1 & below).bit_count() & 1:
+                            out[m1 | m2] -= c1 * c2
+                        else:
+                            out[m1 | m2] += c1 * c2
+                continue
+            for m2, c2, below in table:
+                if m1 & m2:  # only a walk of the whole list meets one
                     continue
-                if negated is None:
-                    # the list with each coefficient negated, built once, so
-                    # that a table refers to the term its pair's sign needs
-                    negated = [(m2, -c2, below) for m2, c2, below in right]
-                    other._view = (right, tables, negated)
-                table = []
-                for term, minus in zip(right, negated):
-                    if not m1 & term[0]:
-                        table.append(minus if (m1 & term[2]).bit_count() & 1 else term)
-                # published only once filled: a product on another thread
-                # reads a table the moment it is in the dict (two threads
-                # may fill the same mask; both lists are complete and equal)
-                tables[m1] = table
-            for m2, c2, _ in table:
-                out[m1 | m2] += c1 * c2
+                mask = m1 | m2
+                if (m1 & below).bit_count() & 1:
+                    new = get(mask, 0) - c1 * c2
+                else:
+                    new = get(mask, 0) + c1 * c2
+                if new:
+                    out[mask] = new
+                else:
+                    del out[mask]
         return out
 
 
@@ -235,11 +229,14 @@ class GrassmannAlgebra(SparseRing):
         return GrassmannElem._raw(self, {m: c for m, c in terms.items() if c})
 
     def dot(self, xs, ys, terms) -> GrassmannElem:
+        """``SparseRing.dot``, except that a dot of this algebra's elements
+        that enumerates at least 2^rank term pairs, with 2^rank within
+        ``term_limit``, sums into one list of 2^rank ints."""
         limit, size = self.term_limit, 1 << self.rank
         if size <= limit:
-            # no sum of 2^rank <= term_limit masks grows over the budget, so
-            # the pass that counts the pairs refuses a product over it, as
-            # the kernel would, before any accumulator exists
+            # the pass that counts the pairs refuses a product over the
+            # budget, as the kernel would, before the list exists; no sum
+            # of 2^rank <= term_limit masks grows over the budget
             pairs = 0
             for i, j, _ in terms:
                 x, y = xs[i], ys[j]
@@ -256,25 +253,7 @@ class GrassmannAlgebra(SparseRing):
                         xs[i]._mul_into(ys[j], out, -1 if negative else 1)
                     nonzero = compress(range(size), out)
                     return GrassmannElem._raw(self, {mask: out[mask] for mask in nonzero})
-        # fewer pairs than 2^rank, an operand that is not this algebra's
-        # element, or a budget under 2^rank: a dict, checked for size after
-        # each product
-        out = _Sum()
-        for i, j, negative in terms:
-            x, y = xs[i], ys[j]
-            sign = -1 if negative else 1
-            if type(x) is type(y) is GrassmannElem and x.ring is self and y.ring is self:
-                x._mul_into(y, out, sign)
-            else:
-                # coerced or refused as x * y and + do
-                _fold(out, _operand(self, x * y, "+")._terms, sign)
-            if len(out) > limit:
-                # the kernel leaves a cancelled mask at 0
-                for mask in [mask for mask, coeff in out.items() if not coeff]:
-                    del out[mask]
-                if len(out) > limit:
-                    raise TermLimitError.terms(len(out), limit)
-        return GrassmannElem._raw(self, {mask: coeff for mask, coeff in out.items() if coeff})
+        return SparseRing.dot(self, xs, ys, terms)
 
     def _identity(self) -> tuple:
         return (self.rank,)

@@ -4,11 +4,10 @@ Nothing here shares code with the package internals: permutations come
 from Heap's algorithm with the sign maintained by swap parity, the
 double-sum determinant and preadjoint are evaluated directly from their
 definitions, free-algebra products concatenate tuple words and render in
-(length, word) order, exterior-algebra products and the per-left-mask
-tables of an exterior view take each sign from an inversion count of the
-concatenated generator indices, and commutator-subgroup membership is
-decided by integer lattice reduction over an explicit basis of monomial
-commutators.  ``rank_mod_p`` is a plain Gaussian elimination
+(length, word) order, exterior-algebra products take each sign from an
+inversion count of the concatenated generator indices, and commutator-subgroup
+membership is decided by integer lattice reduction over an explicit basis
+of monomial commutators.  ``rank_mod_p`` is a plain Gaussian elimination
 over a prime field, for the coefficient-matrix ranks of generic sdet.
 
 ``IntMatrixRing`` is a fourth ring, m x m integer matrices, written only
@@ -156,30 +155,12 @@ def grassmann_product(x, y) -> dict[tuple[int, ...], int]:
             if set(left) & set(right):
                 continue
             word = left + right
+            inversions = sum(
+                1 for i in range(len(word)) for j in range(i + 1, len(word)) if word[i] > word[j]
+            )
             key = tuple(sorted(word))
-            out[key] = out.get(key, 0) + (-1) ** _inversions(word) * c1 * c2
+            out[key] = out.get(key, 0) + (-1) ** inversions * c1 * c2
     return {key: coeff for key, coeff in out.items() if coeff}
-
-
-def _inversions(word) -> int:
-    return sum(1 for i in range(len(word)) for j in range(i + 1, len(word)) if word[i] > word[j])
-
-
-def grassmann_table(mask: int, right) -> list[tuple[int, int, int]]:
-    """The table an exterior-algebra view keeps for the left mask ``mask``:
-    each entry (m2, c2, parity mask) of the view's list ``right`` whose mask
-    is disjoint from it, in the list's order, with c2 negated where the
-    product with ``mask`` on the left takes the sign -, read from the
-    inversions of mask's generators written before m2's."""
-
-    def generators(m: int) -> list[int]:
-        return [i for i in range(m.bit_length()) if m >> i & 1]
-
-    return [
-        (m2, (-1) ** _inversions(generators(mask) + generators(m2)) * c2, below)
-        for m2, c2, below in right
-        if not mask & m2
-    ]
 
 
 def central_poly_product_slices(x: CentralPoly, y: CentralPoly) -> CentralPoly:

@@ -1,3 +1,4 @@
+import os
 import random
 import sys
 
@@ -14,7 +15,11 @@ from ncdet import (
     lie_nilpotency_check,
 )
 from ncdet.grassmann import MAX_RANK
-from oracles import grassmann_product, grassmann_table
+from oracles import grassmann_product
+
+# the call counts below count the package's own frames: a collection
+# triggered inside a product may run another library's gc callback
+PACKAGE = os.path.dirname(sys.modules["ncdet"].__file__) + os.sep
 
 
 @pytest.fixture
@@ -84,7 +89,7 @@ def test_product_makes_no_call_per_term_pair():
 
     def count(frame, event, arg):
         nonlocal calls
-        if event == "call":
+        if event == "call" and frame.f_code.co_filename.startswith(PACKAGE):
             calls += 1
 
     sys.setprofile(count)
@@ -107,7 +112,7 @@ def test_a_product_through_a_used_view_makes_a_constant_number_of_calls():
 
     def count(frame, event, arg):
         nonlocal calls
-        if event == "call":
+        if event == "call" and frame.f_code.co_filename.startswith(PACKAGE):
             calls += 1
 
     for left in (z, z):
@@ -146,10 +151,12 @@ def test_the_tables_of_a_reused_operand_hold_at_most_the_pair_budget():
     for mask in range(64):
         x = GrassmannElem(algebra, {mask: 3, 0: -1})
         assert dict((x * y).terms) == grassmann_product(x, y)
-        terms, tables, _ = y._view
+        terms, tables = y._view
         assert len(tables) * len(terms) <= algebra.term_limit
     assert len(tables) == 14  # 14 * 4 + 8 pairs would pass 60
-    assert all(table == grassmann_table(mask, terms) for mask, table in tables.items())
+    assert all(
+        table == [term for term in terms if not mask & term[0]] for mask, table in tables.items()
+    )
 
 
 def test_a_table_is_complete_when_it_enters_the_view():
@@ -159,15 +166,15 @@ def test_a_table_is_complete_when_it_enters_the_view():
     rng = random.Random(3)
     x, y = (algebra.random_element(rng, max_terms=12) for _ in range(2))
     x * y
-    terms, _, _ = y._view
+    terms, _ = y._view
     published = []
 
     class Watch(dict):
         def __setitem__(self, mask, table):
-            published.append(table == grassmann_table(mask, terms))
+            published.append(table == [term for term in terms if not mask & term[0]])
             super().__setitem__(mask, table)
 
-    y._view = (terms, Watch(), None)
+    y._view = (terms, Watch())
     assert dict((x * y).terms) == grassmann_product(x, y)
     assert published and all(published)
 
@@ -186,9 +193,9 @@ def _shared_right_operands(draw):
     subset = st.frozensets(index, max_size=min(rank, 4)).map(lambda s: tuple(sorted(s)))
     pool = draw(st.lists(subset, min_size=1, max_size=6))
     coeffs = st.sampled_from((-3, -2, -1, 1, 2, 3))
-    right = draw(st.dictionaries(subset, coeffs, min_size=1, max_size=6))
+    right = draw(st.dictionaries(subset, coeffs, max_size=6))
     unit = draw(st.tuples(st.sampled_from(pool), coeffs))
-    product = st.tuples(st.dictionaries(st.sampled_from(pool), coeffs, min_size=1, max_size=4), st.booleans())
+    product = st.tuples(st.dictionaries(st.sampled_from(pool), coeffs, max_size=4), st.booleans())
     dots = draw(st.lists(
         st.tuples(
             st.lists(product, min_size=1, max_size=3),
@@ -296,13 +303,25 @@ def test_products_through_a_reused_right_operand_match_the_oracle(case):
             assert expected == {}
     for operand in (y, twin_y, unit):
         if operand._view is not None:
-            terms, tables, _ = operand._view
-            assert all(table == grassmann_table(mask, terms) for mask, table in tables.items())
+            terms, tables = operand._view
+            assert all(
+                table == [term for term in terms if not mask & term[0]] for mask, table in tables.items()
+            )
 
 
 def test_overlapping_subsets_multiply_to_zero(rank4):
     v1, v2 = rank4.gen(1), rank4.gen(2)
     assert ((v1 * v2) * (v2)).is_zero()
+
+
+def test_a_right_operand_of_an_equal_algebra_keeps_its_view():
+    # * runs the kernel on it as on an operand of its own algebra, so its
+    # second product builds tables in its own view
+    x = GrassmannElem(GrassmannAlgebra(3), {(1,): 2, (2,): -1})
+    y = GrassmannElem(GrassmannAlgebra(3), {(): 1, (3,): 3, (1, 3): 1})
+    for _ in range(2):
+        assert dict((x * y).terms) == grassmann_product(x, y)
+    assert set(y._view[1]) == {0b001, 0b010}
 
 
 def test_rank_mismatch_rejected(rank4):

@@ -28,7 +28,6 @@ from oracles import (
     central_poly_sum,
     free_product,
     grassmann_product,
-    grassmann_table,
     ring_axiom_check,
 )
 
@@ -573,11 +572,9 @@ def test_a_polynomial_dot_is_one_base_dot_per_degree(monkeypatch):
 def _views_hold(x) -> bool:
     """Whether every view cached in x is the one its terms give now.
 
-    A Grassmann view is the list of right terms, the per-left-mask tables
-    and, once a table is built, the list with its coefficients negated:
-    its list must equal a fresh one, the negated list that one negated,
-    and each table that fresh list filtered to the terms disjoint from its
-    mask, each coefficient signed by the sign of its product with it.
+    A Grassmann view is the list of right terms and the per-left-mask
+    tables: its list must equal a fresh one, and each table that fresh
+    list filtered to the terms disjoint from its mask.
     """
     if isinstance(x, CentralPoly):
         return all(_views_hold(c) for c in x.coefficients)
@@ -587,11 +584,10 @@ def _views_hold(x) -> bool:
     x.ring.one * fresh
     if not isinstance(x, GrassmannElem):
         return fresh._view == x._view
-    (right, tables, negated), (fresh_right, _, _) = x._view, fresh._view
-    return (
-        right == fresh_right
-        and negated in (None, [(m2, -c2, below) for m2, c2, below in fresh_right])
-        and all(table == grassmann_table(mask, fresh_right) for mask, table in tables.items())
+    (right, tables), (fresh_right, _) = x._view, fresh._view
+    return right == fresh_right and all(
+        table == [term for term in fresh_right if not mask & term[0]]
+        for mask, table in tables.items()
     )
 
 
