@@ -9,10 +9,11 @@ the indeterminate z commutes with everything, so the product of two
 polynomials multiplies coefficients in the base ring with the left
 factor's coefficient on the left.  ``PolynomialRing`` implements the ring
 contract, which lets the whole matrix/determinant machinery run unchanged
-over R[z].  Its ``dot`` is one base ``dot`` per z-degree over the
-operands' coefficients, and ``CentralPoly``'s ``*`` is that ``dot`` on one
-term, so the sweep, the matrix product and the traces sum over R[z]
-without building a product polynomial per term; ``+`` adds coefficient
+over R[z].  Its ``dot`` is one base ``dots`` over the operands'
+coefficients, of one sum per z-degree, and ``CentralPoly``'s ``*`` is
+that ``dot`` on one term, so the sweep, the matrix product and the traces
+sum over R[z] without building a product polynomial per term, and the
+integers sum every degree of a product in one loop; ``+`` adds coefficient
 by coefficient, and a running sum is the zero polynomial and ``+``.  The
 k-th characteristic polynomial of A is the k-th right (or left)
 determinant of zI - A: over the exterior algebra one determinant of
@@ -69,7 +70,8 @@ class PolynomialRing(Ring):
 
     def dot(self, xs, ys, terms) -> CentralPoly:
         """The sum over (i, j, negative) in ``terms`` of ``xs[i] * ys[j]``,
-        less where ``negative`` is set, as one base ``dot`` per z-degree.
+        less where ``negative`` is set, as one base ``dots`` of one sum
+        per z-degree.
 
         The operands' coefficients go into one flat list, and degree d sums
         the coefficient products a_s b_t with s + t = d.  Operands are
@@ -91,8 +93,7 @@ class PolynomialRing(Ring):
             for s in range(m):
                 for d, b in enumerate(right, s):
                     slices[d].append((p + s, b, negative))
-        dot = self.base.dot
-        return CentralPoly(self, [dot(flat, flat, pairs) for pairs in slices])
+        return CentralPoly(self, self.base.dots(flat, flat, slices))
 
     def _identity(self) -> tuple:
         return (self.base,)

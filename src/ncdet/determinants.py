@@ -19,7 +19,8 @@ of the ordered products that list R and C in every order.  The states
 over t positions form level t, and level 1 is the entries.  Each state of
 level t sums the states over its row and column sets less one member
 each, times that row and column's entry on the right, and the sign
-counts the members of R and C above them: one ``Ring.dot`` per state.
+counts the members of R and C above them: one ``Ring.dots`` per level,
+of one sum per state.
 Both the predecessor and the sign split into a row part and a column
 part, so each level is planned from one list of drops per t-set, built
 the first time a caller reads that level.  The states of the top level,
@@ -73,16 +74,17 @@ def _level(n: int, t: int):
     above x.  At the top level, t = n - 1, the parity also counts the set's
     missing member, so the top's states are the entries of the preadjoint:
     A*[r][s] is the state on (rows less s, columns less r), at index
-    (n-1-s) n + n-1-r.  ``steps`` derives from the drops the ``Ring.dot``
-    terms of each state, (predecessor, entry r n + c, negative) over the
-    level below and the flat entries.  ``halves`` are those of sdet's split
-    at t positions, (i, last - i, negative) over this level and level n - t
-    read backwards, negative for inv(R) + inv(C) odd at the state i on
-    (R, C), where inv of a set counts the pairs x in it and y not in it
-    with x > y: the sum of its members less t(t-1)/2.  R and C both have t
-    members, so the two t(t-1)/2 cancel and a state keeps only the parity
-    of its member sum, plus the missing member on a top level the sweep
-    builds (t = n - 1 >= 2, not the entries), for its (-1)^(r+s).
+    (n-1-s) n + n-1-r.  ``steps`` derives from the drops the level's
+    ``Ring.dots`` plan: the terms of each state, (predecessor, entry
+    r n + c, negative) over the level below and the flat entries.
+    ``halves`` are those of sdet's split at t positions, (i, last - i,
+    negative) over this level and level n - t read backwards, negative for
+    inv(R) + inv(C) odd at the state i on (R, C), where inv of a set counts
+    the pairs x in it and y not in it with x > y: the sum of its members
+    less t(t-1)/2.  R and C both have t members, so the two t(t-1)/2 cancel
+    and a state keeps only the parity of its member sum, plus the missing
+    member on a top level the sweep builds (t = n - 1 >= 2, not the
+    entries), for its (-1)^(r+s).
     """
     level = _levels.get((n, t))
     if level is None:
@@ -108,11 +110,11 @@ def _sweep(ring, rows, top: int) -> list:
     """The sweep's states by level, ``levels[t]`` for t = 1..top >= 1: the
     entries, row-major, then the value of each step of levels 2..top, the
     signed sum of its predecessors' values times one entry on the right,
-    one ``Ring.dot`` per state."""
-    n, dot = len(rows), ring.dot
+    one ``Ring.dots`` per level."""
+    n, dots = len(rows), ring.dots
     levels = [None, [x for row in rows for x in row]]
     for t in range(2, top + 1):
-        levels.append([dot(levels[-1], levels[1], terms) for terms in _level(n, t)[1]])
+        levels.append(dots(levels[-1], levels[1], _level(n, t)[1]))
     return levels
 
 

@@ -21,17 +21,18 @@ list's own tuples, and an operand builds no more tables once they would
 hold more than ``term_limit`` references; a left mask without a table
 walks the whole list.
 
-``GrassmannAlgebra.dot``, which ``*`` runs as a one-product dot, first
-counts the term pairs its products enumerate, refusing a product over the
-budget before any sum exists.  When 2^rank is no larger than that count,
-nor than ``term_limit``, every product adds into one list of 2^rank ints,
-with no lookup or zero test per pair, and the result is built once from
-the nonzero slots; otherwise the dot is ``SparseRing.dot``, whose dict
-the kernel keeps free of zeros.  On a grassmann_trials round (seed 3)
-1,378 of 2,910 dots take the list, and they hold 1,562,365 of its
-1,593,280 term pairs (98%).  As in the free algebra, a product of more than
-``term_limit`` term pairs (overlapping ones included) raises
-TermLimitError.
+``GrassmannAlgebra.dot`` first counts the term pairs its products
+enumerate, refusing a product over the budget before any sum exists.
+When 2^rank is no larger than that count, nor than ``term_limit``, every
+product adds into one list of 2^rank ints, with no lookup or zero test
+per pair, and the result is built once from the nonzero slots; otherwise
+the dot is ``SparseRing.dot``, whose dict the kernel keeps free of zeros.
+On a grassmann_trials round (seed 3) 1,378 of 2,910 dots take the list,
+and they hold 1,562,365 of its 1,593,280 term pairs (98%).  ``*`` is a
+one-product dot from 2^rank term pairs on; a smaller product runs the
+kernel on a fresh dict, as ``SparseElement``'s ``*`` does.  As in the
+free algebra, a product of more than ``term_limit`` term pairs
+(overlapping ones included) raises TermLimitError.
 """
 
 from __future__ import annotations
@@ -125,6 +126,8 @@ class GrassmannElem(SparseElement):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if len(self._terms) * len(other._terms) < 1 << self.ring.rank:
+            return self._raw(self.ring, self._mul_into(other, {}, 1))
         # an operand of an equal, distinct algebra takes SparseRing.dot,
         # which runs the kernel on it as on one of this algebra's own
         return self.ring.dot((self,), (other,), ((0, 0, False),))

@@ -2,10 +2,10 @@
 
 Matrices are immutable; products multiply the left factor's entries on the
 left, the convention every identity in the package depends on, one
-``Ring.dot`` per entry.  The dimension is capped (default 6) because
-generic sdet has (n!)^2 terms, 518,400 at n = 6 and 25,401,600 at n = 7,
-past the term budget of one running sum, not by its 4,900 ring
-multiplications at n = 6.
+``Ring.dots`` per row, of one sum per entry.  The dimension is capped
+(default 6) because generic sdet has (n!)^2 terms, 518,400 at n = 6 and
+25,401,600 at n = 7, past the term budget of one running sum, not by its
+4,900 ring multiplications at n = 6.
 
 Also houses the commutative oracles (classical determinant and adjugate by
 cofactor expansion), the supermatrix parity predicate over the exterior
@@ -93,8 +93,8 @@ class Matrix(RingElement):
             return NotImplemented
         self._check_compatible(other)
         ring, columns = self.ring, _product_terms(self.n)[0]
-        flat, dot = [x for row in other.rows for x in row], ring.dot
-        return Matrix(ring, [[dot(left, flat, terms) for terms in columns] for left in self.rows])
+        flat, dots = [x for row in other.rows for x in row], ring.dots
+        return Matrix(ring, [dots(left, flat, columns) for left in self.rows])
 
     def __rmul__(self, other):
         # k * M is M * k: the scale is central
@@ -146,8 +146,9 @@ class Matrix(RingElement):
 
 @cache
 def _product_terms(n: int) -> tuple:
-    """(columns, trace), the ``Ring.dot`` terms of entry (i, j) of X Y over
-    row i of X and the flat Y, by j, and of tr(X Y) over flat X and Y."""
+    """(columns, trace): the ``Ring.dots`` plan of row i of X Y over row i
+    of X and the flat Y, the terms of entry (i, j) by j, and the
+    ``Ring.dot`` terms of tr(X Y) over flat X and Y."""
     columns = tuple(tuple((k, k * n + j, False) for k in range(n)) for j in range(n))
     return columns, tuple((c, c % n * n + c // n, False) for c in range(n * n))
 

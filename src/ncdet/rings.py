@@ -7,7 +7,12 @@ apart (``_identity``, from which ``Ring`` builds ``==`` and ``hash``); it
 carries one capability flag, ``is_commutative``.  The elements themselves
 are ordinary Python values that support ``+``, ``-``, ``*`` and ``==``; the
 exact integer ring simply uses Python's built-in ``int``, which is
-arbitrary precision, so all arithmetic in the package is exact.
+arbitrary precision, so all arithmetic in the package is exact.  A sum is
+one ``sum`` call and a sum of products one ``dot`` call; ``dots`` makes
+the sums of products over one pair of operand lists, one per terms list,
+in one call: one per sweep level, matrix row and R[z] product.  Its
+default calls ``dot`` per sum; the integers run every sum in one loop,
+and their ``dot`` is a one-sum ``dots``.
 
 The free and exterior algebras share one sparse core.  A ``SparseRing``
 builds ``zero``, ``one``, ``from_int``, ``sum`` and ``dot`` from its
@@ -28,14 +33,15 @@ than ``term_limit`` term pairs.  ``*`` is that kernel run on a fresh sum,
 and ``dot`` runs it for a whole sum of products on one sum, so no product
 of a sum is built and then folded.  ``SparseRing.dot``'s sum is a dict
 that every kernel keeps free of zeros; ``GrassmannAlgebra`` has its own
-``dot``, which its ``*`` runs too, and whose sum is one list of 2^rank
-ints when the products enumerate at least 2^rank term pairs and 2^rank
-is within ``term_limit``.  The kernel reads its right operand through
-``_view``: the right-hand terms in the form the product loop wants,
-computed on first use and kept, since an element is immutable and a
-matrix entry is the right factor of many products; an exterior-algebra
-view also keeps, per left mask, the right terms disjoint from it, built
-from the second product on and at most ``term_limit`` references in all.
+``dot``, which its ``*`` runs from 2^rank term pairs on, and whose sum is
+one list of 2^rank ints when the products enumerate at least 2^rank term
+pairs and 2^rank is within ``term_limit``.  The kernel reads its right
+operand through ``_view``: the right-hand terms in the form the product
+loop wants, computed on first use and kept, since an element is immutable
+and a matrix entry is the right factor of many products; an
+exterior-algebra view also keeps, per left mask, the right terms disjoint
+from it, built from the second product on and at most ``term_limit``
+references in all.
 ``==``, ``hash`` and the sums read ``_terms`` only.
 ``RingElement`` gives every element type ``_coerce`` (an operand of its
 class from an equal ``ring``, or an int as ``ring.from_int``), ``repr``,
@@ -163,7 +169,8 @@ class Ring(ABC):
 
     Concrete rings provide ``zero``, ``one``, ``from_int`` and
     ``_identity``; ``named_gens`` defaults to no generators, every sum is
-    one ``sum`` call and every sum of products one ``dot`` call.  Two
+    one ``sum`` call, every sum of products one ``dot`` call and the sums
+    of products over one pair of operand lists one ``dots`` call.  Two
     rings are equal when they are of one class with equal ``_identity()``,
     and hash alike.  Equality of elements is
     structural: two elements are equal exactly when their canonical
@@ -231,6 +238,13 @@ class Ring(ABC):
             (minus if negative else plus).append(xs[i] * ys[j])
         return self.sum(plus, minus)
 
+    def dots(self, xs, ys, plans) -> list:
+        """``[dot(xs, ys, terms) for terms in plans]``: the sums of products
+        that share one pair of operand lists, as one call, which the
+        integers run in one loop."""
+        dot = self.dot
+        return [dot(xs, ys, terms) for terms in plans]
+
 
 def _checked(acc: int) -> int:
     """An integer sum, refused once it has more digits than the interpreter
@@ -271,13 +285,19 @@ class IntegerRing(Ring):
         return _checked(acc) if acc.bit_length() > _UNCHECKED_BITS else acc
 
     def dot(self, xs, ys, terms) -> int:
-        acc = 0
-        for i, j, negative in terms:
-            if negative:
-                acc -= xs[i] * ys[j]
-            else:
-                acc += xs[i] * ys[j]
-        return _checked(acc) if acc.bit_length() > _UNCHECKED_BITS else acc
+        return self.dots(xs, ys, (terms,))[0]
+
+    def dots(self, xs, ys, plans) -> list:
+        sums, unchecked = [], _UNCHECKED_BITS
+        for terms in plans:
+            acc = 0
+            for i, j, negative in terms:
+                if negative:
+                    acc -= xs[i] * ys[j]
+                else:
+                    acc += xs[i] * ys[j]
+            sums.append(_checked(acc) if acc.bit_length() > unchecked else acc)
+        return sums
 
     def __repr__(self) -> str:
         return "IntegerRing()"

@@ -459,27 +459,40 @@ def test_sdet_builds_each_ordered_prefix_once(n, products, ints, monkeypatch):
 
 
 @pytest.mark.parametrize("n, sdet_count, star_count", [(4, 180, 288), (5, 1400, 1700), (6, 4900, 9000)])
-def test_integer_sums_of_products_are_one_dot_each(n, sdet_count, star_count, ints, monkeypatch):
-    # one IntegerRing.dot per sweep state, plus one for sdet's halves, and
-    # every product inside them: a product made outside a dot fails here
-    dots, original = [], IntegerRing.dot
+def test_integer_sums_of_products_are_one_ring_call_per_level(n, sdet_count, star_count, ints, monkeypatch):
+    # one IntegerRing.dots per sweep level, of one sum per state, plus one
+    # dot for sdet's halves, and every product inside them: a product made
+    # outside a ring sum fails here.  A dot runs dots inside, so only the
+    # outermost call counts
+    calls, active = [], []
 
-    def dot(self, xs, ys, terms):
-        dots.append(len(terms))
-        return original(self, xs, ys, terms)
+    def counted(name, original, plans_of):
+        def method(self, xs, ys, arg):
+            if not active:
+                calls.append((name, [len(terms) for terms in plans_of(arg)]))
+            active.append(name)
+            try:
+                return original(self, xs, ys, arg)
+            finally:
+                active.pop()
 
-    monkeypatch.setattr(IntegerRing, "dot", dot)
+        return method
+
+    monkeypatch.setattr(IntegerRing, "dot", counted("dot", IntegerRing.dot, lambda terms: [terms]))
+    monkeypatch.setattr(IntegerRing, "dots", counted("dots", IntegerRing.dots, lambda plans: plans))
     rng = random.Random(n)
     A = Matrix(ints, [[CountingInt(rng.randint(-9, 9)) for _ in range(n)] for _ in range(n)])
     for run, top, halves, products in [
-        (symmetric_determinant, (n + 1) // 2, 1, sdet_count),
-        (preadjoint, n - 1, 0, star_count),
+        (symmetric_determinant, (n + 1) // 2, ["dot"], sdet_count),
+        (preadjoint, n - 1, [], star_count),
     ]:
-        dots.clear()
+        calls.clear()
         monkeypatch.setattr(CountingInt, "products", 0)
         run(A)
-        assert len(dots) == sum(math.comb(n, t) ** 2 for t in range(2, top + 1)) + halves
-        assert sum(dots) == CountingInt.products == products
+        assert [name for name, _ in calls] == ["dots"] * (top - 1) + halves
+        # one sum per state of each level, C(n, t)^2, then the halves' one
+        assert [len(sums) for _, sums in calls] == [math.comb(n, t) ** 2 for t in range(2, top + 1)] + [1] * len(halves)
+        assert sum(sum(sums) for _, sums in calls) == CountingInt.products == products
 
 
 # -- adjoint sequences and k-th determinants ------------------------------------

@@ -804,3 +804,128 @@ def test_an_integer_dot_past_the_digit_limit_raises(digit_limit):
     digit_limit(0)  # 0: no limit
     assert ints.dot([top, 1], [1, 1], [(0, 0, False), (1, 1, False)]) == 10**640
     assert ints.dot([10**2500], [10**2500], [(0, 0, True)]) == -(10**5000)
+
+
+# -- dots: the sums of products over one pair of operand lists, in one call -----
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(_summands)).flatmap(
+    lambda kind: st.tuples(
+        st.just(kind),
+        st.lists(_summands[kind][1], min_size=1, max_size=3),
+        st.lists(_summands[kind][1], min_size=1, max_size=3),
+        # no plans, empty terms lists and repeated indices all come up
+        st.lists(
+            st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2), st.booleans()), max_size=5),
+            max_size=4,
+        ),
+    )
+))
+def test_dots_is_the_list_of_dots(case):
+    kind, xs, ys, plans = case
+    ring = _summands[kind][0]
+    plans = [[(i % len(xs), j % len(ys), negative) for i, j, negative in terms] for terms in plans]
+    sums = ring.dots(xs, ys, plans)
+    assert type(sums) is list
+    assert sums == [ring.dot(xs, ys, terms) for terms in plans]
+    # over the integers dot is a one-plan dots, so the loop of * and sum
+    # is the independent reference
+    expected = [_loop_dot(ring, xs, ys, terms) for terms in plans]
+    assert sums == expected
+    assert [str(x) for x in sums] == [str(x) for x in expected]
+
+
+@pytest.mark.parametrize("kind", sorted(_summands))
+def test_dots_over_no_plans_is_empty_and_over_no_terms_is_zero(kind):
+    ring = _summands[kind][0]
+    assert ring.dots([], [], []) == []
+    assert ring.dots([ring.one], [ring.one], ()) == []
+    sums = ring.dots([ring.one], [ring.one], [[], [(0, 0, False)], []])
+    assert sums == [ring.zero, ring.one, ring.zero]
+    assert [str(x) for x in sums] == [str(ring.zero), str(ring.one), str(ring.zero)]
+
+
+def test_exterior_dots_on_both_sides_of_the_list_threshold():
+    # rank 4: a sum whose products enumerate 2^4 = 16 term pairs or more
+    # takes the dense list, a smaller one the dict
+    ring = GrassmannAlgebra(4)
+    v1, v2, v3, v4 = ring.gens()
+    xs = [1 + v1 + v2 * v3 - 2 * v4, v2 - v1 * v4, 3]
+    ys = [2 - v4 + v1 * v2 + v3, v3 + v1 * v2 * v4, v1]
+    plans = [
+        [(0, 0, False)],  # 16 pairs
+        [(0, 1, True), (1, 1, False)],  # 12
+        [(0, 0, True), (1, 0, False), (2, 2, False)],  # 25, one an int
+        [(1, 2, False), (0, 0, True), (0, 0, False)],  # 34, cancelling
+        [(2, 1, False)],  # an int, 2
+    ]
+    pairs = [
+        sum((len(xs[i].terms) if i < 2 else 1) * len(ys[j].terms) for i, j, _ in terms)
+        for terms in plans
+    ]
+    assert pairs == [16, 12, 25, 34, 2]
+    sums = ring.dots(xs, ys, plans)
+    assert sums == [ring.dot(xs, ys, terms) for terms in plans]
+    assert sums == [_loop_dot(ring, xs, ys, terms) for terms in plans]
+    assert sums[3] == xs[1] * ys[2]
+
+
+def test_an_integer_dots_batch_past_the_digit_limit_raises(digit_limit):
+    digit_limit(640)
+    ints, half, top = IntegerRing(), 10**320, 10**640 - 1
+    xs, ys = [half, top, 1], [half, 1, 1]
+    for negative in (False, True):
+        within = [(1, 1, negative)]  # 640 digits
+        over = [(0, 0, negative), (2, 2, negative)]  # 641 digits
+        sign = -1 if negative else 1
+        assert ints.dots(xs, ys, [within, [(2, 2, False)], within]) == [sign * top, 1, sign * top]
+        with pytest.raises(TermLimitError) as single:
+            ints.dot(xs, ys, over)
+        with pytest.raises(TermLimitError) as batch:
+            ints.dots(xs, ys, [within, over, within])
+        assert str(batch.value) == str(single.value)
+        assert str(batch.value) == "integer sum grew past 640 digits, the most the interpreter prints"
+    digit_limit(0)  # 0: no limit
+    assert ints.dots(xs, ys, [[(0, 0, False), (2, 2, False)]]) == [10**640 + 1]
+
+
+@pytest.fixture
+def integer_dots(monkeypatch):
+    """The number of sums of each ``IntegerRing.dots`` call from here on."""
+    calls, original = [], IntegerRing.dots
+
+    def dots(self, xs, ys, plans):
+        plans = list(plans)
+        calls.append(len(plans))
+        return original(self, xs, ys, plans)
+
+    monkeypatch.setattr(IntegerRing, "dots", dots)
+    return calls
+
+
+def test_an_integer_polynomial_dot_is_one_base_dots_call(integer_dots):
+    ring = PolynomialRing(IntegerRing())
+    x, y = CentralPoly(ring, [1, 2]), CentralPoly(ring, [3, 0, 4])
+    # x y - y 2 + 5: degrees 0..3 of x y, 0..2 of y, 0 of 5
+    result = ring.dot([x, y, 5], [y, 2, 1], [(0, 0, False), (1, 1, True), (2, 2, False)])
+    assert integer_dots == [4]
+    assert result == central_poly_sum(
+        central_poly_sum(central_poly_product_slices(x, y), -central_poly_product_slices(y, ring.from_int(2))),
+        ring.from_int(5),
+    )
+    integer_dots.clear()
+    assert x * y == central_poly_product_slices(x, y)
+    assert integer_dots == [4]
+
+
+def test_an_integer_matrix_product_is_one_dots_call_per_row(integer_dots):
+    rng = random.Random(7)
+    for n in (1, 3, 5):
+        ints = IntegerRing()
+        A, B = ([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)] for _ in range(2))
+        integer_dots.clear()
+        product = Matrix(ints, A) * Matrix(ints, B)
+        assert integer_dots == [n] * n
+        expected = [[sum(A[i][k] * B[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+        assert product == Matrix(ints, expected)
