@@ -30,9 +30,9 @@ positions: one ``Ring.dot`` over row and column sets (R, C) of k
 positions of the state on (R, C) times the state on their complements,
 signed by the inversions between each set and its complement, so it
 builds and runs only levels up to k, whose halves signs undo the top
-level's (-1)^(r+s).  At n = 2, 3 sdet is tr(A* A) (Thm 3.1) over the top
-level's terms instead, left unsummed: each term, a state over n - 2
-positions times its factor, times the entry of A it meets in the trace.
+level's (-1)^(r+s).  At n = 3 sdet is tr(A* A) (Thm 3.1) over the top
+level's terms instead, left unsummed: each term, an entry times its
+factor, times the entry of A it meets in the trace.
 The double sum itself lives on as a test oracle.
 
 From the preadjoint the right and left adjoint sequences are defined by
@@ -146,26 +146,24 @@ def _halves(A: Matrix):
 
 
 def symmetric_determinant(A: Matrix):
-    """The double permutation sum over S_n x S_n: ``_halves`` but at n = 2, 3.
+    """The double permutation sum over S_n x S_n: ``_halves`` but at n = 3.
 
     There it is Thm 3.1's tr(A* A) with each entry of A* left as the
     terms of its state on the top level: entry (r, s) is a signed sum of
-    states over n-2 positions, each times one entry on the right, and it
-    meets A[s][r] on the right, two products per term: 4 and 72 ring
-    multiplications and one ``Ring.sum``, which the benchmark's tests pin
-    until ROADMAP item 1 re-pins them to the halves' 4 and 45.
+    entries, each times one entry on the right, and it meets A[s][r] on
+    the right, two products per term: 72 ring multiplications and one
+    ``Ring.sum``, which the benchmark's tests pin until ROADMAP item 1
+    re-pins them to the halves' 45.
     """
     n, ring, rows = A.n, A.ring, A.rows
-    if n not in (2, 3):
+    if n != 3:
         return _halves(A)
     entries, top = [x for row in rows for x in row], _level(n, n - 1)[1]
     plus, minus = [], []
     for i in range(n * n):
         r, s = divmod(i, n)  # entry (r, s) of A* meets A[s][r]
         for pred, cell, negative in top[(n - 1 - s) * n + n - 1 - r]:
-            # at n = 2 the state is the empty product
-            x = entries[cell] if n == 2 else entries[pred] * entries[cell]
-            (minus if negative else plus).append(x * rows[s][r])
+            (minus if negative else plus).append(entries[pred] * entries[cell] * rows[s][r])
     return ring.sum(plus, minus)
 
 

@@ -28,11 +28,10 @@ product adds into one list of 2^rank ints, with no lookup or zero test
 per pair, and the result is built once from the nonzero slots; otherwise
 the dot is ``SparseRing.dot``, whose dict the kernel keeps free of zeros.
 On a grassmann_trials round (seed 3) 1,378 of 2,910 dots take the list,
-and they hold 1,562,365 of its 1,593,280 term pairs (98%).  ``*`` is a
-one-product dot from 2^rank term pairs on; a smaller product runs the
-kernel on a fresh dict, as ``SparseElement``'s ``*`` does.  As in the
-free algebra, a product of more than ``term_limit`` term pairs
-(overlapping ones included) raises TermLimitError.
+and they hold 1,562,365 of its 1,593,280 term pairs (98%).  ``*`` runs
+the kernel on a fresh dict at every size, as ``SparseElement``'s ``*``
+does.  As in the free algebra, a product of more than ``term_limit`` term
+pairs (overlapping ones included) raises TermLimitError.
 """
 
 from __future__ import annotations
@@ -120,17 +119,8 @@ class GrassmannElem(SparseElement):
 
     # bench/tracer.py wraps only a class's own attributes
     __add__ = __radd__ = SparseElement.__add__
+    __mul__ = SparseElement.__mul__
     __str__ = SparseElement.__str__
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if len(self._terms) * len(other._terms) < 1 << self.ring.rank:
-            return self._raw(self.ring, self._mul_into(other, {}, 1))
-        # an operand of an equal, distinct algebra takes SparseRing.dot,
-        # which runs the kernel on it as on one of this algebra's own
-        return self.ring.dot((self,), (other,), ((0, 0, False),))
 
     def _mul_into(self, other: GrassmannElem, out, sign: int):
         # out is the dot's sum: a list of 2^rank ints, added to in place, or

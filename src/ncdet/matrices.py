@@ -2,10 +2,10 @@
 
 Matrices are immutable; products multiply the left factor's entries on the
 left, the convention every identity in the package depends on, one
-``Ring.dots`` per row, of one sum per entry.  The dimension is capped
-(default 6) because generic sdet has (n!)^2 terms, 518,400 at n = 6 and
-25,401,600 at n = 7, past the term budget of one running sum, not by its
-4,900 ring multiplications at n = 6.
+``Ring.dots`` per row, of one sum per entry.  The dimension is capped at
+``DIMENSION_CAP`` = 6 because generic sdet has (n!)^2 terms, 518,400 at
+n = 6 and 25,401,600 at n = 7, past the term budget of one running sum,
+not by its 4,900 ring multiplications at n = 6.
 
 Also houses the commutative oracles (classical determinant and adjugate by
 cofactor expansion), the supermatrix parity predicate over the exterior

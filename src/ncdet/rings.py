@@ -33,15 +33,14 @@ than ``term_limit`` term pairs.  ``*`` is that kernel run on a fresh sum,
 and ``dot`` runs it for a whole sum of products on one sum, so no product
 of a sum is built and then folded.  ``SparseRing.dot``'s sum is a dict
 that every kernel keeps free of zeros; ``GrassmannAlgebra`` has its own
-``dot``, which its ``*`` runs from 2^rank term pairs on, and whose sum is
-one list of 2^rank ints when the products enumerate at least 2^rank term
-pairs and 2^rank is within ``term_limit``.  The kernel reads its right
-operand through ``_view``: the right-hand terms in the form the product
-loop wants, computed on first use and kept, since an element is immutable
-and a matrix entry is the right factor of many products; an
-exterior-algebra view also keeps, per left mask, the right terms disjoint
-from it, built from the second product on and at most ``term_limit``
-references in all.
+``dot``, whose sum is one list of 2^rank ints when the products enumerate
+at least 2^rank term pairs and 2^rank is within ``term_limit``.  The
+kernel reads its right operand through ``_view``: the right-hand terms in
+the form the product loop wants, computed on first use and kept, since an
+element is immutable and a matrix entry is the right factor of many
+products; an exterior-algebra view also keeps, per left mask, the right
+terms disjoint from it, built from the second product on and at most
+``term_limit`` references in all.
 ``==``, ``hash`` and the sums read ``_terms`` only.
 ``RingElement`` gives every element type ``_coerce`` (an operand of its
 class from an equal ``ring``, or an int as ``ring.from_int``), ``repr``,
@@ -339,10 +338,10 @@ class SparseRing(Ring):
 
     def dot(self, xs, ys, terms):
         """``Ring.dot`` on one dict: each product of two elements of this
-        ring (the right one may be of an equal ring) runs x's kernel into
-        it, and the sum is refused once it holds more than ``term_limit``
-        terms after a product.  Other operands take x * y and fold it,
-        which coerces or refuses them as ``*`` and ``+`` do.
+        ring runs x's kernel into it, and the sum is refused once it holds
+        more than ``term_limit`` terms after a product.  Other operands,
+        elements of an equal but distinct ring among them, take x * y and
+        fold it, which coerces or refuses them as ``*`` and ``+`` do.
         ``GrassmannAlgebra.dot`` keeps this contract but sums into one list
         of 2^rank ints when its products enumerate at least that many term
         pairs."""
@@ -350,9 +349,7 @@ class SparseRing(Ring):
         for i, j, negative in terms:
             x, y = xs[i], ys[j]
             sign = -1 if negative else 1
-            if type(x) is type(y) is element and x.ring is self and (
-                y.ring is self or y.ring == self
-            ):
+            if type(x) is type(y) is element and x.ring is y.ring is self:
                 x._mul_into(y, out, sign)
             else:
                 _fold(out, _operand(self, x * y, "+")._terms, sign)

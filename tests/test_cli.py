@@ -264,33 +264,27 @@ def test_exterior_product_over_the_pair_budget_is_a_clean_exit_2(capsys, tmp_pat
     )
 
 
-def test_the_rank_14_square_is_refused_before_its_dense_list_exists(capsys, monkeypatch, tmp_path):
-    # the README's example: the pass that counts a dot's term pairs refuses
-    # the square before the sum's list of 2^14 slots (131 KB) is allocated
-    entry = "(" + "*".join(f"(1+v{i})" for i in range(1, 15)) + ")^2"
-    path = tmp_path / "matrix.json"
-    path.write_text(json.dumps({"ring": {"kind": "grassmann", "rank": 14}, "n": 1, "entries": [[entry]]}))
-    dot, refused = GrassmannAlgebra.dot, []
-
-    def watched(ring, xs, ys, terms):
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        try:
-            return dot(ring, xs, ys, terms)
-        except TermLimitError:
-            refused.append(tracemalloc.get_traced_memory()[1] - before)
-            raise
-
-    monkeypatch.setattr(GrassmannAlgebra, "dot", watched)
+def test_the_rank_14_square_is_refused_before_its_dense_list_exists():
+    # the README's square as one dot, the route that sums into a list of
+    # 2^14 slots (131 KB): the pass that counts the dot's term pairs
+    # refuses it before the list is allocated
+    algebra = GrassmannAlgebra(14)
+    x = algebra.one
+    for v in algebra.gens():
+        x = x * (1 + v)
+    assert len(x._terms) == 1 << 14
     tracemalloc.start()
     try:
-        assert main(["sdet", "--input", str(path)]) == 2
+        before = tracemalloc.get_traced_memory()[0]
+        with pytest.raises(TermLimitError) as refused:
+            algebra.dot([x], [x], [(0, 0, False)])
+        allocated = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert capsys.readouterr().err == (
-        "error: product would enumerate 268435456 term pairs, over the budget of 10000000\n"
+    assert str(refused.value) == (
+        "product would enumerate 268435456 term pairs, over the budget of 10000000"
     )
-    assert len(refused) == 1 and refused[0] < 8 << 14
+    assert allocated < 8 << 14
 
 
 def test_generic_rdet_3_over_the_pair_budget_is_a_clean_exit_2(capsys):

@@ -165,10 +165,10 @@ def test_sdet_matches_double_sum_at_n5():
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_the_oracles_catch_a_corrupted_minor_step(n, monkeypatch):
     # the states of the sweep's top level are the entries of A*: the
-    # preadjoint reads them, and sdet reads them at n <= 3, and nothing
+    # preadjoint reads them, and sdet reads them at n = 3, and nothing
     # else in the package derives their signs; flipping the first or the
     # last term of any one state must set those apart from the double-sum
-    # oracles; from n = 4 sdet reads the halves instead
+    # oracles; at every other n sdet reads the halves instead
     _, A = generic_matrix(n)
     sdet, star = sdet_double_sum(A), preadjoint_double_sum(A)
     drops, steps, halves = determinants._level(n, n - 1)
@@ -179,7 +179,7 @@ def test_the_oracles_catch_a_corrupted_minor_step(n, monkeypatch):
             flipped = list(steps)
             flipped[i] = terms[:j] + ((pred, cell, not negative),) + terms[j + 1 :]
             monkeypatch.setitem(determinants._levels, (n, n - 1), (drops, tuple(flipped), halves))
-            assert (symmetric_determinant(A) != sdet) == (n <= 3)
+            assert (symmetric_determinant(A) != sdet) == (n == 3)
             assert preadjoint(A) != star
 
 
@@ -258,12 +258,12 @@ def test_the_drops_factor_the_steps(n):
 
 
 def sdet_products(n):
-    # at n <= 3 two products per term of a minor step (one at n = 2, the
-    # empty state): 2 n^2 (n-1)^2 = 8 C(n,2)^2; from n = 4 one product per
-    # extension of a sweep state over t = 2..k positions, k = ceil(n/2),
-    # then one per pair of halves
-    if n < 3:
-        return 4 * (n - 1)
+    # at n = 3 two products per term of a minor step: 2 n^2 (n-1)^2 =
+    # 8 C(n,2)^2; at every other n from 2 one product per extension of a
+    # sweep state over t = 2..k positions, k = ceil(n/2), then one per pair
+    # of halves; none at n = 1
+    if n == 1:
+        return 0
     if n == 3:
         return 8 * math.comb(n, 2) ** 2
     k = (n + 1) // 2

@@ -773,13 +773,13 @@ def test_dot_over_the_budget_refuses_as_the_loop_does(kind):
 def test_dot_operands_coerce_or_refuse_as_add_product_does(build, stranger):
     ring = build()
     u, v = ring.gens()[:2]
-    twin = build().gens()[0]  # of an equal, distinct ring
+    twin = build().gens()[0]  # of an equal, distinct ring, on either side
     for x, y in ((u, stranger), (stranger, u), (stranger, stranger)):
         with pytest.raises(ValueError, match=stranger._MISMATCH):
             ring.dot([u, x], [u, y], [(0, 0, False), (1, 1, False)])
-    xs, ys = [3, u, twin, 2, u], [u, -2, u, 3, v]
-    terms = [(0, 0, False), (1, 1, True), (2, 2, False), (3, 3, False), (4, 4, True)]
-    assert ring.dot(xs, ys, terms) == _loop_dot(ring, xs, ys, terms) == 5 * u + u * u + 6 - u * v
+    xs, ys = [3, u, twin, 2, u, v], [u, -2, u, 3, v, twin]
+    terms = [(0, 0, False), (1, 1, True), (2, 2, False), (3, 3, False), (4, 4, True), (5, 5, False)]
+    assert ring.dot(xs, ys, terms) == _loop_dot(ring, xs, ys, terms) == 5 * u + u * u + 6 - u * v + v * u
 
 
 def test_an_integer_dot_past_the_digit_limit_raises(digit_limit):

@@ -212,17 +212,24 @@ def _failed_by_mismatch(report):
 def test_injected_sign_error_flips_a_suite(monkeypatch):
     # mutation smoke test: corrupt one sign of the sweep's top level, whose
     # states are the entries of the preadjoint, and the theorem suites must
-    # notice.  At n = 2 entry 0 is A*[0][0] = d: tr(A A*) = sdet and
-    # prop4_1 fail, but tr(A* A) = sdet holds, since at n <= 3 sdet is
-    # tr(A* A) over the same states.  From n = 4 sdet reads the halves, so
-    # both trace checks fail
+    # notice.  At n = 2 and 4 sdet reads the halves, so both trace checks
+    # fail; prop4_1 reads no preadjoint and passes
+    def both(n):
+        return [f"thm3_1 n={n}: tr(A A*) = sdet(A)", f"thm3_1 n={n}: tr(A* A) = sdet(A)"]
+
     flip_a_minor_sign(monkeypatch, 0)
-    both = ["thm3_1 n=4: tr(A A*) = sdet(A)", "thm3_1 n=4: tr(A* A) = sdet(A)"]
-    assert _failed_by_mismatch(run_verify("thm3_1", n=2)) == ["thm3_1 n=2: tr(A A*) = sdet(A)"]
+    for n in (2, 4):
+        assert _failed_by_mismatch(run_verify("thm3_1", n=n)) == both(n)
+    assert _failed_by_mismatch(run_verify("prop4_1")) == []
+    # one flipped sign in sdet's halves leaves A* whole: at n = 2 both
+    # prop4_1 lines fail with both trace checks
+    monkeypatch.undo()
+    drops, steps, ((x, y, negative), *halves) = determinants._level(2, 1)
+    monkeypatch.setitem(determinants._levels, (2, 1), (drops, steps, ((x, y, not negative), *halves)))
     assert len(_failed_by_mismatch(run_verify("prop4_1"))) == 2
-    assert _failed_by_mismatch(run_verify("thm3_1", n=4)) == both
-    # one flipped sign in sdet's halves leaves A* whole: both trace checks
-    # fail again, on the generic matrix and on an M_2(Z) draw alike
+    assert _failed_by_mismatch(run_verify("thm3_1", n=2)) == both(2)
+    # and at n = 4 both trace checks fail, on the generic matrix and on an
+    # M_2(Z) draw alike
     monkeypatch.undo()
     drops, steps, ((x, y, negative), *halves) = determinants._level(4, 2)
     monkeypatch.setitem(determinants._levels, (4, 2), (drops, steps, ((x, y, not negative), *halves)))
@@ -230,7 +237,7 @@ def test_injected_sign_error_flips_a_suite(monkeypatch):
     for matrix in (generic_matrix, lambda n: (M2, random_matrix(M2, rng, n))):
         pairs = verify._suite_thm3_1(verify._OptionReader(verify.VerifyOptions(n=4)), matrix)
         report = verify.VerifyReport(suite="thm3_1", checks=[verify._check(*pair) for pair in pairs])
-        assert _failed_by_mismatch(report) == both
+        assert _failed_by_mismatch(report) == both(4)
     # q_A,1 is the halves of zI - A at every n, and cor3_2 compares it
     # with p_A,1 as tr(X X*), which reads only the sweep's steps: one
     # flipped halves sign at n = 3 (the top level) or 4 fails it
