@@ -107,12 +107,13 @@ def _level(n: int, t: int):
 
 
 def _sweep(ring, rows, top: int) -> list:
-    """The sweep's states by level, ``levels[t]`` for t = 1..top >= 1: the
-    entries, row-major, then the value of each step of levels 2..top, the
-    signed sum of its predecessors' values times one entry on the right,
-    one ``Ring.dots`` per level."""
+    """The sweep's states by level, ``levels[t]`` for t = 0..max(top, 1):
+    level 0 the empty product, level 1 the entries, row-major, then the
+    value of each step of levels 2..top, the signed sum of its
+    predecessors' values times one entry on the right, one ``Ring.dots``
+    per level."""
     n, dots = len(rows), ring.dots
-    levels = [None, [x for row in rows for x in row]]
+    levels = [[ring.one], [x for row in rows for x in row]]
     for t in range(2, top + 1):
         levels.append(dots(levels[-1], levels[1], _level(n, t)[1]))
     return levels
@@ -178,12 +179,9 @@ def preadjoint(A: Matrix) -> Matrix:
     right, and its top level, over n-1 positions with (-1)^(r+s) in its
     signs, holds the entries.  Each level is built once per n and shared
     with ``symmetric_determinant``.  A 1x1 matrix maps to [1] (empty
-    product convention).
+    product convention): its top is level 0.
     """
-    n = A.n
-    if n == 1:
-        return Matrix(A.ring, [[A.ring.one]])
-    ring, rows = A.ring, A.rows
+    n, ring, rows = A.n, A.ring, A.rows
     if n == 2:
         # the top is level 1: each state is the empty product times one entry
         entries = rows[0] + rows[1]

@@ -36,6 +36,8 @@ for X = zI - A.
 This module is where every verdict is decided: the computing modules
 return data, and the suites, ``scalar_cayley_hamilton_check`` (Thm 2.7)
 and ``lie_nilpotency_check`` (the exterior algebra's index 2) check it.
+The one-sided Cayley--Hamilton sums of thm2_6, cor4_5 and thm2_7 are
+evaluated by Horner's rule, two matrix products per degree.
 """
 
 from __future__ import annotations
@@ -276,17 +278,14 @@ def _trials(count: int, draw, test):
 
 
 def _vanishing(A: Matrix, right, left) -> tuple[bool, bool]:
-    """Whether sum_i A^i right[i] and sum_i left[i] A^i are zero, forming
-    each power of A once.  Both coefficient lists run from degree 0 and
-    have the same length."""
-    right_sum = left_sum = Matrix.zeros(A.ring, A.n)
-    power = Matrix.identity(A.ring, A.n)
-    for i, (c, d) in enumerate(zip(right, left, strict=True)):
-        if i:
-            power = power * A
-        right_sum = right_sum + power * c
-        left_sum = left_sum + d * power
-    return right_sum.is_zero(), left_sum.is_zero()
+    """Whether sum_i A^i right[i] and sum_i left[i] A^i are zero, by
+    Horner's rule from the top degree down: right[i] + A (...) and
+    left[i] + (...) A, two products per degree.  Both coefficient
+    lists run from degree 0 and have the same length."""
+    r, l = right[-1], left[-1]
+    for c, d in zip(right[-2::-1], left[-2::-1], strict=True):
+        r, l = c + A * r, d + l * A
+    return r.is_zero(), l.is_zero()
 
 
 def _witness_identities(A: Matrix, witness) -> tuple[bool, bool]:

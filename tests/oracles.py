@@ -26,6 +26,10 @@ reads every free-algebra word backwards, signs an exterior-algebra
 k-subset by (-1)^(k(k-1)/2), fixes an integer and reverses each
 coefficient of a polynomial in the central z.
 
+``power_sums`` evaluates the one-sided Cayley--Hamilton sums
+sum_i A^i right[i] and sum_i left[i] A^i term by term, forming each power
+of A once, as the reference for the Horner evaluation in ``verify``.
+
 ``ring_axiom_check`` spot-checks the ring axioms on seeded random triples
 of sample elements and returns one verdict per axiom in an ``AxiomReport``
 (a ``rings.Record``).
@@ -224,6 +228,20 @@ def charpoly_by_interpolation(A: Matrix, side: str = "right", k: int = 1) -> Cen
             terms[key] = int(c)
         coeffs.append(terms.get((), 0) if integers else ring.element_type(ring, terms))
     return CentralPoly(PolynomialRing(ring), coeffs)
+
+
+def power_sums(A: Matrix, right, left) -> tuple[Matrix, Matrix]:
+    """sum_i A^i right[i] and sum_i left[i] A^i, the coefficient lists
+    running from degree 0, with an identity, two zero accumulators and a
+    running power of A."""
+    right_sum = left_sum = Matrix.zeros(A.ring, A.n)
+    power = Matrix.identity(A.ring, A.n)
+    for i, (c, d) in enumerate(zip(right, left, strict=True)):
+        if i:
+            power = power * A
+        right_sum = right_sum + power * c
+        left_sum = left_sum + d * power
+    return right_sum, left_sum
 
 
 def reverse(x):

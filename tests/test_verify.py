@@ -14,10 +14,11 @@ from ncdet import (
 from ncdet.cli import main
 from ncdet.rings import TermLimitError
 from ncdet import determinants
-from ncdet.matrices import _det_recursive, _signed_minors
+from ncdet.charpoly import WITNESS_MAX_N
+from ncdet.matrices import _det_recursive, _signed_minors, commutative_det
 from ncdet.verify import SUITES
 
-from oracles import IntMatrixRing, random_matrix
+from oracles import IntMatrixRing, power_sums, random_matrix
 from test_contract_ring import RINGS, draws
 
 
@@ -169,6 +170,79 @@ def test_generic_cayley_hamilton_witness_passes_at_n4():
     report = run_verify("thm2_6", n=4)
     assert report.ok
     assert len(report.checks) == 6
+
+
+def test_generic_cayley_hamilton_witness_passes_at_the_witness_limit():
+    report = run_verify("thm2_6", n=WITNESS_MAX_N)
+    assert report.ok
+    assert len(report.checks) == 6
+
+
+def _invertible_integer_matrix(rng, n):
+    while True:
+        S = verify.random_integer_matrix(rng, n)
+        if commutative_det(S):
+            return S
+
+
+def _exterior_with_invertible_scalar_part(rng):
+    """A rank-4 3x3 matrix: an invertible integer matrix plus odd terms."""
+    algebra = GrassmannAlgebra(4)
+    S = _invertible_integer_matrix(rng, 3)
+    return Matrix(algebra, [
+        [algebra.from_int(x) + algebra.random_element(rng, max_terms=2, parity=1) for x in row]
+        for row in S.rows
+    ])
+
+
+# no power of these matrices is zero, so a change to any coefficient of a
+# one-sided sum changes the sum
+_NONNILPOTENT = {
+    "generic 2x2": lambda rng: generic_matrix(2)[1],
+    "generic 3x3": lambda rng: generic_matrix(3)[1],
+    "integer 3x3": lambda rng: _invertible_integer_matrix(rng, 3),
+    "exterior rank 4 3x3": _exterior_with_invertible_scalar_part,
+}
+
+
+def _vanishing_lists(A, degree, rng):
+    """Coefficient lists of the given degree, on the right and on the left,
+    with integer coefficients above degree 0 and each sum zero: the degree 0
+    coefficient is minus the rest of its sum by ``oracles.power_sums``."""
+    ring, n = A.ring, A.n
+
+    def draw():
+        return Matrix(ring, [[ring.from_int(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)])
+
+    right, left = ([Matrix.zeros(ring, n)] + [draw() for _ in range(degree)] for _ in range(2))
+    right_rest, left_rest = power_sums(A, right, left)
+    right[0], left[0] = -right_rest, -left_rest
+    return right, left
+
+
+# each sum vanishes, and one coefficient plus the identity fails its side only
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+@pytest.mark.parametrize("matrix", list(_NONNILPOTENT.values()), ids=list(_NONNILPOTENT))
+def test_the_horner_sums_match_the_power_sums_coefficient_by_coefficient(matrix, degree):
+    rng = random.Random(degree)
+    A = matrix(rng)
+    right, left = _vanishing_lists(A, degree, rng)
+    assert all(s.is_zero() for s in power_sums(A, right, left))
+    assert verify._vanishing(A, right, left) == (True, True)
+    I = Matrix.identity(A.ring, A.n)
+    for i in range(degree + 1):
+        bumped = right[:i] + [right[i] + I] + right[i + 1 :]
+        assert verify._vanishing(A, bumped, left) == (False, True), f"right degree {i}"
+        bumped = left[:i] + [left[i] + I] + left[i + 1 :]
+        assert verify._vanishing(A, right, bumped) == (True, False), f"left degree {i}"
+
+
+@pytest.mark.parametrize("lengths", [(2, 1), (1, 3), (4, 5)])
+def test_the_vanishing_sums_refuse_lists_of_unequal_length(lengths):
+    _, A = generic_matrix(2)
+    I = Matrix.identity(A.ring, 2)
+    with pytest.raises(ValueError):
+        verify._vanishing(A, [I] * lengths[0], [I] * lengths[1])
 
 
 def test_options_narrow_the_sizes():
