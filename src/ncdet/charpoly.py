@@ -18,12 +18,13 @@ by coefficient, and a running sum is the zero polynomial and ``+``.  The
 k-th characteristic polynomial of A is the k-th right (or left)
 determinant of zI - A: over the exterior algebra one determinant of
 2^B I - A over R, read back as one balanced B-bit digit per z-degree, and
-over other rings computed in R[z].  A polynomial prints from its top
-degree down, and a coefficient whose terms are all negative prints as a
-minus sign before its negation.  The module loads neither algebra nor
-``perms``: the exterior-algebra route and the free-algebra witness cap
-test a ring's class only once its module is loaded, and
-``standard_polynomial_4`` imports ``perms`` when it runs.
+over other rings computed in R[z].  A Cayley--Hamilton witness is read off
+two products over R[z], n (zI - A) times its preadjoint on either side.  A
+polynomial prints from its top degree down, and a coefficient whose terms
+are all negative prints as a minus sign before its negation.  The module
+loads neither algebra nor ``perms``: the exterior-algebra route and the
+free-algebra witness cap test a ring's class only once its module is
+loaded, and ``standard_polynomial_4`` imports ``perms`` when it runs.
 """
 
 from __future__ import annotations
@@ -32,7 +33,9 @@ import math
 import operator
 from typing import Sequence
 
-from .determinants import _by_side, left_determinant, preadjoint, right_determinant
+from .determinants import (
+    _by_side, left_determinant, preadjoint, right_determinant, trace_of_product,
+)
 from .matrices import Matrix
 from .rings import IntegerRing, Record, Ring, RingElement, _instance_of, _operand, join_signed
 
@@ -41,8 +44,9 @@ WITNESS_MAX_N = 5
 
 def _check_witness_size(A: Matrix) -> None:
     """Refuse a free-algebra witness past n = WITNESS_MAX_N: generic n = 5 takes
-    0.31-0.37 s and a process peak RSS of 60 MB (Python 3.11.7, 2-core machine);
-    n = 6 exhausts gigabytes of memory.  Other rings' witnesses have no limit."""
+    0.09-0.10 s and a process peak RSS of 85 MB, but n = 6 5.3-6.6 s and 1.14 GB
+    for the witness alone, before thm2_6's [R,R] line runs (Python 3.11.7,
+    shared 2-core machine).  Other rings' witnesses have no limit."""
     if A.n > WITNESS_MAX_N and _instance_of(A.ring, "freealg", "FreeAlgebra"):
         raise ValueError(f"generic free-algebra witnesses are limited to n <= {WITNESS_MAX_N}")
 
@@ -277,27 +281,21 @@ def cayley_hamilton_witness(A: Matrix) -> CHWitness:
     """lambdas, C_i and D_i read off n (zI - A)(zI - A)* and n (zI - A)*(zI - A).
 
     lambdas are the coefficients of tr((zI - A)(zI - A)*), and C_i, D_i the
-    degree-i slices of the two products less lambdas[i] I; nothing here
-    checks the identities they satisfy.  With P_d the degree-d slice of
-    (zI - A)*, the degree-d slices of the products are P_{d-1} - A P_d and
-    P_{d-1} - P_d A, so no matrix over R[z] is multiplied.
+    degree-i slices of the two products less lambdas[i] I, n scaling zI - A,
+    whose entries have one or two terms; nothing here checks the identities.
     """
     _check_witness_size(A)
-    n = A.n
-    ring = A.ring
-    P = preadjoint(char_matrix(A))
-    slices = [Matrix(ring, [[e.coeff(d) for e in row] for row in P.rows]) for d in range(n)]
-    # (zI - A)* has degree n - 1 (its top slice is (n-1)! I), so each
-    # product has the n + 1 slices of degrees 0..n
-    zero = Matrix.zeros(ring, n)
-    lower = [zero, *slices]
-    right = [S - T for S, T in zip(lower, [*(A * S for S in slices), zero])]
-    left = [S - T for S, T in zip(lower, [*(S * A for S in slices), zero])]
-    lambdas = tuple(M.trace() for M in right)
-    scalars = [Matrix.scalar(ring, n, lam) for lam in lambdas]
-    right_defects = tuple(M * n - L for M, L in zip(right, scalars))
-    left_defects = tuple(M * n - L for M, L in zip(left, scalars))
-    return CHWitness(lambdas=lambdas, right_defects=right_defects, left_defects=left_defects)
+    n, X = A.n, char_matrix(A)
+    P = preadjoint(X)
+    lam = trace_of_product(X, P)
+    scaled, scalar = X * n, Matrix.scalar(X.ring, n, lam)
+    # (zI - A)* has degree n - 1, so each product has the slices of degrees 0..n
+    degrees = range(n + 1)
+    right, left = (
+        tuple(Matrix(A.ring, [[e.coeff(d) for e in row] for row in M.rows]) for d in degrees)
+        for M in (scaled * P - scalar, P * scaled - scalar)
+    )
+    return CHWitness(tuple(map(lam.coeff, degrees)), right, left)
 
 
 def standard_polynomial_4(x1, x2, x3, x4):

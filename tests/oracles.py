@@ -26,6 +26,10 @@ reads every free-algebra word backwards, signs an exterior-algebra
 k-subset by (-1)^(k(k-1)/2), fixes an integer and reverses each
 coefficient of a polynomial in the central z.
 
+``witness_by_slices`` rebuilds the Cayley--Hamilton witness from the
+slices of the double-sum preadjoint of zI - A, one z-degree at a time,
+with no product of matrices over R[z].
+
 ``power_sums`` evaluates the one-sided Cayley--Hamilton sums
 sum_i A^i right[i] and sum_i left[i] A^i term by term, forming each power
 of A once, as the reference for the Horner evaluation in ``verify``.
@@ -242,6 +246,36 @@ def power_sums(A: Matrix, right, left) -> tuple[Matrix, Matrix]:
         right_sum = right_sum + power * c
         left_sum = left_sum + d * power
     return right_sum, left_sum
+
+
+def witness_by_slices(A: Matrix) -> tuple[tuple, tuple, tuple]:
+    """lambdas, right and left defects of the Cayley--Hamilton witness,
+    degree by degree.
+
+    zI - A is built entry by entry and its preadjoint is the double sum.
+    With P_d the degree-d slice of that preadjoint, and P_{-1} = P_n = 0,
+    the degree-d slices of (zI - A)(zI - A)* and (zI - A)*(zI - A) are
+    P_{d-1} - A P_d and P_{d-1} - P_d A.  lambda_d is the trace of the
+    first, and each defect is n times its slice less lambda_d I.
+    """
+    ring, n = A.ring, A.n
+    rz = PolynomialRing(ring)
+    X = Matrix(rz, [
+        [CentralPoly(rz, [-e, ring.one] if i == j else [-e]) for j, e in enumerate(row)]
+        for i, row in enumerate(A.rows)
+    ])
+    P = preadjoint_double_sum(X)
+    zero = Matrix.zeros(ring, n)
+    slices = [Matrix(ring, [[e.coeff(d) for e in row] for row in P.rows]) for d in range(n)]
+    lambdas, right, left = [], [], []
+    for below, P_d in zip([zero, *slices], [*slices, zero]):
+        R, L = below - A * P_d, below - P_d * A
+        lam = R.trace()
+        scalar = Matrix.scalar(ring, n, lam)
+        lambdas.append(lam)
+        right.append(R * n - scalar)
+        left.append(L * n - scalar)
+    return tuple(lambdas), tuple(right), tuple(left)
 
 
 def reverse(x):

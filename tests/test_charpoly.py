@@ -412,8 +412,10 @@ def test_balanced_slices_read_back_every_key(data):
 # -- Cayley-Hamilton witnesses ---------------------------------------------------
 
 
-def test_witness_slices_one_preadjoint_and_multiplies_nothing_over_rz(monkeypatch):
+def test_witness_takes_one_preadjoint_and_two_products_over_rz(monkeypatch):
     _, A = generic_matrix(2)
+    X = char_matrix(A)
+    P, scaled = preadjoint(X), X * 2
     preadjoints = []
     products = []
     original = Matrix.__mul__
@@ -430,8 +432,9 @@ def test_witness_slices_one_preadjoint_and_multiplies_nothing_over_rz(monkeypatc
     monkeypatch.setattr(charpoly, "preadjoint", recorded_preadjoint)
     monkeypatch.setattr(Matrix, "__mul__", recorded)
     cayley_hamilton_witness(A)
-    assert preadjoints == [char_matrix(A)]
-    assert products == []
+    assert preadjoints == [X]
+    # n scales zI - A, not its preadjoint, on both sides
+    assert products == [(scaled, P), (P, scaled)]
 
 
 @pytest.mark.parametrize("side", ["right", "left"])

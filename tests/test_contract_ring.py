@@ -1,7 +1,9 @@
 """The determinant theory over M_m(Z), a ring written only against the ring
 contract (``oracles.IntMatrixRing``), and the suites of ``verify`` whose
 every check holds in any ring, run on M_2(Z), M_3(Z) and two kinds of
-exterior-algebra draws."""
+exterior-algebra draws.  The Cayley--Hamilton witness is compared with its
+slice recurrence (``oracles.witness_by_slices``) on seeded draws over each
+kind of ring, and on the generic matrix."""
 
 import inspect
 import random
@@ -9,8 +11,11 @@ import random
 import pytest
 
 from ncdet import (
+    FreeAlgebra,
     GrassmannAlgebra,
     Matrix,
+    cayley_hamilton_witness,
+    generic_matrix,
     left_determinant,
     parse_expression,
     right_determinant,
@@ -18,9 +23,9 @@ from ncdet import (
     symmetric_determinant,
     verify,
 )
-from ncdet.verify import SUITES, random_grassmann_matrix, random_integer_matrix
+from ncdet.verify import SUITES, random_grassmann_matrix, random_integer_matrix, random_supermatrix
 
-from oracles import IntMatrixRing, MatInt, random_matrix, sdet_double_sum
+from oracles import IntMatrixRing, MatInt, random_matrix, sdet_double_sum, witness_by_slices
 
 
 def draws(draw, seed: int):
@@ -93,6 +98,40 @@ def test_thm2_6_runs_past_the_free_algebra_witness_limit(draw):
     checks = [verify._check(*pair) for pair in SUITES["thm2_6"](opt, draws(draw, 0))]
     assert len(checks) == 5
     assert [str(c) for c in checks if not c.passed] == []
+
+
+def free_matrix(rng, n):
+    algebra = FreeAlgebra(("x", "y"))
+
+    def entry():
+        return algebra.random_element(rng, max_degree=2, max_terms=2)
+
+    return Matrix(algebra, [[entry() for _ in range(n)] for _ in range(n)])
+
+
+WITNESS_DRAWS = {
+    "generic": lambda rng, n: generic_matrix(n)[1],
+    "integers": random_integer_matrix,
+    "M2(Z)": RINGS["M2(Z)"],
+    "exterior rank 6": RINGS["exterior rank 6"],
+    # an (n, n - 1) supermatrix; at n = 1 every entry is even
+    "supermatrix": lambda rng, n: random_supermatrix(GrassmannAlgebra(6), rng, n, max(1, n - 1)),
+    "free": free_matrix,
+}
+
+
+@pytest.mark.parametrize(
+    "draw, n",
+    [("generic", n) for n in (1, 2, 3, 4)]
+    + [(draw, n) for draw in list(WITNESS_DRAWS)[1:] for n in (1, 2, 3)],
+)
+def test_the_witness_matches_its_slice_recurrence(draw, n):
+    A = WITNESS_DRAWS[draw](random.Random(n), n)
+    witness = cayley_hamilton_witness(A)
+    lambdas, right, left = witness_by_slices(A)
+    assert witness.lambdas == lambdas
+    assert witness.right_defects == right
+    assert witness.left_defects == left
 
 
 @pytest.mark.parametrize("m", [2, 3])
