@@ -37,7 +37,7 @@ from .determinants import (
     _by_side, left_determinant, preadjoint, right_determinant, trace_of_product,
 )
 from .matrices import Matrix
-from .rings import IntegerRing, Record, Ring, RingElement, _instance_of, _operand, join_signed
+from .rings import IntegerRing, Record, Ring, RingElement, _instance_of, _join_terms, _operand
 
 WITNESS_MAX_N = 5
 
@@ -201,8 +201,8 @@ class CentralPoly(RingElement):
             else:
                 zpart = "z" if d == 1 else f"z^{d}"
                 body = zpart if text == "1" else f"{text}*{zpart}"
-            pieces.append((negative, body))
-        return join_signed(pieces)
+            pieces.append((-1 if negative else 1, body))
+        return _join_terms(pieces)
 
 
 def char_matrix(A: Matrix) -> Matrix:

@@ -14,7 +14,12 @@ length minus one and low is v without its leading bit.  The public API
 (``FreePoly(algebra, {word: coeff})`` and ``terms``) speaks tuples of
 generator ids; ``FreeAlgebra._encode`` and ``_decode`` convert.
 Rendering refuses, with TermLimitError, an element whose text would write
-more letters than the algebra's ``term_limit``.
+more letters than the algebra's ``term_limit``, before any text is built.
+It splits each word at half its letters and writes the text of each half
+once per call, kept in a dict that lives only for the call (or for one
+``Matrix.__str__``): generic sdet at n = 6 writes 518,400 words from
+14,400 half texts.  Whole words are not kept, so that dict stays small
+beside the text.
 
 The module also decides membership in the additive commutator subgroup
 [R,R]: in the free algebra the quotient R/[R,R] has the cyclic-rotation
@@ -80,7 +85,9 @@ class FreePoly(SparseElement):
     __add__ = __radd__ = SparseElement.__add__
     __mul__ = SparseElement.__mul__
 
-    def __str__(self) -> str:
+    __str__ = SparseElement.__str__
+
+    def _text(self, cache: dict) -> str:
         # refuse text too large to build: a word of L letters has b*L bits
         # after its leading 1
         ring, terms = self.ring, self._terms
@@ -89,7 +96,31 @@ class FreePoly(SparseElement):
             raise TermLimitError(
                 f"text would write {letters} letters, over the budget of {ring.term_limit}"
             )
-        return SparseElement.__str__(self)
+        return SparseElement._text(self, cache)
+
+    def _term_texts(self, cache: dict):
+        # a word's text is its two halves' texts, each kept in cache by its
+        # packed word: the high half of a word of L letters has L - L // 2
+        # letters, the low half L // 2; words come in integer order, so by
+        # length, and the split moves only where the length grows
+        terms, bits, get = self._terms, self.ring._bits, cache.get
+
+        def fill(half: int) -> str:
+            text = cache[half] = self._key_text(half)
+            return text
+
+        limit = 0
+        for word in sorted(terms):
+            if word >= limit:
+                letters = (word.bit_length() - 1) // bits
+                limit = 1 << (letters + 1) * bits
+                shift = letters // 2 * bits
+                top = 1 << shift
+            text = get(word >> shift) or fill(word >> shift)
+            if shift:
+                low = word & top - 1 | top
+                text = f"{text}*{get(low) or fill(low)}"
+            yield terms[word], text
 
     def _mul_into(self, other: FreePoly, out: dict[int, int], sign: int) -> dict[int, int]:
         pairs = len(self._terms) * len(other._terms)

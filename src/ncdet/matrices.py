@@ -20,7 +20,7 @@ import operator
 from functools import cache
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from .rings import Ring, RingElement
+from .rings import Ring, RingElement, SparseElement
 
 if TYPE_CHECKING:
     from .freealg import FreeAlgebra
@@ -138,7 +138,20 @@ class Matrix(RingElement):
         return hash((self.ring, self.rows))
 
     def __str__(self) -> str:
-        return "\n".join("[" + ", ".join(str(e) for e in row) + "]" for row in self.rows)
+        # a row per line; the sparse entries of the matrix's own ring share
+        # one cache of key texts, keyed by packed int, so an entry of any
+        # other ring writes its text alone
+        ring, cache = self.ring, {}
+
+        def text(e) -> str:
+            if isinstance(e, SparseElement) and e.ring == ring:
+                return e._text(cache)
+            return str(e)
+
+        rows = ["[" + ", ".join(map(text, row)) + "]" for row in self.rows]
+        # the cache goes before the one join that copies every row
+        cache.clear()
+        return "\n".join(rows)
 
     def __repr__(self) -> str:
         return f"<Matrix {self.n}x{self.n} over {self.ring!r}>"

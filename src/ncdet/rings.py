@@ -42,6 +42,16 @@ products; an exterior-algebra view also keeps, per left mask, the right
 terms disjoint from it, built from the second product on and at most
 ``term_limit`` references in all.
 ``==``, ``hash`` and the sums read ``_terms`` only.
+
+Canonical text is built in one pass.  Each term is one string with its
+sign built in; the terms are joined in chunks of ``_CHUNK`` (4,096) and
+the chunks once at the end, so the pieces alive at once are one chunk's.
+``_text(cache)`` is the text with a cache of key-part texts that its
+caller owns: ``str`` passes a fresh dict, and ``Matrix.__str__`` one dict
+for all its entries of its own ring.  ``_term_texts(cache)`` yields a
+(coefficient, key text) pair per term in canonical order; ``FreePoly``
+overrides it to write each word from its two halves' texts, kept in the
+cache.  ``R[z]`` writes its text by the same ``_join_terms``.
 ``RingElement`` gives every element type ``_coerce`` (an operand of its
 class from an equal ``ring``, or an int as ``ring.from_int``), ``repr``,
 and binary and reflected ``-``, reflected ``*`` and ``**`` from
@@ -358,16 +368,29 @@ class SparseRing(Ring):
         return element._raw(self, out)
 
 
-def join_signed(pieces) -> str:
-    """Join (negative, text) pieces as ``-x + y - z``; ``0`` if there are none."""
-    out = []
-    for negative, text in pieces:
-        if out:
-            out.append(" - " if negative else " + ")
-        elif negative:
-            out.append("-")
-        out.append(text)
-    return "".join(out) or "0"
+# terms per chunk of a canonical text (see the module docstring)
+_CHUNK = 4096
+
+
+def _join_terms(terms) -> str:
+    """The text of (nonzero coefficient, key text) terms, the key text
+    empty for the unit, in order, as ``-x + 2*y - z``: one string per
+    term, with its sign built in, and ``0`` if there are none."""
+    chunks, chunk = [], []
+    append = chunk.append
+    minus, plus = "-", ""
+    for coeff, body in terms:
+        if coeff < 0:
+            sign, coeff = minus, -coeff
+        else:
+            sign = plus
+        append(f"{sign}{coeff}*{body}" if body and coeff != 1 else f"{sign}{body or coeff}")
+        minus, plus = " - ", " + "
+        if len(chunk) == _CHUNK:
+            chunks.append("".join(chunk))
+            chunk.clear()
+    chunks.append("".join(chunk))
+    return "".join(chunks) or "0"
 
 
 class RingElement:
@@ -498,17 +521,19 @@ class SparseElement(RingElement):
         return hash((self.ring, frozenset(terms.items())))
 
     def __str__(self) -> str:
-        terms = self._terms
-        key_text = self._key_text
-        pieces = []
+        return self._text({})
+
+    def _text(self, cache: dict) -> str:
+        """The canonical text; ``_term_texts`` may keep the texts of key
+        parts in ``cache``, which one call or one ``Matrix.__str__`` owns."""
+        return _join_terms(self._term_texts(cache))
+
+    def _term_texts(self, cache: dict):
+        # (coefficient, key text) per term in canonical order; no key part
+        # is kept here
+        terms, key_text = self._terms, self._key_text
         for key in sorted(terms, key=self._order):
-            coeff = terms[key]
-            body = key_text(key)
-            mag = abs(coeff)
-            if body and mag != 1:
-                body = f"{mag}*{body}"
-            pieces.append((coeff < 0, body or str(mag)))
-        return join_signed(pieces)
+            yield terms[key], key_text(key)
 
 
 def commutator(x, y):

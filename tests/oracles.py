@@ -9,6 +9,8 @@ inversion count of the concatenated generator indices, and commutator-subgroup
 membership is decided by integer lattice reduction over an explicit basis
 of monomial commutators.  ``rank_mod_p`` is a plain Gaussian elimination
 over a prime field, for the coefficient-matrix ranks of generic sdet.
+``render_terms`` writes canonical text by the renderer's first path: a
+signed piece per term, then one join of them all.
 
 ``IntMatrixRing`` is a fourth ring, m x m integer matrices, written only
 against the ring contract (``rings.Ring`` and ``rings.RingElement``), so
@@ -148,6 +150,41 @@ def deglex_text(names, terms: dict[tuple[int, ...], int]) -> str:
         else:
             out = ("-" if coeff < 0 else "") + body
     return out or "0"
+
+
+def render_terms(x) -> str:
+    """Canonical text of a free- or exterior-algebra element by the
+    renderer's first path, from the public ``terms`` and generator names:
+    a (negative, text) piece per term in (length, key) order, which is
+    deglex for words and size-then-lexicographic for subsets, then one
+    signed join of every piece."""
+    if isinstance(x, FreePoly):
+        names = x.ring.names
+
+        def key_text(key):
+            return "*".join([names[i] for i in key])
+    else:
+
+        def key_text(key):
+            return "*".join(f"v{i}" for i in key)
+
+    terms = x.terms
+    pieces = []
+    for key in sorted(terms, key=lambda k: (len(k), k)):
+        coeff = terms[key]
+        body = key_text(key)
+        mag = abs(coeff)
+        if body and mag != 1:
+            body = f"{mag}*{body}"
+        pieces.append((coeff < 0, body or str(mag)))
+    out = []
+    for negative, text in pieces:
+        if out:
+            out.append(" - " if negative else " + ")
+        elif negative:
+            out.append("-")
+        out.append(text)
+    return "".join(out) or "0"
 
 
 def grassmann_product(x, y) -> dict[tuple[int, ...], int]:
