@@ -8,18 +8,28 @@ concrete Lie-nilpotent ring of index 2: [[x, y], z] = 0 holds identically
 
 Two basis monomials that share a generator multiply to zero; otherwise
 their product is the union, signed by the parity of the generator pairs
-out of order.  The product reads that parity from one bit count per term
-pair, against a mask computed once per right-hand term whose bit i is the
-parity of that term's generators below v(i+1).  The right operand keeps
-its view (``SparseElement._view``): the list of (mask, coefficient,
-parity mask) per term, and a dict from each left mask it has met to the
-entries of that list disjoint from it.  The first product through an
-operand walks the whole list and skips overlapping pairs; every later one
-walks, per left term, only the table of its mask, built on the mask's
-first visit, so it visits no pair that vanishes.  A table holds the
-list's own tuples, and an operand builds no more tables once they would
-hold more than ``term_limit`` references; a left mask without a table
-walks the whole list.
+out of order.  Over all left masks only 3^rank of the 4^rank mask pairs
+are disjoint, so a product visits the disjoint ones alone where it can.
+The right operand keeps its view (``SparseElement._view``): the list of
+(mask, coefficient, parity mask) per term, the parity mask's bit i being
+the parity of the term's generators below v(i+1), and, from the first
+product of at least 2^rank term pairs through it, a dense view: each
+mask's coefficient in 2^rank slots, as blocks of 2^8 indexed by the
+mask's high bits, a block no term reaches left None.  The algebra keeps
+the row of each left mask m1: every mask disjoint from m1, split into
+those whose product with m1 is positive and those where it is negative.
+Per left term, a product whose right operand has a dense view walks the
+row of m1 when it is shorter than the right operand's list, reading each
+coefficient from the dense view; otherwise it walks the list, skips the
+overlapping pairs and reads each sign from one bit count of m1 against
+the parity mask.  Through rank 8 a row is two lists of masks.  Above it
+the row of m1 is the high row of m1's high bits times the low row of its
+low 8 bits, the low row keyed also by the parity of the high bits, which
+lie above every low one; a walk reads the dense view block by block.  So
+the rows list 3^rank masks through rank 8 and 2 * 3^8 + 3^(rank - 8)
+above it (19,683 at rank 16), every one below 2^8, and the algebra builds
+them all at once on its first product through a dense view, unless they
+would list more than ``term_limit`` masks.
 
 ``GrassmannAlgebra.dot`` first counts the term pairs its products
 enumerate, refusing a product over the budget before any sum exists.
@@ -47,6 +57,9 @@ if TYPE_CHECKING:
     import random
 
 MAX_RANK = 16
+# the bits of a mask's low part: above rank 8 a row is a high row times a
+# low row (see the module docstring)
+_LOW = MAX_RANK // 2
 
 
 def _mask_to_indices(mask: int) -> tuple[int, ...]:
@@ -84,6 +97,8 @@ class GrassmannElem(SparseElement):
         clean: dict[int, int] = {}
         for key, coeff in terms.items():
             if isinstance(key, int):
+                if key < 0:
+                    raise ValueError(f"subset mask {key} is negative")
                 mask = key
             else:
                 indices = tuple(key)
@@ -125,54 +140,122 @@ class GrassmannElem(SparseElement):
     def _mul_into(self, other: GrassmannElem, out, sign: int):
         # out is the dot's sum: a list of 2^rank ints, added to in place, or
         # a dict kept free of zeros
-        pairs = len(self._terms) * len(other._terms)
-        limit = self.ring.term_limit
+        terms, algebra = self._terms, self.ring
+        pairs = len(terms) * len(other._terms)
+        limit = algebra.term_limit
         if pairs > limit:
             raise TermLimitError.pairs(pairs, limit)
+        rank = algebra.rank
+        low = min(rank, _LOW)
         # sorting m1|m2 moves each generator of m2 past every larger one
         # of m1, so the sign is the parity of the bits of m1 that lie above
         # an odd number of bits of m2; one scan per right-hand term, kept
         # with the element, reads it
         view = other._view
         if view is None:
-            # the first product builds no tables: an operand used once,
-            # such as a trace entry, would never read them
             right = [(m2, c2, _parity_below(m2)) for m2, c2 in other._terms.items()]
-            tables = {}
-            other._view = (right, tables)
+            blocks = None
         else:
-            right, tables = view
-        # a reused operand builds the table of each left mask it has not
-        # met, as long as its tables then hold at most term_limit
-        # references, each table counted at the list's full length; a left
-        # mask without a table walks the whole list
-        lookup = tables.get
+            right, blocks = view
+        if blocks is None and 1 << rank <= pairs:
+            # the dot's rule for a list sum: 2^rank slots cost no more than
+            # the pairs this product enumerates.  They enter the view only
+            # once filled, as a product on another thread may read it
+            blocks = [None] * (1 << rank - low)
+            for m2, c2 in other._terms.items():
+                block = blocks[m2 >> low]
+                if block is None:
+                    block = blocks[m2 >> low] = [0] * (1 << low)
+                block[m2 & (1 << low) - 1] = c2
+            other._view = (right, blocks)
+        elif view is None:
+            other._view = (right, None)
+        rows = None
+        if blocks is not None:
+            rows = algebra._rows or algebra._build_rows()
+        if rows is not None:
+            by_mask, highs = rows
+        n = len(right)
         get = None if type(out) is list else out.get
-        for m1, c1 in self._terms.items():
+        for m1, c1 in terms.items():
             c1 *= sign
-            table = lookup(m1)
-            if table is None:
-                table = right
-                if view is not None and len(tables) * len(right) + pairs <= limit:
-                    # published only once filled: a product on another
-                    # thread reads a table the moment it is in the dict
-                    # (two threads may fill the same mask; both lists are
-                    # complete and equal)
-                    table = []
-                    for term in right:
-                        if not m1 & term[0]:
-                            table.append(term)
-                    tables[m1] = table
+            if rows is not None and 1 << rank - m1.bit_count() < n:
+                # the row of m1 is shorter than the list: walk the row
+                plus, minus = by_mask[m1]
+                if highs is None:
+                    # one block: the row is every mask disjoint from m1
+                    block = blocks[0]
+                    if get is None:
+                        for m2 in plus:
+                            c2 = block[m2]
+                            if c2:
+                                out[m1 | m2] += c1 * c2
+                        for m2 in minus:
+                            c2 = block[m2]
+                            if c2:
+                                out[m1 | m2] -= c1 * c2
+                        continue
+                    for part, c in ((plus, c1), (minus, -c1)):
+                        for m2 in part:
+                            c2 = block[m2]
+                            if c2:
+                                mask = m1 | m2
+                                new = get(mask, 0) + c * c2
+                                if new:
+                                    out[mask] = new
+                                else:
+                                    del out[mask]
+                    continue
+                # the row is the high row of m1's high bits times its low
+                # row, read block by block
+                hplus, hminus = highs[m1 >> low]
+                for high, c in ((hplus, c1), (hminus, -c1)):
+                    for a in high:
+                        block = blocks[a]
+                        if block is None:
+                            continue
+                        base = m1 | a << low
+                        if get is None:
+                            for b in plus:
+                                c2 = block[b]
+                                if c2:
+                                    out[base | b] += c * c2
+                            for b in minus:
+                                c2 = block[b]
+                                if c2:
+                                    out[base | b] -= c * c2
+                            continue
+                        # two loops, not a loop over the signs: this runs
+                        # per block, not per left term
+                        for b in plus:
+                            c2 = block[b]
+                            if c2:
+                                mask = base | b
+                                new = get(mask, 0) + c * c2
+                                if new:
+                                    out[mask] = new
+                                else:
+                                    del out[mask]
+                        for b in minus:
+                            c2 = block[b]
+                            if c2:
+                                mask = base | b
+                                new = get(mask, 0) - c * c2
+                                if new:
+                                    out[mask] = new
+                                else:
+                                    del out[mask]
+                continue
             if get is None:
-                for m2, c2, below in table:
+                for m2, c2, below in right:
                     if not m1 & m2:
                         if (m1 & below).bit_count() & 1:
                             out[m1 | m2] -= c1 * c2
                         else:
                             out[m1 | m2] += c1 * c2
                 continue
-            for m2, c2, below in table:
-                if m1 & m2:  # only a walk of the whole list meets one
+            for m2, c2, below in right:
+                if m1 & m2:
                     continue
                 mask = m1 | m2
                 if (m1 & below).bit_count() & 1:
@@ -195,6 +278,47 @@ class GrassmannAlgebra(SparseRing):
         if not 0 <= rank <= MAX_RANK:
             raise ValueError(f"rank must be between 0 and {MAX_RANK}")
         self.rank = rank
+        self._rows = None
+
+    def _build_rows(self):
+        """The rows of every left mask (see the module docstring), or None
+        while they would list more than ``term_limit`` masks; kept once
+        built.
+
+        A row is built by doubling: adding a free bit to every mask of the
+        row so far flips the sign exactly when an odd number of the left
+        mask's bits lie above that bit.
+        """
+        low = min(self.rank, _LOW)
+        high = self.rank - low
+        parities = 2 if high else 1
+        if parities * 3**low + (3**high if high else 0) > self.term_limit:
+            return None
+        built = []
+        # the low rows, keyed by a left mask's low bits and one bit above
+        # them for the parity of its high bits, then the high rows, keyed by
+        # its high bits
+        for count, bits in ((parities << low, low), (1 << high if high else 0, high)):
+            for mask in range(count):
+                plus, minus = [0], []
+                odd = mask.bit_count() & 1
+                for i in range(bits):
+                    bit = 1 << i
+                    if mask & bit:
+                        odd ^= 1
+                        continue
+                    up = bit.__or__
+                    grown = [*map(up, minus if odd else plus)]
+                    minus += [*map(up, plus if odd else minus)]
+                    plus += grown
+                built.append((plus, minus))
+        by_mask = []
+        for h in range(1 << high):
+            by_mask += built[1 << low : 2 << low] if h.bit_count() & 1 else built[: 1 << low]
+        # published whole: a product on another thread reads the rows the
+        # moment they are set (two threads may build them; both are equal)
+        self._rows = rows = (by_mask, built[parities << low :] if high else None)
+        return rows
 
     def gen(self, i: int) -> GrassmannElem:
         """The generator v_i (1-based index)."""

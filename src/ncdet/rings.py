@@ -38,9 +38,10 @@ at least 2^rank term pairs and 2^rank is within ``term_limit``.  The
 kernel reads its right operand through ``_view``: the right-hand terms in
 the form the product loop wants, computed on first use and kept, since an
 element is immutable and a matrix entry is the right factor of many
-products; an exterior-algebra view also keeps, per left mask, the right
-terms disjoint from it, built from the second product on and at most
-``term_limit`` references in all.
+products; an exterior-algebra view also keeps, from the first product of
+at least 2^rank term pairs on, the right coefficients in 2^rank slots,
+which the kernel reads along the rows of disjoint masks its algebra
+keeps.
 ``==``, ``hash`` and the sums read ``_terms`` only.
 
 Canonical text is built in one pass.  Each term is one string with its

@@ -22,6 +22,12 @@ pair of z-degrees at a time with the base ring's ``+`` and ``*``, and
 it evaluates rdet_k/ldet_k of z0 I - A at the integers z0 = 0..n^k and
 interpolates each key's coefficients with exact fractions.
 
+``exterior_row`` lists the subsets disjoint from a left subset with the
+sign of their product, by the same inversion count; ``kept_row``,
+``rows_hold`` and ``dense_view_holds`` read the rows an exterior algebra
+keeps and an element's dense view, the only layout read here, for the
+tests that pin them against it.
+
 ``reverse`` is each ring's reversal anti-automorphism rho, with
 rho(xy) = rho(y) rho(x), built from public terms and constructors: it
 reads every free-algebra word backwards, signs an exterior-algebra
@@ -45,7 +51,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 from ncdet import (
     CentralPoly,
@@ -206,6 +212,75 @@ def grassmann_product(x, y) -> dict[tuple[int, ...], int]:
             key = tuple(sorted(word))
             out[key] = out.get(key, 0) + (-1) ** inversions * c1 * c2
     return {key: coeff for key, coeff in out.items() if coeff}
+
+
+def exterior_row(rank: int, left: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """Every subset of 1..rank disjoint from ``left``, with the sign of the
+    product of the two basis monomials, ``left`` first: the parity of the
+    inversions of the two index tuples written one after the other."""
+    free = [i for i in range(1, rank + 1) if i not in left]
+    row = {}
+    for size in range(len(free) + 1):
+        for right in combinations(free, size):
+            word = left + right
+            inversions = sum(
+                1 for i in range(len(word)) for j in range(i + 1, len(word)) if word[i] > word[j]
+            )
+            row[right] = (-1) ** inversions
+    return row
+
+
+def kept_row(algebra, mask: int) -> tuple[dict[tuple[int, ...], int], int]:
+    """The row of the left mask ``mask`` that ``algebra`` keeps, as
+    {right subset: sign}, and the number of entries it lists.
+
+    This reads the package's layout, not its code: the row is the high row
+    of the mask's high bits times its low row, each split into the masks
+    of sign +1 and those of sign -1; at rank 8 and below there is no high
+    row.
+    """
+    by_mask, highs = algebra._rows
+    low = min(algebra.rank, 8)
+    plus, minus = by_mask[mask]
+    hplus, hminus = highs[mask >> low] if highs is not None else ([0], [])
+    row, listed = {}, 0
+    for high, s in ((hplus, 1), (hminus, -1)):
+        for a in high:
+            for part, t in ((plus, 1), (minus, -1)):
+                for b in part:
+                    m2 = a << low | b
+                    row[tuple(i + 1 for i in range(algebra.rank) if m2 >> i & 1)] = s * t
+                    listed += 1
+    return row, listed
+
+
+def rows_hold(algebra, masks) -> bool:
+    """Whether ``algebra`` keeps no rows, or keeps, for each left mask in
+    ``masks``, a row listing every disjoint subset once with the sign
+    ``exterior_row`` gives."""
+    if algebra._rows is None:
+        return True
+    for mask in masks:
+        row, listed = kept_row(algebra, mask)
+        left = tuple(i + 1 for i in range(algebra.rank) if mask >> i & 1)
+        if listed != len(row) or row != exterior_row(algebra.rank, left):
+            return False
+    return True
+
+
+def dense_view_holds(x) -> bool:
+    """Whether the dense view x keeps, if any, reads each mask's
+    coefficient in x (0 for a mask x lacks): 2^rank slots in blocks of
+    2^min(rank, 8), a block of only zeros left as None."""
+    blocks = x._view[1] if x._view is not None else None
+    if blocks is None:
+        return True
+    low = min(x.ring.rank, 8)
+    read = [
+        0 if blocks[m >> low] is None else blocks[m >> low][m & (1 << low) - 1]
+        for m in range(1 << x.ring.rank)
+    ]
+    return read == [x._terms.get(m, 0) for m in range(1 << x.ring.rank)]
 
 
 def central_poly_product_slices(x: CentralPoly, y: CentralPoly) -> CentralPoly:

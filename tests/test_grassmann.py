@@ -1,6 +1,7 @@
 import os
 import random
 import sys
+import threading
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -15,7 +16,7 @@ from ncdet import (
     lie_nilpotency_check,
 )
 from ncdet.grassmann import MAX_RANK
-from oracles import grassmann_product
+from oracles import dense_view_holds, grassmann_product, rows_hold
 
 # the call counts below count the package's own frames: a collection
 # triggered inside a product may run another library's gc callback
@@ -102,8 +103,9 @@ def test_product_makes_no_call_per_term_pair():
 
 
 def test_a_product_through_a_used_view_makes_a_constant_number_of_calls():
-    # the second product through y builds a table per left mask and the
-    # third reuses them; neither calls anything per left term or pair
+    # the first product through y builds its dense view and the algebra's
+    # rows; the products after it walk them, calling nothing per left term
+    # or pair
     algebra = GrassmannAlgebra(6)
     rng = random.Random(12)
     x, y, z = (GrassmannElem(algebra, {m: rng.choice((-2, -1, 1, 2)) for m in range(64)}) for _ in range(3))
@@ -124,59 +126,107 @@ def test_a_product_through_a_used_view_makes_a_constant_number_of_calls():
             sys.setprofile(None)
         assert calls <= 8
         assert dict(product.terms) == grassmann_product(left, y)
-    assert len(y._view[1]) == 64
+    assert y._view[1] is not None and dense_view_holds(y)
+    assert rows_hold(algebra, range(64))
 
 
-def test_a_right_operand_multiplied_once_builds_no_tables(rank4):
+def test_products_of_fewer_than_2_rank_pairs_build_no_dense_view(rank4):
+    # 2 x 2 and 1 + 2 x 2 term pairs, under the 16 masks of rank 4: the
+    # right operands keep only their lists, and the algebra builds no rows
     v1, v2, v3, _ = rank4.gens()
     y = v2 + v1 * v3
     (v1 + v2) * y
-    assert y._view[1] == {}
+    assert y._view[1] is None
     w = v3 - v1 * v2
     value = rank4.dot([v1, v2 + 1], [rank4.one, w], [(0, 0, False), (1, 1, True)])
-    assert w._view[1] == {}
+    assert w._view[1] is None
+    assert rank4._rows is None
     assert value == v1 - (v2 + 1) * (v3 - v1 * v2)
 
 
-
-def test_the_tables_of_a_reused_operand_hold_at_most_the_pair_budget():
-    # a right operand met by every left mask of rank 6 stops building
-    # tables once they would pass term_limit references, and the masks
-    # left without one walk the whole list
+def test_the_rows_are_built_only_within_the_pair_budget():
+    # the rows of rank 6 list 3^6 = 729 masks: under a budget of 728 the
+    # algebra builds none and every left mask walks the whole list; at 729
+    # the masks whose row is shorter than the list walk the row
     algebra = GrassmannAlgebra(6)
-    algebra.term_limit = 60
-    v1, v2, v3, *_ = algebra.gens()
-    y = 1 + v1 - 2 * v2 * v3 + v3
-    y * y
-    for mask in range(64):
-        x = GrassmannElem(algebra, {mask: 3, 0: -1})
-        assert dict((x * y).terms) == grassmann_product(x, y)
-        terms, tables = y._view
-        assert len(tables) * len(terms) <= algebra.term_limit
-    assert len(tables) == 14  # 14 * 4 + 8 pairs would pass 60
-    assert all(
-        table == [term for term in terms if not mask & term[0]] for mask, table in tables.items()
-    )
+    y = GrassmannElem(algebra, {m: m % 3 - 1 or 2 for m in range(0, 64, 2)})
+    for limit in (728, 729):
+        algebra.term_limit = limit
+        for mask in range(64):
+            x = GrassmannElem(algebra, {mask: 3, 0: -1})
+            assert dict((x * y).terms) == grassmann_product(x, y)
+        assert y._view[1] is not None
+        assert (algebra._rows is None) == (limit == 728)
+    rows = {id(row): row for row in algebra._rows[0]}.values()
+    assert sum(len(plus) + len(minus) for plus, minus in rows) == 729
+    assert rows_hold(algebra, range(64))
 
 
-def test_a_table_is_complete_when_it_enters_the_view():
-    # another thread multiplying through y reads a table as soon as it is
-    # in the dict, so the kernel must fill it first
-    algebra = GrassmannAlgebra(5)
-    rng = random.Random(3)
-    x, y = (algebra.random_element(rng, max_terms=12) for _ in range(2))
-    x * y
-    terms, _ = y._view
+def test_a_row_is_complete_when_published():
+    # another thread multiplying in this algebra reads its rows the moment
+    # they are set, and a right operand's dense view the moment it is in
+    # the view, so the kernel must fill both first
     published = []
 
-    class Watch(dict):
-        def __setitem__(self, mask, table):
-            published.append(table == [term for term in terms if not mask & term[0]])
-            super().__setitem__(mask, table)
+    class Watched(GrassmannAlgebra):
+        def __setattr__(self, name, value):
+            super().__setattr__(name, value)
+            if name == "_rows" and value is not None:
+                published.append(rows_hold(self, range(1 << self.rank)))
 
-    y._view = (terms, Watch())
-    assert dict((x * y).terms) == grassmann_product(x, y)
-    assert published and all(published)
+    class WatchedElem(GrassmannElem):
+        __slots__ = ()
+
+        def __setattr__(self, name, value):
+            super().__setattr__(name, value)
+            if name == "_view" and value is not None:
+                published.append(dense_view_holds(self))
+
+    for rank in (5, 9):
+        algebra = Watched(rank)
+        rng = random.Random(3)
+        x, y = ({rng.randrange(1 << rank): rng.choice((-2, -1, 1, 2)) for _ in range(40)} for _ in range(2))
+        x, y = GrassmannElem(algebra, x), WatchedElem(algebra, y)
+        for _ in range(2):
+            assert dict((x * y).terms) == grassmann_product(x, y)
+        assert y._view[1] is not None and algebra._rows is not None
+    assert len(published) == 4 and all(published)
+
+
+@pytest.mark.parametrize("rank", [6, 9])
+def test_threads_sharing_rows_and_views_form_the_products_one_thread_does(rank):
+    # the rows and a right operand's dense view are built by whichever
+    # thread needs them first and published whole; other threads may read
+    # them the moment they appear
+    rng = random.Random(rank)
+    terms = [{rng.randrange(1 << rank): rng.choice((-2, -1, 1, 2)) for _ in range(40)} for _ in range(4)]
+    alone = [GrassmannElem(GrassmannAlgebra(rank), t) for t in terms]
+    expected = {(i, j): str(x * y) for i, x in enumerate(alone) for j, y in enumerate(alone)}
+    algebra = GrassmannAlgebra(rank)
+    shared = [GrassmannElem(algebra, t) for t in terms]
+    results = []
+
+    def work(seed):
+        pairs = list(expected)
+        random.Random(seed).shuffle(pairs)
+        for i, j in pairs:
+            results.append((i, j, str(shared[i] * shared[j])))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(results) == 4 * len(expected)
+    assert all(text == expected[i, j] for i, j, text in results)
+    assert algebra._rows is not None and all(x._view[1] is not None for x in shared)
+
 
 @st.composite
 def _shared_right_operands(draw):
@@ -264,6 +314,7 @@ def _checked_against_the_oracle(expected, run):
                                       ([({(1,): 2}, False)], "int", None, True, "*")]))
 def test_products_through_a_reused_right_operand_match_the_oracle(case):
     rank, lowered, right, (unit_subset, unit_coeff), dots = case
+    pool = [subset for products, *_ in dots for left, _ in products for subset in left]
     algebra, twin = GrassmannAlgebra(rank), GrassmannAlgebra(rank)
     size = 1 << rank
     if lowered:
@@ -301,12 +352,9 @@ def test_products_through_a_reused_right_operand_match_the_oracle(case):
         _checked_against_the_oracle(expected, lambda: algebra.dot(xs, ys, terms))
         if cancelled and not isinstance(expected, str):
             assert expected == {}
-    for operand in (y, twin_y, unit):
-        if operand._view is not None:
-            terms, tables = operand._view
-            assert all(
-                table == [term for term in terms if not mask & term[0]] for mask, table in tables.items()
-            )
+    left_masks = {sum(1 << i - 1 for i in subset) for subset in pool}
+    assert all(dense_view_holds(operand) for operand in (y, twin_y, unit))
+    assert rows_hold(algebra, left_masks) and rows_hold(twin, left_masks)
 
 
 def test_overlapping_subsets_multiply_to_zero(rank4):
@@ -315,13 +363,15 @@ def test_overlapping_subsets_multiply_to_zero(rank4):
 
 
 def test_a_right_operand_of_an_equal_algebra_keeps_its_view():
-    # * runs the kernel on it as on an operand of its own algebra, so its
-    # second product builds tables in its own view
-    x = GrassmannElem(GrassmannAlgebra(3), {(1,): 2, (2,): -1})
+    # * runs the kernel on it as on an operand of its own algebra: 3 x 3
+    # term pairs pass the 8 masks of rank 3, so the first product builds
+    # its dense view, and the left operand's algebra builds the rows
+    x = GrassmannElem(GrassmannAlgebra(3), {(1,): 2, (2,): -1, (1, 2): 1})
     y = GrassmannElem(GrassmannAlgebra(3), {(): 1, (3,): 3, (1, 3): 1})
     for _ in range(2):
         assert dict((x * y).terms) == grassmann_product(x, y)
-    assert set(y._view[1]) == {0b001, 0b010}
+    assert y._view[1] is not None and dense_view_holds(y)
+    assert y.ring._rows is None and rows_hold(x.ring, range(8))
 
 
 def test_rank_mismatch_rejected(rank4):
@@ -338,6 +388,130 @@ def test_element_constructor_validates_subsets(rank4):
     with pytest.raises(ValueError):
         GrassmannElem(rank4, {(5,): 1})
     assert GrassmannElem(rank4, {(1, 3): 2, (): 1}) == 1 + 2 * (rank4.gen(1) * rank4.gen(3))
+
+
+def test_element_constructor_refuses_a_negative_mask(rank4):
+    # a negative int has no subset; a dense view indexed by it would read
+    # a slot from the end of the list
+    for mask in (-1, -16, -(1 << 20)):
+        with pytest.raises(ValueError, match=f"subset mask {mask} is negative"):
+            GrassmannElem(rank4, {mask: 1})
+    with pytest.raises(ValueError, match="beyond the algebra rank"):
+        GrassmannElem(rank4, {16: 1})
+    assert GrassmannElem(rank4, {0b1010: 2}) == 2 * (rank4.gen(2) * rank4.gen(4))
+
+
+_COEFFS = st.sampled_from((-3, -2, -1, 1, 2, 3))
+
+
+@st.composite
+def _row_switch_cases(draw):
+    # a right operand of rank 0..8 and two products through it, each by *
+    # (a dict sum) or by dot (a list sum from 2^rank term pairs on, a dict
+    # sum under it), a dot's product added or subtracted.  Each left
+    # operand aims at 2^rank - 1, 2^rank or 4 * 2^rank term pairs, either
+    # side of the dense view's switch, and its masks, of every size, fall
+    # on either side of the row/walk switch (a row of 2^(rank - |m1|)
+    # masks against the right operand's terms)
+    rank = draw(st.integers(0, 8))
+    size = 1 << rank
+    masks = st.integers(0, size - 1)
+    right = draw(st.dictionaries(masks, _COEFFS, min_size=1, max_size=min(size, 24)))
+    products = []
+    for _ in range(2):
+        aim = draw(st.sampled_from((size - 1, size, 4 * size)))
+        count = min(size, max(1, -(-aim // len(right))))
+        left = dict(draw(st.lists(st.tuples(masks, _COEFFS), min_size=count, max_size=count)))
+        products.append((left, draw(st.sampled_from(("*", "dot"))), draw(st.booleans())))
+    return rank, right, products
+
+
+@settings(max_examples=150, deadline=None)
+@given(_row_switch_cases())
+@example((0, {0: 2}, [({0: 3}, "*", False), ({0: -1}, "dot", True)]))
+# rank 3: the first product of 8 term pairs builds the dense view and the
+# rows; the second, of 2 pairs, walks a row into a dict
+@example((3, {0: 1, 0b100: 2, 0b010: -1, 0b110: 3}, [
+    ({0: 1, 0b001: 2}, "dot", True),
+    ({0b011: -2}, "*", False),
+]))
+def test_products_on_either_side_of_the_row_switch_match_the_oracle(case):
+    rank, right, products = case
+    algebra = GrassmannAlgebra(rank)
+    y = GrassmannElem(algebra, right)
+    for left, route, negative in products:
+        x = GrassmannElem(algebra, left)
+        expected = grassmann_product(x, y)
+        if route == "*":
+            result = x * y
+        else:
+            result = algebra.dot([x], [y], [(0, 0, negative)])
+            if negative:
+                expected = {key: -coeff for key, coeff in expected.items()}
+        assert dict(result.terms) == expected
+        assert all(result._terms.values())
+    assert dense_view_holds(y)
+    assert rows_hold(algebra, range(1 << rank))
+
+
+def _chunked_product(x, y):
+    """x * y as the sum of the products of slices of x by a copy of y with
+    no dense view, each of fewer than 2^rank term pairs, so each walks the
+    right operand's list."""
+    algebra, terms = x.ring, list(x._terms.items())
+    copy = GrassmannElem(algebra, y._terms)
+    step = ((1 << algebra.rank) - 1) // len(y.terms)
+    products = [GrassmannElem(algebra, dict(terms[k:k + step])) * copy for k in range(0, len(terms), step)]
+    assert copy._view[1] is None
+    return algebra.sum(products)
+
+
+@pytest.mark.parametrize("rank", [9, 10, 12, 16])
+def test_rows_above_rank_8_walk_the_right_operand_block_by_block(rank):
+    # above rank 8 a row is a high row times a low row and the dense view
+    # is blocks of 2^8 coefficients; the right operand never sets the top
+    # generator, so every block holding it is None.  Each product, by *
+    # and by dot, either sign, equals the one the list walk builds
+    rng = random.Random(rank)
+    algebra, size = GrassmannAlgebra(rank), 1 << rank
+    right = 48 if rank < 16 else 256
+    y = GrassmannElem(algebra, {rng.randrange(size >> 1): rng.choice((-2, -1, 1, 2)) for _ in range(right)})
+    x = GrassmannElem(algebra, {rng.randrange(size): rng.choice((-2, -1, 1, 2)) for _ in range(size // right + 8)})
+    assert len(x.terms) * len(y.terms) >= size
+    expected = _chunked_product(x, y)
+    if rank == 9:
+        assert dict(expected.terms) == grassmann_product(x, y)
+    assert x * y == expected
+    assert y._view[1][-1] is None and algebra._rows[1] is not None
+    assert algebra.dot([x, x], [y, y], [(0, 0, True), (1, 1, True)]) == -2 * expected
+    assert x * y == expected
+    shorter = [m for m in x._terms if 1 << rank - m.bit_count() < len(y.terms)]
+    assert shorter and len(shorter) < len(x.terms)
+    assert rows_hold(algebra, shorter[:20])
+    assert dense_view_holds(y)
+
+
+def test_a_few_right_terms_at_rank_16_build_no_dense_view_and_rows_keep_to_the_budget():
+    # 1,000 x 3 term pairs are under 2^16: no list of 2^16 slots, no rows
+    algebra = GrassmannAlgebra(16)
+    rng = random.Random(16)
+    x = GrassmannElem(algebra, {rng.randrange(1 << 16): 1 for _ in range(1000)})
+    y = GrassmannElem(algebra, {(1,): 2, (5, 16): -1, (): 3})
+    assert dict((x * y).terms) == grassmann_product(x, y)
+    assert y._view[1] is None and algebra._rows is None
+    # the rows of rank 12 list 2 * 3^8 low and 3^4 high masks, 13,203: a
+    # budget one under them builds none, so every left mask walks the list
+    algebra = GrassmannAlgebra(12)
+    x = GrassmannElem(algebra, {rng.randrange(1 << 12): 1 for _ in range(100)})
+    y = GrassmannElem(algebra, {rng.randrange(1 << 12): -1 for _ in range(100)})
+    expected = _chunked_product(x, y)
+    for limit in (13_202, 13_203):
+        algebra.term_limit = limit
+        assert x * y == expected
+        assert (algebra._rows is None) == (limit == 13_202)
+    by_mask, highs = algebra._rows
+    rows = {id(row): row for row in (*by_mask, *highs)}.values()
+    assert sum(len(plus) + len(minus) for plus, minus in rows) == 13_203
 
 
 def test_product_over_the_pair_budget_raises():

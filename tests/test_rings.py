@@ -26,9 +26,11 @@ from oracles import (
     MatInt,
     central_poly_product_slices,
     central_poly_sum,
+    dense_view_holds,
     free_product,
     grassmann_product,
     ring_axiom_check,
+    rows_hold,
 )
 
 
@@ -572,9 +574,11 @@ def test_a_polynomial_dot_is_one_base_dot_per_degree(monkeypatch):
 def _views_hold(x) -> bool:
     """Whether every view cached in x is the one its terms give now.
 
-    A Grassmann view is the list of right terms and the per-left-mask
-    tables: its list must equal a fresh one, and each table that fresh
-    list filtered to the terms disjoint from its mask.
+    A Grassmann view is the list of right terms and, once a product of at
+    least 2^rank term pairs has met it, the dense view: its list must equal
+    a fresh one, its dense view read each mask's coefficient, and every row
+    its algebra keeps list the masks disjoint from its left mask with the
+    oracle's signs.
     """
     if isinstance(x, CentralPoly):
         return all(_views_hold(c) for c in x.coefficients)
@@ -584,10 +588,10 @@ def _views_hold(x) -> bool:
     x.ring.one * fresh
     if not isinstance(x, GrassmannElem):
         return fresh._view == x._view
-    (right, tables), (fresh_right, _) = x._view, fresh._view
-    return right == fresh_right and all(
-        table == [term for term in fresh_right if not mask & term[0]]
-        for mask, table in tables.items()
+    return (
+        x._view[0] == fresh._view[0]
+        and dense_view_holds(x)
+        and rows_hold(x.ring, range(1 << x.ring.rank))
     )
 
 
@@ -651,7 +655,7 @@ def test_a_fused_product_over_the_pair_budget_raises_as_the_product_does(kind):
         assert str(fused.value) == str(product.value)
     # a right operand with a used view is refused the same way; the budget
     # is checked before the view is read, so a refused Grassmann product
-    # builds no per-left-mask table
+    # builds no dense view and no rows
     right = u - w
     u * right
     with pytest.raises(TermLimitError) as reused:
@@ -661,7 +665,7 @@ def test_a_fused_product_over_the_pair_budget_raises_as_the_product_does(kind):
         ring.dot([u, u + w], [ring.one, right], [(0, 0, False), (1, 1, False)])
     assert str(fused.value) == str(product.value)
     if kind == "grassmann":
-        assert right._view[1] == {}
+        assert right._view[1] is None and ring._rows is None
 
 
 @pytest.mark.parametrize("kind", ["free", "grassmann"])
