@@ -5,9 +5,12 @@ import os
 import sys
 import time
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
+from itertools import chain
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ncdet import FreeAlgebra, GrassmannAlgebra, TermLimitError, cli, parsing, standard_polynomial_4
 from ncdet.cli import main
@@ -472,25 +475,51 @@ _PACKAGE = _modules("charpoly cli determinants freealg grassmann matrices parsin
 _HARNESS = _modules("verify charpoly perms")
 _ALGEBRAS = _modules("freealg grassmann")
 _CORE = _modules("rings matrices determinants")
+# standard-library modules: argparse reads only help, usage and errors, and
+# a record is the only writer of json and hashlib
+_PARSER = {"argparse", "gettext"}
+_RECORD = {"json", "hashlib"}
 
 
 @pytest.mark.parametrize(
     "run, loads, skips",
     [
-        (["sdet", "--input", "INTEGER"], _CORE | _modules("parsing"), _HARNESS | _ALGEBRAS),
-        (["preadj", "--generic", "2"], _modules("freealg"), _HARNESS | _modules("parsing grassmann")),
-        (["ldet", "--k", "2", "--input", "GRASSMANN"], _modules("grassmann"), _HARNESS | _modules("freealg")),
-        (["charpoly", "--input", "INTEGER"], _modules("charpoly"), _ALGEBRAS | _modules("verify perms")),
-        (["newton", "--generic", "3"], _modules("charpoly"), _modules("verify")),
-        (["s4", "--generic", "2"], _modules("charpoly"), _modules("verify")),
-        (["verify", "--suite", "thm3_1", "--n", "2"], _modules("verify"), set()),
+        (["sdet", "--input", "INTEGER"], _CORE | _modules("parsing"), _HARNESS | _ALGEBRAS | _PARSER),
+        (
+            ["sdet", "--generic", "2"],
+            _CORE | _modules("freealg"),
+            _PARSER | _RECORD | {"locale", "shutil", "bz2", "lzma"},
+        ),
+        (
+            ["preadj", "--generic", "2"],
+            _modules("freealg"),
+            _HARNESS | _modules("parsing grassmann") | _PARSER | _RECORD,
+        ),
+        (["preadj", "--generic", "2", "--output", "machine"], _RECORD, _PARSER | _modules("parsing")),
+        (
+            ["ldet", "--k", "2", "--input", "GRASSMANN"],
+            _modules("grassmann"),
+            _HARNESS | _modules("freealg") | _PARSER,
+        ),
+        (
+            ["charpoly", "--input", "INTEGER"],
+            _modules("charpoly"),
+            _ALGEBRAS | _modules("verify perms") | _PARSER,
+        ),
+        (["newton", "--generic", "3"], _modules("charpoly"), _modules("verify") | _PARSER),
+        (["s4", "--generic", "2"], _modules("charpoly"), _modules("verify") | _PARSER),
+        (["verify", "--suite", "thm3_1", "--n", "2"], _modules("verify"), _PARSER | _RECORD),
+        (["sdet", "-h"], {"argparse"}, _modules("freealg parsing")),
         (
             "import ncdet\nncdet.symmetric_determinant(ncdet.Matrix(ncdet.IntegerRing(), [[1, 2], [3, 4]]))",
             _CORE,
-            _PACKAGE - _CORE,
+            _PACKAGE - _CORE | _PARSER | _RECORD,
         ),
     ],
-    ids=["sdet", "preadj", "ldet-grassmann", "charpoly", "newton", "s4", "verify", "library-sdet"],
+    ids=[
+        "sdet", "sdet-generic", "preadj", "preadj-machine", "ldet-grassmann", "charpoly", "newton", "s4",
+        "verify", "sdet-help", "library-sdet",
+    ],
 )
 def test_each_command_loads_only_the_modules_it_runs(integer_doc, tmp_path, run, loads, skips):
     """A row runs an ncdet command (argv, where INTEGER and GRASSMANN name a
@@ -522,3 +551,100 @@ def test_help_and_argument_errors_are_byte_identical(capsys, monkeypatch, pin):
         code = exc.code
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (pin["code"], pin["stdout"], pin["stderr"])
+
+
+# The flags each command declares, written out here so that the reader's
+# own table is not its test's spec.
+_MATRIX_FLAGS = {"--input", "--generic", "--output"}
+_DECLARED = {
+    "sdet": _MATRIX_FLAGS,
+    "preadj": _MATRIX_FLAGS,
+    "rdet": _MATRIX_FLAGS | {"--k"},
+    "ldet": _MATRIX_FLAGS | {"--k"},
+    "charpoly": _MATRIX_FLAGS | {"--k", "--side"},
+    "newton": _MATRIX_FLAGS,
+    "s4": _MATRIX_FLAGS,
+    "verify": {"--suite", "--n", "--k", "--t", "--rank", "--trials", "--seed", "--output"},
+}
+_INTS = ("2", "3", "0", "+2", " 4", "٣", "1_0")
+# values that convert for a flag; other flags take the ints
+_GOOD = {
+    "--input": ("m.json", "verify", ""),
+    "--suite": ("all", "thm3_1"),
+    "--output": ("text", "machine"),
+    "--side": ("right", "left"),
+}
+_BAD = ("-3", "-1e3", "1.5", "x", "-", "--", "-h", "--k", "text", "up", "sdet", "verify")
+# second sources, abbreviations, ``--flag=value``, help and stray words
+_ODD_FLAGS = (
+    "--input", "--generic", "--suite", "--gen", "--in", "--out", "--s", "--su", "--tri", "--ran",
+    "-h", "--help", "--", "-k", "--bogus", "--generic=2", "--k=2", "--output=machine", "--suite=all",
+    "sdet", "verify",
+)
+
+
+@st.composite
+def _argv(draw):
+    """A command, then mostly its source and its own flags with values that
+    mostly convert, and now and then an undeclared or abbreviated flag, a
+    second source, a bad value, a repeat or a stray word."""
+    command = draw(st.sampled_from((*_DECLARED, "bogus", "-h")))
+    # the source is drawn once; a second one is an odd flag
+    declared = sorted(_DECLARED.get(command, _MATRIX_FLAGS) - {"--input", "--generic", "--suite"})
+    argv = [command]
+    flags = [draw(st.sampled_from(declared) if draw(st.integers(0, 3)) else st.sampled_from(_ODD_FLAGS))
+             for _ in range(draw(st.integers(0, 3)))]
+    if draw(st.integers(0, 3)):
+        flags.insert(0, "--suite" if command == "verify" else draw(st.sampled_from(("--input", "--generic"))))
+    for flag in flags:
+        good = st.sampled_from(_GOOD.get(flag, _INTS))
+        argv += [flag, draw(good if draw(st.integers(0, 3)) else st.sampled_from(_BAD) | st.text(max_size=3))]
+    if not draw(st.integers(0, 3)):
+        argv.append(draw(st.sampled_from(_BAD + _INTS)))
+    return argv
+
+
+def _argparse_namespace(argv):
+    """What ``argparse`` makes of argv: its fields, or None where it exits."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli._build_parser(argv).parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def _well_formed(argv) -> bool:
+    """The shape the reader takes, before argparse checks the values."""
+    flags, values = argv[1::2], argv[2::2]
+    return (
+        len(argv) % 2 == 1
+        and set(flags) <= _DECLARED.get(argv[0], set())
+        and len(set(flags)) == len(flags)
+        and not any(value.startswith("-") for value in values)
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(argv=_argv())
+# argparse takes the first five (a negative number, a lone dash, a repeat,
+# an abbreviation, ``--flag=value``) and refuses the last three (two
+# sources, a bad int, a bad choice); the reader declines all eight
+@example(argv=["sdet", "--generic", "-3"])
+@example(argv=["sdet", "--input", "-"])
+@example(argv=["sdet", "--input", "a.json", "--input", "b.json"])
+@example(argv=["sdet", "--gen", "2"])
+@example(argv=["sdet", "--generic=2"])
+@example(argv=["sdet", "--input", "m.json", "--generic", "2"])
+@example(argv=["rdet", "--k", "x", "--generic", "2"])
+@example(argv=["charpoly", "--side", "up", "--generic", "2"])
+def test_the_argv_reader_returns_argparse_fields_or_declines(argv):
+    """On a well-formed argv that argparse accepts, the reader returns its
+    fields; on any other argv it declines, and argparse reads it."""
+    expected = _argparse_namespace(argv)
+    read = cli._read_argv(argv)
+    if expected is not None and _well_formed(argv):
+        assert read is not None, argv
+        assert vars(read) == expected, argv
+    else:
+        assert read is None, argv
+
